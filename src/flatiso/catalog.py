@@ -17,8 +17,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import exprio, flatcore, isomono, logvf, midconv, p6
-from .errors import FlatIsoError, UnknownId
-from .flatcore import PotentialVF
+from .errors import FlatIsoError, SchemaError, UnknownId
+from .flatcore import PotentialVF, SaitoMatrices
 from .isomono import PathSpec
 
 IDS = ["H3", "H3p", "H3pp", "LT8", "LT26", "LT27", "LT13", "LT14",
@@ -101,16 +101,19 @@ def catalog_get(entry_id: str) -> CatalogEntry:
 # verification pipelines
 # ---------------------------------------------------------------------------
 
-def _verify_symbolic(entry: CatalogEntry) -> dict:
-    pvf = entry.pvf
+def _verify_symbolic(pvf: PotentialVF, flags: Dict[str, bool]):
+    """(exact verdicts, the SaitoMatrices they were read from).
+
+    flags select the prepotential check.
+    """
     report = flatcore.check_extended_wdvv(pvf)
-    m = flatcore.build_saito_matrices(pvf)
+    m = report.matrices
+    if m is None:
+        raise SchemaError("T is not homogeneous; input g is not weighted homogeneous")
     lrep = logvf.logvf_identities(m)
-    d = logvf.discriminant(m)
-    crit = logvf.saito_criterion(flatcore.mat_scale(m.T, -1), d)
+    crit = logvf.generator_criterion(m)
     trace_ok = all(v.is_zero()
                    for v in logvf.trace_identity_defects(m).values())
-    integ = isomono.check_integrability(m)
     out = {
         "wdvv_unit": report.unit_ok,
         "wdvv_homogeneity": report.homogeneity_ok,
@@ -119,25 +122,24 @@ def _verify_symbolic(entry: CatalogEntry) -> dict:
         "flat_normalization": report.flat_normalization_ok,
         "logvf_identities": lrep.all_ok,
         "trace_identity": trace_ok,
-        "saito_criterion_c": None if crit is None else str(crit),
-        "okubo_integrability": integ.all_ok,
-        "discriminant_weight": str(d.h.weight()),
+        "saito_criterion_c": str(crit),
+        # the Okubo integrability equations are the Saito relations
+        "okubo_integrability": report.saito_relations_ok,
+        "discriminant_weight": str(m.h.weight()),
     }
-    if entry.flags.get("has_prepotential"):
+    if flags.get("has_prepotential"):
         pre = flatcore.frobenius_check(pvf)
         out["prepotential_found"] = pre is not None
-        stored = entry.pvf.meta.get("prepotential")
+        stored = pvf.meta.get("prepotential")
         if pre is not None and stored:
             F_stored = exprio.parse_expr(stored, pvf.ring)
             out["prepotential_matches"] = (pre.F - F_stored).is_zero()
-    out["pass"] = all(v is True for k, v in out.items()
-                      if isinstance(v, bool)) and crit == 1
-    return out
+    out["pass"] = all(v is True for v in out.values() if isinstance(v, bool))
+    return out, m
 
 
-def _verify_numeric(entry: CatalogEntry) -> dict:
+def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices) -> dict:
     pvf = entry.pvf
-    m = flatcore.build_saito_matrices(pvf)
     lam = p6.default_lambda(pvf.ring.weights)
     path = entry.default_path.points
     svals = entry.path_svals
@@ -162,9 +164,8 @@ def _verify_numeric(entry: CatalogEntry) -> dict:
     return out
 
 
-def _verify_full(entry: CatalogEntry) -> dict:
+def _verify_full(entry: CatalogEntry, m: SaitoMatrices) -> dict:
     pvf = entry.pvf
-    m = flatcore.build_saito_matrices(pvf)
     lam = p6.default_lambda(pvf.ring.weights)
     path = entry.default_path.points
     svals = entry.path_svals
@@ -208,13 +209,13 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
     report = {"id": entry_id, "depth": depth,
               "flags": dict(entry.flags),
               "tolerances": dict(TOLERANCES)}
-    report["symbolic"] = _verify_symbolic(entry)
+    report["symbolic"], m = _verify_symbolic(entry.pvf, entry.flags)
     passed = report["symbolic"]["pass"]
     if depth in ("numeric", "full"):
-        report["numeric"] = _verify_numeric(entry)
+        report["numeric"] = _verify_numeric(entry, m)
         passed = passed and report["numeric"]["pass"]
     if depth == "full":
-        report["full"] = _verify_full(entry)
+        report["full"] = _verify_full(entry, m)
         passed = passed and report["full"]["pass"]
     report["pass"] = bool(passed)
     return report

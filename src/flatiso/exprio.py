@@ -354,10 +354,6 @@ def serialize_pvf(pvf) -> dict:
     return doc
 
 
-def serialize_pvf_text(pvf) -> str:
-    return json.dumps(serialize_pvf(pvf), indent=1, sort_keys=True)
-
-
 # ---------------------------------------------------------------------------
 # matrices (row-major arrays of expression strings)
 # ---------------------------------------------------------------------------

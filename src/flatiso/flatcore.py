@@ -12,15 +12,20 @@ the extended WDVV system: pairwise commutativity of the B^(k), the unit
 condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the four structure
 relations coupling T, B^(k) and Binf, and the normalization T_nj = -w_j t_j.
 All checks are exact zero tests in the ring.
+
+Everything else derived from a structure (the commutators, the divisor
+h = det(-T) with its partials and the divisions V_i h / h, adj(T) and
+T + t_n I) is computed on first use and kept on its SaitoMatrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DegenerateJacobian, NoRescalingFound, SchemaError
+from .errors import DegenerateJacobian, NoRescalingFound, NotMonic, SchemaError
 from .ring import Ring, RingElem
 
 
@@ -92,9 +97,39 @@ def mat_adjugate(a):
     return out
 
 
-def mat_eval(a, point, z=None):
-    import numpy as np
-    return np.array([[e.eval(point, z=z) for e in row] for row in a], dtype=complex)
+def pairwise_commutators(B):
+    """[B[p], B[q]] keyed by the 1-based pair (p, q), p < q."""
+    n = len(B)
+    return {(p + 1, q + 1): mat_commutator(B[p], B[q])
+            for p in range(n) for q in range(p + 1, n)}
+
+
+def divmod_main_var(f: RingElem, h: RingElem, var: int):
+    """Long division f = q*h + r by a divisor monic in t_{var+1}."""
+    ring = f.ring
+    hc = h.coeffs_in(var)
+    d = len(hc) - 1
+    q = ring.zero()
+    r = f
+    t = ring.var(var)
+    while True:
+        rc = r.coeffs_in(var)
+        dr = len(rc) - 1
+        if r.is_zero() or dr < d:
+            return q, r
+        lead = rc[dr]
+        mono = lead * t ** (dr - d)
+        q = q + mono
+        r = r - mono * h
+
+
+def log_division(V, h: RingElem, dh) -> tuple:
+    """(Vh, q, r) with Vh = sum_k V[k] dh[k] = q*h + r; V is logarithmic iff r = 0."""
+    vh = h.ring.zero()
+    for vk, dk in zip(V, dh):
+        vh = vh + vk * dk
+    q, r = divmod_main_var(vh, h, h.ring.nvars - 1)
+    return vh, q, r
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +168,10 @@ class PotentialVF:
 
 @dataclass
 class SaitoMatrices:
-    """C, the B^(k), T and Binf of a flat structure, over the ring."""
+    """C, the B^(k), T and Binf of a flat structure, over the ring.
+
+    The objects derived from them are computed on first use and kept.
+    """
 
     ring: Ring
     C: list
@@ -149,6 +187,58 @@ class SaitoMatrices:
     def weights(self):
         return self.ring.weights
 
+    @cached_property
+    def commutators(self):
+        """[B^(p), B^(q)] keyed by (p, q), p < q."""
+        return pairwise_commutators(self.Btilde)
+
+    @cached_property
+    def minus_T(self):
+        """-T; row i encodes the vector field V_{n+1-i}."""
+        return mat_scale(self.T, Fraction(-1))
+
+    @cached_property
+    def h(self) -> RingElem:
+        """h = det(-T), checked monic in t_n and weighted homogeneous of weight n."""
+        h = mat_det(self.minus_T)
+        n = self.n
+        last = n - 1
+        if h.degree_in(last) != n:
+            raise NotMonic(f"det(-T) has degree {h.degree_in(last)} in t{n}, expected {n}")
+        lead = h.coeffs_in(last)[n]
+        if not (lead - 1).is_zero():
+            raise NotMonic("det(-T) is not monic in the last variable")
+        if not h.is_homogeneous(n):
+            raise NotMonic(f"det(-T) is not weighted homogeneous of weight {n}")
+        return h
+
+    @cached_property
+    def dh(self) -> List[RingElem]:
+        """dh/dt_k for k = 1..n."""
+        return [self.h.partial(k) for k in range(self.n)]
+
+    @cached_property
+    def log_rows(self) -> list:
+        """(V h, q, r) with V h = q*h + r for each row V of -T."""
+        return [log_division(row, self.h, self.dh) for row in self.minus_T]
+
+    @cached_property
+    def adjT(self):
+        """adj(T), with T adj(T) = det(T) I."""
+        return mat_adjugate(self.T)
+
+    @cached_property
+    def T0(self):
+        """T + t_n I, which condition (T) requires to be free of t_n."""
+        last = self.n - 1
+        t_last = self.ring.var(last)
+        zero = self.ring.zero()
+        T0 = [[e + (t_last if i == j else zero) for j, e in enumerate(row)]
+              for i, row in enumerate(self.T)]
+        if any(e.degree_in(last) > 0 for row in T0 for e in row):
+            raise ValueError("T + t_n I is not free of t_n")
+        return T0
+
 
 @dataclass
 class WdvvReport:
@@ -157,6 +247,7 @@ class WdvvReport:
     commutators: Dict[Tuple[int, int], list]
     saito_relations_ok: Optional[bool] = None
     flat_normalization_ok: Optional[bool] = None
+    matrices: Optional[SaitoMatrices] = None      # None when T is inhomogeneous
 
     @property
     def commutators_ok(self):
@@ -195,12 +286,18 @@ class FlatCoordsResult:
 # construction
 # ---------------------------------------------------------------------------
 
+def _gradient_matrices(pvf: PotentialVF):
+    """C_ij = dg_j/dt_i and the B^(k) = dC/dt_k."""
+    n = pvf.n
+    C = [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
+    return C, [mat_partial(C, k) for k in range(n)]
+
+
 def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
     """Exact C, B^(k), T from g; entries of T must come out homogeneous."""
     ring = pvf.ring
     n = pvf.n
-    C = [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
-    Btilde = [mat_partial(C, k) for k in range(n)]
+    C, Btilde = _gradient_matrices(pvf)
     T = [[-(C[i][j].euler()) for j in range(n)] for i in range(n)]
     w = ring.weights
     for i in range(n):
@@ -217,38 +314,45 @@ def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
 # ---------------------------------------------------------------------------
 
 def check_extended_wdvv(pvf: PotentialVF, with_saito: bool = True) -> WdvvReport:
-    """Unit, homogeneity and all commutator defects; defects are reported, not thrown."""
+    """Unit, homogeneity and all commutator defects; defects are reported, not thrown.
+
+    With with_saito the report also carries the SaitoMatrices it checked, or
+    None when T is not homogeneous (the relations then count as failed).
+    """
     ring = pvf.ring
     n = pvf.n
     w = ring.weights
-    C = [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
-    Btilde = [mat_partial(C, k) for k in range(n)]
-    eye = mat_identity(ring, n)
-    unit_ok = mat_is_zero(mat_sub(Btilde[n - 1], eye))
-    homogeneity_ok = all((pvf.g[j].euler() - pvf.g[j] * (1 + w[j])).is_zero()
-                         for j in range(n))
-    commutators = {}
-    for p in range(n):
-        for q in range(p + 1, n):
-            commutators[(p + 1, q + 1)] = mat_commutator(Btilde[p], Btilde[q])
-    report = WdvvReport(unit_ok=unit_ok, homogeneity_ok=homogeneity_ok,
-                        commutators=commutators)
+    m = None
     if with_saito:
         try:
             m = build_saito_matrices(pvf)
-        except SchemaError:
-            report.saito_relations_ok = False
-            report.flat_normalization_ok = False
-        else:
-            report.saito_relations_ok = check_saito_relations(m)
-            report.flat_normalization_ok = check_flat_normalization(m)
+        except SchemaError:         # T inhomogeneous: the relations fail below
+            pass
+    if m is not None:
+        Btilde, commutators = m.Btilde, m.commutators
+    else:
+        Btilde = _gradient_matrices(pvf)[1]
+        commutators = pairwise_commutators(Btilde)
+    unit_ok = mat_is_zero(mat_sub(Btilde[n - 1], mat_identity(ring, n)))
+    homogeneity_ok = all((pvf.g[j].euler() - pvf.g[j] * (1 + w[j])).is_zero()
+                         for j in range(n))
+    report = WdvvReport(unit_ok=unit_ok, homogeneity_ok=homogeneity_ok,
+                        commutators=commutators, matrices=m)
+    if with_saito:
+        report.saito_relations_ok = m is not None and check_saito_relations(m)
+        report.flat_normalization_ok = m is not None and check_flat_normalization(m)
     return report
 
 
 def check_saito_relations(m: SaitoMatrices) -> bool:
-    """The four relation families coupling T, the B^(k) and Binf, exactly."""
+    """The four relation families coupling T, the B^(k) and Binf, exactly.
+
+    Closedness dB^(i)/dt_j = dB^(j)/dt_i, pairwise commutativity of the
+    B^(k), [T, B^(k)] = 0 and dT/dt_k + B^(k) + [B^(k), Binf] = 0: the
+    integrability of the Okubo system.  A scalar shift of Binf changes none
+    of them.
+    """
     n = m.n
-    ring = m.ring
     B = m.Btilde
     # mixed derivatives of B
     for i in range(n):
@@ -256,10 +360,8 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
             if not mat_is_zero(mat_sub(mat_partial(B[i], j), mat_partial(B[j], i))):
                 return False
     # pairwise commutativity
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not mat_is_zero(mat_commutator(B[i], B[j])):
-                return False
+    if not all(mat_is_zero(c) for c in m.commutators.values()):
+        return False
     # [T, B^(i)] = 0
     for i in range(n):
         if not mat_is_zero(mat_commutator(m.T, B[i])):

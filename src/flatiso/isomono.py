@@ -1,16 +1,15 @@
 """Numeric Okubo/Pfaffian machinery.
 
-Residue decomposition of the z-equation, exact integrability checks, RK4
-integration of Pfaffian systems with a Liouville determinant guard,
-Schlesinger residuals along isomonodromic families, the Okubo normal form
-of a rank-one Fuchsian system, and the 2x2 Jimbo-Miwa parametrization
-linking Schlesinger flow to the PVI Hamiltonian system.
+Residue decomposition of the z-equation, RK4 integration of Pfaffian
+systems with a Liouville determinant guard, Schlesinger residuals along
+isomonodromic families, the Okubo normal form of a rank-one Fuchsian
+system, and the 2x2 Jimbo-Miwa parametrization linking Schlesinger flow to
+the PVI Hamiltonian system.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -19,8 +18,8 @@ from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      FactorizationFailed, InsufficientSamples,
                      InverseMismatch, PoleAtY, RankViolation, StepUnderflow,
                      TrackingLost)
-from .flatcore import SaitoMatrices, mat_commutator, mat_is_zero, mat_partial
-from .p6 import StructureSampler, residues_from_frame
+from .flatcore import SaitoMatrices
+from .p6 import StructureSampler, _cpair, _stencil_d1, residues_from_frame
 
 RESIDUE_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -52,8 +51,6 @@ class OkuboNumeric:
 
     n: int
     point: tuple
-    T: np.ndarray
-    Btilde: List[np.ndarray]
     Binf: np.ndarray                  # diagonal entries
     z: np.ndarray                     # eigenvalues of T, tracked order
     P: np.ndarray                     # eigenvector matrix, columns follow z
@@ -102,11 +99,8 @@ def residue_decomposition(m: SaitoMatrices, point, lam, z_seed=None,
     lamv = np.array([complex(x) for x in lam])
     res = residues_from_frame(roots, P, lamv)
     traces = np.array([np.trace(b) for b in res])
-    Tval = np.array(sampler.t0_matrix(point))
-    B = [np.array([[sampler.eval_elem(e, point) for e in row] for row in bt])
-         for bt in m.Btilde]
-    snap = OkuboNumeric(n=m.n, point=point, T=Tval, Btilde=B, Binf=lamv,
-                        z=np.array(roots), P=P, residues=res, traces=traces)
+    snap = OkuboNumeric(n=m.n, point=point, Binf=lamv, z=np.array(roots), P=P,
+                        residues=res, traces=traces)
     return snap.validate(strict=strict)
 
 
@@ -115,61 +109,6 @@ def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
     sampler = StructureSampler(m, z_seed=z_seed)
     return [residue_decomposition(m, p, lam, sampler=sampler, strict=strict)
             for p in path]
-
-
-# ---------------------------------------------------------------------------
-# symbolic integrability check
-# ---------------------------------------------------------------------------
-
-@dataclass
-class IntegrabilityReport:
-    commute_T_ok: bool
-    commute_B_ok: bool
-    residue_relation_ok: bool          # dT/dx_i + B^(i) + [B^(i), Binf] = 0
-    closedness_ok: bool                # dB^(i)/dx_j symmetric
-    failed: List[str] = field(default_factory=list)
-
-    @property
-    def all_ok(self):
-        return not self.failed
-
-
-def check_integrability(m: SaitoMatrices, lam=None) -> IntegrabilityReport:
-    """Exact verification of the Okubo integrability equations in the ring.
-
-    lam is the Okubo diagonal; shifting it by a scalar does not change any of
-    the equations, so the flat-structure weights are the default.
-    """
-    n = m.n
-    lam = [Fraction(x) for x in (lam if lam is not None else m.weights)]
-    B = m.Btilde
-    failed = []
-    ok_T = all(mat_is_zero(mat_commutator(m.T, B[i])) for i in range(n))
-    if not ok_T:
-        failed.append("commute_T")
-    ok_B = all(mat_is_zero(mat_commutator(B[i], B[j]))
-               for i in range(n) for j in range(i + 1, n))
-    if not ok_B:
-        failed.append("commute_B")
-    ok_rel = True
-    for i in range(n):
-        dT = mat_partial(m.T, i)
-        for r in range(n):
-            for c in range(n):
-                defect = dT[r][c] + B[i][r][c] + B[i][r][c] * (lam[c] - lam[r])
-                if not defect.is_zero():
-                    ok_rel = False
-    if not ok_rel:
-        failed.append("residue_relation")
-    ok_closed = all(mat_is_zero(
-        [[B[i][r][c].partial(j) - B[j][r][c].partial(i) for c in range(n)]
-         for r in range(n)])
-        for i in range(n) for j in range(i + 1, n))
-    if not ok_closed:
-        failed.append("closedness")
-    return IntegrabilityReport(commute_T_ok=ok_T, commute_B_ok=ok_B,
-                               residue_relation_ok=ok_rel,
-                               closedness_ok=ok_closed, failed=failed)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +144,8 @@ def integrate_pfaffian(system: Callable[[float], np.ndarray], s0, s1, Y0,
     direction = 1.0 if s1 >= s0 else -1.0
     h *= direction
     while (s1 - s) * direction > 1e-14:
-        if (s + h - s1) * direction > 0:
+        # never leave a sliver shorter than min_step: no step could cross it
+        if (s + h - s1) * direction > -min_step:
             h = s1 - s
         full = rk4(s, h, Y)
         half = rk4(s + h / 2, h / 2, rk4(s, h / 2, Y))
@@ -255,10 +195,6 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius, steps=None,
 # ---------------------------------------------------------------------------
 # Schlesinger residual
 # ---------------------------------------------------------------------------
-
-def _stencil_d1(vals, h):
-    return (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
-
 
 def schlesinger_residual(snapshots: Sequence, svals=None) -> float:
     """Max defect of dB_i/ds = sum_j [B_j, B_i] (z_i' - z_j')/(z_i - z_j).
@@ -471,7 +407,7 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400,
         t, target = ts[i], ts[i + 1]
         h = target - t
         while (target - t) * np.sign(target - ts[i]) > 1e-14:
-            if abs(h) > abs(target - t):
+            if abs(h) > abs(target - t) - min_step:
                 h = target - t
             full = rk4(t, h, state)
             half = rk4(t + h / 2, h / 2, rk4(t, h / 2, state))
@@ -515,12 +451,9 @@ def trajectory_to_csv(ts, ys, zs, ks) -> str:
 
 def jmsystem_to_json(sys: JMSystem) -> dict:
     def mat(a):
-        return [[[a[i, j].real, a[i, j].imag] for j in range(2)] for i in range(2)]
-    def pair(v):
-        v = complex(v)
-        return [v.real, v.imag]
+        return [[_cpair(x) for x in row] for row in a]
     return {"A0": mat(sys.A0), "A1": mat(sys.A1), "At": mat(sys.At),
-            "thetas": [pair(x) for x in sys.thetas],
-            "kappas": [pair(x) for x in sys.kappas],
-            "t": pair(sys.t), "y": pair(sys.y),
-            "ztilde": pair(sys.ztilde), "k": pair(sys.k)}
+            "thetas": [_cpair(x) for x in sys.thetas],
+            "kappas": [_cpair(x) for x in sys.kappas],
+            "t": _cpair(sys.t), "y": _cpair(sys.y),
+            "ztilde": _cpair(sys.ztilde), "k": _cpair(sys.k)}

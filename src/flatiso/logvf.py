@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from .errors import NotMonic, RowNotLogarithmic
-from .flatcore import SaitoMatrices, mat_det, mat_scale
+from .errors import RowNotLogarithmic
+from .flatcore import SaitoMatrices, log_division, mat_det
 from .ring import Ring, RingElem
 
 
@@ -53,57 +53,27 @@ class LogVfReport:
 
 def discriminant(m: SaitoMatrices) -> DivisorData:
     """h = det(-T), checked monic in t_n and weighted homogeneous of weight n."""
-    h = mat_det(mat_scale(m.T, Fraction(-1)))
-    n = m.n
-    last = n - 1
-    if h.degree_in(last) != n:
-        raise NotMonic(f"det(-T) has degree {h.degree_in(last)} in t{n}, expected {n}")
-    lead = h.coeffs_in(last)[n]
-    if not (lead - 1).is_zero():
-        raise NotMonic("det(-T) is not monic in the last variable")
-    if not h.is_homogeneous(n):
-        raise NotMonic(f"det(-T) is not weighted homogeneous of weight {n}")
-    return DivisorData(h=h, ring=m.ring)
+    return DivisorData(h=m.h, ring=m.ring)
 
 
-def divmod_main_var(f: RingElem, h: RingElem, var: int):
-    """Long division f = q*h + r by a divisor monic in t_{var+1}."""
-    ring = f.ring
-    hc = h.coeffs_in(var)
-    d = len(hc) - 1
-    q = ring.zero()
-    r = f
-    t = ring.var(var)
-    while True:
-        rc = r.coeffs_in(var)
-        dr = len(rc) - 1
-        if r.is_zero() or dr < d:
-            return q, r
-        lead = rc[dr]
-        mono = lead * t ** (dr - d)
-        q = q + mono
-        r = r - mono * h
+def _log_division(V, d: DivisorData):
+    return log_division(V, d.h, [d.h.partial(k) for k in range(d.n)])
 
 
 def is_logarithmic(V, d: DivisorData) -> bool:
     """True iff h divides Vh = sum_k V[k] dh/dt_k exactly."""
-    ring = d.ring
-    vh = ring.zero()
-    for k, vk in enumerate(V):
-        vh = vh + vk * d.h.partial(k)
-    _, r = divmod_main_var(vh, d.h, ring.nvars - 1)
-    return r.is_zero()
+    return _log_division(V, d)[2].is_zero()
 
 
 def log_ratio(V, d: DivisorData) -> RingElem:
     """(Vh)/h for a logarithmic field; raises if the division is not exact."""
-    ring = d.ring
-    vh = ring.zero()
-    for k, vk in enumerate(V):
-        vh = vh + vk * d.h.partial(k)
-    q, r = divmod_main_var(vh, d.h, ring.nvars - 1)
+    return _quotient(_log_division(V, d))
+
+
+def _quotient(division, row=-1) -> RingElem:
+    _, q, r = division
     if not r.is_zero():
-        raise RowNotLogarithmic(-1)
+        raise RowNotLogarithmic(row)
     return q
 
 
@@ -121,6 +91,17 @@ def saito_criterion(MV: VectorFieldMatrix, d: DivisorData) -> Optional[Fraction]
     return c if c else None
 
 
+def generator_criterion(m: SaitoMatrices) -> Fraction:
+    """saito_criterion for the rows of -T, read from the structure's divisions.
+
+    det(-T) is h itself, so c = 1 once every row is logarithmic; a row that
+    is not raises RowNotLogarithmic.
+    """
+    for i, division in enumerate(m.log_rows):
+        _quotient(division, i)
+    return Fraction(1)
+
+
 # ---------------------------------------------------------------------------
 # the generator-system identities
 # ---------------------------------------------------------------------------
@@ -131,8 +112,7 @@ def logvf_identities(m: SaitoMatrices) -> LogVfReport:
     n = m.n
     w = m.weights
     t = ring.gens()
-    d = discriminant(m)
-    M = mat_scale(m.T, Fraction(-1))          # row i encodes V_{n+1-i}
+    M = m.minus_T                             # row i encodes V_{n+1-i}
     failed = []
 
     # (i) V_1 = Euler field: row n of -T is (w_1 t_1, ..., w_n t_n)
@@ -141,19 +121,17 @@ def logvf_identities(m: SaitoMatrices) -> LogVfReport:
         failed.append("euler_row")
 
     # (ii) V_1 h = n h
-    v1 = M[n - 1]
-    v1_ok = (log_ratio(v1, d) - n).is_zero()
+    v1_ok = (_quotient(m.log_rows[n - 1]) - n).is_zero()
     if not v1_ok:
         failed.append("v1_h")
 
     # (iii) for i > 1: (V_i h)/h = -d s_1/d t_{n-i+1}, s_1 the t_n^{n-1} coeff of -h
-    hc = d.h.coeffs_in(n - 1)
+    hc = m.h.coeffs_in(n - 1)
     s1 = -hc[n - 1]
     ratios_ok = True
     for i in range(2, n + 1):
-        vi = M[n - i]
-        ratio = log_ratio(vi, d)
-        if not (ratio + s1.partial(n - i + 1 - 1)).is_zero():
+        ratio = _quotient(m.log_rows[n - i])
+        if not (ratio + s1.partial(n - i)).is_zero():
             ratios_ok = False
             failed.append(f"vi_ratio_{i}")
 
@@ -178,15 +156,10 @@ def trace_identity_defects(m: SaitoMatrices) -> Dict[int, RingElem]:
     """
     ring = m.ring
     n = m.n
-    d = discriminant(m)
-    M = mat_scale(m.T, Fraction(-1))
     sign = Fraction((-1) ** (n + 1))
     out = {}
     for k in range(1, n + 1):
-        vk = M[k - 1]
-        vh = ring.zero()
-        for j in range(n):
-            vh = vh + vk[j] * d.h.partial(j)
+        vh = m.log_rows[k - 1][0]
         tr = sum((m.Btilde[k - 1][i][i] for i in range(n)), ring.zero())
-        out[k] = vh - tr * d.h * sign
+        out[k] = vh - tr * m.h * sign
     return out

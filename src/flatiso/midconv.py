@@ -22,7 +22,8 @@ import numpy as np
 from .errors import (ConditionDViolation, FactorizationFailed,
                      InverseMismatch, PivotColumnNotFound, RankViolation,
                      ResonantLambda)
-from .isomono import OkuboNumeric
+from .isomono import OkuboNumeric, residue_decomposition
+from .p6 import StructureSampler, _cpair, _stencil_d1, residues_from_frame
 
 RANK_TOL = 1e-8
 
@@ -99,14 +100,8 @@ def truncate_okubo(ok: OkuboNumeric, z_grad=None) -> RankOneSystem:
     lam = np.asarray(ok.Binf, dtype=complex)
     shift = lam[n - 1]
     lam_shifted = lam - shift
-    # residues of the shifted system: -P E_i P^-1 (Binf - shift I)
-    Pinv = np.linalg.inv(ok.P)
-    res = []
-    for i in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[i, i] = 1.0
-        Bi = -ok.P @ E @ Pinv @ np.diag(lam_shifted)
-        res.append(Bi[:n - 1, :n - 1])
+    res = [Bi[:n - 1, :n - 1]
+           for Bi in residues_from_frame(ok.z, ok.P, lam_shifted)]
     if z_grad is None:
         z_grad = np.zeros((n, 0))
     sys = RankOneSystem(n=n, residues=res, Gamma_inf=lam_shifted[:n - 1],
@@ -340,7 +335,6 @@ def output_integrability_defect(results, svals) -> float:
     squares and the remaining defect max-norm is returned; for a genuinely
     integrable output it sits at the stencil error.
     """
-    from .isomono import _stencil_d1
     if len(results) < 5:
         raise RankViolation("need at least 5 family points")
     h = svals[1] - svals[0]
@@ -406,24 +400,19 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
     (snapshot, system, family) with family(kdir, h) re-truncating at the
     displaced point for the invariant-subspace diagnostics.
     """
-    from .isomono import residue_decomposition
-    from .logvf import discriminant
-    from .p6 import StructureSampler
-
     sampler = StructureSampler(m, z_seed=z_seed)
     if initial_roots is not None:
         sampler._prev_roots = np.asarray(initial_roots)
     snap = residue_decomposition(m, tuple(tprime), lam, sampler=sampler)
-    h = discriminant(m).h
+    dh = m.dh
     n = m.n
     zval = sampler._z
     grads = np.zeros((n, n), dtype=complex)
-    dh_last = h.partial(n - 1)
     for j, zj in enumerate(snap.z):
         full = tuple(tprime) + (zj,)
-        denom = dh_last.eval(full, z=zval)
+        denom = dh[n - 1].eval(full, z=zval)
         for i in range(n - 1):
-            grads[j, i] = -h.partial(i).eval(full, z=zval) / denom
+            grads[j, i] = -dh[i].eval(full, z=zval) / denom
         grads[j, n - 1] = -1.0
     sys1 = truncate_okubo(snap, z_grad=grads)
 
@@ -445,11 +434,6 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
 # ---------------------------------------------------------------------------
 # JSON bundles (complex numbers as [re, im] pairs)
 # ---------------------------------------------------------------------------
-
-def _cpair(v):
-    v = complex(v)
-    return [v.real, v.imag]
-
 
 def rank_one_to_json(sys: RankOneSystem) -> dict:
     return {"n": sys.n,

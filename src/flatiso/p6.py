@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import (DegenerateLinearEntry, EigenvalueCollision,
                      EntryIdenticallyZero, InsufficientSamples, RootCollision)
-from .flatcore import SaitoMatrices, mat_adjugate
+from .flatcore import SaitoMatrices
 
 DEFAULT_SEPARATION = 1e-9
 
@@ -102,18 +102,7 @@ class StructureSampler:
         self.n = m.n
         self.separation = separation
         self.z_seed = z_seed
-        last = self.n - 1
-        t_last = ring.var(last)
-        # Condition (T): T + t_n I must be t_n-free
-        self.T0 = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.n):
-                e = m.T[i][j] + (t_last if i == j else ring.zero())
-                if e.degree_in(last) > 0:
-                    raise ValueError("T + t_n I is not free of t_n")
-                row.append(e)
-            self.T0.append(row)
+        self.T0 = m.T0
         self._z = None
         self._prev_pt = None
         self._prev_roots = None
@@ -198,8 +187,7 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
     if abs(lam[j - 1]) < 1e-14:
         raise EntryIdenticallyZero(
             f"column {j} of h B^(3) vanishes (lambda_{j} = 0)")
-    adj = mat_adjugate(m.T)
-    entry = adj[i - 1][j - 1]
+    entry = m.adjT[i - 1][j - 1]
     if entry.is_zero():
         raise EntryIdenticallyZero(f"adj(T)[{i}][{j}] is identically zero")
     last = m.n - 1
@@ -395,13 +383,16 @@ def samples_to_csv(samples: Sequence[P6Sample]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cpair(v):
+    """A complex number as the JSON pair [re, im]."""
+    v = complex(v)
+    return [v.real, v.imag]
+
+
 def params_to_json(params: P6Params) -> dict:
-    def pair(v):
-        v = complex(v)
-        return [v.real, v.imag]
-    return {"theta": {"0": pair(params.theta0), "1": pair(params.theta1),
-                      "t": pair(params.thetat), "inf": pair(params.thetainf)},
-            "alpha": pair(params.alpha), "beta": pair(params.beta),
-            "gamma": pair(params.gamma), "delta": pair(params.delta),
-            "r": [pair(x) for x in params.r],
-            "lambda": [pair(x) for x in params.lam]}
+    return {"theta": {"0": _cpair(params.theta0), "1": _cpair(params.theta1),
+                      "t": _cpair(params.thetat), "inf": _cpair(params.thetainf)},
+            "alpha": _cpair(params.alpha), "beta": _cpair(params.beta),
+            "gamma": _cpair(params.gamma), "delta": _cpair(params.delta),
+            "r": [_cpair(x) for x in params.r],
+            "lambda": [_cpair(x) for x in params.lam]}

@@ -779,24 +779,8 @@ def _full_cancel(ring, num, zden, dden):
 
 
 # ---------------------------------------------------------------------------
-# module-level operation surface
+# root continuation along paths
 # ---------------------------------------------------------------------------
-
-def partial(f: RingElem, var: int) -> RingElem:
-    return f.partial(var)
-
-
-def euler_apply(f: RingElem) -> RingElem:
-    return f.euler()
-
-
-def is_homogeneous(f: RingElem, w) -> bool:
-    return f.is_homogeneous(w)
-
-
-def eval_elem(f: RingElem, point, root_choice=None, z=None) -> complex:
-    return f.eval(point, z=z, z_seed=root_choice)
-
 
 def track_root(ring: Ring, points, seed, separation=ROOT_SEPARATION):
     """Continuation of the generator root along a path, with step halving."""

@@ -93,3 +93,27 @@ def test_full_depth_one_extension_entry():
     assert rep["pass"], rep
     assert rep["full"]["schlesinger_residual"] < 1e-6
     assert rep["full"]["midconv_gamma_inf_error"] < 1e-8
+
+
+@pytest.mark.parametrize("eid", ["H3", "H3p", "LT8"])
+def test_symbolic_verify_derives_once(eid, monkeypatch):
+    # one build of the matrices and one n x n determinant (h = det(-T)) per verify
+    from flatiso import flatcore
+    n = catalog.catalog_get(eid).pvf.n
+    builds, dets = [], []
+    build, det = flatcore.build_saito_matrices, flatcore.mat_det
+
+    def counting_build(pvf):
+        builds.append(pvf)
+        return build(pvf)
+
+    def counting_det(a):
+        if len(a) == n:
+            dets.append(a)
+        return det(a)
+
+    monkeypatch.setattr(flatcore, "build_saito_matrices", counting_build)
+    monkeypatch.setattr(flatcore, "mat_det", counting_det)
+    assert catalog.catalog_verify(eid, "symbolic")["pass"]
+    assert len(builds) == 1
+    assert len(dets) == 1

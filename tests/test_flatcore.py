@@ -67,6 +67,21 @@ def test_wdvv_perturbed_klein(perturbed_klein):
     assert not check_saito_relations(m)
 
 
+def test_wdvv_inhomogeneous_reported_not_raised(klein):
+    # t1^2 has weight 4/7 != 2 = 1 + w3, so T is inhomogeneous and no
+    # SaitoMatrices can be built; the check reports instead of raising
+    g = list(klein.g)
+    g[2] = g[2] + klein.ring.var(0) ** 2
+    rep = check_extended_wdvv(PotentialVF(ring=klein.ring, g=g))
+    assert rep.unit_ok
+    assert not rep.homogeneity_ok
+    assert rep.failing_commutators() == [(1, 2)]
+    assert rep.saito_relations_ok is False
+    assert rep.flat_normalization_ok is False
+    assert rep.matrices is None
+    assert not rep.is_solution
+
+
 def test_flat_normalization_hand_built(klein_matrices):
     m = klein_matrices
     assert check_flat_normalization(m)

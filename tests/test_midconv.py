@@ -28,9 +28,9 @@ def test_truncation_shapes_and_conditions():
 
 
 def test_truncation_rejects_rank_one_input():
-    snap = iso.OkuboNumeric(n=1, point=(0.0,), T=np.eye(1), Btilde=[np.eye(1)],
-                            Binf=np.array([0.5 + 0j]), z=np.array([0.3 + 0j]),
-                            P=np.eye(1), residues=[np.array([[-0.5 + 0j]])],
+    snap = iso.OkuboNumeric(n=1, point=(0.0,), Binf=np.array([0.5 + 0j]),
+                            z=np.array([0.3 + 0j]), P=np.eye(1),
+                            residues=[np.array([[-0.5 + 0j]])],
                             traces=np.array([-0.5 + 0j]))
     with pytest.raises(ConditionDViolation):
         mc.truncate_okubo(snap)

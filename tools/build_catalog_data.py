@@ -2,9 +2,9 @@
 
 The exact rational data (weights, potential-field components, extension
 relations) is transcribed here; the two algebraic-prepotential entries get
-their g derived by extension-ring differentiation.  Every entry is verified
-(extended WDVV + structure relations + generator identities + Saito
-criterion) before being written.  Run from the repository root:
+their g derived by extension-ring differentiation.  Every entry passes the
+catalog's symbolic verification before being written.  Run from the
+repository root:
 
     python tools/build_catalog_data.py
 """
@@ -16,9 +16,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from fractions import Fraction as F
-
-from flatiso import exprio, flatcore as fc, logvf as lv
+from flatiso import catalog, exprio, flatcore as fc
 from flatiso.ring import Ring
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "flatiso", "catalog_data")
@@ -141,17 +139,10 @@ def build_pvf(name, spec):
     return fc.PotentialVF(ring=ring, g=g, name=name)
 
 
-def verify(name, pvf):
-    rep = fc.check_extended_wdvv(pvf)
-    m = fc.build_saito_matrices(pvf)
-    d = lv.discriminant(m)
-    lrep = lv.logvf_identities(m)
-    crit = lv.saito_criterion(fc.mat_scale(m.T, F(-1)), d)
-    ok = rep.is_solution and lrep.all_ok and crit == 1
-    if not ok:
+def verify(name, pvf, flags):
+    report, _ = catalog._verify_symbolic(pvf, flags)
+    if not report["pass"]:
         raise SystemExit(f"{name}: verification failed before writing")
-    return ok
-
 
 
 def main():
@@ -160,11 +151,13 @@ def main():
     manifest = {}
     for name, spec in RAW.items():
         pvf = build_pvf(name, spec)
-        verify(name, pvf)
         pvf.meta["label"] = name
         pvf.meta["source"] = SOURCES[name][0]
         if "F" in spec:
             pvf.meta["prepotential"] = spec["F"]
+        flags = {"has_prepotential": name == "H3",
+                 "has_extension": spec["ext"] is not None}
+        verify(name, pvf, flags)
         doc = exprio.serialize_pvf(pvf)
         pvf2 = exprio.parse_pvf(doc)
         assert exprio.serialize_pvf(pvf2) == doc
@@ -174,8 +167,7 @@ def main():
         entry = {
             "id": name,
             "pvf": doc,
-            "flags": {"has_prepotential": name == "H3",
-                      "has_extension": spec["ext"] is not None},
+            "flags": flags,
             "default_path": {"t1": 1.0, "t2_start": p["t2"][0],
                              "t2_end": p["t2"][1], "points": 41,
                              "z_seed": p["seed"]},
