@@ -128,7 +128,7 @@ def _verify_symbolic(pvf: PotentialVF, flags: Dict[str, bool]):
         "discriminant_weight": str(m.h.weight()),
     }
     if flags.get("has_prepotential"):
-        pre = flatcore.frobenius_check(pvf)
+        pre = flatcore.frobenius_check(pvf, m.C)
         out["prepotential_found"] = pre is not None
         stored = pvf.meta.get("prepotential")
         if pre is not None and stored:
@@ -138,7 +138,8 @@ def _verify_symbolic(pvf: PotentialVF, flags: Dict[str, bool]):
     return out, m
 
 
-def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices) -> dict:
+def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
+    """Numeric checks; snaps are the residue snapshots along the default path."""
     pvf = entry.pvf
     lam = p6.default_lambda(pvf.ring.weights)
     path = entry.default_path.points
@@ -149,7 +150,6 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices) -> dict:
     params = p6.p6_parameters(m, path[0], lam=lam, sampler=sampler,
                               entry_choice=entry.p6_entry)
     residual = p6.p6_residual(samples, params)
-    snaps = isomono.snapshots_along(m, path, lam, z_seed=entry.z_seed)
     traces = np.array([s.traces for s in snaps])
     trace_spread = float(np.abs(traces - traces[0]).max())
     out = {
@@ -164,12 +164,11 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices) -> dict:
     return out
 
 
-def _verify_full(entry: CatalogEntry, m: SaitoMatrices) -> dict:
+def _verify_full(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
+    """Full-depth checks; snaps as for _verify_numeric."""
     pvf = entry.pvf
-    lam = p6.default_lambda(pvf.ring.weights)
     path = entry.default_path.points
     svals = entry.path_svals
-    snaps = isomono.snapshots_along(m, path, lam, z_seed=entry.z_seed)
     schles = isomono.schlesinger_residual(snaps, svals=svals)
 
     mid = len(path) // 2
@@ -212,10 +211,13 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
     report["symbolic"], m = _verify_symbolic(entry.pvf, entry.flags)
     passed = report["symbolic"]["pass"]
     if depth in ("numeric", "full"):
-        report["numeric"] = _verify_numeric(entry, m)
+        lam = p6.default_lambda(entry.pvf.ring.weights)
+        snaps = isomono.snapshots_along(m, entry.default_path.points, lam,
+                                        z_seed=entry.z_seed)
+        report["numeric"] = _verify_numeric(entry, m, snaps)
         passed = passed and report["numeric"]["pass"]
     if depth == "full":
-        report["full"] = _verify_full(entry, m)
+        report["full"] = _verify_full(entry, m, snaps)
         passed = passed and report["full"]["pass"]
     report["pass"] = bool(passed)
     return report

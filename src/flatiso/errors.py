@@ -15,6 +15,10 @@ class DenominatorNotUnit(FlatIsoError):
     """A parsed denominator is not rational * z^a * rel_z^b."""
 
 
+class DegreeOverflow(FlatIsoError):
+    """A monomial's total degree exceeds ring.MAX_DEGREE (the packed key field width)."""
+
+
 class RootNotConverged(FlatIsoError):
     """Newton iteration for the algebraic generator failed to converge."""
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from .errors import DenominatorNotUnit, ParseError, SchemaError
-from .ring import (Ring, RingElem, _grlex_key, _w_add, _w_exact_div, _w_mul,
-                   _w_neg, _w_scale)
+from .ring import (Ring, RingElem, _grlex_key, _p_lincomb, _p_scale, _packing,
+                   _to_fractions)
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -65,14 +65,17 @@ def _tokenize(text):
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    """Precedence climbing: ^ (right) > unary - > * / > binary + -."""
+    """Precedence climbing: ^ (right) > unary - > * / > binary + -.
+
+    Values are (numerator, denominator) pairs of packed integer polynomials.
+    """
 
     def __init__(self, text, nvars, allow_z):
         self.toks = _tokenize(text)
         self.pos = 0
         self.nvars = nvars
         self.allow_z = allow_z
-        self.onemono = (0,) * (nvars + 1)
+        self.pk = _packing(nvars)
 
     def peek(self):
         return self.toks[self.pos]
@@ -97,24 +100,32 @@ class _Parser:
 
     def expr(self):
         v = self.term()
+        mul = self.pk.mul
         while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
+            sign = 1 if self.take()[0] == "+" else -1
             w = self.term()
-            v = _frac_add(v, w) if op == "+" else _frac_add(v, _frac_neg(w))
+            v = (_p_lincomb(mul(v[0], w[1]), 1, mul(w[0], v[1]), sign), mul(v[1], w[1]))
         return v
 
     def term(self):
         v = self.unary()
+        mul = self.pk.mul
         while self.peek()[0] in ("*", "/"):
             op = self.take()[0]
             w = self.unary()
-            v = _frac_mul(v, w) if op == "*" else _frac_div(v, w, self)
+            if op == "*":
+                v = (mul(v[0], w[0]), mul(v[1], w[1]))
+            else:
+                if not w[0]:
+                    raise ParseError(self.peek()[2], "nonzero denominator", "0")
+                v = (mul(v[0], w[1]), mul(v[1], w[0]))
         return v
 
     def unary(self):
         if self.peek()[0] == "-":
             self.take()
-            return _frac_neg(self.unary())
+            n, d = self.unary()
+            return {k: -c for k, c in n.items()}, d
         return self.power()
 
     def power(self):
@@ -122,8 +133,22 @@ class _Parser:
         if self.peek()[0] == "^":
             self.take()
             k = self.exponent()
-            return _frac_pow(v, k)
+            return self.pow(v, k)
         return v
+
+    def pow(self, v, k):
+        mul = self.pk.mul
+        out_n, out_d = {0: 1}, {0: 1}
+        base_n, base_d = v
+        while k:
+            if k & 1:
+                out_n = mul(out_n, base_n)
+                out_d = mul(out_d, base_d)
+            k >>= 1
+            if k:
+                base_n = mul(base_n, base_n)
+                base_d = mul(base_d, base_d)
+        return out_n, out_d
 
     def exponent(self):
         t = self.take()
@@ -138,64 +163,28 @@ class _Parser:
     def atom(self):
         t = self.take()
         if t[0] == "int":
-            c = Fraction(int(t[1]))
-            return ({self.onemono: c} if c else {}, {self.onemono: Fraction(1)})
+            c = int(t[1])
+            return ({0: c} if c else {}, {0: 1})
         if t[0] == "(":
             v = self.expr()
             self.expect(")")
             return v
         if t[0] == "ident":
-            return (self.variable(t), {self.onemono: Fraction(1)})
+            return ({self.variable(t): 1}, {0: 1})
         raise ParseError(t[2], "number, variable or (", t[1])
 
     def variable(self, tok):
+        """Packed key of z or t_i."""
         name, pos = tok[1], tok[2]
         if name == "z":
             if not self.allow_z:
                 raise ParseError(pos, "t-variable (no generator declared)", name)
-            return {(1,) + (0,) * self.nvars: Fraction(1)}
+            return self.pk.units[0]
         if name.startswith("t") and name[1:].isdigit():
             idx = int(name[1:])
             if 1 <= idx <= self.nvars:
-                m = [0] * (self.nvars + 1)
-                m[idx] = 1
-                return {tuple(m): Fraction(1)}
+                return self.pk.units[idx]
         raise ParseError(pos, "variable t1..t%d or z" % self.nvars, name)
-
-
-def _frac_add(a, b):
-    return (_w_add(_w_mul(a[0], b[1]), _w_mul(b[0], a[1])), _w_mul(a[1], b[1]))
-
-
-def _frac_neg(a):
-    return (_w_neg(a[0]), a[1])
-
-
-def _frac_mul(a, b):
-    return (_w_mul(a[0], b[0]), _w_mul(a[1], b[1]))
-
-
-def _frac_div(a, b, parser):
-    if not b[0]:
-        raise ParseError(parser.peek()[2], "nonzero denominator", "0")
-    return (_w_mul(a[0], b[1]), _w_mul(a[1], b[0]))
-
-
-def _frac_pow(a, k):
-    n, d = a
-    width = len(next(iter(d)))
-    out_n = {(0,) * width: Fraction(1)}
-    out_d = dict(out_n)
-    base_n, base_d = dict(n), dict(d)
-    while k:
-        if k & 1:
-            out_n = _w_mul(out_n, base_n)
-            out_d = _w_mul(out_d, base_d)
-        k >>= 1
-        if k:
-            base_n = _w_mul(base_n, base_n)
-            base_d = _w_mul(base_d, base_d)
-    return (out_n, out_d)
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +192,30 @@ def _frac_pow(a, k):
 # ---------------------------------------------------------------------------
 
 def _normalize_denominator(ring: Ring, num, den):
-    """den must be rational * z^a * rel_z^b; returns the localized element."""
+    """den must be rational * z^a * rel_z^b; returns the localized element num/den."""
     if not den:
         raise ZeroDivisionError("zero denominator")
-    a = min(m[0] for m in den)
+    pk = ring._pk
+    a = min(pk.exp(k, 0) for k in den)
     if a:
-        den = {(m[0] - a,) + m[1:]: c for m, c in den.items()}
+        den = pk.shift(den, -a * pk.zunit)
     b = 0
+    scale = Fraction(1)               # den = scale * (current den) * rel_z^b
     if ring.ext is not None:
-        while len(den) > 1 or any(next(iter(den))):
-            q = _w_exact_div(den, ring.ext.drel)
-            if q is None:
+        while len(den) > 1 or 0 not in den:
+            r = pk.exact_div(den, ring.ext._drel)
+            if r is None:
                 break
-            den = q
+            den, qd = r
+            scale *= Fraction(ring.ext._scale, qd)
             b += 1
-    if len(den) != 1 or any(next(iter(den))):
+    if len(den) != 1 or 0 not in den:
         raise DenominatorNotUnit(
             "denominator must be rational * z^a * rel_z^b")
-    c = next(iter(den.values()))
     if a and ring.ext is None:
         raise DenominatorNotUnit("z denominator in a plain ring")
-    return RingElem(ring, _w_scale(num, 1 / c), a, b)
+    c = scale * den[0]
+    return RingElem(ring, _p_scale(num, c.denominator), c.numerator, a, b)
 
 
 def parse_expr(text: str, ring: Ring) -> RingElem:
@@ -232,8 +224,10 @@ def parse_expr(text: str, ring: Ring) -> RingElem:
 
 
 def parse_raw(text: str, nvars: int, allow_z: bool):
-    """Raw (num, den) polynomial pair, used for relations before a ring exists."""
-    return _Parser(text, nvars, allow_z).parse()
+    """(num, den) as {exponent tuple: Fraction} dicts, for relations before a ring exists."""
+    parser = _Parser(text, nvars, allow_z)
+    num, den = parser.parse()
+    return _to_fractions(parser.pk, num, 1), _to_fractions(parser.pk, den, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +324,7 @@ def parse_pvf(document, flat_checks: bool = True):
         if len(rel_den) != 1 or any(next(iter(rel_den))):
             raise SchemaError("relation must be polynomial")
         c = next(iter(rel_den.values()))
-        rel_num = _w_scale(rel_num, 1 / c)
+        rel_num = {m: v / c for m, v in rel_num.items()}
         ring = Ring(weights, extension=rel_num,
                     z_weight=_fraction_from_str(ext["weight"], "z weight"))
     else:

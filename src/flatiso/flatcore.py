@@ -286,11 +286,16 @@ class FlatCoordsResult:
 # construction
 # ---------------------------------------------------------------------------
 
-def _gradient_matrices(pvf: PotentialVF):
-    """C_ij = dg_j/dt_i and the B^(k) = dC/dt_k."""
+def _gradient_matrix(pvf: PotentialVF):
+    """C_ij = dg_j/dt_i."""
     n = pvf.n
-    C = [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
-    return C, [mat_partial(C, k) for k in range(n)]
+    return [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
+
+
+def _gradient_matrices(pvf: PotentialVF):
+    """C and the B^(k) = dC/dt_k."""
+    C = _gradient_matrix(pvf)
+    return C, [mat_partial(C, k) for k in range(pvf.n)]
 
 
 def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
@@ -394,22 +399,24 @@ def _proportionality_constant(a: RingElem, b: RingElem):
     """c with a = c*b, or None; a, b nonzero."""
     # compare on the common denominator scale
     zd, dd = max(a.zden, b.zden), max(a.dden, b.dden)
-    na, nb = a._scaled_num(zd, dd), b._scaled_num(zd, dd)
-    mono, cb = max(nb.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-    ca = na.get(mono)
+    (na, da), (nb, db) = a._scaled(zd, dd), b._scaled(zd, dd)
+    lead = max(nb)              # packed keys order as graded lex
+    ca = na.get(lead)
     if ca is None:
         return None
-    c = ca / cb
+    c = Fraction(ca * db, nb[lead] * da)
     return c if (a - b * c).is_zero() else None
 
 
-def frobenius_check(pvf: PotentialVF) -> Optional[Prepotential]:
+def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
     """Prepotential reconstruction when the structure is Frobenius.
 
     Returns None immediately if the weight pairing w_i + w_{n+1-i} is not
     constant.  Otherwise solves for pair products u_i = c_i c_{n+1-i} making
     the one-form sum_i u_i g_{n+1-i} dt_i closed, and integrates it to F.
     Raises NoRescalingFound if the proportionality system is inconsistent.
+    C is the gradient matrix dg_j/dt_i when the caller already holds it
+    (SaitoMatrices.C); it is derived from g otherwise.
     """
     ring = pvf.ring
     n = pvf.n
@@ -420,7 +427,8 @@ def frobenius_check(pvf: PotentialVF) -> Optional[Prepotential]:
     minus_2r = pair.pop()
     r = -minus_2r / 2
 
-    C = [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
+    if C is None:
+        C = _gradient_matrix(pvf)
     # closedness of sum_i u_i g_{n+1-i} dt_i:  u_i C[j][n-1-i] = u_j C[i][n-1-j]
     u = [None] * n
     u[0] = Fraction(1)

@@ -97,15 +97,21 @@ def test_full_depth_one_extension_entry():
 
 @pytest.mark.parametrize("eid", ["H3", "H3p", "LT8"])
 def test_symbolic_verify_derives_once(eid, monkeypatch):
-    # one build of the matrices and one n x n determinant (h = det(-T)) per verify
+    # one build of the matrices, one gradient matrix C (H3 also runs the
+    # prepotential check on it) and one n x n determinant (h = det(-T))
     from flatiso import flatcore
     n = catalog.catalog_get(eid).pvf.n
-    builds, dets = [], []
-    build, det = flatcore.build_saito_matrices, flatcore.mat_det
+    builds, grads, dets = [], [], []
+    build, grad, det = (flatcore.build_saito_matrices, flatcore._gradient_matrix,
+                        flatcore.mat_det)
 
     def counting_build(pvf):
         builds.append(pvf)
         return build(pvf)
+
+    def counting_grad(pvf):
+        grads.append(pvf)
+        return grad(pvf)
 
     def counting_det(a):
         if len(a) == n:
@@ -113,7 +119,26 @@ def test_symbolic_verify_derives_once(eid, monkeypatch):
         return det(a)
 
     monkeypatch.setattr(flatcore, "build_saito_matrices", counting_build)
+    monkeypatch.setattr(flatcore, "_gradient_matrix", counting_grad)
     monkeypatch.setattr(flatcore, "mat_det", counting_det)
-    assert catalog.catalog_verify(eid, "symbolic")["pass"]
+    rep = catalog.catalog_verify(eid, "symbolic")
+    assert rep["pass"]
+    assert rep["symbolic"].get("prepotential_found", eid == "H3") == (eid == "H3")
     assert len(builds) == 1
+    assert len(grads) == 1
     assert len(dets) == 1
+
+
+def test_full_verify_tracks_snapshots_once(monkeypatch):
+    # the numeric and full depths share the default path's residue snapshots
+    from flatiso import isomono
+    calls = []
+    real = isomono.snapshots_along
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(isomono, "snapshots_along", counting)
+    assert catalog.catalog_verify("LT8", "full")["pass"]
+    assert len(calls) == 1

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from flatiso.errors import DivisionNotExact, RootCollision
-from flatiso.ring import Ring, track_root
+from flatiso import catalog
+from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
+from flatiso.ring import MAX_DEGREE, Ring, _grlex_key, _packing, _probe_points, track_root
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +101,30 @@ def test_degenerate_relation_rejected():
     rel = {(2, 0, 0): F(1), (1, 1, 0): F(-2), (0, 2, 0): F(1)}
     with pytest.raises(DivisionNotExact):
         Ring(["1/2", "1"], extension=rel, z_weight="1/2")
+
+
+def test_squarefree_guard_is_exact():
+    # (z - t1 + a t2)(z + t1 - a t2) is squarefree, but its discriminant
+    # 4 (t1 - a t2)^2 vanishes at the first probe point: the guard must
+    # accept it on a later point rather than reject it there
+    p0 = _probe_points(2)[0]
+    a = p0[0] / p0[1]
+    rel = {(2, 0, 0): F(1), (0, 2, 0): F(-1), (0, 1, 1): 2 * a, (0, 0, 2): -a * a}
+    ring = Ring(["1/2", "1/2"], extension=rel, z_weight="1/2")
+    assert ring.ext.z_degree == 2
+    # (z^3 - t1)^2 keeps the repeated cubic factor at every point
+    sq = {(6, 0, 0): F(1), (3, 1, 0): F(-2), (0, 2, 0): F(1)}
+    with pytest.raises(DivisionNotExact):
+        Ring(["1/3", "1"], extension=sq, z_weight="1/9")
+
+
+def test_catalog_relations_pass_squarefree_guard():
+    for eid in catalog.catalog_list():
+        ring = catalog.catalog_get(eid).pvf.ring
+        if ring.ext is not None:
+            again = Ring(ring.weights, extension=ring.ext.relation,
+                         z_weight=ring.ext.z_weight)
+            assert again == ring
 
 
 def test_eval_root_seeds(ext):
@@ -203,3 +228,127 @@ def test_eval_ignores_seed_on_plain_ring(plain):
 def test_eval_missing_seed_raises(ext):
     with pytest.raises(ValueError):
         ext.zgen().eval((1.0, 0.4, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# packed-key representation
+# ---------------------------------------------------------------------------
+
+exponents = st.integers(0, 40)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[exponents] * (n + 1)), min_size=1, max_size=30)))
+def test_packed_keys_sort_as_grlex(monos):
+    pk = _packing(len(monos[0]) - 1)
+    by_key = sorted(monos, key=pk.pack)
+    assert by_key == sorted(monos, key=_grlex_key)
+    assert [pk.unpack(pk.pack(m)) for m in monos] == monos
+
+
+def _element_specs(ring):
+    """Hypothesis strategy: terms (c, e_z, (e_t...)) and variables to differentiate by."""
+    n = ring.nvars
+    zmax = ring.ext.z_degree + 2 if ring.ext is not None else 0
+    term = st.tuples(st.fractions(min_value=-50, max_value=50, max_denominator=12),
+                     st.integers(0, zmax), st.tuples(*[st.integers(0, 3)] * n))
+    return st.tuples(st.lists(term, min_size=1, max_size=4),
+                     st.lists(st.integers(0, n - 1), max_size=2))
+
+
+def _build(ring, spec):
+    # differentiating brings z and rel_z denominators in extension rings
+    terms, derivs = spec
+    out = ring.zero()
+    for c, ez, es in terms:
+        x = ring.const(c)
+        for i, e in enumerate(es):
+            x = x * ring.var(i) ** e
+        if ring.ext is not None:
+            x = x * ring.zgen() ** ez
+        out = out + x
+    for i in derivs:
+        out = out.partial(i)
+    return out
+
+
+@pytest.mark.parametrize("ring_name", ["plain", "ext"])
+def test_from_raw_round_trips(ring_name, plain, ext):
+    ring = plain if ring_name == "plain" else ext
+
+    @settings(max_examples=60, deadline=None)
+    @given(_element_specs(ring))
+    def check(spec):
+        x = _build(ring, spec)
+        again = ring.from_raw(x.num, x.zden, x.dden)
+        assert (again.num, again.zden, again.dden) == (x.num, x.zden, x.dden)
+        assert again == x
+
+    check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, MAX_DEGREE), st.integers(0, MAX_DEGREE))
+@example(MAX_DEGREE - 5, 5)
+@example(MAX_DEGREE - 5, 6)
+def test_product_past_field_width_raises(a, b):
+    ring = Ring(["1/2", "1"])
+    t1, t2 = ring.gens()
+    x, y = t1 ** a, t2 ** b
+    if a + b > MAX_DEGREE:
+        with pytest.raises(DegreeOverflow):
+            x * y
+    else:
+        assert (x * y).num == {(0, a, b): 1}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.tuples(*[st.integers(0, 60)] * (n + 1)),
+                        st.tuples(*[st.integers(0, 60)] * (n + 1)),
+                        st.integers(-9, 9).filter(bool))))
+def test_monomial_division_detects_negative_exponents(args):
+    ma, mb, c = args
+    pk = _packing(len(ma) - 1)
+    q = pk.exact_div({pk.pack(ma): 6 * c}, {pk.pack(mb): 2 * c})
+    if any(x < y for x, y in zip(ma, mb)):
+        assert q is None
+    else:
+        (key, coeff), = q[0].items()
+        assert key == pk.pack(tuple(x - y for x, y in zip(ma, mb)))
+        assert F(coeff, q[1]) == 3
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_compiled_eval_matches_fraction_reference(eid):
+    # the compiled form (exponent tuples, complex coefficients over the
+    # denominator) against a term-by-term complex(Fraction) evaluation
+    from flatiso import flatcore
+    cat = catalog.catalog_get(eid)
+    m = flatcore.build_saito_matrices(cat.pvf)
+    ring = m.ring
+    tprime = cat.default_path.points[0]
+    pt = tuple(complex(p) for p in tprime) + (0j,) * (ring.nvars - len(tprime))
+    zv = ring.solve_z(pt, cat.z_seed) if ring.ext is not None else 0j
+    values = (zv,) + pt
+
+    def reference(num):
+        terms = []
+        for mono, c in num.items():
+            v = complex(c)
+            for e, x in zip(mono, values):
+                v *= x ** e
+            terms.append(v)
+        return sum(terms), sum(abs(v) for v in terms)
+
+    for row in m.T0:
+        for x in row:
+            val, scale = reference(x.num)
+            if x.zden:
+                val /= zv ** x.zden
+                scale /= abs(zv) ** x.zden
+            if x.dden:
+                d = reference(ring.ext.drel)[0] ** x.dden
+                val, scale = val / d, scale / abs(d)
+            assert abs(x.eval(pt, z=zv) - val) <= 1e-12 * scale
