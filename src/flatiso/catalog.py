@@ -144,12 +144,8 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
     lam = p6.default_lambda(pvf.ring.weights)
     path = entry.default_path.points
     svals = entry.path_svals
-    samples = p6.extract_p6_solution(m, lam, entry.p6_entry, path,
-                                     z_seed=entry.z_seed, svals=svals)
-    sampler = p6.StructureSampler(m, z_seed=entry.z_seed)
-    params = p6.p6_parameters(m, path[0], lam=lam, sampler=sampler,
-                              entry_choice=entry.p6_entry)
-    residual = p6.p6_residual(samples, params)
+    samples, params, residual = p6.pvi_check(m, lam, entry.p6_entry, path,
+                                             z_seed=entry.z_seed, svals=svals)
     traces = np.array([s.traces for s in snaps])
     trace_spread = float(np.abs(traces - traces[0]).max())
     out = {
@@ -171,16 +167,8 @@ def _verify_full(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
     svals = entry.path_svals
     schles = isomono.schlesinger_residual(snaps, svals=svals)
 
-    mid = len(path) // 2
-    lam_w = list(pvf.ring.weights)
-    snap, sys1, family = midconv.rank_one_from_structure(
-        m, path[mid], lam_w, z_seed=entry.z_seed)
-    out_mc = midconv.middle_convolution(sys1, -lam_w[-1])
-    ginf_err = float(np.abs(np.sort_complex(out_mc.Gamma_inf)
-                            - np.sort_complex(np.array(lam_w, dtype=complex))).max())
-    tr_err = float(np.abs(np.sort_complex(out_mc.traces())
-                          - np.sort_complex(snap.traces)).max())
-    inv = midconv.invariant_subspace_check(sys1, -lam_w[-1], family=family)
+    _, ginf_err, tr_err, inv = midconv.round_trip(
+        m, path[len(path) // 2], list(pvf.ring.weights), z_seed=entry.z_seed)
     survey = p6.entry_survey(m, p6.default_lambda(pvf.ring.weights),
                              path[::2], z_seed=entry.z_seed,
                              svals=svals[::2])

@@ -16,13 +16,9 @@ import numpy as np
 
 from . import catalog as cat
 from . import exprio, flatcore, isomono, logvf, midconv, p6
-from .errors import (BlowUp, DenominatorNotUnit, EigenvalueCollision,
-                     FlatIsoError, ParseError, RootCollision,
-                     RootNotConverged, SchemaError, StepUnderflow,
-                     TrackingLost, UnknownId)
+from .errors import (DenominatorNotUnit, FlatIsoError, NumericError,
+                     ParseError, SchemaError, UnknownId)
 
-NUMERIC_ERRORS = (RootCollision, RootNotConverged, StepUnderflow, BlowUp,
-                  EigenvalueCollision, TrackingLost)
 INPUT_ERRORS = (UnknownId, ParseError, SchemaError, DenominatorNotUnit,
                 FileNotFoundError, json.JSONDecodeError, KeyError, ValueError)
 
@@ -185,12 +181,8 @@ def _run_extract_p6(args):
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     lam = p6.default_lambda(pvf.ring.weights)
-    samples = p6.extract_p6_solution(m, lam, choice, points, z_seed=seed,
-                                     svals=svals)
-    params = p6.p6_parameters(m, points[0], lam=lam,
-                              sampler=p6.StructureSampler(m, z_seed=seed),
-                              entry_choice=choice)
-    residual = p6.p6_residual(samples, params)
+    samples, params, residual = p6.pvi_check(m, lam, choice, points,
+                                             z_seed=seed, svals=svals)
     ok = residual < args.tol_residual
     report = {
         "check": "extract-p6", "name": pvf.name, "entry": list(choice),
@@ -239,16 +231,8 @@ def _run_schlesinger(args):
 def _run_midconv(args):
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
-    lam_w = list(pvf.ring.weights)
-    mid = len(points) // 2
-    snap, sys1, family = midconv.rank_one_from_structure(
-        m, points[mid], lam_w, z_seed=seed)
-    out = midconv.middle_convolution(sys1, -lam_w[-1])
-    ginf_err = float(np.abs(np.sort_complex(out.Gamma_inf)
-                            - np.sort_complex(np.array(lam_w, dtype=complex))).max())
-    tr_err = float(np.abs(np.sort_complex(out.traces())
-                          - np.sort_complex(snap.traces)).max())
-    inv = midconv.invariant_subspace_check(sys1, -lam_w[-1], family=family)
+    out, ginf_err, tr_err, inv = midconv.round_trip(
+        m, points[len(points) // 2], list(pvf.ring.weights), z_seed=seed)
     recovery = cat.TOLERANCES["midconv_recovery"]
     ok = (ginf_err < recovery and tr_err < recovery
           and inv.max_defect < args.tol_residual)
@@ -338,7 +322,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         code, report, summary = VERBS[args.verb](args)
-    except NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except INPUT_ERRORS as exc:

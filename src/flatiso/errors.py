@@ -5,6 +5,10 @@ class FlatIsoError(Exception):
     """Base class for all package errors."""
 
 
+class NumericError(FlatIsoError):
+    """A numeric pipeline failed on valid input (CLI exit code 3)."""
+
+
 # --- ring layer ---------------------------------------------------------
 
 class DivisionNotExact(FlatIsoError):
@@ -19,11 +23,11 @@ class DegreeOverflow(FlatIsoError):
     """A monomial's total degree exceeds ring.MAX_DEGREE (the packed key field width)."""
 
 
-class RootNotConverged(FlatIsoError):
+class RootNotConverged(NumericError):
     """Newton iteration for the algebraic generator failed to converge."""
 
 
-class RootCollision(FlatIsoError):
+class RootCollision(NumericError):
     """Two tracked roots came closer than the separation threshold."""
 
 
@@ -67,11 +71,11 @@ class DegenerateJacobian(FlatIsoError):
 
 # --- numeric pipelines ----------------------------------------------------
 
-class EigenvalueCollision(FlatIsoError):
+class EigenvalueCollision(NumericError):
     pass
 
 
-class RankViolation(FlatIsoError):
+class RankViolation(NumericError):
     pass
 
 
@@ -79,23 +83,23 @@ class EntryIdenticallyZero(FlatIsoError):
     pass
 
 
-class DegenerateLinearEntry(FlatIsoError):
+class DegenerateLinearEntry(NumericError):
     pass
 
 
-class InsufficientSamples(FlatIsoError):
+class InsufficientSamples(NumericError):
     pass
 
 
-class StepUnderflow(FlatIsoError):
+class StepUnderflow(NumericError):
     pass
 
 
-class BlowUp(FlatIsoError):
+class BlowUp(NumericError):
     pass
 
 
-class TrackingLost(FlatIsoError):
+class TrackingLost(NumericError):
     pass
 
 
@@ -107,21 +111,21 @@ class PoleAtY(FlatIsoError):
     pass
 
 
-class FactorizationFailed(FlatIsoError):
+class FactorizationFailed(NumericError):
     pass
 
 
-class InverseMismatch(FlatIsoError):
+class InverseMismatch(NumericError):
     pass
 
 
-class ConditionDViolation(FlatIsoError):
+class ConditionDViolation(NumericError):
     def __init__(self, condition, detail=""):
         self.condition = condition
         super().__init__(f"condition {condition} violated{': ' + detail if detail else ''}")
 
 
-class ResonantLambda(FlatIsoError):
+class ResonantLambda(NumericError):
     pass
 
 

@@ -1,6 +1,6 @@
 """Numeric Okubo/Pfaffian machinery.
 
-Residue decomposition of the z-equation, RK4 integration of Pfaffian
+Residue decomposition of the z-equation, DOP853 integration of Pfaffian
 systems with a Liouville determinant guard, Schlesinger residuals along
 isomonodromic families, the Okubo normal form of a rank-one Fuchsian
 system, and the 2x2 Jimbo-Miwa parametrization linking Schlesinger flow to
@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      FactorizationFailed, InsufficientSamples,
-                     InverseMismatch, PoleAtY, RankViolation, StepUnderflow,
-                     TrackingLost)
+                     InverseMismatch, PoleAtY, RankViolation, RootCollision,
+                     StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
 from .p6 import StructureSampler, _cpair, _stencil_d1, residues_from_frame
 
@@ -34,7 +34,6 @@ TRACE_GUARD = 1e-6
 class PathSpec:
     points: list
     max_step: float = 0.05
-    tolerance: float = 1e-10
 
     def __post_init__(self):
         pts = [tuple(complex(c) for c in p) for p in self.points]
@@ -94,7 +93,7 @@ def residue_decomposition(m: SaitoMatrices, point, lam, z_seed=None,
     point = tuple(point)
     try:
         roots, P = sampler.frame(point)
-    except Exception as exc:
+    except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
     lamv = np.array([complex(x) for x in lam])
     res = residues_from_frame(roots, P, lamv)
@@ -112,56 +111,40 @@ def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian integration (RK4 with step halving and a Liouville guard)
+# Pfaffian integration (DOP853 with a Liouville guard)
 # ---------------------------------------------------------------------------
 
+TOL_FLOOR = 100 * np.finfo(float).eps   # solve_ivp clamps rtol below this
+
+
 def integrate_pfaffian(system: Callable[[float], np.ndarray], s0, s1, Y0,
-                       tol=1e-10, min_step=1e-9, liouville_tol=1e-6):
+                       tol=1e-10, liouville_tol=1e-6):
     """Fundamental solution of dY/ds = A(s) Y from s0 to s1.
 
     system(s) returns the connection matrix A(s) along the (already
-    parametrized) path.  The determinant is checked against exp(int tr A)
-    accumulated with the same stepping.
+    parametrized) path.  DOP853 (Hairer-Norsett-Wanner, Solving ODEs I,
+    II.5) integrates Y together with int tr A, and the determinant is
+    checked against exp(int tr A).
     """
-    Y = np.array(Y0, dtype=complex)
-    s = float(s0)
-    h = (float(s1) - float(s0)) / 16 or 1e-3
-    logdet = 0j
+    # imported here: only the ODE paths need it, and at import time it costs
+    # every CLI verb about 0.05 s and 2.5 MB
+    from scipy.integrate import solve_ivp
+    if tol < TOL_FLOOR:
+        raise StepUnderflow(f"tol {tol} is below the solver floor {TOL_FLOOR}")
+    Y0 = np.array(Y0, dtype=complex)
+    shape = Y0.shape
 
-    def rk4(s, h, Y):
-        k1 = system(s) @ Y
-        k2 = system(s + h / 2) @ (Y + h / 2 * k1)
-        k3 = system(s + h / 2) @ (Y + h / 2 * k2)
-        k4 = system(s + h) @ (Y + h * k3)
-        return Y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    def rhs(s, state):
+        A = system(s)
+        return np.append((A @ state[:-1].reshape(shape)).ravel(), np.trace(A))
 
-    def tr4(s, h):
-        a = np.trace(system(s))
-        b = np.trace(system(s + h / 2))
-        c = np.trace(system(s + h))
-        return h / 6 * (a + 4 * b + c)
-
-    direction = 1.0 if s1 >= s0 else -1.0
-    h *= direction
-    while (s1 - s) * direction > 1e-14:
-        # never leave a sliver shorter than min_step: no step could cross it
-        if (s + h - s1) * direction > -min_step:
-            h = s1 - s
-        full = rk4(s, h, Y)
-        half = rk4(s + h / 2, h / 2, rk4(s, h / 2, Y))
-        err = np.abs(full - half).max() / max(1.0, np.abs(half).max())
-        if err > tol * abs(h):
-            h /= 2
-            if abs(h) < min_step:
-                raise StepUnderflow(f"step underflow at s = {s}")
-            continue
-        logdet += tr4(s, h)
-        Y = half
-        s += h
-        if err < tol * abs(h) / 16:
-            h *= 2
+    sol = solve_ivp(rhs, (float(s0), float(s1)), np.append(Y0.ravel(), 0j),
+                    method="DOP853", rtol=tol, atol=tol)
+    if sol.status != 0:
+        raise StepUnderflow(f"step underflow at s = {sol.t[-1]}: {sol.message}")
+    Y = sol.y[:-1, -1].reshape(shape)
     det = np.linalg.det(Y)
-    target = np.exp(logdet) * np.linalg.det(np.array(Y0, dtype=complex))
+    target = np.exp(sol.y[-1, -1]) * np.linalg.det(Y0)
     if abs(det - target) > liouville_tol * max(1.0, abs(target)):
         raise StepUnderflow(
             f"Liouville check failed: det {det} vs exp(int tr) {target}")
@@ -178,8 +161,7 @@ def okubo_z_system(snapshot: OkuboNumeric):
     return A
 
 
-def monodromy_on_loop(snapshot: OkuboNumeric, center, radius, steps=None,
-                      tol=1e-10):
+def monodromy_on_loop(snapshot: OkuboNumeric, center, radius, tol=1e-10):
     """Fundamental-solution monodromy around a circle |z - center| = radius."""
     A = okubo_z_system(snapshot)
     Y = np.eye(snapshot.n, dtype=complex)
@@ -213,7 +195,6 @@ def schlesinger_residual(snapshots: Sequence, svals=None) -> float:
             z, res = snap
             zs.append(np.asarray(z, dtype=complex))
             Bs.append([np.asarray(b, dtype=complex) for b in res])
-    n = len(zs[0])
     if svals is None:
         svals = list(range(len(snapshots)))
     h = svals[1] - svals[0]
@@ -225,8 +206,24 @@ def schlesinger_residual(snapshots: Sequence, svals=None) -> float:
                 1.0, float(np.abs(zs[k - 1]).max())):
             raise TrackingLost(f"roots jumped between snapshots {k-1} and {k}")
     worst = 0.0
-    for k in range(2, len(snapshots) - 2):
+    for defects in schlesinger_defects(zs, Bs, h):
+        for d in defects:
+            worst = max(worst, float(np.abs(d).max()))
+    return worst
+
+
+def schlesinger_defects(zs, Bs, h):
+    """dB_i/ds - sum_j [B_j, B_i] (z_i' - z_j')/(z_i - z_j) at interior points.
+
+    zs[k] are the pole positions and Bs[k] the residues at point k of a
+    uniform grid with spacing h.  Returns, for each k in 2 .. len(zs) - 3
+    (where the five-point stencil reaches), the list of n defect matrices.
+    """
+    n = len(zs[0])
+    out = []
+    for k in range(2, len(zs) - 2):
         zdot = _stencil_d1([zs[k + d] for d in (-2, -1, 0, 1, 2)], h)
+        defects = []
         for i in range(n):
             dBi = _stencil_d1([Bs[k + d][i] for d in (-2, -1, 0, 1, 2)], h)
             rhs = np.zeros_like(dBi)
@@ -235,8 +232,9 @@ def schlesinger_residual(snapshots: Sequence, svals=None) -> float:
                     continue
                 com = Bs[k][j] @ Bs[k][i] - Bs[k][i] @ Bs[k][j]
                 rhs += com * (zdot[i] - zdot[j]) / (zs[k][i] - zs[k][j])
-            worst = max(worst, float(np.abs(dBi - rhs).max()))
-    return worst
+            defects.append(dBi - rhs)
+        out.append(defects)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (ConditionDViolation, FactorizationFailed,
                      InverseMismatch, PivotColumnNotFound, RankViolation,
                      ResonantLambda)
-from .isomono import OkuboNumeric, residue_decomposition
-from .p6 import StructureSampler, _cpair, _stencil_d1, residues_from_frame
+from .isomono import OkuboNumeric, residue_decomposition, schlesinger_defects
+from .p6 import StructureSampler, _cpair, residues_from_frame
 
 RANK_TOL = 1e-8
 
@@ -338,7 +338,6 @@ def output_integrability_defect(results, svals) -> float:
     if len(results) < 5:
         raise RankViolation("need at least 5 family points")
     h = svals[1] - svals[0]
-    n = len(results[0].residues)
     size = results[0].residues[0].shape[0]
     E = np.zeros((size, size))
     E[size - 1, size - 1] = 1.0
@@ -361,24 +360,11 @@ def output_integrability_defect(results, svals) -> float:
                                Gamma_inf=r.Gamma_inf, z=r.z, z_grad=r.z_grad,
                                lam=r.lam, pivot_column=r.pivot_column,
                                epsilon=r.epsilon))
-    results = aligned
     worst = 0.0
-    for k in range(2, len(results) - 2):
-        zs = [r.z for r in results[k - 2:k + 3]]
-        zdot = _stencil_d1(zs, h)
-        zk = results[k].z
-        Bk = results[k].residues
-        defects, gens = [], []
-        for i in range(n):
-            dBi = _stencil_d1([results[k + d].residues[i]
-                               for d in (-2, -1, 0, 1, 2)], h)
-            rhs = np.zeros_like(dBi)
-            for j in range(n):
-                if j != i:
-                    com = Bk[j] @ Bk[i] - Bk[i] @ Bk[j]
-                    rhs += com * (zdot[i] - zdot[j]) / (zk[i] - zk[j])
-            defects.append(dBi - rhs)
-            gens.append(Bk[i] @ E - E @ Bk[i])
+    defect_rows = schlesinger_defects([r.z for r in aligned],
+                                      [r.residues for r in aligned], h)
+    for defects, r in zip(defect_rows, aligned[2:-2]):
+        gens = [G @ E - E @ G for G in r.residues]
         d_vec = np.concatenate([d.ravel() for d in defects])
         g_vec = np.concatenate([g.ravel() for g in gens])
         denom = np.vdot(g_vec, g_vec)
@@ -429,6 +415,23 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
         return truncate_okubo(sn)
 
     return snap, sys1, family
+
+
+def round_trip(m, point, lam_w, z_seed=None):
+    """Truncate at a path point, convolve back with -lam_w[-1], measure recovery.
+
+    Returns (result, gamma_inf_error, trace_error, invariance report): the
+    convolved system, the largest distances of its Gamma_inf from lam_w and
+    of its residue traces from the snapshot's, and invariant_subspace_check.
+    """
+    snap, sys1, family = rank_one_from_structure(m, point, lam_w, z_seed=z_seed)
+    out = middle_convolution(sys1, -lam_w[-1])
+    ginf_err = float(np.abs(np.sort_complex(out.Gamma_inf)
+                            - np.sort_complex(np.array(lam_w, dtype=complex))).max())
+    tr_err = float(np.abs(np.sort_complex(out.traces())
+                          - np.sort_complex(snap.traces)).max())
+    inv = invariant_subspace_check(sys1, -lam_w[-1], family=family)
+    return out, ginf_err, tr_err, inv
 
 
 # ---------------------------------------------------------------------------

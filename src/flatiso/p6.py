@@ -18,7 +18,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import (DegenerateLinearEntry, EigenvalueCollision,
-                     EntryIdenticallyZero, InsufficientSamples, RootCollision)
+                     EntryIdenticallyZero, FlatIsoError, InsufficientSamples,
+                     RootCollision)
 from .flatcore import SaitoMatrices
 
 DEFAULT_SEPARATION = 1e-9
@@ -103,11 +104,6 @@ class StructureSampler:
         self.separation = separation
         self.z_seed = z_seed
         self.T0 = m.T0
-        self._z = None
-        self._prev_pt = None
-        self._prev_roots = None
-
-    def reset(self):
         self._z = None
         self._prev_pt = None
         self._prev_roots = None
@@ -333,6 +329,20 @@ def p6_residual(samples: Sequence[P6Sample], params: P6Params) -> float:
     return worst
 
 
+def pvi_check(m: SaitoMatrices, lam, entry_choice, path, z_seed=None,
+              svals=None):
+    """(samples, params, residual) of one PVI extraction along a path.
+
+    The parameters are read at the first path point with a fresh sampler.
+    """
+    samples = extract_p6_solution(m, lam, entry_choice, path, z_seed=z_seed,
+                                  svals=svals)
+    params = p6_parameters(m, path[0], lam=lam,
+                           sampler=StructureSampler(m, z_seed=z_seed),
+                           entry_choice=entry_choice)
+    return samples, params, p6_residual(samples, params)
+
+
 def entry_survey(m: SaitoMatrices, lam, path, z_seed=None, svals=None) -> dict:
     """PVI residuals for every off-diagonal entry choice, reported not gated.
 
@@ -348,20 +358,17 @@ def entry_survey(m: SaitoMatrices, lam, path, z_seed=None, svals=None) -> dict:
                 continue
             key = f"{i},{j}"
             try:
-                samples = extract_p6_solution(m, lam, (i, j), path,
-                                              z_seed=z_seed, svals=svals)
-                sampler = StructureSampler(m, z_seed=z_seed)
-                params = p6_parameters(m, tuple(path[0]), lam=lam,
-                                       sampler=sampler, entry_choice=(i, j))
-                residual = p6_residual(samples, params)
-                if not np.isfinite(residual):
-                    out[key] = {"error": "PoleOnPath"}
-                    continue
-                out[key] = {"residual": residual,
-                            "thetainf": [params.thetainf.real,
-                                         params.thetainf.imag]}
-            except Exception as exc:
+                _, params, residual = pvi_check(m, lam, (i, j), path,
+                                                z_seed=z_seed, svals=svals)
+            except (FlatIsoError, np.linalg.LinAlgError) as exc:
                 out[key] = {"error": type(exc).__name__}
+                continue
+            if not np.isfinite(residual):
+                out[key] = {"error": "PoleOnPath"}
+                continue
+            out[key] = {"residual": residual,
+                        "thetainf": [params.thetainf.real,
+                                     params.thetainf.imag]}
     return out
 
 

@@ -126,3 +126,26 @@ def test_custom_path_file(capsys, tmp_path):
                        "--path", str(p))
     assert code == 0
     assert json.loads(out)["schlesinger_residual"] < 1e-6
+
+
+def test_missing_seed_exits_as_input_error(capsys, tmp_path):
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps({"t1": 1.0, "t2_start": 0.45, "t2_end": 0.55,
+                             "points": 21, "z_seed": None}))
+    code, out, err = run(capsys, "schlesinger", "--catalog", "LT14",
+                         "--path", str(p))
+    assert code == 2
+    assert "input error" in err
+
+
+def test_numeric_error_classes_exit_3(capsys, monkeypatch):
+    from flatiso import isomono
+    from flatiso.errors import RankViolation
+
+    def fail(*args, **kwargs):
+        raise RankViolation("residue 1 has numerical rank >= 2")
+
+    monkeypatch.setattr(isomono, "schlesinger_residual", fail)
+    code, out, err = run(capsys, "schlesinger", "--catalog", "LT8")
+    assert code == 3
+    assert "numeric failure" in err

@@ -3,7 +3,8 @@ import pytest
 
 from flatiso import catalog, isomono as iso, p6
 from flatiso.errors import (DegenerateTheta, FactorizationFailed,
-                            InsufficientSamples, PoleAtY, TrackingLost)
+                            InsufficientSamples, PoleAtY, StepUnderflow,
+                            TrackingLost)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.isomono import (PathSpec, integrate_pfaffian, integrate_p6_hamiltonian,
                              jm_build, jm_family_snapshots, monodromy_on_loop,
@@ -46,6 +47,15 @@ def test_residue_sum_and_rank_catalog():
             for b in snap.residues:
                 s = np.linalg.svd(b, compute_uv=False)
                 assert s[1] < 1e-9 * max(1.0, s[0])
+
+
+def test_missing_seed_is_an_input_error():
+    # the extension ring cannot start tracking z without a seed; that is
+    # bad input, not an eigenvalue collision
+    e, m = entry_setup("LT14")
+    with pytest.raises(ValueError, match="z seed"):
+        residue_decomposition(m, e.default_path.points[0],
+                              p6.default_lambda(e.pvf.ring.weights))
 
 
 def test_pathspec_validation():
@@ -99,6 +109,54 @@ def test_loop_closes_without_endpoint_sliver():
     cost = np.abs(got[:, None] - want[None, :])
     rows, cols = linear_sum_assignment(cost)
     assert cost[rows, cols].max() < 1e-8
+
+
+def test_loop_connection_evaluations(monkeypatch):
+    e, m = entry_setup("LT8")
+    snap = residue_decomposition(m, (1.0, 0.5),
+                                 p6.default_lambda(e.pvf.ring.weights))
+    rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
+    calls = []
+    connection = iso.okubo_z_system
+
+    def counted(snapshot):
+        A = connection(snapshot)
+        return lambda z: calls.append(z) or A(z)
+
+    monkeypatch.setattr(iso, "okubo_z_system", counted)
+    monodromy_on_loop(snap, center=snap.z[0], radius=rad, tol=1e-10)
+    assert len(calls) <= 500
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_loop_monodromy_every_root(eid):
+    from scipy.optimize import linear_sum_assignment
+    e, m = entry_setup(eid)
+    snap = residue_decomposition(m, e.default_path.points[0],
+                                 p6.default_lambda(e.pvf.ring.weights),
+                                 z_seed=e.z_seed)
+    for r, zr in enumerate(snap.z):
+        near = min(abs(zr - z) for k, z in enumerate(snap.z) if k != r)
+        want = np.exp(2j * np.pi * np.linalg.eigvals(snap.residues[r]))
+        for frac in (0.15, 0.35):
+            M = monodromy_on_loop(snap, center=zr, radius=frac * near)
+            cost = np.abs(np.linalg.eigvals(M)[:, None] - want[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            assert cost[rows, cols].max() < 1e-8, (r, frac)
+
+
+def test_pfaffian_stops_at_pole():
+    # y' = y / (1 - s) blows up at s = 1: the integrator must give up there
+    # rather than step across the pole
+    seen = []
+
+    def A(s):
+        seen.append(s)
+        return np.array([[1 / (1 - s)]])
+
+    with pytest.raises(StepUnderflow):
+        integrate_pfaffian(A, 0.0, 2.0, np.eye(1), tol=1e-7)
+    assert max(seen) < 1.0
 
 
 # ---------------------------------------------------------------------------
