@@ -10,7 +10,7 @@ the PVI Hamiltonian system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      InverseMismatch, PoleAtY, RankViolation, RootCollision,
                      StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
-from .p6 import StructureSampler, _cpair, _stencil_d1, residues_from_frame
+from .p6 import (StructureSampler, _cpair, _raise_first, _stencil_d1,
+                 frames_along, residues_from_frame)
 
 RESIDUE_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -53,31 +54,56 @@ class OkuboNumeric:
     Binf: np.ndarray                  # diagonal entries
     z: np.ndarray                     # eigenvalues of T, tracked order
     P: np.ndarray                     # eigenvector matrix, columns follow z
-    residues: List[np.ndarray]
+    residues: Sequence[np.ndarray]    # n residue matrices, in the order of z
     traces: np.ndarray
 
     def validate(self, strict=True):
-        lam = self.Binf
-        total = sum(self.residues) + np.diag(lam)
-        if np.abs(total).max() > RESIDUE_TOL:
-            raise RankViolation("residues do not sum to -Binf")
-        for i, b in enumerate(self.residues):
-            s = np.linalg.svd(b, compute_uv=False)
-            if len(s) > 1 and s[1] > RANK_TOL * max(s[0], 1.0):
-                raise RankViolation(f"residue {i+1} has numerical rank >= 2")
-        if strict:
-            for i, r in enumerate(self.traces):
-                if min(abs(r - 1), abs(r + 1)) < TRACE_GUARD:
-                    raise RankViolation(f"trace r_{i+1} within {TRACE_GUARD} of +-1")
-            for i in range(self.n):
-                for j in range(i + 1, self.n):
-                    d = lam[i] - lam[j]
-                    for mm in range(-10, 11):
-                        if abs(d - mm) < TRACE_GUARD:
-                            raise EigenvalueCollision(
-                                f"lambda_{i+1} - lambda_{j+1} within {TRACE_GUARD} "
-                                f"of the integer {mm}")
+        _check_residues(self.Binf, np.asarray(self.residues)[None],
+                       np.asarray(self.traces)[None], [self.point], strict)
         return self
+
+
+def _check_residues(lam, residues, traces, points, strict=True):
+    """The snapshot checks on stacked residues (N, n, n, n) and traces (N, n).
+
+    Residues sum to -Binf, each has numerical rank one and (strict) no trace
+    within TRACE_GUARD of +-1 and no lambda_i - lambda_j near an integer.
+    Raises for the first failing point, named from points.
+    """
+    lam = np.asarray(lam)
+    n = residues.shape[1]
+    total = residues.sum(axis=1) + np.diag(lam)
+    checks = [(np.abs(total).max(axis=(1, 2)) > RESIDUE_TOL, lambda k:
+               RankViolation(f"residues do not sum to -Binf at {points[k]}"))]
+    if n > 1:
+        s = np.linalg.svd(residues, compute_uv=False)
+        rank2 = s[..., 1] > RANK_TOL * np.maximum(s[..., 0], 1.0)
+        checks += [(rank2[:, i], lambda k, i=i: RankViolation(
+            f"residue {i+1} has numerical rank >= 2 at {points[k]}"))
+                   for i in range(n)]
+    if strict:
+        near = np.minimum(np.abs(traces - 1), np.abs(traces + 1)) < TRACE_GUARD
+        checks += [(near[:, i], lambda k, i=i: RankViolation(
+            f"trace r_{i+1} within {TRACE_GUARD} of +-1 at {points[k]}"))
+                   for i in range(n)]
+        resonant = _integer_gap(lam)
+        if resonant is not None:
+            checks.append((np.ones(len(residues), dtype=bool),
+                           lambda k: EigenvalueCollision(resonant)))
+    _raise_first(checks)
+
+
+def _integer_gap(lam):
+    """Message for the first lambda_i - lambda_j within TRACE_GUARD of an
+    integer in [-10, 10], or None."""
+    for i in range(len(lam)):
+        for j in range(i + 1, len(lam)):
+            d = lam[i] - lam[j]
+            for mm in range(-10, 11):
+                if abs(d - mm) < TRACE_GUARD:
+                    return (f"lambda_{i+1} - lambda_{j+1} within {TRACE_GUARD} "
+                            f"of the integer {mm}")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -96,18 +122,27 @@ def residue_decomposition(m: SaitoMatrices, point, lam, z_seed=None,
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
     lamv = np.array([complex(x) for x in lam])
-    res = residues_from_frame(roots, P, lamv)
-    traces = np.array([np.trace(b) for b in res])
-    snap = OkuboNumeric(n=m.n, point=point, Binf=lamv, z=np.array(roots), P=P,
-                        residues=res, traces=traces)
+    res = residues_from_frame(P, lamv)
+    snap = OkuboNumeric(n=m.n, point=point, Binf=lamv, z=roots, P=P,
+                        residues=res, traces=np.trace(res, axis1=1, axis2=2))
     return snap.validate(strict=strict)
 
 
 def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
-    """Residue snapshots with a single continuation-ordered sampler."""
-    sampler = StructureSampler(m, z_seed=z_seed)
-    return [residue_decomposition(m, p, lam, sampler=sampler, strict=strict)
-            for p in path]
+    """Residue snapshots along a path from one batched, continuation-ordered
+    pass (frames_along), checked as one stack."""
+    path = [tuple(p) for p in path]
+    try:
+        _, roots, P = frames_along(m, path, z_seed=z_seed)
+    except RootCollision as exc:
+        raise EigenvalueCollision(str(exc)) from exc
+    lamv = np.array([complex(x) for x in lam])
+    res = residues_from_frame(P, lamv)
+    traces = np.trace(res, axis1=2, axis2=3)
+    _check_residues(lamv, res, traces, path, strict)
+    return [OkuboNumeric(n=m.n, point=p, Binf=lamv, z=roots[k], P=P[k],
+                         residues=res[k], traces=traces[k])
+            for k, p in enumerate(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,55 +221,48 @@ def schlesinger_residual(snapshots: Sequence, svals=None) -> float:
     """
     if len(snapshots) < 5:
         raise InsufficientSamples("need at least 5 snapshots")
-    zs, Bs = [], []
-    for snap in snapshots:
-        if isinstance(snap, OkuboNumeric):
-            zs.append(np.asarray(snap.z))
-            Bs.append([np.asarray(b) for b in snap.residues])
-        else:
-            z, res = snap
-            zs.append(np.asarray(z, dtype=complex))
-            Bs.append([np.asarray(b, dtype=complex) for b in res])
+    pairs = [(s.z, s.residues) if isinstance(s, OkuboNumeric) else s
+             for s in snapshots]
+    zs = np.array([z for z, _ in pairs], dtype=complex)
+    Bs = np.array([res for _, res in pairs], dtype=complex)
     if svals is None:
         svals = list(range(len(snapshots)))
     h = svals[1] - svals[0]
     for a, b in zip(svals, svals[1:]):
         if abs((b - a) - h) > 1e-9 * max(1.0, abs(h)):
             raise ValueError("snapshots must be uniform in the path parameter")
-    for k in range(1, len(zs)):
-        if np.abs(zs[k] - zs[k - 1]).max() > 0.5 * max(
-                1.0, float(np.abs(zs[k - 1]).max())):
-            raise TrackingLost(f"roots jumped between snapshots {k-1} and {k}")
-    worst = 0.0
-    for defects in schlesinger_defects(zs, Bs, h):
-        for d in defects:
-            worst = max(worst, float(np.abs(d).max()))
-    return worst
+    jump = np.abs(np.diff(zs, axis=0)).max(axis=1)
+    _raise_first([(jump > 0.5 * np.maximum(1.0, np.abs(zs[:-1]).max(axis=1)),
+                   lambda k: TrackingLost(
+                       f"roots jumped between snapshots {k} and {k+1}"))])
+    return float(np.abs(schlesinger_defects(zs, Bs, h)).max())
 
 
 def schlesinger_defects(zs, Bs, h):
     """dB_i/ds - sum_j [B_j, B_i] (z_i' - z_j')/(z_i - z_j) at interior points.
 
-    zs[k] are the pole positions and Bs[k] the residues at point k of a
-    uniform grid with spacing h.  Returns, for each k in 2 .. len(zs) - 3
-    (where the five-point stencil reaches), the list of n defect matrices.
+    zs (N, n) are the pole positions and Bs (N, n, n, n) the residues on a
+    uniform grid with spacing h.  Returns the (N - 4, n, n, n) defects at
+    the points 2 .. N - 3, where the five-point stencil reaches; [k, i] is
+    the defect of residue i.
     """
-    n = len(zs[0])
-    out = []
-    for k in range(2, len(zs) - 2):
-        zdot = _stencil_d1([zs[k + d] for d in (-2, -1, 0, 1, 2)], h)
-        defects = []
-        for i in range(n):
-            dBi = _stencil_d1([Bs[k + d][i] for d in (-2, -1, 0, 1, 2)], h)
-            rhs = np.zeros_like(dBi)
-            for j in range(n):
-                if j == i:
-                    continue
-                com = Bs[k][j] @ Bs[k][i] - Bs[k][i] @ Bs[k][j]
-                rhs += com * (zdot[i] - zdot[j]) / (zs[k][i] - zs[k][j])
-            defects.append(dBi - rhs)
-        out.append(defects)
-    return out
+    zs = np.asarray(zs, dtype=complex)
+    Bs = np.asarray(Bs, dtype=complex)
+    N = len(zs)
+
+    def window(a):
+        return [a[d:N - 4 + d] for d in range(5)]
+
+    zdot = _stencil_d1(window(zs), h)                   # (M, n)
+    dB = _stencil_d1(window(Bs), h)                     # (M, n, n, n)
+    z, B = zs[2:N - 2], Bs[2:N - 2]
+    prod = B[:, :, None] @ B[:, None, :]                # [k, j, i] = B_j B_i
+    com = prod - np.swapaxes(prod, 1, 2)                # [B_j, B_i]
+    dzdot = zdot[:, None, :] - zdot[:, :, None]         # [k, j, i] = z_i' - z_j'
+    # z_i - z_j, with 1 on the diagonal, where com and dzdot are exactly 0
+    dz = z[:, None, :] - z[:, :, None] + np.eye(z.shape[1])
+    terms = com * dzdot[..., None, None] / dz[..., None, None]
+    return dB - terms.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def truncate_okubo(ok: OkuboNumeric, z_grad=None) -> RankOneSystem:
     shift = lam[n - 1]
     lam_shifted = lam - shift
     res = [Bi[:n - 1, :n - 1]
-           for Bi in residues_from_frame(ok.z, ok.P, lam_shifted)]
+           for Bi in residues_from_frame(ok.P, lam_shifted)]
     if z_grad is None:
         z_grad = np.zeros((n, 0))
     sys = RankOneSystem(n=n, residues=res, Gamma_inf=lam_shifted[:n - 1],
@@ -365,7 +365,7 @@ def output_integrability_defect(results, svals) -> float:
                                       [r.residues for r in aligned], h)
     for defects, r in zip(defect_rows, aligned[2:-2]):
         gens = [G @ E - E @ G for G in r.residues]
-        d_vec = np.concatenate([d.ravel() for d in defects])
+        d_vec = defects.ravel()
         g_vec = np.concatenate([g.ravel() for g in gens])
         denom = np.vdot(g_vec, g_vec)
         gamma = np.vdot(g_vec, d_vec) / denom if abs(denom) > 1e-30 else 0.0
@@ -393,13 +393,14 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
     dh = m.dh
     n = m.n
     zval = sampler._z
-    grads = np.zeros((n, n), dtype=complex)
-    for j, zj in enumerate(snap.z):
-        full = tuple(tprime) + (zj,)
-        denom = dh[n - 1].eval(full, z=zval)
-        for i in range(n - 1):
-            grads[j, i] = -dh[i].eval(full, z=zval) / denom
-        grads[j, n - 1] = -1.0
+    # (z, t', t_n = z_j) at each root z_j
+    at_roots = [(0j if zval is None else zval,) + tuple(tprime) + (zj,)
+                for zj in snap.z]
+    denom = dh[n - 1].eval_batch(at_roots)
+    grads = np.empty((n, n), dtype=complex)
+    for i in range(n - 1):
+        grads[:, i] = -dh[i].eval_batch(at_roots) / denom
+    grads[:, n - 1] = -1.0
     sys1 = truncate_okubo(snap, z_grad=grads)
 
     def family(kdir, step):

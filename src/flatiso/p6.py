@@ -5,7 +5,10 @@ z_3.  The off-diagonal entries of h * adj(T) * Binf are linear in t_3; the
 zero z_ij of a chosen entry, normalized by the cross-ratio map sending
 (z_1, z_2, z_3) to (0, 1, t), is a PVI solution y(t).  Everything numeric
 runs along a sampling path in t' with roots tracked by nearest-neighbour
-continuation and derivatives from five-point central differences.
+continuation and derivatives from five-point central differences.  A path
+is evaluated in one batch (frames_along): the algebraic generator is tracked
+point by point, then T0 and the entry coefficients are evaluated over all
+points at once and the eigenproblems are solved as one stack.
 """
 
 from __future__ import annotations
@@ -67,24 +70,60 @@ class P6Sample:
 # numeric sampling of the structure along a t'-path
 # ---------------------------------------------------------------------------
 
-def ordered_eig(T0val, prev_roots=None, separation=DEFAULT_SEPARATION):
-    """Eigen-decomposition with roots ordered for continuation.
+def _first_point_order(w, tol):
+    """Ascending real part; real parts within tol of each other count as tied
+    and are ordered by imaginary part, so rounding cannot swap a conjugate pair."""
+    by_real = sorted(range(len(w)), key=lambda k: w[k].real)
+    order, group = [], []
+    for k in by_real:
+        if group and w[k].real - w[group[0]].real > tol:
+            order += sorted(group, key=lambda g: w[g].imag)
+            group = []
+        group.append(k)
+    return order + sorted(group, key=lambda g: w[g].imag)
 
-    First point: ascending real part, ties by imaginary part.  Later points:
-    nearest-neighbour matching against the previous roots.
+
+def _raise_first(checks):
+    """Raise for the earliest point at which any check fails.
+
+    checks are (bad, make_error) pairs in the order one point is checked:
+    bad is a boolean array over the points and make_error(k) builds the
+    exception for point k.
     """
-    w, V = np.linalg.eig(np.asarray(T0val, dtype=complex))
-    if prev_roots is None:
-        order = sorted(range(len(w)), key=lambda k: (w[k].real, w[k].imag))
-    else:
-        cost = np.abs(w[None, :] - np.asarray(prev_roots)[:, None])
-        rows, cols = linear_sum_assignment(cost)
-        order = [int(cols[list(rows).index(i)]) for i in range(len(w))]
-    w = w[order]
-    V = V[:, order]
-    dists = [abs(a - b) for i, a in enumerate(w) for b in w[i + 1:]]
-    if dists and min(dists) < separation:
-        raise RootCollision(f"roots closer than {separation}")
+    hits = [(int(np.argmax(bad)), c) for c, (bad, _) in enumerate(checks)
+            if np.any(bad)]
+    if hits:
+        k, c = min(hits)
+        raise checks[c][1](k)
+
+
+def ordered_eig(T0vals, prev_roots=None, separation=DEFAULT_SEPARATION):
+    """Eigen-decompositions of stacked (N, n, n) matrices, ordered for continuation.
+
+    First point: ascending real part, ties (within separation, scaled by the
+    root size) by imaginary part; with prev_roots, nearest-neighbour matching
+    against them.  Every later point is matched against the one before.
+    Raises RootCollision naming the first point with roots closer than
+    separation.
+    """
+    w, V = np.linalg.eig(np.asarray(T0vals, dtype=complex))
+    prev = prev_roots
+    for k in range(len(w)):
+        if prev is None:
+            order = _first_point_order(
+                w[k], separation * max(1.0, float(np.abs(w[k]).max())))
+        else:
+            cost = np.abs(w[k][None, :] - np.asarray(prev)[:, None])
+            order = linear_sum_assignment(cost)[1]
+        w[k] = w[k][order]
+        V[k] = V[k][:, order]
+        prev = w[k]
+    n = w.shape[1]
+    if n > 1:
+        i, j = np.triu_indices(n, 1)
+        gaps = np.abs(w[:, i] - w[:, j]).min(axis=1)
+        _raise_first([(gaps < separation, lambda k: RootCollision(
+            f"roots closer than {separation} at path point {k}"))])
     return w, V
 
 
@@ -127,21 +166,50 @@ class StructureSampler:
         return self._z
 
     def t0_matrix(self, tprime):
+        """T0 at one point by scalar RingElem.eval (the reference evaluation)."""
         pt = self._full_point(tprime)
         zv = self.z_at(tprime)
         return np.array([[e.eval(pt, z=zv) for e in row] for row in self.T0],
                         dtype=complex)
 
-    def frame(self, tprime):
-        """(roots, eigenvector matrix) at a path point, continuation-ordered."""
-        T0v = self.t0_matrix(tprime)
-        roots, P = ordered_eig(T0v, self._prev_roots, self.separation)
-        self._prev_roots = roots
-        return roots, P
+    def frames(self, path):
+        """(values, roots, frames) along a path, continuation-ordered.
 
-    def eval_elem(self, e, tprime):
-        pt = self._full_point(tprime)
-        return e.eval(pt, z=self.z_at(tprime))
+        values is the (N, nvars + 1) array of (z, t_1, ..., t_n) with z
+        tracked point by point (0 on a plain ring) and t_n = 0; roots is
+        (N, n) and frames is (N, n, n), columns following the roots.
+        """
+        rows = []
+        for tp in path:
+            zv = self.z_at(tp)
+            rows.append((0j if zv is None else zv,) + self._full_point(tp))
+        values = np.array(rows, dtype=complex).reshape(len(rows), self.n + 1)
+        T0v = np.empty((len(values), self.n, self.n), dtype=complex)
+        for i, row in enumerate(self.T0):
+            for j, e in enumerate(row):
+                T0v[:, i, j] = e.eval_batch(values)
+        roots, P = ordered_eig(T0v, self._prev_roots, self.separation)
+        if len(roots):
+            self._prev_roots = roots[-1]
+        return values, roots, P
+
+    def frame(self, tprime):
+        """(roots, eigenvector matrix) at one path point, continuation-ordered."""
+        _, roots, P = self.frames([tprime])
+        return roots[0], P[0]
+
+
+def frames_along(m: SaitoMatrices, path, z_seed=None,
+                 separation=DEFAULT_SEPARATION, initial_roots=None):
+    """(values, roots, frames) of StructureSampler.frames on a fresh sampler.
+
+    initial_roots, when given, fixes the labeling of the first point by
+    matching against them.
+    """
+    sampler = StructureSampler(m, z_seed=z_seed, separation=separation)
+    if initial_roots is not None:
+        sampler._prev_roots = np.asarray(initial_roots)
+    return sampler.frames([tuple(p) for p in path])
 
 
 def roots_of_h(m: SaitoMatrices, point, z_seed=None, prev_roots=None,
@@ -167,15 +235,10 @@ def _stencil_d2(vals, h):
     return (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (12 * h * h)
 
 
-def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
-                        z_seed=None, separation=DEFAULT_SEPARATION,
-                        svals=None, initial_roots=None) -> List[P6Sample]:
-    """PVI samples along a t'-path from the chosen off-diagonal entry.
-
-    binf_eigs are the Okubo eigenvalues (lambda_1, lambda_2, lambda_3); the
-    (i, j) entry of h B^(3) = -adj(T) Binf is linear in t_3 and its zero,
-    cross-ratio normalized against the roots of h, is the PVI solution.
-    """
+def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
+    """(alpha, beta) with entry (i, j) of h B^(3) = alpha t_3 + beta, checked."""
+    if m.n != 3:
+        raise ValueError("PVI extraction needs n = 3")
     i, j = entry_choice
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("entry_choice must be off-diagonal in 1..3")
@@ -196,68 +259,92 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
     alpha = coeffs[1] if deg == 1 else m.ring.zero()
     if alpha.is_zero():
         raise DegenerateLinearEntry(f"entry ({i},{j}) has no t_3 term")
+    return alpha, beta
 
-    sampler = StructureSampler(m, z_seed=z_seed, separation=separation)
-    if initial_roots is not None:
-        sampler._prev_roots = np.asarray(initial_roots)
-    path = [tuple(p) for p in path]
+
+def _samples_on(alpha, beta, track, path, svals, separation):
+    """PVI samples of one entry on the frames (values, roots, _) of a path."""
+    values, roots, _ = track
     if svals is None:
-        svals = list(range(len(path)))
-    samples = []
-    for s, tp in zip(svals, path):
-        roots, _ = sampler.frame(tp)
-        av = sampler.eval_elem(alpha, tp)
-        bv = sampler.eval_elem(beta, tp)
-        if abs(av) < 1e-12 * max(1.0, abs(bv)):
-            raise DegenerateLinearEntry(f"t_3-coefficient vanishes at {tp}")
+        svals = range(len(path))
+    av, bv = alpha.eval_batch(values), beta.eval_batch(values)
+    z1, z2, z3 = roots.T
+    den = z2 - z1
+    with np.errstate(all="ignore"):
         z_entry = -bv / av
-        z1, z2, z3 = roots
-        den = z2 - z1
-        if abs(den) < separation:
-            raise RootCollision(f"z_2 - z_1 ~ 0 at {tp}")
         y = (z_entry - z1) / den
         t = (z3 - z1) / den
-        if min(abs(t), abs(t - 1)) < 1e-8:
-            raise RootCollision(f"cross-ratio t hits 0/1 at {tp}")
-        samples.append(P6Sample(s=float(s), tprime=tp, roots=tuple(roots),
-                                z_entry=z_entry, t=t, y=y))
+    _raise_first([
+        (np.abs(av) < 1e-12 * np.maximum(1.0, np.abs(bv)), lambda k:
+         DegenerateLinearEntry(f"t_3-coefficient vanishes at {path[k]}")),
+        (np.abs(den) < separation, lambda k:
+         RootCollision(f"z_2 - z_1 ~ 0 at {path[k]}")),
+        (np.minimum(np.abs(t), np.abs(t - 1)) < 1e-8, lambda k:
+         RootCollision(f"cross-ratio t hits 0/1 at {path[k]}")),
+    ])
+    samples = [P6Sample(s=float(sv), tprime=tp, roots=tuple(roots[k]),
+                        z_entry=z_entry[k], t=t[k], y=y[k])
+               for k, (sv, tp) in enumerate(zip(svals, path))]
     _differentiate_samples(samples)
     return samples
+
+
+def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
+                        z_seed=None, separation=DEFAULT_SEPARATION,
+                        svals=None, initial_roots=None) -> List[P6Sample]:
+    """PVI samples along a t'-path from the chosen off-diagonal entry.
+
+    binf_eigs are the Okubo eigenvalues (lambda_1, lambda_2, lambda_3); the
+    (i, j) entry of h B^(3) = -adj(T) Binf is linear in t_3 and its zero,
+    cross-ratio normalized against the roots of h, is the PVI solution.
+    """
+    alpha, beta = _linear_entry(m, binf_eigs, entry_choice)
+    path = [tuple(p) for p in path]
+    track = frames_along(m, path, z_seed=z_seed, separation=separation,
+                         initial_roots=initial_roots)
+    return _samples_on(alpha, beta, track, path, svals, separation)
 
 
 def _differentiate_samples(samples):
     if len(samples) < 5:
         return
-    h = samples[1].s - samples[0].s
-    for k in range(len(samples)):
-        if abs(samples[k].s - samples[0].s - k * h) > 1e-9 * max(1.0, abs(h) * k):
-            raise ValueError("sample grid must be uniform in s")
-    for k in range(2, len(samples) - 2):
-        ys = [samples[k + d].y for d in (-2, -1, 0, 1, 2)]
-        ts = [samples[k + d].t for d in (-2, -1, 0, 1, 2)]
-        dy, dt = _stencil_d1(ys, h), _stencil_d1(ts, h)
-        d2y, d2t = _stencil_d2(ys, h), _stencil_d2(ts, h)
-        if abs(dt) < 1e-12:
-            raise DegenerateLinearEntry(
-                f"dt/ds vanishes at sample {k}; path is not t-regular")
-        samples[k].dy_dt = dy / dt
-        samples[k].d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
+    s = np.array([x.s for x in samples])
+    h = s[1] - s[0]
+    k = np.arange(len(s))
+    if np.any(np.abs(s - s[0] - k * h) > 1e-9 * np.maximum(1.0, abs(h) * k)):
+        raise ValueError("sample grid must be uniform in s")
+    ys = np.array([x.y for x in samples])
+    ts = np.array([x.t for x in samples])
+
+    def window(a):
+        return [a[d:len(a) - 4 + d] for d in range(5)]
+
+    dy, dt = _stencil_d1(window(ys), h), _stencil_d1(window(ts), h)
+    d2y, d2t = _stencil_d2(window(ys), h), _stencil_d2(window(ts), h)
+    _raise_first([(np.abs(dt) < 1e-12, lambda j: DegenerateLinearEntry(
+        f"dt/ds vanishes at sample {j + 2}; path is not t-regular"))])
+    dy_dt = dy / dt
+    d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
+    for smp, a, b in zip(samples[2:-2], dy_dt, d2y_dt2):
+        smp.dy_dt, smp.d2y_dt2 = a, b
 
 
 # ---------------------------------------------------------------------------
 # parameters
 # ---------------------------------------------------------------------------
 
-def residues_from_frame(roots, P, lam):
-    """Rank-one residues -P E_i P^{-1} Binf of the Okubo z-equation."""
+def residues_from_frame(P, lam):
+    """Rank-one residues -P E_i P^{-1} Binf of the Okubo z-equation.
+
+    P is one frame (n, n) or a stack (..., n, n); residue i of each frame is
+    the outer product -P[:, i] (P^{-1}[i, :] Binf), returned at [..., i, :, :].
+    """
+    P = np.asarray(P, dtype=complex)
     Pinv = np.linalg.inv(P)
-    Lam = np.diag([complex(x) for x in lam])
-    out = []
-    for i in range(len(roots)):
-        E = np.zeros_like(Lam)
-        E[i, i] = 1.0
-        out.append(-P @ E @ Pinv @ Lam)
-    return out
+    lamv = np.array([complex(x) for x in lam])
+    cols = np.swapaxes(P, -1, -2)[..., :, :, None]      # P[:, i] as column i
+    # C order, so each residue is a contiguous matrix for later arithmetic
+    return np.multiply(-cols, Pinv[..., :, None, :] * lamv, order="C")
 
 
 def default_lambda(weights):
@@ -280,19 +367,24 @@ def p6_parameters(m: SaitoMatrices, point, lam=None, z_seed=None,
         raise ValueError("PVI parameters need n = 3")
     if lam is None:
         lam = default_lambda(m.weights)
-    lamc = [complex(x) for x in lam]
     i, j = entry_choice
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("entry_choice must be off-diagonal in 1..3")
-    k = ({1, 2, 3} - {i, j}).pop()
     if sampler is None:
         sampler = StructureSampler(m, z_seed=z_seed, separation=separation)
     try:
-        roots, P = sampler.frame(tuple(point))
+        _, P = sampler.frame(tuple(point))
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
-    res = residues_from_frame(roots, P, lamc)
-    r = [np.trace(b) for b in res]
+    return _params_from_frame(P, lam, entry_choice)
+
+
+def _params_from_frame(P, lam, entry_choice):
+    """p6_parameters on a computed frame P."""
+    lamc = [complex(x) for x in lam]
+    i, j = entry_choice
+    k = ({1, 2, 3} - {i, j}).pop()
+    r = list(np.trace(residues_from_frame(P, lamc), axis1=-2, axis2=-1))
     theta0, theta1, thetat = (rm + lamc[k - 1] for rm in r)
     thetainf = lamc[i - 1] - lamc[j - 1]
     return P6Params.from_thetas(theta0, theta1, thetat, thetainf, r=r, lam=lamc)
@@ -317,29 +409,34 @@ def p6_residual(samples: Sequence[P6Sample], params: P6Params) -> float:
     interior = [s for s in samples if s.d2y_dt2 is not None]
     if len(interior) < 1 or len(samples) < 5:
         raise InsufficientSamples("need at least 5 samples for the stencil")
-    worst = 0.0
-    for s in interior:
-        with np.errstate(all="ignore"):
-            rhs = pvi_rhs(s.t, s.y, s.dy_dt, params)
-        val = abs(s.d2y_dt2 - rhs)
-        # a sample sitting on a PVI pole (y in {0, 1, t}) yields a
-        # non-finite defect; report it as infinite rather than NaN
-        s.residual = val if np.isfinite(val) else float("inf")
-        worst = max(worst, s.residual)
-    return worst
+    t, y, dy, d2y = (np.array([getattr(s, a) for s in interior], dtype=complex)
+                     for a in ("t", "y", "dy_dt", "d2y_dt2"))
+    with np.errstate(all="ignore"):
+        val = np.abs(d2y - pvi_rhs(t, y, dy, params))
+    # a sample sitting on a PVI pole (y in {0, 1, t}) yields a non-finite
+    # defect; report it as infinite rather than NaN
+    val[~np.isfinite(val)] = np.inf
+    for s, v in zip(interior, val):
+        s.residual = float(v)
+    return float(val.max())
 
 
 def pvi_check(m: SaitoMatrices, lam, entry_choice, path, z_seed=None,
               svals=None):
     """(samples, params, residual) of one PVI extraction along a path.
 
-    The parameters are read at the first path point with a fresh sampler.
+    The parameters are read from the frame at the first path point.
     """
-    samples = extract_p6_solution(m, lam, entry_choice, path, z_seed=z_seed,
-                                  svals=svals)
-    params = p6_parameters(m, path[0], lam=lam,
-                           sampler=StructureSampler(m, z_seed=z_seed),
-                           entry_choice=entry_choice)
+    alpha, beta = _linear_entry(m, lam, entry_choice)
+    path = [tuple(p) for p in path]
+    track = frames_along(m, path, z_seed=z_seed)
+    return _pvi_on_frames(alpha, beta, track, lam, entry_choice, path, svals)
+
+
+def _pvi_on_frames(alpha, beta, track, lam, entry_choice, path, svals):
+    """pvi_check of one entry (alpha, beta) on computed frames."""
+    samples = _samples_on(alpha, beta, track, path, svals, DEFAULT_SEPARATION)
+    params = _params_from_frame(track[2][0], lam, entry_choice)
     return samples, params, p6_residual(samples, params)
 
 
@@ -347,10 +444,16 @@ def entry_survey(m: SaitoMatrices, lam, path, z_seed=None, svals=None) -> dict:
     """PVI residuals for every off-diagonal entry choice, reported not gated.
 
     Different entries give different solution branches; each is checked
-    against its own parameter dictionary.  Entries whose column is killed by
-    a zero Okubo eigenvalue (or that degenerate on the path) are reported by
-    error name.  No equivalence between branches is asserted.
+    against its own parameter dictionary on the one set of frames of the
+    path.  Entries whose column is killed by a zero Okubo eigenvalue (or
+    that degenerate on the path) are reported by error name.  No
+    equivalence between branches is asserted.
     """
+    path = [tuple(p) for p in path]
+    try:
+        track, failure = frames_along(m, path, z_seed=z_seed), None
+    except (FlatIsoError, np.linalg.LinAlgError) as exc:
+        track, failure = None, exc
     out = {}
     for i in range(1, 4):
         for j in range(1, 4):
@@ -358,8 +461,11 @@ def entry_survey(m: SaitoMatrices, lam, path, z_seed=None, svals=None) -> dict:
                 continue
             key = f"{i},{j}"
             try:
-                _, params, residual = pvi_check(m, lam, (i, j), path,
-                                                z_seed=z_seed, svals=svals)
+                alpha, beta = _linear_entry(m, lam, (i, j))
+                if failure is not None:
+                    raise failure
+                _, params, residual = _pvi_on_frames(
+                    alpha, beta, track, lam, (i, j), path, svals)
             except (FlatIsoError, np.linalg.LinAlgError) as exc:
                 out[key] = {"error": type(exc).__name__}
                 continue

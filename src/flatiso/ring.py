@@ -273,6 +273,30 @@ def _eval_compiled(terms, values):
     return total
 
 
+def _compile_batch(pk, terms, den):
+    """(exponent matrix (terms, nvars + 1), complex coefficients) for eval_batch."""
+    exps = np.array([pk.unpack(k) for k in terms], dtype=np.intp)
+    return (exps.reshape(len(terms), pk.nvars + 1),
+            np.array([c / den for c in terms.values()], dtype=complex))
+
+
+def _eval_batch(compiled, values):
+    """_eval_compiled at every row of an (N, nvars + 1) array.
+
+    Terms are multiplied slot by slot and summed in the order _eval_compiled
+    takes them; the transients are one (terms, N) product and one power
+    table per slot, never a (terms, N, slots) broadcast.
+    """
+    exps, coeffs = compiled
+    acc = np.repeat(coeffs[:, None], len(values), axis=1)
+    for s in range(exps.shape[1]):
+        col = exps[:, s]
+        top = int(col.max(initial=0))
+        if top:
+            acc *= np.vander(values[:, s], top + 1, increasing=True).T[col]
+    return acc.sum(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # exact univariate gcd degree (the squarefree guard)
 # ---------------------------------------------------------------------------
@@ -342,6 +366,7 @@ class ExtensionRing:
         self._drel = pk.partial(self._rel, 0)
         self.drel = _to_fractions(pk, self._drel, self._scale)
         self._drel_compiled = _compile(pk, self._drel, self._scale)
+        self._drel_batch = _compile_batch(pk, self._drel, self._scale)
         self._ztop = d << pk.zshift
         top = d * pk.zunit
         lead = self._rel[top]
@@ -634,7 +659,7 @@ class RingElem:
     no factor with all of them; num gives the {exponent tuple: Fraction} view.
     """
 
-    __slots__ = ("ring", "_t", "_d", "zden", "dden", "_compiled")
+    __slots__ = ("ring", "_t", "_d", "zden", "dden", "_compiled", "_batch")
 
     def __init__(self, ring, terms, den=1, zden=0, dden=0, _canon=True):
         if _canon:
@@ -657,6 +682,7 @@ class RingElem:
         self.zden = zden
         self.dden = dden
         self._compiled = None
+        self._batch = None
 
     # -- basics ----------------------------------------------------------------
 
@@ -959,6 +985,25 @@ class RingElem:
             val /= zv ** self.zden
         if self.dden:
             val /= _eval_compiled(ring.ext._drel_compiled, values) ** self.dden
+        return val
+
+    def eval_batch(self, values):
+        """eval at every row of an (N, nvars + 1) complex array of (z, t1..tn).
+
+        The rows carry the generator value in column 0 (ignored by plain
+        rings), as eval receives it through z=; eval stays the reference.
+        """
+        ring = self.ring
+        values = np.asarray(values, dtype=complex)
+        if values.ndim != 2 or values.shape[1] != ring.nvars + 1:
+            raise ValueError(f"expected rows of {ring.nvars + 1} values (z, t1..tn)")
+        if self._batch is None:
+            self._batch = _compile_batch(ring._pk, self._t, self._d)
+        val = _eval_batch(self._batch, values)
+        if self.zden:
+            val /= values[:, 0] ** self.zden
+        if self.dden:
+            val /= _eval_batch(ring.ext._drel_batch, values) ** self.dden
         return val
 
 

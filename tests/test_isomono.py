@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from flatiso import catalog, isomono as iso, p6
-from flatiso.errors import (DegenerateTheta, FactorizationFailed,
-                            InsufficientSamples, PoleAtY, StepUnderflow,
-                            TrackingLost)
+from flatiso.errors import (DegenerateTheta, EigenvalueCollision,
+                            FactorizationFailed, InsufficientSamples, PoleAtY,
+                            RankViolation, StepUnderflow, TrackingLost)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.isomono import (PathSpec, integrate_pfaffian, integrate_p6_hamiltonian,
                              jm_build, jm_family_snapshots, monodromy_on_loop,
@@ -159,9 +161,88 @@ def test_pfaffian_stops_at_pole():
     assert max(seen) < 1.0
 
 
+def per_point_snapshots(m, path, lam, z_seed):
+    """(roots, residues, traces) point by point: scalar RingElem.eval of T0,
+    one eig per point and -P E_i P^{-1} Binf as matrix products."""
+    sampler = p6.StructureSampler(m, z_seed=z_seed)
+    Lam = np.diag([complex(x) for x in lam])
+    prev, out = None, []
+    for tp in path:
+        roots, P = p6.ordered_eig(sampler.t0_matrix(tp)[None], prev)
+        roots, P, prev = roots[0], P[0], roots[0]
+        res = []
+        for i in range(m.n):
+            E = np.zeros((m.n, m.n))
+            E[i, i] = 1.0
+            res.append(-P @ E @ np.linalg.inv(P) @ Lam)
+        out.append((roots, res, np.array([np.trace(b) for b in res])))
+    return out
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_snapshots_along_matches_per_point(eid):
+    e, m = entry_setup(eid)
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    snaps = snapshots_along(m, e.default_path.points, lam, z_seed=e.z_seed)
+    ref = per_point_snapshots(m, e.default_path.points, lam, e.z_seed)
+    assert len(snaps) == len(ref)
+    for snap, (roots, res, traces) in zip(snaps, ref):
+        assert np.abs(snap.z - roots).max() <= 1e-12 * max(1.0, np.abs(roots).max())
+        assert max(np.abs(a - b).max() for a, b in zip(snap.residues, res)) <= 1e-12
+        assert np.abs(snap.traces - traces).max() <= 1e-12
+
+
+def test_path_into_root_collision_raises():
+    # LT8 at t' = 0 has T0 = 0: all three roots meet at the last point
+    e, m = entry_setup("LT8")
+    path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
+    with pytest.raises(EigenvalueCollision, match="path point 8"):
+        snapshots_along(m, path, p6.default_lambda(e.pvf.ring.weights))
+
+
+def test_corrupted_residue_sum_raises(monkeypatch):
+    e, m = entry_setup("LT8")
+    path = e.default_path.points[:10]
+    real = iso.residues_from_frame
+
+    def corrupted(P, lam):
+        res = real(P, lam)
+        res[6, 0, 0, 0] += 1e-6
+        return res
+
+    monkeypatch.setattr(iso, "residues_from_frame", corrupted)
+    with pytest.raises(RankViolation,
+                       match=re.escape(f"sum to -Binf at {path[6]}")):
+        snapshots_along(m, path, p6.default_lambda(e.pvf.ring.weights))
+
+
 # ---------------------------------------------------------------------------
 # Schlesinger
 # ---------------------------------------------------------------------------
+
+def test_schlesinger_defects_match_per_point_loop():
+    e, m = entry_setup("LT27")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    snaps = snapshots_along(m, e.default_path.points, lam, z_seed=e.z_seed)
+    zs = [s.z for s in snaps]
+    Bs = [s.residues for s in snaps]
+    h = e.path_svals[1] - e.path_svals[0]
+    got = iso.schlesinger_defects(zs, Bs, h)
+    assert got.shape == (len(snaps) - 4, 3, 3, 3)
+    for k in range(2, len(zs) - 2):
+        zdot = p6._stencil_d1([zs[k + d] for d in (-2, -1, 0, 1, 2)], h)
+        for i in range(3):
+            rhs = 0
+            for j in range(3):
+                if j != i:
+                    com = Bs[k][j] @ Bs[k][i] - Bs[k][i] @ Bs[k][j]
+                    rhs = rhs + com * (zdot[i] - zdot[j]) / (zs[k][i] - zs[k][j])
+            dBi = p6._stencil_d1([Bs[k + d][i] for d in (-2, -1, 0, 1, 2)], h)
+            want = dBi - rhs
+            assert np.abs(got[k - 2, i] - want).max() <= 1e-12 * max(
+                1.0, np.abs(dBi).max())
+
+
 
 def test_schlesinger_constant_family():
     e, m = entry_setup("LT8")

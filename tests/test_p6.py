@@ -205,3 +205,65 @@ def test_entry_survey_reports_all_six():
     # reported without any equivalence assertion
     assert survey["1,2"]["residual"] < 1e-6
     assert survey["3,1"]["residual"] < 1e-4
+
+
+def test_first_point_order_survives_rounding():
+    # at the first LT27 point two roots are a conjugate pair whose real parts
+    # agree to rounding; ulp-level changes of T0 must not swap their labels
+    e, m = entry_setup("LT27")
+    T0 = p6.StructureSampler(m, z_seed=e.z_seed).t0_matrix(e.default_path.points[0])
+    base, _ = p6.ordered_eig(T0[None])
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        bumped = T0 * (1 + 1e-15 * rng.choice([-1.0, 1.0], size=T0.shape))
+        roots, _ = p6.ordered_eig(bumped[None])
+        assert np.abs(roots - base).max() < 1e-9
+
+
+def count_frames(monkeypatch):
+    calls = []
+    real = p6.StructureSampler.frames
+
+    def counting(self, path):
+        calls.append(len(path))
+        return real(self, path)
+
+    monkeypatch.setattr(p6.StructureSampler, "frames", counting)
+    return calls
+
+
+def test_pvi_check_computes_frames_once(monkeypatch):
+    e, m = entry_setup("LT8")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    calls = count_frames(monkeypatch)
+    _, params, residual = p6.pvi_check(m, lam, (1, 2), e.default_path.points,
+                                       svals=e.path_svals)
+    assert calls == [len(e.default_path.points)]
+    assert residual < 1e-6
+    # the parameters read off frame 0 are those of a fresh sampler at path[0]
+    fresh = p6.p6_parameters(m, e.default_path.points[0], lam=lam)
+    assert np.abs(np.array(params.r) - np.array(fresh.r)).max() < 1e-14
+
+
+def test_entry_survey_computes_frames_once(monkeypatch):
+    e, m = entry_setup("LT8")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    calls = count_frames(monkeypatch)
+    survey = p6.entry_survey(m, lam, e.default_path.points, svals=e.path_svals)
+    assert calls == [len(e.default_path.points)]
+    for key, (i, j) in (("1,2", (1, 2)), ("2,1", (2, 1)), ("3,1", (3, 1))):
+        _, _, residual = p6.pvi_check(m, lam, (i, j), e.default_path.points,
+                                      svals=e.path_svals)
+        assert survey[key]["residual"] == residual
+
+
+def test_entry_survey_reports_frame_failure_per_entry():
+    # a path into the LT8 root collision at t' = 0: each entry that passes its
+    # own linearity checks reports the collision of the shared frames
+    e, m = entry_setup("LT8")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
+    survey = p6.entry_survey(m, lam, path)
+    assert survey["1,3"] == survey["2,3"] == {"error": "EntryIdenticallyZero"}
+    for key in ("1,2", "2,1", "3,1", "3,2"):
+        assert survey[key] == {"error": "RootCollision"}
