@@ -108,8 +108,22 @@ def _resolve_input(args):
     return pvf, points, svals, seed, choice
 
 
+def _json_value(value):
+    """JSON form of a numpy scalar or complex number in a report: numpy
+    bools, ints and floats become Python values, complex numbers [re, im]."""
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return p6._cpair(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _emit(args, report, summary):
-    text = json.dumps(report, indent=1, sort_keys=True, default=str)
+    text = json.dumps(report, indent=1, sort_keys=True, default=_json_value)
     if getattr(args, "json", None):
         with open(args.json, "w") as f:
             f.write(text + "\n")

@@ -150,6 +150,10 @@ def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
 # ---------------------------------------------------------------------------
 
 TOL_FLOOR = 100 * np.finfo(float).eps   # solve_ivp clamps rtol below this
+# Connection evaluations one integration may make.  A loop around a root of
+# a catalog snapshot needs a few hundred; a pole on the path would otherwise
+# cost DOP853 hundreds of thousands before its step underflows.
+MAX_CONNECTION_EVALS = 10_000
 
 
 def integrate_pfaffian(system: Callable[[float], np.ndarray], s0, s1, Y0,
@@ -168,8 +172,14 @@ def integrate_pfaffian(system: Callable[[float], np.ndarray], s0, s1, Y0,
         raise StepUnderflow(f"tol {tol} is below the solver floor {TOL_FLOOR}")
     Y0 = np.array(Y0, dtype=complex)
     shape = Y0.shape
+    evals = 0
 
     def rhs(s, state):
+        nonlocal evals
+        evals += 1
+        if evals > MAX_CONNECTION_EVALS:
+            raise StepUnderflow(f"{MAX_CONNECTION_EVALS} connection evaluations "
+                                f"(the budget) reached only s = {s}")
         A = system(s)
         return np.append((A @ state[:-1].reshape(shape)).ravel(), np.trace(A))
 

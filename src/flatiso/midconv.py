@@ -386,9 +386,7 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
     (snapshot, system, family) with family(kdir, h) re-truncating at the
     displaced point for the invariant-subspace diagnostics.
     """
-    sampler = StructureSampler(m, z_seed=z_seed)
-    if initial_roots is not None:
-        sampler._prev_roots = np.asarray(initial_roots)
+    sampler = StructureSampler(m, z_seed=z_seed, initial_roots=initial_roots)
     snap = residue_decomposition(m, tuple(tprime), lam, sampler=sampler)
     dh = m.dh
     n = m.n
@@ -410,8 +408,8 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
                                  z_grad=sys1.z_grad, point=sys1.point)
         pt = list(tprime)
         pt[kdir] += step
-        s2 = StructureSampler(m, z_seed=zval if m.ring.ext is not None else None)
-        s2._prev_roots = snap.z
+        s2 = StructureSampler(m, z_seed=zval if m.ring.ext is not None else None,
+                              initial_roots=snap.z)
         sn = residue_decomposition(m, tuple(pt), lam, sampler=s2)
         return truncate_okubo(sn)
 

@@ -4,11 +4,22 @@ For n = 3 the discriminant h(t', .) is a cubic in t_3 with roots z_1, z_2,
 z_3.  The off-diagonal entries of h * adj(T) * Binf are linear in t_3; the
 zero z_ij of a chosen entry, normalized by the cross-ratio map sending
 (z_1, z_2, z_3) to (0, 1, t), is a PVI solution y(t).  Everything numeric
-runs along a sampling path in t' with roots tracked by nearest-neighbour
-continuation and derivatives from five-point central differences.  A path
-is evaluated in one batch (frames_along): the algebraic generator is tracked
-point by point, then T0 and the entry coefficients are evaluated over all
-points at once and the eigenproblems are solved as one stack.
+runs along a sampling path in t', with derivatives from five-point central
+differences.  A path is evaluated in one batch (frames_along): the algebraic
+generator is tracked point by point, then T0 and the entry coefficients are
+evaluated over all points at once and the eigenproblems are solved as one
+stack.
+
+StructureSampler is the one tracker of both the generator z and the order
+of the roots of T0.  A step is accepted only where it is shorter than
+STEP_FRACTION (1/4) of the gap to the nearest other candidate.  For z the gap
+is a gamma-theory certificate (ring.certified_separation), computed for the
+whole path in one call, with np.roots only where it is inconclusive.  For
+the roots of T0 it is the distance to the second-nearest root at the next
+point, and the nearest-neighbour matches of all steps are composed at once.
+A rejected step is bisected, evaluating z and T0 at the midpoint; after
+MAX_BISECTIONS (24) halvings it raises TrackingLost, a NumericError (CLI
+exit 3).  Roots closer than the separation guard raise RootCollision.
 """
 
 from __future__ import annotations
@@ -18,14 +29,18 @@ from fractions import Fraction
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import (DegenerateLinearEntry, EigenvalueCollision,
                      EntryIdenticallyZero, FlatIsoError, InsufficientSamples,
-                     RootCollision)
+                     RootCollision, RootNotConverged, TrackingLost)
 from .flatcore import SaitoMatrices
+from .ring import certified_separation, newton_root
 
 DEFAULT_SEPARATION = 1e-9
+# A continuation step is accepted only below this fraction of the gap to the
+# nearest other candidate; a rejected step is bisected at most this deep.
+STEP_FRACTION = 0.25
+MAX_BISECTIONS = 24
 
 
 # ---------------------------------------------------------------------------
@@ -97,45 +112,96 @@ def _raise_first(checks):
         raise checks[c][1](k)
 
 
-def ordered_eig(T0vals, prev_roots=None, separation=DEFAULT_SEPARATION):
+def _nearest_match(w0, w1):
+    """(perm, ok) of the nearest-neighbour match of stacked roots w0 to w1.
+
+    perm[m, a] is the index in w1[m] of the root nearest w0[m, a].  ok[m]
+    holds where the match is one-to-one and every root moved less than
+    STEP_FRACTION of the distance to its second-nearest candidate.
+    """
+    dist = np.abs(w1[:, None, :] - w0[:, :, None])
+    perm = dist.argmin(axis=2)
+    n = w0.shape[1]
+    if n < 2:
+        return perm, np.ones(len(w0), dtype=bool)
+    near = np.partition(dist, 1, axis=2)
+    ok = (near[..., 0] < STEP_FRACTION * near[..., 1]).all(axis=1)
+    return perm, ok & (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
+
+
+def _compose(first, steps):
+    """Labels along a stack: row 0 is first, row k + 1 is steps[k][row k].
+
+    Composed as a prefix scan, log2(N) gathers over the whole stack.
+    """
+    out = np.concatenate([first[None], steps])
+    d = 1
+    while d < len(out):
+        out[d:] = np.take_along_axis(out[d:], out[:-d], axis=1)
+        d *= 2
+    return out
+
+
+def ordered_eig(T0vals, prev_roots=None, separation=DEFAULT_SEPARATION,
+                bridge=None):
     """Eigen-decompositions of stacked (N, n, n) matrices, ordered for continuation.
 
     First point: ascending real part, ties (within separation, scaled by the
-    root size) by imaginary part; with prev_roots, nearest-neighbour matching
-    against them.  Every later point is matched against the one before.
-    Raises RootCollision naming the first point with roots closer than
-    separation.
+    root size) by imaginary part; with prev_roots, matched against them.
+    Every later point is matched to the one before by nearest neighbour,
+    accepted where _nearest_match accepts it.  A rejected step into point k
+    goes to bridge(k, roots before, roots at k), which returns the
+    permutation; with no bridge it raises TrackingLost.  Raises
+    RootCollision, before any matching, naming the first point with roots
+    closer than separation.
     """
     w, V = np.linalg.eig(np.asarray(T0vals, dtype=complex))
-    prev = prev_roots
-    for k in range(len(w)):
-        if prev is None:
-            order = _first_point_order(
-                w[k], separation * max(1.0, float(np.abs(w[k]).max())))
-        else:
-            cost = np.abs(w[k][None, :] - np.asarray(prev)[:, None])
-            order = linear_sum_assignment(cost)[1]
-        w[k] = w[k][order]
-        V[k] = V[k][:, order]
-        prev = w[k]
     n = w.shape[1]
     if n > 1:
         i, j = np.triu_indices(n, 1)
         gaps = np.abs(w[:, i] - w[:, j]).min(axis=1)
         _raise_first([(gaps < separation, lambda k: RootCollision(
             f"roots closer than {separation} at path point {k}"))])
+    if not len(w):
+        return w, V
+    if prev_roots is None:
+        first = np.array(_first_point_order(
+            w[0], separation * max(1.0, float(np.abs(w[0]).max()))))
+        chain = w
+    else:
+        first = np.arange(w.shape[1])
+        chain = np.concatenate([np.asarray(prev_roots, dtype=complex)[None], w])
+    steps, ok = _nearest_match(chain[:-1], chain[1:])
+    for k in np.flatnonzero(~ok):
+        point = k + (prev_roots is None)
+        if bridge is None:
+            raise TrackingLost(f"eigenvalue step into path point {point} is "
+                               f"not below {STEP_FRACTION} of the root gap")
+        steps[k] = bridge(point, chain[k], chain[k + 1])
+    labels = _compose(first, steps)[len(chain) - len(w):]
+    w = np.take_along_axis(w, labels, axis=1)
+    V = np.take_along_axis(V, labels[:, None, :], axis=2)
     return w, V
 
 
-class StructureSampler:
-    """Evaluate T0, the discriminant roots and residue data along a t'-path.
+def _midpoint(p0, p1):
+    return tuple((a + b) / 2 for a, b in zip(p0, p1))
 
-    Keeps the continuation state: the tracked algebraic-generator value (for
-    extension rings) and the previous root ordering.
+
+class StructureSampler:
+    """The path tracker: the algebraic generator z and the ordered roots of T0.
+
+    Both are continued by one rule.  A step is accepted only where it is
+    shorter than STEP_FRACTION of the gap to the nearest other candidate:
+    for z the gap is the certified separation of ring.certified_separation,
+    for the roots of T0 the distance to the second-nearest root at the next
+    point.  A rejected step is bisected, at most MAX_BISECTIONS deep, and
+    then raises TrackingLost.  The state is the last tracked point, so
+    successive calls continue from it.
     """
 
     def __init__(self, m: SaitoMatrices, z_seed=None,
-                 separation=DEFAULT_SEPARATION):
+                 separation=DEFAULT_SEPARATION, initial_roots=None):
         self.m = m
         ring = m.ring
         self.ring = ring
@@ -143,27 +209,116 @@ class StructureSampler:
         self.separation = separation
         self.z_seed = z_seed
         self.T0 = m.T0
-        self._z = None
+        # (point, z, certified separation) where z was last tracked
         self._prev_pt = None
-        self._prev_roots = None
+        self._z = None
+        self._zsep = None
+        # ordered roots, and the (point, z, separation) they were taken at;
+        # None for roots given from outside, which label the first point
+        self._prev_roots = (None if initial_roots is None
+                            else np.asarray(initial_roots))
+        self._roots_at = None
 
     def _full_point(self, tprime):
         return tuple(tprime) + (0.0,) * (self.n - len(tprime))
 
+    def _collision(self, point):
+        return RootCollision(
+            f"generator roots closer than {self.separation} at {point}")
+
+    def _track_z(self, pts):
+        """(z, certified separation) at full points pts, continued from the state.
+
+        Newton runs point by point from the previous value and one
+        certificate covers every point.  From the first step that is not
+        below STEP_FRACTION of the separation at both of its ends, the points
+        are continued one at a time, each step bisected until it is.
+        """
+        if self.ring.ext is None or not pts:
+            return np.zeros(len(pts), dtype=complex), np.full(len(pts), np.inf)
+        if self._z is None and self.z_seed is None:
+            raise ValueError("extension ring requires a z seed")
+        off = 0 if self._z is None else 1
+        chain = [self._prev_pt] * off + list(pts)
+        Z = np.empty(len(chain), dtype=complex)
+        S = np.empty(len(chain))
+        if off:
+            Z[0], S[0] = self._z, self._zsep
+        coeffs = self.ring.rel_coeffs(pts)
+        z = self.z_seed if self._z is None else self._z
+        stop = len(chain)
+        for k, row in enumerate(coeffs.tolist(), off):
+            try:
+                z = newton_root(row, z)
+            except RootNotConverged:
+                if k == 0:
+                    raise
+                stop = k
+                break
+            Z[k] = z
+        S[off:stop] = certified_separation(coeffs[:stop - off], Z[off:stop],
+                                           self.separation)
+        _raise_first([(S[off:stop] < self.separation,
+                       lambda k: self._collision(pts[k]))])
+        jump = (np.abs(np.diff(Z[:stop]))
+                >= STEP_FRACTION * np.minimum(S[:stop - 1], S[1:stop]))
+        for k in range(1 + int(np.argmax(jump)) if jump.any() else stop,
+                       len(chain)):
+            Z[k], S[k] = self._z_step(chain[k - 1], Z[k - 1], S[k - 1],
+                                      chain[k], 0)
+        self._prev_pt, self._z, self._zsep = chain[-1], complex(Z[-1]), S[-1]
+        return Z[off:], S[off:]
+
+    def _z_step(self, p0, z0, s0, p1, depth):
+        """(z, separation) at p1 from (z0, s0) at p0, bisected if rejected."""
+        coeffs = self.ring.rel_coeffs([p1])
+        try:
+            z1 = newton_root(coeffs[0].tolist(), z0)
+        except RootNotConverged:
+            return self._z_halves(p0, z0, s0, p1, depth + 1)
+        s1 = certified_separation(coeffs, [z1], self.separation)[0]
+        if s1 < self.separation:
+            raise self._collision(p1)
+        if abs(z1 - z0) < STEP_FRACTION * min(s0, s1):
+            return z1, s1
+        return self._z_halves(p0, z0, s0, p1, depth + 1)
+
+    def _z_halves(self, p0, z0, s0, p1, depth):
+        if depth > MAX_BISECTIONS:
+            raise TrackingLost(f"generator continuation to {p1} needs more "
+                               f"than {MAX_BISECTIONS} bisections")
+        mid = _midpoint(p0, p1)
+        zm, sm = self._z_step(p0, z0, s0, mid, depth)
+        return self._z_step(mid, zm, sm, p1, depth)
+
+    def _eig_step(self, a, b, depth):
+        """Permutation taking the roots of a to those of b, each a tuple
+        (point, z, separation, roots); bisected if the match is rejected."""
+        perm, ok = _nearest_match(a[3][None], b[3][None])
+        if ok[0]:
+            return perm[0]
+        if depth >= MAX_BISECTIONS:
+            raise TrackingLost(f"eigenvalue continuation to {b[0]} needs more "
+                               f"than {MAX_BISECTIONS} bisections")
+        pm = _midpoint(a[0], b[0])
+        zm, sm = ((0j, np.inf) if self.ring.ext is None
+                  else self._z_step(a[0], a[1], a[2], pm, depth))
+        wm = np.linalg.eigvals(self._t0_rows(np.array([(zm,) + pm]))[0])
+        mid = (pm, zm, sm, wm)
+        return self._eig_step(mid, b, depth + 1)[self._eig_step(a, mid, depth + 1)]
+
+    def _t0_rows(self, values):
+        T0v = np.empty((len(values), self.n, self.n), dtype=complex)
+        for i, row in enumerate(self.T0):
+            for j, e in enumerate(row):
+                T0v[:, i, j] = e.eval_batch(values)
+        return T0v
+
     def z_at(self, tprime):
         if self.ring.ext is None:
             return None
-        from .ring import _continue_root
-        pt = self._full_point(tprime)
-        if self._z is None:
-            if self.z_seed is None:
-                raise ValueError("extension ring requires a z seed")
-            self._z = self.ring.solve_z(pt, self.z_seed, self.separation)
-        elif pt != self._prev_pt:
-            self._z = _continue_root(self.ring, self._prev_pt, pt, self._z,
-                                     self.separation, 0)
-        self._prev_pt = pt
-        return self._z
+        zs, _ = self._track_z([self._full_point(tprime)])
+        return complex(zs[0])
 
     def t0_matrix(self, tprime):
         """T0 at one point by scalar RingElem.eval (the reference evaluation)."""
@@ -179,18 +334,23 @@ class StructureSampler:
         tracked point by point (0 on a plain ring) and t_n = 0; roots is
         (N, n) and frames is (N, n, n), columns following the roots.
         """
-        rows = []
-        for tp in path:
-            zv = self.z_at(tp)
-            rows.append((0j if zv is None else zv,) + self._full_point(tp))
-        values = np.array(rows, dtype=complex).reshape(len(rows), self.n + 1)
-        T0v = np.empty((len(values), self.n, self.n), dtype=complex)
-        for i, row in enumerate(self.T0):
-            for j, e in enumerate(row):
-                T0v[:, i, j] = e.eval_batch(values)
-        roots, P = ordered_eig(T0v, self._prev_roots, self.separation)
+        pts = [self._full_point(tp) for tp in path]
+        zs, seps = self._track_z(pts)
+        values = np.column_stack(
+            [zs, np.array(pts, dtype=complex).reshape(len(pts), self.n)])
+
+        def bridge(k, w0, w1):
+            a = self._roots_at if k == 0 else (pts[k - 1], zs[k - 1], seps[k - 1])
+            if a is None:
+                raise TrackingLost("initial roots do not match the first path "
+                                   f"point within {STEP_FRACTION} of the gap")
+            return self._eig_step(a + (w0,), (pts[k], zs[k], seps[k], w1), 0)
+
+        roots, P = ordered_eig(self._t0_rows(values), self._prev_roots,
+                               self.separation, bridge)
         if len(roots):
             self._prev_roots = roots[-1]
+            self._roots_at = (pts[-1], zs[-1], seps[-1])
         return values, roots, P
 
     def frame(self, tprime):
@@ -206,9 +366,8 @@ def frames_along(m: SaitoMatrices, path, z_seed=None,
     initial_roots, when given, fixes the labeling of the first point by
     matching against them.
     """
-    sampler = StructureSampler(m, z_seed=z_seed, separation=separation)
-    if initial_roots is not None:
-        sampler._prev_roots = np.asarray(initial_roots)
+    sampler = StructureSampler(m, z_seed=z_seed, separation=separation,
+                               initial_roots=initial_roots)
     return sampler.frames([tuple(p) for p in path])
 
 
@@ -217,8 +376,8 @@ def roots_of_h(m: SaitoMatrices, point, z_seed=None, prev_roots=None,
     """Roots of h(t', .) as a cubic in t_3 (= eigenvalues of T0), ordered."""
     if m.n != 3:
         raise ValueError("PVI extraction needs n = 3")
-    sampler = StructureSampler(m, z_seed=z_seed, separation=separation)
-    sampler._prev_roots = prev_roots
+    sampler = StructureSampler(m, z_seed=z_seed, separation=separation,
+                               initial_roots=prev_roots)
     roots, _ = sampler.frame(tuple(point))
     return tuple(roots)
 

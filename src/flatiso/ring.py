@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 import numpy as np
@@ -597,55 +597,106 @@ class Ring:
 
     # -- numeric root solving -------------------------------------------------
 
-    def rel_coeffs_at(self, point):
-        """Complex coefficients [c_0..c_d] of the relation in z at a t-point."""
+    def rel_coeffs(self, points):
+        """Complex coefficients (N, d + 1) of the relation in z, lowest degree
+        first, at N t-points."""
         ext = self.ext
-        coeffs = [0j] * (ext.z_degree + 1)
-        pt = tuple(complex(p) for p in point)
+        pts = np.asarray(points, dtype=complex).reshape(-1, self.nvars)
+        out = np.zeros((len(pts), ext.z_degree + 1), dtype=complex)
         for ez, exps, v in ext._rel_compiled:
+            term = np.full(len(pts), v)
             for s, e in exps:
-                v *= pt[s] ** e
-            coeffs[ez] += v
-        return coeffs
+                term *= pts[:, s] ** e
+            out[:, ez] += term
+        return out
 
-    def solve_z(self, point, seed, separation=ROOT_SEPARATION, check_separation=True):
+    def solve_z(self, point, seed, separation=ROOT_SEPARATION):
         """Newton iteration for the generator from a seed, with collision guard."""
-        coeffs = self.rel_coeffs_at(point)
-        scale = max(1.0, max(abs(c) for c in coeffs))
-
-        def f(zv):
-            acc = 0j
-            for c in reversed(coeffs):
-                acc = acc * zv + c
-            return acc
-
-        def fp(zv):
-            acc = 0j
-            top = len(coeffs) - 1
-            for k in range(top, 0, -1):
-                acc = acc * zv + coeffs[k] * k
-            return acc
-
-        zv = complex(seed)
-        converged = False
-        for _ in range(100):
-            fv = f(zv)
-            if abs(fv) < 1e-13 * scale:
-                converged = True
-                break
-            d = fp(zv)
-            if d == 0:
-                raise RootNotConverged(f"zero derivative at {zv}")
-            zv = zv - fv / d
-        if not converged and abs(f(zv)) > 1e-9 * scale:
-            raise RootNotConverged(f"Newton stalled at {zv}")
-        if check_separation:
-            roots = np.roots(coeffs[::-1])
-            dists = sorted(abs(r - zv) for r in roots)
-            if len(dists) > 1 and dists[1] < separation:
-                raise RootCollision(
-                    f"generator roots closer than {separation} at {tuple(point)}")
+        coeffs = self.rel_coeffs([point])
+        zv = newton_root(coeffs[0].tolist(), seed)
+        if certified_separation(coeffs, [zv], separation)[0] < separation:
+            raise RootCollision(
+                f"generator roots closer than {separation} at {tuple(point)}")
         return zv
+
+
+def newton_root(coeffs, seed):
+    """Newton iteration from seed for a zero of sum_k coeffs[k] z^k."""
+    scale = max(1.0, *map(abs, coeffs))
+
+    def f(zv):
+        acc = 0j
+        for c in reversed(coeffs):
+            acc = acc * zv + c
+        return acc
+
+    def fp(zv):
+        acc = 0j
+        for k in range(len(coeffs) - 1, 0, -1):
+            acc = acc * zv + coeffs[k] * k
+        return acc
+
+    zv = complex(seed)
+    for _ in range(100):
+        fv = f(zv)
+        if abs(fv) < 1e-13 * scale:
+            return zv
+        d = fp(zv)
+        if d == 0:
+            raise RootNotConverged(f"zero derivative at {zv}")
+        zv = zv - fv / d
+    if abs(f(zv)) > 1e-9 * scale:
+        raise RootNotConverged(f"Newton stalled at {zv}")
+    return zv
+
+
+# No other zero lies within _SEPARATION_GAMMA / gamma(f, zeta) of a simple
+# zero zeta (the separation theorem of alpha-theory).
+_SEPARATION_GAMMA = (5 - 17 ** 0.5) / 4
+# u = 2 alpha: the zero lies within 2 beta for alpha below (13 - 3 sqrt 17) / 4
+# and the gamma transfer from the iterate to its zero needs u < 1 - sqrt(2)/2.
+_U_MAX = 0.25
+
+
+@lru_cache(maxsize=None)
+def _binomials(d):
+    """The (d + 1, d + 1) matrix of C(j, k)."""
+    return np.array([[comb(j, k) for k in range(d + 1)] for j in range(d + 1)],
+                    dtype=float)
+
+
+def certified_separation(coeffs, zs, floor=ROOT_SEPARATION):
+    """Lower bounds on the distance from each iterate to every other zero.
+
+    coeffs is (N, d + 1), lowest degree first, and zs holds N iterates of
+    Newton's method.  At z, with beta = |f / f'| and gamma = max_k
+    |f^(k) / (k! f')|^(1/(k-1)), alpha-theory (Blum-Cucker-Shub-Smale,
+    Complexity and Real Computation, ch. 8) puts a zero zeta within 2 beta of
+    z once u = 2 beta gamma is small, with gamma(zeta) <= gamma / ((1 - u)
+    psi(u)), psi(u) = 1 - 4u + 2u^2, and no other zero lies within
+    (5 - sqrt 17) / (4 gamma(zeta)) of zeta; so every other zero is at least
+    that bound less 2 beta from z.  Rows where this is inconclusive (u not
+    below _U_MAX, or the bound below floor) fall back to np.roots and give
+    the distance from z to its second-nearest root.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    z = np.asarray(zs, dtype=complex)
+    d = coeffs.shape[1] - 1
+    zp = np.vander(z, d + 1, increasing=True)
+    with np.errstate(all="ignore"):
+        # Taylor coefficients f^(k)(z) / k! = z^-k sum_j C(j, k) c_j z^j
+        # (not finite at z = 0, which the fallback then handles)
+        c = (coeffs * zp) @ _binomials(d) / zp
+        beta = np.abs(c[:, 0] / c[:, 1])
+        gamma = (np.abs(c[:, 2:] / c[:, 1:2]) ** (1.0 / np.arange(1, d))).max(
+            axis=1, initial=0.0)
+        u = 2 * beta * gamma
+        psi = 1 - 4 * u + 2 * u * u
+        sep = _SEPARATION_GAMMA * (1 - u) * psi / gamma - 2 * beta
+    for k in np.flatnonzero(~((u < _U_MAX) & (sep >= floor))):
+        dists = np.sort(np.abs(np.roots(coeffs[k][::-1]) - z[k]))
+        sep[k] = dists[1] if len(dists) > 1 else np.inf
+    return sep
 
 
 # ---------------------------------------------------------------------------
@@ -1026,36 +1077,3 @@ def _full_cancel(ring, terms, den, zden, dden):
             terms, den = _p_scale(qt, ext._scale), den * qd
             dden -= 1
     return terms, den, zden, dden
-
-
-# ---------------------------------------------------------------------------
-# root continuation along paths
-# ---------------------------------------------------------------------------
-
-def track_root(ring: Ring, points, seed, separation=ROOT_SEPARATION):
-    """Continuation of the generator root along a path, with step halving."""
-    zs = []
-    z_prev = complex(seed)
-    prev_pt = None
-    for pt in points:
-        if prev_pt is None:
-            z_prev = ring.solve_z(pt, z_prev, separation)
-        else:
-            z_prev = _continue_root(ring, prev_pt, pt, z_prev, separation, 0)
-        prev_pt = pt
-        zs.append(z_prev)
-    return zs
-
-
-def _continue_root(ring, p0, p1, z0, separation, depth):
-    try:
-        z1 = ring.solve_z(p1, z0, separation)
-        if abs(z1 - z0) <= 0.5 * max(1.0, abs(z0)):
-            return z1
-        raise RootNotConverged("root jumped between path points")
-    except (RootNotConverged, RootCollision):
-        if depth >= 24:
-            raise
-        mid = tuple((a + b) / 2 for a, b in zip(p0, p1))
-        zm = _continue_root(ring, p0, mid, z0, separation, depth + 1)
-        return _continue_root(ring, mid, p1, zm, separation, depth + 1)

@@ -149,3 +149,23 @@ def test_numeric_error_classes_exit_3(capsys, monkeypatch):
     code, out, err = run(capsys, "schlesinger", "--catalog", "LT8")
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_report_encoder_converts_numpy_and_complex():
+    import numpy as np
+    text = json.dumps({"pass": np.bool_(True), "n": np.int64(3),
+                       "r": np.float32(0.5), "z": 1 + 2j,
+                       "w": np.complex128(-1j)}, default=cli._json_value)
+    assert json.loads(text) == {"pass": True, "n": 3, "r": 0.5,
+                                "z": [1.0, 2.0], "w": [0.0, -1.0]}
+    with pytest.raises(TypeError):
+        json.dumps({"x": object()}, default=cli._json_value)
+
+
+def test_cli_import_leaves_scipy_optimize_out():
+    import subprocess
+    import sys
+    probe = "import sys, flatiso.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

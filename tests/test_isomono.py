@@ -161,6 +161,24 @@ def test_pfaffian_stops_at_pole():
     assert max(seen) < 1.0
 
 
+def test_pfaffian_pole_stops_within_budget():
+    # at the default tol DOP853 creeps up to the pole at s = 1 through about
+    # 260,000 connection evaluations; the budget stops it long before
+    import time
+    import scipy.integrate  # noqa: F401  (the import is not the integration)
+    seen = []
+
+    def A(s):
+        seen.append(s)
+        return np.array([[1 / (1 - s)]])
+
+    start = time.perf_counter()
+    with pytest.raises(StepUnderflow, match="connection evaluations"):
+        integrate_pfaffian(A, 0.0, 2.0, np.eye(1))
+    assert time.perf_counter() - start < 0.5
+    assert len(seen) == iso.MAX_CONNECTION_EVALS
+
+
 def per_point_snapshots(m, path, lam, z_seed):
     """(roots, residues, traces) point by point: scalar RingElem.eval of T0,
     one eig per point and -P E_i P^{-1} Binf as matrix products."""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flatiso import catalog, p6
-from flatiso.errors import EntryIdenticallyZero, InsufficientSamples
+from flatiso.errors import EntryIdenticallyZero, InsufficientSamples, TrackingLost
 from flatiso.flatcore import build_saito_matrices, mat_adjugate
 
 
@@ -218,6 +218,30 @@ def test_first_point_order_survives_rounding():
         bumped = T0 * (1 + 1e-15 * rng.choice([-1.0, 1.0], size=T0.shape))
         roots, _ = p6.ordered_eig(bumped[None])
         assert np.abs(roots - base).max() < 1e-9
+
+
+def test_eigenvalue_swap_is_bisected():
+    # T0 = [[0, t1], [t1, 0]] has roots +-t1; on the step t1: 1 -> -0.2 + i
+    # the root 1 lies nearer -t1 than t1 at the far end, so nearest-neighbour
+    # matching swaps the pair: the tracker must bisect the step and agree
+    # with a fine track of the same segment
+    from types import SimpleNamespace
+    from flatiso.ring import Ring
+    ring = Ring(["1", "1"])
+    t1, _ = ring.gens()
+    m = SimpleNamespace(ring=ring, n=2, T0=[[ring.zero(), t1], [t1, ring.zero()]])
+    p0, p1 = (1.0, 0.0), (-0.2 + 1j, 0.0)
+    T0 = [[[0, p[0]], [p[0], 0]] for p in (p0, p1)]
+    with pytest.raises(TrackingLost):
+        p6.ordered_eig(T0)
+    w1 = np.linalg.eigvals(T0[1])
+    nearest = w1[np.abs(w1 - np.array([[-1.0], [1.0]])).argmin(axis=1)]
+    assert np.allclose(nearest, [-0.2 + 1j, 0.2 - 1j])
+    _, roots, _ = p6.StructureSampler(m).frames([p0, p1])
+    fine = [(1.0 + s * (p1[0] - 1.0), 0.0) for s in np.linspace(0, 1, 201)]
+    _, fine_roots, _ = p6.StructureSampler(m).frames(fine)
+    assert np.abs(roots[1] - fine_roots[-1]).max() < 1e-12
+    assert np.allclose(roots[1], [0.2 - 1j, -0.2 + 1j])
 
 
 def count_frames(monkeypatch):

@@ -1,12 +1,14 @@
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from flatiso import catalog
 from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
-from flatiso.ring import MAX_DEGREE, Ring, _grlex_key, _packing, _probe_points, track_root
+from flatiso.ring import (MAX_DEGREE, Ring, _grlex_key, _packing, _probe_points,
+                          certified_separation, newton_root)
 
 
 @pytest.fixture(scope="module")
@@ -141,13 +143,61 @@ def test_root_collision_raises():
         ring.solve_z((1e-22, 0.0), seed=1e-11)
 
 
-def test_track_root_continuation(ext):
+def z_tracker(ring, seed):
+    # the path tracker on T0 = diag(z, 1, 2), whose first root is the generator
+    from types import SimpleNamespace
+    from flatiso import p6
+    zero = ring.zero()
+    T0 = [[ring.zgen(), zero, zero], [zero, ring.const(1), zero],
+          [zero, zero, ring.const(2)]]
+    return p6.StructureSampler(SimpleNamespace(ring=ring, n=ring.nvars, T0=T0),
+                               z_seed=seed)
+
+
+def test_z_continuation_satisfies_relation(ext):
     pts = [(1.0, 0.4 + 0.01 * k, 0.0) for k in range(21)]
-    zs = track_root(ext, pts, seed=0.6134 + 0.8853j)
-    for pt, zv in zip(pts, zs):
-        coeffs = ext.rel_coeffs_at(pt)
+    tracker = z_tracker(ext, 0.6134 + 0.8853j)
+    zs = [tracker.z_at(pt) for pt in pts]
+    for coeffs, zv in zip(ext.rel_coeffs(pts), zs):
         val = sum(c * zv ** k for k, c in enumerate(coeffs))
         assert abs(val) < 1e-9
+
+
+def test_branch_jump_is_bisected(ext):
+    # one coarse step on which Newton from the previous root lands on another
+    # branch: the step (0.44) exceeds the gap at p1 (0.43), so the tracker
+    # must bisect it and agree with a fine track of the same segment
+    p0 = (4.985e-05 - 1.6874e-03j, 7.923e-03 + 6.164e-03j, 0.0)
+    p1 = (-1.6600e-02 - 1.1566e-02j, -1.0701e-03 - 2.5849e-03j, 0.0)
+    z0 = ext.solve_z(p0, 0.18797 + 0.25638j)
+    fine = z_tracker(ext, z0)
+    for s in np.linspace(0.0, 1.0, 201):
+        zf = fine.z_at(tuple(a + s * (b - a) for a, b in zip(p0, p1)))
+    assert abs(zf - (0.2986 + 0.0722j)) < 1e-3
+    jumped = ext.solve_z(p1, z0)
+    assert abs(jumped - zf) > 0.3
+    coarse = z_tracker(ext, z0)
+    coarse.z_at(p0)
+    assert abs(coarse.z_at(p1) - zf) < 1e-10
+    values, roots, _ = z_tracker(ext, z0).frames([p0, p1])
+    assert abs(values[1, 0] - zf) < 1e-10
+    assert abs(roots[1, 0] - zf) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-2, 2), st.floats(-2, 2)), min_size=2, max_size=6,
+                unique=True),
+       st.integers(0, 5), st.floats(-0.01, 0.01))
+def test_certified_separation_is_a_lower_bound(roots, pick, nudge):
+    roots = np.array([complex(a, b) for a, b in roots])
+    dists = np.abs(roots[:, None] - roots[None, :]) + np.eye(len(roots))
+    assume(dists.min() > 1e-3)
+    coeffs = np.poly(roots)[::-1]
+    target = roots[pick % len(roots)]
+    zv = newton_root(list(coeffs), target + nudge * dists.min())
+    true = np.sort(np.abs(np.roots(coeffs[::-1]) - zv))[1]
+    sep = certified_separation(coeffs[None], [zv], floor=0.0)[0]
+    assert sep <= true * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------------------
