@@ -138,14 +138,12 @@ def _verify_symbolic(pvf: PotentialVF, flags: Dict[str, bool]):
     return out, m
 
 
-def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
-    """Numeric checks; snaps are the residue snapshots along the default path."""
-    pvf = entry.pvf
-    lam = p6.default_lambda(pvf.ring.weights)
-    path = entry.default_path.points
-    svals = entry.path_svals
-    samples, params, residual = p6.pvi_check(m, lam, entry.p6_entry, path,
-                                             z_seed=entry.z_seed, svals=svals)
+def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, track, snaps) -> dict:
+    """Numeric checks on the default path's track and residue snapshots."""
+    lam = p6.default_lambda(entry.pvf.ring.weights)
+    samples, params, residual = p6.pvi_on_frames(
+        m, lam, entry.p6_entry, track, entry.default_path.points,
+        svals=entry.path_svals)
     traces = np.array([s.traces for s in snaps])
     trace_spread = float(np.abs(traces - traces[0]).max())
     out = {
@@ -160,8 +158,9 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
     return out
 
 
-def _verify_full(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
-    """Full-depth checks; snaps as for _verify_numeric."""
+def _verify_full(entry: CatalogEntry, m: SaitoMatrices, track, snaps) -> dict:
+    """Full-depth checks; track and snaps as for _verify_numeric.  The entry
+    survey reads every second frame."""
     pvf = entry.pvf
     path = entry.default_path.points
     svals = entry.path_svals
@@ -169,9 +168,9 @@ def _verify_full(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
 
     _, ginf_err, tr_err, inv = midconv.round_trip(
         m, path[len(path) // 2], list(pvf.ring.weights), z_seed=entry.z_seed)
-    survey = p6.entry_survey(m, p6.default_lambda(pvf.ring.weights),
-                             path[::2], z_seed=entry.z_seed,
-                             svals=svals[::2])
+    survey = p6.survey_on_frames(m, p6.default_lambda(pvf.ring.weights),
+                                 tuple(x[::2] for x in track), path[::2],
+                                 svals=svals[::2])
     out = {
         "schlesinger_residual": schles,
         "entry_survey": survey,
@@ -200,12 +199,12 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
     passed = report["symbolic"]["pass"]
     if depth in ("numeric", "full"):
         lam = p6.default_lambda(entry.pvf.ring.weights)
-        snaps = isomono.snapshots_along(m, entry.default_path.points, lam,
-                                        z_seed=entry.z_seed)
-        report["numeric"] = _verify_numeric(entry, m, snaps)
+        track, snaps = isomono.track_snapshots(m, entry.default_path.points, lam,
+                                               z_seed=entry.z_seed)
+        report["numeric"] = _verify_numeric(entry, m, track, snaps)
         passed = passed and report["numeric"]["pass"]
     if depth == "full":
-        report["full"] = _verify_full(entry, m, snaps)
+        report["full"] = _verify_full(entry, m, track, snaps)
         passed = passed and report["full"]["pass"]
     report["pass"] = bool(passed)
     return report

@@ -131,18 +131,25 @@ def residue_decomposition(m: SaitoMatrices, point, lam, z_seed=None,
 def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
     """Residue snapshots along a path from one batched, continuation-ordered
     pass (frames_along), checked as one stack."""
+    return track_snapshots(m, path, lam, z_seed=z_seed, strict=strict)[1]
+
+
+def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
+    """(track, snapshots): snapshots_along and the frames_along track they
+    were read from, for further checks on the same path."""
     path = [tuple(p) for p in path]
     try:
-        _, roots, P = frames_along(m, path, z_seed=z_seed)
+        track = frames_along(m, path, z_seed=z_seed)
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
+    _, roots, P = track
     lamv = np.array([complex(x) for x in lam])
     res = residues_from_frame(P, lamv)
     traces = np.trace(res, axis1=2, axis2=3)
     _check_residues(lamv, res, traces, path, strict)
-    return [OkuboNumeric(n=m.n, point=p, Binf=lamv, z=roots[k], P=P[k],
-                         residues=res[k], traces=traces[k])
-            for k, p in enumerate(path)]
+    return track, [OkuboNumeric(n=m.n, point=p, Binf=lamv, z=roots[k], P=P[k],
+                                residues=res[k], traces=traces[k])
+                   for k, p in enumerate(path)]
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +164,13 @@ MAX_CONNECTION_EVALS = 10_000
 
 
 def integrate_pfaffian(system: Callable[[float], np.ndarray], s0, s1, Y0,
-                       tol=1e-10, liouville_tol=1e-6):
+                       tol=1e-10):
     """Fundamental solution of dY/ds = A(s) Y from s0 to s1.
 
     system(s) returns the connection matrix A(s) along the (already
     parametrized) path.  DOP853 (Hairer-Norsett-Wanner, Solving ODEs I,
     II.5) integrates Y together with int tr A, and the determinant is
-    checked against exp(int tr A).
+    checked against exp(int tr A) to a relative 1e-6.
     """
     # imported here: only the ODE paths need it, and at import time it costs
     # every CLI verb about 0.05 s and 2.5 MB
@@ -190,7 +197,7 @@ def integrate_pfaffian(system: Callable[[float], np.ndarray], s0, s1, Y0,
     Y = sol.y[:-1, -1].reshape(shape)
     det = np.linalg.det(Y)
     target = np.exp(sol.y[-1, -1]) * np.linalg.det(Y0)
-    if abs(det - target) > liouville_tol * max(1.0, abs(target)):
+    if abs(det - target) > 1e-6 * max(1.0, abs(target)):
         raise StepUnderflow(
             f"Liouville check failed: det {det} vs exp(int tr) {target}")
     return Y
@@ -410,7 +417,7 @@ def p6_hamiltonian_rhs(t, y, ztilde, logk, thetas, kappas):
 
 
 def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400,
-                             tol=1e-10, min_step=1e-9):
+                             tol=1e-10):
     """RK4 trajectory of (y, ztilde, k) of the PVI Hamiltonian system.
 
     init = (y0, ztilde0, k0); returns (ts, ys, zs, ks) sampled on the uniform
@@ -438,6 +445,7 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400,
         k4v = f(t + h, st + h * k3v)
         return st + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
 
+    min_step = 1e-9             # a step this short has underflowed
     out = [state.copy()]
     for i in range(steps):
         t, target = ts[i], ts[i + 1]

@@ -19,13 +19,14 @@ the roots of T0 it is the distance to the second-nearest root at the next
 point, and the nearest-neighbour matches of all steps are composed at once.
 A rejected step is bisected, evaluating z and T0 at the midpoint; after
 MAX_BISECTIONS (24) halvings it raises TrackingLost, a NumericError (CLI
-exit 3).  Roots closer than the separation guard raise RootCollision.
+exit 3).  Roots closer than ring.ROOT_SEPARATION raise RootCollision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -34,9 +35,8 @@ from .errors import (DegenerateLinearEntry, EigenvalueCollision,
                      EntryIdenticallyZero, FlatIsoError, InsufficientSamples,
                      RootCollision, RootNotConverged, TrackingLost)
 from .flatcore import SaitoMatrices
-from .ring import certified_separation, newton_root
+from .ring import ROOT_SEPARATION, certified_separation, newton_root
 
-DEFAULT_SEPARATION = 1e-9
 # A continuation step is accepted only below this fraction of the gap to the
 # nearest other candidate; a rejected step is bisected at most this deep.
 STEP_FRACTION = 0.25
@@ -142,31 +142,30 @@ def _compose(first, steps):
     return out
 
 
-def ordered_eig(T0vals, prev_roots=None, separation=DEFAULT_SEPARATION,
-                bridge=None):
+def ordered_eig(T0vals, prev_roots=None, bridge=None):
     """Eigen-decompositions of stacked (N, n, n) matrices, ordered for continuation.
 
-    First point: ascending real part, ties (within separation, scaled by the
-    root size) by imaginary part; with prev_roots, matched against them.
+    First point: ascending real part, ties (within ROOT_SEPARATION, scaled by
+    the root size) by imaginary part; with prev_roots, matched against them.
     Every later point is matched to the one before by nearest neighbour,
     accepted where _nearest_match accepts it.  A rejected step into point k
     goes to bridge(k, roots before, roots at k), which returns the
     permutation; with no bridge it raises TrackingLost.  Raises
     RootCollision, before any matching, naming the first point with roots
-    closer than separation.
+    closer than ROOT_SEPARATION.
     """
     w, V = np.linalg.eig(np.asarray(T0vals, dtype=complex))
     n = w.shape[1]
     if n > 1:
         i, j = np.triu_indices(n, 1)
         gaps = np.abs(w[:, i] - w[:, j]).min(axis=1)
-        _raise_first([(gaps < separation, lambda k: RootCollision(
-            f"roots closer than {separation} at path point {k}"))])
+        _raise_first([(gaps < ROOT_SEPARATION, lambda k: RootCollision(
+            f"roots closer than {ROOT_SEPARATION} at path point {k}"))])
     if not len(w):
         return w, V
     if prev_roots is None:
         first = np.array(_first_point_order(
-            w[0], separation * max(1.0, float(np.abs(w[0]).max()))))
+            w[0], ROOT_SEPARATION * max(1.0, float(np.abs(w[0]).max()))))
         chain = w
     else:
         first = np.arange(w.shape[1])
@@ -200,13 +199,11 @@ class StructureSampler:
     successive calls continue from it.
     """
 
-    def __init__(self, m: SaitoMatrices, z_seed=None,
-                 separation=DEFAULT_SEPARATION, initial_roots=None):
+    def __init__(self, m: SaitoMatrices, z_seed=None, initial_roots=None):
         self.m = m
         ring = m.ring
         self.ring = ring
         self.n = m.n
-        self.separation = separation
         self.z_seed = z_seed
         self.T0 = m.T0
         # (point, z, certified separation) where z was last tracked
@@ -224,7 +221,7 @@ class StructureSampler:
 
     def _collision(self, point):
         return RootCollision(
-            f"generator roots closer than {self.separation} at {point}")
+            f"generator roots closer than {ROOT_SEPARATION} at {point}")
 
     def _track_z(self, pts):
         """(z, certified separation) at full points pts, continued from the state.
@@ -256,9 +253,8 @@ class StructureSampler:
                 stop = k
                 break
             Z[k] = z
-        S[off:stop] = certified_separation(coeffs[:stop - off], Z[off:stop],
-                                           self.separation)
-        _raise_first([(S[off:stop] < self.separation,
+        S[off:stop] = certified_separation(coeffs[:stop - off], Z[off:stop])
+        _raise_first([(S[off:stop] < ROOT_SEPARATION,
                        lambda k: self._collision(pts[k]))])
         jump = (np.abs(np.diff(Z[:stop]))
                 >= STEP_FRACTION * np.minimum(S[:stop - 1], S[1:stop]))
@@ -276,8 +272,8 @@ class StructureSampler:
             z1 = newton_root(coeffs[0].tolist(), z0)
         except RootNotConverged:
             return self._z_halves(p0, z0, s0, p1, depth + 1)
-        s1 = certified_separation(coeffs, [z1], self.separation)[0]
-        if s1 < self.separation:
+        s1 = certified_separation(coeffs, [z1])[0]
+        if s1 < ROOT_SEPARATION:
             raise self._collision(p1)
         if abs(z1 - z0) < STEP_FRACTION * min(s0, s1):
             return z1, s1
@@ -346,8 +342,7 @@ class StructureSampler:
                                    f"point within {STEP_FRACTION} of the gap")
             return self._eig_step(a + (w0,), (pts[k], zs[k], seps[k], w1), 0)
 
-        roots, P = ordered_eig(self._t0_rows(values), self._prev_roots,
-                               self.separation, bridge)
+        roots, P = ordered_eig(self._t0_rows(values), self._prev_roots, bridge)
         if len(roots):
             self._prev_roots = roots[-1]
             self._roots_at = (pts[-1], zs[-1], seps[-1])
@@ -359,25 +354,21 @@ class StructureSampler:
         return roots[0], P[0]
 
 
-def frames_along(m: SaitoMatrices, path, z_seed=None,
-                 separation=DEFAULT_SEPARATION, initial_roots=None):
+def frames_along(m: SaitoMatrices, path, z_seed=None, initial_roots=None):
     """(values, roots, frames) of StructureSampler.frames on a fresh sampler.
 
     initial_roots, when given, fixes the labeling of the first point by
     matching against them.
     """
-    sampler = StructureSampler(m, z_seed=z_seed, separation=separation,
-                               initial_roots=initial_roots)
+    sampler = StructureSampler(m, z_seed=z_seed, initial_roots=initial_roots)
     return sampler.frames([tuple(p) for p in path])
 
 
-def roots_of_h(m: SaitoMatrices, point, z_seed=None, prev_roots=None,
-               separation=DEFAULT_SEPARATION):
+def roots_of_h(m: SaitoMatrices, point, z_seed=None, prev_roots=None):
     """Roots of h(t', .) as a cubic in t_3 (= eigenvalues of T0), ordered."""
     if m.n != 3:
         raise ValueError("PVI extraction needs n = 3")
-    sampler = StructureSampler(m, z_seed=z_seed, separation=separation,
-                               initial_roots=prev_roots)
+    sampler = StructureSampler(m, z_seed=z_seed, initial_roots=prev_roots)
     roots, _ = sampler.frame(tuple(point))
     return tuple(roots)
 
@@ -421,7 +412,7 @@ def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
     return alpha, beta
 
 
-def _samples_on(alpha, beta, track, path, svals, separation):
+def _samples_on(alpha, beta, track, path, svals):
     """PVI samples of one entry on the frames (values, roots, _) of a path."""
     values, roots, _ = track
     if svals is None:
@@ -436,7 +427,7 @@ def _samples_on(alpha, beta, track, path, svals, separation):
     _raise_first([
         (np.abs(av) < 1e-12 * np.maximum(1.0, np.abs(bv)), lambda k:
          DegenerateLinearEntry(f"t_3-coefficient vanishes at {path[k]}")),
-        (np.abs(den) < separation, lambda k:
+        (np.abs(den) < ROOT_SEPARATION, lambda k:
          RootCollision(f"z_2 - z_1 ~ 0 at {path[k]}")),
         (np.minimum(np.abs(t), np.abs(t - 1)) < 1e-8, lambda k:
          RootCollision(f"cross-ratio t hits 0/1 at {path[k]}")),
@@ -449,8 +440,8 @@ def _samples_on(alpha, beta, track, path, svals, separation):
 
 
 def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
-                        z_seed=None, separation=DEFAULT_SEPARATION,
-                        svals=None, initial_roots=None) -> List[P6Sample]:
+                        z_seed=None, svals=None,
+                        initial_roots=None) -> List[P6Sample]:
     """PVI samples along a t'-path from the chosen off-diagonal entry.
 
     binf_eigs are the Okubo eigenvalues (lambda_1, lambda_2, lambda_3); the
@@ -459,9 +450,8 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
     """
     alpha, beta = _linear_entry(m, binf_eigs, entry_choice)
     path = [tuple(p) for p in path]
-    track = frames_along(m, path, z_seed=z_seed, separation=separation,
-                         initial_roots=initial_roots)
-    return _samples_on(alpha, beta, track, path, svals, separation)
+    track = frames_along(m, path, z_seed=z_seed, initial_roots=initial_roots)
+    return _samples_on(alpha, beta, track, path, svals)
 
 
 def _differentiate_samples(samples):
@@ -512,8 +502,7 @@ def default_lambda(weights):
     return [w[0] - w[2], w[1] - w[2], Fraction(0)]
 
 
-def p6_parameters(m: SaitoMatrices, point, lam=None, z_seed=None,
-                  separation=DEFAULT_SEPARATION, sampler=None,
+def p6_parameters(m: SaitoMatrices, point, lam=None, z_seed=None, sampler=None,
                   entry_choice=(1, 2)) -> P6Params:
     """theta and (alpha, beta, gamma, delta) from the residue traces at a point.
 
@@ -530,7 +519,7 @@ def p6_parameters(m: SaitoMatrices, point, lam=None, z_seed=None,
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
         raise ValueError("entry_choice must be off-diagonal in 1..3")
     if sampler is None:
-        sampler = StructureSampler(m, z_seed=z_seed, separation=separation)
+        sampler = StructureSampler(m, z_seed=z_seed)
     try:
         _, P = sampler.frame(tuple(point))
     except RootCollision as exc:
@@ -592,9 +581,15 @@ def pvi_check(m: SaitoMatrices, lam, entry_choice, path, z_seed=None,
     return _pvi_on_frames(alpha, beta, track, lam, entry_choice, path, svals)
 
 
+def pvi_on_frames(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
+    """pvi_check on computed frames of the path (frames_along's track)."""
+    alpha, beta = _linear_entry(m, lam, entry_choice)
+    return _pvi_on_frames(alpha, beta, track, lam, entry_choice, path, svals)
+
+
 def _pvi_on_frames(alpha, beta, track, lam, entry_choice, path, svals):
     """pvi_check of one entry (alpha, beta) on computed frames."""
-    samples = _samples_on(alpha, beta, track, path, svals, DEFAULT_SEPARATION)
+    samples = _samples_on(alpha, beta, track, path, svals)
     params = _params_from_frame(track[2][0], lam, entry_choice)
     return samples, params, p6_residual(samples, params)
 
@@ -610,30 +605,33 @@ def entry_survey(m: SaitoMatrices, lam, path, z_seed=None, svals=None) -> dict:
     """
     path = [tuple(p) for p in path]
     try:
-        track, failure = frames_along(m, path, z_seed=z_seed), None
+        track = frames_along(m, path, z_seed=z_seed)
     except (FlatIsoError, np.linalg.LinAlgError) as exc:
-        track, failure = None, exc
+        track = exc
+    return survey_on_frames(m, lam, track, path, svals)
+
+
+def survey_on_frames(m: SaitoMatrices, lam, track, path, svals=None) -> dict:
+    """entry_survey on computed frames of the path.  track may instead be the
+    error that tracking raised, reported by every entry that passes its own
+    checks."""
     out = {}
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i == j:
-                continue
-            key = f"{i},{j}"
-            try:
-                alpha, beta = _linear_entry(m, lam, (i, j))
-                if failure is not None:
-                    raise failure
-                _, params, residual = _pvi_on_frames(
-                    alpha, beta, track, lam, (i, j), path, svals)
-            except (FlatIsoError, np.linalg.LinAlgError) as exc:
-                out[key] = {"error": type(exc).__name__}
-                continue
-            if not np.isfinite(residual):
-                out[key] = {"error": "PoleOnPath"}
-                continue
-            out[key] = {"residual": residual,
-                        "thetainf": [params.thetainf.real,
-                                     params.thetainf.imag]}
+    for i, j in permutations((1, 2, 3), 2):
+        key = f"{i},{j}"
+        try:
+            alpha, beta = _linear_entry(m, lam, (i, j))
+            if isinstance(track, Exception):
+                raise track
+            _, params, residual = _pvi_on_frames(
+                alpha, beta, track, lam, (i, j), path, svals)
+        except (FlatIsoError, np.linalg.LinAlgError) as exc:
+            out[key] = {"error": type(exc).__name__}
+            continue
+        if not np.isfinite(residual):
+            out[key] = {"error": "PoleOnPath"}
+            continue
+        out[key] = {"residual": residual,
+                    "thetainf": [params.thetainf.real, params.thetainf.imag]}
     return out
 
 

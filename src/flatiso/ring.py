@@ -12,6 +12,15 @@ z and rel_z.  Plain-ring elements never carry denominators.  Equality and
 zero tests cross-multiply and reduce modulo the relation, so they are exact
 whatever the denominator bookkeeping looks like.
 
+Exact division has one route (Ring._divide).  For a divisor b, the first
+column A of the adjugate of b's multiplication matrix on 1, z, ..., z^(d-1)
+gives b A = D modulo the relation with D = det in Z[t]; b divides a exactly
+when D divides the reduced a A, and that quotient is a / b (the standard
+norm/adjugate inverse of a free extension; von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 6).  The pairs (A, D) of z and rel_z are cached on the
+extension; denominators are cancelled through them after every operation up
+to AUTO_CANCEL_BOUND.
+
 Monomials are exponent tuples (e_z, e_t1, ..., e_tn); the canonical term
 order is graded lexicographic with z greatest.  Internally a polynomial is a
 dict from packed monomial keys to integer coefficients plus one positive
@@ -31,12 +40,10 @@ import numpy as np
 
 from .errors import DegreeOverflow, DivisionNotExact, RootCollision, RootNotConverged
 
-# Largest z-degree for which exact quotient-ring division (Cramer on the
-# multiplication matrix) is attempted.
-CRAMER_BOUND = 8
-# Full denominator cancellation happens automatically below this z-degree;
-# larger extensions keep lazy denominators (zero tests do not need them).
-AUTO_CANCEL_BOUND = 4
+# Denominators are cancelled after every operation up to this z-degree;
+# larger extensions keep lazy denominators (zero tests do not need them) until
+# cancel() is asked for.
+AUTO_CANCEL_BOUND = 8
 
 ROOT_SEPARATION = 1e-9
 
@@ -235,27 +242,33 @@ def _p_scale(a, c):
     return {k: v * c for k, v in a.items()}
 
 
-def _det(pk, mat):
-    """Determinant of a square matrix of raw int polynomials (memoized minors)."""
+def _adjugate_column(pk, mat):
+    """(det, first column of the adjugate) of a square matrix of raw int
+    polynomials, expanded along row 0 with memoized minors."""
     memo = {}
 
     def minor(i, cols):
+        # determinant of rows i.. restricted to cols (i = n - len(cols))
+        if not cols:
+            return {0: 1}
         if cols in memo:
-            return memo[cols]
-        if len(cols) == 1:
-            memo[cols] = mat[i][cols[0]]
             return memo[cols]
         acc = {}
         for pos, j in enumerate(cols):
             entry = mat[i][j]
-            if not entry:
-                continue
-            sub = minor(i + 1, cols[:pos] + cols[pos + 1:])
-            acc = _p_lincomb(acc, 1, pk.mul(entry, sub), 1 if pos % 2 == 0 else -1)
+            if entry:
+                sub = minor(i + 1, cols[:pos] + cols[pos + 1:])
+                acc = _p_lincomb(acc, 1, pk.mul(entry, sub), 1 if pos % 2 == 0 else -1)
         memo[cols] = acc
         return acc
 
-    return minor(0, tuple(range(len(mat))))
+    cols = tuple(range(len(mat)))
+    cof = [_p_scale(minor(1, cols[:j] + cols[j + 1:]), -1 if j % 2 else 1)
+           for j in cols]
+    det = {}
+    for entry, c in zip(mat[0], cof):
+        det = _p_lincomb(det, 1, pk.mul(entry, c), 1)
+    return det, cof
 
 
 def _compile(pk, terms, den):
@@ -374,6 +387,8 @@ class ExtensionRing:
         self._zpow = {d: _normalized(red, lead)}
         self._rel_compiled = [(m[0], tuple((s, e) for s, e in enumerate(m[1:]) if e),
                                complex(c)) for m, c in relation.items()]
+        # Ring._unit_inverse of z (0) and rel_z (1), formed on first use
+        self._inverses = {}
 
     def _probe_squarefree(self, nvars):
         # zero-divisor guard: the relation must be squarefree in z.  Its
@@ -513,87 +528,56 @@ class Ring:
             slices[e][k - e * zunit] = c
         return slices
 
-    def _div_by_z(self, a):
-        """(q, den) with a = z q / den inside Q[t][z]/(rel); None if not divisible."""
-        if not a:
-            return {}, 1
+    def _inverse(self, b):
+        """(A, D) with b A = D modulo the relation and D free of z; D = 0 when
+        b is a zero divisor.  On a plain ring A = 1 and D = b.
+
+        Column j of the multiplication matrix of b is z^j b = B_j / D_j.  The
+        first column y of the adjugate of the integer columns B_j solves
+        B y = det(B) e_0, so A = sum_j D_j y_j z^j and D = det(B).
+        """
         if self.ext is None:
-            return None
+            return {0: 1}, b
         pk = self._pk
-        zmask, zunit = pk.zmask, pk.zunit
-        if all(k & zmask for k in a):
-            return {k - zunit: c for k, c in a.items()}, 1
-        d = self.ext.z_degree
-        # solve z*q = a: q_{d-1} s_0 = a_0 and q_{i-1} = a_i - q_{d-1} s_i,
-        # where s = z^d mod rel = S / L
-        S, L = self._zpow_reduced(d)
-        s = self._z_slices(S)
-        av = self._z_slices(a)
-        r = pk.exact_div(av[0], s[0])
-        if r is None:
-            return None
-        qt, qd = r                      # q_{d-1} = L * qt / qd
-        out = pk.shift(_p_scale(qt, L), (d - 1) * zunit)
-        for i in range(1, d):
-            part = _p_lincomb(av[i], qd, pk.mul(qt, s[i]), -1)
-            out.update(pk.shift(part, (i - 1) * zunit))
-        return out, qd
-
-    def _div_in_quotient(self, a, b):
-        """(q, den) with a = b q / den inside Q[t][z]/(rel); None if not divisible."""
-        a, da = self._reduce(a)
-        b, db = self._reduce(b)
-        if not b:
-            return None
-        if not a:
-            return {}, 1
-        r = self._quotient(a, b)
-        if r is None:
-            return None
-        q, qd = r
-        return _p_scale(q, db), qd * da
-
-    def _quotient(self, a, b):
-        """_div_in_quotient for reduced a, b."""
-        pk = self._pk
-        r = pk.exact_div(a, b)
-        if r is not None:
-            return r
-        if self.ext is None or self.ext.z_degree > CRAMER_BOUND:
-            return None
-        d = self.ext.z_degree
-        zunit = pk.zunit
-        # column j of the multiplication matrix is z^j b = B_j / D_j; Cramer
-        # on the integer columns B_j gives q_j / D_j
+        d, zunit = self.ext.z_degree, pk.zunit
         cols, col_dens = [], []
         for j in range(d):
             bj, dj = self._reduce(pk.shift(b, j * zunit))
             cols.append(self._z_slices(bj))
             col_dens.append(dj)
-        mat = [[cols[j][i] for j in range(d)] for i in range(d)]
-        det = _det(pk, mat)
-        if not det:
-            return None
-        target = self._z_slices(a)
-        parts = []
-        den = 1
+        det, cof = _adjugate_column(pk, [[cols[j][i] for j in range(d)]
+                                         for i in range(d)])
+        A = {}
         for j in range(d):
-            mat_j = [[target[i] if jj == j else mat[i][jj] for jj in range(d)]
-                     for i in range(d)]
-            r = pk.exact_div(_det(pk, mat_j), det)
-            if r is None:
-                return None
-            qj, qdj = r
-            parts.append((qj, col_dens[j], qdj))
-            den = lcm(den, qdj)
-        out = {}
-        for j, (qj, dj, qdj) in enumerate(parts):
-            out.update(pk.shift(qj, j * zunit, dj * (den // qdj)))
-        # Cramer works over the fraction field; confirm membership in the ring
-        prod, pden = self._reduce(pk.mul(out, b))
-        if prod != _p_scale(a, den * pden):
+            A.update(pk.shift(cof[j], j * zunit, col_dens[j]))
+        return A, det
+
+    def _unit_inverse(self, unit):
+        """_inverse of z (unit 0) or of rel_z (unit 1), formed once per ring."""
+        ext = self.ext
+        if unit not in ext._inverses:
+            b = {self._pk.zunit: 1} if unit == 0 else ext._drel
+            ext._inverses[unit] = self._inverse(b)
+        return ext._inverses[unit]
+
+    def _divide(self, a, inverse):
+        """(q, den) with a = b q / den, where inverse = _inverse(b); None if b
+        does not divide a.
+
+        Since b A = D, b divides a exactly when D divides the reduced a A
+        coefficientwise, and that quotient is q: rel is monic in z, so
+        Q[t][z]/(rel) is free over Q[t] and a nonzero D is not a zero divisor.
+        """
+        A, D = inverse
+        if not D:
             return None
-        return out, den
+        pk = self._pk
+        prod, den = self._reduce(pk.mul(a, A))
+        r = pk.exact_div(prod, D)
+        if r is None:
+            return None
+        q, qd = r
+        return q, qd * den
 
     # -- numeric root solving -------------------------------------------------
 
@@ -610,13 +594,13 @@ class Ring:
             out[:, ez] += term
         return out
 
-    def solve_z(self, point, seed, separation=ROOT_SEPARATION):
+    def solve_z(self, point, seed):
         """Newton iteration for the generator from a seed, with collision guard."""
         coeffs = self.rel_coeffs([point])
         zv = newton_root(coeffs[0].tolist(), seed)
-        if certified_separation(coeffs, [zv], separation)[0] < separation:
+        if certified_separation(coeffs, [zv])[0] < ROOT_SEPARATION:
             raise RootCollision(
-                f"generator roots closer than {separation} at {tuple(point)}")
+                f"generator roots closer than {ROOT_SEPARATION} at {tuple(point)}")
         return zv
 
 
@@ -853,7 +837,7 @@ class RingElem:
         dt, dd = other._den_poly()
         num, d = ring._reduce(pk.mul(self._t, dt))
         den = d * dd * self._d              # num / den = self.num * den(other)
-        q = ring._div_in_quotient(num, other._t)
+        q = ring._divide(num, ring._inverse(other._t))
         if q is not None:
             qt, qd = q
             return RingElem(ring, _p_scale(qt, other._d), qd * den,
@@ -1012,7 +996,7 @@ class RingElem:
 
     # -- numeric evaluation --------------------------------------------------------------
 
-    def eval(self, point, z=None, z_seed=None, separation=ROOT_SEPARATION):
+    def eval(self, point, z=None, z_seed=None):
         """Evaluate at complex t-values; z either given (trusted) or Newton-solved."""
         ring = self.ring
         if len(point) != ring.nvars:
@@ -1022,7 +1006,7 @@ class RingElem:
         elif z is not None:
             zv = complex(z)
         elif z_seed is not None:
-            zv = ring.solve_z(point, z_seed, separation)
+            zv = ring.solve_z(point, z_seed)
         elif (self.zden or self.dden
               or any(k & ring._pk.zmask for k in self._t)):
             raise ValueError("extension element requires z or z_seed")
@@ -1059,21 +1043,15 @@ class RingElem:
 
 
 def _full_cancel(ring, terms, den, zden, dden):
-    while zden > 0:
-        q = ring._div_by_z(terms)
-        if q is None:
-            break
-        terms, qd = q
-        den *= qd
-        zden -= 1
-    ext = ring.ext
-    if dden > 0 and ext is not None and ext.z_degree <= CRAMER_BOUND:
-        # num / (drel / s) with drel = ext._drel already reduced
-        while dden > 0:
-            q = ring._div_in_quotient(terms, ext._drel)
+    """Divide the numerator by z, then by rel_z = ext._drel / ext._scale, as
+    often as it allows."""
+    left = [zden, dden]
+    for unit, scale in ((0, 1), (1, ring.ext._scale)):
+        while left[unit]:
+            q = ring._divide(terms, ring._unit_inverse(unit))
             if q is None:
                 break
             qt, qd = q
-            terms, den = _p_scale(qt, ext._scale), den * qd
-            dden -= 1
-    return terms, den, zden, dden
+            terms, den = _p_scale(qt, scale), den * qd
+            left[unit] -= 1
+    return terms, den, left[0], left[1]

@@ -129,16 +129,58 @@ def test_symbolic_verify_derives_once(eid, monkeypatch):
     assert len(dets) == 1
 
 
+def test_symbolic_verify_inverts_each_unit_once(monkeypatch):
+    # every division in these extension rings is by z or rel_z, and the
+    # inverse of each (one determinant) is formed once per ring
+    from collections import Counter
+    from flatiso import ring as ring_mod
+    inverses, dets = [], []
+    inverse, adjugate = ring_mod.Ring._inverse, ring_mod._adjugate_column
+
+    def counting_inverse(self, b):
+        inverses.append((id(self.ext), frozenset(b.items())))
+        return inverse(self, b)
+
+    def counting_adjugate(pk, mat):
+        dets.append(len(mat))
+        return adjugate(pk, mat)
+
+    monkeypatch.setattr(ring_mod.Ring, "_inverse", counting_inverse)
+    monkeypatch.setattr(ring_mod, "_adjugate_column", counting_adjugate)
+    monkeypatch.setattr(catalog, "_cache", {})
+    for eid in ("H3p", "H3pp", "LT27"):
+        assert catalog.catalog_verify(eid, "symbolic")["pass"]
+    per_ring = Counter(ext for ext, _ in inverses)
+    assert len(per_ring) == 3 and max(per_ring.values()) <= 2
+    assert max(Counter(inverses).values()) == 1
+    assert len(dets) == len(inverses)
+
+
 def test_full_verify_tracks_snapshots_once(monkeypatch):
-    # the numeric and full depths share the default path's residue snapshots
-    from flatiso import isomono
-    calls = []
-    real = isomono.snapshots_along
+    # the snapshots, the PVI check and the entry survey (every second frame)
+    # all read the one track of the 41-point default path
+    from flatiso import p6
+    lengths = []
+    real = p6.StructureSampler.frames
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(self, path):
+        lengths.append(len(path))
+        return real(self, path)
 
-    monkeypatch.setattr(isomono, "snapshots_along", counting)
+    monkeypatch.setattr(p6.StructureSampler, "frames", counting)
     assert catalog.catalog_verify("LT8", "full")["pass"]
-    assert len(calls) == 1
+    assert lengths.count(41) == 1
+
+
+def test_build_script_rederives_committed_g():
+    # H3p and H3pp derive g from the prepotential through .partial(k).cancel()
+    import importlib.util
+    from pathlib import Path
+    path = Path(__file__).resolve().parents[1] / "tools" / "build_catalog_data.py"
+    spec = importlib.util.spec_from_file_location("build_catalog_data", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for eid in ("H3", "H3p", "H3pp"):
+        pvf = tool.build_pvf(eid, tool.RAW[eid])
+        assert (exprio.serialize_pvf(pvf)["g"]
+                == catalog.catalog_get(eid).doc["pvf"]["g"])

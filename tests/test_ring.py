@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from flatiso import catalog
 from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
-from flatiso.ring import (MAX_DEGREE, Ring, _grlex_key, _packing, _probe_points,
+from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _p_lincomb, _packing,
+                          _probe_points,
                           certified_separation, newton_root)
 
 
@@ -268,6 +270,110 @@ def test_division_rational_and_exact(plain):
     assert (t1 * 2) / 2 == t1
     with pytest.raises(DivisionNotExact):
         (t1 + t3) / t2
+
+
+# ---------------------------------------------------------------------------
+# quotient-ring division
+# ---------------------------------------------------------------------------
+
+def _laplace_det(pk, mat):
+    if len(mat) == 1:
+        return mat[0][0]
+    acc = {}
+    for j, entry in enumerate(mat[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+            acc = _p_lincomb(acc, 1, pk.mul(entry, _laplace_det(pk, minor)),
+                             -1 if j % 2 else 1)
+    return acc
+
+
+def _cramer_quotient(ring, a, b):
+    """Reference division in Q[t][z]/(rel): (q, den) with a = b q / den, or
+    None.  Cramer's rule on the multiplication matrix of b, then a check that
+    the solution, found over the fraction field, lies in the ring."""
+    pk, d = ring._pk, ring.ext.z_degree
+    cols, col_dens = [], []
+    for j in range(d):
+        bj, dj = ring._reduce(pk.shift(b, j * pk.zunit))
+        cols.append(ring._z_slices(bj))
+        col_dens.append(dj)
+    mat = [[cols[j][i] for j in range(d)] for i in range(d)]
+    det = _laplace_det(pk, mat)
+    if not det:
+        return None
+    target = ring._z_slices(a)
+    parts, den = [], 1
+    for j in range(d):
+        mat_j = [[target[i] if jj == j else mat[i][jj] for jj in range(d)]
+                 for i in range(d)]
+        r = pk.exact_div(_laplace_det(pk, mat_j), det)
+        if r is None:
+            return None
+        parts.append((r[0], col_dens[j], r[1]))
+        den = lcm(den, r[1])
+    out = {}
+    for j, (qj, dj, qdj) in enumerate(parts):
+        out.update(pk.shift(qj, j * pk.zunit, dj * (den // qdj)))
+    prod, pden = ring._reduce(pk.mul(out, b))
+    if prod != {k: c * den * pden for k, c in a.items()}:
+        return None
+    return out, den
+
+
+def _as_quotient(ring, r, x, u):
+    """x / u as an element from raw (q, den) with x._t = u._t q / den."""
+    if r is None:
+        return None
+    q, den = r
+    return RingElem(ring, q, den * x._d) * u._d
+
+
+def _raw_elems(ring):
+    mono = st.tuples(st.integers(0, ring.ext.z_degree + 1),
+                     *[st.integers(0, 2)] * ring.nvars)
+    coeff = st.builds(F, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+    return st.dictionaries(mono, coeff, min_size=1, max_size=4).map(ring.from_raw)
+
+
+# z-degrees 2, 3 and 4
+QUOTIENT_ENTRIES = ("H3pp", "LT27", "H3p")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(QUOTIENT_ENTRIES), st.sampled_from(("z", "rel_z", "other")),
+       st.data())
+def test_division_matches_cramer_reference(eid, unit, data):
+    ring = catalog.catalog_get(eid).pvf.ring
+    a = data.draw(_raw_elems(ring))
+    if unit == "z":
+        u = ring.zgen()
+    elif unit == "rel_z":
+        u = ring.from_raw(ring.ext.drel)
+    else:
+        u = data.draw(_raw_elems(ring))
+        assume(ring._inverse(u._t)[1])          # not a zero divisor
+    x = u * a
+    assert not (x.zden or x.dden)
+    assert x / u == a
+    assert _as_quotient(ring, ring._divide(x._t, ring._inverse(u._t)), x, u) == a
+    assert _as_quotient(ring, _cramer_quotient(ring, x._t, u._t), x, u) == a
+    if unit != "other":
+        pair = ring._unit_inverse(0 if unit == "z" else 1)
+        assert _as_quotient(ring, ring._divide(x._t, pair), x, u) == a
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(QUOTIENT_ENTRIES), st.data())
+def test_division_refuses_non_multiples_of_rel_z(eid, data):
+    ring = catalog.catalog_get(eid).pvf.ring
+    drel = ring.from_raw(ring.ext.drel)
+    x = drel * data.draw(_raw_elems(ring)) + 1
+    assert ring._divide(x._t, ring._unit_inverse(1)) is None
+    assert _cramer_quotient(ring, x._t, drel._t) is None
+    if len(drel._t) > 1:        # H3pp's rel_z = 2z divides in the localization
+        with pytest.raises(DivisionNotExact):
+            x / drel
 
 
 def test_eval_ignores_seed_on_plain_ring(plain):
