@@ -22,13 +22,7 @@ ts, ys, zs, ks = isomono.integrate_p6_hamiltonian(
     theta, (kappa1, kappa2), (2.1 + 0.4j, 0.3 + 0.1j, 1.0), 2.0, 2.4, steps=400)
 
 params = p6.P6Params.from_thetas(theta[0], theta[1], theta[2], kappa1 - kappa2)
-h = ts[1] - ts[0]
-pvi = 0.0
-for k in range(2, len(ts) - 2):
-    y5 = ys[k - 2:k + 3]
-    dy = (-y5[4] + 8 * y5[3] - 8 * y5[1] + y5[0]) / (12 * h)
-    d2y = (-y5[4] + 16 * y5[3] - 30 * y5[2] + 16 * y5[1] - y5[0]) / (12 * h * h)
-    pvi = max(pvi, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dy, params)))
+pvi = p6.pvi_grid_residual(ts, ys, params)
 print(f"\nPVI residual of the integrated y(t): {pvi:.3e}")
 
 sys0 = isomono.jm_build(ys[0], zs[0], ks[0], theta, (kappa1, kappa2), ts[0])
@@ -36,6 +30,6 @@ print("A_inf at the start:", np.round(np.diag(sys0.Ainf), 6))
 print("trace errors:", [f"{abs(np.trace(A) - th):.1e}" for A, th in
                         zip((sys0.A0, sys0.A1, sys0.At), theta)])
 
-snaps = isomono.jm_family_snapshots(ts, ys, zs, ks, theta, (kappa1, kappa2))
+poles, residues = isomono.jm_residues(ts, ys, zs, ks, theta, (kappa1, kappa2))
 print(f"2x2 Schlesinger residual along the trajectory: "
-      f"{isomono.schlesinger_residual(snaps, svals=ts):.3e}")
+      f"{isomono.stacked_schlesinger_residual(poles, residues, svals=ts):.3e}")

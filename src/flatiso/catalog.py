@@ -146,11 +146,14 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, track, snaps) -> dict
         svals=entry.path_svals)
     traces = np.array([s.traces for s in snaps])
     trace_spread = float(np.abs(traces - traces[0]).max())
+    # + 0.0 turns a -0.0 left by rounding into 0.0, so last-bit noise
+    # cannot flip the printed sign of a vanishing part
+    theta = np.round([params.theta0, params.theta1, params.thetat,
+                      params.thetainf], 12) + 0.0
     out = {
         "pvi_residual": residual,
         "trace_spread": trace_spread,
-        "theta": [str(x) for x in np.round(
-            [params.theta0, params.theta1, params.thetat, params.thetainf], 12)],
+        "theta": [str(x) for x in theta],
         "samples": len(samples),
         "pass": bool(residual < TOLERANCES["pvi_residual"]
                      and trace_spread < TOLERANCES["trace_constancy"]),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,7 +26,9 @@ INPUT_ERRORS = (UnknownId, ParseError, SchemaError, DenominatorNotUnit,
 DEFAULT_SEED = 20240901
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="flatiso",
         description="flat-structure verification and Painleve VI extraction")
@@ -272,14 +275,9 @@ def _run_jm_roundtrip(args):
     ts, ys, zs, ks = isomono.integrate_p6_hamiltonian(
         th, (k1, k2), init, 2.0, 2.4, steps=args.steps)
     params = p6.P6Params.from_thetas(th[0], th[1], th[2], k1 - k2)
-    h = ts[1] - ts[0]
-    pvi = 0.0
-    for k in range(2, len(ts) - 2):
-        y5 = ys[k - 2:k + 3]
-        dy, d2y = p6._stencil_d1(y5, h), p6._stencil_d2(y5, h)
-        pvi = max(pvi, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dy, params)))
-    snaps = isomono.jm_family_snapshots(ts, ys, zs, ks, th, (k1, k2))
-    schles = isomono.schlesinger_residual(snaps, svals=ts)
+    pvi = p6.pvi_grid_residual(ts, ys, params)
+    poles, residues = isomono.jm_residues(ts, ys, zs, ks, th, (k1, k2))
+    schles = isomono.stacked_schlesinger_residual(poles, residues, svals=ts)
     ok = pvi < args.tol_residual and schles < args.tol_residual
     final = isomono.jm_build(ys[-1], zs[-1], ks[-1], th, (k1, k2), ts[-1])
     report = {

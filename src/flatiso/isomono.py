@@ -20,7 +20,7 @@ from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
 from .p6 import (StructureSampler, _cpair, _raise_first, _stencil_d1,
-                 frames_along, residues_from_frame)
+                 _uniform_step, _windows, frames_along, residues_from_frame)
 
 RESIDUE_TOL = 1e-10
 RANK_TOL = 1e-9
@@ -236,18 +236,20 @@ def schlesinger_residual(snapshots: Sequence, svals=None) -> float:
     snapshots may be OkuboNumeric values or (z, residues) pairs on a uniform
     grid of the path parameter.
     """
-    if len(snapshots) < 5:
-        raise InsufficientSamples("need at least 5 snapshots")
     pairs = [(s.z, s.residues) if isinstance(s, OkuboNumeric) else s
              for s in snapshots]
-    zs = np.array([z for z, _ in pairs], dtype=complex)
-    Bs = np.array([res for _, res in pairs], dtype=complex)
-    if svals is None:
-        svals = list(range(len(snapshots)))
-    h = svals[1] - svals[0]
-    for a, b in zip(svals, svals[1:]):
-        if abs((b - a) - h) > 1e-9 * max(1.0, abs(h)):
-            raise ValueError("snapshots must be uniform in the path parameter")
+    return stacked_schlesinger_residual(
+        np.array([z for z, _ in pairs], dtype=complex),
+        np.array([res for _, res in pairs], dtype=complex), svals)
+
+
+def stacked_schlesinger_residual(zs, Bs, svals=None) -> float:
+    """schlesinger_residual of stacked poles zs (N, n) and residues
+    Bs (N, n, n, n)."""
+    zs = np.asarray(zs, dtype=complex)
+    if len(zs) < 5:
+        raise InsufficientSamples("need at least 5 snapshots")
+    h = _uniform_step(np.arange(len(zs)) if svals is None else svals)
     jump = np.abs(np.diff(zs, axis=0)).max(axis=1)
     _raise_first([(jump > 0.5 * np.maximum(1.0, np.abs(zs[:-1]).max(axis=1)),
                    lambda k: TrackingLost(
@@ -265,14 +267,9 @@ def schlesinger_defects(zs, Bs, h):
     """
     zs = np.asarray(zs, dtype=complex)
     Bs = np.asarray(Bs, dtype=complex)
-    N = len(zs)
-
-    def window(a):
-        return [a[d:N - 4 + d] for d in range(5)]
-
-    zdot = _stencil_d1(window(zs), h)                   # (M, n)
-    dB = _stencil_d1(window(Bs), h)                     # (M, n, n, n)
-    z, B = zs[2:N - 2], Bs[2:N - 2]
+    zdot = _stencil_d1(_windows(zs), h)                 # (M, n)
+    dB = _stencil_d1(_windows(Bs), h)                   # (M, n, n, n)
+    z, B = zs[2:-2], Bs[2:-2]
     prod = B[:, :, None] @ B[:, None, :]                # [k, j, i] = B_j B_i
     com = prod - np.swapaxes(prod, 1, 2)                # [B_j, B_i]
     dzdot = zdot[:, None, :] - zdot[:, :, None]         # [k, j, i] = z_i' - z_j'
@@ -333,23 +330,89 @@ class JMSystem:
     y: complex
     ztilde: complex
     k: complex
-    internal: dict
 
     @property
     def Ainf(self):
         return -(self.A0 + self.A1 + self.At)
 
     def validate(self, tol=1e-10):
-        k1, k2 = self.kappas
-        off = max(abs(self.Ainf[0, 1]), abs(self.Ainf[1, 0]))
-        if off > tol:
-            raise InverseMismatch(f"A_inf off-diagonal {off} exceeds {tol}")
-        if abs(self.Ainf[0, 0] - k1) > 1e-8 or abs(self.Ainf[1, 1] - k2) > 1e-8:
-            raise InverseMismatch("A_inf diagonal does not match kappas")
-        for A, th in zip((self.A0, self.A1, self.At), self.thetas):
-            if abs(np.trace(A) - th) > tol:
-                raise InverseMismatch("trace of a residue does not match theta")
+        _check_jm(np.array([[self.A0, self.A1, self.At]]), self.thetas,
+                  self.kappas, [self.t], tol)
         return self
+
+
+def _check_jm(residues, thetas, kappas, ts, tol=1e-10):
+    """JMSystem.validate on stacked residues (N, 3, 2, 2) at the times ts.
+
+    A_inf = -(A_0 + A_1 + A_t) must be diagonal within tol with diagonal
+    (kappa_1, kappa_2) within 1e-8, and tr A_i = theta_i within tol.  A
+    non-finite residue fails.  Raises InverseMismatch for the first failing
+    point.
+    """
+    Ainf = -residues.sum(axis=1)
+    off = np.maximum(np.abs(Ainf[:, 0, 1]), np.abs(Ainf[:, 1, 0]))
+    diag = np.abs(Ainf[:, [0, 1], [0, 1]] - np.asarray(kappas)).max(axis=1)
+    trace = np.abs(np.trace(residues, axis1=2, axis2=3)
+                   - np.asarray(thetas)).max(axis=1)
+    _raise_first([
+        (~(off <= tol), lambda k: InverseMismatch(
+            f"A_inf off-diagonal {off[k]} exceeds {tol} at t = {ts[k]}")),
+        (~(diag <= 1e-8), lambda k: InverseMismatch(
+            f"A_inf diagonal does not match kappas at t = {ts[k]}")),
+        (~(trace <= tol), lambda k: InverseMismatch(
+            f"trace of a residue does not match theta at t = {ts[k]}")),
+    ])
+
+
+def _jm_stack(ts, ys, ztildes, ks, thetas, kappas):
+    """The Jimbo-Miwa triples at N points in one pass, as (N, 3, 2, 2) with
+    A_0, A_1, A_t at [k, 0], [k, 1], [k, 2].
+
+    The guards of jm_build are array checks that name the first failing
+    point: y on a pole, a vanishing z_i, then JMSystem.validate (_check_jm).
+    """
+    th0, th1, tht = (complex(x) for x in thetas)
+    k1, k2 = (complex(x) for x in kappas)
+    if abs(k1 + k2 + th0 + th1 + tht) > 1e-12:
+        raise DegenerateTheta("kappa_1 + kappa_2 + sum(theta) must vanish")
+    thinf = k1 - k2
+    if abs(thinf) < 1e-12:
+        raise DegenerateTheta("theta_inf = kappa_1 - kappa_2 must not vanish")
+    t, y, ztilde, k = (np.asarray(a, dtype=complex)
+                       for a in (ts, ys, ztildes, ks))
+    with np.errstate(all="ignore"):
+        zz = ztilde - th0 / y - th1 / (y - 1) - tht / (y - t)
+        quad = y * (y - 1) * (y - t) * zz * zz
+        z0 = (y / (t * thinf)) * (
+            quad + (th1 * (y - t) + t * tht * (y - 1)
+                    - 2 * k2 * (y - 1) * (y - t)) * zz
+            + k2 * k2 * (y - t - 1) - k2 * (th1 + t * tht))
+        z1 = (-(y - 1) / ((t - 1) * thinf)) * (
+            quad + ((th1 + thinf) * (y - t) + t * tht * (y - 1)
+                    - 2 * k2 * (y - 1) * (y - t)) * zz
+            + k2 * k2 * (y - t) - k2 * (th1 + t * tht) - k1 * k2)
+        zt = ((y - t) / (t * (t - 1) * thinf)) * (
+            quad + (th1 * (y - t) + t * (tht + thinf) * (y - 1)
+                    - 2 * k2 * (y - 1) * (y - t)) * zz
+            + k2 * k2 * (y - 1) - k2 * (th1 + t * tht) - t * k1 * k2)
+        u = k * y / (t * z0)
+        v = -k * (y - 1) / ((t - 1) * z1)
+        w = k * (y - t) / (t * (t - 1) * zt)
+        residues = np.empty((len(t), 3, 2, 2), dtype=complex)
+        for i, (zi, thi, ui) in enumerate(((z0, th0, u), (z1, th1, v),
+                                           (zt, tht, w))):
+            residues[:, i, 0, 0] = zi + thi
+            residues[:, i, 0, 1] = -ui * zi
+            residues[:, i, 1, 0] = (zi + thi) / ui
+            residues[:, i, 1, 1] = -zi
+    pole = np.minimum(np.minimum(np.abs(y), np.abs(y - 1)), np.abs(y - t))
+    _raise_first([(pole < 1e-12, lambda i: PoleAtY(
+        f"y = {y[i]} hits a pole for t = {t[i]} (point {i})"))]
+        + [(np.abs(val) < 1e-300, lambda i, name=name: DegenerateTheta(
+            f"{name} vanishes at point {i}; u,v,w are undefined"))
+           for name, val in (("z0", z0), ("z1", z1), ("zt", zt))])
+    _check_jm(residues, (th0, th1, tht), (k1, k2), t)
+    return residues
 
 
 def jm_build(y, ztilde, k, thetas, kappas, t) -> JMSystem:
@@ -358,61 +421,35 @@ def jm_build(y, ztilde, k, thetas, kappas, t) -> JMSystem:
     Requires kappa_1 + kappa_2 + theta_0 + theta_1 + theta_t = 0 and
     theta_inf = kappa_1 - kappa_2 != 0; y must stay off {0, 1, t}.
     """
-    th0, th1, tht = (complex(x) for x in thetas)
-    k1, k2 = (complex(x) for x in kappas)
-    y, ztilde, k, t = complex(y), complex(ztilde), complex(k), complex(t)
-    if abs(k1 + k2 + th0 + th1 + tht) > 1e-12:
-        raise DegenerateTheta("kappa_1 + kappa_2 + sum(theta) must vanish")
-    thinf = k1 - k2
-    if abs(thinf) < 1e-12:
-        raise DegenerateTheta("theta_inf = kappa_1 - kappa_2 must not vanish")
-    if min(abs(y), abs(y - 1), abs(y - t)) < 1e-12:
-        raise PoleAtY(f"y = {y} hits a pole for t = {t}")
-    zz = ztilde - th0 / y - th1 / (y - 1) - tht / (y - t)
-    quad = y * (y - 1) * (y - t) * zz * zz
-    z0 = (y / (t * thinf)) * (
-        quad + (th1 * (y - t) + t * tht * (y - 1)
-                - 2 * k2 * (y - 1) * (y - t)) * zz
-        + k2 * k2 * (y - t - 1) - k2 * (th1 + t * tht))
-    z1 = (-(y - 1) / ((t - 1) * thinf)) * (
-        quad + ((th1 + thinf) * (y - t) + t * tht * (y - 1)
-                - 2 * k2 * (y - 1) * (y - t)) * zz
-        + k2 * k2 * (y - t) - k2 * (th1 + t * tht) - k1 * k2)
-    zt = ((y - t) / (t * (t - 1) * thinf)) * (
-        quad + (th1 * (y - t) + t * (tht + thinf) * (y - 1)
-                - 2 * k2 * (y - 1) * (y - t)) * zz
-        + k2 * k2 * (y - 1) - k2 * (th1 + t * tht) - t * k1 * k2)
-    for name, val in (("z0", z0), ("z1", z1), ("zt", zt)):
-        if abs(val) < 1e-300:
-            raise DegenerateTheta(f"{name} vanishes; u,v,w are undefined")
-    u = k * y / (t * z0)
-    v = -k * (y - 1) / ((t - 1) * z1)
-    w = k * (y - t) / (t * (t - 1) * zt)
+    A0, A1, At = _jm_stack([t], [y], [ztilde], [k], thetas, kappas)[0]
+    return JMSystem(A0=A0, A1=A1, At=At,
+                    thetas=tuple(complex(x) for x in thetas),
+                    kappas=tuple(complex(x) for x in kappas), t=complex(t),
+                    y=complex(y), ztilde=complex(ztilde), k=complex(k))
 
-    def residue(zi, thi, ui):
-        return np.array([[zi + thi, -ui * zi],
-                         [(zi + thi) / ui, -zi]], dtype=complex)
 
-    sys = JMSystem(A0=residue(z0, th0, u), A1=residue(z1, th1, v),
-                   At=residue(zt, tht, w), thetas=(th0, th1, tht),
-                   kappas=(k1, k2), t=t, y=y, ztilde=ztilde, k=k,
-                   internal={"u": u, "v": v, "w": w,
-                             "z0": z0, "z1": z1, "zt": zt, "zztilde": zz})
-    return sys.validate()
+def jm_residues(ts, ys, zs, ks, thetas, kappas):
+    """(poles, residues) of a Jimbo-Miwa trajectory, stacked for
+    stacked_schlesinger_residual: poles (N, 3) are (0, 1, t) and residues
+    (N, 3, 2, 2) are jm_build's (A_0, A_1, A_t) at every point, with its
+    guards."""
+    residues = _jm_stack(ts, ys, zs, ks, thetas, kappas)
+    t = np.asarray(ts, dtype=complex)
+    return np.column_stack([np.zeros_like(t), np.ones_like(t), t]), residues
 
 
 def p6_hamiltonian_rhs(t, y, ztilde, logk, thetas, kappas):
     th0, th1, tht = thetas
     k1, k2 = kappas
-    thinf = k1 - k2
-    dy = (y * (y - 1) * (y - t) / (t * (t - 1))
-          * (2 * ztilde - th0 / y - th1 / (y - 1) - (tht - 1) / (y - t)))
-    dz = (1 / (t * (t - 1))) * (
+    ym1, ymt, tt = y - 1, y - t, t * (t - 1)
+    dy = (y * ym1 * ymt / tt
+          * (2 * ztilde - th0 / y - th1 / ym1 - (tht - 1) / ymt))
+    dz = (1 / tt) * (
         (-3 * y * y + 2 * (1 + t) * y - t) * ztilde * ztilde
         + ((2 * y - 1 - t) * th0 + (2 * y - t) * th1
            + (2 * y - 1) * (tht - 1)) * ztilde
         - k1 * (k2 + 1))
-    dlogk = (thinf - 1) * (y - t) / (t * (t - 1))
+    dlogk = (k1 - k2 - 1) * ymt / tt
     return dy, dz, dlogk
 
 
@@ -424,61 +461,70 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400,
     grid, integrating each grid interval with step-halving adaptivity (local
     error per unit step below tol).  Eliminating ztilde, y(t) solves PVI with
     alpha = (theta_inf - 1)^2 / 2 etc.
+
+    The state (y, ztilde, log k) is three Python complex scalars.  A step
+    compares one full RK4 step with two half steps; the two share their
+    first stage, so an accepted step costs 11 right-hand-side evaluations
+    (a rejected one, whose first stage is kept, 10).  Raises BlowUp when y
+    comes within 1e-9 of a pole or |y| or |ztilde| passes 1e8 at a grid
+    point, and StepUnderflow when a step would fall below 1e-9.
     """
     th = tuple(complex(x) for x in thetas)
     kp = tuple(complex(x) for x in kappas)
     y, zt, k = (complex(x) for x in init)
-    state = np.array([y, zt, np.log(k)], dtype=complex)
+    state = (y, zt, complex(np.log(k)))
     ts = np.linspace(float(t0), float(t1), steps + 1)
+    out = np.empty((steps + 1, 3), dtype=complex)
+    out[0] = state
 
-    def f(t, st):
-        yv, zv, lk = st
-        if min(abs(yv), abs(yv - 1), abs(yv - t)) < 1e-9:
+    def f(t, yv, zv, lk):
+        if abs(yv) < 1e-9 or abs(yv - 1) < 1e-9 or abs(yv - t) < 1e-9:
             raise BlowUp(f"y too close to a pole at t = {t}")
-        dy, dz, dlk = p6_hamiltonian_rhs(t, yv, zv, lk, th, kp)
-        return np.array([dy, dz, dlk], dtype=complex)
+        return p6_hamiltonian_rhs(t, yv, zv, lk, th, kp)
 
-    def rk4(t, h, st):
-        k1v = f(t, st)
-        k2v = f(t + h / 2, st + h / 2 * k1v)
-        k3v = f(t + h / 2, st + h / 2 * k2v)
-        k4v = f(t + h, st + h * k3v)
-        return st + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    def rk4(t, h, st, k1v):
+        """One RK4 step of size h from st, whose first stage is k1v."""
+        yv, zv, lk = st
+        a = h / 2
+        k2v = f(t + a, yv + a * k1v[0], zv + a * k1v[1], lk + a * k1v[2])
+        k3v = f(t + a, yv + a * k2v[0], zv + a * k2v[1], lk + a * k2v[2])
+        k4v = f(t + h, yv + h * k3v[0], zv + h * k3v[1], lk + h * k3v[2])
+        b = h / 6
+        return (yv + b * (k1v[0] + 2 * k2v[0] + 2 * k3v[0] + k4v[0]),
+                zv + b * (k1v[1] + 2 * k2v[1] + 2 * k3v[1] + k4v[1]),
+                lk + b * (k1v[2] + 2 * k2v[2] + 2 * k3v[2] + k4v[2]))
 
     min_step = 1e-9             # a step this short has underflowed
-    out = [state.copy()]
+    grid = ts.tolist()
     for i in range(steps):
-        t, target = ts[i], ts[i + 1]
+        t, target = grid[i], grid[i + 1]
         h = target - t
-        while (target - t) * np.sign(target - ts[i]) > 1e-14:
+        sign = 1.0 if h > 0 else -1.0
+        first = None            # f(t, state), shared until the step is taken
+        while (target - t) * sign > 1e-14:
             if abs(h) > abs(target - t) - min_step:
                 h = target - t
-            full = rk4(t, h, state)
-            half = rk4(t + h / 2, h / 2, rk4(t, h / 2, state))
-            err = np.abs(full - half).max() / max(1.0, float(np.abs(half).max()))
+            if first is None:
+                first = f(t, *state)
+            full = rk4(t, h, state, first)
+            mid = rk4(t, h / 2, state, first)
+            half = rk4(t + h / 2, h / 2, mid, f(t + h / 2, *mid))
+            err = (max(abs(full[0] - half[0]), abs(full[1] - half[1]),
+                       abs(full[2] - half[2]))
+                   / max(1.0, abs(half[0]), abs(half[1]), abs(half[2])))
             if err > tol * abs(h):
                 h /= 2
                 if abs(h) < min_step:
                     raise StepUnderflow(f"step underflow at t = {t}")
                 continue
-            state, t = half, t + h
+            state, t, first = half, t + h, None
             if err < tol * abs(h) / 16:
                 h *= 2
-        if np.abs(state[:2]).max() > 1e8:
+        # written so that a NaN state fails too
+        if not (abs(state[0]) <= 1e8 and abs(state[1]) <= 1e8):
             raise BlowUp(f"trajectory blew up at t = {target}")
-        out.append(state.copy())
-    arr = np.array(out)
-    return ts, arr[:, 0], arr[:, 1], np.exp(arr[:, 2])
-
-
-def jm_family_snapshots(ts, ys, zs, ks, thetas, kappas):
-    """(z, residues) pairs for the Schlesinger residual of a JM trajectory."""
-    snaps = []
-    for t, y, zt, k in zip(ts, ys, zs, ks):
-        sys = jm_build(y, zt, k, thetas, kappas, t)
-        snaps.append((np.array([0.0, 1.0, t], dtype=complex),
-                      [sys.A0, sys.A1, sys.At]))
-    return snaps
+        out[i + 1] = state
+    return ts, out[:, 0], out[:, 1], np.exp(out[:, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +533,7 @@ def jm_family_snapshots(ts, ys, zs, ks, thetas, kappas):
 
 def trajectory_to_csv(ts, ys, zs, ks) -> str:
     lines = ["t,y_re,y_im,ztilde_re,ztilde_im,k_re,k_im"]
-    for t, y, z, k in zip(ts, ys, zs, ks):
+    for t, y, z, k in zip(*(np.asarray(a).tolist() for a in (ts, ys, zs, ks))):
         lines.append(f"{t:.16g},{y.real:.16g},{y.imag:.16g},"
                      f"{z.real:.16g},{z.imag:.16g},{k.real:.16g},{k.imag:.16g}")
     return "\n".join(lines) + "\n"

@@ -377,6 +377,22 @@ def roots_of_h(m: SaitoMatrices, point, z_seed=None, prev_roots=None):
 # solution extraction
 # ---------------------------------------------------------------------------
 
+def _windows(a):
+    """The five shifted views a[d : N - 4 + d] a five-point stencil reads;
+    the stencil lands on the interior points 2 .. N - 3."""
+    return [a[d:len(a) - 4 + d] for d in range(5)]
+
+
+def _uniform_step(s):
+    """The spacing h of a uniform grid s, or ValueError if s drifts from it."""
+    s = np.asarray(s)
+    h = s[1] - s[0]
+    k = np.arange(len(s))
+    if np.any(np.abs(s - s[0] - k * h) > 1e-9 * np.maximum(1.0, abs(h) * k)):
+        raise ValueError("sample grid must be uniform")
+    return h
+
+
 def _stencil_d1(vals, h):
     return (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
 
@@ -457,19 +473,11 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
 def _differentiate_samples(samples):
     if len(samples) < 5:
         return
-    s = np.array([x.s for x in samples])
-    h = s[1] - s[0]
-    k = np.arange(len(s))
-    if np.any(np.abs(s - s[0] - k * h) > 1e-9 * np.maximum(1.0, abs(h) * k)):
-        raise ValueError("sample grid must be uniform in s")
-    ys = np.array([x.y for x in samples])
-    ts = np.array([x.t for x in samples])
-
-    def window(a):
-        return [a[d:len(a) - 4 + d] for d in range(5)]
-
-    dy, dt = _stencil_d1(window(ys), h), _stencil_d1(window(ts), h)
-    d2y, d2t = _stencil_d2(window(ys), h), _stencil_d2(window(ts), h)
+    h = _uniform_step([x.s for x in samples])
+    ys = _windows(np.array([x.y for x in samples]))
+    ts = _windows(np.array([x.t for x in samples]))
+    dy, dt = _stencil_d1(ys, h), _stencil_d1(ts, h)
+    d2y, d2t = _stencil_d2(ys, h), _stencil_d2(ts, h)
     _raise_first([(np.abs(dt) < 1e-12, lambda j: DegenerateLinearEntry(
         f"dt/ds vanishes at sample {j + 2}; path is not t-regular"))])
     dy_dt = dy / dt
@@ -559,14 +567,34 @@ def p6_residual(samples: Sequence[P6Sample], params: P6Params) -> float:
         raise InsufficientSamples("need at least 5 samples for the stencil")
     t, y, dy, d2y = (np.array([getattr(s, a) for s in interior], dtype=complex)
                      for a in ("t", "y", "dy_dt", "d2y_dt2"))
-    with np.errstate(all="ignore"):
-        val = np.abs(d2y - pvi_rhs(t, y, dy, params))
-    # a sample sitting on a PVI pole (y in {0, 1, t}) yields a non-finite
-    # defect; report it as infinite rather than NaN
-    val[~np.isfinite(val)] = np.inf
+    val = _pvi_defects(t, y, dy, d2y, params)
     for s, v in zip(interior, val):
         s.residual = float(v)
     return float(val.max())
+
+
+def pvi_grid_residual(ts, ys, params: P6Params) -> float:
+    """Max |y'' - PVI_rhs(t, y, y')| over the interior of a uniform t-grid.
+
+    ys are the values of y at the grid points ts; y' and y'' are the
+    five-point stencils, formed for all interior points in one pass.
+    """
+    if len(ts) < 5:
+        raise InsufficientSamples("need at least 5 samples for the stencil")
+    h = _uniform_step(ts)
+    win = _windows(np.asarray(ys, dtype=complex))
+    return float(_pvi_defects(np.asarray(ts)[2:-2], win[2], _stencil_d1(win, h),
+                              _stencil_d2(win, h), params).max())
+
+
+def _pvi_defects(t, y, dy, d2y, params):
+    """|y'' - PVI_rhs(t, y, y')| elementwise.  A sample sitting on a PVI pole
+    (y in {0, 1, t}) yields a non-finite defect, reported as infinite rather
+    than NaN."""
+    with np.errstate(all="ignore"):
+        val = np.abs(d2y - pvi_rhs(t, y, dy, params))
+    val[~np.isfinite(val)] = np.inf
+    return val
 
 
 def pvi_check(m: SaitoMatrices, lam, entry_choice, path, z_seed=None,

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flatiso import catalog, exprio
+from flatiso import catalog, exprio, p6
 from flatiso.errors import UnknownId
 
 
@@ -93,6 +93,25 @@ def test_full_depth_one_extension_entry():
     assert rep["pass"], rep
     assert rep["full"]["schlesinger_residual"] < 1e-6
     assert rep["full"]["midconv_gamma_inf_error"] < 1e-8
+
+
+def test_theta_strings_have_no_negative_zero(monkeypatch):
+    # LT27 theta is real; its imaginary parts round to a zero whose sign
+    # follows last-bit noise.  The report prints it unsigned, unperturbed
+    # and with the noise forced negative.
+    rep = catalog.catalog_verify("LT27", "full")
+    assert not any("-0j" in x for x in rep["numeric"]["theta"])
+    pvi_on_frames = p6.pvi_on_frames
+
+    def negative_noise(*args, **kwargs):
+        samples, params, residual = pvi_on_frames(*args, **kwargs)
+        for name in ("theta0", "theta1", "thetat", "thetainf"):
+            setattr(params, name, getattr(params, name).real - 1e-15j)
+        return samples, params, residual
+
+    monkeypatch.setattr(p6, "pvi_on_frames", negative_noise)
+    theta = catalog.catalog_verify("LT27", "numeric")["numeric"]["theta"]
+    assert theta == ["(0.333333333333+0j)"] * 3 + ["(-0.2+0j)"]
 
 
 @pytest.mark.parametrize("eid", ["H3", "H3p", "LT8"])

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from flatiso import catalog, cli, exprio
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -108,6 +112,28 @@ def test_jm_roundtrip_deterministic(capsys):
     assert out1 == out2          # identical inputs and seeds: identical reports
     rep = json.loads(out1)
     assert rep["pvi_residual"] < 1e-6 and rep["schlesinger_residual"] < 1e-6
+
+
+def test_jm_roundtrip_numeric_pin(capsys):
+    # first, middle and last trajectory rows and the PVI residual of
+    # jm-roundtrip --seed 11 --steps 200, pinned so that a change to the
+    # integrator cannot move them silently
+    pin = json.loads((DATA / "jm_roundtrip_seed11_steps200.json").read_text())
+    code, out, _ = run(capsys, *pin["argv"])
+    assert code == 0
+    rep = json.loads(out)
+    lines = rep["trajectory_csv"].splitlines()
+    assert lines[0] == pin["header"]
+    assert len(lines) == 202
+    for k, row in pin["rows"].items():
+        got = [float(x) for x in lines[1 + int(k)].split(",")]
+        want = [float(x) for x in row.split(",")]
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12, k
+    assert abs(rep["pvi_residual"] - pin["pvi_residual"]) < 1e-12
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_catalog_verify_single(capsys):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from flatiso import catalog, isomono as iso, p6
-from flatiso.errors import (DegenerateTheta, EigenvalueCollision,
-                            FactorizationFailed, InsufficientSamples, PoleAtY,
-                            RankViolation, StepUnderflow, TrackingLost)
+from flatiso.errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
+                            FactorizationFailed, InsufficientSamples,
+                            InverseMismatch, PoleAtY, RankViolation,
+                            StepUnderflow, TrackingLost)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.isomono import (PathSpec, integrate_pfaffian, integrate_p6_hamiltonian,
-                             jm_build, jm_family_snapshots, monodromy_on_loop,
+                             jm_build, jm_residues, monodromy_on_loop,
                              okubo_normal_form, residue_decomposition,
                              schlesinger_residual, snapshots_along)
 
@@ -384,8 +385,11 @@ def test_hamiltonian_flow_pvi_and_schlesinger():
         d2y = (-y5[4] + 16 * y5[3] - 30 * y5[2] + 16 * y5[1] - y5[0]) / (12 * h * h)
         worst = max(worst, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dy, params)))
     assert worst < 1e-6
-    snaps = jm_family_snapshots(ts, ys, zs, ks, th, kp)
-    assert schlesinger_residual(snaps, svals=ts) < 1e-6
+    poles, residues = jm_residues(ts, ys, zs, ks, th, kp)
+    assert iso.stacked_schlesinger_residual(poles, residues, svals=ts) < 1e-6
+    # the list of (z, residues) pairs gives the same residual
+    assert schlesinger_residual(list(zip(poles, residues)), svals=ts) == \
+        iso.stacked_schlesinger_residual(poles, residues, svals=ts)
 
 
 def test_hamiltonian_k_constant_when_thetainf_is_one():
@@ -429,3 +433,171 @@ def test_hamiltonian_step_underflow():
     with pytest.raises(StepUnderflow):
         integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.3, 1.0), 2.0, 2.1,
                                  steps=10, tol=1e-30)
+
+
+def default_jm_problem():
+    """The thetas, kappas and initial data of jm-roundtrip at its default seed."""
+    from flatiso.cli import DEFAULT_SEED
+    rng = np.random.default_rng(DEFAULT_SEED)
+    th = tuple(rng.normal(0, 0.35, 3) + 1j * rng.normal(0, 0.1, 3))
+    k2 = rng.normal(0, 0.35) + 1j * rng.normal(0, 0.1)
+    k1 = -(k2 + sum(th))
+    init = (2.1 + 0.4j + 0.2 * rng.normal(), 0.3 + 0.1j + 0.1 * rng.normal(),
+            1.0)
+    return th, (k1, k2), init
+
+
+def test_hamiltonian_grid_matches_dop853_reference():
+    from scipy.integrate import solve_ivp
+    th, kp, init = default_jm_problem()
+    ts, ys, zs, ks = integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=400)
+
+    def rhs(t, s):
+        return np.array(iso.p6_hamiltonian_rhs(t, s[0], s[1], s[2], th, kp))
+
+    ref = solve_ivp(rhs, (2.0, 2.4), np.array([init[0], init[1], 0j]),
+                    method="DOP853", rtol=1e-13, atol=1e-13, t_eval=ts)
+    assert ref.status == 0
+    assert np.abs(ref.y[0] - ys).max() < 1e-9
+    assert np.abs(ref.y[1] - zs).max() < 1e-9
+    assert np.abs(np.exp(ref.y[2]) - ks).max() < 1e-9
+
+
+def test_hamiltonian_step_shares_its_first_stage(monkeypatch):
+    # full step 4 evaluations, two half steps 4 + 4, the first one shared
+    th, kp, init = default_jm_problem()
+    calls = []
+    rhs = iso.p6_hamiltonian_rhs
+
+    def counted(*args):
+        calls.append(args[0])
+        return rhs(*args)
+
+    monkeypatch.setattr(iso, "p6_hamiltonian_rhs", counted)
+    integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=400)
+    assert len(calls) == 11 * 400
+
+
+def test_hamiltonian_pole_guard():
+    th, kp = admissible(3)
+    with pytest.raises(BlowUp, match="pole"):
+        integrate_p6_hamiltonian(th, kp, (2.0 + 1e-10, 0.3, 1.0), 2.0, 2.4,
+                                 steps=40)
+
+
+def test_hamiltonian_blowup_bound(monkeypatch):
+    # ztilde = exp(60 (t - 2)) passes 1e8 at t = 2.307, between grid points
+    # 2.30 and 2.31, and stays finite
+    th, kp = admissible(3)
+    monkeypatch.setattr(iso, "p6_hamiltonian_rhs",
+                        lambda t, y, z, lk, *args: (0j, 60 * z, 0j))
+    with pytest.raises(BlowUp, match=r"blew up at t = 2\.31"):
+        integrate_p6_hamiltonian(th, kp, (5.0, 1.0, 1.0), 2.0, 2.4, steps=40)
+
+
+def test_hamiltonian_finite_time_blowup():
+    # a PVI pole: y(2) = 1e4 runs off to infinity within the first interval
+    th, kp = admissible(3)
+    with pytest.raises(BlowUp, match="blew up"):
+        integrate_p6_hamiltonian(th, kp, (1e4, 0.0, 1.0), 2.0, 2.4, steps=40)
+
+
+def test_hamiltonian_nan_state_is_a_blowup(monkeypatch):
+    th, kp = admissible(3)
+    monkeypatch.setattr(iso, "p6_hamiltonian_rhs",
+                        lambda *args: (complex("nan"), 0j, 0j))
+    with pytest.raises(BlowUp, match="blew up"):
+        integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.3, 1.0), 2.0, 2.4,
+                                 steps=40)
+
+
+def jm_reference(y, ztilde, k, thetas, kappas, t):
+    """(A_0, A_1, A_t) by the scalar Jimbo-Miwa formulas in Python complex
+    arithmetic, independent of the stacked numpy pass."""
+    th0, th1, tht = (complex(x) for x in thetas)
+    k1, k2 = (complex(x) for x in kappas)
+    y, ztilde, k, t = complex(y), complex(ztilde), complex(k), complex(t)
+    thinf = k1 - k2
+    zz = ztilde - th0 / y - th1 / (y - 1) - tht / (y - t)
+    quad = y * (y - 1) * (y - t) * zz * zz
+    z0 = (y / (t * thinf)) * (
+        quad + (th1 * (y - t) + t * tht * (y - 1)
+                - 2 * k2 * (y - 1) * (y - t)) * zz
+        + k2 * k2 * (y - t - 1) - k2 * (th1 + t * tht))
+    z1 = (-(y - 1) / ((t - 1) * thinf)) * (
+        quad + ((th1 + thinf) * (y - t) + t * tht * (y - 1)
+                - 2 * k2 * (y - 1) * (y - t)) * zz
+        + k2 * k2 * (y - t) - k2 * (th1 + t * tht) - k1 * k2)
+    zt = ((y - t) / (t * (t - 1) * thinf)) * (
+        quad + (th1 * (y - t) + t * (tht + thinf) * (y - 1)
+                - 2 * k2 * (y - 1) * (y - t)) * zz
+        + k2 * k2 * (y - 1) - k2 * (th1 + t * tht) - t * k1 * k2)
+    u = k * y / (t * z0)
+    v = -k * (y - 1) / ((t - 1) * z1)
+    w = k * (y - t) / (t * (t - 1) * zt)
+    return np.array([[[zi + thi, -ui * zi], [(zi + thi) / ui, -zi]]
+                     for zi, thi, ui in ((z0, th0, u), (z1, th1, v),
+                                         (zt, tht, w))])
+
+
+@pytest.fixture(scope="module")
+def jm_trajectory():
+    th, kp, init = default_jm_problem()
+    return th, kp, integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=100)
+
+
+def test_jm_residues_match_per_point_build(jm_trajectory):
+    th, kp, (ts, ys, zs, ks) = jm_trajectory
+    poles, residues = jm_residues(ts, ys, zs, ks, th, kp)
+    assert poles.shape == (len(ts), 3) and residues.shape == (len(ts), 3, 2, 2)
+    assert np.array_equal(poles, np.column_stack([0 * ts, 0 * ts + 1, ts]))
+    for k in range(len(ts)):
+        ref = jm_reference(ys[k], zs[k], ks[k], th, kp, ts[k])
+        sys_ = jm_build(ys[k], zs[k], ks[k], th, kp, ts[k])
+        built = np.array([sys_.A0, sys_.A1, sys_.At])
+        scale = max(1.0, np.abs(ref).max())
+        assert np.abs(residues[k] - ref).max() < 1e-13 * scale
+        assert np.abs(built - ref).max() < 1e-13 * scale
+
+
+def test_jm_residues_name_the_point_on_a_pole(jm_trajectory):
+    th, kp, (ts, ys, zs, ks) = jm_trajectory
+    ys = ys.copy()
+    ys[37] = ts[37]
+    with pytest.raises(PoleAtY, match=r"\(point 37\)"):
+        jm_residues(ts, ys, zs, ks, th, kp)
+
+
+def test_jm_residues_refuse_vanishing_theta_inf(jm_trajectory):
+    _, _, (ts, ys, zs, ks) = jm_trajectory
+    s = sum((0.1, 0.2, 0.3))
+    with pytest.raises(DegenerateTheta, match="theta_inf"):
+        jm_residues(ts, ys, zs, ks, (0.1, 0.2, 0.3), (-s / 2, -s / 2))
+
+
+@pytest.mark.parametrize("entry, message", [
+    ((0, 0, 1), "off-diagonal"),              # A_0[0, 1]
+    ((1, 0, 0), "diagonal does not match"),   # A_1[0, 0]
+])
+def test_jm_validate_bounds_name_the_point(jm_trajectory, entry, message):
+    th, kp, (ts, ys, zs, ks) = jm_trajectory
+    _, residues = jm_residues(ts, ys, zs, ks, th, kp)
+    bad = residues.copy()
+    bad[60][entry] += 1e-6
+    where = re.escape(str(np.complex128(ts[60])))
+    with pytest.raises(InverseMismatch, match=f"{message}.*{where}"):
+        iso._check_jm(bad, th, kp, np.asarray(ts, dtype=complex))
+    sys_ = jm_build(ys[60], zs[60], ks[60], th, kp, ts[60])
+    sys_.A0, sys_.A1, sys_.At = (bad[60, i] for i in range(3))
+    with pytest.raises(InverseMismatch, match=message):
+        sys_.validate()
+
+
+def test_jm_validate_trace_bound(jm_trajectory):
+    # moving 1e-6 of A_0[0, 0] into A_1[0, 0] keeps A_inf but not tr A_0
+    th, kp, (ts, ys, zs, ks) = jm_trajectory
+    sys_ = jm_build(ys[5], zs[5], ks[5], th, kp, ts[5])
+    shift = np.array([[1e-6, 0], [0, 0]])
+    sys_.A0, sys_.A1 = sys_.A0 + shift, sys_.A1 - shift
+    with pytest.raises(InverseMismatch, match="trace"):
+        sys_.validate()

@@ -291,3 +291,32 @@ def test_entry_survey_reports_frame_failure_per_entry():
     assert survey["1,3"] == survey["2,3"] == {"error": "EntryIdenticallyZero"}
     for key in ("1,2", "2,1", "3,1", "3,2"):
         assert survey[key] == {"error": "RootCollision"}
+
+
+def test_pvi_grid_residual_matches_per_point_stencils():
+    rng = np.random.default_rng(4)
+    ts = np.linspace(2.0, 2.4, 41)
+    ys = 2.1 + 0.4j + 0.3 * ts ** 2 + 1e-3 * rng.normal(size=41)
+    params = p6.P6Params.from_thetas(0.2, -0.1, 0.3 + 0.1j, 0.7)
+    h = ts[1] - ts[0]
+    want = 0.0
+    for k in range(2, len(ts) - 2):
+        y5 = ys[k - 2:k + 3]
+        dy, d2y = p6._stencil_d1(y5, h), p6._stencil_d2(y5, h)
+        want = max(want, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dy, params)))
+    got = p6.pvi_grid_residual(ts, ys, params)
+    assert abs(got - want) <= 1e-14 * want
+
+
+def test_pvi_grid_residual_guards():
+    params = p6.P6Params.from_thetas(0.2, -0.1, 0.3, 0.7)
+    ts = np.linspace(2.0, 2.4, 9)
+    with pytest.raises(InsufficientSamples):
+        p6.pvi_grid_residual(ts[:4], ts[:4] + 1, params)
+    bent = ts.copy()
+    bent[5] += 1e-3
+    with pytest.raises(ValueError, match="uniform"):
+        p6.pvi_grid_residual(bent, ts + 1, params)
+    on_pole = ts + 1
+    on_pole[4] = 1.0                     # y = 1 at an interior point
+    assert p6.pvi_grid_residual(ts, on_pole, params) == np.inf
