@@ -284,7 +284,9 @@ def _run_jm_roundtrip(args):
         "check": "jm-roundtrip", "seed": args.seed,
         "tolerances": {"pvi_residual": args.tol_residual,
                        "schlesinger_residual": args.tol_residual,
-                       "structure_identities": 1e-12},
+                       "a_inf_offdiagonal": isomono.JM_RESIDUE_TOL,
+                       "a_inf_diagonal": isomono.JM_DIAGONAL_TOL,
+                       "residue_traces": isomono.JM_RESIDUE_TOL},
         "thetas": [p6._cpair(x) for x in th],
         "kappas": [p6._cpair(k1), p6._cpair(k2)],
         "pvi_residual": pvi, "schlesinger_residual": schles,

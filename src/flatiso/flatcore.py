@@ -13,6 +13,13 @@ condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the four structure
 relations coupling T, B^(k) and Binf, and the normalization T_nj = -w_j t_j.
 All checks are exact zero tests in the ring.
 
+The identities that are only zero-tested go through one exact kernel,
+Ring.fused_sum: each entry of the commutators [B^(p), B^(q)] and [T, B^(k)],
+of the closedness defect dB^(i)/dt_j - dB^(j)/dt_i and of
+dT/dt_i + (1 + w_c - w_r) B^(i) is formed from the raw numerators of its
+elements over one common denominator and reduced once.  The stored objects
+(C, the B^(k), T, h, adj(T), T0) are built by ordinary RingElem arithmetic.
+
 Everything else derived from a structure (the commutators, the divisor
 h = det(-T) with its partials and the divisions V_i h / h, adj(T) and
 T + t_n I) is computed on first use and kept on its SaitoMatrices.
@@ -33,18 +40,17 @@ from .ring import Ring, RingElem
 # small exact-matrix helpers
 # ---------------------------------------------------------------------------
 
-def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(m)),
-                 a[0][0].ring.zero()) for j in range(p)] for i in range(n)]
-
-
 def mat_sub(a, b):
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_commutator(a, b):
-    return mat_sub(mat_mul(a, b), mat_mul(b, a))
+    """ab - ba of square matrices, each entry one Ring.fused_sum."""
+    n = len(a)
+    ring = a[0][0].ring
+    return [[ring.fused_sum([(1, a[i][k], b[k][j]) for k in range(n)]
+                            + [(-1, b[i][k], a[k][j]) for k in range(n)])
+             for j in range(n)] for i in range(n)]
 
 
 def mat_identity(ring, n):
@@ -359,11 +365,15 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
     """
     n = m.n
     B = m.Btilde
+    fused_sum = m.ring.fused_sum
     # mixed derivatives of B
     for i in range(n):
         for j in range(i + 1, n):
-            if not mat_is_zero(mat_sub(mat_partial(B[i], j), mat_partial(B[j], i))):
-                return False
+            for r in range(n):
+                for c in range(n):
+                    if not fused_sum(partials=[(1, B[i][r][c], j),
+                                               (-1, B[j][r][c], i)]).is_zero():
+                        return False
     # pairwise commutativity
     if not all(mat_is_zero(c) for c in m.commutators.values()):
         return False
@@ -374,11 +384,10 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
     # dT/dt_i + B^(i) + [B^(i), Binf] = 0, Binf = diag(w)
     w = m.weights
     for i in range(n):
-        dT = mat_partial(m.T, i)
         for r in range(n):
             for c in range(n):
-                defect = dT[r][c] + B[i][r][c] + B[i][r][c] * (w[c] - w[r])
-                if not defect.is_zero():
+                if not fused_sum(products=[(1 + w[c] - w[r], B[i][r][c])],
+                                 partials=[(1, m.T[r][c], i)]).is_zero():
                     return False
     return True
 

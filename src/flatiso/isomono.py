@@ -23,6 +23,11 @@ from .p6 import (StructureSampler, _cpair, _raise_first, _stencil_d1,
                  _uniform_step, _windows, frames_along, residues_from_frame)
 
 RESIDUE_TOL = 1e-10
+# The bounds JMSystem.validate enforces on a Jimbo-Miwa triple: the
+# off-diagonal of A_inf and tr A_i - theta_i within JM_RESIDUE_TOL, the
+# diagonal of A_inf - diag(kappa_1, kappa_2) within JM_DIAGONAL_TOL.
+JM_RESIDUE_TOL = 1e-10
+JM_DIAGONAL_TOL = 1e-8
 RANK_TOL = 1e-9
 TRACE_GUARD = 1e-6
 
@@ -270,13 +275,13 @@ def schlesinger_defects(zs, Bs, h):
     zdot = _stencil_d1(_windows(zs), h)                 # (M, n)
     dB = _stencil_d1(_windows(Bs), h)                   # (M, n, n, n)
     z, B = zs[2:-2], Bs[2:-2]
-    prod = B[:, :, None] @ B[:, None, :]                # [k, j, i] = B_j B_i
-    com = prod - np.swapaxes(prod, 1, 2)                # [B_j, B_i]
-    dzdot = zdot[:, None, :] - zdot[:, :, None]         # [k, j, i] = z_i' - z_j'
-    # z_i - z_j, with 1 on the diagonal, where com and dzdot are exactly 0
-    dz = z[:, None, :] - z[:, :, None] + np.eye(z.shape[1])
-    terms = com * dzdot[..., None, None] / dz[..., None, None]
-    return dB - terms.sum(axis=1)
+    M, n, m = B.shape[:3]
+    # z_i - z_j, with 1 on the diagonal, where z_i' - z_j' is exactly 0
+    dz = z[:, None, :] - z[:, :, None] + np.eye(n)
+    w = (zdot[:, None, :] - zdot[:, :, None]) / dz      # [k, j, i] = w_ji
+    # sum_j w_ji [B_j, B_i] = [C_i, B_i] with C_i = sum_j w_ji B_j
+    C = (np.swapaxes(w, 1, 2) @ B.reshape(M, n, m * m)).reshape(B.shape)
+    return dB - (C @ B - B @ C)
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +340,19 @@ class JMSystem:
     def Ainf(self):
         return -(self.A0 + self.A1 + self.At)
 
-    def validate(self, tol=1e-10):
+    def validate(self, tol=JM_RESIDUE_TOL):
         _check_jm(np.array([[self.A0, self.A1, self.At]]), self.thetas,
                   self.kappas, [self.t], tol)
         return self
 
 
-def _check_jm(residues, thetas, kappas, ts, tol=1e-10):
+def _check_jm(residues, thetas, kappas, ts, tol=JM_RESIDUE_TOL):
     """JMSystem.validate on stacked residues (N, 3, 2, 2) at the times ts.
 
     A_inf = -(A_0 + A_1 + A_t) must be diagonal within tol with diagonal
-    (kappa_1, kappa_2) within 1e-8, and tr A_i = theta_i within tol.  A
-    non-finite residue fails.  Raises InverseMismatch for the first failing
-    point.
+    (kappa_1, kappa_2) within JM_DIAGONAL_TOL, and tr A_i = theta_i within
+    tol.  A non-finite residue fails.  Raises InverseMismatch for the first
+    failing point.
     """
     Ainf = -residues.sum(axis=1)
     off = np.maximum(np.abs(Ainf[:, 0, 1]), np.abs(Ainf[:, 1, 0]))
@@ -357,7 +362,7 @@ def _check_jm(residues, thetas, kappas, ts, tol=1e-10):
     _raise_first([
         (~(off <= tol), lambda k: InverseMismatch(
             f"A_inf off-diagonal {off[k]} exceeds {tol} at t = {ts[k]}")),
-        (~(diag <= 1e-8), lambda k: InverseMismatch(
+        (~(diag <= JM_DIAGONAL_TOL), lambda k: InverseMismatch(
             f"A_inf diagonal does not match kappas at t = {ts[k]}")),
         (~(trace <= tol), lambda k: InverseMismatch(
             f"trace of a residue does not match theta at t = {ts[k]}")),

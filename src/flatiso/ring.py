@@ -21,6 +21,12 @@ Computer Algebra, ch. 6).  The pairs (A, D) of z and rel_z are cached on the
 extension; denominators are cancelled through them after every operation up
 to AUTO_CANCEL_BOUND.
 
+Every RingElem operation reduces and normalizes its result, and cancels it
+up to AUTO_CANCEL_BOUND.  A sum that is only zero-tested need not pay that
+per term: Ring.fused_sum forms a rational sum of products and total
+derivatives from the raw numerators of its elements, over one common
+denominator z^A rel_z^B L, and reduces it once.
+
 Monomials are exponent tuples (e_z, e_t1, ..., e_tn); the canonical term
 order is graded lexicographic with z greatest.  Internally a polynomial is a
 dict from packed monomial keys to integer coefficients plus one positive
@@ -389,6 +395,8 @@ class ExtensionRing:
                                complex(c)) for m, c in relation.items()]
         # Ring._unit_inverse of z (0) and rel_z (1), formed on first use
         self._inverses = {}
+        # Ring._drel_power: reduced powers of rel_z, formed on first use
+        self._drel_pows = {}
 
     def _probe_squarefree(self, nvars):
         # zero-divisor guard: the relation must be squarefree in z.  Its
@@ -471,6 +479,47 @@ class Ring:
         terms, den = _from_fractions(self._pk, num)
         return RingElem(self, terms, den, zden, dden)
 
+    # -- fused sums ------------------------------------------------------------
+
+    def fused_sum(self, products=(), partials=()):
+        """sum c * f_1 * ... * f_k over products (c, f_1, ..., f_k) plus
+        sum c * d(a)/dt_{var+1} over partials (c, a, var), c rational.
+
+        Each part is formed from the raw numerators of its elements and
+        brought, still unreduced, over one common denominator z^A rel_z^B L;
+        the sum is reduced, normalized and cancelled once, by the RingElem it
+        returns.  It equals the same sum formed by chained arithmetic, which
+        reduces every product and partial sum on the way.
+        """
+        pk = self._pk
+        parts = []                      # (c, num, den, zden, dden)
+        for c, f, *rest in products:
+            if not c or not f._t or not all(g._t for g in rest):
+                continue
+            t, d, zd, dd = f._t, f._d, f.zden, f.dden
+            for g in rest:
+                t = pk.mul(t, g._t)
+                d, zd, dd = d * g._d, zd + g.zden, dd + g.dden
+            parts.append((c, t, d, zd, dd))
+        for c, a, var in partials:
+            if c and a._t:
+                parts.append((c,) + a._partial_raw(var))
+        if not parts:
+            return self.zero()
+        zA = max(p[3] for p in parts)
+        dB = max(p[4] for p in parts)
+        scaled = []
+        for c, t, d, zd, dd in parts:
+            if dd < dB:
+                pt, pd = self._drel_power(dB - dd)
+                t, d = pk.mul(t, pt), d * pd
+            scaled.append((c, t, d * c.denominator, (zA - zd) * pk.zunit))
+        L = lcm(*(d for _, _, d, _ in scaled))
+        out = {}
+        for c, t, d, key in scaled:
+            pk.addto(out, t, key, c.numerator * (L // d))
+        return RingElem(self, out, L, zA, dB)
+
     # -- reduction -------------------------------------------------------------
 
     def _zpow_reduced(self, k):
@@ -480,6 +529,15 @@ class Ring:
             prev, den = self._zpow_reduced(k - 1)
             t, d = self._reduce(self._pk.shift(prev, self._pk.zunit))
             tab[k] = _normalized(t, den * d)
+        return tab[k]
+
+    def _drel_power(self, k):
+        """(terms, den) of rel_z^k modulo the relation, k >= 1."""
+        tab = self.ext._drel_pows
+        if k not in tab:
+            prev, den = self._drel_power(k - 1) if k > 1 else ({0: 1}, 1)
+            t, d = self._reduce(self._pk.mul(prev, self.ext._drel))
+            tab[k] = _normalized(t, den * d * self.ext._scale)
         return tab[k]
 
     def _reduce(self, a):
@@ -887,13 +945,17 @@ class RingElem:
 
     def partial(self, var):
         """Total derivative with respect to t_{var+1} (0-based index)."""
+        return RingElem(self.ring, *self._partial_raw(var))
+
+    def _partial_raw(self, var):
+        """(num, den, zden, dden) of partial(var), num not yet reduced."""
         ring = self.ring
         pk = ring._pk
         slot = var + 1
         if not 0 <= var < ring.nvars:
             raise IndexError(var)
         if ring.ext is None:
-            return RingElem(ring, pk.partial(self._t, slot), self._d, 0, 0, _canon=False)
+            return pk.partial(self._t, slot), self._d, 0, 0
         ext = ring.ext
         N = self._t
         D = ext._drel
@@ -912,7 +974,7 @@ class RingElem:
             D_i, D_z = pk.partial(D, slot), pk.partial(D, 0)
             inner = _p_lincomb(pk.mul(D_i, D), 1, pk.mul(D_z, Ri), -1)
             num = _p_lincomb(num, 1, pk.shift(pk.mul(N, inner), zunit), -b)
-        return RingElem(ring, num, self._d * ext._scale ** 2, a + 1, b + 2)
+        return num, self._d * ext._scale ** 2, a + 1, b + 2
 
     def _key_weights(self):
         """Integer weight (times ring._wscale) of each monomial, and of the denominator."""

@@ -114,6 +114,19 @@ def test_jm_roundtrip_deterministic(capsys):
     assert rep["pvi_residual"] < 1e-6 and rep["schlesinger_residual"] < 1e-6
 
 
+def test_jm_roundtrip_reports_the_enforced_bounds(capsys):
+    from flatiso import isomono
+    code, out, _ = run(capsys, "jm-roundtrip", "--seed", "11", "--steps", "200")
+    assert code == 0
+    tol = json.loads(out)["tolerances"]
+    assert tol == {"pvi_residual": tol["pvi_residual"],
+                   "schlesinger_residual": tol["schlesinger_residual"],
+                   "a_inf_offdiagonal": isomono.JM_RESIDUE_TOL,
+                   "a_inf_diagonal": isomono.JM_DIAGONAL_TOL,
+                   "residue_traces": isomono.JM_RESIDUE_TOL}
+    assert (isomono.JM_RESIDUE_TOL, isomono.JM_DIAGONAL_TOL) == (1e-10, 1e-8)
+
+
 def test_jm_roundtrip_numeric_pin(capsys):
     # first, middle and last trajectory rows and the PVI residual of
     # jm-roundtrip --seed 11 --steps 200, pinned so that a change to the

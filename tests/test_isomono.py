@@ -262,6 +262,26 @@ def test_schlesinger_defects_match_per_point_loop():
                 1.0, np.abs(dBi).max())
 
 
+@pytest.mark.parametrize("shape", [(401, 3, 3, 3), (401, 3, 2, 2)])
+def test_schlesinger_defects_match_pairwise_commutators(shape):
+    # sum_j w_ji [B_j, B_i] formed pair by pair, against [C_i, B_i]
+    rng = np.random.default_rng(sum(shape))
+    N, n, m, _ = shape
+    zs = rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n)) + 3 * np.arange(n)
+    Bs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    h = 0.01
+    got = iso.schlesinger_defects(zs, Bs, h)
+    zdot = p6._stencil_d1(p6._windows(zs), h)
+    dB = p6._stencil_d1(p6._windows(Bs), h)
+    z, B = zs[2:-2], Bs[2:-2]
+    prod = B[:, :, None] @ B[:, None, :]
+    com = prod - np.swapaxes(prod, 1, 2)
+    dzdot = zdot[:, None, :] - zdot[:, :, None]
+    dz = z[:, None, :] - z[:, :, None] + np.eye(n)
+    want = dB - (com * dzdot[..., None, None] / dz[..., None, None]).sum(axis=1)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
 
 def test_schlesinger_constant_family():
     e, m = entry_setup("LT8")
@@ -591,6 +611,29 @@ def test_jm_validate_bounds_name_the_point(jm_trajectory, entry, message):
     sys_.A0, sys_.A1, sys_.At = (bad[60, i] for i in range(3))
     with pytest.raises(InverseMismatch, match=message):
         sys_.validate()
+
+
+@pytest.mark.parametrize("tol_name, moves, message", [
+    ("JM_RESIDUE_TOL", [((0, 0, 1), 1)], "off-diagonal"),
+    # A_inf diagonal, traces kept
+    ("JM_DIAGONAL_TOL", [((0, 0, 0), 1), ((0, 1, 1), -1)], "diagonal does not match"),
+    # traces, A_inf kept
+    ("JM_RESIDUE_TOL", [((0, 0, 0), 1), ((1, 0, 0), -1)], "trace"),
+])
+def test_jm_bounds_are_the_named_constants(jm_trajectory, tol_name, moves, message):
+    th, kp, (ts, ys, zs, ks) = jm_trajectory
+    _, residues = jm_residues(ts, ys, zs, ks, th, kp)
+    tol = getattr(iso, tol_name)
+    t = np.asarray(ts, dtype=complex)
+    for factor in (0.5, 2.0):
+        bad = residues.copy()
+        for entry, sign in moves:
+            bad[60][entry] += sign * factor * tol
+        if factor < 1:
+            iso._check_jm(bad, th, kp, t)
+        else:
+            with pytest.raises(InverseMismatch, match=message):
+                iso._check_jm(bad, th, kp, t)
 
 
 def test_jm_validate_trace_bound(jm_trajectory):
