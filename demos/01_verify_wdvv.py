@@ -27,7 +27,7 @@ t1 = pvf.ring.var(0)
 bad = flatcore.PotentialVF(ring=pvf.ring, g=[pvf.g[0], pvf.g[1],
                                              pvf.g[2] + t1 ** 7],
                            name="perturbed")
-bad_report = flatcore.check_extended_wdvv(bad, with_saito=False)
+bad_report = flatcore.check_extended_wdvv(bad)
 print(f"\nperturbed g3 + t1^7: homogeneity still {bad_report.homogeneity_ok}, "
       f"failing commutators {bad_report.failing_commutators()}")
 defect = bad_report.commutators[(1, 2)][0][0]

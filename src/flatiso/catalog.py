@@ -2,8 +2,9 @@
 
 Eleven entries (H3, H3p, H3pp, LT8, LT26, LT27, LT13, LT14, LT18, LT19,
 LT30) shipped as JSON documents with exact rational data, default sampling
-paths and expected-property flags, plus a checksum manifest.  catalog_verify
-drives the symbolic and numeric pipelines on an entry.
+paths and expected-property flags, plus a checksum manifest.  Each check's
+pipeline lives here, one function per report block gated against the one
+table TOLERANCES; catalog_verify composes them and the CLI verbs call them.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ IDS = ["H3", "H3p", "H3pp", "LT8", "LT26", "LT27", "LT13", "LT14",
 
 TOLERANCES = {
     "symbolic": 0.0,
-    "residue_identities": 1e-10,
+    "residue_identities": isomono.RESIDUE_TOL,
     "pvi_residual": 1e-6,
     "schlesinger_residual": 1e-6,
     "trace_constancy": 1e-8,
@@ -72,6 +73,22 @@ def catalog_list() -> List[str]:
     return list(IDS)
 
 
+def path_from_doc(dp: dict):
+    """(points, svals, z_seed) of a sampling-path document: t1 fixed, t2 on
+    points (>= 1) uniform steps from t2_start to t2_end, z_seed null or
+    [re, im]."""
+    try:
+        svals = np.linspace(dp["t2_start"], dp["t2_end"], int(dp["points"]))
+        if not len(svals):
+            raise ValueError("a path needs at least one point")
+        seed = (None if dp.get("z_seed") is None
+                else complex(dp["z_seed"][0], dp["z_seed"][1]))
+        return [(dp["t1"], s) for s in svals], svals, seed
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"sampling path needs t1, t2_start, t2_end, points "
+                          f"and z_seed ({exc!r})") from None
+
+
 def catalog_get(entry_id: str) -> CatalogEntry:
     if entry_id not in IDS:
         raise UnknownId(entry_id)
@@ -80,12 +97,7 @@ def catalog_get(entry_id: str) -> CatalogEntry:
     _check_manifest()
     doc = json.loads(_data_text(f"{entry_id.lower()}.json"))
     pvf = exprio.parse_pvf(doc["pvf"])
-    dp = doc["default_path"]
-    svals = np.linspace(dp["t2_start"], dp["t2_end"], dp["points"])
-    points = [(dp["t1"], s) for s in svals]
-    seed = None
-    if dp.get("z_seed") is not None:
-        seed = complex(dp["z_seed"][0], dp["z_seed"][1])
+    points, svals, seed = path_from_doc(doc["default_path"])
     entry = CatalogEntry(
         id=entry_id, pvf=pvf,
         default_path=PathSpec(points=points,
@@ -98,34 +110,56 @@ def catalog_get(entry_id: str) -> CatalogEntry:
 
 
 # ---------------------------------------------------------------------------
-# verification pipelines
+# check pipelines: one function per report block, shared with the CLI verbs
 # ---------------------------------------------------------------------------
 
-def _verify_symbolic(pvf: PotentialVF, flags: Dict[str, bool]):
-    """(exact verdicts, the SaitoMatrices they were read from).
+def within(key: str, value: float) -> bool:
+    """value < TOLERANCES[key], the comparison behind every numeric gate."""
+    return bool(value < TOLERANCES[key])
 
-    flags select the prepotential check.
-    """
+
+def structure_report(pvf: PotentialVF) -> flatcore.WdvvReport:
+    """check_extended_wdvv with the SaitoMatrices it checked; SchemaError
+    when T is not homogeneous, so that there are none."""
     report = flatcore.check_extended_wdvv(pvf)
-    m = report.matrices
-    if m is None:
+    if report.matrices is None:
         raise SchemaError("T is not homogeneous; input g is not weighted homogeneous")
+    return report
+
+
+def logvf_block(m: SaitoMatrices) -> dict:
+    """The discriminant and logarithmic-field identities, exactly."""
     lrep = logvf.logvf_identities(m)
-    crit = logvf.generator_criterion(m)
     trace_ok = all(v.is_zero()
                    for v in logvf.trace_identity_defects(m).values())
+    return {
+        "logvf_identities": lrep.all_ok,
+        "identities_failed": lrep.failed,
+        "trace_identity": trace_ok,
+        "saito_criterion_c": str(logvf.generator_criterion(m)),
+        "discriminant_weight": str(m.h.weight()),
+        "pass": lrep.all_ok and trace_ok,
+    }
+
+
+def symbolic_block(pvf: PotentialVF, flags: Dict[str, bool]):
+    """(exact verdicts, the SaitoMatrices they were read from); flags
+    select the prepotential check."""
+    report = structure_report(pvf)
+    m = report.matrices
+    lv = logvf_block(m)
     out = {
         "wdvv_unit": report.unit_ok,
         "wdvv_homogeneity": report.homogeneity_ok,
         "wdvv_commutators": report.commutators_ok,
         "saito_relations": report.saito_relations_ok,
         "flat_normalization": report.flat_normalization_ok,
-        "logvf_identities": lrep.all_ok,
-        "trace_identity": trace_ok,
-        "saito_criterion_c": str(crit),
+        "logvf_identities": lv["logvf_identities"],
+        "trace_identity": lv["trace_identity"],
+        "saito_criterion_c": lv["saito_criterion_c"],
         # the Okubo integrability equations are the Saito relations
         "okubo_integrability": report.saito_relations_ok,
-        "discriminant_weight": str(m.h.weight()),
+        "discriminant_weight": lv["discriminant_weight"],
     }
     if flags.get("has_prepotential"):
         pre = flatcore.frobenius_check(pvf, m.C)
@@ -138,56 +172,83 @@ def _verify_symbolic(pvf: PotentialVF, flags: Dict[str, bool]):
     return out, m
 
 
-def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, track, snaps) -> dict:
+def pvi_block(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
+    """(block, samples, params): the PVI check of one entry on a computed
+    track (p6.frames_along), with the parameters read off its first frame."""
+    samples, params, residual = p6.pvi_on_frames(m, lam, entry_choice, track,
+                                                 path, svals=svals)
+    return ({"pvi_residual": residual,
+             "pass": within("pvi_residual", residual)}, samples, params)
+
+
+def schlesinger_block(snaps, svals=None) -> dict:
+    """The Schlesinger residual of residue snapshots along a path."""
+    res = isomono.schlesinger_residual(snaps, svals=svals)
+    return {"schlesinger_residual": res,
+            "pass": within("schlesinger_residual", res)}
+
+
+def midconv_block(m: SaitoMatrices, point, z_seed=None):
+    """(block, convolved system): truncate at a path point, convolve back
+    with -w_n, and measure the distances of the result's Gamma_inf from the
+    weights and of its residue traces from the snapshot's, with the
+    invariance defect of the big convolution system."""
+    lam_w = list(m.weights)
+    snap, sys1, family = midconv.rank_one_from_structure(m, point, lam_w,
+                                                         z_seed=z_seed)
+    out = midconv.middle_convolution(sys1, -lam_w[-1])
+    ginf_err = float(np.abs(np.sort_complex(out.Gamma_inf)
+                            - np.sort_complex(np.array(lam_w, dtype=complex))).max())
+    tr_err = float(np.abs(np.sort_complex(out.traces())
+                          - np.sort_complex(snap.traces)).max())
+    inv = midconv.invariant_subspace_check(sys1, -lam_w[-1], family=family)
+    block = {"gamma_inf_error": ginf_err, "trace_error": tr_err,
+             "invariance_defect": inv.max_defect,
+             "dim_K": inv.dim_K, "dim_L": inv.dim_L,
+             "pass": (within("midconv_recovery", ginf_err)
+                      and within("midconv_recovery", tr_err)
+                      and within("invariance_defect", inv.max_defect))}
+    return block, out
+
+
+def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, track,
+                    snaps) -> dict:
     """Numeric checks on the default path's track and residue snapshots."""
-    lam = p6.default_lambda(entry.pvf.ring.weights)
-    samples, params, residual = p6.pvi_on_frames(
-        m, lam, entry.p6_entry, track, entry.default_path.points,
-        svals=entry.path_svals)
+    pvi, samples, params = pvi_block(m, lam, entry.p6_entry, track,
+                                     entry.default_path.points,
+                                     svals=entry.path_svals)
     traces = np.array([s.traces for s in snaps])
     trace_spread = float(np.abs(traces - traces[0]).max())
     # + 0.0 turns a -0.0 left by rounding into 0.0, so last-bit noise
     # cannot flip the printed sign of a vanishing part
     theta = np.round([params.theta0, params.theta1, params.thetat,
                       params.thetainf], 12) + 0.0
-    out = {
-        "pvi_residual": residual,
+    return {
+        "pvi_residual": pvi["pvi_residual"],
         "trace_spread": trace_spread,
         "theta": [str(x) for x in theta],
         "samples": len(samples),
-        "pass": bool(residual < TOLERANCES["pvi_residual"]
-                     and trace_spread < TOLERANCES["trace_constancy"]),
+        "pass": pvi["pass"] and within("trace_constancy", trace_spread),
     }
-    return out
 
 
-def _verify_full(entry: CatalogEntry, m: SaitoMatrices, track, snaps) -> dict:
+def _verify_full(entry: CatalogEntry, m: SaitoMatrices, lam, track,
+                 snaps) -> dict:
     """Full-depth checks; track and snaps as for _verify_numeric.  The entry
     survey reads every second frame."""
-    pvf = entry.pvf
     path = entry.default_path.points
     svals = entry.path_svals
-    schles = isomono.schlesinger_residual(snaps, svals=svals)
-
-    _, ginf_err, tr_err, inv = midconv.round_trip(
-        m, path[len(path) // 2], list(pvf.ring.weights), z_seed=entry.z_seed)
-    survey = p6.survey_on_frames(m, p6.default_lambda(pvf.ring.weights),
-                                 tuple(x[::2] for x in track), path[::2],
-                                 svals=svals[::2])
-    out = {
-        "schlesinger_residual": schles,
-        "entry_survey": survey,
-        "midconv_gamma_inf_error": ginf_err,
-        "midconv_trace_error": tr_err,
-        "invariance_defect": inv.max_defect,
-        "dim_K": inv.dim_K,
-        "dim_L": inv.dim_L,
-        "pass": bool(schles < TOLERANCES["schlesinger_residual"]
-                     and ginf_err < TOLERANCES["midconv_recovery"]
-                     and tr_err < TOLERANCES["midconv_recovery"]
-                     and inv.max_defect < TOLERANCES["invariance_defect"]),
-    }
-    return out
+    schles = schlesinger_block(snaps, svals=svals)
+    mc, _ = midconv_block(m, path[len(path) // 2], z_seed=entry.z_seed)
+    survey = p6.survey_on_frames(m, lam, tuple(x[::2] for x in track),
+                                 path[::2], svals=svals[::2])
+    return {"schlesinger_residual": schles["schlesinger_residual"],
+            "entry_survey": survey,
+            "midconv_gamma_inf_error": mc["gamma_inf_error"],
+            "midconv_trace_error": mc["trace_error"],
+            "invariance_defect": mc["invariance_defect"],
+            "dim_K": mc["dim_K"], "dim_L": mc["dim_L"],
+            "pass": schles["pass"] and mc["pass"]}
 
 
 def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
@@ -198,16 +259,14 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
     report = {"id": entry_id, "depth": depth,
               "flags": dict(entry.flags),
               "tolerances": dict(TOLERANCES)}
-    report["symbolic"], m = _verify_symbolic(entry.pvf, entry.flags)
-    passed = report["symbolic"]["pass"]
-    if depth in ("numeric", "full"):
-        lam = p6.default_lambda(entry.pvf.ring.weights)
+    report["symbolic"], m = symbolic_block(entry.pvf, entry.flags)
+    if depth != "symbolic":
+        lam = p6.default_lambda(m.weights)
         track, snaps = isomono.track_snapshots(m, entry.default_path.points, lam,
                                                z_seed=entry.z_seed)
-        report["numeric"] = _verify_numeric(entry, m, track, snaps)
-        passed = passed and report["numeric"]["pass"]
+        report["numeric"] = _verify_numeric(entry, m, lam, track, snaps)
     if depth == "full":
-        report["full"] = _verify_full(entry, m, track, snaps)
-        passed = passed and report["full"]["pass"]
-    report["pass"] = bool(passed)
+        report["full"] = _verify_full(entry, m, lam, track, snaps)
+    report["pass"] = all(report[k]["pass"] for k in ("symbolic", "numeric", "full")
+                         if k in report)
     return report

@@ -16,12 +16,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import catalog as cat
-from . import exprio, flatcore, isomono, logvf, midconv, p6
-from .errors import (DenominatorNotUnit, FlatIsoError, NumericError,
-                     ParseError, SchemaError, UnknownId)
+from . import exprio, flatcore, isomono, midconv, p6
+from .errors import FlatIsoError, InputError, NumericError, SchemaError
 
-INPUT_ERRORS = (UnknownId, ParseError, SchemaError, DenominatorNotUnit,
-                FileNotFoundError, json.JSONDecodeError, KeyError, ValueError)
+INPUT_ERRORS = (InputError, FileNotFoundError, json.JSONDecodeError)
 
 DEFAULT_SEED = 20240901
 
@@ -34,22 +32,18 @@ def _build_parser():
         description="flat-structure verification and Painleve VI extraction")
     sub = ap.add_subparsers(dest="verb", required=True)
 
-    def common(p, path=False, entry=False, seed=False):
+    def common(p, path=False, entry=False):
         p.add_argument("--catalog", metavar="ID", help="catalog entry id")
         p.add_argument("--input", metavar="FILE",
                        help="potential-vector-field JSON document")
         p.add_argument("--json", metavar="FILE",
                        help="write the JSON report here instead of stdout")
-        p.add_argument("--tol-residual", type=float, default=1e-6,
-                       help="residual tolerance for numeric checks")
         if path:
             p.add_argument("--path", metavar="FILE",
                            help="sampling path JSON (t1, t2_start, t2_end, points, z_seed)")
         if entry:
             p.add_argument("--entry", metavar="I,J", default=None,
                            help="matrix entry for the PVI extraction, e.g. 1,2")
-        if seed:
-            p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         return p
 
     common(sub.add_parser("verify-wdvv", help="exact extended-WDVV check"))
@@ -65,7 +59,6 @@ def _build_parser():
     jm = sub.add_parser("jm-roundtrip",
                         help="PVI Hamiltonian integration and 2x2 Schlesinger check")
     jm.add_argument("--json", metavar="FILE")
-    jm.add_argument("--tol-residual", type=float, default=1e-6)
     jm.add_argument("--seed", type=int, default=DEFAULT_SEED)
     jm.add_argument("--steps", type=int, default=400)
     c = sub.add_parser("catalog", help="list or verify the corpus")
@@ -97,18 +90,21 @@ def _resolve_input(args):
         raise SchemaError("one of --catalog or --input is required")
     if getattr(args, "path", None):
         with open(args.path) as f:
-            dp = json.load(f)
-        svals = np.linspace(dp["t2_start"], dp["t2_end"], int(dp["points"]))
-        points = [(dp["t1"], s) for s in svals]
-        seed = (None if dp.get("z_seed") is None
-                else complex(dp["z_seed"][0], dp["z_seed"][1]))
+            points, svals, seed = cat.path_from_doc(json.load(f))
     if getattr(args, "entry", None):
-        i, j = (int(x) for x in args.entry.split(","))
+        try:
+            i, j = (int(x) for x in args.entry.split(","))
+        except ValueError:
+            raise InputError(f"--entry must be I,J, got {args.entry!r}") from None
         choice = (i, j)
-    if points is None and args.verb in ("extract-p6", "params", "schlesinger",
-                                        "midconv"):
+    if points is None and hasattr(args, "path"):
         raise SchemaError("--path is required with --input for this verb")
     return pvf, points, svals, seed, choice
+
+
+def _tolerances(*keys):
+    """The entries of catalog.TOLERANCES a verb gates on, for its report."""
+    return {k: cat.TOLERANCES[k] for k in keys}
 
 
 def _json_value(value):
@@ -136,8 +132,13 @@ def _emit(args, report, summary):
 
 
 # ---------------------------------------------------------------------------
-# verb implementations (each returns (exit_code, report, summary))
+# verb implementations (each returns (report, summary); the exit code is
+# 0 when report["pass"] holds, else 1)
 # ---------------------------------------------------------------------------
+
+def _verdict(report):
+    return "PASS" if report["pass"] else "FAIL"
+
 
 def _run_verify_wdvv(args):
     pvf, *_ = _resolve_input(args)
@@ -152,65 +153,58 @@ def _run_verify_wdvv(args):
         "flat_normalization_ok": rep.flat_normalization_ok,
         "pass": rep.is_solution,
     }
-    return (0 if rep.is_solution else 1, report,
-            f"extended WDVV: {'PASS' if rep.is_solution else 'FAIL'} ({pvf.name})")
+    return report, f"extended WDVV: {_verdict(report)} ({pvf.name})"
 
 
 def _run_saito(args):
     pvf, *_ = _resolve_input(args)
-    m = flatcore.build_saito_matrices(pvf)
-    ok_rel = flatcore.check_saito_relations(m)
-    ok_norm = flatcore.check_flat_normalization(m)
+    rep = cat.structure_report(pvf)
+    m = rep.matrices
     report = {
         "check": "saito", "name": pvf.name,
         "tolerances": {"symbolic": "exact"},
-        "saito_relations_ok": ok_rel, "flat_normalization_ok": ok_norm,
+        "saito_relations_ok": rep.saito_relations_ok,
+        "flat_normalization_ok": rep.flat_normalization_ok,
         "C": exprio.serialize_matrix(m.C), "T": exprio.serialize_matrix(m.T),
         "Binf": [str(w) for w in m.Binf],
-        "pass": ok_rel and ok_norm,
+        "pass": rep.saito_relations_ok and rep.flat_normalization_ok,
     }
-    return (0 if report["pass"] else 1, report,
-            f"saito relations: {'PASS' if report['pass'] else 'FAIL'} ({pvf.name})")
+    return report, f"saito relations: {_verdict(report)} ({pvf.name})"
 
 
 def _run_logvf(args):
     pvf, *_ = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
-    lrep = logvf.logvf_identities(m)
-    crit = logvf.generator_criterion(m)
-    trace_ok = all(v.is_zero() for v in logvf.trace_identity_defects(m).values())
-    ok = lrep.all_ok and trace_ok
+    lv = cat.logvf_block(m)
     report = {
         "check": "logvf", "name": pvf.name,
         "tolerances": {"symbolic": "exact"},
         "h": exprio.format_elem(m.h),
-        "h_weight": str(m.h.weight()),
-        "identities_failed": lrep.failed,
-        "saito_criterion_c": str(crit),
-        "trace_identity_ok": trace_ok,
-        "pass": ok,
+        "h_weight": lv["discriminant_weight"],
+        "identities_failed": lv["identities_failed"],
+        "saito_criterion_c": lv["saito_criterion_c"],
+        "trace_identity_ok": lv["trace_identity"],
+        "pass": lv["pass"],
     }
-    return (0 if ok else 1, report,
-            f"logvf identities: {'PASS' if ok else 'FAIL'} ({pvf.name})")
+    return report, f"logvf identities: {_verdict(report)} ({pvf.name})"
 
 
 def _run_extract_p6(args):
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
-    lam = p6.default_lambda(pvf.ring.weights)
-    samples, params, residual = p6.pvi_check(m, lam, choice, points,
-                                             z_seed=seed, svals=svals)
-    ok = residual < args.tol_residual
+    track = p6.frames_along(m, points, z_seed=seed)
+    block, samples, params = cat.pvi_block(
+        m, p6.default_lambda(pvf.ring.weights), choice, track, points,
+        svals=svals)
     report = {
         "check": "extract-p6", "name": pvf.name, "entry": list(choice),
-        "tolerances": {"pvi_residual": args.tol_residual},
+        "tolerances": _tolerances("pvi_residual"),
         "params": p6.params_to_json(params),
         "samples_csv": p6.samples_to_csv(samples),
-        "pvi_residual": residual,
-        "pass": ok,
+        **block,
     }
-    return (0 if ok else 1, report,
-            f"PVI residual {residual:.3e} ({'PASS' if ok else 'FAIL'})")
+    return report, (f"PVI residual {block['pvi_residual']:.3e} "
+                    f"({_verdict(report)})")
 
 
 def _run_params(args):
@@ -221,49 +215,38 @@ def _run_params(args):
                               entry_choice=choice)
     report = {
         "check": "params", "name": pvf.name,
-        "tolerances": {"eigen_identities": 1e-10},
+        # the one bound p6_parameters enforces: roots closer than this
+        # raise EigenvalueCollision (exit 3)
+        "tolerances": {"root_separation": p6.ROOT_SEPARATION},
         "params": p6.params_to_json(params),
         "pass": True,
     }
-    return 0, report, "PVI parameters computed"
+    return report, "PVI parameters computed"
 
 
 def _run_schlesinger(args):
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
-    lam = p6.default_lambda(pvf.ring.weights)
-    snaps = isomono.snapshots_along(m, points, lam, z_seed=seed)
-    res = isomono.schlesinger_residual(snaps, svals=svals)
-    ok = res < args.tol_residual
-    report = {
-        "check": "schlesinger", "name": pvf.name,
-        "tolerances": {"schlesinger_residual": args.tol_residual},
-        "schlesinger_residual": res,
-        "pass": ok,
-    }
-    return (0 if ok else 1, report,
-            f"Schlesinger residual {res:.3e} ({'PASS' if ok else 'FAIL'})")
+    snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
+                                    z_seed=seed)
+    block = cat.schlesinger_block(snaps, svals=svals)
+    report = {"check": "schlesinger", "name": pvf.name,
+              "tolerances": _tolerances("schlesinger_residual"), **block}
+    return report, (f"Schlesinger residual {block['schlesinger_residual']:.3e} "
+                    f"({_verdict(report)})")
 
 
 def _run_midconv(args):
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
-    out, ginf_err, tr_err, inv = midconv.round_trip(
-        m, points[len(points) // 2], list(pvf.ring.weights), z_seed=seed)
-    recovery = cat.TOLERANCES["midconv_recovery"]
-    ok = (ginf_err < recovery and tr_err < recovery
-          and inv.max_defect < args.tol_residual)
+    block, out = cat.midconv_block(m, points[len(points) // 2], z_seed=seed)
     report = {
         "check": "midconv", "name": pvf.name,
-        "tolerances": {"recovery": recovery, "invariance": args.tol_residual},
-        "gamma_inf_error": ginf_err, "trace_error": tr_err,
-        "invariance_defect": inv.max_defect,
-        "dim_K": inv.dim_K, "dim_L": inv.dim_L,
+        "tolerances": _tolerances("midconv_recovery", "invariance_defect"),
         "result": midconv.convolution_to_json(out),
-        "pass": ok,
+        **block,
     }
-    return (0 if ok else 1, report,
-            f"midconv round trip ({'PASS' if ok else 'FAIL'})")
+    return report, f"midconv round trip ({_verdict(report)})"
 
 
 def _run_jm_roundtrip(args):
@@ -278,12 +261,10 @@ def _run_jm_roundtrip(args):
     pvi = p6.pvi_grid_residual(ts, ys, params)
     poles, residues = isomono.jm_residues(ts, ys, zs, ks, th, (k1, k2))
     schles = isomono.stacked_schlesinger_residual(poles, residues, svals=ts)
-    ok = pvi < args.tol_residual and schles < args.tol_residual
     final = isomono.jm_build(ys[-1], zs[-1], ks[-1], th, (k1, k2), ts[-1])
     report = {
         "check": "jm-roundtrip", "seed": args.seed,
-        "tolerances": {"pvi_residual": args.tol_residual,
-                       "schlesinger_residual": args.tol_residual,
+        "tolerances": {**_tolerances("pvi_residual", "schlesinger_residual"),
                        "a_inf_offdiagonal": isomono.JM_RESIDUE_TOL,
                        "a_inf_diagonal": isomono.JM_DIAGONAL_TOL,
                        "residue_traces": isomono.JM_RESIDUE_TOL},
@@ -292,31 +273,26 @@ def _run_jm_roundtrip(args):
         "pvi_residual": pvi, "schlesinger_residual": schles,
         "trajectory_csv": isomono.trajectory_to_csv(ts, ys, zs, ks),
         "final_system": isomono.jmsystem_to_json(final),
-        "pass": ok,
+        "pass": (cat.within("pvi_residual", pvi)
+                 and cat.within("schlesinger_residual", schles)),
     }
-    return (0 if ok else 1, report,
-            f"jm round trip pvi={pvi:.2e} schlesinger={schles:.2e} "
-            f"({'PASS' if ok else 'FAIL'})")
+    return report, (f"jm round trip pvi={pvi:.2e} schlesinger={schles:.2e} "
+                    f"({_verdict(report)})")
 
 
 def _run_catalog(args):
     if args.action == "list":
         report = {"check": "catalog-list", "ids": cat.catalog_list(),
                   "pass": True}
-        return 0, report, " ".join(cat.catalog_list())
+        return report, " ".join(cat.catalog_list())
     ids = cat.catalog_list() if (args.all or not args.catalog) else [args.catalog]
-    reports = {}
-    ok = True
-    for eid in ids:
-        reports[eid] = cat.catalog_verify(eid, args.depth)
-        ok = ok and reports[eid]["pass"]
+    reports = {eid: cat.catalog_verify(eid, args.depth) for eid in ids}
     report = {"check": "catalog-verify", "depth": args.depth,
-              "tolerances": dict(cat.TOLERANCES),
-              "entries": reports, "pass": ok}
-    return (0 if ok else 1, report,
-            f"catalog verify [{args.depth}]: "
-            + " ".join(f"{k}={'ok' if v['pass'] else 'FAIL'}"
-                       for k, v in reports.items()))
+              "tolerances": dict(cat.TOLERANCES), "entries": reports,
+              "pass": all(r["pass"] for r in reports.values())}
+    return report, (f"catalog verify [{args.depth}]: "
+                    + " ".join(f"{k}={'ok' if v['pass'] else 'FAIL'}"
+                               for k, v in reports.items()))
 
 
 VERBS = {
@@ -335,7 +311,7 @@ VERBS = {
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        code, report, summary = VERBS[args.verb](args)
+        report, summary = VERBS[args.verb](args)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
@@ -346,7 +322,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _emit(args, report, summary)
-    return code
+    return 0 if report["pass"] else 1
 
 
 if __name__ == "__main__":

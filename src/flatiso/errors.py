@@ -9,13 +9,17 @@ class NumericError(FlatIsoError):
     """A numeric pipeline failed on valid input (CLI exit code 3)."""
 
 
+class InputError(FlatIsoError, ValueError):
+    """The input is malformed or out of scope (CLI exit code 2)."""
+
+
 # --- ring layer ---------------------------------------------------------
 
 class DivisionNotExact(FlatIsoError):
     """Requested quotient does not exist in the ring (or its localization)."""
 
 
-class DenominatorNotUnit(FlatIsoError):
+class DenominatorNotUnit(InputError):
     """A parsed denominator is not rational * z^a * rel_z^b."""
 
 
@@ -33,7 +37,7 @@ class RootCollision(NumericError):
 
 # --- parser / documents --------------------------------------------------
 
-class ParseError(FlatIsoError):
+class ParseError(InputError):
     """Syntax error with byte position, expected token class and found lexeme."""
 
     def __init__(self, position, expected, found):
@@ -43,7 +47,7 @@ class ParseError(FlatIsoError):
         super().__init__(f"at {position}: expected {expected}, found {found!r}")
 
 
-class SchemaError(FlatIsoError):
+class SchemaError(InputError):
     """Document violates the potential-vector-field schema."""
 
 
@@ -133,7 +137,7 @@ class PivotColumnNotFound(FlatIsoError):
     pass
 
 
-class UnknownId(FlatIsoError):
+class UnknownId(InputError):
     def __init__(self, entry_id):
         self.entry_id = entry_id
         super().__init__(f"unknown catalog id {entry_id!r}")

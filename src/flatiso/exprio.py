@@ -318,8 +318,10 @@ def parse_pvf(document, flat_checks: bool = True):
                         f"weight difference w{i+1}-w{j+1} is an integer")
     ext = doc.get("extension")
     if ext is not None:
-        if ext.get("gen") != "z":
+        if not isinstance(ext, dict) or ext.get("gen") != "z":
             raise SchemaError("extension generator must be named z")
+        if not {"relation", "weight"} <= ext.keys():
+            raise SchemaError("extension needs a relation and a weight")
         rel_num, rel_den = parse_raw(ext["relation"], n, allow_z=True)
         if len(rel_den) != 1 or any(next(iter(rel_den))):
             raise SchemaError("relation must be polynomial")

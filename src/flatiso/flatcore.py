@@ -32,7 +32,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .errors import DegenerateJacobian, NoRescalingFound, NotMonic, SchemaError
+from .errors import (DegenerateJacobian, InputError, NoRescalingFound, NotMonic,
+                     SchemaError)
 from .ring import Ring, RingElem
 
 
@@ -242,7 +243,7 @@ class SaitoMatrices:
         T0 = [[e + (t_last if i == j else zero) for j, e in enumerate(row)]
               for i, row in enumerate(self.T)]
         if any(e.degree_in(last) > 0 for row in T0 for e in row):
-            raise ValueError("T + t_n I is not free of t_n")
+            raise InputError("T + t_n I is not free of t_n")
         return T0
 
 
@@ -251,8 +252,8 @@ class WdvvReport:
     unit_ok: bool
     homogeneity_ok: bool
     commutators: Dict[Tuple[int, int], list]
-    saito_relations_ok: Optional[bool] = None
-    flat_normalization_ok: Optional[bool] = None
+    saito_relations_ok: bool
+    flat_normalization_ok: bool
     matrices: Optional[SaitoMatrices] = None      # None when T is inhomogeneous
 
     @property
@@ -261,10 +262,8 @@ class WdvvReport:
 
     @property
     def is_solution(self):
-        extras = [x for x in (self.saito_relations_ok, self.flat_normalization_ok)
-                  if x is not None]
         return (self.unit_ok and self.homogeneity_ok and self.commutators_ok
-                and all(extras))
+                and self.saito_relations_ok and self.flat_normalization_ok)
 
     def failing_commutators(self):
         return sorted(pq for pq, m in self.commutators.items()
@@ -324,21 +323,20 @@ def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
 # checks
 # ---------------------------------------------------------------------------
 
-def check_extended_wdvv(pvf: PotentialVF, with_saito: bool = True) -> WdvvReport:
-    """Unit, homogeneity and all commutator defects; defects are reported, not thrown.
+def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
+    """Unit, homogeneity, all commutator defects and the Saito relations;
+    defects are reported, not thrown.
 
-    With with_saito the report also carries the SaitoMatrices it checked, or
-    None when T is not homogeneous (the relations then count as failed).
+    The report also carries the SaitoMatrices it checked, or None when T is
+    not homogeneous (the relations then count as failed).
     """
     ring = pvf.ring
     n = pvf.n
     w = ring.weights
-    m = None
-    if with_saito:
-        try:
-            m = build_saito_matrices(pvf)
-        except SchemaError:         # T inhomogeneous: the relations fail below
-            pass
+    try:
+        m = build_saito_matrices(pvf)
+    except SchemaError:             # T inhomogeneous: the relations fail below
+        m = None
     if m is not None:
         Btilde, commutators = m.Btilde, m.commutators
     else:
@@ -347,12 +345,11 @@ def check_extended_wdvv(pvf: PotentialVF, with_saito: bool = True) -> WdvvReport
     unit_ok = mat_is_zero(mat_sub(Btilde[n - 1], mat_identity(ring, n)))
     homogeneity_ok = all((pvf.g[j].euler() - pvf.g[j] * (1 + w[j])).is_zero()
                          for j in range(n))
-    report = WdvvReport(unit_ok=unit_ok, homogeneity_ok=homogeneity_ok,
-                        commutators=commutators, matrices=m)
-    if with_saito:
-        report.saito_relations_ok = m is not None and check_saito_relations(m)
-        report.flat_normalization_ok = m is not None and check_flat_normalization(m)
-    return report
+    return WdvvReport(
+        unit_ok=unit_ok, homogeneity_ok=homogeneity_ok,
+        commutators=commutators, matrices=m,
+        saito_relations_ok=m is not None and check_saito_relations(m),
+        flat_normalization_ok=m is not None and check_flat_normalization(m))
 
 
 def check_saito_relations(m: SaitoMatrices) -> bool:

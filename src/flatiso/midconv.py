@@ -416,23 +416,6 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
     return snap, sys1, family
 
 
-def round_trip(m, point, lam_w, z_seed=None):
-    """Truncate at a path point, convolve back with -lam_w[-1], measure recovery.
-
-    Returns (result, gamma_inf_error, trace_error, invariance report): the
-    convolved system, the largest distances of its Gamma_inf from lam_w and
-    of its residue traces from the snapshot's, and invariant_subspace_check.
-    """
-    snap, sys1, family = rank_one_from_structure(m, point, lam_w, z_seed=z_seed)
-    out = middle_convolution(sys1, -lam_w[-1])
-    ginf_err = float(np.abs(np.sort_complex(out.Gamma_inf)
-                            - np.sort_complex(np.array(lam_w, dtype=complex))).max())
-    tr_err = float(np.abs(np.sort_complex(out.traces())
-                          - np.sort_complex(snap.traces)).max())
-    inv = invariant_subspace_check(sys1, -lam_w[-1], family=family)
-    return out, ginf_err, tr_err, inv
-
-
 # ---------------------------------------------------------------------------
 # JSON bundles (complex numbers as [re, im] pairs)
 # ---------------------------------------------------------------------------

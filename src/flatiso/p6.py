@@ -32,8 +32,9 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .errors import (DegenerateLinearEntry, EigenvalueCollision,
-                     EntryIdenticallyZero, FlatIsoError, InsufficientSamples,
-                     RootCollision, RootNotConverged, TrackingLost)
+                     EntryIdenticallyZero, FlatIsoError, InputError,
+                     InsufficientSamples, RootCollision, RootNotConverged,
+                     TrackingLost)
 from .flatcore import SaitoMatrices
 from .ring import ROOT_SEPARATION, certified_separation, newton_root
 
@@ -234,7 +235,7 @@ class StructureSampler:
         if self.ring.ext is None or not pts:
             return np.zeros(len(pts), dtype=complex), np.full(len(pts), np.inf)
         if self._z is None and self.z_seed is None:
-            raise ValueError("extension ring requires a z seed")
+            raise InputError("extension ring requires a z seed")
         off = 0 if self._z is None else 1
         chain = [self._prev_pt] * off + list(pts)
         Z = np.empty(len(chain), dtype=complex)
@@ -367,7 +368,7 @@ def frames_along(m: SaitoMatrices, path, z_seed=None, initial_roots=None):
 def roots_of_h(m: SaitoMatrices, point, z_seed=None, prev_roots=None):
     """Roots of h(t', .) as a cubic in t_3 (= eigenvalues of T0), ordered."""
     if m.n != 3:
-        raise ValueError("PVI extraction needs n = 3")
+        raise InputError("PVI extraction needs n = 3")
     sampler = StructureSampler(m, z_seed=z_seed, initial_roots=prev_roots)
     roots, _ = sampler.frame(tuple(point))
     return tuple(roots)
@@ -401,13 +402,19 @@ def _stencil_d2(vals, h):
     return (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (12 * h * h)
 
 
-def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
-    """(alpha, beta) with entry (i, j) of h B^(3) = alpha t_3 + beta, checked."""
+def _check_entry(m: SaitoMatrices, entry_choice):
+    """entry_choice as (i, j), checked to be off-diagonal with n = 3."""
     if m.n != 3:
-        raise ValueError("PVI extraction needs n = 3")
+        raise InputError("PVI extraction needs n = 3")
     i, j = entry_choice
     if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
-        raise ValueError("entry_choice must be off-diagonal in 1..3")
+        raise InputError("entry_choice must be off-diagonal in 1..3")
+    return i, j
+
+
+def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
+    """(alpha, beta) with entry (i, j) of h B^(3) = alpha t_3 + beta, checked."""
+    i, j = _check_entry(m, entry_choice)
     lam = [complex(x) for x in binf_eigs]
     if abs(lam[j - 1]) < 1e-14:
         raise EntryIdenticallyZero(
@@ -519,13 +526,9 @@ def p6_parameters(m: SaitoMatrices, point, lam=None, z_seed=None, sampler=None,
     diagonal by -lam_k; hence theta_m = r_m + lam_k (= r_m - lam_3 in the
     default normalization where lam_3 = 0) and theta_inf = lam_i - lam_j.
     """
-    if m.n != 3:
-        raise ValueError("PVI parameters need n = 3")
+    _check_entry(m, entry_choice)
     if lam is None:
         lam = default_lambda(m.weights)
-    i, j = entry_choice
-    if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
-        raise ValueError("entry_choice must be off-diagonal in 1..3")
     if sampler is None:
         sampler = StructureSampler(m, z_seed=z_seed)
     try:
@@ -597,32 +600,19 @@ def _pvi_defects(t, y, dy, d2y, params):
     return val
 
 
-def pvi_check(m: SaitoMatrices, lam, entry_choice, path, z_seed=None,
-              svals=None):
-    """(samples, params, residual) of one PVI extraction along a path.
+def pvi_on_frames(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
+    """(samples, params, residual) of one PVI extraction on computed frames
+    of the path (frames_along's track).
 
     The parameters are read from the frame at the first path point.
     """
     alpha, beta = _linear_entry(m, lam, entry_choice)
-    path = [tuple(p) for p in path]
-    track = frames_along(m, path, z_seed=z_seed)
-    return _pvi_on_frames(alpha, beta, track, lam, entry_choice, path, svals)
-
-
-def pvi_on_frames(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
-    """pvi_check on computed frames of the path (frames_along's track)."""
-    alpha, beta = _linear_entry(m, lam, entry_choice)
-    return _pvi_on_frames(alpha, beta, track, lam, entry_choice, path, svals)
-
-
-def _pvi_on_frames(alpha, beta, track, lam, entry_choice, path, svals):
-    """pvi_check of one entry (alpha, beta) on computed frames."""
     samples = _samples_on(alpha, beta, track, path, svals)
     params = _params_from_frame(track[2][0], lam, entry_choice)
     return samples, params, p6_residual(samples, params)
 
 
-def entry_survey(m: SaitoMatrices, lam, path, z_seed=None, svals=None) -> dict:
+def survey_on_frames(m: SaitoMatrices, lam, track, path, svals=None) -> dict:
     """PVI residuals for every off-diagonal entry choice, reported not gated.
 
     Different entries give different solution branches; each is checked
@@ -631,27 +621,12 @@ def entry_survey(m: SaitoMatrices, lam, path, z_seed=None, svals=None) -> dict:
     that degenerate on the path) are reported by error name.  No
     equivalence between branches is asserted.
     """
-    path = [tuple(p) for p in path]
-    try:
-        track = frames_along(m, path, z_seed=z_seed)
-    except (FlatIsoError, np.linalg.LinAlgError) as exc:
-        track = exc
-    return survey_on_frames(m, lam, track, path, svals)
-
-
-def survey_on_frames(m: SaitoMatrices, lam, track, path, svals=None) -> dict:
-    """entry_survey on computed frames of the path.  track may instead be the
-    error that tracking raised, reported by every entry that passes its own
-    checks."""
     out = {}
     for i, j in permutations((1, 2, 3), 2):
         key = f"{i},{j}"
         try:
-            alpha, beta = _linear_entry(m, lam, (i, j))
-            if isinstance(track, Exception):
-                raise track
-            _, params, residual = _pvi_on_frames(
-                alpha, beta, track, lam, (i, j), path, svals)
+            _, params, residual = pvi_on_frames(m, lam, (i, j), track, path,
+                                                svals)
         except (FlatIsoError, np.linalg.LinAlgError) as exc:
             out[key] = {"error": type(exc).__name__}
             continue

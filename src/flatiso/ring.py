@@ -44,7 +44,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DegreeOverflow, DivisionNotExact, RootCollision, RootNotConverged
+from .errors import (DegreeOverflow, DivisionNotExact, InputError,
+                     RootCollision, RootNotConverged)
 
 # Denominators are cancelled after every operation up to this z-degree;
 # larger extensions keep lazy denominators (zero tests do not need them) until
@@ -361,21 +362,21 @@ class ExtensionRing:
     def __init__(self, relation, z_weight, nvars, weights):
         relation = {tuple(m): Fraction(c) for m, c in relation.items() if c}
         if not relation:
-            raise ValueError("empty relation")
+            raise InputError("empty relation")
         self.relation = relation
         self.z_weight = Fraction(z_weight)
         self.z_degree = d = max(m[0] for m in relation)
         if d < 1:
-            raise ValueError("relation does not involve z")
+            raise InputError("relation does not involve z")
         lead_terms = [m for m in relation if m[0] == d]
         if len(lead_terms) != 1 or any(lead_terms[0][1:]):
-            raise ValueError("relation must have a rational leading coefficient in z")
+            raise InputError("relation must have a rational leading coefficient in z")
         if not any(m[0] == 0 for m in relation):
-            raise ValueError("relation must have a nonzero z-constant term")
+            raise InputError("relation must have a nonzero z-constant term")
         ws = {m[0] * self.z_weight + sum(e * wt for e, wt in zip(m[1:], weights))
               for m in relation}
         if len(ws) != 1:
-            raise ValueError("relation is not weighted homogeneous")
+            raise InputError("relation is not weighted homogeneous")
         (self.weight,) = ws
         self.drel_weight = self.weight - self.z_weight
         self._probe_squarefree(nvars)

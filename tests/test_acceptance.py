@@ -48,7 +48,7 @@ def test_a1_exact_wdvv_catalog():
     t0 = time.time()
     for eid in ALL_IDS:
         pvf = catalog.catalog_get(eid).pvf
-        rep = flatcore.check_extended_wdvv(pvf, with_saito=False)
+        rep = flatcore.check_extended_wdvv(pvf)
         assert rep.unit_ok, f"{eid}: unit condition"
         assert rep.homogeneity_ok, f"{eid}: homogeneity"
         for pq, defect in rep.commutators.items():
@@ -225,7 +225,7 @@ def test_a8_negative_controls(built):
     g = list(e.pvf.g)
     g[2] = g[2] + t1 ** 7
     bad = flatcore.PotentialVF(ring=e.pvf.ring, g=g, name="LT8-perturbed")
-    rep = flatcore.check_extended_wdvv(bad, with_saito=False)
+    rep = flatcore.check_extended_wdvv(bad)
     assert rep.homogeneity_ok            # t1^7 has weight 2 = 1 + w3
     assert not rep.commutators_ok
     assert rep.failing_commutators() == [(1, 2)]

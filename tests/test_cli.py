@@ -208,3 +208,109 @@ def test_cli_import_leaves_scipy_optimize_out():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# verb -> the keys of its report that catalog verify --depth full reports
+# too, and where the catalog keeps them
+SHARED_NUMBERS = {
+    "extract-p6": {"pvi_residual": ("numeric", "pvi_residual")},
+    "schlesinger": {"schlesinger_residual": ("full", "schlesinger_residual")},
+    "midconv": {"gamma_inf_error": ("full", "midconv_gamma_inf_error"),
+                "trace_error": ("full", "midconv_trace_error"),
+                "invariance_defect": ("full", "invariance_defect")},
+}
+# the TOLERANCES entry that gates each shared number
+GATES = {"pvi_residual": "pvi_residual",
+         "schlesinger_residual": "schlesinger_residual",
+         "gamma_inf_error": "midconv_recovery",
+         "trace_error": "midconv_recovery",
+         "invariance_defect": "invariance_defect"}
+
+
+@pytest.mark.parametrize("eid", ["LT8", "H3pp"])
+def test_verbs_report_the_catalog_numbers_and_gates(eid, capsys, monkeypatch):
+    code, out, _ = run(capsys, "catalog", "verify", "--catalog", eid,
+                       "--depth", "full")
+    assert code == 0
+    full = json.loads(out)["entries"][eid]
+    for verb, keys in SHARED_NUMBERS.items():
+        code, out, _ = run(capsys, verb, "--catalog", eid)
+        assert code == 0, verb
+        rep = json.loads(out)
+        assert rep["tolerances"] == {GATES[k]: catalog.TOLERANCES[GATES[k]]
+                                     for k in keys}
+        for key, (block, ckey) in keys.items():
+            assert rep[key] == full[block][ckey], (verb, key)
+            # a bound below the measured value fails the verb
+            with monkeypatch.context() as mp:
+                mp.setitem(catalog.TOLERANCES, GATES[key], rep[key] / 2)
+                code, out, _ = run(capsys, verb, "--catalog", eid)
+                assert code == 1, (verb, key)
+                assert json.loads(out)["pass"] is False
+
+
+def test_params_echoes_the_bound_it_enforces(capsys):
+    from flatiso import p6, ring
+    code, out, _ = run(capsys, "params", "--catalog", "LT26")
+    assert code == 0
+    assert json.loads(out)["tolerances"] == {"root_separation": p6.ROOT_SEPARATION}
+    assert p6.ROOT_SEPARATION is ring.ROOT_SEPARATION
+
+
+def test_tol_residual_option_is_gone(capsys):
+    for argv in (["verify-wdvv", "--catalog", "LT8"],
+                 ["schlesinger", "--catalog", "LT8"],
+                 ["jm-roundtrip"]):
+        with pytest.raises(SystemExit):
+            cli._build_parser().parse_args(argv + ["--tol-residual", "1e9"])
+    capsys.readouterr()
+
+
+def test_malformed_entry_and_path_are_input_errors(capsys, tmp_path):
+    code, _, err = run(capsys, "extract-p6", "--catalog", "LT8",
+                       "--entry", "1;2")
+    assert code == 2 and "input error" in err
+    p = tmp_path / "path.json"
+    for doc in ({"t1": 1.0, "t2_start": 0.45, "points": 21},
+                {"t1": 1.0, "t2_start": 0.45, "t2_end": 0.55, "points": 0}):
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "params", "--catalog", "LT8",
+                           "--path", str(p))
+        assert code == 2 and "input error" in err
+
+
+def test_input_errors_are_typed():
+    from flatiso import errors
+    for cls in (errors.UnknownId, errors.ParseError, errors.SchemaError,
+                errors.DenominatorNotUnit):
+        assert issubclass(cls, errors.InputError)
+    assert issubclass(errors.InputError, ValueError)
+    assert issubclass(errors.InputError, errors.FlatIsoError)
+    assert ValueError not in cli.INPUT_ERRORS
+    assert KeyError not in cli.INPUT_ERRORS
+
+
+def test_bare_value_error_is_not_an_input_error(capsys, monkeypatch):
+    from flatiso import isomono
+
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(isomono, "schlesinger_residual", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["schlesinger", "--catalog", "LT8"])
+    _, err = capsys.readouterr()
+    assert "input error" not in err
+
+
+def test_readme_command_lines_parse():
+    import shlex
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    lines = [words for words in lines if words]
+    assert len(lines) >= 10
+    for words in lines:
+        assert words[0] == "flatiso", words
+        cli._build_parser().parse_args(words[1:])

@@ -195,8 +195,9 @@ def test_csv_and_json_reports():
 def test_entry_survey_reports_all_six():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    survey = p6.entry_survey(m, lam, e.default_path.points,
-                             svals=e.path_svals)
+    track = p6.frames_along(m, e.default_path.points)
+    survey = p6.survey_on_frames(m, lam, track, e.default_path.points,
+                                 svals=e.path_svals)
     assert set(survey) == {"1,2", "2,1", "1,3", "3,1", "2,3", "3,2"}
     # the lambda_3 = 0 normalization kills column 3
     assert survey["1,3"] == {"error": "EntryIdenticallyZero"}
@@ -256,41 +257,31 @@ def count_frames(monkeypatch):
     return calls
 
 
-def test_pvi_check_computes_frames_once(monkeypatch):
+def test_pvi_on_frames_reads_params_off_frame_zero():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    calls = count_frames(monkeypatch)
-    _, params, residual = p6.pvi_check(m, lam, (1, 2), e.default_path.points,
-                                       svals=e.path_svals)
-    assert calls == [len(e.default_path.points)]
+    track = p6.frames_along(m, e.default_path.points)
+    _, params, residual = p6.pvi_on_frames(m, lam, (1, 2), track,
+                                           e.default_path.points,
+                                           svals=e.path_svals)
     assert residual < 1e-6
     # the parameters read off frame 0 are those of a fresh sampler at path[0]
     fresh = p6.p6_parameters(m, e.default_path.points[0], lam=lam)
     assert np.abs(np.array(params.r) - np.array(fresh.r)).max() < 1e-14
 
 
-def test_entry_survey_computes_frames_once(monkeypatch):
+def test_entry_survey_matches_pvi_on_frames(monkeypatch):
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     calls = count_frames(monkeypatch)
-    survey = p6.entry_survey(m, lam, e.default_path.points, svals=e.path_svals)
-    assert calls == [len(e.default_path.points)]
+    path = e.default_path.points
+    track = p6.frames_along(m, path)
+    survey = p6.survey_on_frames(m, lam, track, path, svals=e.path_svals)
     for key, (i, j) in (("1,2", (1, 2)), ("2,1", (2, 1)), ("3,1", (3, 1))):
-        _, _, residual = p6.pvi_check(m, lam, (i, j), e.default_path.points,
-                                      svals=e.path_svals)
+        _, _, residual = p6.pvi_on_frames(m, lam, (i, j), track, path,
+                                          svals=e.path_svals)
         assert survey[key]["residual"] == residual
-
-
-def test_entry_survey_reports_frame_failure_per_entry():
-    # a path into the LT8 root collision at t' = 0: each entry that passes its
-    # own linearity checks reports the collision of the shared frames
-    e, m = entry_setup("LT8")
-    lam = p6.default_lambda(e.pvf.ring.weights)
-    path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
-    survey = p6.entry_survey(m, lam, path)
-    assert survey["1,3"] == survey["2,3"] == {"error": "EntryIdenticallyZero"}
-    for key in ("1,2", "2,1", "3,1", "3,2"):
-        assert survey[key] == {"error": "RootCollision"}
+    assert calls == [len(path)]
 
 
 def test_pvi_grid_residual_matches_per_point_stencils():

@@ -140,7 +140,7 @@ def build_pvf(name, spec):
 
 
 def verify(name, pvf, flags):
-    report, _ = catalog._verify_symbolic(pvf, flags)
+    report, _ = catalog.symbolic_block(pvf, flags)
     if not report["pass"]:
         raise SystemExit(f"{name}: verification failed before writing")
 
