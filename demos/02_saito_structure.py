@@ -35,4 +35,5 @@ print("V_k h = tr(B^(k)) h defects:",
 # the Euler field is logarithmic with E h = 3 h
 t = pvf.ring.gens()
 euler = [t[i] * pvf.weights[i] for i in range(3)]
-print(f"(E h)/h = {exprio.format_elem(logvf.log_ratio(euler, d))}")
+ratio = flatcore.log_division(euler, m.h, m.dh)[1]
+print(f"(E h)/h = {exprio.format_elem(ratio)}")

@@ -226,7 +226,7 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, track,
     return {
         "pvi_residual": pvi["pvi_residual"],
         "trace_spread": trace_spread,
-        "theta": [str(x) for x in theta],
+        "theta": theta.tolist(),
         "samples": len(samples),
         "pass": pvi["pass"] and within("trace_constancy", trace_spread),
     }

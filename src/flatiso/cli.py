@@ -107,9 +107,17 @@ def _tolerances(*keys):
     return {k: cat.TOLERANCES[k] for k in keys}
 
 
+def _cpair(v):
+    """A complex number as the JSON pair [re, im]."""
+    v = complex(v)
+    return [v.real, v.imag]
+
+
 def _json_value(value):
-    """JSON form of a numpy scalar or complex number in a report: numpy
-    bools, ints and floats become Python values, complex numbers [re, im]."""
+    """JSON form of a value json cannot write: arrays become lists, numpy
+    bools, ints and floats Python values, complex numbers [re, im]."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -117,7 +125,7 @@ def _json_value(value):
     if isinstance(value, np.floating):
         return float(value)
     if isinstance(value, (complex, np.complexfloating)):
-        return p6._cpair(value)
+        return _cpair(value)
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
@@ -268,11 +276,10 @@ def _run_jm_roundtrip(args):
                        "a_inf_offdiagonal": isomono.JM_RESIDUE_TOL,
                        "a_inf_diagonal": isomono.JM_DIAGONAL_TOL,
                        "residue_traces": isomono.JM_RESIDUE_TOL},
-        "thetas": [p6._cpair(x) for x in th],
-        "kappas": [p6._cpair(k1), p6._cpair(k2)],
+        "thetas": th, "kappas": [k1, k2],
         "pvi_residual": pvi, "schlesinger_residual": schles,
         "trajectory_csv": isomono.trajectory_to_csv(ts, ys, zs, ks),
-        "final_system": isomono.jmsystem_to_json(final),
+        "final_system": vars(final),
         "pass": (cat.within("pvi_residual", pvi)
                  and cat.within("schlesinger_residual", schles)),
     }

@@ -67,12 +67,6 @@ class NoRescalingFound(FlatIsoError):
     """No diagonal rescaling symmetrizes the gradient matrix."""
 
 
-class DegenerateJacobian(FlatIsoError):
-    def __init__(self, point):
-        self.point = point
-        super().__init__(f"flat-coordinate jacobian vanishes at {point}")
-
-
 # --- numeric pipelines ----------------------------------------------------
 
 class EigenvalueCollision(NumericError):
@@ -91,8 +85,8 @@ class DegenerateLinearEntry(NumericError):
     pass
 
 
-class InsufficientSamples(NumericError):
-    pass
+class InsufficientSamples(InputError):
+    """Too few path points or grid samples for the five-point stencil."""
 
 
 class StepUnderflow(NumericError):

@@ -1,7 +1,7 @@
-"""Parse and serialize potential vector fields, matrices and expressions.
+"""Parse and serialize potential vector fields and expressions.
 
-Document container format is JSON.  The normative schema for a potential
-vector field document is::
+Expression matrices are serialized only.  Document container format is
+JSON.  The normative schema for a potential vector field document is::
 
     {"name": str, "weights": [str...],
      "extension": {"gen": str, "weight": str, "relation": str}?,
@@ -285,6 +285,12 @@ def _fraction_from_str(s, what):
         raise SchemaError(f"bad {what}: {s!r}") from exc
 
 
+def _check_strings(items, what):
+    for x in items:
+        if not isinstance(x, str):
+            raise SchemaError(f"{what} must be a string, got {x!r}")
+
+
 def parse_pvf(document, flat_checks: bool = True):
     """Build a potential vector field from a document (dict or JSON text).
 
@@ -302,6 +308,8 @@ def parse_pvf(document, flat_checks: bool = True):
         raise SchemaError("missing weights")
     if not isinstance(g_s, list):
         raise SchemaError("missing g")
+    _check_strings(weights_s, "weight")
+    _check_strings(g_s, "g entry")
     n = len(weights_s)
     if len(g_s) != n:
         raise SchemaError(f"{len(g_s)} components for {n} weights")
@@ -322,6 +330,7 @@ def parse_pvf(document, flat_checks: bool = True):
             raise SchemaError("extension generator must be named z")
         if not {"relation", "weight"} <= ext.keys():
             raise SchemaError("extension needs a relation and a weight")
+        _check_strings([ext["relation"], ext["weight"]], "extension field")
         rel_num, rel_den = parse_raw(ext["relation"], n, allow_z=True)
         if len(rel_den) != 1 or any(next(iter(rel_den))):
             raise SchemaError("relation must be polynomial")
@@ -331,9 +340,14 @@ def parse_pvf(document, flat_checks: bool = True):
                     z_weight=_fraction_from_str(ext["weight"], "z weight"))
     else:
         ring = Ring(weights)
+    name = doc.get("name", "")
+    _check_strings([name], "name")
+    meta = {} if doc.get("meta") is None else doc["meta"]
+    if not isinstance(meta, dict):
+        raise SchemaError("meta must be an object")
+    _check_strings(list(meta) + list(meta.values()), "meta key or value")
     g = [parse_expr(s, ring) for s in g_s]
-    return PotentialVF(ring=ring, g=g, name=doc.get("name", ""),
-                       meta=dict(doc.get("meta") or {}))
+    return PotentialVF(ring=ring, g=g, name=name, meta=dict(meta))
 
 
 def serialize_pvf(pvf) -> dict:
@@ -353,12 +367,6 @@ def serialize_pvf(pvf) -> dict:
 # ---------------------------------------------------------------------------
 # matrices (row-major arrays of expression strings)
 # ---------------------------------------------------------------------------
-
-def parse_matrix(rows, ring: Ring):
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
-        raise SchemaError("matrix rows must be nonempty and rectangular")
-    return [[parse_expr(s, ring) for s in row] for row in rows]
-
 
 def serialize_matrix(mat) -> list:
     return [[format_elem(e) for e in row] for row in mat]

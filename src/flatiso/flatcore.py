@@ -32,8 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
-from .errors import (DegenerateJacobian, InputError, NoRescalingFound, NotMonic,
-                     SchemaError)
+from .errors import InputError, NoRescalingFound, NotMonic, SchemaError
 from .ring import Ring, RingElem
 
 
@@ -280,13 +279,6 @@ class Prepotential:
     c: Optional[List[Fraction]]     # per-coordinate rescalings when rational
 
 
-@dataclass
-class FlatCoordsResult:
-    coords: list                    # candidate flat coordinates as ring elements
-    jacobian: RingElem
-    jacobian_values: list           # numeric jacobian determinant per sample point
-
-
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
@@ -514,33 +506,3 @@ def _isqrt_exact(k):
     import math
     r = math.isqrt(k)
     return r if r * r == k else None
-
-
-# ---------------------------------------------------------------------------
-# flat coordinates from a general-coordinates T
-# ---------------------------------------------------------------------------
-
-def flat_coords_from_okubo(T, lam, points=(), tol=1e-9) -> FlatCoordsResult:
-    """Candidate flat coordinates t_j = -(lam_j - lam_n + 1)^{-1} T_nj.
-
-    T is an n x n matrix of ring elements in arbitrary coordinates, lam the
-    diagonal of Binf.  The jacobian det(dT_nj/dx_i) is formed exactly and
-    evaluated at the sample points; a vanishing value raises DegenerateJacobian.
-    """
-    n = len(T)
-    lam = [Fraction(x) for x in lam]
-    coords = []
-    for j in range(n):
-        denom = lam[j] - lam[n - 1] + 1
-        if denom == 0:
-            raise DegenerateJacobian(f"lam_{j+1} - lam_n + 1 = 0")
-        coords.append(T[n - 1][j] * (Fraction(-1) / denom))
-    jac = [[T[n - 1][j].partial(i) for j in range(n)] for i in range(n)]
-    jacobian = mat_det(jac)
-    values = []
-    for pt in points:
-        v = jacobian.eval(pt)
-        if abs(v) <= tol:
-            raise DegenerateJacobian(pt)
-        values.append(v)
-    return FlatCoordsResult(coords=coords, jacobian=jacobian, jacobian_values=values)

@@ -1,26 +1,24 @@
 """Numeric Okubo/Pfaffian machinery.
 
-Residue decomposition of the z-equation, DOP853 integration of Pfaffian
-systems with a Liouville determinant guard, Schlesinger residuals along
-isomonodromic families, the Okubo normal form of a rank-one Fuchsian
-system, and the 2x2 Jimbo-Miwa parametrization linking Schlesinger flow to
-the PVI Hamiltonian system.
+Residue decomposition of the z-equation along a path, DOP853 integration
+of Pfaffian systems with a Liouville determinant guard, Schlesinger
+residuals along isomonodromic families, and the 2x2 Jimbo-Miwa
+parametrization linking Schlesinger flow to the PVI Hamiltonian system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
-                     FactorizationFailed, InsufficientSamples,
-                     InverseMismatch, PoleAtY, RankViolation, RootCollision,
-                     StepUnderflow, TrackingLost)
+                     InsufficientSamples, InverseMismatch, PoleAtY,
+                     RankViolation, RootCollision, StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
-from .p6 import (StructureSampler, _cpair, _raise_first, _stencil_d1,
-                 _uniform_step, _windows, frames_along, residues_from_frame)
+from .p6 import (_raise_first, _stencil_d1, _uniform_step, _windows,
+                 frames_along, residues_from_frame)
 
 RESIDUE_TOL = 1e-10
 # The bounds JMSystem.validate enforces on a Jimbo-Miwa triple: the
@@ -61,11 +59,6 @@ class OkuboNumeric:
     P: np.ndarray                     # eigenvector matrix, columns follow z
     residues: Sequence[np.ndarray]    # n residue matrices, in the order of z
     traces: np.ndarray
-
-    def validate(self, strict=True):
-        _check_residues(self.Binf, np.asarray(self.residues)[None],
-                       np.asarray(self.traces)[None], [self.point], strict)
-        return self
 
 
 def _check_residues(lam, residues, traces, points, strict=True):
@@ -115,36 +108,25 @@ def _integer_gap(lam):
 # residue decomposition
 # ---------------------------------------------------------------------------
 
-def residue_decomposition(m: SaitoMatrices, point, lam, z_seed=None,
-                          sampler: Optional[StructureSampler] = None,
-                          strict=True) -> OkuboNumeric:
-    """Rank-one residues B_i = -P E_i P^{-1} Binf of the Okubo z-equation."""
-    if sampler is None:
-        sampler = StructureSampler(m, z_seed=z_seed)
-    point = tuple(point)
-    try:
-        roots, P = sampler.frame(point)
-    except RootCollision as exc:
-        raise EigenvalueCollision(str(exc)) from exc
-    lamv = np.array([complex(x) for x in lam])
-    res = residues_from_frame(P, lamv)
-    snap = OkuboNumeric(n=m.n, point=point, Binf=lamv, z=roots, P=P,
-                        residues=res, traces=np.trace(res, axis1=1, axis2=2))
-    return snap.validate(strict=strict)
-
-
 def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
     """Residue snapshots along a path from one batched, continuation-ordered
     pass (frames_along), checked as one stack."""
     return track_snapshots(m, path, lam, z_seed=z_seed, strict=strict)[1]
 
 
-def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
+def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None, strict=True,
+                    initial_roots=None):
     """(track, snapshots): snapshots_along and the frames_along track they
-    were read from, for further checks on the same path."""
+    were read from, for further checks on the same path.
+
+    Snapshot k holds the rank-one residues B_i = -P E_i P^{-1} Binf of the
+    Okubo z-equation at path point k.  initial_roots is passed on to
+    frames_along.
+    """
     path = [tuple(p) for p in path]
     try:
-        track = frames_along(m, path, z_seed=z_seed)
+        track = frames_along(m, path, z_seed=z_seed,
+                             initial_roots=initial_roots)
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
     _, roots, P = track
@@ -235,17 +217,13 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius, tol=1e-10):
 # Schlesinger residual
 # ---------------------------------------------------------------------------
 
-def schlesinger_residual(snapshots: Sequence, svals=None) -> float:
-    """Max defect of dB_i/ds = sum_j [B_j, B_i] (z_i' - z_j')/(z_i - z_j).
-
-    snapshots may be OkuboNumeric values or (z, residues) pairs on a uniform
-    grid of the path parameter.
-    """
-    pairs = [(s.z, s.residues) if isinstance(s, OkuboNumeric) else s
-             for s in snapshots]
+def schlesinger_residual(snapshots: Sequence[OkuboNumeric],
+                         svals=None) -> float:
+    """Max defect of dB_i/ds = sum_j [B_j, B_i] (z_i' - z_j')/(z_i - z_j)
+    over snapshots on a uniform grid of the path parameter."""
     return stacked_schlesinger_residual(
-        np.array([z for z, _ in pairs], dtype=complex),
-        np.array([res for _, res in pairs], dtype=complex), svals)
+        np.array([s.z for s in snapshots], dtype=complex),
+        np.array([s.residues for s in snapshots], dtype=complex), svals)
 
 
 def stacked_schlesinger_residual(zs, Bs, svals=None) -> float:
@@ -282,42 +260,6 @@ def schlesinger_defects(zs, Bs, h):
     # sum_j w_ji [B_j, B_i] = [C_i, B_i] with C_i = sum_j w_ji B_j
     C = (np.swapaxes(w, 1, 2) @ B.reshape(M, n, m * m)).reshape(B.shape)
     return dB - (C @ B - B @ C)
-
-
-# ---------------------------------------------------------------------------
-# Okubo normal form (rank-one Fuchsian -> Okubo type)
-# ---------------------------------------------------------------------------
-
-def okubo_normal_form(residues: Sequence[np.ndarray], Binf_diag):
-    """P from the rank-one factor columns; the system becomes Okubo type.
-
-    Each residue must factor as -b_i a_i Binf with Binf = -sum residues
-    diagonal and invertible; then P = (b-columns) has the a-rows as inverse
-    and P^-1 (z - diag z_i)^-1 ... the transformed system is
-    -(z - diag(z_i))^{-1} (P^{-1} Binf P).
-    """
-    lam = np.asarray(Binf_diag, dtype=complex)
-    if np.any(np.abs(lam) < 1e-12):
-        raise FactorizationFailed("Binf must be invertible (lambda_i != 0)")
-    n = len(residues)
-    if len(lam) != n:
-        raise FactorizationFailed("need as many residues as diagonal entries")
-    total = sum(np.asarray(b, dtype=complex) for b in residues) + np.diag(lam)
-    if np.abs(total).max() > 1e-8:
-        raise FactorizationFailed("residues do not sum to -Binf")
-    bs, as_ = [], []
-    for i, B in enumerate(residues):
-        M = -np.asarray(B, dtype=complex) @ np.diag(1 / lam)
-        u, s, vh = np.linalg.svd(M)
-        if len(s) > 1 and s[1] > 1e-8 * max(1.0, s[0]):
-            raise RankViolation(f"residue {i+1} is not rank one")
-        bs.append(u[:, 0] * s[0])
-        as_.append(vh[0, :])
-    P = np.column_stack(bs)
-    A = np.vstack(as_)
-    if np.abs(P @ A - np.eye(n)).max() > 1e-10:
-        raise InverseMismatch("b-columns and a-rows are not inverse matrices")
-    return P, A @ np.diag(lam) @ P
 
 
 # ---------------------------------------------------------------------------
@@ -543,12 +485,3 @@ def trajectory_to_csv(ts, ys, zs, ks) -> str:
                      f"{z.real:.16g},{z.imag:.16g},{k.real:.16g},{k.imag:.16g}")
     return "\n".join(lines) + "\n"
 
-
-def jmsystem_to_json(sys: JMSystem) -> dict:
-    def mat(a):
-        return [[_cpair(x) for x in row] for row in a]
-    return {"A0": mat(sys.A0), "A1": mat(sys.A1), "At": mat(sys.At),
-            "thetas": [_cpair(x) for x in sys.thetas],
-            "kappas": [_cpair(x) for x in sys.kappas],
-            "t": _cpair(sys.t), "y": _cpair(sys.y),
-            "ztilde": _cpair(sys.ztilde), "k": _cpair(sys.k)}

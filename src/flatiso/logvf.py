@@ -28,18 +28,7 @@ class DivisorData:
 
 
 @dataclass
-class VectorFieldMatrix:
-    """Rows encode vector fields: V_{n+1-i} = sum_j M[i][j] d/dt_j."""
-
-    M: list
-
-
-@dataclass
 class LogVfReport:
-    euler_row_ok: bool
-    v1_h_ok: bool
-    vi_ratios_ok: bool
-    weight_duality_ok: bool
     failed: List[str] = field(default_factory=list)
 
     @property
@@ -65,11 +54,6 @@ def is_logarithmic(V, d: DivisorData) -> bool:
     return _log_division(V, d)[2].is_zero()
 
 
-def log_ratio(V, d: DivisorData) -> RingElem:
-    """(Vh)/h for a logarithmic field; raises if the division is not exact."""
-    return _quotient(_log_division(V, d))
-
-
 def _quotient(division, row=-1) -> RingElem:
     _, q, r = division
     if not r.is_zero():
@@ -77,10 +61,10 @@ def _quotient(division, row=-1) -> RingElem:
     return q
 
 
-def saito_criterion(MV: VectorFieldMatrix, d: DivisorData) -> Optional[Fraction]:
-    """det(MV) = c*h for a nonzero rational c, if the rows are logarithmic."""
+def saito_criterion(M, d: DivisorData) -> Optional[Fraction]:
+    """det(M) = c*h for a nonzero rational c, if the rows of M (vector
+    fields) are logarithmic."""
     from .flatcore import _proportionality_constant
-    M = MV.M if isinstance(MV, VectorFieldMatrix) else MV
     for i, row in enumerate(M):
         if not is_logarithmic(row, d):
             raise RowNotLogarithmic(i)
@@ -116,50 +100,42 @@ def logvf_identities(m: SaitoMatrices) -> LogVfReport:
     failed = []
 
     # (i) V_1 = Euler field: row n of -T is (w_1 t_1, ..., w_n t_n)
-    euler_row_ok = all((M[n - 1][j] - t[j] * w[j]).is_zero() for j in range(n))
-    if not euler_row_ok:
+    if not all((M[n - 1][j] - t[j] * w[j]).is_zero() for j in range(n)):
         failed.append("euler_row")
 
     # (ii) V_1 h = n h
-    v1_ok = (_quotient(m.log_rows[n - 1]) - n).is_zero()
-    if not v1_ok:
+    if not (_quotient(m.log_rows[n - 1]) - n).is_zero():
         failed.append("v1_h")
 
     # (iii) for i > 1: (V_i h)/h = -d s_1/d t_{n-i+1}, s_1 the t_n^{n-1} coeff of -h
     hc = m.h.coeffs_in(n - 1)
     s1 = -hc[n - 1]
-    ratios_ok = True
     for i in range(2, n + 1):
         ratio = _quotient(m.log_rows[n - i])
         if not (ratio + s1.partial(n - i)).is_zero():
-            ratios_ok = False
             failed.append(f"vi_ratio_{i}")
 
     # (iv) weight duality via entry weights: w(M_ij) = 1 - w_i + w_j
-    duality_ok = True
     for i in range(n):
         for j in range(n):
             e = M[i][j]
             if not e.is_zero() and not e.is_homogeneous(1 - w[i] + w[j]):
-                duality_ok = False
                 failed.append(f"entry_weight_{i+1}{j+1}")
-    return LogVfReport(euler_row_ok=euler_row_ok, v1_h_ok=v1_ok,
-                       vi_ratios_ok=ratios_ok, weight_duality_ok=duality_ok,
-                       failed=failed)
+    return LogVfReport(failed=failed)
 
 
 def trace_identity_defects(m: SaitoMatrices) -> Dict[int, RingElem]:
-    """Defects of V_k h - (-1)^(n+1) tr(B^(k)) h; all zero for a flat structure.
+    """Defects of V_k h - tr(B^(k)) h; all zero for a flat structure.
 
     V_k here is the k-th row of -T applied to d/dt, the only alignment that
-    matches the weight of tr(B^(k)); for n = 3 the sign factor is +1.
+    matches the weight of tr(B^(k)).  The identity carries no sign: it holds
+    for every n.
     """
     ring = m.ring
     n = m.n
-    sign = Fraction((-1) ** (n + 1))
     out = {}
     for k in range(1, n + 1):
         vh = m.log_rows[k - 1][0]
         tr = sum((m.Btilde[k - 1][i][i] for i in range(n)), ring.zero())
-        out[k] = vh - tr * m.h * sign
+        out[k] = vh - tr * m.h
     return out

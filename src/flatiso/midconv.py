@@ -22,8 +22,8 @@ import numpy as np
 from .errors import (ConditionDViolation, FactorizationFailed,
                      InverseMismatch, PivotColumnNotFound, RankViolation,
                      ResonantLambda)
-from .isomono import OkuboNumeric, residue_decomposition, schlesinger_defects
-from .p6 import StructureSampler, _cpair, residues_from_frame
+from .isomono import OkuboNumeric, track_snapshots
+from .p6 import residues_from_frame
 
 RANK_TOL = 1e-8
 
@@ -66,7 +66,7 @@ class ConvolutionResult:
     z_grad: np.ndarray
     lam: complex
     pivot_column: int
-    epsilon: complex = 1.0
+    epsilon: complex = 1 + 0j
 
     def traces(self):
         return np.array([np.trace(G) for G in self.residues])
@@ -326,53 +326,6 @@ def invariant_subspace_check(sys: RankOneSystem, lam,
                             z_defect=z_defect, x_defects=x_defects)
 
 
-def output_integrability_defect(results, svals) -> float:
-    """Schlesinger defect of a convolved family, modulo its scalar gauge.
-
-    A middle-convolution output is canonical only up to conjugation by
-    diag(1, ..., 1, kappa(x)) (the epsilon gauge).  For each interior grid
-    point the single gauge velocity gamma = kappa'/kappa is fitted by least
-    squares and the remaining defect max-norm is returned; for a genuinely
-    integrable output it sits at the stencil error.
-    """
-    if len(results) < 5:
-        raise RankViolation("need at least 5 family points")
-    h = svals[1] - svals[0]
-    size = results[0].residues[0].shape[0]
-    E = np.zeros((size, size))
-    E[size - 1, size - 1] = 1.0
-    # align the per-point gauge sections: conjugate by diag(1,..,1,d_k) so a
-    # reference last-row entry of the first residue is constant on the family
-    base = results[len(results) // 2].residues[0]
-    jref = int(np.argmax(np.abs(base[size - 1, :size - 1])))
-    ref = base[size - 1, jref]
-    if abs(ref) < 1e-12:
-        raise RankViolation("no usable gauge reference entry")
-    aligned = []
-    for r in results:
-        cur = r.residues[0][size - 1, jref]
-        if abs(cur) < 1e-12:
-            raise RankViolation("gauge reference entry vanishes on the family")
-        D = np.eye(size, dtype=complex)
-        D[size - 1, size - 1] = ref / cur
-        Dinv = np.linalg.inv(D)
-        aligned.append(type(r)(residues=[D @ G @ Dinv for G in r.residues],
-                               Gamma_inf=r.Gamma_inf, z=r.z, z_grad=r.z_grad,
-                               lam=r.lam, pivot_column=r.pivot_column,
-                               epsilon=r.epsilon))
-    worst = 0.0
-    defect_rows = schlesinger_defects([r.z for r in aligned],
-                                      [r.residues for r in aligned], h)
-    for defects, r in zip(defect_rows, aligned[2:-2]):
-        gens = [G @ E - E @ G for G in r.residues]
-        d_vec = defects.ravel()
-        g_vec = np.concatenate([g.ravel() for g in gens])
-        denom = np.vdot(g_vec, g_vec)
-        gamma = np.vdot(g_vec, d_vec) / denom if abs(denom) > 1e-30 else 0.0
-        worst = max(worst, float(np.abs(d_vec - gamma * g_vec).max()))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # glue: rank-one system straight from a flat structure
 # ---------------------------------------------------------------------------
@@ -386,14 +339,13 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
     (snapshot, system, family) with family(kdir, h) re-truncating at the
     displaced point for the invariant-subspace diagnostics.
     """
-    sampler = StructureSampler(m, z_seed=z_seed, initial_roots=initial_roots)
-    snap = residue_decomposition(m, tuple(tprime), lam, sampler=sampler)
+    track, (snap,) = track_snapshots(m, [tprime], lam, z_seed=z_seed,
+                                     initial_roots=initial_roots)
     dh = m.dh
     n = m.n
-    zval = sampler._z
+    zval = track[0][0, 0]           # the tracked generator; 0 on a plain ring
     # (z, t', t_n = z_j) at each root z_j
-    at_roots = [(0j if zval is None else zval,) + tuple(tprime) + (zj,)
-                for zj in snap.z]
+    at_roots = [(zval,) + tuple(tprime) + (zj,) for zj in snap.z]
     denom = dh[n - 1].eval_batch(at_roots)
     grads = np.empty((n, n), dtype=complex)
     for i in range(n - 1):
@@ -408,32 +360,19 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
                                  z_grad=sys1.z_grad, point=sys1.point)
         pt = list(tprime)
         pt[kdir] += step
-        s2 = StructureSampler(m, z_seed=zval if m.ring.ext is not None else None,
-                              initial_roots=snap.z)
-        sn = residue_decomposition(m, tuple(pt), lam, sampler=s2)
+        _, (sn,) = track_snapshots(m, [pt], lam, z_seed=zval,
+                                   initial_roots=snap.z)
         return truncate_okubo(sn)
 
     return snap, sys1, family
 
 
 # ---------------------------------------------------------------------------
-# JSON bundles (complex numbers as [re, im] pairs)
+# report bundle (the CLI's JSON encoder writes complex values as [re, im])
 # ---------------------------------------------------------------------------
 
-def rank_one_to_json(sys: RankOneSystem) -> dict:
-    return {"n": sys.n,
-            "residues": [[[_cpair(x) for x in row] for row in G]
-                         for G in sys.residues],
-            "gamma_inf": [_cpair(x) for x in sys.Gamma_inf],
-            "z": [_cpair(x) for x in sys.z],
-            "z_grad": [[_cpair(x) for x in row] for row in sys.z_grad]}
-
-
 def convolution_to_json(res: ConvolutionResult) -> dict:
-    return {"residues": [[[_cpair(x) for x in row] for row in G]
-                         for G in res.residues],
-            "gamma_inf": [_cpair(x) for x in res.Gamma_inf],
-            "z": [_cpair(x) for x in res.z],
-            "lambda": _cpair(res.lam),
+    return {"residues": res.residues, "gamma_inf": res.Gamma_inf,
+            "z": res.z, "lambda": res.lam,
             "pivot_column": res.pivot_column,
-            "epsilon": _cpair(res.epsilon)}
+            "epsilon": res.epsilon}

@@ -365,15 +365,6 @@ def frames_along(m: SaitoMatrices, path, z_seed=None, initial_roots=None):
     return sampler.frames([tuple(p) for p in path])
 
 
-def roots_of_h(m: SaitoMatrices, point, z_seed=None, prev_roots=None):
-    """Roots of h(t', .) as a cubic in t_3 (= eigenvalues of T0), ordered."""
-    if m.n != 3:
-        raise InputError("PVI extraction needs n = 3")
-    sampler = StructureSampler(m, z_seed=z_seed, initial_roots=prev_roots)
-    roots, _ = sampler.frame(tuple(point))
-    return tuple(roots)
-
-
 # ---------------------------------------------------------------------------
 # solution extraction
 # ---------------------------------------------------------------------------
@@ -656,16 +647,11 @@ def samples_to_csv(samples: Sequence[P6Sample]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cpair(v):
-    """A complex number as the JSON pair [re, im]."""
-    v = complex(v)
-    return [v.real, v.imag]
-
-
 def params_to_json(params: P6Params) -> dict:
-    return {"theta": {"0": _cpair(params.theta0), "1": _cpair(params.theta1),
-                      "t": _cpair(params.thetat), "inf": _cpair(params.thetainf)},
-            "alpha": _cpair(params.alpha), "beta": _cpair(params.beta),
-            "gamma": _cpair(params.gamma), "delta": _cpair(params.delta),
-            "r": [_cpair(x) for x in params.r],
-            "lambda": [_cpair(x) for x in params.lam]}
+    """The report form of the parameters; the CLI's JSON encoder writes each
+    complex value as [re, im]."""
+    return {"theta": {"0": params.theta0, "1": params.theta1,
+                      "t": params.thetat, "inf": params.thetainf},
+            "alpha": params.alpha, "beta": params.beta,
+            "gamma": params.gamma, "delta": params.delta,
+            "r": params.r, "lambda": params.lam}

@@ -75,6 +75,8 @@ def test_a2_saito_logvf_identities(built):
         assert all(v.is_zero() for v in defects.values()), f"{eid}: V_k h"
         c = logvf.saito_criterion(flatcore.mat_scale(m.T, F(-1)), d)
         assert c == 1, f"{eid}: Saito criterion c = {c}"
+        # the logvf verb's block: every identity, the trace identity included
+        assert catalog.logvf_block(m)["pass"], f"{eid}: logvf block"
     report("A2 Saito/logvf identities, all catalog entries", True)
 
 
@@ -160,7 +162,7 @@ def test_a6_jm_roundtrip():
         d2y = (-y5[4] + 16 * y5[3] - 30 * y5[2] + 16 * y5[1] - y5[0]) / (12 * h * h)
         pvi = max(pvi, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dy, params)))
     assert pvi < 1e-6, f"PVI residual {pvi}"
-    snaps = []
+    poles, residues = [], []
     for t, y, zt, kv in zip(ts, ys, zs, ks):
         sys_ = isomono.jm_build(y, zt, kv, th, (k1, k2), t)
         for A, theta in zip((sys_.A0, sys_.A1, sys_.At), th):
@@ -168,9 +170,10 @@ def test_a6_jm_roundtrip():
         Ainf = sys_.Ainf
         assert max(abs(Ainf[0, 1]), abs(Ainf[1, 0])) < 1e-12
         assert abs(Ainf[0, 0] - k1) < 1e-12 and abs(Ainf[1, 1] - k2) < 1e-12
-        snaps.append((np.array([0.0, 1.0, t], dtype=complex),
-                      [sys_.A0, sys_.A1, sys_.At]))
-    schles = isomono.schlesinger_residual(snaps, svals=ts)
+        poles.append([0.0, 1.0, t])
+        residues.append([sys_.A0, sys_.A1, sys_.At])
+    schles = isomono.stacked_schlesinger_residual(
+        np.array(poles, dtype=complex), np.array(residues), svals=ts)
     assert schles < 1e-6, f"2x2 Schlesinger residual {schles}"
     report("A6 Jimbo-Miwa round trip", True,
            f"pvi {pvi:.2e}, schlesinger {schles:.2e}, "
@@ -232,9 +235,10 @@ def test_a8_negative_controls(built):
 
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = isomono.snapshots_along(m, e.default_path.points, lam)
-    frozen = [(s.z, [snaps[0].residues[0], s.residues[1], s.residues[2]])
-              for s in snaps]
-    res = isomono.schlesinger_residual(frozen, svals=e.path_svals)
+    frozen = np.array([s.residues for s in snaps])
+    frozen[:, 0] = frozen[0, 0]
+    res = isomono.stacked_schlesinger_residual(
+        np.array([s.z for s in snaps]), frozen, svals=e.path_svals)
     assert res > 1e-3, f"frozen family residual only {res}"
     report("A8 negative controls", True,
            f"perturbed commutator nonzero; frozen residual {res:.2e} > 1e-3")

@@ -1,8 +1,9 @@
 import json
+import math
 
 import pytest
 
-from flatiso import catalog, exprio, p6
+from flatiso import catalog, cli, exprio, p6
 from flatiso.errors import UnknownId
 
 
@@ -95,12 +96,19 @@ def test_full_depth_one_extension_entry():
     assert rep["full"]["midconv_gamma_inf_error"] < 1e-8
 
 
+def theta_pairs(rep):
+    """numeric.theta as the JSON report writes it: [re, im] pairs."""
+    return json.loads(json.dumps(rep["numeric"]["theta"],
+                                 default=cli._json_value))
+
+
 def test_theta_strings_have_no_negative_zero(monkeypatch):
     # LT27 theta is real; its imaginary parts round to a zero whose sign
-    # follows last-bit noise.  The report prints it unsigned, unperturbed
+    # follows last-bit noise.  The report writes it unsigned, unperturbed
     # and with the noise forced negative.
     rep = catalog.catalog_verify("LT27", "full")
-    assert not any("-0j" in x for x in rep["numeric"]["theta"])
+    assert all(math.copysign(1.0, v) == 1.0
+               for pair in theta_pairs(rep) for v in pair if v == 0)
     pvi_on_frames = p6.pvi_on_frames
 
     def negative_noise(*args, **kwargs):
@@ -110,8 +118,9 @@ def test_theta_strings_have_no_negative_zero(monkeypatch):
         return samples, params, residual
 
     monkeypatch.setattr(p6, "pvi_on_frames", negative_noise)
-    theta = catalog.catalog_verify("LT27", "numeric")["numeric"]["theta"]
-    assert theta == ["(0.333333333333+0j)"] * 3 + ["(-0.2+0j)"]
+    theta = theta_pairs(catalog.catalog_verify("LT27", "numeric"))
+    assert theta == [[0.333333333333, 0.0]] * 3 + [[-0.2, 0.0]]
+    assert all(math.copysign(1.0, im) == 1.0 for _, im in theta)
 
 
 @pytest.mark.parametrize("eid", ["H3", "H3p", "LT8"])

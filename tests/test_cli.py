@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from flatiso import catalog, cli, exprio
+from flatiso.errors import SchemaError
 
 
 DATA = Path(__file__).parent / "data"
@@ -279,10 +280,50 @@ def test_malformed_entry_and_path_are_input_errors(capsys, tmp_path):
         assert code == 2 and "input error" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"weights": ["1/2", "1"], "g": [1, "t2"]},
+    {"weights": ["1/2", 1], "g": ["t1", "t2"]},
+    {"weights": ["1/2", "1"], "g": ["t1*t2", "t2^2"], "meta": 5},
+    {"weights": ["1/2", "1"], "g": ["t1*t2", "t2^2"], "meta": {"source": 5}},
+    {"weights": ["1/2", "1"], "g": ["t1*t2", "t2^2"], "meta": []},
+    {"name": 7, "weights": ["1/2", "1"], "g": ["t1*t2", "t2^2"]},
+])
+def test_untyped_document_fields_are_schema_errors(doc, capsys, tmp_path):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify-wdvv", "--input", str(p))
+    assert code == 2 and "input error" in err and out == ""
+    with pytest.raises(SchemaError):
+        exprio.parse_pvf(doc)
+
+
+def test_short_paths_are_input_errors(capsys, tmp_path):
+    # three points are too few for the five-point stencil; the input is at
+    # fault, so the verbs exit 2, not 3
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps({"t1": 1.0, "t2_start": 0.45, "t2_end": 0.55,
+                             "points": 3, "z_seed": None}))
+    for verb in ("schlesinger", "extract-p6"):
+        code, _, err = run(capsys, verb, "--catalog", "LT8", "--path", str(p))
+        assert code == 2 and "input error" in err, verb
+    code, _, err = run(capsys, "jm-roundtrip", "--steps", "3")
+    assert code == 2 and "input error" in err
+
+
+def test_logvf_passes_on_the_rank_two_structure(capsys, tmp_path, trivial_n2):
+    p = tmp_path / "n2.json"
+    p.write_text(json.dumps(exprio.serialize_pvf(trivial_n2)))
+    for verb in ("verify-wdvv", "logvf"):
+        code, out, _ = run(capsys, verb, "--input", str(p))
+        assert code == 0, verb
+    rep = json.loads(out)
+    assert rep["trace_identity_ok"] and rep["identities_failed"] == []
+
+
 def test_input_errors_are_typed():
     from flatiso import errors
     for cls in (errors.UnknownId, errors.ParseError, errors.SchemaError,
-                errors.DenominatorNotUnit):
+                errors.DenominatorNotUnit, errors.InsufficientSamples):
         assert issubclass(cls, errors.InputError)
     assert issubclass(errors.InputError, ValueError)
     assert issubclass(errors.InputError, errors.FlatIsoError)

@@ -4,12 +4,11 @@ from fractions import Fraction as F
 import pytest
 
 from flatiso import catalog, exprio, flatcore
-from flatiso.errors import DegenerateJacobian, NoRescalingFound
+from flatiso.errors import NoRescalingFound
 from flatiso.flatcore import (PotentialVF, build_saito_matrices,
                               check_extended_wdvv, check_flat_normalization,
-                              check_saito_relations, flat_coords_from_okubo,
-                              frobenius_check, mat_det, mat_identity,
-                              mat_is_zero, mat_scale, mat_sub)
+                              check_saito_relations, frobenius_check, mat_det,
+                              mat_identity, mat_is_zero, mat_scale, mat_sub)
 
 
 def test_klein_matrices(klein, klein_matrices):
@@ -180,33 +179,6 @@ def test_frobenius_nontrivial_rescaling(h3):
     for i in range(3):
         assert (pre.F.partial(i) - g2[2 - i] * pre.u[i]).is_zero()
     assert pre.F.euler() == pre.F * (1 - 2 * pre.r)
-
-
-# ---------------------------------------------------------------------------
-# flat coordinates from a general-coordinates T
-# ---------------------------------------------------------------------------
-
-def test_flat_coords_identity_on_flat_input(klein, klein_matrices):
-    # in flat coordinates T_nj = -w_j t_j, so the formula returns t_j itself
-    w = klein.weights
-    lam = [wj - 1 for wj in w]   # lambda_j - lambda_n + 1 = w_j
-    res = flat_coords_from_okubo(klein_matrices.T, lam,
-                                 points=[(1.0, 0.5, 0.2)])
-    t = klein.ring.gens()
-    for j in range(3):
-        assert res.coords[j] == t[j]
-    expected = F((-1) ** 3) * w[0] * w[1] * w[2]
-    assert res.jacobian == klein.ring.const(expected)
-    assert abs(res.jacobian_values[0] - complex(expected)) < 1e-12
-
-
-def test_flat_coords_degenerate():
-    from flatiso.ring import Ring
-    ring = Ring(["1/2", "1"])
-    one = ring.one()
-    T = [[one, one], [one, one]]        # constant: all partials vanish
-    with pytest.raises(DegenerateJacobian):
-        flat_coords_from_okubo(T, [F(-1, 2), F(0)], points=[(0.3, 0.4)])
 
 
 def test_mat_det_oracle(klein_matrices):

@@ -1,23 +1,27 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
-from flatiso import catalog, isomono as iso, p6
+from flatiso import catalog, cli, isomono as iso, p6
 from flatiso.errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
-                            FactorizationFailed, InsufficientSamples,
-                            InverseMismatch, PoleAtY, RankViolation,
-                            StepUnderflow, TrackingLost)
+                            InsufficientSamples, InverseMismatch, PoleAtY,
+                            RankViolation, StepUnderflow, TrackingLost)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.isomono import (PathSpec, integrate_pfaffian, integrate_p6_hamiltonian,
                              jm_build, jm_residues, monodromy_on_loop,
-                             okubo_normal_form, residue_decomposition,
                              schlesinger_residual, snapshots_along)
 
 
 def entry_setup(eid):
     e = catalog.catalog_get(eid)
     return e, build_saito_matrices(e.pvf)
+
+
+def snapshot_at(m, point, lam, **kwargs):
+    """The residue snapshot at one point, from a one-point path."""
+    return snapshots_along(m, [point], lam, **kwargs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +36,7 @@ def test_residue_rank_one_n1():
     t1 = ring.var(0)
     m = SaitoMatrices(ring=ring, C=[[t1]], Btilde=[[[ring.one()]]],
                       T=[[-t1]], Binf=[F(1)])
-    snap = residue_decomposition(m, (0.3,), [0.4], strict=False)
+    snap = snapshot_at(m, (0.3,), [0.4], strict=False)
     assert abs(snap.residues[0][0, 0] + 0.4) < 1e-14
     assert abs(snap.traces[0] + 0.4) < 1e-14
 
@@ -44,7 +48,7 @@ def test_residue_sum_and_rank_catalog():
         lam = p6.default_lambda(e.pvf.ring.weights)
         for _ in range(5):
             pt = (1.0, 0.45 + 0.1 * rng.random())
-            snap = residue_decomposition(m, pt, lam)
+            snap = snapshot_at(m, pt, lam)
             total = sum(snap.residues) + np.diag(snap.Binf)
             assert np.abs(total).max() < 1e-12
             for b in snap.residues:
@@ -57,8 +61,8 @@ def test_missing_seed_is_an_input_error():
     # bad input, not an eigenvalue collision
     e, m = entry_setup("LT14")
     with pytest.raises(ValueError, match="z seed"):
-        residue_decomposition(m, e.default_path.points[0],
-                              p6.default_lambda(e.pvf.ring.weights))
+        snapshot_at(m, e.default_path.points[0],
+                    p6.default_lambda(e.pvf.ring.weights))
 
 
 def test_pathspec_validation():
@@ -79,8 +83,8 @@ def test_nilpotent_constant_system():
 
 def test_trivial_loop_monodromy():
     e, m = entry_setup("LT8")
-    snap = residue_decomposition(m, (1.0, 0.5),
-                                 p6.default_lambda(e.pvf.ring.weights))
+    snap = snapshot_at(m, (1.0, 0.5),
+                       p6.default_lambda(e.pvf.ring.weights))
     center = snap.z.real.max() + 9.0
     M = monodromy_on_loop(snap, center=center, radius=0.5)
     assert np.abs(M - np.eye(3)).max() < 1e-8
@@ -88,8 +92,8 @@ def test_trivial_loop_monodromy():
 
 def test_loop_monodromy_matches_local_exponents():
     e, m = entry_setup("LT8")
-    snap = residue_decomposition(m, (1.0, 0.5),
-                                 p6.default_lambda(e.pvf.ring.weights))
+    snap = snapshot_at(m, (1.0, 0.5),
+                       p6.default_lambda(e.pvf.ring.weights))
     rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
     M = monodromy_on_loop(snap, center=snap.z[0], radius=rad, tol=1e-12)
     got = np.sort(np.abs(np.linalg.eigvals(M)))
@@ -103,8 +107,8 @@ def test_loop_closes_without_endpoint_sliver():
     # no step-doubling test can accept; the last step must absorb it
     from scipy.optimize import linear_sum_assignment
     e, m = entry_setup("H3")
-    snap = residue_decomposition(m, e.default_path.points[0],
-                                 p6.default_lambda(e.pvf.ring.weights))
+    snap = snapshot_at(m, e.default_path.points[0],
+                       p6.default_lambda(e.pvf.ring.weights))
     near = min(abs(snap.z[0] - z) for z in snap.z[1:])
     M = monodromy_on_loop(snap, center=snap.z[0], radius=0.15 * near)
     got = np.linalg.eigvals(M)
@@ -116,8 +120,8 @@ def test_loop_closes_without_endpoint_sliver():
 
 def test_loop_connection_evaluations(monkeypatch):
     e, m = entry_setup("LT8")
-    snap = residue_decomposition(m, (1.0, 0.5),
-                                 p6.default_lambda(e.pvf.ring.weights))
+    snap = snapshot_at(m, (1.0, 0.5),
+                       p6.default_lambda(e.pvf.ring.weights))
     rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
     calls = []
     connection = iso.okubo_z_system
@@ -135,9 +139,9 @@ def test_loop_connection_evaluations(monkeypatch):
 def test_loop_monodromy_every_root(eid):
     from scipy.optimize import linear_sum_assignment
     e, m = entry_setup(eid)
-    snap = residue_decomposition(m, e.default_path.points[0],
-                                 p6.default_lambda(e.pvf.ring.weights),
-                                 z_seed=e.z_seed)
+    snap = snapshot_at(m, e.default_path.points[0],
+                       p6.default_lambda(e.pvf.ring.weights),
+                       z_seed=e.z_seed)
     for r, zr in enumerate(snap.z):
         near = min(abs(zr - z) for k, z in enumerate(snap.z) if k != r)
         want = np.exp(2j * np.pi * np.linalg.eigvals(snap.residues[r]))
@@ -285,10 +289,9 @@ def test_schlesinger_defects_match_pairwise_commutators(shape):
 
 def test_schlesinger_constant_family():
     e, m = entry_setup("LT8")
-    snap = residue_decomposition(m, (1.0, 0.5),
-                                 p6.default_lambda(e.pvf.ring.weights))
-    const = [(snap.z, snap.residues)] * 7
-    assert schlesinger_residual(const) < 1e-12
+    snap = snapshot_at(m, (1.0, 0.5),
+                       p6.default_lambda(e.pvf.ring.weights))
+    assert schlesinger_residual([snap] * 7) < 1e-12
 
 
 def test_schlesinger_catalog_path():
@@ -303,53 +306,21 @@ def test_schlesinger_frozen_family_fails():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = snapshots_along(m, e.default_path.points, lam)
-    frozen = [(s.z, [snaps[0].residues[0], s.residues[1], s.residues[2]])
-              for s in snaps]
-    assert schlesinger_residual(frozen, svals=e.path_svals) > 1e-3
+    zs = np.array([s.z for s in snaps])
+    frozen = np.array([s.residues for s in snaps])
+    frozen[:, 0] = frozen[0, 0]
+    assert iso.stacked_schlesinger_residual(zs, frozen,
+                                            svals=e.path_svals) > 1e-3
 
 
 def test_schlesinger_needs_samples_and_tracking():
     with pytest.raises(InsufficientSamples):
         schlesinger_residual([])
     z = np.array([0.0, 1.0, 2.0])
-    B = [np.eye(3, dtype=complex)] * 3
-    snaps = [(z, B), (z, B), (z + 40.0, B), (z, B), (z, B)]
+    zs = np.array([z, z, z + 40.0, z, z])
+    Bs = np.array([[np.eye(3, dtype=complex)] * 3] * 5)
     with pytest.raises(TrackingLost):
-        schlesinger_residual(snaps)
-
-
-# ---------------------------------------------------------------------------
-# Okubo normal form
-# ---------------------------------------------------------------------------
-
-def test_okubo_normal_form_roundtrip_from_structure():
-    e, m = entry_setup("LT8")
-    snap = residue_decomposition(m, (1.0, 0.5),
-                                 p6.default_lambda(e.pvf.ring.weights)[:2]
-                                 + [0.3])  # make Binf invertible
-    P, core = okubo_normal_form(snap.residues, snap.Binf)
-    # the construction is a fixed point on already-Okubo input: P P^{-1} = I
-    assert P.shape == (3, 3)
-    assert np.abs(core - np.linalg.inv(P) @ np.diag(snap.Binf) @ P).max() < 1e-8
-
-
-def test_okubo_normal_form_n2_fixture():
-    rng = np.random.default_rng(7)
-    lam = np.array([1.0, -0.5])
-    # rank-one pair summing to the identity: M1 = b a with a.b = 1
-    b = rng.normal(size=2) + 1j * rng.normal(size=2)
-    a = rng.normal(size=2) + 1j * rng.normal(size=2)
-    a = a / (a @ b)
-    M1 = np.outer(b, a)
-    M2 = np.eye(2) - M1
-    B1, B2 = -M1 @ np.diag(lam), -M2 @ np.diag(lam)
-    P, core = okubo_normal_form([B1, B2], lam)
-    assert np.abs(P @ np.linalg.inv(P) - np.eye(2)).max() < 1e-12
-
-
-def test_okubo_normal_form_zero_eigenvalue_rejected():
-    with pytest.raises(FactorizationFailed):
-        okubo_normal_form([np.eye(2)], [1.0, 0.0])
+        iso.stacked_schlesinger_residual(zs, Bs)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +378,6 @@ def test_hamiltonian_flow_pvi_and_schlesinger():
     assert worst < 1e-6
     poles, residues = jm_residues(ts, ys, zs, ks, th, kp)
     assert iso.stacked_schlesinger_residual(poles, residues, svals=ts) < 1e-6
-    # the list of (z, residues) pairs gives the same residual
-    assert schlesinger_residual(list(zip(poles, residues)), svals=ts) == \
-        iso.stacked_schlesinger_residual(poles, residues, svals=ts)
 
 
 def test_hamiltonian_k_constant_when_thetainf_is_one():
@@ -442,7 +410,8 @@ def test_trajectory_reports():
     assert lines[0] == "t,y_re,y_im,ztilde_re,ztilde_im,k_re,k_im"
     assert len(lines) == 22
     sys_ = jm_build(ys[0], zs[0], ks[0], th, kp, ts[0])
-    blob = iso.jmsystem_to_json(sys_)
+    # jm-roundtrip reports the final system as vars(JMSystem)
+    blob = json.loads(json.dumps(vars(sys_), default=cli._json_value))
     assert set(blob) >= {"A0", "A1", "At", "thetas", "kappas", "t", "y"}
     assert blob["A0"][0][0] == [sys_.A0[0, 0].real, sys_.A0[0, 0].imag]
 

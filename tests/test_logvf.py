@@ -5,11 +5,19 @@ import pytest
 
 from flatiso import catalog
 from flatiso.errors import NotMonic, RowNotLogarithmic
-from flatiso.flatcore import SaitoMatrices, build_saito_matrices, mat_scale
+from flatiso.flatcore import (SaitoMatrices, build_saito_matrices,
+                              log_division, mat_scale)
 from flatiso.logvf import (DivisorData, discriminant, is_logarithmic,
-                           log_ratio, logvf_identities, saito_criterion,
+                           logvf_identities, saito_criterion,
                            trace_identity_defects)
 from flatiso.ring import Ring
+
+
+def log_ratio(V, d):
+    """(V h)/h of a logarithmic field, checked exact."""
+    _, q, r = log_division(V, d.h, [d.h.partial(k) for k in range(d.n)])
+    assert r.is_zero()
+    return q
 
 
 def test_discriminant_klein(klein_matrices):
@@ -118,3 +126,12 @@ def test_tn_free_logarithmic_fields_vanish(klein_matrices):
         if all(x.is_zero() for x in v):
             continue
         assert not is_logarithmic(v, d)
+
+
+def test_trace_identity_holds_for_n2(trivial_n2):
+    # V_k h = tr(B^(k)) h carries no sign: at n = 2 a factor (-1)^(n+1)
+    # would fail the genuine structure
+    m = build_saito_matrices(trivial_n2)
+    assert all(v.is_zero() for v in trace_identity_defects(m).values())
+    block = catalog.logvf_block(m)
+    assert block["pass"] and block["trace_identity"]

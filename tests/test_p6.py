@@ -18,7 +18,7 @@ def test_roots_of_h_vieta_klein():
     h = discriminant(m).h
     hc = h.coeffs_in(2)
     pt = (1.0, 1.0)
-    roots = p6.roots_of_h(m, pt)
+    roots = p6.StructureSampler(m).frame(pt)[0]
     full = pt + (0.0,)
     # sum of roots = -coeff of t3^2; product = -constant coefficient (cubic)
     assert abs(sum(roots) + hc[2].eval(full)) < 1e-12
@@ -28,10 +28,10 @@ def test_roots_of_h_vieta_klein():
 
 def test_roots_ordering_and_continuation():
     e, m = entry_setup("LT8")
-    r1 = p6.roots_of_h(m, (1.0, 0.4))
+    r1 = p6.StructureSampler(m).frame((1.0, 0.4))[0]
     assert list(np.argsort([x.real for x in r1])) == [0, 1, 2]
-    r2 = p6.roots_of_h(m, (1.0, 0.41), prev_roots=r1)
-    assert np.abs(np.array(r2) - np.array(r1)).max() < 0.1
+    r2 = p6.StructureSampler(m, initial_roots=r1).frame((1.0, 0.41))[0]
+    assert np.abs(r2 - r1).max() < 0.1
 
 
 def test_adjugate_entries_linear_in_t3():
@@ -84,7 +84,7 @@ def test_relabeling_roots_keeps_residual_small():
     # Okubo diagonal; the relabeled run must still satisfy PVI
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    first = p6.roots_of_h(m, e.default_path.points[0])
+    first = p6.StructureSampler(m).frame(e.default_path.points[0])[0]
     prev = np.array([first[1], first[0], first[2]])
     samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
                                      svals=e.path_svals, initial_roots=prev)
