@@ -137,7 +137,7 @@ def logvf_block(m: SaitoMatrices) -> dict:
         "identities_failed": lrep.failed,
         "trace_identity": trace_ok,
         "saito_criterion_c": str(logvf.generator_criterion(m)),
-        "discriminant_weight": str(m.h.weight()),
+        "discriminant_weight": str(logvf.discriminant(m).h.weight()),
         "pass": lrep.all_ok and trace_ok,
     }
 

@@ -99,6 +99,10 @@ def _resolve_input(args):
         choice = (i, j)
     if points is None and hasattr(args, "path"):
         raise SchemaError("--path is required with --input for this verb")
+    n = pvf.ring.nvars
+    if points is not None and len(points[0]) != n - 1:
+        raise InputError(f"path points give {len(points[0])} coordinates "
+                         f"(t1, t2), which fit n = 3; {pvf.name} has n = {n}")
     return pvf, points, svals, seed, choice
 
 

@@ -93,6 +93,10 @@ class StepUnderflow(NumericError):
     pass
 
 
+class PoleOnPath(NumericError):
+    """A pole of the connection lies on the integration path."""
+
+
 class BlowUp(NumericError):
     pass
 

@@ -1,21 +1,23 @@
 """Numeric Okubo/Pfaffian machinery.
 
-Residue decomposition of the z-equation along a path, DOP853 integration
-of Pfaffian systems with a Liouville determinant guard, Schlesinger
-residuals along isomonodromic families, and the 2x2 Jimbo-Miwa
-parametrization linking Schlesinger flow to the PVI Hamiltonian system.
+Residue decomposition of the z-equation along a path, monodromy around a
+circle by batched Gauss-Legendre collocation with a Liouville determinant
+guard, Schlesinger residuals along isomonodromic families, and the 2x2
+Jimbo-Miwa parametrization linking Schlesinger flow to the PVI Hamiltonian
+system.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      InsufficientSamples, InverseMismatch, PoleAtY,
-                     RankViolation, RootCollision, StepUnderflow, TrackingLost)
+                     PoleOnPath, RankViolation, RootCollision, StepUnderflow,
+                     TrackingLost)
 from .flatcore import SaitoMatrices
 from .p6 import (_raise_first, _stencil_d1, _uniform_step, _windows,
                  frames_along, residues_from_frame)
@@ -140,77 +142,115 @@ def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None, strict=True,
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian integration (DOP853 with a Liouville guard)
+# monodromy loops (batched Gauss-Legendre collocation with a Liouville guard)
 # ---------------------------------------------------------------------------
 
-TOL_FLOOR = 100 * np.finfo(float).eps   # solve_ivp clamps rtol below this
-# Connection evaluations one integration may make.  A loop around a root of
-# a catalog snapshot needs a few hundred; a pole on the path would otherwise
-# cost DOP853 hundreds of thousands before its step underflows.
+# Connection evaluations (points z) one loop may make.  A loop around a root
+# of a catalog snapshot needs a few hundred; a root close to the circle
+# needs a step count that this caps.
 MAX_CONNECTION_EVALS = 10_000
 
 
-def integrate_pfaffian(system: Callable[[float], np.ndarray], s0, s1, Y0,
-                       tol=1e-10):
-    """Fundamental solution of dY/ds = A(s) Y from s0 to s1.
+def _gauss_legendre4():
+    """(a, b, c) of the 4-stage Gauss-Legendre collocation method on [0, 1]:
+    nodes c, weights b and a_ij = int_0^{c_i} l_j, l_j the Lagrange basis
+    on c (Hairer-Norsett-Wanner, Solving ODEs I, II.7)."""
+    p, q = np.sqrt(3 / 7 + np.array([2, -2]) / 7 * np.sqrt(6 / 5))
+    c = (1 + np.array([-p, -q, q, p])) / 2
+    b = (18 + np.array([-1, 1, 1, -1]) * np.sqrt(30)) / 72
+    a = np.empty((4, 4))
+    x = c[:, None] * c                    # [i, m]: the nodes scaled to [0, c_i]
+    for j in range(4):
+        others = np.delete(c, j)
+        lj = np.prod((x[..., None] - others) / (c[j] - others), axis=-1)
+        a[:, j] = c * (lj @ b)            # the nodes integrate a cubic exactly
+    return a, b, c
 
-    system(s) returns the connection matrix A(s) along the (already
-    parametrized) path.  DOP853 (Hairer-Norsett-Wanner, Solving ODEs I,
-    II.5) integrates Y together with int tr A, and the determinant is
-    checked against exp(int tr A) to a relative 1e-6.
-    """
-    # imported here: only the ODE paths need it, and at import time it costs
-    # every CLI verb about 0.05 s and 2.5 MB
-    from scipy.integrate import solve_ivp
-    if tol < TOL_FLOOR:
-        raise StepUnderflow(f"tol {tol} is below the solver floor {TOL_FLOOR}")
-    Y0 = np.array(Y0, dtype=complex)
-    shape = Y0.shape
-    evals = 0
 
-    def rhs(s, state):
-        nonlocal evals
-        evals += 1
-        if evals > MAX_CONNECTION_EVALS:
-            raise StepUnderflow(f"{MAX_CONNECTION_EVALS} connection evaluations "
-                                f"(the budget) reached only s = {s}")
-        A = system(s)
-        return np.append((A @ state[:-1].reshape(shape)).ravel(), np.trace(A))
-
-    sol = solve_ivp(rhs, (float(s0), float(s1)), np.append(Y0.ravel(), 0j),
-                    method="DOP853", rtol=tol, atol=tol)
-    if sol.status != 0:
-        raise StepUnderflow(f"step underflow at s = {sol.t[-1]}: {sol.message}")
-    Y = sol.y[:-1, -1].reshape(shape)
-    det = np.linalg.det(Y)
-    target = np.exp(sol.y[-1, -1]) * np.linalg.det(Y0)
-    if abs(det - target) > 1e-6 * max(1.0, abs(target)):
-        raise StepUnderflow(
-            f"Liouville check failed: det {det} vs exp(int tr) {target}")
-    return Y
+_GL_A, _GL_B, _GL_C = _gauss_legendre4()
 
 
 def okubo_z_system(snapshot: OkuboNumeric):
-    """A(z) = sum_i residue_i / (z - z_i) as a callable for a z-path."""
+    """A(z) = sum_i residue_i / (z - z_i) as a callable on an array of k
+    z-values, returning (k, n, n) from one (k, n) @ (n, n^2) product."""
+    poles = np.asarray(snapshot.z, dtype=complex)
+    R = np.asarray(snapshot.residues, dtype=complex)
+    n = R.shape[-1]
+    R = R.reshape(len(poles), n * n)
+
     def A(zval):
-        out = np.zeros((snapshot.n, snapshot.n), dtype=complex)
-        for zi, Bi in zip(snapshot.z, snapshot.residues):
-            out += Bi / (zval - zi)
-        return out
+        w = 1 / (np.asarray(zval, dtype=complex).reshape(-1, 1) - poles)
+        return (w @ R).reshape(-1, n, n)
     return A
 
 
+def _ordered_product(P):
+    """P[N-1] @ ... @ P[1] @ P[0] by a pairwise tree of batched matmuls."""
+    while len(P) > 1:
+        odd = len(P) % 2
+        head = P[1::2] @ P[0:len(P) - odd:2]
+        P = np.concatenate([head, P[-1:]]) if odd else head
+    return P[0]
+
+
+def _loop_propagators(A, center, radius, N):
+    """(propagators (N, n, n), int tr A dz) of N uniform steps in theta on
+    the circle, from one evaluation of A at the 4N Gauss-Legendre nodes."""
+    h = 2 * np.pi / N
+    e = np.exp(1j * h * (np.arange(N)[:, None] + _GL_C))      # (N, 4)
+    F = A(center + radius * e.ravel())
+    n = F.shape[-1]
+    F = F.reshape(N, 4, n, n) * (1j * radius * e)[..., None, None]
+    # stage equations Y_j = Y0 + h sum_l a_jl F_l Y_l, one (4n, 4n) system
+    # per step with the stacked identities on the right
+    L = (-h * _GL_A[:, :, None, None]) * F[:, None]              # (N, j, l, n, n)
+    L[:, np.arange(4), np.arange(4)] += np.eye(n)
+    L = L.transpose(0, 1, 3, 2, 4).reshape(N, 4 * n, 4 * n)
+    X = np.linalg.solve(L, np.tile(np.eye(n), (4, 1))).reshape(N, 4, n, n)
+    Phi = np.eye(n) + h * np.tensordot(F @ X, _GL_B, axes=([1], [0]))
+    trace = h * (np.trace(F, axis1=2, axis2=3) @ _GL_B).sum()
+    return Phi, trace
+
+
 def monodromy_on_loop(snapshot: OkuboNumeric, center, radius, tol=1e-10):
-    """Fundamental-solution monodromy around a circle |z - center| = radius."""
+    """Fundamental-solution monodromy around a circle |z - center| = radius.
+
+    The circle is cut into N uniform steps in theta, each propagated by
+    4-stage Gauss-Legendre collocation (order 8), and the N propagators are
+    multiplied in order.  N starts at the larger of 16 and the count whose
+    arc step is no longer than the gap from the circle to the nearest pole,
+    and doubles until two successive monodromies agree within
+    tol * max(1, |M|).  det M is checked against exp(int tr A dz), taken by
+    the same quadrature, to a relative 1e-6.
+
+    Raises PoleOnPath when a pole lies on the circle, and StepUnderflow when
+    the nodes would pass MAX_CONNECTION_EVALS or the Liouville check fails.
+    """
+    poles = np.asarray(snapshot.z, dtype=complex)
+    gap = np.abs(np.abs(poles - center) - radius).min()
+    # a pole within rounding of the circle is on it
+    if gap <= 4 * np.finfo(float).eps * (abs(center) + radius):
+        raise PoleOnPath(f"a pole lies on the circle |z - {center}| = {radius}")
     A = okubo_z_system(snapshot)
-    Y = np.eye(snapshot.n, dtype=complex)
-
-    def system(theta):
-        zval = center + radius * np.exp(1j * theta)
-        dz = 1j * radius * np.exp(1j * theta)
-        return A(zval) * dz
-
-    return integrate_pfaffian(system, 0.0, 2 * np.pi, Y, tol=tol)
+    N = max(16, int(np.ceil(2 * np.pi * radius / gap)))
+    evals, M = 0, None
+    while True:
+        evals += 4 * N
+        if evals > MAX_CONNECTION_EVALS:
+            raise StepUnderflow(
+                f"{MAX_CONNECTION_EVALS} connection evaluations (the budget) "
+                f"do not reach {N} steps around the circle")
+        Phi, trace = _loop_propagators(A, center, radius, N)
+        prev, M = M, _ordered_product(Phi)
+        if prev is not None and (np.abs(M - prev).max()
+                                 <= tol * max(1.0, np.abs(M).max())):
+            break
+        N *= 2
+    det, target = np.linalg.det(M), np.exp(trace)
+    if abs(det - target) > 1e-6 * max(1.0, abs(target)):
+        raise StepUnderflow(
+            f"Liouville check failed: det {det} vs exp(int tr) {target}")
+    return M
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ import pytest
 from flatiso import catalog, cli, isomono as iso, p6
 from flatiso.errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                             InsufficientSamples, InverseMismatch, PoleAtY,
-                            RankViolation, StepUnderflow, TrackingLost)
+                            PoleOnPath, RankViolation, StepUnderflow,
+                            TrackingLost)
 from flatiso.flatcore import build_saito_matrices
-from flatiso.isomono import (PathSpec, integrate_pfaffian, integrate_p6_hamiltonian,
+from flatiso.isomono import (PathSpec, integrate_p6_hamiltonian,
                              jm_build, jm_residues, monodromy_on_loop,
                              schlesinger_residual, snapshots_along)
 
@@ -72,13 +73,38 @@ def test_pathspec_validation():
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian integration
+# monodromy loops
 # ---------------------------------------------------------------------------
 
-def test_nilpotent_constant_system():
-    A = np.array([[0, 1], [0, 0]], dtype=complex)
-    Y = integrate_pfaffian(lambda s: A, 0.0, 1.0, np.eye(2, dtype=complex))
-    assert np.abs(Y - (np.eye(2) + A)).max() < 1e-10
+def one_pole_snapshot(B):
+    """An n = 2 snapshot whose connection is B / z: one pole at 0."""
+    B = np.asarray(B, dtype=complex)
+    return iso.OkuboNumeric(n=2, point=(), Binf=np.zeros(2), z=np.array([0j]),
+                            P=np.eye(2), residues=[B],
+                            traces=np.array([np.trace(B)]))
+
+
+def counted_connection(monkeypatch):
+    """Patch okubo_z_system to record how many points each call evaluates."""
+    points = []
+    connection = iso.okubo_z_system
+
+    def counted(snapshot):
+        A = connection(snapshot)
+        return lambda z: points.append(np.size(z)) or A(z)
+
+    monkeypatch.setattr(iso, "okubo_z_system", counted)
+    return points
+
+
+def test_one_pole_loop_is_exp_of_the_residue():
+    # B nilpotent: exp(2 pi i B) = I + 2 pi i B exactly
+    B = np.array([[0, 1], [0, 0]])
+    M = monodromy_on_loop(one_pole_snapshot(B), center=0.0, radius=1.0)
+    assert np.abs(M - (np.eye(2) + 2j * np.pi * B)).max() < 1e-14
+    b = np.array([0.3, -0.7 + 0.2j])
+    M = monodromy_on_loop(one_pole_snapshot(np.diag(b)), center=0.1, radius=0.5)
+    assert np.abs(M - np.diag(np.exp(2j * np.pi * b))).max() < 1e-12
 
 
 def test_trivial_loop_monodromy():
@@ -123,16 +149,9 @@ def test_loop_connection_evaluations(monkeypatch):
     snap = snapshot_at(m, (1.0, 0.5),
                        p6.default_lambda(e.pvf.ring.weights))
     rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
-    calls = []
-    connection = iso.okubo_z_system
-
-    def counted(snapshot):
-        A = connection(snapshot)
-        return lambda z: calls.append(z) or A(z)
-
-    monkeypatch.setattr(iso, "okubo_z_system", counted)
+    points = counted_connection(monkeypatch)
     monodromy_on_loop(snap, center=snap.z[0], radius=rad, tol=1e-10)
-    assert len(calls) <= 500
+    assert sum(points) <= 500
 
 
 @pytest.mark.parametrize("eid", catalog.catalog_list())
@@ -152,36 +171,49 @@ def test_loop_monodromy_every_root(eid):
             assert cost[rows, cols].max() < 1e-8, (r, frac)
 
 
-def test_pfaffian_stops_at_pole():
-    # y' = y / (1 - s) blows up at s = 1: the integrator must give up there
-    # rather than step across the pole
-    seen = []
-
-    def A(s):
-        seen.append(s)
-        return np.array([[1 / (1 - s)]])
-
-    with pytest.raises(StepUnderflow):
-        integrate_pfaffian(A, 0.0, 2.0, np.eye(1), tol=1e-7)
-    assert max(seen) < 1.0
+def test_loop_through_a_root_is_pole_on_path(monkeypatch):
+    # the circle |z - (z_1 + r)| = r passes through the root z_1
+    e, m = entry_setup("LT8")
+    snap = snapshot_at(m, (1.0, 0.5),
+                       p6.default_lambda(e.pvf.ring.weights))
+    rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
+    points = counted_connection(monkeypatch)
+    with pytest.raises(PoleOnPath):
+        monodromy_on_loop(snap, center=snap.z[0] + rad, radius=rad)
+    assert points == []
 
 
-def test_pfaffian_pole_stops_within_budget():
-    # at the default tol DOP853 creeps up to the pole at s = 1 through about
-    # 260,000 connection evaluations; the budget stops it long before
+def test_loop_near_a_root_stops_within_budget(monkeypatch):
+    # 1e-9 r from a root the step count the gap asks for passes the budget
     import time
-    import scipy.integrate  # noqa: F401  (the import is not the integration)
-    seen = []
-
-    def A(s):
-        seen.append(s)
-        return np.array([[1 / (1 - s)]])
-
+    e, m = entry_setup("LT8")
+    snap = snapshot_at(m, (1.0, 0.5),
+                       p6.default_lambda(e.pvf.ring.weights))
+    rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
+    points = counted_connection(monkeypatch)
     start = time.perf_counter()
     with pytest.raises(StepUnderflow, match="connection evaluations"):
-        integrate_pfaffian(A, 0.0, 2.0, np.eye(1))
+        monodromy_on_loop(snap, center=snap.z[0] + rad * (1 + 1e-9),
+                          radius=rad)
     assert time.perf_counter() - start < 0.5
-    assert len(seen) == iso.MAX_CONNECTION_EVALS
+    assert sum(points) <= iso.MAX_CONNECTION_EVALS
+
+
+def test_cli_and_a_loop_leave_scipy_out():
+    # scipy is a development dependency only: the CLI and the loop run
+    # without it
+    import subprocess
+    import sys
+    probe = ("import sys, numpy as np, flatiso.cli\n"
+             "from flatiso import isomono as iso\n"
+             "B = np.array([[0.3, 1], [0, -0.2]], dtype=complex)\n"
+             "snap = iso.OkuboNumeric(n=2, point=(), Binf=np.zeros(2), "
+             "z=np.array([0j]), P=np.eye(2), residues=[B], traces=np.zeros(1))\n"
+             "iso.monodromy_on_loop(snap, center=0.0, radius=1.0)\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def per_point_snapshots(m, path, lam, z_seed):
