@@ -29,7 +29,7 @@ print("sum of residues + Binf:",
       f"{np.abs(sum(snap.residues) + np.diag(snap.Binf)).max():.2e}")
 
 radius = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
-M = isomono.monodromy_on_loop(snap, center=snap.z[0], radius=radius, tol=1e-12)
+M = isomono.monodromy_on_loop(snap, center=snap.z[0], radius=radius)
 got = np.sort_complex(np.linalg.eigvals(M))
 exp = np.sort_complex(np.exp(2j * np.pi * np.linalg.eigvals(snap.residues[0])))
 print(f"\nmonodromy eigenvalues around z_1:  {np.round(got, 8)}")

@@ -76,17 +76,23 @@ def catalog_list() -> List[str]:
 def path_from_doc(dp: dict):
     """(points, svals, z_seed) of a sampling-path document: t1 fixed, t2 on
     points (>= 1) uniform steps from t2_start to t2_end, z_seed null or
-    [re, im]."""
-    try:
-        svals = np.linspace(dp["t2_start"], dp["t2_end"], int(dp["points"]))
-        if not len(svals):
-            raise ValueError("a path needs at least one point")
-        seed = (None if dp.get("z_seed") is None
-                else complex(dp["z_seed"][0], dp["z_seed"][1]))
-        return [(dp["t1"], s) for s in svals], svals, seed
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SchemaError(f"sampling path needs t1, t2_start, t2_end, points "
-                          f"and z_seed ({exc!r})") from None
+    [re, im].  Any other document raises SchemaError."""
+    def real(x):
+        # neither a JSON bool nor NaN or an infinity
+        return type(x) in (int, float) and abs(x) < np.inf
+
+    seed = dp.get("z_seed") if isinstance(dp, dict) else None
+    if not (isinstance(dp, dict)
+            and all(real(dp.get(k)) for k in ("t1", "t2_start", "t2_end"))
+            and type(dp.get("points")) is int and dp["points"] >= 1
+            and (seed is None or type(seed) is list and len(seed) == 2
+                 and all(map(real, seed)))):
+        raise SchemaError("a sampling path needs real t1, t2_start and t2_end, "
+                          "a positive integer points and z_seed null or "
+                          f"[re, im]; got {dp!r}")
+    svals = np.linspace(dp["t2_start"], dp["t2_end"], dp["points"])
+    return ([(dp["t1"], s) for s in svals], svals,
+            None if seed is None else complex(*seed))
 
 
 def catalog_get(entry_id: str) -> CatalogEntry:
@@ -100,8 +106,7 @@ def catalog_get(entry_id: str) -> CatalogEntry:
     points, svals, seed = path_from_doc(doc["default_path"])
     entry = CatalogEntry(
         id=entry_id, pvf=pvf,
-        default_path=PathSpec(points=points,
-                              max_step=2 * abs(svals[1] - svals[0])),
+        default_path=PathSpec(points=points),
         flags=dict(doc["flags"]), notes=doc.get("notes", ""),
         p6_entry=tuple(doc.get("p6_entry", (1, 2))),
         z_seed=seed, path_svals=svals, doc=doc)

@@ -291,11 +291,11 @@ def _check_strings(items, what):
             raise SchemaError(f"{what} must be a string, got {x!r}")
 
 
-def parse_pvf(document, flat_checks: bool = True):
+def parse_pvf(document):
     """Build a potential vector field from a document (dict or JSON text).
 
-    flat_checks additionally enforces the no-integer-weight-difference
-    condition needed by the flat-structure machinery.
+    PotentialVF checks the weights' conditions (last weight 1, no integer
+    difference) on every structure; the order is checked here.
     """
     from .flatcore import PotentialVF
 
@@ -314,16 +314,8 @@ def parse_pvf(document, flat_checks: bool = True):
     if len(g_s) != n:
         raise SchemaError(f"{len(g_s)} components for {n} weights")
     weights = [_fraction_from_str(w, "weight") for w in weights_s]
-    if weights[-1] != 1:
-        raise SchemaError("last weight must be 1")
     if any(a >= b for a, b in zip(weights, weights[1:])):
         raise SchemaError("weights must be strictly increasing")
-    if flat_checks:
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (weights[i] - weights[j]).denominator == 1:
-                    raise SchemaError(
-                        f"weight difference w{i+1}-w{j+1} is an integer")
     ext = doc.get("extension")
     if ext is not None:
         if not isinstance(ext, dict) or ext.get("gen") != "z":

@@ -30,6 +30,11 @@ JM_RESIDUE_TOL = 1e-10
 JM_DIAGONAL_TOL = 1e-8
 RANK_TOL = 1e-9
 TRACE_GUARD = 1e-6
+# monodromy_on_loop's agreement bound, well above the product's rounding
+# floor (about 1e-15), below which step doubling cannot converge
+LOOP_TOL = 1e-10
+# integrate_p6_hamiltonian's bound on the local error per unit step
+HAMILTONIAN_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -39,15 +44,9 @@ TRACE_GUARD = 1e-6
 @dataclass
 class PathSpec:
     points: list
-    max_step: float = 0.05
 
     def __post_init__(self):
-        pts = [tuple(complex(c) for c in p) for p in self.points]
-        for a, b in zip(pts, pts[1:]):
-            step = max(abs(x - y) for x, y in zip(a, b))
-            if step > self.max_step + 1e-12:
-                raise ValueError(f"path step {step} exceeds max_step {self.max_step}")
-        self.points = pts
+        self.points = [tuple(complex(c) for c in p) for p in self.points]
 
 
 @dataclass
@@ -63,11 +62,11 @@ class OkuboNumeric:
     traces: np.ndarray
 
 
-def _check_residues(lam, residues, traces, points, strict=True):
+def _check_residues(lam, residues, traces, points):
     """The snapshot checks on stacked residues (N, n, n, n) and traces (N, n).
 
-    Residues sum to -Binf, each has numerical rank one and (strict) no trace
-    within TRACE_GUARD of +-1 and no lambda_i - lambda_j near an integer.
+    Residues sum to -Binf, each has numerical rank one, no trace lies
+    within TRACE_GUARD of +-1 and no lambda_i - lambda_j is near an integer.
     Raises for the first failing point, named from points.
     """
     lam = np.asarray(lam)
@@ -81,15 +80,14 @@ def _check_residues(lam, residues, traces, points, strict=True):
         checks += [(rank2[:, i], lambda k, i=i: RankViolation(
             f"residue {i+1} has numerical rank >= 2 at {points[k]}"))
                    for i in range(n)]
-    if strict:
-        near = np.minimum(np.abs(traces - 1), np.abs(traces + 1)) < TRACE_GUARD
-        checks += [(near[:, i], lambda k, i=i: RankViolation(
-            f"trace r_{i+1} within {TRACE_GUARD} of +-1 at {points[k]}"))
-                   for i in range(n)]
-        resonant = _integer_gap(lam)
-        if resonant is not None:
-            checks.append((np.ones(len(residues), dtype=bool),
-                           lambda k: EigenvalueCollision(resonant)))
+    near = np.minimum(np.abs(traces - 1), np.abs(traces + 1)) < TRACE_GUARD
+    checks += [(near[:, i], lambda k, i=i: RankViolation(
+        f"trace r_{i+1} within {TRACE_GUARD} of +-1 at {points[k]}"))
+               for i in range(n)]
+    resonant = _integer_gap(lam)
+    if resonant is not None:
+        checks.append((np.ones(len(residues), dtype=bool),
+                       lambda k: EigenvalueCollision(resonant)))
     _raise_first(checks)
 
 
@@ -110,13 +108,13 @@ def _integer_gap(lam):
 # residue decomposition
 # ---------------------------------------------------------------------------
 
-def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None, strict=True):
+def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None):
     """Residue snapshots along a path from one batched, continuation-ordered
     pass (frames_along), checked as one stack."""
-    return track_snapshots(m, path, lam, z_seed=z_seed, strict=strict)[1]
+    return track_snapshots(m, path, lam, z_seed=z_seed)[1]
 
 
-def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None, strict=True,
+def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None,
                     initial_roots=None):
     """(track, snapshots): snapshots_along and the frames_along track they
     were read from, for further checks on the same path.
@@ -135,7 +133,7 @@ def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None, strict=True,
     lamv = np.array([complex(x) for x in lam])
     res = residues_from_frame(P, lamv)
     traces = np.trace(res, axis1=2, axis2=3)
-    _check_residues(lamv, res, traces, path, strict)
+    _check_residues(lamv, res, traces, path)
     return track, [OkuboNumeric(n=m.n, point=p, Binf=lamv, z=roots[k], P=P[k],
                                 residues=res[k], traces=traces[k])
                    for k, p in enumerate(path)]
@@ -212,7 +210,7 @@ def _loop_propagators(A, center, radius, N):
     return Phi, trace
 
 
-def monodromy_on_loop(snapshot: OkuboNumeric, center, radius, tol=1e-10):
+def monodromy_on_loop(snapshot: OkuboNumeric, center, radius):
     """Fundamental-solution monodromy around a circle |z - center| = radius.
 
     The circle is cut into N uniform steps in theta, each propagated by
@@ -220,8 +218,8 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius, tol=1e-10):
     multiplied in order.  N starts at the larger of 16 and the count whose
     arc step is no longer than the gap from the circle to the nearest pole,
     and doubles until two successive monodromies agree within
-    tol * max(1, |M|).  det M is checked against exp(int tr A dz), taken by
-    the same quadrature, to a relative 1e-6.
+    LOOP_TOL * max(1, |M|).  det M is checked against exp(int tr A dz),
+    taken by the same quadrature, to a relative 1e-6.
 
     Raises PoleOnPath when a pole lies on the circle, and StepUnderflow when
     the nodes would pass MAX_CONNECTION_EVALS or the Liouville check fails.
@@ -243,7 +241,7 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius, tol=1e-10):
         Phi, trace = _loop_propagators(A, center, radius, N)
         prev, M = M, _ordered_product(Phi)
         if prev is not None and (np.abs(M - prev).max()
-                                 <= tol * max(1.0, np.abs(M).max())):
+                                 <= LOOP_TOL * max(1.0, np.abs(M).max())):
             break
         N *= 2
     det, target = np.linalg.det(M), np.exp(trace)
@@ -322,19 +320,19 @@ class JMSystem:
     def Ainf(self):
         return -(self.A0 + self.A1 + self.At)
 
-    def validate(self, tol=JM_RESIDUE_TOL):
+    def validate(self):
         _check_jm(np.array([[self.A0, self.A1, self.At]]), self.thetas,
-                  self.kappas, [self.t], tol)
+                  self.kappas, [self.t])
         return self
 
 
-def _check_jm(residues, thetas, kappas, ts, tol=JM_RESIDUE_TOL):
+def _check_jm(residues, thetas, kappas, ts):
     """JMSystem.validate on stacked residues (N, 3, 2, 2) at the times ts.
 
-    A_inf = -(A_0 + A_1 + A_t) must be diagonal within tol with diagonal
-    (kappa_1, kappa_2) within JM_DIAGONAL_TOL, and tr A_i = theta_i within
-    tol.  A non-finite residue fails.  Raises InverseMismatch for the first
-    failing point.
+    A_inf = -(A_0 + A_1 + A_t) must be diagonal within JM_RESIDUE_TOL with
+    diagonal (kappa_1, kappa_2) within JM_DIAGONAL_TOL, and tr A_i = theta_i
+    within JM_RESIDUE_TOL.  A non-finite residue fails.  Raises
+    InverseMismatch for the first failing point.
     """
     Ainf = -residues.sum(axis=1)
     off = np.maximum(np.abs(Ainf[:, 0, 1]), np.abs(Ainf[:, 1, 0]))
@@ -342,11 +340,12 @@ def _check_jm(residues, thetas, kappas, ts, tol=JM_RESIDUE_TOL):
     trace = np.abs(np.trace(residues, axis1=2, axis2=3)
                    - np.asarray(thetas)).max(axis=1)
     _raise_first([
-        (~(off <= tol), lambda k: InverseMismatch(
-            f"A_inf off-diagonal {off[k]} exceeds {tol} at t = {ts[k]}")),
+        (~(off <= JM_RESIDUE_TOL), lambda k: InverseMismatch(
+            f"A_inf off-diagonal {off[k]} exceeds {JM_RESIDUE_TOL} "
+            f"at t = {ts[k]}")),
         (~(diag <= JM_DIAGONAL_TOL), lambda k: InverseMismatch(
             f"A_inf diagonal does not match kappas at t = {ts[k]}")),
-        (~(trace <= tol), lambda k: InverseMismatch(
+        (~(trace <= JM_RESIDUE_TOL), lambda k: InverseMismatch(
             f"trace of a residue does not match theta at t = {ts[k]}")),
     ])
 
@@ -440,14 +439,13 @@ def p6_hamiltonian_rhs(t, y, ztilde, logk, thetas, kappas):
     return dy, dz, dlogk
 
 
-def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400,
-                             tol=1e-10):
+def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400):
     """RK4 trajectory of (y, ztilde, k) of the PVI Hamiltonian system.
 
     init = (y0, ztilde0, k0); returns (ts, ys, zs, ks) sampled on the uniform
     grid, integrating each grid interval with step-halving adaptivity (local
-    error per unit step below tol).  Eliminating ztilde, y(t) solves PVI with
-    alpha = (theta_inf - 1)^2 / 2 etc.
+    error per unit step below HAMILTONIAN_TOL).  Eliminating ztilde, y(t)
+    solves PVI with alpha = (theta_inf - 1)^2 / 2 etc.
 
     The state (y, ztilde, log k) is three Python complex scalars.  A step
     compares one full RK4 step with two half steps; the two share their
@@ -481,6 +479,7 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400,
                 zv + b * (k1v[1] + 2 * k2v[1] + 2 * k3v[1] + k4v[1]),
                 lk + b * (k1v[2] + 2 * k2v[2] + 2 * k3v[2] + k4v[2]))
 
+    tol = HAMILTONIAN_TOL
     min_step = 1e-9             # a step this short has underflowed
     grid = ts.tolist()
     for i in range(steps):

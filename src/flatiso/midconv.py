@@ -26,6 +26,8 @@ from .isomono import OkuboNumeric, track_snapshots
 from .p6 import residues_from_frame
 
 RANK_TOL = 1e-8
+# the displacement of invariant_subspace_check's central differences
+FAMILY_STEP = 1e-6
 
 
 @dataclass
@@ -231,13 +233,13 @@ def big_g_x(sys: RankOneSystem, lam, k, zval):
     return G
 
 
-def kernel_stack_basis(sys: RankOneSystem, tol=1e-8):
+def kernel_stack_basis(sys: RankOneSystem):
     """Basis of K = {(v_1..v_n) : v_i in ker residue_i}, shape (n(n-1), dim)."""
     n, m = sys.n, sys.n - 1
     cols = []
     for i, G in enumerate(sys.residues):
         _, s, vh = np.linalg.svd(G)
-        kern = vh[np.abs(s) < tol * max(1.0, s[0]), :].conj().T
+        kern = vh[np.abs(s) < RANK_TOL * max(1.0, s[0]), :].conj().T
         if kern.shape[1] != m - 1:
             raise RankViolation(f"kernel of residue {i+1} has unexpected dimension")
         for kcol in range(kern.shape[1]):
@@ -247,7 +249,7 @@ def kernel_stack_basis(sys: RankOneSystem, tol=1e-8):
     return np.column_stack(cols) if cols else np.zeros((n * m, 0))
 
 
-def l_space_basis(sys: RankOneSystem, lam, tol=1e-8):
+def l_space_basis(sys: RankOneSystem, lam):
     """Basis of L = ker of the block matrix (residue_j + lam delta_ij)."""
     n, m = sys.n, sys.n - 1
     M = np.zeros((n * m, n * m), dtype=complex)
@@ -256,7 +258,7 @@ def l_space_basis(sys: RankOneSystem, lam, tol=1e-8):
             M[i * m:(i + 1) * m, j * m:(j + 1) * m] = (
                 sys.residues[j] + (lam * np.eye(m) if i == j else 0))
     _, s, vh = np.linalg.svd(M)
-    return vh[np.abs(s) < tol * max(1.0, s[0]), :].conj().T
+    return vh[np.abs(s) < RANK_TOL * max(1.0, s[0]), :].conj().T
 
 
 @dataclass
@@ -272,14 +274,15 @@ class InvarianceReport:
 
 
 def invariant_subspace_check(sys: RankOneSystem, lam,
-                             family: Optional[Callable] = None,
-                             zval=None, h=1e-6) -> InvarianceReport:
+                             family: Optional[Callable] = None
+                             ) -> InvarianceReport:
     """Numeric check that (d - G) maps K and L into K + L.
 
-    The z-direction is pointwise linear algebra (K is z-independent); the
-    x-directions need the system at displaced points, supplied by the family
-    callback x -> RankOneSystem.  Defects are distances of the mapped basis
-    vectors to K + L, normalized per vector.
+    The z-direction is pointwise linear algebra (K is z-independent), at
+    z = max Re z_i + 1.7 + 0.3i; the x-directions are central differences
+    over +-FAMILY_STEP, from the systems at displaced points that the family
+    callback (kdir, step) -> RankOneSystem supplies.  Defects are distances
+    of the mapped basis vectors to K + L, normalized per vector.
     """
     lam = complex(lam)
     K = kernel_stack_basis(sys)
@@ -296,8 +299,7 @@ def invariant_subspace_check(sys: RankOneSystem, lam,
         w = v - Q @ (Q.conj().T @ v)
         return float(np.linalg.norm(w) / max(nv, 1.0))
 
-    if zval is None:
-        zval = sys.z.real.max() + 1.7 + 0.3j
+    zval = sys.z.real.max() + 1.7 + 0.3j
     Gz = big_g_z(sys, lam, zval)
     z_defect = 0.0
     for kcol in range(K.shape[1]):
@@ -310,8 +312,8 @@ def invariant_subspace_check(sys: RankOneSystem, lam,
         nx = sys.z_grad.shape[1]
         for kdir in range(nx):
             Gx = big_g_x(sys, lam, kdir, zval)
-            plus = family(kdir, +h)
-            minus = family(kdir, -h)
+            plus = family(kdir, +FAMILY_STEP)
+            minus = family(kdir, -FAMILY_STEP)
             Kp, Km = kernel_stack_basis(plus), kernel_stack_basis(minus)
             defect = 0.0
             for kcol in range(K.shape[1]):
@@ -319,7 +321,7 @@ def invariant_subspace_check(sys: RankOneSystem, lam,
                 # smooth section through v: project v onto nearby kernels
                 vp = Kp @ (np.linalg.pinv(Kp) @ v)
                 vm = Km @ (np.linalg.pinv(Km) @ v)
-                dv = (vp - vm) / (2 * h)
+                dv = (vp - vm) / (2 * FAMILY_STEP)
                 defect = max(defect, dist_to_KL(dv - Gx @ v))
             x_defects.append(defect)
     return InvarianceReport(dim_K=K.shape[1], dim_L=L.shape[1] if L.size else 0,
@@ -330,17 +332,16 @@ def invariant_subspace_check(sys: RankOneSystem, lam,
 # glue: rank-one system straight from a flat structure
 # ---------------------------------------------------------------------------
 
-def rank_one_from_structure(m, tprime, lam, z_seed=None, initial_roots=None):
+def rank_one_from_structure(m, tprime, lam, z_seed=None):
     """Truncated rank-one system of a flat structure plus its family callback.
 
     Snapshots the Okubo system at (t', t_n = 0) with diagonal lam (whose last
     entry must be nonzero so the truncation shift is meaningful), computes the
     root gradients by implicit differentiation of h, and returns
-    (snapshot, system, family) with family(kdir, h) re-truncating at the
+    (snapshot, system, family) with family(kdir, step) re-truncating at the
     displaced point for the invariant-subspace diagnostics.
     """
-    track, (snap,) = track_snapshots(m, [tprime], lam, z_seed=z_seed,
-                                     initial_roots=initial_roots)
+    track, (snap,) = track_snapshots(m, [tprime], lam, z_seed=z_seed)
     dh = m.dh
     n = m.n
     zval = track[0][0, 0]           # the tracked generator; 0 on a plain ring

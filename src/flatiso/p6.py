@@ -318,11 +318,10 @@ class StructureSampler:
         return complex(zs[0])
 
     def t0_matrix(self, tprime):
-        """T0 at one point by scalar RingElem.eval (the reference evaluation)."""
-        pt = self._full_point(tprime)
+        """T0 at one point, with z continued from the last tracked point."""
         zv = self.z_at(tprime)
-        return np.array([[e.eval(pt, z=zv) for e in row] for row in self.T0],
-                        dtype=complex)
+        row = (0j if zv is None else zv,) + self._full_point(tprime)
+        return self._t0_rows(np.array([row]))[0]
 
     def frames(self, path):
         """(values, roots, frames) along a path, continuation-ordered.
@@ -454,8 +453,7 @@ def _samples_on(alpha, beta, track, path, svals):
 
 
 def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
-                        z_seed=None, svals=None,
-                        initial_roots=None) -> List[P6Sample]:
+                        z_seed=None, svals=None) -> List[P6Sample]:
     """PVI samples along a t'-path from the chosen off-diagonal entry.
 
     binf_eigs are the Okubo eigenvalues (lambda_1, lambda_2, lambda_3); the
@@ -464,7 +462,7 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
     """
     alpha, beta = _linear_entry(m, binf_eigs, entry_choice)
     path = [tuple(p) for p in path]
-    track = frames_along(m, path, z_seed=z_seed, initial_roots=initial_roots)
+    track = frames_along(m, path, z_seed=z_seed)
     return _samples_on(alpha, beta, track, path, svals)
 
 
@@ -508,7 +506,7 @@ def default_lambda(weights):
     return [w[0] - w[2], w[1] - w[2], Fraction(0)]
 
 
-def p6_parameters(m: SaitoMatrices, point, lam=None, z_seed=None, sampler=None,
+def p6_parameters(m: SaitoMatrices, point, lam=None, sampler=None,
                   entry_choice=(1, 2)) -> P6Params:
     """theta and (alpha, beta, gamma, delta) from the residue traces at a point.
 
@@ -521,7 +519,7 @@ def p6_parameters(m: SaitoMatrices, point, lam=None, z_seed=None, sampler=None,
     if lam is None:
         lam = default_lambda(m.weights)
     if sampler is None:
-        sampler = StructureSampler(m, z_seed=z_seed)
+        sampler = StructureSampler(m)
     try:
         _, P = sampler.frame(tuple(point))
     except RootCollision as exc:

@@ -33,6 +33,9 @@ dict from packed monomial keys to integer coefficients plus one positive
 integer denominator (see _Packing); the {exponent tuple: Fraction} form
 exists only at the boundary (Ring(extension=...), Ring.from_raw,
 RingElem.num and the expression parser and printer).
+
+RingElem.eval_batch is the one numeric evaluation, at rows (z, t1..tn) whose
+generator value the path tracker (p6.StructureSampler) solves for.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (DegreeOverflow, DivisionNotExact, InputError,
-                     RootCollision, RootNotConverged)
+                     RootNotConverged)
 
 # Denominators are cancelled after every operation up to this z-degree;
 # larger extensions keep lazy denominators (zero tests do not need them) until
@@ -278,21 +281,6 @@ def _adjugate_column(pk, mat):
     return det, cof
 
 
-def _compile(pk, terms, den):
-    """[(((slot, e), ...), complex coefficient)] for numeric evaluation."""
-    return [(tuple((s, e) for s, e in enumerate(pk.unpack(k)) if e), complex(c / den))
-            for k, c in terms.items()]
-
-
-def _eval_compiled(terms, values):
-    total = 0j
-    for exps, v in terms:
-        for s, e in exps:
-            v *= values[s] ** e
-        total += v
-    return total
-
-
 def _compile_batch(pk, terms, den):
     """(exponent matrix (terms, nvars + 1), complex coefficients) for eval_batch."""
     exps = np.array([pk.unpack(k) for k in terms], dtype=np.intp)
@@ -301,10 +289,10 @@ def _compile_batch(pk, terms, den):
 
 
 def _eval_batch(compiled, values):
-    """_eval_compiled at every row of an (N, nvars + 1) array.
+    """The compiled polynomial at every row of an (N, nvars + 1) array.
 
-    Terms are multiplied slot by slot and summed in the order _eval_compiled
-    takes them; the transients are one (terms, N) product and one power
+    Terms are multiplied slot by slot and summed in the order the element
+    holds them; the transients are one (terms, N) product and one power
     table per slot, never a (terms, N, slots) broadcast.
     """
     exps, coeffs = compiled
@@ -385,7 +373,6 @@ class ExtensionRing:
         self._rel, self._scale = _from_fractions(pk, relation)
         self._drel = pk.partial(self._rel, 0)
         self.drel = _to_fractions(pk, self._drel, self._scale)
-        self._drel_compiled = _compile(pk, self._drel, self._scale)
         self._drel_batch = _compile_batch(pk, self._drel, self._scale)
         self._ztop = d << pk.zshift
         top = d * pk.zunit
@@ -653,15 +640,6 @@ class Ring:
             out[:, ez] += term
         return out
 
-    def solve_z(self, point, seed):
-        """Newton iteration for the generator from a seed, with collision guard."""
-        coeffs = self.rel_coeffs([point])
-        zv = newton_root(coeffs[0].tolist(), seed)
-        if certified_separation(coeffs, [zv])[0] < ROOT_SEPARATION:
-            raise RootCollision(
-                f"generator roots closer than {ROOT_SEPARATION} at {tuple(point)}")
-        return zv
-
 
 def newton_root(coeffs, seed):
     """Newton iteration from seed for a zero of sum_k coeffs[k] z^k."""
@@ -708,7 +686,7 @@ def _binomials(d):
                     dtype=float)
 
 
-def certified_separation(coeffs, zs, floor=ROOT_SEPARATION):
+def certified_separation(coeffs, zs):
     """Lower bounds on the distance from each iterate to every other zero.
 
     coeffs is (N, d + 1), lowest degree first, and zs holds N iterates of
@@ -719,8 +697,8 @@ def certified_separation(coeffs, zs, floor=ROOT_SEPARATION):
     psi(u)), psi(u) = 1 - 4u + 2u^2, and no other zero lies within
     (5 - sqrt 17) / (4 gamma(zeta)) of zeta; so every other zero is at least
     that bound less 2 beta from z.  Rows where this is inconclusive (u not
-    below _U_MAX, or the bound below floor) fall back to np.roots and give
-    the distance from z to its second-nearest root.
+    below _U_MAX, or the bound below ROOT_SEPARATION) fall back to np.roots
+    and give the distance from z to its second-nearest root.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     z = np.asarray(zs, dtype=complex)
@@ -736,7 +714,7 @@ def certified_separation(coeffs, zs, floor=ROOT_SEPARATION):
         u = 2 * beta * gamma
         psi = 1 - 4 * u + 2 * u * u
         sep = _SEPARATION_GAMMA * (1 - u) * psi / gamma - 2 * beta
-    for k in np.flatnonzero(~((u < _U_MAX) & (sep >= floor))):
+    for k in np.flatnonzero(~((u < _U_MAX) & (sep >= ROOT_SEPARATION))):
         dists = np.sort(np.abs(np.roots(coeffs[k][::-1]) - z[k]))
         sep[k] = dists[1] if len(dists) > 1 else np.inf
     return sep
@@ -753,7 +731,7 @@ class RingElem:
     no factor with all of them; num gives the {exponent tuple: Fraction} view.
     """
 
-    __slots__ = ("ring", "_t", "_d", "zden", "dden", "_compiled", "_batch")
+    __slots__ = ("ring", "_t", "_d", "zden", "dden", "_batch")
 
     def __init__(self, ring, terms, den=1, zden=0, dden=0, _canon=True):
         if _canon:
@@ -775,7 +753,6 @@ class RingElem:
         self._t, self._d = _normalized(terms, den)
         self.zden = zden
         self.dden = dden
-        self._compiled = None
         self._batch = None
 
     # -- basics ----------------------------------------------------------------
@@ -1059,37 +1036,14 @@ class RingElem:
 
     # -- numeric evaluation --------------------------------------------------------------
 
-    def eval(self, point, z=None, z_seed=None):
-        """Evaluate at complex t-values; z either given (trusted) or Newton-solved."""
-        ring = self.ring
-        if len(point) != ring.nvars:
-            raise ValueError(f"expected {ring.nvars} coordinates")
-        if ring.ext is None:
-            zv = 0j
-        elif z is not None:
-            zv = complex(z)
-        elif z_seed is not None:
-            zv = ring.solve_z(point, z_seed)
-        elif (self.zden or self.dden
-              or any(k & ring._pk.zmask for k in self._t)):
-            raise ValueError("extension element requires z or z_seed")
-        else:
-            zv = 0j
-        if self._compiled is None:
-            self._compiled = _compile(ring._pk, self._t, self._d)
-        values = (zv,) + tuple(complex(p) for p in point)
-        val = _eval_compiled(self._compiled, values)
-        if self.zden:
-            val /= zv ** self.zden
-        if self.dden:
-            val /= _eval_compiled(ring.ext._drel_compiled, values) ** self.dden
-        return val
-
     def eval_batch(self, values):
-        """eval at every row of an (N, nvars + 1) complex array of (z, t1..tn).
+        """The element at every row of an (N, nvars + 1) complex array of
+        (z, t1..tn), the one way a ring element becomes a number.
 
-        The rows carry the generator value in column 0 (ignored by plain
-        rings), as eval receives it through z=; eval stays the reference.
+        Column 0 carries the generator's value (ignored by plain rings),
+        which the caller has solved for: p6.StructureSampler tracks it along
+        a path.  The numerator is compiled once, into an exponent matrix and
+        a complex coefficient vector, and kept on the element.
         """
         ring = self.ring
         values = np.asarray(values, dtype=complex)

@@ -280,6 +280,21 @@ def test_malformed_entry_and_path_are_input_errors(capsys, tmp_path):
         assert code == 2 and "input error" in err
 
 
+@pytest.mark.parametrize("change", [
+    {"z_seed": [0.5]},
+    {"t1": [1.0]},
+    {"t1": "1.0"},
+    {"points": 9.7},
+])
+def test_malformed_path_documents_are_input_errors(change, capsys, tmp_path):
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps(dict({"t1": 1.0, "t2_start": 0.45, "t2_end": 0.55,
+                                  "points": 21, "z_seed": None}, **change)))
+    code, out, err = run(capsys, "schlesinger", "--catalog", "LT8",
+                         "--path", str(p))
+    assert code == 2 and "input error" in err and out == ""
+
+
 @pytest.mark.parametrize("doc", [
     {"weights": ["1/2", "1"], "g": [1, "t2"]},
     {"weights": ["1/2", 1], "g": ["t1", "t2"]},

@@ -10,7 +10,7 @@ from flatiso.errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                             PoleOnPath, RankViolation, StepUnderflow,
                             TrackingLost)
 from flatiso.flatcore import build_saito_matrices
-from flatiso.isomono import (PathSpec, integrate_p6_hamiltonian,
+from flatiso.isomono import (integrate_p6_hamiltonian,
                              jm_build, jm_residues, monodromy_on_loop,
                              schlesinger_residual, snapshots_along)
 
@@ -37,7 +37,7 @@ def test_residue_rank_one_n1():
     t1 = ring.var(0)
     m = SaitoMatrices(ring=ring, C=[[t1]], Btilde=[[[ring.one()]]],
                       T=[[-t1]], Binf=[F(1)])
-    snap = snapshot_at(m, (0.3,), [0.4], strict=False)
+    snap = snapshot_at(m, (0.3,), [0.4])
     assert abs(snap.residues[0][0, 0] + 0.4) < 1e-14
     assert abs(snap.traces[0] + 0.4) < 1e-14
 
@@ -64,12 +64,6 @@ def test_missing_seed_is_an_input_error():
     with pytest.raises(ValueError, match="z seed"):
         snapshot_at(m, e.default_path.points[0],
                     p6.default_lambda(e.pvf.ring.weights))
-
-
-def test_pathspec_validation():
-    PathSpec(points=[(1.0, 0.4), (1.0, 0.44)], max_step=0.05)
-    with pytest.raises(ValueError):
-        PathSpec(points=[(1.0, 0.4), (1.0, 0.6)], max_step=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +115,7 @@ def test_loop_monodromy_matches_local_exponents():
     snap = snapshot_at(m, (1.0, 0.5),
                        p6.default_lambda(e.pvf.ring.weights))
     rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
-    M = monodromy_on_loop(snap, center=snap.z[0], radius=rad, tol=1e-12)
+    M = monodromy_on_loop(snap, center=snap.z[0], radius=rad)
     got = np.sort(np.abs(np.linalg.eigvals(M)))
     expected = np.sort(np.abs(np.exp(2j * np.pi
                                      * np.linalg.eigvals(snap.residues[0]))))
@@ -150,7 +144,7 @@ def test_loop_connection_evaluations(monkeypatch):
                        p6.default_lambda(e.pvf.ring.weights))
     rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
     points = counted_connection(monkeypatch)
-    monodromy_on_loop(snap, center=snap.z[0], radius=rad, tol=1e-10)
+    monodromy_on_loop(snap, center=snap.z[0], radius=rad)
     assert sum(points) <= 500
 
 
@@ -448,12 +442,13 @@ def test_trajectory_reports():
     assert blob["A0"][0][0] == [sys_.A0[0, 0].real, sys_.A0[0, 0].imag]
 
 
-def test_hamiltonian_step_underflow():
+def test_hamiltonian_step_underflow(monkeypatch):
     from flatiso.errors import StepUnderflow
     th, kp = admissible(9)
+    monkeypatch.setattr(iso, "HAMILTONIAN_TOL", 1e-30)
     with pytest.raises(StepUnderflow):
         integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.3, 1.0), 2.0, 2.1,
-                                 steps=10, tol=1e-30)
+                                 steps=10)
 
 
 def default_jm_problem():

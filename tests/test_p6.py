@@ -19,11 +19,11 @@ def test_roots_of_h_vieta_klein():
     hc = h.coeffs_in(2)
     pt = (1.0, 1.0)
     roots = p6.StructureSampler(m).frame(pt)[0]
-    full = pt + (0.0,)
+    row = [(0j,) + pt + (0.0,)]
     # sum of roots = -coeff of t3^2; product = -constant coefficient (cubic)
-    assert abs(sum(roots) + hc[2].eval(full)) < 1e-12
+    assert abs(sum(roots) + hc[2].eval_batch(row)[0]) < 1e-12
     prod = roots[0] * roots[1] * roots[2]
-    assert abs(prod + hc[0].eval(full)) < 1e-10
+    assert abs(prod + hc[0].eval_batch(row)[0]) < 1e-10
 
 
 def test_roots_ordering_and_continuation():
@@ -86,13 +86,10 @@ def test_relabeling_roots_keeps_residual_small():
     lam = p6.default_lambda(e.pvf.ring.weights)
     first = p6.StructureSampler(m).frame(e.default_path.points[0])[0]
     prev = np.array([first[1], first[0], first[2]])
-    samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
-                                     svals=e.path_svals, initial_roots=prev)
-    sampler = p6.StructureSampler(m)
-    sampler._prev_roots = prev
-    params = p6.p6_parameters(m, e.default_path.points[0], lam=lam,
-                              sampler=sampler)
-    res = p6.p6_residual(samples, params)
+    path = e.default_path.points
+    track = p6.frames_along(m, path, initial_roots=prev)
+    samples, _, res = p6.pvi_on_frames(m, lam, (1, 2), track, path,
+                                       svals=e.path_svals)
     assert res < 1e-6
     # the relabeled t really is the 0 <-> 1 swapped cross-ratio
     plain = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points[:5],

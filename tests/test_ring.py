@@ -13,6 +13,11 @@ from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _p_lincomb, _p
                           certified_separation, newton_root)
 
 
+def root_near(ring, pt, seed):
+    """Newton's zero of the relation at the full point pt, from seed."""
+    return newton_root(ring.rel_coeffs([pt])[0].tolist(), seed)
+
+
 @pytest.fixture(scope="module")
 def plain():
     return Ring(["2/7", "3/7", "1"])
@@ -75,8 +80,8 @@ def test_zero_homogeneous_of_every_weight(plain):
 
 def test_eval_basic(plain, klein):
     t1, t2, t3 = plain.gens()
-    assert (t1 * t3).eval((1, 0, 2)) == 2
-    v = klein.g[0].eval((1, 1, 1))
+    assert (t1 * t3).eval_batch([(0, 1, 0, 2)])[0] == 2
+    v = klein.g[0].eval_batch([(0, 1, 1, 1)])[0]
     assert abs(v - F(11, 12)) < 1e-12
 
 
@@ -91,11 +96,11 @@ def test_extension_euler_and_reduction(ext):
 def test_implicit_derivative_against_finite_difference(ext):
     dz = ext.zgen().partial(1)          # dz/dt2 = -1/(t1 + 4 z^3)
     pt = (1.0, 0.3, 0.0)
-    z0 = ext.solve_z(pt, seed=-0.3)
-    val = dz.eval(pt, z=z0)
+    z0 = root_near(ext, pt, -0.3)
+    val = dz.eval_batch([(z0,) + pt])[0]
     h = 1e-6
-    zp = ext.solve_z((1.0, 0.3 + h, 0.0), seed=z0)
-    zm = ext.solve_z((1.0, 0.3 - h, 0.0), seed=z0)
+    zp = root_near(ext, (1.0, 0.3 + h, 0.0), z0)
+    zm = root_near(ext, (1.0, 0.3 - h, 0.0), z0)
     assert abs(val - (zp - zm) / (2 * h)) < 1e-7
     assert abs(val + 1 / (1 + 4 * z0 ** 3)) < 1e-12
 
@@ -131,20 +136,6 @@ def test_catalog_relations_pass_squarefree_guard():
             assert again == ring
 
 
-def test_eval_root_seeds(ext):
-    # at t1 = 1, t2 = 0 the relation is z(1 + z^3) = 0; seed 0 picks z = 0
-    z = ext.zgen()
-    assert abs(z.eval((1.0, 0.0, 0.0), z_seed=0.01)) < 1e-12
-
-
-def test_root_collision_raises():
-    # z^2 - t1: roots +-sqrt(t1) collide at t1 -> 0
-    rel = {(2, 0, 0): F(1), (0, 1, 0): F(-1)}
-    ring = Ring(["1/2", "1"], extension=rel, z_weight="1/4")
-    with pytest.raises(RootCollision):
-        ring.solve_z((1e-22, 0.0), seed=1e-11)
-
-
 def z_tracker(ring, seed):
     # the path tracker on T0 = diag(z, 1, 2), whose first root is the generator
     from types import SimpleNamespace
@@ -154,6 +145,20 @@ def z_tracker(ring, seed):
           [zero, zero, ring.const(2)]]
     return p6.StructureSampler(SimpleNamespace(ring=ring, n=ring.nvars, T0=T0),
                                z_seed=seed)
+
+
+def test_eval_root_seeds(ext):
+    # at t1 = 1, t2 = 0 the relation is z(1 + z^3) = 0; seed 0 picks z = 0
+    zv = z_tracker(ext, 0.01).z_at((1.0, 0.0, 0.0))
+    assert abs(ext.zgen().eval_batch([(zv, 1.0, 0.0, 0.0)])[0]) < 1e-12
+
+
+def test_root_collision_raises():
+    # z^2 - t1: roots +-sqrt(t1) collide at t1 -> 0
+    rel = {(2, 0, 0): F(1), (0, 1, 0): F(-1)}
+    ring = Ring(["1/2", "1"], extension=rel, z_weight="1/4")
+    with pytest.raises(RootCollision):
+        z_tracker(ring, 1e-11).z_at((1e-22, 0.0))
 
 
 def test_z_continuation_satisfies_relation(ext):
@@ -171,12 +176,12 @@ def test_branch_jump_is_bisected(ext):
     # must bisect it and agree with a fine track of the same segment
     p0 = (4.985e-05 - 1.6874e-03j, 7.923e-03 + 6.164e-03j, 0.0)
     p1 = (-1.6600e-02 - 1.1566e-02j, -1.0701e-03 - 2.5849e-03j, 0.0)
-    z0 = ext.solve_z(p0, 0.18797 + 0.25638j)
+    z0 = root_near(ext, p0, 0.18797 + 0.25638j)
     fine = z_tracker(ext, z0)
     for s in np.linspace(0.0, 1.0, 201):
         zf = fine.z_at(tuple(a + s * (b - a) for a, b in zip(p0, p1)))
     assert abs(zf - (0.2986 + 0.0722j)) < 1e-3
-    jumped = ext.solve_z(p1, z0)
+    jumped = root_near(ext, p1, z0)
     assert abs(jumped - zf) > 0.3
     coarse = z_tracker(ext, z0)
     coarse.z_at(p0)
@@ -198,7 +203,7 @@ def test_certified_separation_is_a_lower_bound(roots, pick, nudge):
     target = roots[pick % len(roots)]
     zv = newton_root(list(coeffs), target + nudge * dists.min())
     true = np.sort(np.abs(np.roots(coeffs[::-1]) - zv))[1]
-    sep = certified_separation(coeffs[None], [zv], floor=0.0)[0]
+    sep = certified_separation(coeffs[None], [zv])[0]
     assert sep <= true * (1 + 1e-9)
 
 
@@ -234,14 +239,14 @@ def test_euler_termwise_matches_derivative_form(ring_name, plain, ext):
 def test_eval_is_ring_homomorphism(ext):
     rng = random.Random(99)
     pt = (1.1, 0.4, 0.7)
-    z0 = ext.solve_z(pt, seed=0.6 + 0.9j)
+    row = [(root_near(ext, pt, 0.6 + 0.9j),) + pt]
     for _ in range(25):
         a = random_elem(ext, rng, with_z=True)
         b = random_elem(ext, rng, with_z=True)
-        va, vb = a.eval(pt, z=z0), b.eval(pt, z=z0)
+        va, vb = a.eval_batch(row)[0], b.eval_batch(row)[0]
         scale = max(1.0, abs(va), abs(vb))
-        assert abs((a + b).eval(pt, z=z0) - (va + vb)) < 1e-12 * scale
-        assert abs((a * b).eval(pt, z=z0) - va * vb) < 1e-12 * scale * scale
+        assert abs((a + b).eval_batch(row)[0] - (va + vb)) < 1e-12 * scale
+        assert abs((a * b).eval_batch(row)[0] - va * vb) < 1e-12 * scale * scale
 
 
 def test_reduction_idempotent(ext):
@@ -376,16 +381,6 @@ def test_division_refuses_non_multiples_of_rel_z(eid, data):
             x / drel
 
 
-def test_eval_ignores_seed_on_plain_ring(plain):
-    t1, t2, t3 = plain.gens()
-    assert (t1 * t3).eval((1, 0, 2), z_seed=0.3) == 2
-
-
-def test_eval_missing_seed_raises(ext):
-    with pytest.raises(ValueError):
-        ext.zgen().eval((1.0, 0.4, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # packed-key representation
 # ---------------------------------------------------------------------------
@@ -478,18 +473,21 @@ def test_monomial_division_detects_negative_exponents(args):
 
 @pytest.mark.parametrize("eid", catalog.catalog_list())
 def test_compiled_eval_matches_fraction_reference(eid):
-    # the compiled form (exponent tuples, complex coefficients over the
-    # denominator) against a term-by-term complex(Fraction) evaluation
-    from flatiso import flatcore
+    # eval_batch along the whole default path, for every entry of T0, adj(T)
+    # and dh (LT14 and LT19 carry z and rel_z denominators), against a
+    # term-by-term complex(Fraction) evaluation, within 1e-12 of the sum of
+    # the term magnitudes
+    from flatiso import flatcore, p6
     cat = catalog.catalog_get(eid)
     m = flatcore.build_saito_matrices(cat.pvf)
     ring = m.ring
-    tprime = cat.default_path.points[0]
-    pt = tuple(complex(p) for p in tprime) + (0j,) * (ring.nvars - len(tprime))
-    zv = ring.solve_z(pt, cat.z_seed) if ring.ext is not None else 0j
-    values = (zv,) + pt
+    sampler = p6.StructureSampler(m, z_seed=cat.z_seed)
+    rows = []
+    for tp in cat.default_path.points:
+        zv = sampler.z_at(tp)
+        rows.append((0j if zv is None else zv,) + sampler._full_point(tp))
 
-    def reference(num):
+    def reference(num, values):
         terms = []
         for mono, c in num.items():
             v = complex(c)
@@ -498,47 +496,16 @@ def test_compiled_eval_matches_fraction_reference(eid):
             terms.append(v)
         return sum(terms), sum(abs(v) for v in terms)
 
-    for row in m.T0:
-        for x in row:
-            val, scale = reference(x.num)
-            if x.zden:
-                val /= zv ** x.zden
-                scale /= abs(zv) ** x.zden
-            if x.dden:
-                d = reference(ring.ext.drel)[0] ** x.dden
-                val, scale = val / d, scale / abs(d)
-            assert abs(x.eval(pt, z=zv) - val) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("eid", catalog.catalog_list())
-def test_batched_eval_matches_scalar(eid):
-    # eval_batch along the whole default path against scalar eval at each
-    # point, for every entry of T0, adj(T) and dh (LT14 and LT19 carry z and
-    # rel_z denominators), within 1e-12 of the sum of term magnitudes
-    import numpy as np
-    from flatiso import flatcore, p6
-    cat = catalog.catalog_get(eid)
-    m = flatcore.build_saito_matrices(cat.pvf)
-    ring = m.ring
-    sampler = p6.StructureSampler(m, z_seed=cat.z_seed)
-    pts = [sampler._full_point(tp) for tp in cat.default_path.points]
-    zs = [sampler.z_at(tp) for tp in cat.default_path.points]
-    values = np.array([(0j if z is None else z,) + pt for z, pt in zip(zs, pts)])
-
-    def terms(num):
-        # every term c * prod x^e of a {exponent tuple: Fraction} polynomial
-        exps = np.array(list(num), dtype=float).reshape(len(num), ring.nvars + 1)
-        coeffs = np.array([complex(c) for c in num.values()])
-        return coeffs[:, None] * np.prod(values[None] ** exps[:, None], axis=2)
-
     elems = [x for M in (m.T0, m.adjT) for row in M for x in row] + list(m.dh)
     assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
     for x in elems:
-        scale = np.abs(terms(x.num)).sum(axis=0)
-        if x.zden:
-            scale /= np.abs(values[:, 0]) ** x.zden
-        if x.dden:
-            scale /= np.abs(terms(ring.ext.drel).sum(axis=0)) ** x.dden
-        got = x.eval_batch(values)
-        want = np.array([x.eval(pt, z=z) for pt, z in zip(pts, zs)])
-        assert np.all(np.abs(got - want) <= 1e-12 * scale)
+        got = x.eval_batch(rows)
+        for k, values in enumerate(rows):
+            val, scale = reference(x.num, values)
+            if x.zden:
+                val /= values[0] ** x.zden
+                scale /= abs(values[0]) ** x.zden
+            if x.dden:
+                d = reference(ring.ext.drel, values)[0] ** x.dden
+                val, scale = val / d, scale / abs(d)
+            assert abs(got[k] - val) <= 1e-12 * scale
