@@ -509,3 +509,39 @@ def test_compiled_eval_matches_fraction_reference(eid):
                 d = reference(ring.ext.drel, values)[0] ** x.dden
                 val, scale = val / d, scale / abs(d)
             assert abs(got[k] - val) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_batched_eval_matches_scalar(eid):
+    # eval_batch along the whole default path against eval_batch on the one
+    # row of each point, for every entry of T0, adj(T) and dh (LT14 and LT19
+    # carry z and rel_z denominators), within 1e-12 of the sum of term
+    # magnitudes
+    import numpy as np
+    from flatiso import flatcore, p6
+    cat = catalog.catalog_get(eid)
+    m = flatcore.build_saito_matrices(cat.pvf)
+    ring = m.ring
+    sampler = p6.StructureSampler(m, z_seed=cat.z_seed)
+    pts = [sampler._full_point(tp) for tp in cat.default_path.points]
+    zs = [sampler.z_at(tp) for tp in cat.default_path.points]
+    values = np.array([(0j if z is None else z,) + pt for z, pt in zip(zs, pts)])
+
+    def terms(num):
+        # every term c * prod x^e of a {exponent tuple: Fraction} polynomial
+        exps = np.array(list(num), dtype=float).reshape(len(num), ring.nvars + 1)
+        coeffs = np.array([complex(c) for c in num.values()])
+        return coeffs[:, None] * np.prod(values[None] ** exps[:, None], axis=2)
+
+    elems = [x for M in (m.T0, m.adjT) for row in M for x in row] + list(m.dh)
+    assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
+    for x in elems:
+        scale = np.abs(terms(x.num)).sum(axis=0)
+        if x.zden:
+            scale /= np.abs(values[:, 0]) ** x.zden
+        if x.dden:
+            scale /= np.abs(terms(ring.ext.drel).sum(axis=0)) ** x.dden
+        got = x.eval_batch(values)
+        want = np.array([x.eval_batch(row[None])[0] for row in values])
+        assert got.shape == (len(values),)
+        assert np.all(np.abs(got - want) <= 1e-12 * scale)
