@@ -35,6 +35,11 @@ TOLERANCES = {
     "invariance_defect": 1e-6,
 }
 
+# The most grid points a sampling path (its points) or a Jimbo-Miwa
+# trajectory (jm-roundtrip --steps) may ask for; every array along them is
+# allocated up front.
+MAX_POINTS = 10_000
+
 
 @dataclass
 class CatalogEntry:
@@ -75,8 +80,8 @@ def catalog_list() -> List[str]:
 
 def path_from_doc(dp: dict):
     """(points, svals, z_seed) of a sampling-path document: t1 fixed, t2 on
-    points (>= 1) uniform steps from t2_start to t2_end, z_seed null or
-    [re, im].  Any other document raises SchemaError."""
+    points (1 to MAX_POINTS) uniform steps from t2_start to t2_end, z_seed
+    null or [re, im].  Any other document raises SchemaError."""
     def real(x):
         # neither a JSON bool nor NaN or an infinity
         return type(x) in (int, float) and abs(x) < np.inf
@@ -84,12 +89,13 @@ def path_from_doc(dp: dict):
     seed = dp.get("z_seed") if isinstance(dp, dict) else None
     if not (isinstance(dp, dict)
             and all(real(dp.get(k)) for k in ("t1", "t2_start", "t2_end"))
-            and type(dp.get("points")) is int and dp["points"] >= 1
+            and type(dp.get("points")) is int
+            and 1 <= dp["points"] <= MAX_POINTS
             and (seed is None or type(seed) is list and len(seed) == 2
                  and all(map(real, seed)))):
         raise SchemaError("a sampling path needs real t1, t2_start and t2_end, "
-                          "a positive integer points and z_seed null or "
-                          f"[re, im]; got {dp!r}")
+                          f"an integer points from 1 to {MAX_POINTS} and "
+                          f"z_seed null or [re, im]; got {dp!r}")
     svals = np.linspace(dp["t2_start"], dp["t2_end"], dp["points"])
     return ([(dp["t1"], s) for s in svals], svals,
             None if seed is None else complex(*seed))

@@ -262,6 +262,10 @@ def _run_midconv(args):
 
 
 def _run_jm_roundtrip(args):
+    # five grid points for the stencils, at most catalog.MAX_POINTS steps
+    if not 4 <= args.steps <= cat.MAX_POINTS:
+        raise InputError(f"--steps must be from 4 to {cat.MAX_POINTS}, "
+                         f"got {args.steps}")
     rng = np.random.default_rng(args.seed)
     th = tuple(rng.normal(0, 0.35, 3) + 1j * rng.normal(0, 0.1, 3))
     k2 = rng.normal(0, 0.35) + 1j * rng.normal(0, 0.1)

@@ -10,6 +10,7 @@ system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -424,10 +425,17 @@ def jm_residues(ts, ys, zs, ks, thetas, kappas):
     return np.column_stack([np.zeros_like(t), np.ones_like(t), t]), residues
 
 
-def p6_hamiltonian_rhs(t, y, ztilde, logk, thetas, kappas):
+def p6_hamiltonian_rhs(t, y, ztilde, thetas, kappas):
+    """(dy, dztilde, dlog k)/dt of the PVI Hamiltonian system.
+
+    log k does not enter the right-hand side, so it is a quadrature along
+    (y, ztilde).  Raises BlowUp when y is within 1e-9 of a pole 0, 1 or t.
+    """
     th0, th1, tht = thetas
     k1, k2 = kappas
     ym1, ymt, tt = y - 1, y - t, t * (t - 1)
+    if abs(y) < 1e-9 or abs(ym1) < 1e-9 or abs(ymt) < 1e-9:
+        raise BlowUp(f"y too close to a pole at t = {t}")
     dy = (y * ym1 * ymt / tt
           * (2 * ztilde - th0 / y - th1 / ym1 - (tht - 1) / ymt))
     dz = (1 / tt) * (
@@ -439,77 +447,117 @@ def p6_hamiltonian_rhs(t, y, ztilde, logk, thetas, kappas):
     return dy, dz, dlogk
 
 
+def _fractions(*rows):
+    """Tuples of Fractions from rows of space-separated rationals."""
+    return tuple(tuple(map(Fraction, row.split())) for row in rows)
+
+
+# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
+# 1980; Hairer-Norsett-Wanner, Solving ODEs I, II.5), the tableau of
+# scipy's RK45: nodes c, the rows of a below the diagonal, the order-5
+# weights b, which equal the last row of a (first same as last), and the
+# error weights e = b - bhat, bhat the embedded order-4 weights.
+DOPRI5_A = _fractions(
+    "",
+    "1/5",
+    "3/40 9/40",
+    "44/45 -56/15 32/9",
+    "19372/6561 -25360/2187 64448/6561 -212/729",
+    "9017/3168 -355/33 46732/5247 49/176 -5103/18656",
+    "35/384 0 500/1113 125/192 -2187/6784 11/84")
+(DOPRI5_C, DOPRI5_B, DOPRI5_E) = _fractions(
+    "0 1/5 3/10 4/5 8/9 1 1",
+    "35/384 0 500/1113 125/192 -2187/6784 11/84 0",
+    "71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40")
+
+
 def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400):
-    """RK4 trajectory of (y, ztilde, k) of the PVI Hamiltonian system.
+    """Dormand-Prince 5(4) trajectory of (y, ztilde, k) of the PVI
+    Hamiltonian system.
 
     init = (y0, ztilde0, k0); returns (ts, ys, zs, ks) sampled on the uniform
-    grid, integrating each grid interval with step-halving adaptivity (local
-    error per unit step below HAMILTONIAN_TOL).  Eliminating ztilde, y(t)
-    solves PVI with alpha = (theta_inf - 1)^2 / 2 etc.
+    grid.  Eliminating ztilde, y(t) solves PVI with
+    alpha = (theta_inf - 1)^2 / 2 etc.
 
-    The state (y, ztilde, log k) is three Python complex scalars.  A step
-    compares one full RK4 step with two half steps; the two share their
-    first stage, so an accepted step costs 11 right-hand-side evaluations
-    (a rejected one, whose first stage is kept, 10).  Raises BlowUp when y
-    comes within 1e-9 of a pole or |y| or |ztilde| passes 1e8 at a grid
-    point, and StepUnderflow when a step would fall below 1e-9.
+    Each grid interval is one step or more, never past the grid point (no
+    dense output).  A step is accepted when the embedded error estimate,
+    the max-norm over (y, ztilde, log k) scaled by max(1, |state|), is at
+    most HAMILTONIAN_TOL * |h|; a rejected step halves h, an error below a
+    sixteenth of the bound doubles it.  The pair is first same as last: the
+    seventh stage f(t + h, new state) is the next step's first stage, and a
+    rejected step keeps its first stage, so every step costs 6 evaluations
+    of p6_hamiltonian_rhs and a run 1 + 6 * (accepted + rejected).  The
+    state is three Python complex scalars; log k is a quadrature, so only
+    its weighted sums are formed.
+
+    Raises BlowUp when y comes within 1e-9 of a pole (the guard in
+    p6_hamiltonian_rhs) or |y| or |ztilde| passes 1e8 or turns non-finite
+    at a grid point, and StepUnderflow when a step would fall below 1e-9.
     """
+    f = p6_hamiltonian_rhs
     th = tuple(complex(x) for x in thetas)
     kp = tuple(complex(x) for x in kappas)
-    y, zt, k = (complex(x) for x in init)
-    state = (y, zt, complex(np.log(k)))
+    y, z, k = (complex(x) for x in init)
+    lk = complex(np.log(k))
     ts = np.linspace(float(t0), float(t1), steps + 1)
     out = np.empty((steps + 1, 3), dtype=complex)
-    out[0] = state
-
-    def f(t, yv, zv, lk):
-        if abs(yv) < 1e-9 or abs(yv - 1) < 1e-9 or abs(yv - t) < 1e-9:
-            raise BlowUp(f"y too close to a pole at t = {t}")
-        return p6_hamiltonian_rhs(t, yv, zv, lk, th, kp)
-
-    def rk4(t, h, st, k1v):
-        """One RK4 step of size h from st, whose first stage is k1v."""
-        yv, zv, lk = st
-        a = h / 2
-        k2v = f(t + a, yv + a * k1v[0], zv + a * k1v[1], lk + a * k1v[2])
-        k3v = f(t + a, yv + a * k2v[0], zv + a * k2v[1], lk + a * k2v[2])
-        k4v = f(t + h, yv + h * k3v[0], zv + h * k3v[1], lk + h * k3v[2])
-        b = h / 6
-        return (yv + b * (k1v[0] + 2 * k2v[0] + 2 * k3v[0] + k4v[0]),
-                zv + b * (k1v[1] + 2 * k2v[1] + 2 * k3v[1] + k4v[1]),
-                lk + b * (k1v[2] + 2 * k2v[2] + 2 * k3v[2] + k4v[2]))
+    out[0] = y, z, lk
+    _, c2, c3, c4, c5, _, _ = map(float, DOPRI5_C)
+    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
+     (a61, a62, a63, a64, a65), _) = (tuple(map(float, r)) for r in DOPRI5_A)
+    b1, _, b3, b4, b5, b6, _ = map(float, DOPRI5_B)
+    e1, _, e3, e4, e5, e6, e7 = map(float, DOPRI5_E)
 
     tol = HAMILTONIAN_TOL
     min_step = 1e-9             # a step this short has underflowed
     grid = ts.tolist()
+    p1, q1, r1 = f(grid[0], y, z, th, kp)       # the first stage
     for i in range(steps):
         t, target = grid[i], grid[i + 1]
         h = target - t
         sign = 1.0 if h > 0 else -1.0
-        first = None            # f(t, state), shared until the step is taken
         while (target - t) * sign > 1e-14:
             if abs(h) > abs(target - t) - min_step:
-                h = target - t
-            if first is None:
-                first = f(t, *state)
-            full = rk4(t, h, state, first)
-            mid = rk4(t, h / 2, state, first)
-            half = rk4(t + h / 2, h / 2, mid, f(t + h / 2, *mid))
-            err = (max(abs(full[0] - half[0]), abs(full[1] - half[1]),
-                       abs(full[2] - half[2]))
-                   / max(1.0, abs(half[0]), abs(half[1]), abs(half[2])))
+                h, tn = target - t, target
+            else:
+                tn = t + h
+            p2, q2, r2 = f(t + c2 * h, y + h * (a21 * p1), z + h * (a21 * q1),
+                           th, kp)
+            p3, q3, r3 = f(t + c3 * h, y + h * (a31 * p1 + a32 * p2),
+                           z + h * (a31 * q1 + a32 * q2), th, kp)
+            p4, q4, r4 = f(t + c4 * h,
+                           y + h * (a41 * p1 + a42 * p2 + a43 * p3),
+                           z + h * (a41 * q1 + a42 * q2 + a43 * q3), th, kp)
+            p5, q5, r5 = f(t + c5 * h,
+                           y + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
+                           z + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
+                           th, kp)
+            p6, q6, r6 = f(tn, y + h * (a61 * p1 + a62 * p2 + a63 * p3
+                                        + a64 * p4 + a65 * p5),
+                           z + h * (a61 * q1 + a62 * q2 + a63 * q3
+                                    + a64 * q4 + a65 * q5), th, kp)
+            yn = y + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
+            zn = z + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
+            ln = lk + h * (b1 * r1 + b3 * r3 + b4 * r4 + b5 * r5 + b6 * r6)
+            p7, q7, r7 = f(tn, yn, zn, th, kp)
+            err = (abs(h) * max(
+                abs(e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7),
+                abs(e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7),
+                abs(e1 * r1 + e3 * r3 + e4 * r4 + e5 * r5 + e6 * r6 + e7 * r7))
+                   / max(1.0, abs(yn), abs(zn), abs(ln)))
             if err > tol * abs(h):
                 h /= 2
                 if abs(h) < min_step:
                     raise StepUnderflow(f"step underflow at t = {t}")
                 continue
-            state, t, first = half, t + h, None
+            y, z, lk, t = yn, zn, ln, tn
+            p1, q1, r1 = p7, q7, r7
             if err < tol * abs(h) / 16:
                 h *= 2
         # written so that a NaN state fails too
-        if not (abs(state[0]) <= 1e8 and abs(state[1]) <= 1e8):
+        if not (abs(y) <= 1e8 and abs(z) <= 1e8):
             raise BlowUp(f"trajectory blew up at t = {target}")
-        out[i + 1] = state
+        out[i + 1] = y, z, lk
     return ts, out[:, 0], out[:, 1], np.exp(out[:, 2])
 
 

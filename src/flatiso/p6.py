@@ -506,9 +506,10 @@ def default_lambda(weights):
     return [w[0] - w[2], w[1] - w[2], Fraction(0)]
 
 
-def p6_parameters(m: SaitoMatrices, point, lam=None, sampler=None,
-                  entry_choice=(1, 2)) -> P6Params:
-    """theta and (alpha, beta, gamma, delta) from the residue traces at a point.
+def p6_parameters(m: SaitoMatrices, point, sampler: StructureSampler,
+                  lam=None, entry_choice=(1, 2)) -> P6Params:
+    """theta and (alpha, beta, gamma, delta) from the residue traces at a
+    point, on the frame that sampler, a StructureSampler of m, computes there.
 
     For entry (i, j) the two-dimensional reduction keeps the unknowns i, j
     and drops the remaining index k, which requires shifting the Okubo
@@ -518,8 +519,6 @@ def p6_parameters(m: SaitoMatrices, point, lam=None, sampler=None,
     _check_entry(m, entry_choice)
     if lam is None:
         lam = default_lambda(m.weights)
-    if sampler is None:
-        sampler = StructureSampler(m)
     try:
         _, P = sampler.frame(tuple(point))
     except RootCollision as exc:

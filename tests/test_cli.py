@@ -285,6 +285,7 @@ def test_malformed_entry_and_path_are_input_errors(capsys, tmp_path):
     {"t1": [1.0]},
     {"t1": "1.0"},
     {"points": 9.7},
+    {"points": catalog.MAX_POINTS + 1},
 ])
 def test_malformed_path_documents_are_input_errors(change, capsys, tmp_path):
     p = tmp_path / "path.json"
@@ -293,6 +294,19 @@ def test_malformed_path_documents_are_input_errors(change, capsys, tmp_path):
     code, out, err = run(capsys, "schlesinger", "--catalog", "LT8",
                          "--path", str(p))
     assert code == 2 and "input error" in err and out == ""
+
+
+def test_sizes_past_the_bound_are_input_errors(capsys):
+    # one past catalog.MAX_POINTS is refused before anything is allocated
+    bound = catalog.MAX_POINTS
+    doc = {"t1": 1.0, "t2_start": 0.45, "t2_end": 0.55, "points": bound + 1,
+           "z_seed": None}
+    with pytest.raises(SchemaError, match=str(bound)):
+        catalog.path_from_doc(doc)
+    assert len(catalog.path_from_doc(dict(doc, points=bound))[0]) == bound
+    for steps in (-1, bound + 1):
+        code, out, err = run(capsys, "jm-roundtrip", "--steps", str(steps))
+        assert code == 2 and "--steps" in err and out == "", steps
 
 
 @pytest.mark.parametrize("doc", [

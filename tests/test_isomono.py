@@ -463,15 +463,16 @@ def default_jm_problem():
     return th, (k1, k2), init
 
 
-def test_hamiltonian_grid_matches_dop853_reference():
+def assert_matches_dop853(th, kp, init, trajectory):
+    """The grid of integrate_p6_hamiltonian against scipy's DOP853 at
+    rtol = atol = 1e-13, within 1e-9."""
     from scipy.integrate import solve_ivp
-    th, kp, init = default_jm_problem()
-    ts, ys, zs, ks = integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=400)
+    ts, ys, zs, ks = trajectory
 
     def rhs(t, s):
-        return np.array(iso.p6_hamiltonian_rhs(t, s[0], s[1], s[2], th, kp))
+        return np.array(iso.p6_hamiltonian_rhs(t, s[0], s[1], th, kp))
 
-    ref = solve_ivp(rhs, (2.0, 2.4), np.array([init[0], init[1], 0j]),
+    ref = solve_ivp(rhs, (ts[0], ts[-1]), np.array([init[0], init[1], 0j]),
                     method="DOP853", rtol=1e-13, atol=1e-13, t_eval=ts)
     assert ref.status == 0
     assert np.abs(ref.y[0] - ys).max() < 1e-9
@@ -479,9 +480,14 @@ def test_hamiltonian_grid_matches_dop853_reference():
     assert np.abs(np.exp(ref.y[2]) - ks).max() < 1e-9
 
 
-def test_hamiltonian_step_shares_its_first_stage(monkeypatch):
-    # full step 4 evaluations, two half steps 4 + 4, the first one shared
+def test_hamiltonian_grid_matches_dop853_reference():
     th, kp, init = default_jm_problem()
+    assert_matches_dop853(th, kp, init, integrate_p6_hamiltonian(
+        th, kp, init, 2.0, 2.4, steps=400))
+
+
+def counted_rhs(monkeypatch):
+    """The times of every p6_hamiltonian_rhs call from here on."""
     calls = []
     rhs = iso.p6_hamiltonian_rhs
 
@@ -490,8 +496,117 @@ def test_hamiltonian_step_shares_its_first_stage(monkeypatch):
         return rhs(*args)
 
     monkeypatch.setattr(iso, "p6_hamiltonian_rhs", counted)
+    return calls
+
+
+def test_hamiltonian_accepted_step_costs_six_evaluations(monkeypatch):
+    # seven stages, the last one the next step's first: 6 per step, plus
+    # the first stage of the first step
+    th, kp, init = default_jm_problem()
+    calls = counted_rhs(monkeypatch)
     integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=400)
-    assert len(calls) == 11 * 400
+    assert len(calls) == 6 * 400 + 1
+
+
+def dopri5_steps(calls):
+    """(t, h) of every step from the times of its six evaluations, which
+    follow the first one at c_2..c_7 = 1/5, 3/10, 4/5, 8/9, 1, 1."""
+    assert (len(calls) - 1) % 6 == 0
+    nodes = np.array([float(c) for c in iso.DOPRI5_C[1:]])
+    steps = []
+    for k in range(1, len(calls), 6):
+        s = np.array(calls[k:k + 6])
+        h = (s[5] - s[0]) * 5 / 4
+        t = s[5] - h
+        assert np.abs(s - (t + nodes * h)).max() < 1e-12
+        steps.append((t, h))
+    return steps
+
+
+def test_hamiltonian_rejected_step_keeps_its_first_stage(monkeypatch):
+    # a grid interval of 0.01 is too long for HAMILTONIAN_TOL, so steps are
+    # rejected and halved; each costs 6 evaluations all the same
+    th, kp, init = default_jm_problem()
+    calls = counted_rhs(monkeypatch)
+    trajectory = integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=40)
+    assert calls[0] == 2.0
+    steps = dopri5_steps(calls)
+    accepted = rejected = 0
+    for (t, h), (t_next, h_next) in zip(steps, steps[1:]):
+        if abs(t_next - t) < 1e-12:
+            # rejected: the same start, half the step
+            assert abs(h_next - h / 2) < 1e-9 * abs(h)
+            rejected += 1
+        else:
+            assert abs(t_next - (t + h)) < 1e-12
+            accepted += 1
+    t, h = steps[-1]
+    assert abs(t + h - 2.4) < 1e-12
+    accepted += 1
+    assert rejected > 0 and accepted >= 40
+    assert len(calls) == 1 + 6 * (accepted + rejected)
+    monkeypatch.undo()
+    assert_matches_dop853(th, kp, init, trajectory)
+
+
+def test_dopri5_tableau():
+    from fractions import Fraction
+    c, a, b, e = iso.DOPRI5_C, iso.DOPRI5_A, iso.DOPRI5_B, iso.DOPRI5_E
+    assert len(c) == len(a) == len(b) == len(e) == 7
+    assert all(len(row) == i for i, row in enumerate(a))
+    assert all(c[i] == sum(a[i], Fraction(0)) for i in range(7))
+    assert a[6] + (0,) == b                                 # first same as last
+    bhat = tuple(bi - ei for bi, ei in zip(b, e))
+
+    def trees(order):
+        """Rooted trees with order nodes, a tree the sorted tuple of its
+        subtrees."""
+        if order == 1:
+            return {()}
+
+        def grafts(t):
+            yield tuple(sorted(t + ((),)))
+            for k, sub in enumerate(t):
+                for g in grafts(sub):
+                    yield tuple(sorted(t[:k] + (g,) + t[k + 1:]))
+        return {g for t in trees(order - 1) for g in grafts(t)}
+
+    def size(t):
+        return 1 + sum(map(size, t))
+
+    def weights(t):
+        """(Phi_i(t) over the stages, the density gamma(t)) of Butcher's
+        order conditions sum_i w_i Phi_i(t) = 1 / gamma(t)."""
+        phi, gamma = [Fraction(1)] * 7, size(t)
+        for sub in t:
+            sphi, sgamma = weights(sub)
+            aphi = [sum((aij * p for aij, p in zip(row, sphi)), Fraction(0))
+                    for row in a]
+            phi = [x * y for x, y in zip(phi, aphi)]
+            gamma *= sgamma
+        return phi, gamma
+
+    def order_conditions_hold(w, order):
+        return all(sum(wi * p for wi, p in zip(w, phi)) == Fraction(1, gamma)
+                   for q in range(1, order + 1) for phi, gamma in
+                   map(weights, trees(q)))
+
+    assert [len(trees(q)) for q in range(1, 6)] == [1, 1, 2, 4, 9]
+    assert order_conditions_hold(b, 5)
+    assert order_conditions_hold(bhat, 4) and not order_conditions_hold(bhat, 5)
+
+
+def test_dopri5_tableau_is_scipys_rk45():
+    integrate = pytest.importorskip("scipy.integrate")
+    rk = integrate.RK45
+    a = np.zeros((6, 5))
+    for i, row in enumerate(iso.DOPRI5_A[:6]):
+        a[i, :i] = [float(x) for x in row]
+    assert np.array_equal(rk.A, a)
+    assert np.array_equal(rk.B, [float(x) for x in iso.DOPRI5_B[:6]])
+    assert np.array_equal(rk.C, [float(x) for x in iso.DOPRI5_C[:6]])
+    e = np.array([float(x) for x in iso.DOPRI5_E])
+    assert np.array_equal(rk.E, e) or np.array_equal(rk.E, -e)
 
 
 def test_hamiltonian_pole_guard():
@@ -506,7 +621,7 @@ def test_hamiltonian_blowup_bound(monkeypatch):
     # 2.30 and 2.31, and stays finite
     th, kp = admissible(3)
     monkeypatch.setattr(iso, "p6_hamiltonian_rhs",
-                        lambda t, y, z, lk, *args: (0j, 60 * z, 0j))
+                        lambda t, y, z, *args: (0j, 60 * z, 0j))
     with pytest.raises(BlowUp, match=r"blew up at t = 2\.31"):
         integrate_p6_hamiltonian(th, kp, (5.0, 1.0, 1.0), 2.0, 2.4, steps=40)
 

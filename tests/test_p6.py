@@ -68,7 +68,8 @@ def test_residual_below_tolerance_and_sensitivity():
     lam = p6.default_lambda(e.pvf.ring.weights)
     samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
                                      svals=e.path_svals)
-    params = p6.p6_parameters(m, e.default_path.points[0])
+    params = p6.p6_parameters(m, e.default_path.points[0],
+                              sampler=p6.StructureSampler(m))
     res = p6.p6_residual(samples, params)
     assert res < 1e-6
     # perturbing y by 1e-3 must blow the residual past 1e-4
@@ -117,7 +118,8 @@ def test_weighted_scaling_invariance():
 
 def test_parameters_klein():
     e, m = entry_setup("LT8")
-    params = p6.p6_parameters(m, e.default_path.points[0])
+    params = p6.p6_parameters(m, e.default_path.points[0],
+                              sampler=p6.StructureSampler(m))
     # theta_inf = w1 - w2 = -1/7
     assert abs(params.thetainf - (2 / 7 - 3 / 7)) < 1e-12
     # trace identity: sum r_i = -sum lambda_i (trace of -Binf under conjugation)
@@ -184,7 +186,8 @@ def test_csv_and_json_reports():
     csv = p6.samples_to_csv(samples)
     assert csv.splitlines()[0] == "s,t1,t2,t,y,dy,d2y,residual"
     assert len(csv.splitlines()) == 8
-    params = p6.p6_parameters(m, e.default_path.points[0])
+    params = p6.p6_parameters(m, e.default_path.points[0],
+                              sampler=p6.StructureSampler(m))
     blob = p6.params_to_json(params)
     assert set(blob) >= {"theta", "alpha", "beta", "gamma", "delta", "r"}
 
@@ -263,7 +266,8 @@ def test_pvi_on_frames_reads_params_off_frame_zero():
                                            svals=e.path_svals)
     assert residual < 1e-6
     # the parameters read off frame 0 are those of a fresh sampler at path[0]
-    fresh = p6.p6_parameters(m, e.default_path.points[0], lam=lam)
+    fresh = p6.p6_parameters(m, e.default_path.points[0],
+                             sampler=p6.StructureSampler(m), lam=lam)
     assert np.abs(np.array(params.r) - np.array(fresh.r)).max() < 1e-14
 
 
