@@ -245,6 +245,11 @@ class SaitoMatrices:
             raise InputError("T + t_n I is not free of t_n")
         return T0
 
+    @cached_property
+    def dT0(self):
+        """dT0/dt_k for k = 1..n-1; T0 is free of t_n."""
+        return [mat_partial(self.T0, k) for k in range(self.n - 1)]
+
 
 @dataclass
 class WdvvReport:

@@ -115,19 +115,16 @@ def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None):
     return track_snapshots(m, path, lam, z_seed=z_seed)[1]
 
 
-def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None,
-                    initial_roots=None):
+def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None):
     """(track, snapshots): snapshots_along and the frames_along track they
     were read from, for further checks on the same path.
 
     Snapshot k holds the rank-one residues B_i = -P E_i P^{-1} Binf of the
-    Okubo z-equation at path point k.  initial_roots is passed on to
-    frames_along.
+    Okubo z-equation at path point k.
     """
     path = [tuple(p) for p in path]
     try:
-        track = frames_along(m, path, z_seed=z_seed,
-                             initial_roots=initial_roots)
+        track = frames_along(m, path, z_seed=z_seed)
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
     _, roots, P = track

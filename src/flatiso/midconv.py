@@ -9,13 +9,15 @@ the rank-one factor matrices to an inverse pair (P, P^{-1}), then
     new residue_j = - P[:, j] P^{-1}[j, :] diag(lam_1 - lam, ..., -lam).
 
 The big n(n-1) convolution matrices and their invariant subspaces are kept
-as an independent diagnostic of that closed form.
+as an independent diagnostic of that closed form.  Their deformation
+directions are checked on the exact tangent of the residues
+(p6.frame_tangent), so the diagnostic needs one tracked point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import List
 
 import numpy as np
 
@@ -23,11 +25,9 @@ from .errors import (ConditionDViolation, FactorizationFailed,
                      InverseMismatch, PivotColumnNotFound, RankViolation,
                      ResonantLambda)
 from .isomono import OkuboNumeric, track_snapshots
-from .p6 import residues_from_frame
+from .p6 import frame_tangent, residues_from_frame
 
 RANK_TOL = 1e-8
-# the displacement of invariant_subspace_check's central differences
-FAMILY_STEP = 1e-6
 
 
 @dataclass
@@ -88,13 +88,13 @@ class ConvolutionResult:
 # truncation
 # ---------------------------------------------------------------------------
 
-def truncate_okubo(ok: OkuboNumeric, z_grad=None) -> RankOneSystem:
+def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
     """Leading (n-1)-blocks of the system with the last eigenvalue shifted to 0.
 
     The shift replaces Binf by Binf - lam_n I, after which the last unknown
     decouples; the leading blocks of the shifted residues form the rank-(n-1)
     system.  z_grad (shape n x nx) carries the root gradients for the
-    x-direction matrices; when omitted only the z-direction data is filled.
+    x-direction matrices.
     """
     n = ok.n
     if n < 2:
@@ -104,8 +104,6 @@ def truncate_okubo(ok: OkuboNumeric, z_grad=None) -> RankOneSystem:
     lam_shifted = lam - shift
     res = [Bi[:n - 1, :n - 1]
            for Bi in residues_from_frame(ok.P, lam_shifted)]
-    if z_grad is None:
-        z_grad = np.zeros((n, 0))
     sys = RankOneSystem(n=n, residues=res, Gamma_inf=lam_shifted[:n - 1],
                         z=np.asarray(ok.z), z_grad=np.asarray(z_grad),
                         point=ok.point)
@@ -273,16 +271,17 @@ class InvarianceReport:
         return max([self.z_defect] + self.x_defects) if self.x_defects else self.z_defect
 
 
-def invariant_subspace_check(sys: RankOneSystem, lam,
-                             family: Optional[Callable] = None
+def invariant_subspace_check(sys: RankOneSystem, lam, family
                              ) -> InvarianceReport:
     """Numeric check that (d - G) maps K and L into K + L.
 
     The z-direction is pointwise linear algebra (K is z-independent), at
-    z = max Re z_i + 1.7 + 0.3i; the x-directions are central differences
-    over +-FAMILY_STEP, from the systems at displaced points that the family
-    callback (kdir, step) -> RankOneSystem supplies.  Defects are distances
-    of the mapped basis vectors to K + L, normalized per vector.
+    z = max Re z_i + 1.7 + 0.3i.  family is the tangent of the residues,
+    family[k][i] = d residue_i / dx_k (rank_one_from_structure's third
+    value); along x_k a vector v of K moves with the kernels as
+    dv_i = -residue_i^+ (d residue_i / dx_k) v_i, the exact derivative of
+    its projection onto ker residue_i.  Defects are distances of the mapped
+    basis vectors to K + L, normalized per vector.
     """
     lam = complex(lam)
     K = kernel_stack_basis(sys)
@@ -307,23 +306,17 @@ def invariant_subspace_check(sys: RankOneSystem, lam,
     for kcol in range(L.shape[1] if L.size else 0):
         z_defect = max(z_defect, dist_to_KL(Gz @ L[:, kcol]))
 
+    n, m = sys.n, sys.n - 1
+    pinv = [np.linalg.pinv(G, RANK_TOL) for G in sys.residues]
     x_defects = []
-    if family is not None and sys.z_grad.size:
-        nx = sys.z_grad.shape[1]
-        for kdir in range(nx):
-            Gx = big_g_x(sys, lam, kdir, zval)
-            plus = family(kdir, +FAMILY_STEP)
-            minus = family(kdir, -FAMILY_STEP)
-            Kp, Km = kernel_stack_basis(plus), kernel_stack_basis(minus)
-            defect = 0.0
-            for kcol in range(K.shape[1]):
-                v = K[:, kcol]
-                # smooth section through v: project v onto nearby kernels
-                vp = Kp @ (np.linalg.pinv(Kp) @ v)
-                vm = Km @ (np.linalg.pinv(Km) @ v)
-                dv = (vp - vm) / (2 * FAMILY_STEP)
-                defect = max(defect, dist_to_KL(dv - Gx @ v))
-            x_defects.append(defect)
+    for kdir, dres in enumerate(family):
+        # the block-diagonal motion v -> dv of K along x_k
+        D = np.zeros((n * m, n * m), dtype=complex)
+        for i in range(n):
+            D[i * m:(i + 1) * m, i * m:(i + 1) * m] = -pinv[i] @ dres[i]
+        M = D - big_g_x(sys, lam, kdir, zval)
+        x_defects.append(max((dist_to_KL(M @ K[:, kcol])
+                              for kcol in range(K.shape[1])), default=0.0))
     return InvarianceReport(dim_K=K.shape[1], dim_L=L.shape[1] if L.size else 0,
                             z_defect=z_defect, x_defects=x_defects)
 
@@ -333,39 +326,21 @@ def invariant_subspace_check(sys: RankOneSystem, lam,
 # ---------------------------------------------------------------------------
 
 def rank_one_from_structure(m, tprime, lam, z_seed=None):
-    """Truncated rank-one system of a flat structure plus its family callback.
+    """Truncated rank-one system of a flat structure plus its residue tangent.
 
-    Snapshots the Okubo system at (t', t_n = 0) with diagonal lam (whose last
-    entry must be nonzero so the truncation shift is meaningful), computes the
-    root gradients by implicit differentiation of h, and returns
-    (snapshot, system, family) with family(kdir, step) re-truncating at the
-    displaced point for the invariant-subspace diagnostics.
+    Tracks the Okubo system at (t', t_n = 0) with diagonal lam (whose last
+    entry must be nonzero so the truncation shift is meaningful) and returns
+    (snapshot, system, family).  The system's root gradients and family, the
+    truncated residue tangent of shape (n, n, n-1, n-1) with family[k][i] =
+    d residue_i / dt_{k+1}, are p6.frame_tangent at the tracked point, for
+    invariant_subspace_check.
     """
     track, (snap,) = track_snapshots(m, [tprime], lam, z_seed=z_seed)
-    dh = m.dh
+    values, roots, P = track
     n = m.n
-    zval = track[0][0, 0]           # the tracked generator; 0 on a plain ring
-    # (z, t', t_n = z_j) at each root z_j
-    at_roots = [(zval,) + tuple(tprime) + (zj,) for zj in snap.z]
-    denom = dh[n - 1].eval_batch(at_roots)
-    grads = np.empty((n, n), dtype=complex)
-    for i in range(n - 1):
-        grads[:, i] = -dh[i].eval_batch(at_roots) / denom
-    grads[:, n - 1] = -1.0
-    sys1 = truncate_okubo(snap, z_grad=grads)
-
-    def family(kdir, step):
-        if kdir == n - 1:
-            return RankOneSystem(n=sys1.n, residues=sys1.residues,
-                                 Gamma_inf=sys1.Gamma_inf, z=sys1.z - step,
-                                 z_grad=sys1.z_grad, point=sys1.point)
-        pt = list(tprime)
-        pt[kdir] += step
-        _, (sn,) = track_snapshots(m, [pt], lam, z_seed=zval,
-                                   initial_roots=snap.z)
-        return truncate_okubo(sn)
-
-    return snap, sys1, family
+    dz, dB = frame_tangent(m, values[0], roots[0], P[0],
+                           snap.Binf - snap.Binf[n - 1])
+    return snap, truncate_okubo(snap, z_grad=dz), dB[:, :, :n - 1, :n - 1]
 
 
 # ---------------------------------------------------------------------------

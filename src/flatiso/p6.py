@@ -20,6 +20,9 @@ point, and the nearest-neighbour matches of all steps are composed at once.
 A rejected step is bisected, evaluating z and T0 at the midpoint; after
 MAX_BISECTIONS (24) halvings it raises TrackingLost, a NumericError (CLI
 exit 3).  Roots closer than ring.ROOT_SEPARATION raise RootCollision.
+
+frame_tangent differentiates a tracked point exactly: the roots and the
+Okubo residues along each t_k, from the exact dT0/dt_k of the structure.
 """
 
 from __future__ import annotations
@@ -184,6 +187,12 @@ def ordered_eig(T0vals, prev_roots=None, bridge=None):
     return w, V
 
 
+def _matrix_rows(M, values):
+    """A matrix of ring elements at every row of values, as (N, n, n)."""
+    return np.moveaxis(np.array([[e.eval_batch(values) for e in row]
+                                 for row in M], dtype=complex), -1, 0)
+
+
 def _midpoint(p0, p1):
     return tuple((a + b) / 2 for a, b in zip(p0, p1))
 
@@ -200,7 +209,7 @@ class StructureSampler:
     successive calls continue from it.
     """
 
-    def __init__(self, m: SaitoMatrices, z_seed=None, initial_roots=None):
+    def __init__(self, m: SaitoMatrices, z_seed=None):
         self.m = m
         ring = m.ring
         self.ring = ring
@@ -211,10 +220,8 @@ class StructureSampler:
         self._prev_pt = None
         self._z = None
         self._zsep = None
-        # ordered roots, and the (point, z, separation) they were taken at;
-        # None for roots given from outside, which label the first point
-        self._prev_roots = (None if initial_roots is None
-                            else np.asarray(initial_roots))
+        # ordered roots, and the (point, z, separation) they were taken at
+        self._prev_roots = None
         self._roots_at = None
 
     def _full_point(self, tprime):
@@ -300,16 +307,9 @@ class StructureSampler:
         pm = _midpoint(a[0], b[0])
         zm, sm = ((0j, np.inf) if self.ring.ext is None
                   else self._z_step(a[0], a[1], a[2], pm, depth))
-        wm = np.linalg.eigvals(self._t0_rows(np.array([(zm,) + pm]))[0])
+        wm = np.linalg.eigvals(_matrix_rows(self.T0, np.array([(zm,) + pm])))[0]
         mid = (pm, zm, sm, wm)
         return self._eig_step(mid, b, depth + 1)[self._eig_step(a, mid, depth + 1)]
-
-    def _t0_rows(self, values):
-        T0v = np.empty((len(values), self.n, self.n), dtype=complex)
-        for i, row in enumerate(self.T0):
-            for j, e in enumerate(row):
-                T0v[:, i, j] = e.eval_batch(values)
-        return T0v
 
     def z_at(self, tprime):
         if self.ring.ext is None:
@@ -321,7 +321,7 @@ class StructureSampler:
         """T0 at one point, with z continued from the last tracked point."""
         zv = self.z_at(tprime)
         row = (0j if zv is None else zv,) + self._full_point(tprime)
-        return self._t0_rows(np.array([row]))[0]
+        return _matrix_rows(self.T0, np.array([row]))[0]
 
     def frames(self, path):
         """(values, roots, frames) along a path, continuation-ordered.
@@ -337,12 +337,10 @@ class StructureSampler:
 
         def bridge(k, w0, w1):
             a = self._roots_at if k == 0 else (pts[k - 1], zs[k - 1], seps[k - 1])
-            if a is None:
-                raise TrackingLost("initial roots do not match the first path "
-                                   f"point within {STEP_FRACTION} of the gap")
             return self._eig_step(a + (w0,), (pts[k], zs[k], seps[k], w1), 0)
 
-        roots, P = ordered_eig(self._t0_rows(values), self._prev_roots, bridge)
+        roots, P = ordered_eig(_matrix_rows(self.T0, values), self._prev_roots,
+                               bridge)
         if len(roots):
             self._prev_roots = roots[-1]
             self._roots_at = (pts[-1], zs[-1], seps[-1])
@@ -354,13 +352,10 @@ class StructureSampler:
         return roots[0], P[0]
 
 
-def frames_along(m: SaitoMatrices, path, z_seed=None, initial_roots=None):
-    """(values, roots, frames) of StructureSampler.frames on a fresh sampler.
-
-    initial_roots, when given, fixes the labeling of the first point by
-    matching against them.
-    """
-    sampler = StructureSampler(m, z_seed=z_seed, initial_roots=initial_roots)
+def frames_along(m: SaitoMatrices, path, z_seed=None):
+    """(values, roots, frames) of StructureSampler.frames on a fresh sampler,
+    so the first point is labelled by _first_point_order."""
+    sampler = StructureSampler(m, z_seed=z_seed)
     return sampler.frames([tuple(p) for p in path])
 
 
@@ -498,6 +493,31 @@ def residues_from_frame(P, lam):
     cols = np.swapaxes(P, -1, -2)[..., :, :, None]      # P[:, i] as column i
     # C order, so each residue is a contiguous matrix for later arithmetic
     return np.multiply(-cols, Pinv[..., :, None, :] * lamv, order="C")
+
+
+def frame_tangent(m: SaitoMatrices, values, roots, P, lam):
+    """(dz, dB): exact first derivatives of the roots and of the residues
+    residues_from_frame(P, lam) at one point (values, roots, P) of a track.
+
+    dz[i, k] = dz_i/dt_{k+1} and dB[k, i] = dB_i/dt_{k+1}.  For k < n, with
+    X = P^{-1} (dT0/dt_k) P, first-order eigen-perturbation gives dz = diag X
+    and dP = P Y, Y_ij = X_ij / (z_j - z_i) off the diagonal; Y_ii = 0, as
+    the residues do not depend on the diagonal gauge.  Then
+    dB_i = -P [Y, E_i] P^{-1} Binf.  Along t_n, dz = -1 and dB = 0.
+    """
+    n = m.n
+    Pinv = np.linalg.inv(P)
+    X = Pinv @ np.array([_matrix_rows(M, values[None])[0] for M in m.dT0]) @ P
+    gap = roots - roots[:, None]                        # [i, j] = z_j - z_i
+    np.fill_diagonal(gap, 1)
+    Y = X / gap * (1 - np.eye(n))
+    PinvL = Pinv * np.array([complex(x) for x in lam])
+    dB = np.zeros((n, n, n, n), dtype=complex)
+    dB[:n - 1] = (np.einsum("kai,ib->kiab", -(P @ Y), PinvL)
+                  + np.einsum("ai,kib->kiab", P, Y @ PinvL))
+    dz = np.full((n, n), -1, dtype=complex)
+    dz[:, :n - 1] = np.diagonal(X, axis1=1, axis2=2).T
+    return dz, dB
 
 
 def default_lambda(weights):

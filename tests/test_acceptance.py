@@ -238,8 +238,18 @@ def test_a8_negative_controls(built):
     res = isomono.stacked_schlesinger_residual(
         np.array([s.z for s in snaps]), frozen, svals=e.path_svals)
     assert res > 1e-3, f"frozen family residual only {res}"
+
+    # a zero residue tangent leaves K fixed while the poles move
+    pt = e.default_path.points[len(e.default_path.points) // 2]
+    lam_w = list(e.pvf.ring.weights)
+    _, sys1, family = midconv.rank_one_from_structure(m, pt, lam_w,
+                                                      z_seed=e.z_seed)
+    inv = midconv.invariant_subspace_check(sys1, -lam_w[-1],
+                                           family=np.zeros_like(family))
+    assert inv.max_defect > 1e-3, f"zero tangent defect only {inv.max_defect}"
     report("A8 negative controls", True,
-           f"perturbed commutator nonzero; frozen residual {res:.2e} > 1e-3")
+           f"perturbed commutator nonzero; frozen residual {res:.2e} > 1e-3; "
+           f"zero-tangent invariance defect {inv.max_defect:.2e} > 1e-3")
 
 
 # ---------------------------------------------------------------------------

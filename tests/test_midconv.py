@@ -35,7 +35,7 @@ def test_truncation_rejects_rank_one_input():
                             residues=[np.array([[-0.5 + 0j]])],
                             traces=np.array([-0.5 + 0j]))
     with pytest.raises(ConditionDViolation):
-        mc.truncate_okubo(snap)
+        mc.truncate_okubo(snap, z_grad=np.zeros((1, 1)))
 
 
 def test_middle_convolution_roundtrip():
@@ -71,6 +71,40 @@ def test_invariant_subspaces():
     assert rep.dim_K == 3
     assert rep.dim_L == 0
     assert rep.max_defect < 1e-6
+
+
+@pytest.mark.parametrize("eid", ["H3", "LT8", "LT19"])
+def test_tangent_matches_oracles(eid):
+    # root gradients against implicit differentiation of h, and the residue
+    # tangent against central differences of re-tracked residues
+    e = catalog.catalog_get(eid)
+    m = build_saito_matrices(e.pvf)
+    n = m.n
+    lam = list(e.pvf.ring.weights)
+    pts = e.default_path.points
+    tp = pts[len(pts) // 2]
+    snap, sys1, family = mc.rank_one_from_structure(m, tp, lam,
+                                                    z_seed=e.z_seed)
+    assert family.shape == (n, n, n - 1, n - 1)
+    (values, _, _), _ = iso.track_snapshots(m, [tp], lam, z_seed=e.z_seed)
+    at_roots = [(values[0, 0],) + tuple(tp) + (zj,) for zj in snap.z]
+    dh_n = m.dh[n - 1].eval_batch(at_roots)
+    for k in range(n - 1):
+        want = -m.dh[k].eval_batch(at_roots) / dh_n
+        assert (np.abs(sys1.z_grad[:, k] - want).max()
+                <= 1e-12 * np.abs(want).max())
+    assert np.all(sys1.z_grad[:, n - 1] == -1)
+    assert not family[n - 1].any()
+
+    h = 1e-6
+    shifted = [x - lam[-1] for x in lam]
+    for k in range(n - 1):
+        step = h * np.eye(n - 1)[k]
+        path = [tuple(np.add(tp, -step)), tp, tuple(np.add(tp, step))]
+        _, (minus, _, plus) = iso.track_snapshots(m, path, shifted,
+                                                  z_seed=e.z_seed)
+        fd = ((plus.residues - minus.residues) / (2 * h))[:, :n - 1, :n - 1]
+        assert np.abs(family[k] - fd).max() <= 1e-6 * np.abs(family[k]).max()
 
 
 def test_invariance_at_multiple_points():

@@ -28,9 +28,8 @@ def test_roots_of_h_vieta_klein():
 
 def test_roots_ordering_and_continuation():
     e, m = entry_setup("LT8")
-    r1 = p6.StructureSampler(m).frame((1.0, 0.4))[0]
+    _, (r1, r2), _ = p6.StructureSampler(m).frames([(1.0, 0.4), (1.0, 0.41)])
     assert list(np.argsort([x.real for x in r1])) == [0, 1, 2]
-    r2 = p6.StructureSampler(m, initial_roots=r1).frame((1.0, 0.41))[0]
     assert np.abs(r2 - r1).max() < 0.1
 
 
@@ -85,10 +84,10 @@ def test_relabeling_roots_keeps_residual_small():
     # Okubo diagonal; the relabeled run must still satisfy PVI
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    first = p6.StructureSampler(m).frame(e.default_path.points[0])[0]
-    prev = np.array([first[1], first[0], first[2]])
     path = e.default_path.points
-    track = p6.frames_along(m, path, initial_roots=prev)
+    values, roots, P = p6.frames_along(m, path)
+    swap = [1, 0, 2]
+    track = (values, roots[:, swap], P[:, :, swap])
     samples, _, res = p6.pvi_on_frames(m, lam, (1, 2), track, path,
                                        svals=e.path_svals)
     assert res < 1e-6
@@ -312,3 +311,13 @@ def test_pvi_grid_residual_guards():
     on_pole = ts + 1
     on_pole[4] = 1.0                     # y = 1 at an interior point
     assert p6.pvi_grid_residual(ts, on_pole, params) == np.inf
+
+
+def test_midconv_block_tracks_once(monkeypatch):
+    # the residue tangent comes from the one tracked point, not from
+    # re-tracking displaced points
+    e, m = entry_setup("LT8")
+    calls = count_frames(monkeypatch)
+    pts = e.default_path.points
+    catalog.midconv_block(m, pts[len(pts) // 2], z_seed=e.z_seed)
+    assert calls == [1]
