@@ -6,11 +6,15 @@ rank-one residues.  Middle convolution with a parameter off the spectrum
 lifts such a system back to a rank-n Okubo system in closed form: extend
 the rank-one factor matrices to an inverse pair (P, P^{-1}), then
 
-    new residue_j = - P[:, j] P^{-1}[j, :] diag(lam_1 - lam, ..., -lam).
+    new residue_j = - P[:, j] P^{-1}[j, :] diag(lam_1 - lam, ..., -lam),
+
+which is p6.residues_from_frame(P, gamma_inf).  Residues are stacked
+(n, m, m) arrays throughout, as in isomono and p6.
 
 The big n(n-1) convolution matrices and their invariant subspaces are kept
-as an independent diagnostic of that closed form.  Their deformation
-directions are checked on the exact tangent of the residues
+as an independent diagnostic of that closed form.  One block matrix
+M = [residue_j + lam delta_ij]_ij gives G^(z), G^(x) and L = ker M.  The
+deformation directions are checked on the exact tangent of the residues
 (p6.frame_tangent), so the diagnostic needs one tracked point.
 """
 
@@ -35,53 +39,50 @@ class RankOneSystem:
     """Rank-(n-1) Pfaffian system with n rank-one residues at a working point."""
 
     n: int                         # number of singular points
-    residues: List[np.ndarray]     # n matrices of size (n-1) x (n-1)
+    residues: np.ndarray           # (n, n-1, n-1)
     Gamma_inf: np.ndarray          # diagonal entries, length n-1
     z: np.ndarray                  # singular locations
     z_grad: np.ndarray             # dz_j/dx_i at the working point, shape (n, nx)
-    point: tuple
+
+    def __post_init__(self):
+        self.residues = np.asarray(self.residues, dtype=complex)
 
     def validate(self):
+        """Conditions (D3) and (D4).  truncate_okubo's residues are outer
+        products, but middle_convolution accepts a system any caller built,
+        so the rank is tested here."""
         lam = self.Gamma_inf
         if np.any(np.abs(lam) < 1e-10):
             raise ConditionDViolation("D4", "Gamma_inf has a zero eigenvalue")
-        total = sum(self.residues) + np.diag(lam)
+        total = self.residues.sum(axis=0) + np.diag(lam)
         if np.abs(total).max() > 1e-10:
             raise ConditionDViolation("D4", "residues do not sum to -Gamma_inf")
-        for j, G in enumerate(self.residues):
-            s = np.linalg.svd(G, compute_uv=False)
-            if s[0] < 1e-12:
-                raise ConditionDViolation("D3", f"residue {j+1} vanishes")
-            if len(s) > 1 and s[1] > RANK_TOL * max(1.0, s[0]):
-                raise ConditionDViolation("D3", f"residue {j+1} has rank >= 2")
-            tr = np.trace(G)
-            if min(abs(tr - 1), abs(tr + 1)) < 1e-8:
-                raise ConditionDViolation("D3", f"trace of residue {j+1} is near +-1")
+        s = np.linalg.svd(self.residues, compute_uv=False)
+        tr = np.trace(self.residues, axis1=1, axis2=2)
+        # per residue, in order: vanishing, rank >= 2, trace near +-1
+        bad = np.column_stack([
+            s[:, 0] < 1e-12,
+            (s[:, 1:] > RANK_TOL * np.maximum(1.0, s[:, :1])).any(axis=1),
+            np.minimum(abs(tr - 1), abs(tr + 1)) < 1e-8])
+        if bad.any():
+            j, c = np.argwhere(bad)[0]
+            raise ConditionDViolation("D3", (
+                f"residue {j+1} vanishes", f"residue {j+1} has rank >= 2",
+                f"trace of residue {j+1} is near +-1")[c])
         return self
 
 
 @dataclass
 class ConvolutionResult:
-    residues: List[np.ndarray]     # n matrices of size n x n
+    residues: np.ndarray           # (n, n, n)
     Gamma_inf: np.ndarray          # diagonal entries, length n
     z: np.ndarray
-    z_grad: np.ndarray
     lam: complex
     pivot_column: int
     epsilon: complex = 1 + 0j
 
     def traces(self):
-        return np.array([np.trace(G) for G in self.residues])
-
-    def validate(self):
-        total = sum(self.residues) + np.diag(self.Gamma_inf)
-        if np.abs(total).max() > 1e-10:
-            raise RankViolation("convolved residues do not sum to -Gamma_inf")
-        for j, G in enumerate(self.residues):
-            s = np.linalg.svd(G, compute_uv=False)
-            if s[1] > RANK_TOL * max(1.0, s[0]):
-                raise RankViolation(f"convolved residue {j+1} has rank >= 2")
-        return self
+        return np.trace(self.residues, axis1=1, axis2=2)
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +101,10 @@ def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
     if n < 2:
         raise ConditionDViolation("D1", "need rank >= 2 to truncate")
     lam = np.asarray(ok.Binf, dtype=complex)
-    shift = lam[n - 1]
-    lam_shifted = lam - shift
-    res = [Bi[:n - 1, :n - 1]
-           for Bi in residues_from_frame(ok.P, lam_shifted)]
+    lam_shifted = lam - lam[n - 1]
+    res = residues_from_frame(ok.P, lam_shifted)[:, :n - 1, :n - 1]
     sys = RankOneSystem(n=n, residues=res, Gamma_inf=lam_shifted[:n - 1],
-                        z=np.asarray(ok.z), z_grad=np.asarray(z_grad),
-                        point=ok.point)
+                        z=np.asarray(ok.z), z_grad=np.asarray(z_grad))
     return sys.validate()
 
 
@@ -115,30 +113,24 @@ def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
 # ---------------------------------------------------------------------------
 
 def _rank_one_factors(sys: RankOneSystem):
-    """b_j columns and a_j rows with residue_j = -b_j a_j Gamma_inf.
+    """(B, A): columns b_j of B (n-1, n) and rows a_j of A (n, n-1) with
+    residue_j = -b_j a_j Gamma_inf.
 
     Scales are pinned per column by normalizing the largest |entry| of b_j to
     one, so factorizations vary smoothly along families.
     """
-    lam = sys.Gamma_inf
-    bs, as_ = [], []
-    for j, G in enumerate(sys.residues):
-        M = -G @ np.diag(1 / lam)
-        u, s, vh = np.linalg.svd(M)
-        if s[0] < 1e-12:
-            raise FactorizationFailed(f"residue {j+1} vanishes")
-        b = u[:, 0] * s[0]
-        a = vh[0, :]
-        p = int(np.argmax(np.abs(b)))
-        scale = b[p]
-        bs.append(b / scale)
-        as_.append(a * scale)
-    return bs, as_
+    u, s, vh = np.linalg.svd(-sys.residues * (1 / sys.Gamma_inf))
+    gone = s[:, 0] < 1e-12
+    if gone.any():
+        raise FactorizationFailed(f"residue {np.argmax(gone) + 1} vanishes")
+    b = u[:, :, 0] * s[:, :1]
+    scale = b[np.arange(sys.n), np.argmax(np.abs(b), axis=1), None]
+    return (b / scale).T, vh[:, 0, :] * scale
 
 
 def _extend_to_inverse_pair(B, A):
-    """Square P = [B; row], P^{-1} = [A | col] given B A = I_{n-1}."""
-    n = B.shape[1]
+    """Square P = [B; row], checked against P^{-1} = [A | col], given
+    B A = I_{n-1}."""
     # col spans ker(B); row spans the left kernel of A; row . col = 1
     _, _, vh = np.linalg.svd(B)
     col = vh[-1, :].conj()
@@ -149,15 +141,13 @@ def _extend_to_inverse_pair(B, A):
         raise FactorizationFailed("kernel extension is degenerate")
     row = row / dot
     # pin the gauge: largest entry of col scaled to 1
-    p = int(np.argmax(np.abs(col)))
-    scale = col[p]
-    col = col / scale
-    row = row * scale
+    scale = col[np.argmax(np.abs(col))]
+    col, row = col / scale, row * scale
     P = np.vstack([B, row[None, :]])
     Pinv = np.hstack([A, col[:, None]])
-    if np.abs(P @ Pinv - np.eye(n)).max() > 1e-10:
+    if np.abs(P @ Pinv - np.eye(len(P))).max() > 1e-10:
         raise InverseMismatch("extended pair is not inverse")
-    return P, Pinv
+    return P
 
 
 def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
@@ -172,91 +162,46 @@ def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
     for li in list(sys.Gamma_inf) + [0.0]:
         if abs(lam - li) < 1e-10:
             raise ResonantLambda(f"lambda = {lam} is resonant with {li}")
-    bs, as_ = _rank_one_factors(sys)
-    B = np.column_stack(bs)                # (n-1) x n
-    A = np.vstack(as_)                     # n x (n-1)
+    B, A = _rank_one_factors(sys)
     if np.abs(B @ A - np.eye(sys.n - 1)).max() > 1e-9:
         raise FactorizationFailed("rank-one factors do not multiply to identity")
-    pivot = None
-    for jcol in range(sys.n - 1):
-        if np.all(np.abs(A[:, jcol]) > 1e-8):
-            pivot = jcol + 1
-            break
-    if pivot is None:
+    bounded = np.all(np.abs(A) > 1e-8, axis=0)
+    if not bounded.any():
         raise PivotColumnNotFound(
             "no column of the a-matrix is bounded away from zero")
-    P, Pinv = _extend_to_inverse_pair(B, A)
     gamma_inf = np.concatenate([sys.Gamma_inf - lam, [-lam]])
-    residues = []
-    for j in range(sys.n):
-        residues.append(-np.outer(P[:, j], Pinv[j, :]) @ np.diag(gamma_inf))
-    out = ConvolutionResult(residues=residues, Gamma_inf=gamma_inf,
-                            z=np.asarray(sys.z),
-                            z_grad=np.asarray(sys.z_grad), lam=lam,
-                            pivot_column=pivot)
-    return out.validate()
+    residues = residues_from_frame(_extend_to_inverse_pair(B, A), gamma_inf)
+    if np.abs(residues.sum(axis=0) + np.diag(gamma_inf)).max() > 1e-10:
+        raise RankViolation("convolved residues do not sum to -Gamma_inf")
+    return ConvolutionResult(residues=residues, Gamma_inf=gamma_inf,
+                             z=np.asarray(sys.z), lam=lam,
+                             pivot_column=int(np.argmax(bounded)) + 1)
 
 
 # ---------------------------------------------------------------------------
 # the big convolution matrices and their invariant subspaces
 # ---------------------------------------------------------------------------
 
-def big_g_z(sys: RankOneSystem, lam, zval):
-    """G^(z) of the rank n(n-1) convolution system at a z-value."""
-    n, m = sys.n, sys.n - 1
-    G = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            blk = sys.residues[j] + (lam * np.eye(m) if i == j else 0)
-            G[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk / (zval - sys.z[i])
-    return G
+def _null_space(A):
+    """Orthonormal kernel basis (columns) of a square A: the right singular
+    vectors whose singular value is below RANK_TOL * max(1, s_0)."""
+    _, s, vh = np.linalg.svd(A)
+    return vh[s < RANK_TOL * max(1.0, s[0])].conj().T
 
 
-def big_g_x(sys: RankOneSystem, lam, k, zval):
-    """G^(k) of the convolution system; k indexes the deformation variable."""
-    n, m = sys.n, sys.n - 1
-    dz = sys.z_grad[:, k]
-    G = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                blk = (-dz[i] * sys.residues[j] / (zval - sys.z[i])
-                       - (dz[i] - dz[j]) * sys.residues[j] / (sys.z[i] - sys.z[j]))
-            else:
-                blk = -dz[i] * (sys.residues[i] + lam * np.eye(m)) / (zval - sys.z[i])
-                for l in range(n):
-                    if l != i:
-                        blk = blk + (dz[i] - dz[l]) * sys.residues[l] / (sys.z[i] - sys.z[l])
-            G[i * m:(i + 1) * m, j * m:(j + 1) * m] = blk
-    return G
+def _block_diag(X):
+    """The block-diagonal matrix of a stack X (n, p, q), shape (n p, n q)."""
+    n, p, q = X.shape
+    return np.einsum("ij,iab->iajb", np.eye(n), X).reshape(n * p, n * q)
 
 
 def kernel_stack_basis(sys: RankOneSystem):
     """Basis of K = {(v_1..v_n) : v_i in ker residue_i}, shape (n(n-1), dim)."""
-    n, m = sys.n, sys.n - 1
-    cols = []
-    for i, G in enumerate(sys.residues):
-        _, s, vh = np.linalg.svd(G)
-        kern = vh[np.abs(s) < RANK_TOL * max(1.0, s[0]), :].conj().T
-        if kern.shape[1] != m - 1:
+    kernels = [_null_space(G) for G in sys.residues]
+    for i, kern in enumerate(kernels):
+        if kern.shape[1] != sys.n - 2:
             raise RankViolation(f"kernel of residue {i+1} has unexpected dimension")
-        for kcol in range(kern.shape[1]):
-            v = np.zeros(n * m, dtype=complex)
-            v[i * m:(i + 1) * m] = kern[:, kcol]
-            cols.append(v)
-    return np.column_stack(cols) if cols else np.zeros((n * m, 0))
-
-
-def l_space_basis(sys: RankOneSystem, lam):
-    """Basis of L = ker of the block matrix (residue_j + lam delta_ij)."""
-    n, m = sys.n, sys.n - 1
-    M = np.zeros((n * m, n * m), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            M[i * m:(i + 1) * m, j * m:(j + 1) * m] = (
-                sys.residues[j] + (lam * np.eye(m) if i == j else 0))
-    _, s, vh = np.linalg.svd(M)
-    return vh[np.abs(s) < RANK_TOL * max(1.0, s[0]), :].conj().T
+    return _block_diag(np.array(kernels))
 
 
 @dataclass
@@ -268,57 +213,62 @@ class InvarianceReport:
 
     @property
     def max_defect(self):
-        return max([self.z_defect] + self.x_defects) if self.x_defects else self.z_defect
+        return max([self.z_defect] + self.x_defects)
 
 
 def invariant_subspace_check(sys: RankOneSystem, lam, family
                              ) -> InvarianceReport:
     """Numeric check that (d - G) maps K and L into K + L.
 
-    The z-direction is pointwise linear algebra (K is z-independent), at
-    z = max Re z_i + 1.7 + 0.3i.  family is the tangent of the residues,
-    family[k][i] = d residue_i / dx_k (rank_one_from_structure's third
-    value); along x_k a vector v of K moves with the kernels as
+    With the block matrix M = [residue_j + lam delta_ij]_ij, G^(z) is M with
+    block row i divided by z - z_i, and L = ker M.  The z-direction is
+    pointwise linear algebra (K is z-independent), at z = max Re z_i + 1.7
+    + 0.3i.  Along x_k, with w_ij = (dz_i - dz_j)/(z_i - z_j), G^(k) has
+    blocks -dz_i G^(z)_ij - w_ij residue_j off the diagonal and
+    -dz_i G^(z)_ii + sum_l w_il residue_l on it.  family is the tangent of
+    the residues, family[k][i] = d residue_i / dx_k (rank_one_from_structure's
+    third value); along x_k a vector v of K moves with the kernels as
     dv_i = -residue_i^+ (d residue_i / dx_k) v_i, the exact derivative of
     its projection onto ker residue_i.  Defects are distances of the mapped
     basis vectors to K + L, normalized per vector.
     """
     lam = complex(lam)
-    K = kernel_stack_basis(sys)
-    L = l_space_basis(sys, lam)
-    KL = np.column_stack([K, L]) if L.size else K
-    Q, _ = np.linalg.qr(KL) if KL.size else (KL, None)
-
-    def dist_to_KL(v):
-        nv = np.linalg.norm(v)
-        if nv < 1e-14:
-            return 0.0
-        if Q.size == 0:
-            return 1.0
-        w = v - Q @ (Q.conj().T @ v)
-        return float(np.linalg.norm(w) / max(nv, 1.0))
-
-    zval = sys.z.real.max() + 1.7 + 0.3j
-    Gz = big_g_z(sys, lam, zval)
-    z_defect = 0.0
-    for kcol in range(K.shape[1]):
-        z_defect = max(z_defect, dist_to_KL(Gz @ K[:, kcol]))
-    for kcol in range(L.shape[1] if L.size else 0):
-        z_defect = max(z_defect, dist_to_KL(Gz @ L[:, kcol]))
-
     n, m = sys.n, sys.n - 1
-    pinv = [np.linalg.pinv(G, RANK_TOL) for G in sys.residues]
-    x_defects = []
-    for kdir, dres in enumerate(family):
-        # the block-diagonal motion v -> dv of K along x_k
-        D = np.zeros((n * m, n * m), dtype=complex)
-        for i in range(n):
-            D[i * m:(i + 1) * m, i * m:(i + 1) * m] = -pinv[i] @ dres[i]
-        M = D - big_g_x(sys, lam, kdir, zval)
-        x_defects.append(max((dist_to_KL(M @ K[:, kcol])
-                              for kcol in range(K.shape[1])), default=0.0))
-    return InvarianceReport(dim_K=K.shape[1], dim_L=L.shape[1] if L.size else 0,
-                            z_defect=z_defect, x_defects=x_defects)
+    R = sys.residues
+    RT = R.transpose(1, 0, 2)[None]                   # [., a, j, b] = R_j[a, b]
+
+    def blocks(c):                                    # [c_ij residue_j]_ij
+        return (c[:, None, :, None] * RT).reshape(n * m, n * m)
+
+    M = blocks(np.ones((n, n))) + lam * np.eye(n * m)
+    K = kernel_stack_basis(sys)
+    L = _null_space(M)
+    zval = sys.z.real.max() + 1.7 + 0.3j
+    Gz = M / np.repeat(zval - sys.z, m)[:, None]
+    # z_i - z_j, with 1 on the diagonal, where dz_i - dz_j is exactly 0
+    gap = sys.z[:, None] - sys.z + np.eye(n)
+    pinv = np.linalg.pinv(R, RANK_TOL)
+    mapped = [Gz @ K, Gz @ L]
+    for k, dres in enumerate(family):
+        dz = sys.z_grad[:, k]
+        w = (dz[:, None] - dz) / gap
+        # D - G^(k), D the block-diagonal motion v -> dv of K along x_k
+        diag = -pinv @ dres - (w @ R.reshape(n, m * m)).reshape(n, m, m)
+        Mk = _block_diag(diag) + np.repeat(dz, m)[:, None] * Gz + blocks(w)
+        mapped.append(Mk @ K)
+
+    V = np.column_stack(mapped)
+    Q, _ = np.linalg.qr(np.column_stack([K, L]))
+    nv = np.linalg.norm(V, axis=0)
+    dist = np.where(nv < 1e-14, 0.0,
+                    np.linalg.norm(V - Q @ (Q.conj().T @ V), axis=0)
+                    / np.maximum(nv, 1.0))
+    nz = K.shape[1] + L.shape[1]
+    x_parts = dist[nz:].reshape(len(family), K.shape[1])
+    return InvarianceReport(
+        dim_K=K.shape[1], dim_L=L.shape[1],
+        z_defect=float(np.max(dist[:nz], initial=0.0)),
+        x_defects=[float(x) for x in x_parts.max(axis=1, initial=0.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from flatiso import catalog, cli, isomono as iso, midconv as mc
+from flatiso import catalog, cli, isomono as iso, midconv as mc, p6
 from flatiso.errors import ConditionDViolation, ResonantLambda
 from flatiso.flatcore import build_saito_matrices
 
@@ -30,7 +30,7 @@ def test_truncation_shapes_and_conditions():
 
 
 def test_truncation_rejects_rank_one_input():
-    snap = iso.OkuboNumeric(n=1, point=(0.0,), Binf=np.array([0.5 + 0j]),
+    snap = iso.OkuboNumeric(n=1, Binf=np.array([0.5 + 0j]),
                             z=np.array([0.3 + 0j]), P=np.eye(1),
                             residues=[np.array([[-0.5 + 0j]])],
                             traces=np.array([-0.5 + 0j]))
@@ -117,13 +117,52 @@ def test_invariance_at_multiple_points():
         assert rep.max_defect < 1e-6
 
 
+def rank_two_ratio(R):
+    """Largest s_1 / max(1, s_0) over a stack of residues."""
+    s = np.linalg.svd(R, compute_uv=False)
+    return (s[..., 1] / np.maximum(1.0, s[..., 0])).max()
+
+
+def test_residues_are_outer_products():
+    # residues_from_frame forms every residue as an outer product, so its
+    # second singular value is at rounding level and isomono makes no rank
+    # check; this pins that on frames up to cond(P) = 1e12 (measured
+    # <= 3.4e-16), on their truncated blocks, and on the lifted residues
+    rng = np.random.default_rng(17)
+
+    def unitary(n):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        return np.linalg.qr(z)[0]
+
+    for n in (3, 4):
+        for cond in (1.0, 1e4, 1e8, 1e12):
+            for scale in (1e-3, 1.0, 1e3):
+                for _ in range(5):
+                    sv = np.logspace(0, -np.log10(cond), n)
+                    P = scale * unitary(n) @ np.diag(sv) @ unitary(n)
+                    lam = scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
+                    R = p6.residues_from_frame(P, lam)
+                    assert rank_two_ratio(R) <= 1e-14
+                    assert rank_two_ratio(R[:, :n - 1, :n - 1]) <= 1e-14
+    for eid in ("H3", "LT8", "LT19"):
+        e = catalog.catalog_get(eid)
+        m = build_saito_matrices(e.pvf)
+        lam = list(m.weights)
+        pts = e.default_path.points
+        _, sys1, _ = mc.rank_one_from_structure(m, pts[len(pts) // 2], lam,
+                                                z_seed=e.z_seed)
+        assert rank_two_ratio(sys1.residues) <= 1e-14
+        out = mc.middle_convolution(sys1, -lam[-1])
+        assert rank_two_ratio(out.residues) <= 1e-14
+
+
 def test_n2_kernel_dimension():
     # two singular points, 1x1 residues: K has dimension n(n-2) = 0
     lam = np.array([0.7 + 0j])
     resid = [np.array([[-0.3 + 0j]]), np.array([[-0.4 + 0j]])]
     sys2 = mc.RankOneSystem(n=2, residues=resid, Gamma_inf=lam,
                             z=np.array([0.0 + 0j, 1.0 + 0j]),
-                            z_grad=np.zeros((2, 0)), point=(0.0,))
+                            z_grad=np.zeros((2, 0)))
     K = mc.kernel_stack_basis(sys2)
     assert K.shape[1] == 0
 
