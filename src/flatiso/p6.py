@@ -6,17 +6,19 @@ zero z_ij of a chosen entry, normalized by the cross-ratio map sending
 (z_1, z_2, z_3) to (0, 1, t), is a PVI solution y(t).  Everything numeric
 runs along a sampling path in t', with derivatives from five-point central
 differences.  A path is evaluated in one batch (frames_along): the algebraic
-generator is tracked point by point, then T0 and the entry coefficients are
-evaluated over all points at once and the eigenproblems are solved as one
-stack.
+generator is tracked by Newton's method run on all points in lockstep, then
+T0 and the entry coefficients are evaluated over all points at once and the
+eigenproblems are solved as one stack (on the real LAPACK driver when the
+stack is real, and without eigenvectors where only the roots are read).
 
 StructureSampler is the one tracker of both the generator z and the order
 of the roots of T0.  A step is accepted only where it is shorter than
 STEP_FRACTION (1/4) of the gap to the nearest other candidate.  For z the gap
-is a gamma-theory certificate (ring.certified_separation), computed for the
-whole path in one call, with np.roots only where it is inconclusive.  For
-the roots of T0 it is the distance to the second-nearest root at the next
-point, and the nearest-neighbour matches of all steps are composed at once.
+is a gamma-theory certificate (ring.certified_separation), computed for all
+points of a lockstep pass in one call, with np.roots only where it is
+inconclusive.  For the roots of T0 it is the distance to the second-nearest
+root at the next point, and the nearest-neighbour matches of all steps are
+composed at once.
 A rejected step is bisected, evaluating z and T0 at the midpoint; after
 MAX_BISECTIONS (24) halvings it raises TrackingLost, a NumericError (CLI
 exit 3).  Roots closer than ring.ROOT_SEPARATION raise RootCollision.
@@ -39,7 +41,7 @@ from .errors import (DegenerateLinearEntry, EigenvalueCollision,
                      InsufficientSamples, RootCollision, RootNotConverged,
                      TrackingLost)
 from .flatcore import SaitoMatrices
-from .ring import ROOT_SEPARATION, certified_separation, newton_root
+from .ring import ROOT_SEPARATION, certified_separation, newton_roots
 
 # A continuation step is accepted only below this fraction of the gap to the
 # nearest other candidate; a rejected step is bisected at most this deep.
@@ -146,7 +148,18 @@ def _compose(first, steps):
     return out
 
 
-def ordered_eig(T0vals, prev_roots=None, bridge=None):
+def _eig(A, vectors):
+    """(eigenvalues, eigenvectors or None) of a complex (N, n, n) stack, by
+    the real LAPACK driver when every imaginary part is exactly 0."""
+    if not A.imag.any():
+        A = A.real
+    if not vectors:
+        return np.linalg.eigvals(A).astype(complex, copy=False), None
+    w, V = np.linalg.eig(A)
+    return w.astype(complex, copy=False), V.astype(complex, copy=False)
+
+
+def ordered_eig(T0vals, prev_roots=None, bridge=None, vectors=True):
     """Eigen-decompositions of stacked (N, n, n) matrices, ordered for continuation.
 
     First point: ascending real part, ties (within ROOT_SEPARATION, scaled by
@@ -156,9 +169,10 @@ def ordered_eig(T0vals, prev_roots=None, bridge=None):
     goes to bridge(k, roots before, roots at k), which returns the
     permutation; with no bridge it raises TrackingLost.  Raises
     RootCollision, before any matching, naming the first point with roots
-    closer than ROOT_SEPARATION.
+    closer than ROOT_SEPARATION.  With vectors False only the roots are
+    computed, and the frames returned are None.
     """
-    w, V = np.linalg.eig(np.asarray(T0vals, dtype=complex))
+    w, V = _eig(np.asarray(T0vals, dtype=complex), vectors)
     n = w.shape[1]
     if n > 1:
         i, j = np.triu_indices(n, 1)
@@ -183,7 +197,8 @@ def ordered_eig(T0vals, prev_roots=None, bridge=None):
         steps[k] = bridge(point, chain[k], chain[k + 1])
     labels = _compose(first, steps)[len(chain) - len(w):]
     w = np.take_along_axis(w, labels, axis=1)
-    V = np.take_along_axis(V, labels[:, None, :], axis=2)
+    if vectors:
+        V = np.take_along_axis(V, labels[:, None, :], axis=2)
     return w, V
 
 
@@ -234,10 +249,13 @@ class StructureSampler:
     def _track_z(self, pts):
         """(z, certified separation) at full points pts, continued from the state.
 
-        Newton runs point by point from the previous value and one
-        certificate covers every point.  From the first step that is not
-        below STEP_FRACTION of the separation at both of its ends, the points
-        are continued one at a time, each step bisected until it is.
+        Newton runs on all remaining points at once, in lockstep from the
+        last accepted z, and one certificate covers them.  The points up to
+        the first step that is not below STEP_FRACTION of the separation at
+        both of its ends are accepted, and the lockstep restarts from that
+        point; a step rejected right after a restart is bisected until it
+        passes.  An accepted point with a separation below ROOT_SEPARATION
+        raises RootCollision.
         """
         if self.ring.ext is None or not pts:
             return np.zeros(len(pts), dtype=complex), np.full(len(pts), np.inf)
@@ -250,41 +268,43 @@ class StructureSampler:
         if off:
             Z[0], S[0] = self._z, self._zsep
         coeffs = self.ring.rel_coeffs(pts)
-        z = self.z_seed if self._z is None else self._z
-        stop = len(chain)
-        for k, row in enumerate(coeffs.tolist(), off):
-            try:
-                z = newton_root(row, z)
-            except RootNotConverged:
-                if k == 0:
-                    raise
-                stop = k
-                break
-            Z[k] = z
-        S[off:stop] = certified_separation(coeffs[:stop - off], Z[off:stop])
-        _raise_first([(S[off:stop] < ROOT_SEPARATION,
-                       lambda k: self._collision(pts[k]))])
-        jump = (np.abs(np.diff(Z[:stop]))
-                >= STEP_FRACTION * np.minimum(S[:stop - 1], S[1:stop]))
-        for k in range(1 + int(np.argmax(jump)) if jump.any() else stop,
-                       len(chain)):
-            Z[k], S[k] = self._z_step(chain[k - 1], Z[k - 1], S[k - 1],
-                                      chain[k], 0)
+        k = off
+        while k < len(chain):
+            rows = coeffs[k - off:]
+            z = newton_roots(rows, Z[k - 1] if k else self.z_seed)
+            failed = np.flatnonzero(np.isnan(z))
+            conv = int(failed[0]) if len(failed) else len(z)
+            if k == 0 and not conv:
+                raise RootNotConverged(
+                    f"Newton from the seed {self.z_seed} did not converge")
+            end = k + conv
+            Z[k:end] = z[:conv]
+            S[k:end] = certified_separation(rows[:conv], z[:conv])
+            lo = max(k, 1)
+            jump = (np.abs(np.diff(Z[lo - 1:end]))
+                    >= STEP_FRACTION * np.minimum(S[lo - 1:end - 1], S[lo:end]))
+            stop = lo + int(np.argmax(jump)) if jump.any() else end
+            _raise_first([(S[k:stop] < ROOT_SEPARATION,
+                           lambda i: self._collision(chain[k + i]))])
+            if stop == k:
+                Z[k], S[k] = self._z_step(chain[k - 1], Z[k - 1], S[k - 1],
+                                          chain[k], 0)
+                stop += 1
+            k = stop
         self._prev_pt, self._z, self._zsep = chain[-1], complex(Z[-1]), S[-1]
         return Z[off:], S[off:]
 
     def _z_step(self, p0, z0, s0, p1, depth):
         """(z, separation) at p1 from (z0, s0) at p0, bisected if rejected."""
         coeffs = self.ring.rel_coeffs([p1])
-        try:
-            z1 = newton_root(coeffs[0].tolist(), z0)
-        except RootNotConverged:
+        z1 = newton_roots(coeffs, z0)
+        if np.isnan(z1[0]):
             return self._z_halves(p0, z0, s0, p1, depth + 1)
-        s1 = certified_separation(coeffs, [z1])[0]
+        s1 = certified_separation(coeffs, z1)[0]
         if s1 < ROOT_SEPARATION:
             raise self._collision(p1)
-        if abs(z1 - z0) < STEP_FRACTION * min(s0, s1):
-            return z1, s1
+        if abs(z1[0] - z0) < STEP_FRACTION * min(s0, s1):
+            return z1[0], s1
         return self._z_halves(p0, z0, s0, p1, depth + 1)
 
     def _z_halves(self, p0, z0, s0, p1, depth):
@@ -307,7 +327,7 @@ class StructureSampler:
         pm = _midpoint(a[0], b[0])
         zm, sm = ((0j, np.inf) if self.ring.ext is None
                   else self._z_step(a[0], a[1], a[2], pm, depth))
-        wm = np.linalg.eigvals(_matrix_rows(self.T0, np.array([(zm,) + pm])))[0]
+        wm = _eig(_matrix_rows(self.T0, np.array([(zm,) + pm])), False)[0][0]
         mid = (pm, zm, sm, wm)
         return self._eig_step(mid, b, depth + 1)[self._eig_step(a, mid, depth + 1)]
 
@@ -327,9 +347,18 @@ class StructureSampler:
         """(values, roots, frames) along a path, continuation-ordered.
 
         values is the (N, nvars + 1) array of (z, t_1, ..., t_n) with z
-        tracked point by point (0 on a plain ring) and t_n = 0; roots is
+        tracked along the path (0 on a plain ring) and t_n = 0; roots is
         (N, n) and frames is (N, n, n), columns following the roots.
         """
+        return self._track(path, True)
+
+    def roots(self, path):
+        """(values, roots) of frames(path), with no eigenvectors computed;
+        the sampler's state moves on exactly as under frames."""
+        values, roots, _ = self._track(path, False)
+        return values, roots
+
+    def _track(self, path, vectors):
         pts = [self._full_point(tp) for tp in path]
         zs, seps = self._track_z(pts)
         values = np.column_stack(
@@ -340,7 +369,7 @@ class StructureSampler:
             return self._eig_step(a + (w0,), (pts[k], zs[k], seps[k], w1), 0)
 
         roots, P = ordered_eig(_matrix_rows(self.T0, values), self._prev_roots,
-                               bridge)
+                               bridge, vectors)
         if len(roots):
             self._prev_roots = roots[-1]
             self._roots_at = (pts[-1], zs[-1], seps[-1])
@@ -420,9 +449,8 @@ def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
     return alpha, beta
 
 
-def _samples_on(alpha, beta, track, path, svals):
-    """PVI samples of one entry on the frames (values, roots, _) of a path."""
-    values, roots, _ = track
+def _samples_on(alpha, beta, values, roots, path, svals):
+    """PVI samples of one entry on the tracked values and roots of a path."""
     if svals is None:
         svals = range(len(path))
     av, bv = alpha.eval_batch(values), beta.eval_batch(values)
@@ -457,8 +485,8 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
     """
     alpha, beta = _linear_entry(m, binf_eigs, entry_choice)
     path = [tuple(p) for p in path]
-    track = frames_along(m, path, z_seed=z_seed)
-    return _samples_on(alpha, beta, track, path, svals)
+    values, roots = StructureSampler(m, z_seed=z_seed).roots(path)
+    return _samples_on(alpha, beta, values, roots, path, svals)
 
 
 def _differentiate_samples(samples):
@@ -615,8 +643,9 @@ def pvi_on_frames(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
     The parameters are read from the frame at the first path point.
     """
     alpha, beta = _linear_entry(m, lam, entry_choice)
-    samples = _samples_on(alpha, beta, track, path, svals)
-    params = _params_from_frame(track[2][0], lam, entry_choice)
+    values, roots, P = track
+    samples = _samples_on(alpha, beta, values, roots, path, svals)
+    params = _params_from_frame(P[0], lam, entry_choice)
     return samples, params, p6_residual(samples, params)
 
 

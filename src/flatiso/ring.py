@@ -47,8 +47,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegreeOverflow, DivisionNotExact, InputError,
-                     RootNotConverged)
+from .errors import DegreeOverflow, DivisionNotExact, InputError
 
 # Denominators are cancelled after every operation up to this z-degree;
 # larger extensions keep lazy denominators (zero tests do not need them) until
@@ -641,34 +640,44 @@ class Ring:
         return out
 
 
-def newton_root(coeffs, seed):
-    """Newton iteration from seed for a zero of sum_k coeffs[k] z^k."""
-    scale = max(1.0, *map(abs, coeffs))
+def newton_roots(coeffs, seed):
+    """Zeros of sum_k coeffs[n, k] z^k for every row n, by Newton's method
+    run on all rows at once from the one seed.
 
-    def f(zv):
-        acc = 0j
-        for c in reversed(coeffs):
-            acc = acc * zv + c
-        return acc
+    coeffs is (N, d + 1), lowest degree first.  A row is done once
+    |f| < 1e-13 scale, scale = max(1, max |coeffs|), and takes one more
+    (polishing) step then.  A row that meets a zero derivative first, or
+    still has |f| > 1e-9 scale after 100 steps, is NaN.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    tol = 1e-13 * np.maximum(1.0, np.abs(coeffs).max(axis=1, initial=0.0))
+    c = np.ascontiguousarray(coeffs.T)                 # (d + 1, N)
+    dc = c[1:] * np.arange(1, len(c))[:, None]
+    z = np.full(len(coeffs), complex(seed))
+    live = np.arange(len(coeffs))
+    with np.errstate(all="ignore"):       # a diverging row only turns NaN
+        for _ in range(100):
+            if not len(live):
+                return z
+            f, fp = _poly_values(c[:, live], dc[:, live], z[live])
+            done = np.abs(f) < tol[live]
+            stuck = (fp == 0) & ~done
+            z[live] -= np.where(fp == 0, 0, f / fp)
+            z[live[stuck]] = np.nan
+            live = live[~(done | stuck)]
+        f, _ = _poly_values(c[:, live], dc[:, live], z[live])
+    z[live[~(np.abs(f) <= 1e4 * tol[live])]] = np.nan
+    return z
 
-    def fp(zv):
-        acc = 0j
-        for k in range(len(coeffs) - 1, 0, -1):
-            acc = acc * zv + coeffs[k] * k
-        return acc
 
-    zv = complex(seed)
-    for _ in range(100):
-        fv = f(zv)
-        if abs(fv) < 1e-13 * scale:
-            return zv
-        d = fp(zv)
-        if d == 0:
-            raise RootNotConverged(f"zero derivative at {zv}")
-        zv = zv - fv / d
-    if abs(f(zv)) > 1e-9 * scale:
-        raise RootNotConverged(f"Newton stalled at {zv}")
-    return zv
+def _poly_values(c, dc, z):
+    """(f(z), f'(z)) column by column: c (d + 1, N) holds the coefficients of
+    f, lowest first, and dc (d, N) those of f'."""
+    zp = np.empty(c.shape, dtype=complex)
+    zp[0] = 1
+    zp[1:] = z
+    np.multiply.accumulate(zp, axis=0, out=zp)
+    return (c * zp).sum(axis=0), (dc * zp[:-1]).sum(axis=0)
 
 
 # No other zero lies within _SEPARATION_GAMMA / gamma(f, zeta) of a simple

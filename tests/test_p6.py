@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from flatiso import catalog, p6
-from flatiso.errors import EntryIdenticallyZero, InsufficientSamples, TrackingLost
+from flatiso.errors import (EntryIdenticallyZero, InsufficientSamples,
+                            RootNotConverged, TrackingLost)
 from flatiso.flatcore import build_saito_matrices, mat_adjugate
 
 
@@ -321,3 +322,97 @@ def test_midconv_block_tracks_once(monkeypatch):
     pts = e.default_path.points
     catalog.midconv_block(m, pts[len(pts) // 2], z_seed=e.z_seed)
     assert calls == [1]
+
+
+def _path_401(e):
+    pts, _, z_seed = catalog.path_from_doc(dict(e.doc["default_path"], points=401))
+    return pts, z_seed
+
+
+@pytest.mark.parametrize("eid", ["H3p", "H3pp", "LT27", "LT14", "LT19"])
+def test_lockstep_matches_point_by_point_continuation(eid):
+    # reference: Newton from the previous root at every point, one row at a
+    # time, and the roots of T0 at those z by the complex driver
+    from flatiso.ring import newton_roots
+    e, m = entry_setup(eid)
+    pts, z_seed = _path_401(e)
+    values, roots, _ = p6.StructureSampler(m, z_seed=z_seed).frames(pts)
+    coeffs = m.ring.rel_coeffs([p + (0.0,) for p in pts])
+    ref, z = np.empty(len(pts), dtype=complex), z_seed
+    for k, row in enumerate(coeffs):
+        ref[k] = z = newton_roots(row[None], z)[0]
+    assert np.all(np.abs(values[:, 0] - ref) <= 1e-13 * np.maximum(1, np.abs(ref)))
+    ref_values = np.column_stack([ref, np.array(pts), np.zeros(len(pts))])
+    want = np.linalg.eigvals(p6._matrix_rows(m.T0, ref_values))
+    nearest = np.take_along_axis(
+        want, np.abs(want[:, None, :] - roots[:, :, None]).argmin(axis=2), axis=1)
+    assert np.all(np.abs(roots - nearest)
+                  <= 1e-11 * np.maximum(1, np.abs(nearest)))
+
+
+def sqrt_sampler(z_seed):
+    """The tracker on z^2 = t1 with T0 = diag(z, 5)."""
+    from types import SimpleNamespace
+    from flatiso.ring import Ring
+    ring = Ring(["1", "1"], extension={(2, 0, 0): 1, (0, 1, 0): -1},
+                z_weight="1/2")
+    T0 = [[ring.zgen(), ring.zero()], [ring.zero(), ring.const(5)]]
+    return p6.StructureSampler(SimpleNamespace(ring=ring, n=2, T0=T0),
+                               z_seed=z_seed)
+
+
+def test_seed_with_no_newton_step_is_refused():
+    # f'(0) = 0 for z^2 - t1: Newton cannot leave the seed at the first point
+    with pytest.raises(RootNotConverged):
+        sqrt_sampler(0.0).frames([(1.0, 0.0), (1.1, 0.0)])
+
+
+def test_lockstep_restarts_where_newton_leaves_the_branch(monkeypatch):
+    # z^2 = t1 once round the unit circle: Newton from z = 1 reaches -sqrt(t1)
+    # past theta = pi, so the lockstep must restart there, not bisect
+    from flatiso.ring import certified_separation
+    sampler = sqrt_sampler(1.0)
+    ring = sampler.ring
+    steps = []
+    real_step = p6.StructureSampler._z_step
+
+    def counting(self, *args):
+        steps.append(args)
+        return real_step(self, *args)
+
+    monkeypatch.setattr(p6.StructureSampler, "_z_step", counting)
+    path = [(np.exp(1j * th), 0.0) for th in np.linspace(0, 2 * np.pi, 401)]
+    z = sampler.frames(path)[0][:, 0]
+    assert abs(z[-1] + 1) < 1e-12
+    sep = certified_separation(ring.rel_coeffs(path), z)
+    assert np.all(np.abs(np.diff(z))
+                  < p6.STEP_FRACTION * np.minimum(sep[:-1], sep[1:]))
+    assert steps == []
+
+
+def test_real_driver_and_roots_only_tracking(monkeypatch):
+    e, m = entry_setup("LT8")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    path = e.default_path.points
+    sampler = p6.StructureSampler(m)
+    values, roots, P = sampler.frames(path)
+    T0 = p6._matrix_rows(m.T0, values)
+    assert not T0.imag.any()                  # so the real driver ran
+    # the same stack through the complex driver
+    monkeypatch.setattr(p6, "_eig", lambda A, vectors: np.linalg.eig(A))
+    want, Pc = p6.ordered_eig(T0)
+    monkeypatch.undo()
+    assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+    res, res_c = p6.residues_from_frame(P, lam), p6.residues_from_frame(Pc, lam)
+    assert np.abs(res - res_c).max() <= 1e-12 * max(1, np.abs(res_c).max())
+    # roots only: the same roots, and the sampler continues identically
+    fresh = p6.StructureSampler(m)
+    only_values, only_roots = fresh.roots(path)
+    assert np.array_equal(only_values, values)
+    assert np.array_equal(only_roots, roots)
+    for name in ("_prev_pt", "_z", "_zsep", "_roots_at"):
+        assert getattr(fresh, name) == getattr(sampler, name)
+    assert np.array_equal(fresh._prev_roots, sampler._prev_roots)
+    more = [(p[0], p[1] + 0.01) for p in path[-3:]]
+    for a, b in zip(sampler.frames(more), fresh.frames(more)):
+        assert np.array_equal(a, b)

@@ -10,12 +10,12 @@ from flatiso import catalog
 from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
 from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _p_lincomb, _packing,
                           _probe_points,
-                          certified_separation, newton_root)
+                          certified_separation, newton_roots)
 
 
 def root_near(ring, pt, seed):
     """Newton's zero of the relation at the full point pt, from seed."""
-    return newton_root(ring.rel_coeffs([pt])[0].tolist(), seed)
+    return newton_roots(ring.rel_coeffs([pt]), seed)[0]
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +201,7 @@ def test_certified_separation_is_a_lower_bound(roots, pick, nudge):
     assume(dists.min() > 1e-3)
     coeffs = np.poly(roots)[::-1]
     target = roots[pick % len(roots)]
-    zv = newton_root(list(coeffs), target + nudge * dists.min())
+    zv = newton_roots(coeffs[None], target + nudge * dists.min())[0]
     true = np.sort(np.abs(np.roots(coeffs[::-1]) - zv))[1]
     sep = certified_separation(coeffs[None], [zv])[0]
     assert sep <= true * (1 + 1e-9)
