@@ -33,7 +33,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, NoRescalingFound, NotMonic, SchemaError
-from .ring import Ring, RingElem
+from .ring import EvalStack, Ring, RingElem
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +246,20 @@ class SaitoMatrices:
         return T0
 
     @cached_property
+    def T0_stack(self):
+        """T0 compiled for evaluation, of shape (n, n)."""
+        return EvalStack(self.T0)
+
+    @cached_property
     def dT0(self):
         """dT0/dt_k for k = 1..n-1; T0 is free of t_n."""
         return [mat_partial(self.T0, k) for k in range(self.n - 1)]
+
+    @cached_property
+    def dT0_stack(self):
+        """The n - 1 matrices of dT0 compiled for one evaluation, of shape
+        (n - 1, n, n)."""
+        return EvalStack(self.dT0)
 
 
 @dataclass

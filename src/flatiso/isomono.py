@@ -284,13 +284,19 @@ def schlesinger_defects(zs, Bs, h):
     zdot = _stencil_d1(_windows(zs), h)                 # (M, n)
     dB = _stencil_d1(_windows(Bs), h)                   # (M, n, n, n)
     z, B = zs[2:-2], Bs[2:-2]
-    M, n, m = B.shape[:3]
+    n, m = B.shape[1], B.shape[-1]
     # z_i - z_j, with 1 on the diagonal, where z_i' - z_j' is exactly 0
     dz = z[:, None, :] - z[:, :, None] + np.eye(n)
     w = (zdot[:, None, :] - zdot[:, :, None]) / dz      # [k, j, i] = w_ji
-    # sum_j w_ji [B_j, B_i] = [C_i, B_i] with C_i = sum_j w_ji B_j
-    C = (np.swapaxes(w, 1, 2) @ B.reshape(M, n, m * m)).reshape(B.shape)
-    return dB - (C @ B - B @ C)
+    # sum_j w_ji [B_j, B_i] = [C_i, B_i] with C_i = sum_j w_ji B_j, formed
+    # entry by entry as sums of elementwise products of (M, n) stacks: a
+    # stack of tiny matmuls costs far more per matrix
+    Bt = B.transpose(2, 3, 0, 1).copy()                 # [a, b, k, i]
+    C = sum(w[:, j] * Bt[:, :, :, j, None] for j in range(n))
+    comm = np.empty_like(Bt)
+    for a in range(m):
+        comm[a] = sum(C[a, c] * Bt[c] - Bt[a, c] * C[c] for c in range(m))
+    return dB - comm.transpose(2, 3, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -320,21 +326,28 @@ def _check_jm(residues, thetas, kappas, ts):
     A_inf = -(A_0 + A_1 + A_t) must be diagonal within JM_RESIDUE_TOL with
     diagonal (kappa_1, kappa_2) within JM_DIAGONAL_TOL, and tr A_i = theta_i
     within JM_RESIDUE_TOL.  A non-finite residue fails.  Raises
-    InverseMismatch for the first failing point.
+    InverseMismatch for the first failing point, naming the scale there:
+    the bounds are absolute, the residues grow as theta_inf = kappa_1 -
+    kappa_2 nears 0 (each z_i carries a factor 1/theta_inf), and rounding,
+    about 1e-16 of max|A_i|, can then exceed them.
     """
     Ainf = -residues.sum(axis=1)
     off = np.maximum(np.abs(Ainf[:, 0, 1]), np.abs(Ainf[:, 1, 0]))
     diag = np.abs(Ainf[:, [0, 1], [0, 1]] - np.asarray(kappas)).max(axis=1)
     trace = np.abs(np.trace(residues, axis1=2, axis2=3)
                    - np.asarray(thetas)).max(axis=1)
+    thinf = abs(kappas[0] - kappas[1])
+
+    def where(k):
+        return (f"at t = {ts[k]} (max|A_i| = {np.abs(residues[k]).max():.3g}, "
+                f"|theta_inf| = {thinf:.3g})")
     _raise_first([
         (~(off <= JM_RESIDUE_TOL), lambda k: InverseMismatch(
-            f"A_inf off-diagonal {off[k]} exceeds {JM_RESIDUE_TOL} "
-            f"at t = {ts[k]}")),
+            f"A_inf off-diagonal {off[k]} exceeds {JM_RESIDUE_TOL} {where(k)}")),
         (~(diag <= JM_DIAGONAL_TOL), lambda k: InverseMismatch(
-            f"A_inf diagonal does not match kappas at t = {ts[k]}")),
+            f"A_inf diagonal does not match kappas {where(k)}")),
         (~(trace <= JM_RESIDUE_TOL), lambda k: InverseMismatch(
-            f"trace of a residue does not match theta at t = {ts[k]}")),
+            f"trace of a residue does not match theta {where(k)}")),
     ])
 
 

@@ -7,9 +7,10 @@ zero z_ij of a chosen entry, normalized by the cross-ratio map sending
 runs along a sampling path in t', with derivatives from five-point central
 differences.  A path is evaluated in one batch (frames_along): the algebraic
 generator is tracked by Newton's method run on all points in lockstep, then
-T0 and the entry coefficients are evaluated over all points at once and the
-eigenproblems are solved as one stack (on the real LAPACK driver when the
-stack is real, and without eigenvectors where only the roots are read).
+T0 and the entry coefficients are evaluated over all points at once, each
+matrix or pair in one ring.EvalStack call, and the eigenproblems are solved
+as one stack (on the real LAPACK driver when the stack is real, and without
+eigenvectors where only the roots are read).
 
 StructureSampler is the one tracker of both the generator z and the order
 of the roots of T0.  A step is accepted only where it is shorter than
@@ -41,7 +42,8 @@ from .errors import (DegenerateLinearEntry, EigenvalueCollision,
                      InsufficientSamples, RootCollision, RootNotConverged,
                      TrackingLost)
 from .flatcore import SaitoMatrices
-from .ring import ROOT_SEPARATION, certified_separation, newton_roots
+from .ring import (ROOT_SEPARATION, EvalStack, certified_separation,
+                   newton_roots)
 
 # A continuation step is accepted only below this fraction of the gap to the
 # nearest other candidate; a rejected step is bisected at most this deep.
@@ -202,10 +204,10 @@ def ordered_eig(T0vals, prev_roots=None, bridge=None, vectors=True):
     return w, V
 
 
-def _matrix_rows(M, values):
-    """A matrix of ring elements at every row of values, as (N, n, n)."""
-    return np.moveaxis(np.array([[e.eval_batch(values) for e in row]
-                                 for row in M], dtype=complex), -1, 0)
+def _matrix_rows(stack, values):
+    """A ring.EvalStack at every row of values, the row axis first: (N, n, n)
+    for a matrix."""
+    return np.moveaxis(stack.eval_batch(values), -1, 0)
 
 
 def _midpoint(p0, p1):
@@ -230,7 +232,7 @@ class StructureSampler:
         self.ring = ring
         self.n = m.n
         self.z_seed = z_seed
-        self.T0 = m.T0
+        self._T0 = m.T0_stack
         # (point, z, certified separation) where z was last tracked
         self._prev_pt = None
         self._z = None
@@ -327,7 +329,7 @@ class StructureSampler:
         pm = _midpoint(a[0], b[0])
         zm, sm = ((0j, np.inf) if self.ring.ext is None
                   else self._z_step(a[0], a[1], a[2], pm, depth))
-        wm = _eig(_matrix_rows(self.T0, np.array([(zm,) + pm])), False)[0][0]
+        wm = _eig(_matrix_rows(self._T0, np.array([(zm,) + pm])), False)[0][0]
         mid = (pm, zm, sm, wm)
         return self._eig_step(mid, b, depth + 1)[self._eig_step(a, mid, depth + 1)]
 
@@ -341,7 +343,7 @@ class StructureSampler:
         """T0 at one point, with z continued from the last tracked point."""
         zv = self.z_at(tprime)
         row = (0j if zv is None else zv,) + self._full_point(tprime)
-        return _matrix_rows(self.T0, np.array([row]))[0]
+        return _matrix_rows(self._T0, np.array([row]))[0]
 
     def frames(self, path):
         """(values, roots, frames) along a path, continuation-ordered.
@@ -368,7 +370,7 @@ class StructureSampler:
             a = self._roots_at if k == 0 else (pts[k - 1], zs[k - 1], seps[k - 1])
             return self._eig_step(a + (w0,), (pts[k], zs[k], seps[k], w1), 0)
 
-        roots, P = ordered_eig(_matrix_rows(self.T0, values), self._prev_roots,
+        roots, P = ordered_eig(_matrix_rows(self._T0, values), self._prev_roots,
                                bridge, vectors)
         if len(roots):
             self._prev_roots = roots[-1]
@@ -453,7 +455,7 @@ def _samples_on(alpha, beta, values, roots, path, svals):
     """PVI samples of one entry on the tracked values and roots of a path."""
     if svals is None:
         svals = range(len(path))
-    av, bv = alpha.eval_batch(values), beta.eval_batch(values)
+    av, bv = EvalStack([alpha, beta]).eval_batch(values)
     z1, z2, z3 = roots.T
     den = z2 - z1
     with np.errstate(all="ignore"):
@@ -468,9 +470,12 @@ def _samples_on(alpha, beta, values, roots, path, svals):
         (np.minimum(np.abs(t), np.abs(t - 1)) < 1e-8, lambda k:
          RootCollision(f"cross-ratio t hits 0/1 at {path[k]}")),
     ])
-    samples = [P6Sample(s=float(sv), tprime=tp, roots=tuple(roots[k]),
-                        z_entry=z_entry[k], t=t[k], y=y[k])
-               for k, (sv, tp) in enumerate(zip(svals, path))]
+    # Python scalars in the per-point records: numpy scalars cost more to
+    # build and to read back, point by point
+    samples = [P6Sample(s=sv, tprime=tp, roots=tuple(r), z_entry=ze, t=tv, y=yv)
+               for sv, tp, r, ze, tv, yv in zip(
+                   np.asarray(svals, dtype=float).tolist(), path,
+                   roots.tolist(), z_entry.tolist(), t.tolist(), y.tolist())]
     _differentiate_samples(samples)
     return samples
 
@@ -501,7 +506,7 @@ def _differentiate_samples(samples):
         f"dt/ds vanishes at sample {j + 2}; path is not t-regular"))])
     dy_dt = dy / dt
     d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
-    for smp, a, b in zip(samples[2:-2], dy_dt, d2y_dt2):
+    for smp, a, b in zip(samples[2:-2], dy_dt.tolist(), d2y_dt2.tolist()):
         smp.dy_dt, smp.d2y_dt2 = a, b
 
 
@@ -535,7 +540,7 @@ def frame_tangent(m: SaitoMatrices, values, roots, P, lam):
     """
     n = m.n
     Pinv = np.linalg.inv(P)
-    X = Pinv @ np.array([_matrix_rows(M, values[None])[0] for M in m.dT0]) @ P
+    X = Pinv @ _matrix_rows(m.dT0_stack, values[None])[0] @ P
     gap = roots - roots[:, None]                        # [i, j] = z_j - z_i
     np.fill_diagonal(gap, 1)
     Y = X / gap * (1 - np.eye(n))
@@ -607,8 +612,8 @@ def p6_residual(samples: Sequence[P6Sample], params: P6Params) -> float:
     t, y, dy, d2y = (np.array([getattr(s, a) for s in interior], dtype=complex)
                      for a in ("t", "y", "dy_dt", "d2y_dt2"))
     val = _pvi_defects(t, y, dy, d2y, params)
-    for s, v in zip(interior, val):
-        s.residual = float(v)
+    for s, v in zip(interior, val.tolist()):
+        s.residual = v
     return float(val.max())
 
 

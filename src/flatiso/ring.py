@@ -34,14 +34,17 @@ integer denominator (see _Packing); the {exponent tuple: Fraction} form
 exists only at the boundary (Ring(extension=...), Ring.from_raw,
 RingElem.num and the expression parser and printer).
 
-RingElem.eval_batch is the one numeric evaluation, at rows (z, t1..tn) whose
-generator value the path tracker (p6.StructureSampler) solves for.
+EvalStack.eval_batch is the one numeric evaluation: an array of elements,
+at rows (z, t1..tn) whose generator value the path tracker
+(p6.StructureSampler) solves for, in one pass over their terms.
+RingElem.eval_batch is its one-element case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
@@ -280,28 +283,42 @@ def _adjugate_column(pk, mat):
     return det, cof
 
 
-def _compile_batch(pk, terms, den):
-    """(exponent matrix (terms, nvars + 1), complex coefficients) for eval_batch."""
-    exps = np.array([pk.unpack(k) for k in terms], dtype=np.intp)
-    return (exps.reshape(len(terms), pk.nvars + 1),
-            np.array([c / den for c in terms.values()], dtype=complex))
+def _compile_stack(pk, polys):
+    """(slots, coefficients, bounds) of polynomials given as (terms, den).
 
-
-def _eval_batch(compiled, values):
-    """The compiled polynomial at every row of an (N, nvars + 1) array.
-
-    Terms are multiplied slot by slot and summed in the order the element
-    holds them; the transients are one (terms, N) product and one power
-    table per slot, never a (terms, N, slots) broadcast.
+    The terms of all polynomials are concatenated, polynomial i holding rows
+    bounds[i]:bounds[i + 1]; coefficients are complex, and slots lists
+    (slot, exponent column, top exponent) for every slot whose top is above 0.
     """
-    exps, coeffs = compiled
+    exps = np.array([pk.unpack(k) for terms, _ in polys for k in terms],
+                    dtype=np.intp).reshape(-1, pk.nvars + 1)
+    coeffs = np.array([c / den for terms, den in polys for c in terms.values()],
+                      dtype=complex)
+    bounds = list(accumulate((len(terms) for terms, _ in polys), initial=0))
+    slots = [(s, col, int(col.max())) for s, col in enumerate(exps.T)
+             if col.max(initial=0)]
+    return slots, coeffs, bounds
+
+
+def _eval_stack(compiled, values):
+    """The compiled polynomials at every row of an (N, nvars + 1) array, as
+    (k, N).
+
+    All terms are multiplied slot by slot in one gather-multiply, from one
+    power table per slot up to the top exponent of the stack.  A term whose
+    own exponent in a slot is 0 is multiplied by exactly 1, so it keeps the
+    value it has on its own; each polynomial's terms are then summed by one
+    sum(axis=0) in the order it holds them.  A polynomial thus takes the
+    same value bit for bit in any stack, a one-element stack included.
+    """
+    slots, coeffs, bounds = compiled
     acc = np.repeat(coeffs[:, None], len(values), axis=1)
-    for s in range(exps.shape[1]):
-        col = exps[:, s]
-        top = int(col.max(initial=0))
-        if top:
-            acc *= np.vander(values[:, s], top + 1, increasing=True).T[col]
-    return acc.sum(axis=0)
+    for s, col, top in slots:
+        acc *= np.vander(values[:, s], top + 1, increasing=True).T[col]
+    out = np.empty((len(bounds) - 1, len(values)), dtype=complex)
+    for i in range(len(out)):
+        out[i] = acc[bounds[i]:bounds[i + 1]].sum(axis=0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +389,7 @@ class ExtensionRing:
         self._rel, self._scale = _from_fractions(pk, relation)
         self._drel = pk.partial(self._rel, 0)
         self.drel = _to_fractions(pk, self._drel, self._scale)
-        self._drel_batch = _compile_batch(pk, self._drel, self._scale)
+        self._drel_batch = _compile_stack(pk, [(self._drel, self._scale)])
         self._ztop = d << pk.zshift
         top = d * pk.zunit
         lead = self._rel[top]
@@ -1047,25 +1064,58 @@ class RingElem:
 
     def eval_batch(self, values):
         """The element at every row of an (N, nvars + 1) complex array of
-        (z, t1..tn), the one way a ring element becomes a number.
+        (z, t1..tn), as (N,): the one-element case of EvalStack.eval_batch,
+        compiled once and kept on the element."""
+        if self._batch is None:
+            self._batch = EvalStack(self)
+        return self._batch.eval_batch(values)
+
+
+class EvalStack:
+    """An array of elements of one ring, compiled for one evaluation.
+
+    elems is a RingElem or a nested rectangular sequence of them, of any
+    shape; eval_batch returns an array of shape + (N,).  The numerators are
+    compiled once into one exponent matrix and one coefficient vector, and
+    the denominators z^zden and rel_z^dden are grouped by power.
+    """
+
+    __slots__ = ("ring", "shape", "_compiled", "_zden", "_dden")
+
+    def __init__(self, elems):
+        cells = np.array(elems, dtype=object)
+        flat = cells.ravel().tolist()
+        self.ring = ring = flat[0].ring
+        self.shape = cells.shape
+        self._compiled = _compile_stack(ring._pk, [(e._t, e._d) for e in flat])
+
+        def by_power(attr):
+            pows = sorted({getattr(e, attr) for e in flat} - {0})
+            return [(d, np.array([getattr(e, attr) == d for e in flat]))
+                    for d in pows]
+        self._zden, self._dden = by_power("zden"), by_power("dden")
+
+    def eval_batch(self, values):
+        """The elements at every row of an (N, nvars + 1) complex array of
+        (z, t1..tn), the one way ring elements become numbers.
 
         Column 0 carries the generator's value (ignored by plain rings),
         which the caller has solved for: p6.StructureSampler tracks it along
-        a path.  The numerator is compiled once, into an exponent matrix and
-        a complex coefficient vector, and kept on the element.
+        a path.  Each power of z and of rel_z divides the elements that
+        carry it once, rel_z being evaluated once per call.
         """
         ring = self.ring
         values = np.asarray(values, dtype=complex)
         if values.ndim != 2 or values.shape[1] != ring.nvars + 1:
             raise ValueError(f"expected rows of {ring.nvars + 1} values (z, t1..tn)")
-        if self._batch is None:
-            self._batch = _compile_batch(ring._pk, self._t, self._d)
-        val = _eval_batch(self._batch, values)
-        if self.zden:
-            val /= values[:, 0] ** self.zden
-        if self.dden:
-            val /= _eval_batch(ring.ext._drel_batch, values) ** self.dden
-        return val
+        out = _eval_stack(self._compiled, values)
+        for d, rows in self._zden:
+            out[rows] /= values[:, 0] ** d
+        if self._dden:
+            drel = _eval_stack(ring.ext._drel_batch, values)[0]
+            for d, rows in self._dden:
+                out[rows] /= drel ** d
+        return out.reshape(self.shape + (len(values),))
 
 
 def _full_cancel(ring, terms, den, zden, dden):

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -144,6 +145,21 @@ def test_jm_roundtrip_numeric_pin(capsys):
         want = [float(x) for x in row.split(",")]
         assert max(abs(a - b) for a, b in zip(got, want)) < 1e-12, k
     assert abs(rep["pvi_residual"] - pin["pvi_residual"]) < 1e-12
+
+
+def test_jm_roundtrip_with_small_theta_inf_fails_at_rounding_level(capsys):
+    # seed 573351091 draws theta_inf = kappa_1 - kappa_2 of about 6e-4, so
+    # the residues reach about 1.45e6 at the first grid point.  The A_inf
+    # off-diagonal there, 1.1e-9, is rounding (below 1e-15 of max|A_i|), yet
+    # above the absolute JM_RESIDUE_TOL = 1e-10: the verb exits 3, and the
+    # message names the scale that explains it
+    code, _, err = run(capsys, "jm-roundtrip", "--seed", "573351091")
+    assert code == 3
+    hit = re.search(r"off-diagonal (\S+) exceeds 1e-10 at t = \(2\+0j\) "
+                    r"\(max\|A_i\| = (\S+), \|theta_inf\| = (\S+)\)", err)
+    off, scale, thinf = map(float, hit.groups())
+    assert 1e6 < scale < 2e6 and 5e-4 < thinf < 7e-4
+    assert 1e-10 < off < 1e-15 * scale
 
 
 def test_parser_is_built_once():

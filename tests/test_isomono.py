@@ -302,7 +302,8 @@ def test_schlesinger_defects_match_per_point_loop():
                 1.0, np.abs(dBi).max())
 
 
-@pytest.mark.parametrize("shape", [(401, 3, 3, 3), (401, 3, 2, 2)])
+@pytest.mark.parametrize("shape", [(401, 3, 3, 3), (401, 3, 2, 2),
+                                   (101, 4, 4, 4)])
 def test_schlesinger_defects_match_pairwise_commutators(shape):
     # sum_j w_ji [B_j, B_i] formed pair by pair, against [C_i, B_i]
     rng = np.random.default_rng(sum(shape))

@@ -227,10 +227,11 @@ def test_eigenvalue_swap_is_bisected():
     # matching swaps the pair: the tracker must bisect the step and agree
     # with a fine track of the same segment
     from types import SimpleNamespace
-    from flatiso.ring import Ring
+    from flatiso.ring import EvalStack, Ring
     ring = Ring(["1", "1"])
     t1, _ = ring.gens()
-    m = SimpleNamespace(ring=ring, n=2, T0=[[ring.zero(), t1], [t1, ring.zero()]])
+    m = SimpleNamespace(ring=ring, n=2,
+                        T0_stack=EvalStack([[ring.zero(), t1], [t1, ring.zero()]]))
     p0, p1 = (1.0, 0.0), (-0.2 + 1j, 0.0)
     T0 = [[[0, p[0]], [p[0], 0]] for p in (p0, p1)]
     with pytest.raises(TrackingLost):
@@ -343,7 +344,7 @@ def test_lockstep_matches_point_by_point_continuation(eid):
         ref[k] = z = newton_roots(row[None], z)[0]
     assert np.all(np.abs(values[:, 0] - ref) <= 1e-13 * np.maximum(1, np.abs(ref)))
     ref_values = np.column_stack([ref, np.array(pts), np.zeros(len(pts))])
-    want = np.linalg.eigvals(p6._matrix_rows(m.T0, ref_values))
+    want = np.linalg.eigvals(p6._matrix_rows(m.T0_stack, ref_values))
     nearest = np.take_along_axis(
         want, np.abs(want[:, None, :] - roots[:, :, None]).argmin(axis=2), axis=1)
     assert np.all(np.abs(roots - nearest)
@@ -353,12 +354,12 @@ def test_lockstep_matches_point_by_point_continuation(eid):
 def sqrt_sampler(z_seed):
     """The tracker on z^2 = t1 with T0 = diag(z, 5)."""
     from types import SimpleNamespace
-    from flatiso.ring import Ring
+    from flatiso.ring import EvalStack, Ring
     ring = Ring(["1", "1"], extension={(2, 0, 0): 1, (0, 1, 0): -1},
                 z_weight="1/2")
     T0 = [[ring.zgen(), ring.zero()], [ring.zero(), ring.const(5)]]
-    return p6.StructureSampler(SimpleNamespace(ring=ring, n=2, T0=T0),
-                               z_seed=z_seed)
+    return p6.StructureSampler(
+        SimpleNamespace(ring=ring, n=2, T0_stack=EvalStack(T0)), z_seed=z_seed)
 
 
 def test_seed_with_no_newton_step_is_refused():
@@ -396,7 +397,7 @@ def test_real_driver_and_roots_only_tracking(monkeypatch):
     path = e.default_path.points
     sampler = p6.StructureSampler(m)
     values, roots, P = sampler.frames(path)
-    T0 = p6._matrix_rows(m.T0, values)
+    T0 = p6._matrix_rows(m.T0_stack, values)
     assert not T0.imag.any()                  # so the real driver ran
     # the same stack through the complex driver
     monkeypatch.setattr(p6, "_eig", lambda A, vectors: np.linalg.eig(A))
@@ -416,3 +417,27 @@ def test_real_driver_and_roots_only_tracking(monkeypatch):
     more = [(p[0], p[1] + 0.01) for p in path[-3:]]
     for a, b in zip(sampler.frames(more), fresh.frames(more)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("eid", ["LT8", "LT19"])
+def test_one_evaluation_per_matrix(eid, monkeypatch):
+    # a 401-point track evaluates T0 in one call over all points, not one per
+    # entry, and frame_tangent evaluates both dT0 matrices in one call
+    from flatiso.ring import EvalStack, RingElem
+    e, m = entry_setup(eid)
+    pts, z_seed = _path_401(e)
+    calls = []
+    stacked = EvalStack.eval_batch
+
+    def counting(self, values):
+        calls.append((self, len(values)))
+        return stacked(self, values)
+
+    monkeypatch.setattr(EvalStack, "eval_batch", counting)
+    monkeypatch.setattr(RingElem, "eval_batch", None)
+    values, roots, P = p6.StructureSampler(m, z_seed=z_seed).frames(pts)
+    assert calls == [(m.T0_stack, 401)]
+    calls.clear()
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    p6.frame_tangent(m, values[200], roots[200], P[200], lam)
+    assert calls == [(m.dT0_stack, 1)]

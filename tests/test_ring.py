@@ -140,11 +140,13 @@ def z_tracker(ring, seed):
     # the path tracker on T0 = diag(z, 1, 2), whose first root is the generator
     from types import SimpleNamespace
     from flatiso import p6
+    from flatiso.ring import EvalStack
     zero = ring.zero()
     T0 = [[ring.zgen(), zero, zero], [zero, ring.const(1), zero],
           [zero, zero, ring.const(2)]]
-    return p6.StructureSampler(SimpleNamespace(ring=ring, n=ring.nvars, T0=T0),
-                               z_seed=seed)
+    return p6.StructureSampler(
+        SimpleNamespace(ring=ring, n=ring.nvars, T0_stack=EvalStack(T0)),
+        z_seed=seed)
 
 
 def test_eval_root_seeds(ext):
@@ -545,3 +547,57 @@ def test_batched_eval_matches_scalar(eid):
         want = np.array([x.eval_batch(row[None])[0] for row in values])
         assert got.shape == (len(values),)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def per_element(num, zden, dden, ring, values):
+    """An element at every row by the per-element kernel that the stacked one
+    replaced: the terms of num in the order it holds them, multiplied slot by
+    slot up to the element's own top exponent, one sum(axis=0), then
+    z^zden and rel_z^dden."""
+    import numpy as np
+    exps = np.array(list(num), dtype=np.intp).reshape(len(num), ring.nvars + 1)
+    acc = np.repeat(np.array([float(c) for c in num.values()],
+                             dtype=complex)[:, None], len(values), axis=1)
+    for s in range(exps.shape[1]):
+        top = int(exps[:, s].max(initial=0))
+        if top:
+            acc *= np.vander(values[:, s], top + 1, increasing=True).T[exps[:, s]]
+    val = acc.sum(axis=0)
+    if zden:
+        val /= values[:, 0] ** zden
+    if dden:
+        val /= per_element(ring.ext.drel, 0, 0, ring, values) ** dden
+    return val
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_stacked_eval_is_bit_identical(eid):
+    # T0, both dT0 matrices and adj(T) in one stack, and the stacks kept on
+    # SaitoMatrices, along the default path and on one row: bit for bit the
+    # per-element values, identically zero entries and the z and rel_z
+    # denominators of LT14 and LT19 included
+    import numpy as np
+    from flatiso import flatcore, p6
+    from flatiso.ring import EvalStack
+    cat = catalog.catalog_get(eid)
+    m = flatcore.build_saito_matrices(cat.pvf)
+    n = m.n
+    mats = [m.T0, *m.dT0, m.adjT]
+    elems = [x for M in mats for row in M for x in row]
+    assert any(x.is_zero() for x in elems)
+    assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
+    values = p6.frames_along(m, cat.default_path.points, z_seed=cat.z_seed)[0]
+    stack = EvalStack(mats)
+    assert stack.shape == (n + 1, n, n)
+    for rows in (values, values[len(values) // 2][None]):
+        want = np.array([per_element(x.num, x.zden, x.dden, m.ring, rows)
+                         for x in elems])
+        got = stack.eval_batch(rows)
+        assert got.shape == (n + 1, n, n, len(rows))
+        assert np.array_equal(got.reshape(want.shape), want)
+        assert np.array_equal(m.T0_stack.eval_batch(rows),
+                              want[:n * n].reshape(n, n, -1))
+        assert np.array_equal(m.dT0_stack.eval_batch(rows),
+                              want[n * n:n ** 3].reshape(n - 1, n, n, -1))
+        assert np.array_equal(np.array([x.eval_batch(rows) for x in elems]),
+                              want)
