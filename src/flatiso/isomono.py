@@ -10,7 +10,8 @@ system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+import math
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +34,11 @@ TRACE_GUARD = 1e-6
 # monodromy_on_loop's agreement bound, well above the product's rounding
 # floor (about 1e-15), below which step doubling cannot converge
 LOOP_TOL = 1e-10
-# integrate_p6_hamiltonian's bound on the local error per unit step
-HAMILTONIAN_TOL = 1e-10
+# integrate_p6_hamiltonian's bound on DOP853's error estimate of one step,
+# scaled by max(1, |state|).  Over jm-roundtrip seeds 0-99 at 400 steps,
+# 1e-13 leaves grid errors up to 1.3e-12, and 1e-12 takes the worst PVI
+# stencil residual to 1.4e-6, over its 1e-6 gate.
+HAMILTONIAN_TOL = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -447,117 +451,175 @@ def p6_hamiltonian_rhs(t, y, ztilde, thetas, kappas):
     return dy, dz, dlogk
 
 
-def _fractions(*rows):
-    """Tuples of Fractions from rows of space-separated rationals."""
-    return tuple(tuple(map(Fraction, row.split())) for row in rows)
+# DOP853 (Hairer-Norsett-Wanner, Solving ODEs I, II.10), as in scipy's
+# dop853_coefficients: nodes C and the rows of a below the diagonal for the
+# 12 stages, f(t + h, new state) (row 12 holds the order-8 weights b) and 3
+# dense-output stages; error weights E5, E3 of the 5th- and 3rd-order
+# estimates; rows D of the 7th-order dense output beyond its first three.
+DOP853_C = (0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+            0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+            0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+            0.7777777777777778)
+DOP853_A = (
+    (),
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003,
+     -5.801203960010585, 0.3111643669578199, -0.1521609496625161,
+     0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0, 0,
+     -0.00010834732869724932, 0.0003825710908356584, -0.00034046500868740456,
+     0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599,
+     4.06898981839711, 0.3567271874552811, 0, 0, 0, -0.0013990241651590145,
+     2.9475147891527724, -9.15095847217987),)
+DOP853_E5 = (0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044,
+             -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+             0.3341791187130175, 0.08192320648511571, -0.022355307863886294,
+             0)
+DOP853_E3 = (-0.18980075407240762, 0, 0, 0, 0, 4.450312892752409,
+             1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+             -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0)
+DOP853_D = (
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917,
+     2.38466765651207, 2.117034582445028, -0.871391583777973,
+     2.2404374302607883, 0.6315787787694688, -0.08899033645133331,
+     18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028,
+     -374.5467547226902, -22.113666853125306, 7.733432668472264,
+     -30.674084731089398, -9.332130526430229, 15.697238121770845,
+     -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758,
+     527.8081592054236, -11.57390253995963, 6.8812326946963,
+     -1.0006050966910838, 0.7777137798053443, -2.778205752353508,
+     -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455,
+     357.6391179106141, 93.40532418362432, -37.45832313645163,
+     104.0996495089623, 29.8402934266605, -43.53345659001114,
+     96.32455395918828, -39.17726167561544, -149.72683625798564),)
 
 
-# The Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6,
-# 1980; Hairer-Norsett-Wanner, Solving ODEs I, II.5), the tableau of
-# scipy's RK45: nodes c, the rows of a below the diagonal, the order-5
-# weights b, which equal the last row of a (first same as last), and the
-# error weights e = b - bhat, bhat the embedded order-4 weights.
-DOPRI5_A = _fractions(
-    "",
-    "1/5",
-    "3/40 9/40",
-    "44/45 -56/15 32/9",
-    "19372/6561 -25360/2187 64448/6561 -212/729",
-    "9017/3168 -355/33 46732/5247 49/176 -5103/18656",
-    "35/384 0 500/1113 125/192 -2187/6784 11/84")
-(DOPRI5_C, DOPRI5_B, DOPRI5_E) = _fractions(
-    "0 1/5 3/10 4/5 8/9 1 1",
-    "35/384 0 500/1113 125/192 -2187/6784 11/84 0",
-    "71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40")
+def _stages(f, t, h, y, z, thetas, kappas, rows, P, Q, R):
+    """Append the stages (node c, row a) of rows, taken at the step (t, h)
+    from the state (y, z), to the lists P, Q, R of dy, dztilde and dlog k."""
+    for c, a in rows:
+        p, q, r = f(t + c * h, y + h * sum(map(mul, a, P)),
+                    z + h * sum(map(mul, a, Q)), thetas, kappas)
+        P.append(p), Q.append(q), R.append(r)
 
 
 def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400):
-    """Dormand-Prince 5(4) trajectory of (y, ztilde, k) of the PVI
-    Hamiltonian system.
+    """DOP853 trajectory of (y, ztilde, k) of the PVI Hamiltonian system.
 
     init = (y0, ztilde0, k0); returns (ts, ys, zs, ks) sampled on the uniform
-    grid.  Eliminating ztilde, y(t) solves PVI with
+    grid of steps + 1 points.  Eliminating ztilde, y(t) solves PVI with
     alpha = (theta_inf - 1)^2 / 2 etc.
 
-    Each grid interval is one step or more, never past the grid point (no
-    dense output).  A step is accepted when the embedded error estimate,
-    the max-norm over (y, ztilde, log k) scaled by max(1, |state|), is at
-    most HAMILTONIAN_TOL * |h|; a rejected step halves h, an error below a
-    sixteenth of the bound doubles it.  The pair is first same as last: the
-    seventh stage f(t + h, new state) is the next step's first stage, and a
-    rejected step keeps its first stage, so every step costs 6 evaluations
-    of p6_hamiltonian_rhs and a run 1 + 6 * (accepted + rejected).  The
-    state is three Python complex scalars; log k is a quadrature, so only
-    its weighted sums are formed.
+    The steps are free of the grid, the first one the whole interval.  A
+    step is accepted when DOP853's combined 5th/3rd-order error estimate, a
+    max-norm over (y, ztilde, log k) scaled by max(1, |state|), is at most
+    HAMILTONIAN_TOL; h then changes by 0.9 (HAMILTONIAN_TOL / err)^(1/8)
+    clipped to [0.2, 10], with no growth right after a rejection.  An
+    attempt evaluates p6_hamiltonian_rhs at stages 2-12, an accepted step
+    also at t + h (the next step's first stage) and at the 3 dense-output
+    stages: 1 + 11 (accepted + rejected) + 4 accepted evaluations, whatever
+    steps is.  The grid is read from the 7th-order dense output of the
+    accepted steps in one numpy pass; its first row is the initial state
+    exactly.  The state is three Python complex scalars; log k is a
+    quadrature, so the stages combine only y and ztilde.
 
     Raises BlowUp when y comes within 1e-9 of a pole (the guard in
-    p6_hamiltonian_rhs) or |y| or |ztilde| passes 1e8 or turns non-finite
-    at a grid point, and StepUnderflow when a step would fall below 1e-9.
+    p6_hamiltonian_rhs), or when |y| or |ztilde| passes 1e8 or the state
+    (log k included) turns non-finite at a step, naming the first grid
+    point at or after it; and StepUnderflow when a step would fall below
+    1e-9.
     """
     f = p6_hamiltonian_rhs
     th = tuple(complex(x) for x in thetas)
     kp = tuple(complex(x) for x in kappas)
     y, z, k = (complex(x) for x in init)
     lk = complex(np.log(k))
-    ts = np.linspace(float(t0), float(t1), steps + 1)
+    t0, t1 = float(t0), float(t1)
+    ts = np.linspace(t0, t1, steps + 1)
     out = np.empty((steps + 1, 3), dtype=complex)
-    out[0] = y, z, lk
-    _, c2, c3, c4, c5, _, _ = map(float, DOPRI5_C)
-    (_, (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54),
-     (a61, a62, a63, a64, a65), _) = (tuple(map(float, r)) for r in DOPRI5_A)
-    b1, _, b3, b4, b5, b6, _ = map(float, DOPRI5_B)
-    e1, _, e3, e4, e5, e6, e7 = map(float, DOPRI5_E)
+    out[:] = y, z, lk
+    sign = 1.0 if t1 >= t0 else -1.0
+    C, A, B, E5, E3 = DOP853_C, DOP853_A, DOP853_A[12], DOP853_E5, DOP853_E3
 
     tol = HAMILTONIAN_TOL
     min_step = 1e-9             # a step this short has underflowed
-    grid = ts.tolist()
-    p1, q1, r1 = f(grid[0], y, z, th, kp)       # the first stage
-    for i in range(steps):
-        t, target = grid[i], grid[i + 1]
-        h = target - t
-        sign = 1.0 if h > 0 else -1.0
-        while (target - t) * sign > 1e-14:
-            if abs(h) > abs(target - t) - min_step:
-                h, tn = target - t, target
-            else:
-                tn = t + h
-            p2, q2, r2 = f(t + c2 * h, y + h * (a21 * p1), z + h * (a21 * q1),
-                           th, kp)
-            p3, q3, r3 = f(t + c3 * h, y + h * (a31 * p1 + a32 * p2),
-                           z + h * (a31 * q1 + a32 * q2), th, kp)
-            p4, q4, r4 = f(t + c4 * h,
-                           y + h * (a41 * p1 + a42 * p2 + a43 * p3),
-                           z + h * (a41 * q1 + a42 * q2 + a43 * q3), th, kp)
-            p5, q5, r5 = f(t + c5 * h,
-                           y + h * (a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4),
-                           z + h * (a51 * q1 + a52 * q2 + a53 * q3 + a54 * q4),
-                           th, kp)
-            p6, q6, r6 = f(tn, y + h * (a61 * p1 + a62 * p2 + a63 * p3
-                                        + a64 * p4 + a65 * p5),
-                           z + h * (a61 * q1 + a62 * q2 + a63 * q3
-                                    + a64 * q4 + a65 * q5), th, kp)
-            yn = y + h * (b1 * p1 + b3 * p3 + b4 * p4 + b5 * p5 + b6 * p6)
-            zn = z + h * (b1 * q1 + b3 * q3 + b4 * q4 + b5 * q5 + b6 * q6)
-            ln = lk + h * (b1 * r1 + b3 * r3 + b4 * r4 + b5 * r5 + b6 * r6)
-            p7, q7, r7 = f(tn, yn, zn, th, kp)
-            err = (abs(h) * max(
-                abs(e1 * p1 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6 + e7 * p7),
-                abs(e1 * q1 + e3 * q3 + e4 * q4 + e5 * q5 + e6 * q6 + e7 * q7),
-                abs(e1 * r1 + e3 * r3 + e4 * r4 + e5 * r5 + e6 * r6 + e7 * r7))
-                   / max(1.0, abs(yn), abs(zn), abs(ln)))
-            if err > tol * abs(h):
-                h /= 2
-                if abs(h) < min_step:
-                    raise StepUnderflow(f"step underflow at t = {t}")
-                continue
-            y, z, lk, t = yn, zn, ln, tn
-            p1, q1, r1 = p7, q7, r7
-            if err < tol * abs(h) / 16:
-                h *= 2
-        # written so that a NaN state fails too
-        if not (abs(y) <= 1e8 and abs(z) <= 1e8):
-            raise BlowUp(f"trajectory blew up at t = {target}")
-        out[i + 1] = y, z, lk
+    t, h, rejected, accepted = t0, t1 - t0, False, []
+    first = f(t0, y, z, th, kp)
+    while t != t1:
+        if abs(h) > abs(t1 - t) - min_step:
+            h, tn = t1 - t, t1
+        else:
+            tn = t + h
+        P, Q, R = ([x] for x in first)
+        _stages(f, t, h, y, z, th, kp, zip(C[1:12], A[1:12]), P, Q, R)
+        yn = y + h * sum(map(mul, B, P))
+        zn = z + h * sum(map(mul, B, Q))
+        ln = lk + h * sum(map(mul, B, R))
+        e5, e3 = (max(abs(sum(map(mul, e, X))) for X in (P, Q, R))
+                  for e in (E5, E3))
+        den = math.hypot(e5, 0.1 * e3)
+        err = (abs(h) * e5 * (e5 / den) / max(1.0, abs(yn), abs(zn), abs(ln))
+               if den else 0.0)
+        factor = (min(10.0, max(0.2, 0.9 * (tol / err) ** 0.125)) if err
+                  else 10.0)
+        if err > tol:
+            h *= factor
+            if abs(h) < min_step:
+                raise StepUnderflow(f"step underflow at t = {t}")
+            rejected = True
+            continue
+        # written so that a NaN state fails too, log k included: a NaN
+        # error estimate, which no rejection catches, comes only from a
+        # non-finite stage, and every stage enters the new state
+        if not (abs(yn) <= 1e8 and abs(zn) <= 1e8 and abs(ln) < math.inf):
+            at = ts[min(np.searchsorted(sign * ts, sign * tn), steps)]
+            raise BlowUp(f"trajectory blew up at t = {float(at)}")
+        first = f(tn, yn, zn, th, kp)
+        P.append(first[0]), Q.append(first[1]), R.append(first[2])
+        _stages(f, t, h, y, z, th, kp, zip(C[13:], A[13:]), P, Q, R)
+        F = [(d, h * X[0] - d, 2 * d - h * (X[0] + X[12]),
+              *(h * sum(map(mul, row, X)) for row in DOP853_D))
+             for X, d in ((P, yn - y), (Q, zn - z), (R, ln - lk))]
+        accepted.append((t, h, (y, z, lk), F))
+        h *= min(1.0, factor) if rejected else factor
+        t, y, z, lk, rejected = tn, yn, zn, ln, False
+    if accepted:
+        # dense output on the grid: the step i that each point falls in, and
+        # y_old + x (F0 + (1 - x) (F1 + x (F2 + ...))) in Horner form
+        starts, hs, Y0, F = (np.array(a) for a in zip(*accepted))
+        i = np.searchsorted(sign * starts, sign * ts[1:]) - 1
+        x = ((ts[1:] - starts[i]) / hs[i])[:, None]
+        acc = 0
+        for j in range(6, -1, -1):
+            acc = (acc + F[i, :, j]) * (x if j % 2 == 0 else 1 - x)
+        out[1:] = Y0[i] + acc
     return ts, out[:, 0], out[:, 1], np.exp(out[:, 2])
 
 
@@ -566,9 +628,10 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400):
 # ---------------------------------------------------------------------------
 
 def trajectory_to_csv(ts, ys, zs, ks) -> str:
-    lines = ["t,y_re,y_im,ztilde_re,ztilde_im,k_re,k_im"]
-    for t, y, z, k in zip(*(np.asarray(a).tolist() for a in (ts, ys, zs, ks))):
-        lines.append(f"{t:.16g},{y.real:.16g},{y.imag:.16g},"
-                     f"{z.real:.16g},{z.imag:.16g},{k.real:.16g},{k.imag:.16g}")
-    return "\n".join(lines) + "\n"
+    """The trajectory as CSV, every number in %.16g, from one % pass."""
+    rows = np.column_stack([np.real(ts)] + [part(a) for a in (ys, zs, ks)
+                                             for part in (np.real, np.imag)])
+    row = ",".join(["%.16g"] * 7) + "\n"
+    return ("t,y_re,y_im,ztilde_re,ztilde_im,k_re,k_im\n"
+            + row * len(rows) % tuple(rows.ravel().tolist()))
 

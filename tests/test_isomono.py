@@ -453,6 +453,26 @@ def test_trajectory_reports():
     assert blob["A0"][0][0] == [sys_.A0[0, 0].real, sys_.A0[0, 0].imag]
 
 
+def test_trajectory_csv_matches_per_row_formatting():
+    # one % pass over the flattened array writes what per-row f-strings
+    # write, signed zeros, 1e-300 and 1e8 included
+    th, kp = admissible(5)
+    traj = integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.2, 1.0), 2.0, 2.1,
+                                    steps=20)
+    odd = (np.array([-0.0, 1e-300, 1e8]),
+           np.array([complex(-0.0, 1e-300), 1e8 - 0.0j, 2 / 3 - 1e8j]),
+           np.array([complex(1e-300, -0.0), -1e8 + 1e-300j, -0.0j]),
+           np.array([1 + 0j, complex(-0.0, -0.0), -1e-300 + 1e8j]))
+    for ts, ys, zs, ks in (traj, odd):
+        lines = ["t,y_re,y_im,ztilde_re,ztilde_im,k_re,k_im"]
+        for t, y, z, k in zip(*(np.asarray(a).tolist()
+                                for a in (ts, ys, zs, ks))):
+            lines.append(f"{t:.16g},{y.real:.16g},{y.imag:.16g},"
+                         f"{z.real:.16g},{z.imag:.16g},{k.real:.16g},"
+                         f"{k.imag:.16g}")
+        assert iso.trajectory_to_csv(ts, ys, zs, ks) == "\n".join(lines) + "\n"
+
+
 def test_hamiltonian_step_underflow(monkeypatch):
     from flatiso.errors import StepUnderflow
     th, kp = admissible(9)
@@ -476,7 +496,7 @@ def default_jm_problem():
 
 def assert_matches_dop853(th, kp, init, trajectory):
     """The grid of integrate_p6_hamiltonian against scipy's DOP853 at
-    rtol = atol = 1e-13, within 1e-9."""
+    rtol = atol = 1e-13, within 1e-11."""
     from scipy.integrate import solve_ivp
     ts, ys, zs, ks = trajectory
 
@@ -486,9 +506,9 @@ def assert_matches_dop853(th, kp, init, trajectory):
     ref = solve_ivp(rhs, (ts[0], ts[-1]), np.array([init[0], init[1], 0j]),
                     method="DOP853", rtol=1e-13, atol=1e-13, t_eval=ts)
     assert ref.status == 0
-    assert np.abs(ref.y[0] - ys).max() < 1e-9
-    assert np.abs(ref.y[1] - zs).max() < 1e-9
-    assert np.abs(np.exp(ref.y[2]) - ks).max() < 1e-9
+    assert np.abs(ref.y[0] - ys).max() < 1e-11
+    assert np.abs(ref.y[1] - zs).max() < 1e-11
+    assert np.abs(np.exp(ref.y[2]) - ks).max() < 1e-11
 
 
 def test_hamiltonian_grid_matches_dop853_reference():
@@ -510,114 +530,110 @@ def counted_rhs(monkeypatch):
     return calls
 
 
-def test_hamiltonian_accepted_step_costs_six_evaluations(monkeypatch):
-    # seven stages, the last one the next step's first: 6 per step, plus
-    # the first stage of the first step
+def dop853_attempts(calls):
+    """(t, h, accepted) of every step attempt, read from the times of its
+    evaluations: 11 at t + c_i h for the nodes c_1..c_11 of DOP853_C and,
+    when the step is accepted, 4 more at c_12..c_15 (t + h and the three
+    dense-output nodes)."""
+    c = np.array(iso.DOP853_C)
+    attempts, k = [], 1
+    while k < len(calls):
+        s = np.array(calls[k:k + 11])
+        h = (s[10] - s[0]) / (c[11] - c[1])
+        t = s[10] - h
+        assert np.abs(s - (t + c[1:12] * h)).max() < 1e-12
+        more = np.array(calls[k + 11:k + 15])
+        accepted = (len(more) == 4
+                    and np.abs(more - (t + c[12:] * h)).max() < 1e-12)
+        attempts.append((t, h, accepted))
+        k += 15 if accepted else 11
+    return attempts
+
+
+def test_hamiltonian_evaluation_count(monkeypatch):
+    # an attempt evaluates stages 2-12; an accepted step also f(t + h, new
+    # state), the next step's first stage, and the 3 dense-output stages;
+    # the grid costs no evaluation, so every steps makes the same calls
     th, kp, init = default_jm_problem()
     calls = counted_rhs(monkeypatch)
-    integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=400)
-    assert len(calls) == 6 * 400 + 1
+    runs = []
+    for steps in (4, 400, 10_000):
+        del calls[:]
+        integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=steps)
+        attempts = dop853_attempts(calls)
+        accepted = sum(ok for _, _, ok in attempts)
+        assert attempts[-1][2]
+        assert len(calls) == 1 + 11 * len(attempts) + 4 * accepted
+        runs.append(list(calls))
+    assert runs[0] == runs[1] == runs[2]
+    assert len(runs[0]) < 400
 
 
-def dopri5_steps(calls):
-    """(t, h) of every step from the times of its six evaluations, which
-    follow the first one at c_2..c_7 = 1/5, 3/10, 4/5, 8/9, 1, 1."""
-    assert (len(calls) - 1) % 6 == 0
-    nodes = np.array([float(c) for c in iso.DOPRI5_C[1:]])
-    steps = []
-    for k in range(1, len(calls), 6):
-        s = np.array(calls[k:k + 6])
-        h = (s[5] - s[0]) * 5 / 4
-        t = s[5] - h
-        assert np.abs(s - (t + nodes * h)).max() < 1e-12
-        steps.append((t, h))
-    return steps
+def assert_dop853_control(attempts, t0, t1):
+    """The step control seen in attempts: the first step tries [t0, t1]; a
+    rejected step retries from the same t with h shrunk by a factor in
+    [0.2, 0.9) and no new first stage; the step accepted right after a
+    rejection does not let h grow; the last step ends at t1.  Returns the
+    number of steps whose growth that rule capped (h_next == h)."""
+    t, h, ok = attempts[0]
+    assert abs(t - t0) < 1e-12 and abs(h - (t1 - t0)) < 1e-12
+    for (t, h, ok), (t_next, h_next, _) in zip(attempts, attempts[1:]):
+        if ok:
+            assert abs(t_next - (t + h)) < 1e-12
+        else:
+            assert abs(t_next - t) < 1e-12
+            assert 0.2 * h * (1 - 1e-9) <= h_next < 0.9 * h
+    capped = 0
+    for (_, _, ok0), (_, h, ok), (_, h_next, _) in zip(
+            attempts, attempts[1:], attempts[2:]):
+        if ok and not ok0:
+            assert h_next <= h * (1 + 1e-9)
+            capped += abs(h_next - h) <= 1e-9 * h
+    t, h, ok = attempts[-1]
+    assert ok and abs(t + h - t1) < 1e-12
+    return capped
 
 
 def test_hamiltonian_rejected_step_keeps_its_first_stage(monkeypatch):
-    # a grid interval of 0.01 is too long for HAMILTONIAN_TOL, so steps are
-    # rejected and halved; each costs 6 evaluations all the same
+    # the first step tries the whole interval, too long for HAMILTONIAN_TOL,
+    # so steps are rejected; each attempt costs 11 evaluations all the same
     th, kp, init = default_jm_problem()
     calls = counted_rhs(monkeypatch)
     trajectory = integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=40)
     assert calls[0] == 2.0
-    steps = dopri5_steps(calls)
-    accepted = rejected = 0
-    for (t, h), (t_next, h_next) in zip(steps, steps[1:]):
-        if abs(t_next - t) < 1e-12:
-            # rejected: the same start, half the step
-            assert abs(h_next - h / 2) < 1e-9 * abs(h)
-            rejected += 1
-        else:
-            assert abs(t_next - (t + h)) < 1e-12
-            accepted += 1
-    t, h = steps[-1]
-    assert abs(t + h - 2.4) < 1e-12
-    accepted += 1
-    assert rejected > 0 and accepted >= 40
-    assert len(calls) == 1 + 6 * (accepted + rejected)
+    attempts = dop853_attempts(calls)
+    assert not attempts[0][2]
+    assert_dop853_control(attempts, 2.0, 2.4)
+    accepted = sum(ok for _, _, ok in attempts)
+    rejected = len(attempts) - accepted
+    assert rejected > 0 and accepted > 1
+    assert len(calls) == 1 + 11 * (accepted + rejected) + 4 * accepted
     monkeypatch.undo()
     assert_matches_dop853(th, kp, init, trajectory)
+    # y'' = -100 y: right after its rejections the error estimate would let
+    # h grow, and the rule caps it
+    monkeypatch.setattr(iso, "p6_hamiltonian_rhs",
+                        lambda t, y, z, *args: (z, -100 * y, 0j))
+    calls = counted_rhs(monkeypatch)
+    _, ys, _, _ = integrate_p6_hamiltonian(th, kp, (1.0, 1.0, 1.0), 2.0, 2.4,
+                                           steps=40)
+    assert assert_dop853_control(dop853_attempts(calls), 2.0, 2.4) > 0
+    s = np.linspace(0, 0.4, 41)
+    assert np.abs(ys - np.cos(10 * s) - np.sin(10 * s) / 10).max() < 1e-12
 
 
-def test_dopri5_tableau():
-    from fractions import Fraction
-    c, a, b, e = iso.DOPRI5_C, iso.DOPRI5_A, iso.DOPRI5_B, iso.DOPRI5_E
-    assert len(c) == len(a) == len(b) == len(e) == 7
-    assert all(len(row) == i for i, row in enumerate(a))
-    assert all(c[i] == sum(a[i], Fraction(0)) for i in range(7))
-    assert a[6] + (0,) == b                                 # first same as last
-    bhat = tuple(bi - ei for bi, ei in zip(b, e))
-
-    def trees(order):
-        """Rooted trees with order nodes, a tree the sorted tuple of its
-        subtrees."""
-        if order == 1:
-            return {()}
-
-        def grafts(t):
-            yield tuple(sorted(t + ((),)))
-            for k, sub in enumerate(t):
-                for g in grafts(sub):
-                    yield tuple(sorted(t[:k] + (g,) + t[k + 1:]))
-        return {g for t in trees(order - 1) for g in grafts(t)}
-
-    def size(t):
-        return 1 + sum(map(size, t))
-
-    def weights(t):
-        """(Phi_i(t) over the stages, the density gamma(t)) of Butcher's
-        order conditions sum_i w_i Phi_i(t) = 1 / gamma(t)."""
-        phi, gamma = [Fraction(1)] * 7, size(t)
-        for sub in t:
-            sphi, sgamma = weights(sub)
-            aphi = [sum((aij * p for aij, p in zip(row, sphi)), Fraction(0))
-                    for row in a]
-            phi = [x * y for x, y in zip(phi, aphi)]
-            gamma *= sgamma
-        return phi, gamma
-
-    def order_conditions_hold(w, order):
-        return all(sum(wi * p for wi, p in zip(w, phi)) == Fraction(1, gamma)
-                   for q in range(1, order + 1) for phi, gamma in
-                   map(weights, trees(q)))
-
-    assert [len(trees(q)) for q in range(1, 6)] == [1, 1, 2, 4, 9]
-    assert order_conditions_hold(b, 5)
-    assert order_conditions_hold(bhat, 4) and not order_conditions_hold(bhat, 5)
-
-
-def test_dopri5_tableau_is_scipys_rk45():
-    integrate = pytest.importorskip("scipy.integrate")
-    rk = integrate.RK45
-    a = np.zeros((6, 5))
-    for i, row in enumerate(iso.DOPRI5_A[:6]):
-        a[i, :i] = [float(x) for x in row]
-    assert np.array_equal(rk.A, a)
-    assert np.array_equal(rk.B, [float(x) for x in iso.DOPRI5_B[:6]])
-    assert np.array_equal(rk.C, [float(x) for x in iso.DOPRI5_C[:6]])
-    e = np.array([float(x) for x in iso.DOPRI5_E])
-    assert np.array_equal(rk.E, e) or np.array_equal(rk.E, -e)
+def test_dop853_tableau_is_scipys():
+    coefficients = pytest.importorskip(
+        "scipy.integrate._ivp.dop853_coefficients")
+    a = np.zeros((16, 16))
+    for i, row in enumerate(iso.DOP853_A):
+        a[i, :i] = row
+    assert np.array_equal(a, coefficients.A)
+    assert np.array_equal(iso.DOP853_A[12], coefficients.B)
+    for name in ("C", "E5", "E3", "D"):
+        assert np.array_equal(getattr(iso, "DOP853_" + name),
+                              getattr(coefficients, name)), name
+    assert np.abs(a.sum(axis=1) - iso.DOP853_C).max() < 1e-15
 
 
 def test_hamiltonian_pole_guard():
@@ -648,6 +664,17 @@ def test_hamiltonian_nan_state_is_a_blowup(monkeypatch):
     th, kp = admissible(3)
     monkeypatch.setattr(iso, "p6_hamiltonian_rhs",
                         lambda *args: (complex("nan"), 0j, 0j))
+    with pytest.raises(BlowUp, match="blew up"):
+        integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.3, 1.0), 2.0, 2.4,
+                                 steps=40)
+
+
+def test_hamiltonian_nan_log_k_is_a_blowup(monkeypatch):
+    # a NaN in the log k rate leaves y and ztilde finite, and the max-norm
+    # of the error estimate can pass over it: the NaN log k must still fail
+    th, kp = admissible(3)
+    monkeypatch.setattr(iso, "p6_hamiltonian_rhs",
+                        lambda *args: (0j, 0j, complex("nan")))
     with pytest.raises(BlowUp, match="blew up"):
         integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.3, 1.0), 2.0, 2.4,
                                  steps=40)
