@@ -622,6 +622,50 @@ def test_hamiltonian_rejected_step_keeps_its_first_stage(monkeypatch):
     assert np.abs(ys - np.cos(10 * s) - np.sin(10 * s) / 10).max() < 1e-12
 
 
+def test_dop853_tableau():
+    assert len(iso.DOP853_A) == len(iso.DOP853_C) == 16
+    assert all(len(row) == i for i, row in enumerate(iso.DOP853_A))
+    a = np.zeros((16, 16))
+    for i, row in enumerate(iso.DOP853_A):
+        a[i, :i] = row
+    assert np.abs(a.sum(axis=1) - iso.DOP853_C).max() < 1e-15
+    a, b = a[:12, :12], a[12, :12]
+
+    def trees(order):
+        """Rooted trees with order nodes, a tree the sorted tuple of its
+        subtrees."""
+        if order == 1:
+            return {()}
+
+        def grafts(t):
+            yield tuple(sorted(t + ((),)))
+            for k, sub in enumerate(t):
+                for g in grafts(sub):
+                    yield tuple(sorted(t[:k] + (g,) + t[k + 1:]))
+        return {g for t in trees(order - 1) for g in grafts(t)}
+
+    def size(t):
+        return 1 + sum(map(size, t))
+
+    def weights(t):
+        """(Phi_i(t) over the stages, the density gamma(t)) of Butcher's
+        order conditions sum_i b_i Phi_i(t) = 1 / gamma(t)."""
+        phi, gamma = np.ones(12), size(t)
+        for sub in t:
+            sphi, sgamma = weights(sub)
+            phi, gamma = phi * (a @ sphi), gamma * sgamma
+        return phi, gamma
+
+    def defect(order):
+        return max(abs(gamma * (b @ phi) - 1)
+                   for phi, gamma in map(weights, trees(order)))
+
+    assert [len(trees(q)) for q in range(1, 9)] == [1, 1, 2, 4, 9, 20, 48,
+                                                    115]
+    assert max(map(defect, range(1, 9))) < 1e-12           # order 8
+    assert defect(9) > 1e-3                                 # and not 9
+
+
 def test_dop853_tableau_is_scipys():
     coefficients = pytest.importorskip(
         "scipy.integrate._ivp.dop853_coefficients")
@@ -633,7 +677,6 @@ def test_dop853_tableau_is_scipys():
     for name in ("C", "E5", "E3", "D"):
         assert np.array_equal(getattr(iso, "DOP853_" + name),
                               getattr(coefficients, name)), name
-    assert np.abs(a.sum(axis=1) - iso.DOP853_C).max() < 1e-15
 
 
 def test_hamiltonian_pole_guard():
