@@ -139,7 +139,9 @@ def structure_report(pvf: PotentialVF) -> flatcore.WdvvReport:
 
 
 def logvf_block(m: SaitoMatrices) -> dict:
-    """The discriminant and logarithmic-field identities, exactly."""
+    """The discriminant and logarithmic-field identities, exactly, read from
+    the structure's cancelled copy."""
+    m = m.cancelled
     lrep = logvf.logvf_identities(m)
     trace_ok = all(v.is_zero()
                    for v in logvf.trace_identity_defects(m).values())

@@ -20,9 +20,10 @@ dT/dt_i + (1 + w_c - w_r) B^(i) is formed from the raw numerators of its
 elements over one common denominator and reduced once.  The stored objects
 (C, the B^(k), T, h, adj(T), T0) are built by ordinary RingElem arithmetic.
 
-Everything else derived from a structure (the commutators, the divisor
-h = det(-T) with its partials and the divisions V_i h / h, adj(T) and
-T + t_n I) is computed on first use and kept on its SaitoMatrices.
+Everything else derived from a structure (the B^(k), the commutators, the
+divisor h = det(-T) with its partials and the divisions V_i h / h, adj(T)
+and T + t_n I) is computed on first use and kept on its SaitoMatrices.  The
+checks read SaitoMatrices.cancelled, a copy with z divided out of C and T.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ def mat_partial(a, var):
 
 def mat_scale(a, c):
     return [[e * c for e in row] for row in a]
+
+
+def mat_z_cancelled(a):
+    return [[e._z_cancelled() for e in row] for row in a]
 
 
 def mat_det(a):
@@ -174,14 +179,14 @@ class PotentialVF:
 
 @dataclass
 class SaitoMatrices:
-    """C, the B^(k), T and Binf of a flat structure, over the ring.
+    """C, T and Binf of a flat structure, over the ring.
 
-    The objects derived from them are computed on first use and kept.
+    The objects derived from them (the B^(k) among them) are computed on
+    first use and kept.
     """
 
     ring: Ring
     C: list
-    Btilde: list            # n matrices, Btilde[k] = dC/dt_{k+1}
     T: list
     Binf: List[Fraction]    # diagonal, = weights
 
@@ -192,6 +197,35 @@ class SaitoMatrices:
     @property
     def weights(self):
         return self.ring.weights
+
+    @cached_property
+    def cancelled(self) -> "SaitoMatrices":
+        """The structure the exact checks read: C and T with z divided out of
+        every entry as far as it goes (RingElem._z_cancelled).
+
+        On a lazy ring (Ring.lazy) C carries up to z^18, and every sum
+        shifts its operands to a common power of z and reduces the high
+        powers modulo the relation again.  Zero tests do not depend on the
+        representation, so only they read this copy; C, T, h and T0, which
+        are printed and evaluated, stay as built.  On other rings it is self.
+        """
+        if not self.ring.lazy:
+            return self
+        out = SaitoMatrices(ring=self.ring, C=mat_z_cancelled(self.C),
+                            T=mat_z_cancelled(self.T), Binf=self.Binf)
+        out.cancelled = out             # its entries are cancelled already
+        return out
+
+    @cached_property
+    def Btilde(self) -> list:
+        """The n matrices B^(k) = dC/dt_k, z-cancelled.
+
+        They are only zero-tested, so they are derived once, from the
+        cancelled C, and shared with the cancelled copy.
+        """
+        if self.cancelled is not self:
+            return self.cancelled.Btilde
+        return [mat_z_cancelled(mat_partial(self.C, k)) for k in range(self.n)]
 
     @cached_property
     def commutators(self):
@@ -220,8 +254,8 @@ class SaitoMatrices:
 
     @cached_property
     def dh(self) -> List[RingElem]:
-        """dh/dt_k for k = 1..n."""
-        return [self.h.partial(k) for k in range(self.n)]
+        """dh/dt_k for k = 1..n, z-cancelled."""
+        return [self.h.partial(k)._z_cancelled() for k in range(self.n)]
 
     @cached_property
     def log_rows(self) -> list:
@@ -305,17 +339,11 @@ def _gradient_matrix(pvf: PotentialVF):
     return [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
 
 
-def _gradient_matrices(pvf: PotentialVF):
-    """C and the B^(k) = dC/dt_k."""
-    C = _gradient_matrix(pvf)
-    return C, [mat_partial(C, k) for k in range(pvf.n)]
-
-
 def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
-    """Exact C, B^(k), T from g; entries of T must come out homogeneous."""
+    """Exact C and T from g; entries of T must come out homogeneous."""
     ring = pvf.ring
     n = pvf.n
-    C, Btilde = _gradient_matrices(pvf)
+    C = _gradient_matrix(pvf)
     T = [[-(C[i][j].euler()) for j in range(n)] for i in range(n)]
     w = ring.weights
     for i in range(n):
@@ -324,7 +352,7 @@ def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
                 raise SchemaError(
                     f"T[{i+1}][{j+1}] is not homogeneous of weight 1+w{j+1}-w{i+1}; "
                     "input g is not weighted homogeneous")
-    return SaitoMatrices(ring=ring, C=C, Btilde=Btilde, T=T, Binf=list(w))
+    return SaitoMatrices(ring=ring, C=C, T=T, Binf=list(w))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +364,8 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
     defects are reported, not thrown.
 
     The report also carries the SaitoMatrices it checked, or None when T is
-    not homogeneous (the relations then count as failed).
+    not homogeneous (the relations then count as failed).  The checks read
+    its cancelled copy.
     """
     ring = pvf.ring
     n = pvf.n
@@ -346,9 +375,10 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
     except SchemaError:             # T inhomogeneous: the relations fail below
         m = None
     if m is not None:
-        Btilde, commutators = m.Btilde, m.commutators
+        Btilde, commutators = m.cancelled.Btilde, m.cancelled.commutators
     else:
-        Btilde = _gradient_matrices(pvf)[1]
+        C = _gradient_matrix(pvf)
+        Btilde = [mat_partial(C, k) for k in range(n)]
         commutators = pairwise_commutators(Btilde)
     unit_ok = mat_is_zero(mat_sub(Btilde[n - 1], mat_identity(ring, n)))
     homogeneity_ok = all((pvf.g[j].euler() - pvf.g[j] * (1 + w[j])).is_zero()
@@ -366,8 +396,9 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
     Closedness dB^(i)/dt_j = dB^(j)/dt_i, pairwise commutativity of the
     B^(k), [T, B^(k)] = 0 and dT/dt_k + B^(k) + [B^(k), Binf] = 0: the
     integrability of the Okubo system.  A scalar shift of Binf changes none
-    of them.
+    of them.  They are read from m.cancelled.
     """
+    m = m.cancelled
     n = m.n
     B = m.Btilde
     fused_sum = m.ring.fused_sum
@@ -398,7 +429,8 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
 
 
 def check_flat_normalization(m: SaitoMatrices) -> bool:
-    """T_nj + w_j t_j = 0 exactly for all j."""
+    """T_nj + w_j t_j = 0 exactly for all j, read from m.cancelled."""
+    m = m.cancelled
     n = m.n
     w = m.weights
     t = m.ring.gens()

@@ -54,7 +54,7 @@ def is_logarithmic(V, d: DivisorData) -> bool:
     return _log_division(V, d)[2].is_zero()
 
 
-def _quotient(division, row=-1) -> RingElem:
+def _quotient(division, row) -> RingElem:
     _, q, r = division
     if not r.is_zero():
         raise RowNotLogarithmic(row)
@@ -104,14 +104,14 @@ def logvf_identities(m: SaitoMatrices) -> LogVfReport:
         failed.append("euler_row")
 
     # (ii) V_1 h = n h
-    if not (_quotient(m.log_rows[n - 1]) - n).is_zero():
+    if not (_quotient(m.log_rows[n - 1], n - 1) - n).is_zero():
         failed.append("v1_h")
 
     # (iii) for i > 1: (V_i h)/h = -d s_1/d t_{n-i+1}, s_1 the t_n^{n-1} coeff of -h
     hc = m.h.coeffs_in(n - 1)
     s1 = -hc[n - 1]
     for i in range(2, n + 1):
-        ratio = _quotient(m.log_rows[n - i])
+        ratio = _quotient(m.log_rows[n - i], n - i)
         if not (ratio + s1.partial(n - i)).is_zero():
             failed.append(f"vi_ratio_{i}")
 

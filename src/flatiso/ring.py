@@ -12,14 +12,17 @@ z and rel_z.  Plain-ring elements never carry denominators.  Equality and
 zero tests cross-multiply and reduce modulo the relation, so they are exact
 whatever the denominator bookkeeping looks like.
 
-Exact division has one route (Ring._divide).  For a divisor b, the first
-column A of the adjugate of b's multiplication matrix on 1, z, ..., z^(d-1)
-gives b A = D modulo the relation with D = det in Z[t]; b divides a exactly
-when D divides the reduced a A, and that quotient is a / b (the standard
+Exact division goes through Ring._divide.  For a divisor b, the first column
+A of the adjugate of b's multiplication matrix on 1, z, ..., z^(d-1) gives
+b A = D modulo the relation with D = det in Z[t]; b divides a exactly when D
+divides the reduced a A, and that quotient is a / b (the standard
 norm/adjugate inverse of a free extension; von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 6).  The pairs (A, D) of z and rel_z are cached on the
-extension; denominators are cancelled through them after every operation up
-to AUTO_CANCEL_BOUND.
+Computer Algebra, ch. 6).  The pair (A, D) of rel_z is cached on the
+extension.  z is divided by a shift instead (Ring._z_divide): with c0 the
+z-free coefficient of the relation, a / z = (a - a0) / z + a0 A / c0, with no
+reduction and no determinant.  Denominators are cancelled through these two
+after every operation up to AUTO_CANCEL_BOUND; above it RingElem._z_cancelled
+divides out z alone, for copies that are only zero-tested.
 
 Every RingElem operation reduces and normalizes its result, and cancels it
 up to AUTO_CANCEL_BOUND.  A sum that is only zero-tested need not pay that
@@ -53,8 +56,8 @@ import numpy as np
 from .errors import DegreeOverflow, DivisionNotExact, InputError
 
 # Denominators are cancelled after every operation up to this z-degree;
-# larger extensions keep lazy denominators (zero tests do not need them) until
-# cancel() is asked for.
+# larger extensions (Ring.lazy) keep lazy denominators (zero tests do not need
+# them) until cancel() or _z_cancelled() is asked for.
 AUTO_CANCEL_BOUND = 8
 
 ROOT_SEPARATION = 1e-9
@@ -397,8 +400,13 @@ class ExtensionRing:
         self._zpow = {d: _normalized(red, lead)}
         self._rel_compiled = [(m[0], tuple((s, e) for s, e in enumerate(m[1:]) if e),
                                complex(c)) for m, c in relation.items()]
-        # Ring._unit_inverse of z (0) and rel_z (1), formed on first use
-        self._inverses = {}
+        # Ring._z_divide: (A, c0) with z A = c0 modulo the relation, c0 the
+        # z-free part of the integer relation and A = -(rel - c0) / z
+        zmask = pk.zmask
+        self._zinv = ({k - pk.zunit: -c for k, c in self._rel.items() if k & zmask},
+                      {k: c for k, c in self._rel.items() if not k & zmask})
+        # Ring._drel_inverse, formed on first use
+        self._drel_inv = None
         # Ring._drel_power: reduced powers of rel_z, formed on first use
         self._drel_pows = {}
 
@@ -431,6 +439,8 @@ class Ring:
         self._pk = _packing(self.nvars)
         self.ext = (ExtensionRing(extension, z_weight, self.nvars, self.weights)
                     if extension is not None else None)
+        # elements keep lazy denominators (see AUTO_CANCEL_BOUND)
+        self.lazy = self.ext is not None and self.ext.z_degree > AUTO_CANCEL_BOUND
         # weights scaled to integers, aligned with the key slots (z first)
         zw = self.ext.z_weight if self.ext is not None else Fraction(0)
         self._wscale = lcm(*(w.denominator for w in self.weights + (zw,)))
@@ -614,13 +624,35 @@ class Ring:
             A.update(pk.shift(cof[j], j * zunit, col_dens[j]))
         return A, det
 
-    def _unit_inverse(self, unit):
-        """_inverse of z (unit 0) or of rel_z (unit 1), formed once per ring."""
+    def _drel_inverse(self):
+        """_inverse of rel_z, formed once per ring."""
         ext = self.ext
-        if unit not in ext._inverses:
-            b = {self._pk.zunit: 1} if unit == 0 else ext._drel
-            ext._inverses[unit] = self._inverse(b)
-        return ext._inverses[unit]
+        if ext._drel_inv is None:
+            ext._drel_inv = self._inverse(ext._drel)
+        return ext._drel_inv
+
+    def _z_divide(self, a):
+        """(q, den) with a = z q / den for a reduced a, or None if z does not
+        divide a.
+
+        With c0 the z-free coefficient of the relation and A = -(rel - c0) / z,
+        z A = c0 modulo the relation, so a / z = (a - a0) / z + a0 A / c0 for
+        the z-free slice a0 of a.  The top coefficient of A is the rational
+        -r_d, so this is exact exactly when c0 divides a0; its z-degree is
+        below the relation's, so nothing is reduced.
+        """
+        pk = self._pk
+        zmask, zunit = pk.zmask, pk.zunit
+        A, c0 = self.ext._zinv
+        r = pk.exact_div({k: c for k, c in a.items() if not k & zmask}, c0)
+        if r is None:
+            return None
+        q0, den = r
+        out = pk.mul(q0, A)
+        pk.addto(out, {k: c for k, c in a.items() if k & zmask}, -zunit, den)
+        # keys in descending order, as _divide leaves them: the order of the
+        # terms fixes the summation order of numeric evaluation
+        return dict(sorted(out.items(), reverse=True)), den
 
     def _divide(self, a, inverse):
         """(q, den) with a = b q / den, where inverse = _inverse(b); None if b
@@ -772,8 +804,7 @@ class RingElem:
                 while zden > 0 and all(k & zmask for k in terms):
                     terms = {k - zunit: c for k, c in terms.items()}
                     zden -= 1
-                if ((zden or dden) and ring.ext is not None
-                        and ring.ext.z_degree <= AUTO_CANCEL_BOUND):
+                if (zden or dden) and ring.ext is not None and not ring.lazy:
                     terms, den, zden, dden = _full_cancel(ring, terms, den, zden, dden)
         self.ring = ring
         self._t, self._d = _normalized(terms, den)
@@ -809,6 +840,17 @@ class RingElem:
         t, d, zden, dden = _full_cancel(self.ring, self._t, self._d, self.zden, self.dden)
         return RingElem(self.ring, t, d, zden, dden, _canon=False)
 
+    def _z_cancelled(self):
+        """The element with z divided out of its denominator as often as the
+        numerator allows, rel_z left alone; self when nothing divides (and
+        on rings that are not lazy, which cancel after every operation)."""
+        if not (self.zden and self.ring.lazy):
+            return self
+        t, d, zden = _z_cancel(self.ring, self._t, self._d, self.zden)
+        if zden == self.zden:
+            return self
+        return RingElem(self.ring, t, d, zden, self.dden, _canon=False)
+
     def _coerce(self, other):
         if isinstance(other, RingElem):
             return other
@@ -828,9 +870,10 @@ class RingElem:
         if dz:
             t, d = ring._reduce(pk.shift(t, dz * pk.zunit))
             den *= d
-        for _ in range(ddr):
-            t, d = ring._reduce(pk.mul(t, ring.ext._drel))
-            den *= d * ring.ext._scale
+        if ddr:
+            pt, pd = ring._drel_power(ddr)
+            t, d = ring._reduce(pk.mul(t, pt))
+            den *= d * pd
         return t, den
 
     def __add__(self, other):
@@ -922,9 +965,10 @@ class RingElem:
         out, den = {0: 1}, 1
         if self.zden:
             out, den = ring._reduce({self.zden * ring._pk.zunit: 1})
-        for _ in range(self.dden):
-            out, d = ring._reduce(ring._pk.mul(out, ring.ext._drel))
-            den *= d * ring.ext._scale
+        if self.dden:
+            pt, pd = ring._drel_power(self.dden)
+            out, d = ring._reduce(ring._pk.mul(out, pt))
+            den *= d * pd
         return out, den
 
     def __eq__(self, other):
@@ -1118,16 +1162,27 @@ class EvalStack:
         return out.reshape(self.shape + (len(values),))
 
 
+def _z_cancel(ring, terms, den, zden):
+    """Divide the numerator by z (Ring._z_divide) as often as it allows."""
+    while zden:
+        q = ring._z_divide(terms)
+        if q is None:
+            break
+        terms, d = q
+        den *= d
+        zden -= 1
+    return terms, den, zden
+
+
 def _full_cancel(ring, terms, den, zden, dden):
     """Divide the numerator by z, then by rel_z = ext._drel / ext._scale, as
     often as it allows."""
-    left = [zden, dden]
-    for unit, scale in ((0, 1), (1, ring.ext._scale)):
-        while left[unit]:
-            q = ring._divide(terms, ring._unit_inverse(unit))
-            if q is None:
-                break
-            qt, qd = q
-            terms, den = _p_scale(qt, scale), den * qd
-            left[unit] -= 1
-    return terms, den, left[0], left[1]
+    terms, den, zden = _z_cancel(ring, terms, den, zden)
+    while dden:
+        q = ring._divide(terms, ring._drel_inverse())
+        if q is None:
+            break
+        qt, qd = q
+        terms, den = _p_scale(qt, ring.ext._scale), den * qd
+        dden -= 1
+    return terms, den, zden, dden

@@ -22,6 +22,20 @@ def perturbed_klein(klein):
 
 
 @pytest.fixture(scope="session")
+def perturbed_lazy():
+    """g3 += z^k t2^2 in the lazy rings of LT19 (k = 4) and LT14 (k = 10),
+    by entry id.  The monomial has weight 2 = 1 + w3 in both, so T stays
+    homogeneous."""
+    def build(eid):
+        pvf = catalog.catalog_get(eid).pvf
+        ring = pvf.ring
+        g = list(pvf.g)
+        g[2] = g[2] + ring.zgen() ** {"LT19": 4, "LT14": 10}[eid] * ring.var(1) ** 2
+        return flatcore.PotentialVF(ring=ring, g=g, name=f"{eid}-perturbed")
+    return build
+
+
+@pytest.fixture(scope="session")
 def h3():
     return catalog.catalog_get("H3").pvf
 

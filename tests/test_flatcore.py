@@ -66,6 +66,20 @@ def test_wdvv_perturbed_klein(perturbed_klein):
     assert not check_saito_relations(m)
 
 
+@pytest.mark.parametrize("eid", ["LT19", "LT14"])
+def test_wdvv_perturbed_lazy_ring(perturbed_lazy, eid):
+    # the same defect in a ring with lazy denominators, whose checks read
+    # the z-cancelled copy of the structure
+    pvf = perturbed_lazy(eid)
+    assert pvf.ring.lazy
+    assert (pvf.g[2] - catalog.catalog_get(eid).pvf.g[2]).weight() == 2
+    rep = check_extended_wdvv(pvf)
+    assert rep.unit_ok and rep.homogeneity_ok and rep.flat_normalization_ok
+    assert rep.failing_commutators() == [(1, 2)]
+    assert not rep.saito_relations_ok
+    assert not rep.is_solution
+
+
 def test_wdvv_inhomogeneous_reported_not_raised(klein):
     # t1^2 has weight 4/7 != 2 = 1 + w3, so T is inhomogeneous and no
     # SaitoMatrices can be built; the check reports instead of raising
@@ -87,8 +101,7 @@ def test_flat_normalization_hand_built(klein_matrices):
     ring = m.ring
     bad = [row[:] for row in m.T]
     bad[2][0] = bad[2][0] + ring.one()
-    broken = flatcore.SaitoMatrices(ring=ring, C=m.C, Btilde=m.Btilde,
-                                    T=bad, Binf=m.Binf)
+    broken = flatcore.SaitoMatrices(ring=ring, C=m.C, T=bad, Binf=m.Binf)
     assert not check_flat_normalization(broken)
 
 

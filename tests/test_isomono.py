@@ -35,8 +35,7 @@ def test_residue_rank_one_n1():
     from fractions import Fraction as F
     ring = Ring(["1"])
     t1 = ring.var(0)
-    m = SaitoMatrices(ring=ring, C=[[t1]], Btilde=[[[ring.one()]]],
-                      T=[[-t1]], Binf=[F(1)])
+    m = SaitoMatrices(ring=ring, C=[[t1]], T=[[-t1]], Binf=[F(1)])
     snap = snapshot_at(m, (0.3,), [0.4])
     assert abs(snap.residues[0][0, 0] + 0.4) < 1e-14
     assert abs(snap.traces[0] + 0.4) < 1e-14

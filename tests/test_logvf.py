@@ -31,8 +31,7 @@ def test_discriminant_klein(klein_matrices):
 def test_discriminant_n1():
     ring = Ring(["1"])
     t1 = ring.var(0)
-    m = SaitoMatrices(ring=ring, C=[[t1]], Btilde=[[[ring.one()]]],
-                      T=[[-t1]], Binf=[F(1)])
+    m = SaitoMatrices(ring=ring, C=[[t1]], T=[[-t1]], Binf=[F(1)])
     d = discriminant(m)
     assert d.h == t1
 
@@ -40,8 +39,7 @@ def test_discriminant_n1():
 def test_not_monic_raises():
     ring = Ring(["1"])
     t1 = ring.var(0)
-    m = SaitoMatrices(ring=ring, C=[[t1]], Btilde=[[[ring.one()]]],
-                      T=[[-t1 * 2]], Binf=[F(1)])
+    m = SaitoMatrices(ring=ring, C=[[t1]], T=[[-t1 * 2]], Binf=[F(1)])
     with pytest.raises(NotMonic):
         discriminant(m)
 
@@ -91,6 +89,18 @@ def test_saito_criterion_row_not_logarithmic(klein_matrices):
     MV[0][0] = ring.var(2)   # d/dt3-only field is not logarithmic for this h
     with pytest.raises(RowNotLogarithmic):
         saito_criterion(MV, d)
+
+
+def test_logvf_block_names_the_failing_row(perturbed_lazy):
+    # row 2 of -T (0-based) is the Euler field and stays logarithmic; row 1
+    # is the first the identities divide that is not
+    m = build_saito_matrices(perturbed_lazy("LT19"))
+    with pytest.raises(RowNotLogarithmic) as exc:
+        catalog.logvf_block(m)
+    assert exc.value.row == 1
+    assert str(exc.value) == "row 1 is not a logarithmic vector field"
+    rows = m.cancelled.log_rows
+    assert rows[2][2].is_zero() and not rows[1][2].is_zero()
 
 
 def test_identities_klein(klein_matrices):

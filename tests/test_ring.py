@@ -8,8 +8,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from flatiso import catalog
 from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
-from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _p_lincomb, _packing,
-                          _probe_points,
+from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _normalized,
+                          _p_lincomb, _packing, _probe_points,
                           certified_separation, newton_roots)
 
 
@@ -365,9 +365,10 @@ def test_division_matches_cramer_reference(eid, unit, data):
     assert x / u == a
     assert _as_quotient(ring, ring._divide(x._t, ring._inverse(u._t)), x, u) == a
     assert _as_quotient(ring, _cramer_quotient(ring, x._t, u._t), x, u) == a
-    if unit != "other":
-        pair = ring._unit_inverse(0 if unit == "z" else 1)
-        assert _as_quotient(ring, ring._divide(x._t, pair), x, u) == a
+    if unit == "z":
+        assert _as_quotient(ring, ring._z_divide(x._t), x, u) == a
+    elif unit == "rel_z":
+        assert _as_quotient(ring, ring._divide(x._t, ring._drel_inverse()), x, u) == a
 
 
 @settings(max_examples=30, deadline=None)
@@ -376,11 +377,34 @@ def test_division_refuses_non_multiples_of_rel_z(eid, data):
     ring = catalog.catalog_get(eid).pvf.ring
     drel = ring.from_raw(ring.ext.drel)
     x = drel * data.draw(_raw_elems(ring)) + 1
-    assert ring._divide(x._t, ring._unit_inverse(1)) is None
+    assert ring._divide(x._t, ring._drel_inverse()) is None
     assert _cramer_quotient(ring, x._t, drel._t) is None
     if len(drel._t) > 1:        # H3pp's rel_z = 2z divides in the localization
         with pytest.raises(DivisionNotExact):
             x / drel
+
+
+# z-degrees 2, 3, 4, 9 and 16; the last two rings keep lazy denominators
+SHIFT_ENTRIES = QUOTIENT_ENTRIES + ("LT19", "LT14")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SHIFT_ENTRIES), st.booleans(), st.data())
+def test_z_shift_division_matches_adjugate_route(eid, multiple, data):
+    # the shift route gives the quotient of the adjugate route, with its
+    # terms in the same order, and refuses exactly what that refuses
+    ring = catalog.catalog_get(eid).pvf.ring
+    x = data.draw(_raw_elems(ring))
+    if multiple:
+        x = ring.zgen() * x
+    shift = ring._z_divide(x._t)
+    adjugate = ring._divide(x._t, ring._inverse({ring._pk.zunit: 1}))
+    assert (shift is None) == (adjugate is None)
+    if multiple:
+        assert shift is not None
+    if shift is not None:
+        q, q_adj = _normalized(*shift), _normalized(*adjugate)
+        assert q == q_adj and list(q[0]) == list(q_adj[0])
 
 
 # ---------------------------------------------------------------------------
