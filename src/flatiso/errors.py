@@ -54,7 +54,8 @@ class SchemaError(InputError):
 # --- flat structure / divisors -------------------------------------------
 
 class NotMonic(FlatIsoError):
-    """det(-T) is not monic in the last variable."""
+    """det(-T) is not monic in the last variable, or the divisor of a long
+    division is not monic in its main variable."""
 
 
 class RowNotLogarithmic(FlatIsoError):

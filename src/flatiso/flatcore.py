@@ -16,14 +16,17 @@ All checks are exact zero tests in the ring.
 The identities that are only zero-tested go through one exact kernel,
 Ring.fused_sum: each entry of the commutators [B^(p), B^(q)] and [T, B^(k)],
 of the closedness defect dB^(i)/dt_j - dB^(j)/dt_i and of
-dT/dt_i + (1 + w_c - w_r) B^(i) is formed from the raw numerators of its
-elements over one common denominator and reduced once.  The stored objects
-(C, the B^(k), T, h, adj(T), T0) are built by ordinary RingElem arithmetic.
+dT/dt_i + (1 + w_c - w_r) B^(i), and each trace defect
+V_k h - tr(B^(k)) h = sum_j (-T)_kj dh/dt_j - tr(B^(k)) h, is formed from the
+raw numerators of its elements over one common denominator and reduced once.
+The stored objects (C, the B^(k), T, h, adj(T), T0) are built by ordinary
+RingElem arithmetic.
 
-Everything else derived from a structure (the B^(k), the commutators, the
-divisor h = det(-T) with its partials and the divisions V_i h / h, adj(T)
-and T + t_n I) is computed on first use and kept on its SaitoMatrices.  The
-checks read SaitoMatrices.cancelled, a copy with z divided out of C and T.
+Everything else derived from a structure (the B^(k) and their traces, the
+commutators, the divisor h = det(-T) with its partials, the trace defects
+and the quotients (V_k h)/h they certify, adj(T) and T + t_n I) is computed
+on first use and kept on its SaitoMatrices.  The checks read
+SaitoMatrices.cancelled, a copy with z divided out of C and T.
 """
 
 from __future__ import annotations
@@ -116,10 +119,13 @@ def pairwise_commutators(B):
 
 
 def divmod_main_var(f: RingElem, h: RingElem, var: int):
-    """Long division f = q*h + r by a divisor monic in t_{var+1}."""
+    """Long division f = q*h + r by a divisor monic in t_{var+1}; NotMonic
+    for any other divisor, zero included."""
     ring = f.ring
     hc = h.coeffs_in(var)
     d = len(hc) - 1
+    if not (hc[d] - 1).is_zero():
+        raise NotMonic(f"the divisor is not monic in t{var + 1}")
     q = ring.zero()
     r = f
     t = ring.var(var)
@@ -258,9 +264,34 @@ class SaitoMatrices:
         return [self.h.partial(k)._z_cancelled() for k in range(self.n)]
 
     @cached_property
+    def traces(self) -> List[RingElem]:
+        """tr(B^(k)) for k = 1..n."""
+        zero = self.ring.zero()
+        return [sum((B[i][i] for i in range(self.n)), zero) for B in self.Btilde]
+
+    @cached_property
+    def trace_defects(self) -> List[RingElem]:
+        """V_k h - tr(B^(k)) h for k = 1..n, V_k the k-th row of -T, each one
+        Ring.fused_sum; all zero for a flat structure."""
+        fused_sum = self.ring.fused_sum
+        return [fused_sum([(1, v, d) for v, d in zip(row, self.dh)]
+                          + [(-1, tr, self.h)])
+                for row, tr in zip(self.minus_T, self.traces)]
+
+    @cached_property
     def log_rows(self) -> list:
-        """(V h, q, r) with V h = q*h + r for each row V of -T."""
-        return [log_division(row, self.h, self.dh) for row in self.minus_T]
+        """(q, r) with V h = q*h + r for each row V of -T.
+
+        Where the trace identity holds, q = tr(B^(k)) and r = 0: division by
+        an h monic in t_n is unique, so these are the quotient and remainder
+        long division returns.  Only a row with a nonzero trace defect is
+        divided (log_division).
+        """
+        zero = self.ring.zero()
+        return [(tr, zero) if defect.is_zero()
+                else log_division(row, self.h, self.dh)[1:]
+                for row, tr, defect in zip(self.minus_T, self.traces,
+                                           self.trace_defects)]
 
     @cached_property
     def adjT(self):

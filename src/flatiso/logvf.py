@@ -4,6 +4,12 @@ The divisor is cut out by h = det(-T), a monic degree-n polynomial in the
 last variable.  A vector field V = sum v_k d/dt_k is logarithmic when h
 divides Vh exactly; the rows of -T (in reversed order, V_{n+1-i} = row i)
 give the standard generator system, with V_1 the Euler field.
+
+The trace identity V_k h = tr(B^(k)) h, V_k the k-th row of -T, certifies
+each row of the generator system and names its quotient: where its defect
+(SaitoMatrices.trace_defects, one exact zero test) vanishes, (V_k h)/h is
+tr(B^(k)) with no division.  Only a row that fails it is long-divided by h,
+as is every field given from outside the structure.
 """
 
 from __future__ import annotations
@@ -45,17 +51,20 @@ def discriminant(m: SaitoMatrices) -> DivisorData:
     return DivisorData(h=m.h, ring=m.ring)
 
 
-def _log_division(V, d: DivisorData):
-    return log_division(V, d.h, [d.h.partial(k) for k in range(d.n)])
+def _partials(d: DivisorData) -> List[RingElem]:
+    return [d.h.partial(k) for k in range(d.n)]
 
 
-def is_logarithmic(V, d: DivisorData) -> bool:
-    """True iff h divides Vh = sum_k V[k] dh/dt_k exactly."""
-    return _log_division(V, d)[2].is_zero()
+def is_logarithmic(V, d: DivisorData, dh=None) -> bool:
+    """True iff h divides Vh = sum_k V[k] dh/dt_k exactly; dh, the partials
+    of h, when the caller holds them already."""
+    if dh is None:
+        dh = _partials(d)
+    return log_division(V, d.h, dh)[2].is_zero()
 
 
 def _quotient(division, row) -> RingElem:
-    _, q, r = division
+    q, r = division
     if not r.is_zero():
         raise RowNotLogarithmic(row)
     return q
@@ -65,8 +74,9 @@ def saito_criterion(M, d: DivisorData) -> Optional[Fraction]:
     """det(M) = c*h for a nonzero rational c, if the rows of M (vector
     fields) are logarithmic."""
     from .flatcore import _proportionality_constant
+    dh = _partials(d)
     for i, row in enumerate(M):
-        if not is_logarithmic(row, d):
+        if not is_logarithmic(row, d, dh):
             raise RowNotLogarithmic(i)
     det = mat_det(M)
     if det.is_zero():
@@ -76,7 +86,7 @@ def saito_criterion(M, d: DivisorData) -> Optional[Fraction]:
 
 
 def generator_criterion(m: SaitoMatrices) -> Fraction:
-    """saito_criterion for the rows of -T, read from the structure's divisions.
+    """saito_criterion for the rows of -T, read from the structure's log rows.
 
     det(-T) is h itself, so c = 1 once every row is logarithmic; a row that
     is not raises RowNotLogarithmic.
@@ -125,17 +135,10 @@ def logvf_identities(m: SaitoMatrices) -> LogVfReport:
 
 
 def trace_identity_defects(m: SaitoMatrices) -> Dict[int, RingElem]:
-    """Defects of V_k h - tr(B^(k)) h; all zero for a flat structure.
+    """Defects of V_k h - tr(B^(k)) h keyed by k; all zero for a flat structure.
 
     V_k here is the k-th row of -T applied to d/dt, the only alignment that
     matches the weight of tr(B^(k)).  The identity carries no sign: it holds
-    for every n.
+    for every n.  The defects are the structure's cached trace_defects.
     """
-    ring = m.ring
-    n = m.n
-    out = {}
-    for k in range(1, n + 1):
-        vh = m.log_rows[k - 1][0]
-        tr = sum((m.Btilde[k - 1][i][i] for i in range(n)), ring.zero())
-        out[k] = vh - tr * m.h
-    return out
+    return dict(enumerate(m.trace_defects, start=1))

@@ -187,6 +187,31 @@ def test_symbolic_verify_inverts_each_unit_once(monkeypatch):
     assert len(dets) == len(inverses)
 
 
+def test_symbolic_verify_divides_no_row_by_h(monkeypatch, perturbed_lazy):
+    # the trace identity certifies every row of -T, so long division by h
+    # runs only for a row whose trace defect is nonzero
+    from flatiso import flatcore
+    from flatiso.errors import RowNotLogarithmic
+    calls = []
+    divmod_main_var = flatcore.divmod_main_var
+
+    def counting(f, h, var):
+        calls.append(var)
+        return divmod_main_var(f, h, var)
+
+    monkeypatch.setattr(flatcore, "divmod_main_var", counting)
+    monkeypatch.setattr(catalog, "_cache", {})
+    for eid in catalog.catalog_list():
+        assert catalog.catalog_verify(eid, "symbolic")["pass"]
+    assert calls == []
+    # the control's rows 0 and 1 fail the identity and are divided, once each
+    m = flatcore.build_saito_matrices(perturbed_lazy("LT19"))
+    with pytest.raises(RowNotLogarithmic) as exc:
+        catalog.logvf_block(m)
+    assert exc.value.row == 1
+    assert calls == [2, 2]
+
+
 def test_full_verify_tracks_snapshots_once(monkeypatch):
     # the snapshots, the PVI check and the entry survey (every second frame)
     # all read the one track of the 41-point default path

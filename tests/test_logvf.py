@@ -6,11 +6,11 @@ import pytest
 from flatiso import catalog
 from flatiso.errors import NotMonic, RowNotLogarithmic
 from flatiso.flatcore import (SaitoMatrices, build_saito_matrices,
-                              log_division, mat_scale)
+                              divmod_main_var, log_division, mat_scale)
 from flatiso.logvf import (DivisorData, discriminant, is_logarithmic,
                            logvf_identities, saito_criterion,
                            trace_identity_defects)
-from flatiso.ring import Ring
+from flatiso.ring import Ring, RingElem
 
 
 def log_ratio(V, d):
@@ -64,6 +64,38 @@ def test_is_logarithmic_simple_cases():
     assert log_ratio([ring.zero(), ring.zero(), t3], d) == 3
 
 
+def test_division_by_a_divisor_not_monic_raises():
+    # the leading t3-coefficient t2 (or 2) is never cancelled by subtracting
+    # multiples of the divisor, so long division would not end
+    ring = Ring(["2/7", "3/7", "1"])
+    t1, t2, t3 = ring.gens()
+    with pytest.raises(NotMonic):
+        divmod_main_var(t3 ** 3 + t1, t2 * t3, 2)
+    with pytest.raises(NotMonic):
+        divmod_main_var(t3 ** 3 + t1, ring.zero(), 2)
+    with pytest.raises(NotMonic):
+        is_logarithmic([ring.zero(), ring.zero(), t3],
+                       DivisorData(h=t3 ** 3 * 2, ring=ring))
+
+
+def test_saito_criterion_derives_the_partials_once(monkeypatch):
+    ring = Ring(["2/7", "3/7", "1"])
+    t3 = ring.var(2)
+    d = DivisorData(h=t3 ** 3, ring=ring)
+    calls = []
+    partial = RingElem.partial
+
+    def counting(self, var):
+        if self is d.h:
+            calls.append(var)
+        return partial(self, var)
+
+    monkeypatch.setattr(RingElem, "partial", counting)
+    MV = [[t3 if i == j else ring.zero() for j in range(3)] for i in range(3)]
+    assert saito_criterion(MV, d) == 1
+    assert sorted(calls) == [0, 1, 2]
+
+
 def test_saito_criterion_diagonal():
     ring = Ring(["2/7", "3/7", "1"])
     t3 = ring.var(2)
@@ -100,7 +132,7 @@ def test_logvf_block_names_the_failing_row(perturbed_lazy):
     assert exc.value.row == 1
     assert str(exc.value) == "row 1 is not a logarithmic vector field"
     rows = m.cancelled.log_rows
-    assert rows[2][2].is_zero() and not rows[1][2].is_zero()
+    assert rows[2][1].is_zero() and not rows[1][1].is_zero()
 
 
 def test_identities_klein(klein_matrices):
@@ -145,3 +177,29 @@ def test_trace_identity_holds_for_n2(trivial_n2):
     assert all(v.is_zero() for v in trace_identity_defects(m).values())
     block = catalog.logvf_block(m)
     assert block["pass"] and block["trace_identity"]
+
+
+def _structures(perturbed_lazy):
+    """The cancelled copies the checks read: the 11 entries, then the LT19
+    and LT14 controls, whose rows 0 and 1 are not logarithmic."""
+    for eid in catalog.catalog_list():
+        yield eid, build_saito_matrices(catalog.catalog_get(eid).pvf).cancelled
+    for eid in ("LT19", "LT14"):
+        yield f"{eid}-perturbed", build_saito_matrices(perturbed_lazy(eid)).cancelled
+
+
+def test_log_rows_and_trace_defects_match_long_division(perturbed_lazy):
+    # log_rows reads (q, r) off the trace identity wherever its defect is
+    # zero; long division by the monic h must give the same pair, and the
+    # fused defect must be the chained V_k h - tr(B^(k)) h
+    nonzero = {}
+    for name, m in _structures(perturbed_lazy):
+        defects = trace_identity_defects(m)
+        for k, (row, (q, r)) in enumerate(zip(m.minus_T, m.log_rows)):
+            vh, q_ref, r_ref = log_division(row, m.h, m.dh)
+            assert q == q_ref and r == r_ref, (name, k)
+            tr = sum((m.Btilde[k][i][i] for i in range(m.n)), m.ring.zero())
+            assert defects[k + 1] == vh - tr * m.h, (name, k)
+        nonzero[name] = [k for k, v in defects.items() if not v.is_zero()]
+    assert nonzero.pop("LT19-perturbed") == nonzero.pop("LT14-perturbed") == [1, 2]
+    assert all(ks == [] for ks in nonzero.values()) and len(nonzero) == 11
