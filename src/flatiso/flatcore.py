@@ -14,19 +14,23 @@ relations coupling T, B^(k) and Binf, and the normalization T_nj = -w_j t_j.
 All checks are exact zero tests in the ring.
 
 The identities that are only zero-tested go through one exact kernel,
-Ring.fused_sum: each entry of the commutators [B^(p), B^(q)] and [T, B^(k)],
-of the closedness defect dB^(i)/dt_j - dB^(j)/dt_i and of
-dT/dt_i + (1 + w_c - w_r) B^(i), and each trace defect
+Ring.fused_sum: each entry of the commutators [B^(p), B^(q)], of the
+closedness defect dB^(i)/dt_j - dB^(j)/dt_i and of the Euler defect
+T + sum_k w_k t_k B^(k), and each trace defect
 V_k h - tr(B^(k)) h = sum_j (-T)_kj dh/dt_j - tr(B^(k)) h, is formed from the
 raw numerators of its elements over one common denominator and reduced once.
-The stored objects (C, the B^(k), T, h, adj(T), T0) are built by ordinary
-RingElem arithmetic.
+Where the Euler defect is zero, it certifies [T, B^(k)] = 0 from the
+commutators, and dT/dt_i + (1 + w_c - w_r) B^(i) = 0 entrywise from the
+weight of B^(i)_rc (RingElem.is_homogeneous, no arithmetic); only an entry
+that fails the weight test, or a T that fails the Euler identity, gets
+those sums formed directly.  The stored objects (C, the B^(k), T, h,
+adj(T), T0) are built by ordinary RingElem arithmetic.
 
 Everything else derived from a structure (the B^(k) and their traces, the
-commutators, the divisor h = det(-T) with its partials, the trace defects
-and the quotients (V_k h)/h they certify, adj(T) and T + t_n I) is computed
-on first use and kept on its SaitoMatrices.  The checks read
-SaitoMatrices.cancelled, a copy with z divided out of C and T.
+commutators, the Euler defects, the divisor h = det(-T) with its partials,
+the trace defects and the quotients (V_k h)/h they certify, adj(T) and
+T + t_n I) is computed on first use and kept on its SaitoMatrices.  The
+checks read SaitoMatrices.cancelled, a copy with z divided out of C and T.
 """
 
 from __future__ import annotations
@@ -239,6 +243,16 @@ class SaitoMatrices:
         return pairwise_commutators(self.Btilde)
 
     @cached_property
+    def euler_defects(self):
+        """T + sum_k w_k t_k B^(k), each entry one Ring.fused_sum; zero for a
+        structure built from g, where T = -E C and E = sum_k w_k t_k d/dt_k."""
+        fused_sum = self.ring.fused_sum
+        t, w, B = self.ring.gens(), self.weights, self.Btilde
+        return [[fused_sum([(1, e)] + [(w[k], t[k], B[k][r][c])
+                                       for k in range(self.n)])
+                 for c, e in enumerate(row)] for r, row in enumerate(self.T)]
+
+    @cached_property
     def minus_T(self):
         """-T; row i encodes the vector field V_{n+1-i}."""
         return mat_scale(self.T, Fraction(-1))
@@ -412,8 +426,7 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
         Btilde = [mat_partial(C, k) for k in range(n)]
         commutators = pairwise_commutators(Btilde)
     unit_ok = mat_is_zero(mat_sub(Btilde[n - 1], mat_identity(ring, n)))
-    homogeneity_ok = all((pvf.g[j].euler() - pvf.g[j] * (1 + w[j])).is_zero()
-                         for j in range(n))
+    homogeneity_ok = all(pvf.g[j].is_homogeneous(1 + w[j]) for j in range(n))
     return WdvvReport(
         unit_ok=unit_ok, homogeneity_ok=homogeneity_ok,
         commutators=commutators, matrices=m,
@@ -428,10 +441,20 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
     B^(k), [T, B^(k)] = 0 and dT/dt_k + B^(k) + [B^(k), Binf] = 0: the
     integrability of the Okubo system.  A scalar shift of Binf changes none
     of them.  They are read from m.cancelled.
+
+    The last two follow from the first two where the Euler identity
+    T = -sum_k w_k t_k B^(k) holds (m.euler_defects all zero):
+    [T, B^(i)] = -sum_k w_k t_k [B^(k), B^(i)] vanishes with the
+    commutators, and by closedness
+    dT_rc/dt_i + (1 + w_c - w_r) B^(i)_rc = (1 + w_c - w_r - w_i - E) B^(i)_rc,
+    which vanishes exactly when B^(i)_rc is homogeneous of weight
+    1 + w_c - w_r - w_i.  Only an entry that is not gets the direct sum;
+    where the identity fails, both families are formed directly.
     """
     m = m.cancelled
     n = m.n
     B = m.Btilde
+    w = m.weights
     fused_sum = m.ring.fused_sum
     # mixed derivatives of B
     for i in range(n):
@@ -444,15 +467,18 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
     # pairwise commutativity
     if not all(mat_is_zero(c) for c in m.commutators.values()):
         return False
+    euler = mat_is_zero(m.euler_defects)
     # [T, B^(i)] = 0
-    for i in range(n):
-        if not mat_is_zero(mat_commutator(m.T, B[i])):
-            return False
+    if not euler:
+        for i in range(n):
+            if not mat_is_zero(mat_commutator(m.T, B[i])):
+                return False
     # dT/dt_i + B^(i) + [B^(i), Binf] = 0, Binf = diag(w)
-    w = m.weights
     for i in range(n):
         for r in range(n):
             for c in range(n):
+                if euler and B[i][r][c].is_homogeneous(1 + w[c] - w[r] - w[i]):
+                    continue
                 if not fused_sum(products=[(1 + w[c] - w[r], B[i][r][c])],
                                  partials=[(1, m.T[r][c], i)]).is_zero():
                     return False

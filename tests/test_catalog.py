@@ -187,6 +187,61 @@ def test_symbolic_verify_inverts_each_unit_once(monkeypatch):
     assert len(dets) == len(inverses)
 
 
+def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
+    # the Euler identity T = -sum_k w_k t_k B^(k) certifies [T, B^(k)] = 0
+    # and the dT family, so the pass forms only the 3 commutators
+    # [B^(p), B^(q)] per entry and differentiates no entry of T; a
+    # scalar-shifted T fails the identity and forms both families directly
+    from flatiso import flatcore
+    from flatiso.ring import Ring
+    commuted, differentiated, structures = [], [], []
+    mat_commutator, fused_sum = flatcore.mat_commutator, Ring.fused_sum
+    check = flatcore.check_saito_relations
+    fused = 0
+
+    def counting_commutator(a, b):
+        commuted.append((a, b))
+        return mat_commutator(a, b)
+
+    def counting_sum(self, products=(), partials=()):
+        nonlocal fused
+        fused += 1
+        differentiated.extend(a for _, a, _ in partials)
+        return fused_sum(self, products, partials)
+
+    def capturing(m):
+        structures.append(m.cancelled)
+        return check(m)
+
+    def touches_t(pairs):
+        ts = [m.T for m in structures]
+        return sum(1 for a, b in pairs if any(a is T or b is T for T in ts))
+
+    def t_partials():
+        return sum(1 for a in differentiated for m in structures
+                   if any(a is e for row in m.T for e in row))
+
+    monkeypatch.setattr(flatcore, "mat_commutator", counting_commutator)
+    monkeypatch.setattr(flatcore, "check_saito_relations", capturing)
+    monkeypatch.setattr(Ring, "fused_sum", counting_sum)
+    monkeypatch.setattr(catalog, "_cache", {})
+    for eid in catalog.catalog_list():
+        assert catalog.catalog_verify(eid, "symbolic")["pass"]
+    assert len(structures) == 11
+    assert len(commuted) == 33 and touches_t(commuted) == 0
+    assert t_partials() == 0
+    assert fused == 726
+    m = flatcore.build_saito_matrices(catalog.catalog_get("LT8").pvf)
+    shifted = flatcore.SaitoMatrices(
+        ring=m.ring, C=m.C, Binf=m.Binf,
+        T=[[e + (1 if r == c else 0) for c, e in enumerate(row)]
+           for r, row in enumerate(m.T)])
+    commuted.clear(), differentiated.clear(), structures.clear()
+    assert flatcore.check_saito_relations(shifted)
+    assert len(commuted) == 6 and touches_t(commuted) == 3
+    assert t_partials() == 27
+
+
 def test_symbolic_verify_divides_no_row_by_h(monkeypatch, perturbed_lazy):
     # the trace identity certifies every row of -T, so long division by h
     # runs only for a row whose trace defect is nonzero

@@ -7,8 +7,9 @@ from flatiso import catalog, exprio, flatcore
 from flatiso.errors import NoRescalingFound
 from flatiso.flatcore import (PotentialVF, build_saito_matrices,
                               check_extended_wdvv, check_flat_normalization,
-                              check_saito_relations, frobenius_check, mat_det,
-                              mat_identity, mat_is_zero, mat_scale, mat_sub)
+                              check_saito_relations, frobenius_check,
+                              mat_commutator, mat_det, mat_identity,
+                              mat_is_zero, mat_scale, mat_sub)
 
 
 def test_klein_matrices(klein, klein_matrices):
@@ -119,6 +120,141 @@ def test_saito_relations_catalog_subset():
         pvf = catalog.catalog_get(eid).pvf
         m = build_saito_matrices(pvf)
         assert check_saito_relations(m)
+
+
+def test_homogeneity_ok_is_the_weight_test(klein, perturbed_klein):
+    # is_homogeneous(1 + w_j) against the zero test of E g_j - (1 + w_j) g_j
+    # it replaced, on the catalog, a homogeneous control and an
+    # inhomogeneous one (t1^2 has weight 4/7, not 2 = 1 + w3)
+    g = list(klein.g)
+    g[2] = g[2] + klein.ring.var(0) ** 2
+    inhomogeneous = PotentialVF(ring=klein.ring, g=g)
+    cases = [(catalog.catalog_get(eid).pvf, True) for eid in catalog.IDS]
+    cases += [(perturbed_klein, True), (inhomogeneous, False)]
+    for pvf, expected in cases:
+        w = pvf.weights
+        by_weights = [gj.is_homogeneous(1 + wj) for gj, wj in zip(pvf.g, w)]
+        by_euler = [(gj.euler() - gj * (1 + wj)).is_zero()
+                    for gj, wj in zip(pvf.g, w)]
+        assert by_weights == by_euler
+        assert all(by_weights) is expected
+        assert check_extended_wdvv(pvf).homogeneity_ok is expected
+
+
+# ---------------------------------------------------------------------------
+# the Euler identity T = -sum_k w_k t_k B^(k) behind check_saito_relations
+# ---------------------------------------------------------------------------
+
+def _direct_relations(m):
+    """check_saito_relations with [T, B^(i)] = 0 and
+    dT/dt_i + B^(i) + [B^(i), Binf] = 0 formed entry by entry, with no Euler
+    identity: (closedness and commutativity, [T, B] family, dT family)."""
+    m = m.cancelled
+    n, B, w = m.n, m.Btilde, m.weights
+    fused_sum = m.ring.fused_sum
+    rc = [(r, c) for r in range(n) for c in range(n)]
+    closed = all(fused_sum(partials=[(1, B[i][r][c], j), (-1, B[j][r][c], i)]).is_zero()
+                 for i in range(n) for j in range(i + 1, n) for r, c in rc)
+    commuting = all(mat_is_zero(x) for x in m.commutators.values())
+    t_family = all(mat_is_zero(mat_commutator(m.T, B[i])) for i in range(n))
+    dt_family = all(fused_sum(products=[(1 + w[c] - w[r], B[i][r][c])],
+                              partials=[(1, m.T[r][c], i)]).is_zero()
+                    for i in range(n) for r, c in rc)
+    return closed and commuting, t_family, dt_family
+
+
+def _homogeneous_b(m):
+    """Every B^(i)_rc homogeneous of weight 1 + w_c - w_r - w_i."""
+    m = m.cancelled
+    w = m.weights
+    return all(e.is_homogeneous(1 + w[c] - w[r] - w[i])
+               for i, Bi in enumerate(m.Btilde)
+               for r, row in enumerate(Bi) for c, e in enumerate(row))
+
+
+def _hand_built(m, T):
+    return flatcore.SaitoMatrices(ring=m.ring, C=m.C, T=T, Binf=m.Binf)
+
+
+def test_euler_identity_certifies_the_direct_families(perturbed_klein,
+                                                      perturbed_lazy):
+    cases = [(catalog.catalog_get(eid).pvf, True) for eid in catalog.IDS]
+    cases += [(perturbed_klein, False), (perturbed_lazy("LT19"), False),
+              (perturbed_lazy("LT14"), False)]
+    for pvf, expected in cases:
+        m = build_saito_matrices(pvf)
+        assert mat_is_zero(m.cancelled.euler_defects), pvf.name
+        assert _homogeneous_b(m), pvf.name
+        first, t_family, dt_family = _direct_relations(m)
+        # homogeneous B^(i) and closedness give the dT family on every
+        # structure; the [T, B] family goes with the commutators
+        assert dt_family and t_family is first, pvf.name
+        assert check_saito_relations(m) is (first and t_family and dt_family)
+        assert check_saito_relations(m) is expected, pvf.name
+
+
+@pytest.mark.parametrize("eid", ["LT8", "LT19"])
+def test_scalar_shifted_t_takes_the_fallback(eid):
+    # T + 3 I fails the Euler identity on the diagonal and satisfies every
+    # relation, which the direct families must then show
+    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
+    ring = m.ring
+    shifted = _hand_built(m, [[e + (3 if r == c else 0) for c, e in enumerate(row)]
+                              for r, row in enumerate(m.T)])
+    defects = shifted.cancelled.euler_defects
+    for r, row in enumerate(defects):
+        for c, e in enumerate(row):
+            assert e == (ring.const(3) if r == c else ring.zero())
+    assert _direct_relations(shifted) == (True, True, True)
+    assert check_saito_relations(shifted)
+
+
+def test_perturbed_t_entry_fails_on_both_routes(klein_matrices, trivial_n2):
+    m = klein_matrices
+    t1 = m.ring.var(0)
+    # T_11 + t1: the Euler identity fails, so the fallback forms both
+    # families directly, and both fail
+    T = [row[:] for row in m.T]
+    T[0][0] = T[0][0] + t1
+    bad = _hand_built(m, T)
+    assert not mat_is_zero(bad.euler_defects)
+    assert _direct_relations(bad) == (True, False, False)
+    assert not check_saito_relations(bad)
+    # g1 += t1^2 on the n = 2 structure, T = -E C formed by hand: the Euler
+    # identity holds and B^(2) = I commutes, but B^(1)_11 = 6 t1 + 2 is not
+    # homogeneous, so its entry gets the direct sum, which is 1
+    ring = trivial_n2.ring
+    s1 = ring.var(0)
+    g = [trivial_n2.g[0] + s1 ** 2, trivial_n2.g[1]]
+    C = [[g[j].partial(i) for j in range(2)] for i in range(2)]
+    inhomogeneous = flatcore.SaitoMatrices(
+        ring=ring, C=C, T=[[-e.euler() for e in row] for row in C],
+        Binf=list(ring.weights))
+    assert mat_is_zero(inhomogeneous.euler_defects)
+    assert not _homogeneous_b(inhomogeneous)
+    assert _direct_relations(inhomogeneous) == (True, True, False)
+    assert not check_saito_relations(inhomogeneous)
+
+
+@pytest.mark.parametrize("eid", ["LT8", "LT19"])
+def test_inhomogeneous_entries_get_the_direct_sum(monkeypatch, eid):
+    # with every weight test failing, each of the n^3 entries of the dT
+    # family is formed directly, and all of them vanish
+    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
+    n = m.n
+    assert mat_is_zero(m.cancelled.euler_defects)
+    fused_sum = m.ring.fused_sum.__func__
+    t_partials = []
+
+    def counting(self, products=(), partials=()):
+        t_partials.extend(a for _, a, _ in partials
+                          if any(a is e for row in m.cancelled.T for e in row))
+        return fused_sum(self, products, partials)
+
+    monkeypatch.setattr(type(m.ring), "fused_sum", counting)
+    monkeypatch.setattr(type(m.T[0][0]), "is_homogeneous", lambda self, w: False)
+    assert check_saito_relations(m)
+    assert len(t_partials) == n ** 3
 
 
 def test_rescaling_covariance(klein):
