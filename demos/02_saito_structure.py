@@ -35,5 +35,5 @@ print("V_k h = tr(B^(k)) h defects:",
 # the Euler field is logarithmic with E h = 3 h
 t = pvf.ring.gens()
 euler = [t[i] * pvf.weights[i] for i in range(3)]
-ratio = flatcore.log_division(euler, m.h, m.dh)[1]
+ratio = flatcore.log_division(euler, m.h, m.dh)[0]
 print(f"(E h)/h = {exprio.format_elem(ratio)}")

@@ -178,7 +178,7 @@ def _run_saito(args):
         "saito_relations_ok": rep.saito_relations_ok,
         "flat_normalization_ok": rep.flat_normalization_ok,
         "C": exprio.serialize_matrix(m.C), "T": exprio.serialize_matrix(m.T),
-        "Binf": [str(w) for w in m.Binf],
+        "Binf": [str(w) for w in m.weights],
         "pass": rep.saito_relations_ok and rep.flat_normalization_ok,
     }
     return report, f"saito relations: {_verdict(report)} ({pvf.name})"

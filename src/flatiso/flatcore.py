@@ -7,30 +7,28 @@ Given weights w and an n-tuple g with g_j of weight 1+w_j, the matrices
     T      = -E C             (E the Euler field),
     Binf   = diag(w_1..w_n),
 
-carry the whole flat structure.  This module builds them exactly and checks
-the extended WDVV system: pairwise commutativity of the B^(k), the unit
-condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the four structure
-relations coupling T, B^(k) and Binf, and the normalization T_nj = -w_j t_j.
-All checks are exact zero tests in the ring.
+carry the whole flat structure.  A SaitoMatrices holds C alone and derives
+the rest from it, so T is -E C by construction.  This module builds them
+exactly and checks the extended WDVV system: pairwise commutativity of the
+B^(k), the unit condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the
+structure relations coupling T, B^(k) and Binf, and the normalization
+T_nj = -w_j t_j.  All checks are exact zero tests in the ring.
 
-The identities that are only zero-tested go through one exact kernel,
-Ring.fused_sum: each entry of the commutators [B^(p), B^(q)], of the
-closedness defect dB^(i)/dt_j - dB^(j)/dt_i and of the Euler defect
-T + sum_k w_k t_k B^(k), and each trace defect
-V_k h - tr(B^(k)) h = sum_j (-T)_kj dh/dt_j - tr(B^(k)) h, is formed from the
-raw numerators of its elements over one common denominator and reduced once.
-Where the Euler defect is zero, it certifies [T, B^(k)] = 0 from the
-commutators, and dT/dt_i + (1 + w_c - w_r) B^(i) = 0 entrywise from the
-weight of B^(i)_rc (RingElem.is_homogeneous, no arithmetic); only an entry
-that fails the weight test, or a T that fails the Euler identity, gets
-those sums formed directly.  The stored objects (C, the B^(k), T, h,
-adj(T), T0) are built by ordinary RingElem arithmetic.
+With T = -E C, the structure relations come down to two tests: the
+commutators [B^(p), B^(q)] vanish, and every B^(i)_rc is weighted
+homogeneous of weight 1 + w_c - w_r - w_i (check_saito_relations).  The
+identities that are only zero-tested go through one exact kernel,
+Ring.fused_sum: each entry of the commutators, and each trace defect
+V_k h - tr(B^(k)) h = sum_j (-T)_kj dh/dt_j - tr(B^(k)) h, is formed from
+the raw numerators of its elements over one common denominator and reduced
+once.  The stored objects (C, the B^(k), T, h, adj(T), T0) are built by
+ordinary RingElem arithmetic.
 
-Everything else derived from a structure (the B^(k) and their traces, the
-commutators, the Euler defects, the divisor h = det(-T) with its partials,
-the trace defects and the quotients (V_k h)/h they certify, adj(T) and
-T + t_n I) is computed on first use and kept on its SaitoMatrices.  The
-checks read SaitoMatrices.cancelled, a copy with z divided out of C and T.
+Everything derived from C (T, the B^(k) and their traces, the commutators,
+the divisor h = det(-T) with its partials, the trace defects and the
+quotients (V_k h)/h they certify, adj(T) and T + t_n I) is computed on
+first use and kept on its SaitoMatrices.  The checks read
+SaitoMatrices.cancelled, a copy with z divided out of C.
 """
 
 from __future__ import annotations
@@ -115,13 +113,6 @@ def mat_adjugate(a):
     return out
 
 
-def pairwise_commutators(B):
-    """[B[p], B[q]] keyed by the 1-based pair (p, q), p < q."""
-    n = len(B)
-    return {(p + 1, q + 1): mat_commutator(B[p], B[q])
-            for p in range(n) for q in range(p + 1, n)}
-
-
 def divmod_main_var(f: RingElem, h: RingElem, var: int):
     """Long division f = q*h + r by a divisor monic in t_{var+1}; NotMonic
     for any other divisor, zero included."""
@@ -145,12 +136,11 @@ def divmod_main_var(f: RingElem, h: RingElem, var: int):
 
 
 def log_division(V, h: RingElem, dh) -> tuple:
-    """(Vh, q, r) with Vh = sum_k V[k] dh[k] = q*h + r; V is logarithmic iff r = 0."""
+    """(q, r) with sum_k V[k] dh[k] = q*h + r; V is logarithmic iff r = 0."""
     vh = h.ring.zero()
     for vk, dk in zip(V, dh):
         vh = vh + vk * dk
-    q, r = divmod_main_var(vh, h, h.ring.nvars - 1)
-    return vh, q, r
+    return divmod_main_var(vh, h, h.ring.nvars - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -189,16 +179,14 @@ class PotentialVF:
 
 @dataclass
 class SaitoMatrices:
-    """C, T and Binf of a flat structure, over the ring.
+    """The gradient matrix C of a flat structure, over the ring.
 
-    The objects derived from them (the B^(k) among them) are computed on
-    first use and kept.
+    Every object derived from it (T = -E C and the B^(k) among them) is
+    computed on first use and kept; Binf is diag(weights).
     """
 
     ring: Ring
     C: list
-    T: list
-    Binf: List[Fraction]    # diagonal, = weights
 
     @property
     def n(self):
@@ -218,13 +206,18 @@ class SaitoMatrices:
         powers modulo the relation again.  Zero tests do not depend on the
         representation, so only they read this copy; C, T, h and T0, which
         are printed and evaluated, stay as built.  On other rings it is self.
+        The copy's T is derived from its C and shares its denominators.
         """
         if not self.ring.lazy:
             return self
-        out = SaitoMatrices(ring=self.ring, C=mat_z_cancelled(self.C),
-                            T=mat_z_cancelled(self.T), Binf=self.Binf)
+        out = SaitoMatrices(ring=self.ring, C=mat_z_cancelled(self.C))
         out.cancelled = out             # its entries are cancelled already
         return out
+
+    @cached_property
+    def T(self) -> list:
+        """T = -E C, E = sum_k w_k t_k d/dt_k the Euler field."""
+        return [[-(e.euler()) for e in row] for row in self.C]
 
     @cached_property
     def Btilde(self) -> list:
@@ -239,18 +232,10 @@ class SaitoMatrices:
 
     @cached_property
     def commutators(self):
-        """[B^(p), B^(q)] keyed by (p, q), p < q."""
-        return pairwise_commutators(self.Btilde)
-
-    @cached_property
-    def euler_defects(self):
-        """T + sum_k w_k t_k B^(k), each entry one Ring.fused_sum; zero for a
-        structure built from g, where T = -E C and E = sum_k w_k t_k d/dt_k."""
-        fused_sum = self.ring.fused_sum
-        t, w, B = self.ring.gens(), self.weights, self.Btilde
-        return [[fused_sum([(1, e)] + [(w[k], t[k], B[k][r][c])
-                                       for k in range(self.n)])
-                 for c, e in enumerate(row)] for r, row in enumerate(self.T)]
+        """[B^(p), B^(q)] keyed by the 1-based pair (p, q), p < q."""
+        B, n = self.Btilde, self.n
+        return {(p + 1, q + 1): mat_commutator(B[p], B[q])
+                for p in range(n) for q in range(p + 1, n)}
 
     @cached_property
     def minus_T(self):
@@ -303,7 +288,7 @@ class SaitoMatrices:
         """
         zero = self.ring.zero()
         return [(tr, zero) if defect.is_zero()
-                else log_division(row, self.h, self.dh)[1:]
+                else log_division(row, self.h, self.dh)
                 for row, tr, defect in zip(self.minus_T, self.traces,
                                            self.trace_defects)]
 
@@ -385,19 +370,17 @@ def _gradient_matrix(pvf: PotentialVF):
 
 
 def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
-    """Exact C and T from g; entries of T must come out homogeneous."""
-    ring = pvf.ring
-    n = pvf.n
-    C = _gradient_matrix(pvf)
-    T = [[-(C[i][j].euler()) for j in range(n)] for i in range(n)]
-    w = ring.weights
-    for i in range(n):
-        for j in range(n):
-            if not T[i][j].is_homogeneous(1 + w[j] - w[i]):
+    """The structure of g; SchemaError unless every entry of T = -E C is
+    homogeneous."""
+    m = SaitoMatrices(ring=pvf.ring, C=_gradient_matrix(pvf))
+    w = m.weights
+    for i, row in enumerate(m.T):
+        for j, e in enumerate(row):
+            if not e.is_homogeneous(1 + w[j] - w[i]):
                 raise SchemaError(
                     f"T[{i+1}][{j+1}] is not homogeneous of weight 1+w{j+1}-w{i+1}; "
                     "input g is not weighted homogeneous")
-    return SaitoMatrices(ring=ring, C=C, T=T, Binf=list(w))
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +392,8 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
     defects are reported, not thrown.
 
     The report also carries the SaitoMatrices it checked, or None when T is
-    not homogeneous (the relations then count as failed).  The checks read
-    its cancelled copy.
+    not homogeneous (the relations then count as failed).  The B^(k) and
+    their commutators are read from its cancelled copy in either case.
     """
     ring = pvf.ring
     n = pvf.n
@@ -419,70 +402,39 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
         m = build_saito_matrices(pvf)
     except SchemaError:             # T inhomogeneous: the relations fail below
         m = None
-    if m is not None:
-        Btilde, commutators = m.cancelled.Btilde, m.cancelled.commutators
-    else:
-        C = _gradient_matrix(pvf)
-        Btilde = [mat_partial(C, k) for k in range(n)]
-        commutators = pairwise_commutators(Btilde)
-    unit_ok = mat_is_zero(mat_sub(Btilde[n - 1], mat_identity(ring, n)))
-    homogeneity_ok = all(pvf.g[j].is_homogeneous(1 + w[j]) for j in range(n))
+    checked = m if m is not None else SaitoMatrices(ring=ring, C=_gradient_matrix(pvf))
+    B, commutators = checked.cancelled.Btilde, checked.cancelled.commutators
     return WdvvReport(
-        unit_ok=unit_ok, homogeneity_ok=homogeneity_ok,
+        unit_ok=mat_is_zero(mat_sub(B[n - 1], mat_identity(ring, n))),
+        homogeneity_ok=all(g.is_homogeneous(1 + wj) for g, wj in zip(pvf.g, w)),
         commutators=commutators, matrices=m,
         saito_relations_ok=m is not None and check_saito_relations(m),
         flat_normalization_ok=m is not None and check_flat_normalization(m))
 
 
 def check_saito_relations(m: SaitoMatrices) -> bool:
-    """The four relation families coupling T, the B^(k) and Binf, exactly.
+    """The structure relations coupling T, the B^(k) and Binf, exactly.
 
-    Closedness dB^(i)/dt_j = dB^(j)/dt_i, pairwise commutativity of the
-    B^(k), [T, B^(k)] = 0 and dT/dt_k + B^(k) + [B^(k), Binf] = 0: the
-    integrability of the Okubo system.  A scalar shift of Binf changes none
-    of them.  They are read from m.cancelled.
+    They are closedness dB^(i)/dt_j = dB^(j)/dt_i, pairwise commutativity
+    of the B^(k), [T, B^(k)] = 0 and dT/dt_k + B^(k) + [B^(k), Binf] = 0:
+    the integrability of the Okubo system.  A scalar shift of Binf changes
+    none of them.  With B^(k) = dC/dt_k and T = -E C, which a SaitoMatrices
+    holds by construction, two tests decide them, read from m.cancelled:
 
-    The last two follow from the first two where the Euler identity
-    T = -sum_k w_k t_k B^(k) holds (m.euler_defects all zero):
-    [T, B^(i)] = -sum_k w_k t_k [B^(k), B^(i)] vanishes with the
-    commutators, and by closedness
-    dT_rc/dt_i + (1 + w_c - w_r) B^(i)_rc = (1 + w_c - w_r - w_i - E) B^(i)_rc,
-    which vanishes exactly when B^(i)_rc is homogeneous of weight
-    1 + w_c - w_r - w_i.  Only an entry that is not gets the direct sum;
-    where the identity fails, both families are formed directly.
+    - the commutators [B^(p), B^(q)] vanish.  Closedness holds because mixed
+      partials commute, and [T, B^(i)] = -sum_k w_k t_k [B^(k), B^(i)]
+      vanishes with the commutators;
+    - every B^(i)_rc is homogeneous of weight 1 + w_c - w_r - w_i.  Since
+      [d/dt_i, E] = w_i d/dt_i, dT_rc/dt_i + (1 + w_c - w_r) B^(i)_rc is
+      (1 + w_c - w_r - w_i - E) B^(i)_rc, zero exactly for such an entry.
+      This is a test of monomial weights (RingElem.is_homogeneous).
     """
     m = m.cancelled
-    n = m.n
-    B = m.Btilde
     w = m.weights
-    fused_sum = m.ring.fused_sum
-    # mixed derivatives of B
-    for i in range(n):
-        for j in range(i + 1, n):
-            for r in range(n):
-                for c in range(n):
-                    if not fused_sum(partials=[(1, B[i][r][c], j),
-                                               (-1, B[j][r][c], i)]).is_zero():
-                        return False
-    # pairwise commutativity
-    if not all(mat_is_zero(c) for c in m.commutators.values()):
-        return False
-    euler = mat_is_zero(m.euler_defects)
-    # [T, B^(i)] = 0
-    if not euler:
-        for i in range(n):
-            if not mat_is_zero(mat_commutator(m.T, B[i])):
-                return False
-    # dT/dt_i + B^(i) + [B^(i), Binf] = 0, Binf = diag(w)
-    for i in range(n):
-        for r in range(n):
-            for c in range(n):
-                if euler and B[i][r][c].is_homogeneous(1 + w[c] - w[r] - w[i]):
-                    continue
-                if not fused_sum(products=[(1 + w[c] - w[r], B[i][r][c])],
-                                 partials=[(1, m.T[r][c], i)]).is_zero():
-                    return False
-    return True
+    return (all(mat_is_zero(c) for c in m.commutators.values())
+            and all(e.is_homogeneous(1 + w[c] - w[r] - w[i])
+                    for i, B in enumerate(m.Btilde)
+                    for r, row in enumerate(B) for c, e in enumerate(row)))
 
 
 def check_flat_normalization(m: SaitoMatrices) -> bool:

@@ -19,7 +19,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional
 
 from .errors import RowNotLogarithmic
-from .flatcore import SaitoMatrices, log_division, mat_det
+from .flatcore import (SaitoMatrices, _proportionality_constant,
+                       check_flat_normalization, log_division, mat_det)
 from .ring import Ring, RingElem
 
 
@@ -60,7 +61,7 @@ def is_logarithmic(V, d: DivisorData, dh=None) -> bool:
     of h, when the caller holds them already."""
     if dh is None:
         dh = _partials(d)
-    return log_division(V, d.h, dh)[2].is_zero()
+    return log_division(V, d.h, dh)[1].is_zero()
 
 
 def _quotient(division, row) -> RingElem:
@@ -73,7 +74,6 @@ def _quotient(division, row) -> RingElem:
 def saito_criterion(M, d: DivisorData) -> Optional[Fraction]:
     """det(M) = c*h for a nonzero rational c, if the rows of M (vector
     fields) are logarithmic."""
-    from .flatcore import _proportionality_constant
     dh = _partials(d)
     for i, row in enumerate(M):
         if not is_logarithmic(row, d, dh):
@@ -102,15 +102,14 @@ def generator_criterion(m: SaitoMatrices) -> Fraction:
 
 def logvf_identities(m: SaitoMatrices) -> LogVfReport:
     """Euler row, V_1 h = n h, the s_1-derivative ratios, and weight duality."""
-    ring = m.ring
     n = m.n
     w = m.weights
-    t = ring.gens()
     M = m.minus_T                             # row i encodes V_{n+1-i}
     failed = []
 
-    # (i) V_1 = Euler field: row n of -T is (w_1 t_1, ..., w_n t_n)
-    if not all((M[n - 1][j] - t[j] * w[j]).is_zero() for j in range(n)):
+    # (i) V_1 = Euler field: row n of -T is (w_1 t_1, ..., w_n t_n), which
+    # is the flat normalization T_nj = -w_j t_j
+    if not check_flat_normalization(m):
         failed.append("euler_row")
 
     # (ii) V_1 h = n h

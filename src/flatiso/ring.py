@@ -26,9 +26,9 @@ divides out z alone, for copies that are only zero-tested.
 
 Every RingElem operation reduces and normalizes its result, and cancels it
 up to AUTO_CANCEL_BOUND.  A sum that is only zero-tested need not pay that
-per term: Ring.fused_sum forms a rational sum of products and total
-derivatives from the raw numerators of its elements, over one common
-denominator z^A rel_z^B L, and reduces it once.
+per term: Ring.fused_sum forms a rational sum of products from the raw
+numerators of its elements, over one common denominator z^A rel_z^B L, and
+reduces it once.
 
 Monomials are exponent tuples (e_z, e_t1, ..., e_tn); the canonical term
 order is graded lexicographic with z greatest.  Internally a polynomial is a
@@ -495,11 +495,10 @@ class Ring:
 
     # -- fused sums ------------------------------------------------------------
 
-    def fused_sum(self, products=(), partials=()):
-        """sum c * f_1 * ... * f_k over products (c, f_1, ..., f_k) plus
-        sum c * d(a)/dt_{var+1} over partials (c, a, var), c rational.
+    def fused_sum(self, products=()):
+        """sum c * f_1 * ... * f_k over products (c, f_1, ..., f_k), c rational.
 
-        Each part is formed from the raw numerators of its elements and
+        Each product is formed from the raw numerators of its elements and
         brought, still unreduced, over one common denominator z^A rel_z^B L;
         the sum is reduced, normalized and cancelled once, by the RingElem it
         returns.  It equals the same sum formed by chained arithmetic, which
@@ -515,9 +514,6 @@ class Ring:
                 t = pk.mul(t, g._t)
                 d, zd, dd = d * g._d, zd + g.zden, dd + g.dden
             parts.append((c, t, d, zd, dd))
-        for c, a, var in partials:
-            if c and a._t:
-                parts.append((c,) + a._partial_raw(var))
         if not parts:
             return self.zero()
         zA = max(p[3] for p in parts)
@@ -993,17 +989,13 @@ class RingElem:
 
     def partial(self, var):
         """Total derivative with respect to t_{var+1} (0-based index)."""
-        return RingElem(self.ring, *self._partial_raw(var))
-
-    def _partial_raw(self, var):
-        """(num, den, zden, dden) of partial(var), num not yet reduced."""
         ring = self.ring
         pk = ring._pk
         slot = var + 1
         if not 0 <= var < ring.nvars:
             raise IndexError(var)
         if ring.ext is None:
-            return pk.partial(self._t, slot), self._d, 0, 0
+            return RingElem(ring, pk.partial(self._t, slot), self._d, 0, 0)
         ext = ring.ext
         N = self._t
         D = ext._drel
@@ -1022,7 +1014,7 @@ class RingElem:
             D_i, D_z = pk.partial(D, slot), pk.partial(D, 0)
             inner = _p_lincomb(pk.mul(D_i, D), 1, pk.mul(D_z, Ri), -1)
             num = _p_lincomb(num, 1, pk.shift(pk.mul(N, inner), zunit), -b)
-        return num, self._d * ext._scale ** 2, a + 1, b + 2
+        return RingElem(ring, num, self._d * ext._scale ** 2, a + 1, b + 2)
 
     def _key_weights(self):
         """Integer weight (times ring._wscale) of each monomial, and of the denominator."""

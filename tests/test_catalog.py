@@ -188,14 +188,15 @@ def test_symbolic_verify_inverts_each_unit_once(monkeypatch):
 
 
 def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
-    # the Euler identity T = -sum_k w_k t_k B^(k) certifies [T, B^(k)] = 0
-    # and the dT family, so the pass forms only the 3 commutators
-    # [B^(p), B^(q)] per entry and differentiates no entry of T; a
-    # scalar-shifted T fails the identity and forms both families directly
+    # T = -E C = -sum_k w_k t_k B^(k) reduces the relations to the 3
+    # commutators [B^(p), B^(q)] per entry and a weight test, so the pass
+    # differentiates no entry of T; its fused sums are the 9 entries of each
+    # commutator and the 3 trace defects per entry (11 * (27 + 3) = 330)
     from flatiso import flatcore
-    from flatiso.ring import Ring
+    from flatiso.ring import Ring, RingElem
     commuted, differentiated, structures = [], [], []
     mat_commutator, fused_sum = flatcore.mat_commutator, Ring.fused_sum
+    partial = RingElem.partial
     check = flatcore.check_saito_relations
     fused = 0
 
@@ -203,11 +204,14 @@ def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
         commuted.append((a, b))
         return mat_commutator(a, b)
 
-    def counting_sum(self, products=(), partials=()):
+    def counting_sum(self, products=()):
         nonlocal fused
         fused += 1
-        differentiated.extend(a for _, a, _ in partials)
-        return fused_sum(self, products, partials)
+        return fused_sum(self, products)
+
+    def counting_partial(self, var):
+        differentiated.append(self)
+        return partial(self, var)
 
     def capturing(m):
         structures.append(m.cancelled)
@@ -224,22 +228,14 @@ def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
     monkeypatch.setattr(flatcore, "mat_commutator", counting_commutator)
     monkeypatch.setattr(flatcore, "check_saito_relations", capturing)
     monkeypatch.setattr(Ring, "fused_sum", counting_sum)
+    monkeypatch.setattr(RingElem, "partial", counting_partial)
     monkeypatch.setattr(catalog, "_cache", {})
     for eid in catalog.catalog_list():
         assert catalog.catalog_verify(eid, "symbolic")["pass"]
     assert len(structures) == 11
     assert len(commuted) == 33 and touches_t(commuted) == 0
     assert t_partials() == 0
-    assert fused == 726
-    m = flatcore.build_saito_matrices(catalog.catalog_get("LT8").pvf)
-    shifted = flatcore.SaitoMatrices(
-        ring=m.ring, C=m.C, Binf=m.Binf,
-        T=[[e + (1 if r == c else 0) for c, e in enumerate(row)]
-           for r, row in enumerate(m.T)])
-    commuted.clear(), differentiated.clear(), structures.clear()
-    assert flatcore.check_saito_relations(shifted)
-    assert len(commuted) == 6 and touches_t(commuted) == 3
-    assert t_partials() == 27
+    assert fused == 330
 
 
 def test_symbolic_verify_divides_no_row_by_h(monkeypatch, perturbed_lazy):

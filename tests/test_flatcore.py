@@ -1,10 +1,11 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from flatiso import catalog, exprio, flatcore
-from flatiso.errors import NoRescalingFound
+from flatiso.errors import NoRescalingFound, SchemaError
 from flatiso.flatcore import (PotentialVF, build_saito_matrices,
                               check_extended_wdvv, check_flat_normalization,
                               check_saito_relations, frobenius_check,
@@ -96,23 +97,36 @@ def test_wdvv_inhomogeneous_reported_not_raised(klein):
     assert not rep.is_solution
 
 
-def test_flat_normalization_hand_built(klein_matrices):
-    m = klein_matrices
-    assert check_flat_normalization(m)
-    ring = m.ring
-    bad = [row[:] for row in m.T]
-    bad[2][0] = bad[2][0] + ring.one()
-    broken = flatcore.SaitoMatrices(ring=ring, C=m.C, T=bad, Binf=m.Binf)
+def test_flat_normalization_hand_built(klein, klein_matrices):
+    assert check_flat_normalization(klein_matrices)
+    # g_1 += 3 t3 t1 keeps g_1 homogeneous of weight 1 + w_1, and adds 3 t1
+    # to C_31, so T_31 = -(2/7)(1 + 3) t1 breaks T_31 = -w_1 t1
+    t1, t3 = klein.ring.var(0), klein.ring.var(2)
+    g = [klein.g[0] + t3 * t1 * 3] + list(klein.g[1:])
+    broken = build_saito_matrices(PotentialVF(ring=klein.ring, g=g))
+    assert broken.T[2][0] == t1 * F(-8, 7)
     assert not check_flat_normalization(broken)
 
 
-def test_multiplication_matrix_symmetry(klein_matrices):
-    # B^(k)_ij = B^(i)_kj: both are the mixed second partial of g_j
-    B = klein_matrices.Btilde
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                assert (B[k][i][j] - B[i][k][j]).is_zero()
+def _structures(perturbed_klein, perturbed_lazy):
+    """(pvf, whether it is a solution) for the 11 entries and the three
+    perturbed controls."""
+    cases = [(catalog.catalog_get(eid).pvf, True) for eid in catalog.IDS]
+    return cases + [(perturbed_klein, False), (perturbed_lazy("LT19"), False),
+                    (perturbed_lazy("LT14"), False)]
+
+
+def test_multiplication_matrix_symmetry(perturbed_klein, perturbed_lazy):
+    # B^(k)_ij = B^(i)_kj: both are the mixed second partial of g_j; and
+    # closedness dB^(i)/dt_j = dB^(j)/dt_i, since mixed partials commute,
+    # which check_saito_relations takes from how B is derived
+    for pvf, _ in _structures(perturbed_klein, perturbed_lazy):
+        m = build_saito_matrices(pvf).cancelled
+        B, n = m.Btilde, m.n
+        idx = list(itertools.product(range(n), repeat=3))
+        assert all((B[k][i][j] - B[i][k][j]).is_zero() for k, i, j in idx), pvf.name
+        assert all((B[i][r][c].partial(j) - B[j][r][c].partial(i)).is_zero()
+                   for i, r, c in idx for j in range(i + 1, n)), pvf.name
 
 
 def test_saito_relations_catalog_subset():
@@ -146,19 +160,19 @@ def test_homogeneity_ok_is_the_weight_test(klein, perturbed_klein):
 # ---------------------------------------------------------------------------
 
 def _direct_relations(m):
-    """check_saito_relations with [T, B^(i)] = 0 and
-    dT/dt_i + B^(i) + [B^(i), Binf] = 0 formed entry by entry, with no Euler
-    identity: (closedness and commutativity, [T, B] family, dT family)."""
+    """The structure relations formed entry by entry, the reference for
+    check_saito_relations: (closedness and commutativity, [T, B^(i)] = 0,
+    dT/dt_i + B^(i) + [B^(i), Binf] = 0)."""
     m = m.cancelled
     n, B, w = m.n, m.Btilde, m.weights
     fused_sum = m.ring.fused_sum
     rc = [(r, c) for r in range(n) for c in range(n)]
-    closed = all(fused_sum(partials=[(1, B[i][r][c], j), (-1, B[j][r][c], i)]).is_zero()
+    closed = all((B[i][r][c].partial(j) - B[j][r][c].partial(i)).is_zero()
                  for i in range(n) for j in range(i + 1, n) for r, c in rc)
     commuting = all(mat_is_zero(x) for x in m.commutators.values())
     t_family = all(mat_is_zero(mat_commutator(m.T, B[i])) for i in range(n))
-    dt_family = all(fused_sum(products=[(1 + w[c] - w[r], B[i][r][c])],
-                              partials=[(1, m.T[r][c], i)]).is_zero()
+    dt_family = all(fused_sum([(1 + w[c] - w[r], B[i][r][c]),
+                               (1, m.T[r][c].partial(i))]).is_zero()
                     for i in range(n) for r, c in rc)
     return closed and commuting, t_family, dt_family
 
@@ -172,18 +186,20 @@ def _homogeneous_b(m):
                for r, row in enumerate(Bi) for c, e in enumerate(row))
 
 
-def _hand_built(m, T):
-    return flatcore.SaitoMatrices(ring=m.ring, C=m.C, T=T, Binf=m.Binf)
+def _euler_defects_vanish(m):
+    """T + sum_k w_k t_k B^(k) = 0, entry by entry."""
+    m = m.cancelled
+    t, w, B = m.ring.gens(), m.weights, m.Btilde
+    return all(m.ring.fused_sum([(1, e)] + [(w[k], t[k], B[k][r][c])
+                                            for k in range(m.n)]).is_zero()
+               for r, row in enumerate(m.T) for c, e in enumerate(row))
 
 
 def test_euler_identity_certifies_the_direct_families(perturbed_klein,
                                                       perturbed_lazy):
-    cases = [(catalog.catalog_get(eid).pvf, True) for eid in catalog.IDS]
-    cases += [(perturbed_klein, False), (perturbed_lazy("LT19"), False),
-              (perturbed_lazy("LT14"), False)]
-    for pvf, expected in cases:
+    for pvf, expected in _structures(perturbed_klein, perturbed_lazy):
         m = build_saito_matrices(pvf)
-        assert mat_is_zero(m.cancelled.euler_defects), pvf.name
+        assert _euler_defects_vanish(m), pvf.name
         assert _homogeneous_b(m), pvf.name
         first, t_family, dt_family = _direct_relations(m)
         # homogeneous B^(i) and closedness give the dT family on every
@@ -193,68 +209,34 @@ def test_euler_identity_certifies_the_direct_families(perturbed_klein,
         assert check_saito_relations(m) is expected, pvf.name
 
 
-@pytest.mark.parametrize("eid", ["LT8", "LT19"])
-def test_scalar_shifted_t_takes_the_fallback(eid):
-    # T + 3 I fails the Euler identity on the diagonal and satisfies every
-    # relation, which the direct families must then show
-    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
-    ring = m.ring
-    shifted = _hand_built(m, [[e + (3 if r == c else 0) for c, e in enumerate(row)]
-                              for r, row in enumerate(m.T)])
-    defects = shifted.cancelled.euler_defects
-    for r, row in enumerate(defects):
-        for c, e in enumerate(row):
-            assert e == (ring.const(3) if r == c else ring.zero())
-    assert _direct_relations(shifted) == (True, True, True)
-    assert check_saito_relations(shifted)
-
-
 def test_perturbed_t_entry_fails_on_both_routes(klein_matrices, trivial_n2):
+    # C_11 - (7/2) t1, the gradient of g_1 - (7/4) t1^2, adds t1 = -E(-(7/2) t1)
+    # to T_11; B^(1)_11 gains the constant -7/2, which has weight 0, not
+    # 1 + w_1 - w_1 - w_1 = 5/7, and [B^(1), B^(2)] no longer vanishes
     m = klein_matrices
     t1 = m.ring.var(0)
-    # T_11 + t1: the Euler identity fails, so the fallback forms both
-    # families directly, and both fail
-    T = [row[:] for row in m.T]
-    T[0][0] = T[0][0] + t1
-    bad = _hand_built(m, T)
-    assert not mat_is_zero(bad.euler_defects)
-    assert _direct_relations(bad) == (True, False, False)
+    C = [row[:] for row in m.C]
+    C[0][0] = C[0][0] - t1 * F(7, 2)
+    bad = flatcore.SaitoMatrices(ring=m.ring, C=C)
+    assert bad.T[0][0] == m.T[0][0] + t1
+    assert not _homogeneous_b(bad)
+    assert _direct_relations(bad) == (False, False, False)
     assert not check_saito_relations(bad)
-    # g1 += t1^2 on the n = 2 structure, T = -E C formed by hand: the Euler
-    # identity holds and B^(2) = I commutes, but B^(1)_11 = 6 t1 + 2 is not
-    # homogeneous, so its entry gets the direct sum, which is 1
+    # g1 += t1^2 on the n = 2 structure: T = -E C is not homogeneous, so
+    # build_saito_matrices refuses g; B^(2) = I commutes, but
+    # B^(1)_11 = 6 t1 + 2 is not homogeneous, so the weight test fails it,
+    # as does the direct dT sum
     ring = trivial_n2.ring
     s1 = ring.var(0)
     g = [trivial_n2.g[0] + s1 ** 2, trivial_n2.g[1]]
-    C = [[g[j].partial(i) for j in range(2)] for i in range(2)]
+    with pytest.raises(SchemaError):
+        build_saito_matrices(PotentialVF(ring=ring, g=g))
     inhomogeneous = flatcore.SaitoMatrices(
-        ring=ring, C=C, T=[[-e.euler() for e in row] for row in C],
-        Binf=list(ring.weights))
-    assert mat_is_zero(inhomogeneous.euler_defects)
+        ring=ring, C=[[g[j].partial(i) for j in range(2)] for i in range(2)])
+    assert _euler_defects_vanish(inhomogeneous)
     assert not _homogeneous_b(inhomogeneous)
     assert _direct_relations(inhomogeneous) == (True, True, False)
     assert not check_saito_relations(inhomogeneous)
-
-
-@pytest.mark.parametrize("eid", ["LT8", "LT19"])
-def test_inhomogeneous_entries_get_the_direct_sum(monkeypatch, eid):
-    # with every weight test failing, each of the n^3 entries of the dT
-    # family is formed directly, and all of them vanish
-    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
-    n = m.n
-    assert mat_is_zero(m.cancelled.euler_defects)
-    fused_sum = m.ring.fused_sum.__func__
-    t_partials = []
-
-    def counting(self, products=(), partials=()):
-        t_partials.extend(a for _, a, _ in partials
-                          if any(a is e for row in m.cancelled.T for e in row))
-        return fused_sum(self, products, partials)
-
-    monkeypatch.setattr(type(m.ring), "fused_sum", counting)
-    monkeypatch.setattr(type(m.T[0][0]), "is_homogeneous", lambda self, w: False)
-    assert check_saito_relations(m)
-    assert len(t_partials) == n ** 3
 
 
 def test_rescaling_covariance(klein):
@@ -332,7 +314,6 @@ def test_frobenius_nontrivial_rescaling(h3):
 
 def test_mat_det_oracle(klein_matrices):
     # permanent-style expansion agrees with the cofactor determinant
-    import itertools
     M = mat_scale(klein_matrices.T, F(-1))
     ring = klein_matrices.ring
     acc = ring.zero()

@@ -32,10 +32,8 @@ def snapshot_at(m, point, lam, **kwargs):
 def test_residue_rank_one_n1():
     from flatiso.ring import Ring
     from flatiso.flatcore import SaitoMatrices
-    from fractions import Fraction as F
     ring = Ring(["1"])
-    t1 = ring.var(0)
-    m = SaitoMatrices(ring=ring, C=[[t1]], T=[[-t1]], Binf=[F(1)])
+    m = SaitoMatrices(ring=ring, C=[[ring.var(0)]])
     snap = snapshot_at(m, (0.3,), [0.4])
     assert abs(snap.residues[0][0, 0] + 0.4) < 1e-14
     assert abs(snap.traces[0] + 0.4) < 1e-14

@@ -226,9 +226,12 @@ def test_product_rule_and_mixed_partials(ring_name, plain, ext):
         assert a.partial(i).partial(j) == a.partial(j).partial(i)
 
 
-@pytest.mark.parametrize("ring_name", ["plain", "ext"])
+@pytest.mark.parametrize("ring_name", ["plain", "ext"] + catalog.IDS)
 def test_euler_termwise_matches_derivative_form(ring_name, plain, ext):
-    ring = plain if ring_name == "plain" else ext
+    # RingElem.euler is sum_k w_k t_k d/dt_k, on the fixture rings and on
+    # every catalog ring, the lazy ones of LT19 and LT14 among them
+    rings = {"plain": plain, "ext": ext}
+    ring = rings.get(ring_name) or catalog.catalog_get(ring_name).pvf.ring
     rng = random.Random(7)
     for _ in range(25):
         a = random_elem(ring, rng, with_z=True)
