@@ -5,6 +5,8 @@ LT30) shipped as JSON documents with exact rational data, default sampling
 paths and expected-property flags, plus a checksum manifest.  Each check's
 pipeline lives here, one function per report block gated against the one
 table TOLERANCES; catalog_verify composes them and the CLI verbs call them.
+Loading the catalog and the symbolic checks import no numpy: the numeric
+blocks import numpy, p6, isomono and midconv when they run.
 """
 
 from __future__ import annotations
@@ -15,19 +17,16 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Dict, List, Optional
 
-import numpy as np
-
-from . import exprio, flatcore, isomono, logvf, midconv, p6
+from . import exprio, flatcore, logvf
 from .errors import FlatIsoError, SchemaError, UnknownId
 from .flatcore import PotentialVF, SaitoMatrices
-from .isomono import PathSpec
 
 IDS = ["H3", "H3p", "H3pp", "LT8", "LT26", "LT27", "LT13", "LT14",
        "LT18", "LT19", "LT30"]
 
 TOLERANCES = {
     "symbolic": 0.0,
-    "residue_identities": isomono.RESIDUE_TOL,
+    "residue_identities": 1e-10,
     "pvi_residual": 1e-6,
     "schlesinger_residual": 1e-6,
     "trace_constancy": 1e-8,
@@ -42,6 +41,14 @@ MAX_POINTS = 10_000
 
 
 @dataclass
+class PathSpec:
+    points: list
+
+    def __post_init__(self):
+        self.points = [tuple(complex(c) for c in p) for p in self.points]
+
+
+@dataclass
 class CatalogEntry:
     id: str
     pvf: PotentialVF
@@ -50,7 +57,7 @@ class CatalogEntry:
     notes: str
     p6_entry: tuple
     z_seed: Optional[complex]
-    path_svals: np.ndarray
+    path_svals: list
     doc: dict
 
 
@@ -81,10 +88,15 @@ def catalog_list() -> List[str]:
 def path_from_doc(dp: dict):
     """(points, svals, z_seed) of a sampling-path document: t1 fixed, t2 on
     points (1 to MAX_POINTS) uniform steps from t2_start to t2_end, z_seed
-    null or [re, im].  Any other document raises SchemaError."""
+    null or [re, im].  A path of two or more points must have a nonzero
+    step.  Any other document raises SchemaError.
+
+    svals is the grid of np.linspace, bit for bit: t2_start + k * step, with
+    the last point set to t2_end.
+    """
     def real(x):
         # neither a JSON bool nor NaN or an infinity
-        return type(x) in (int, float) and abs(x) < np.inf
+        return type(x) in (int, float) and abs(x) < float("inf")
 
     seed = dp.get("z_seed") if isinstance(dp, dict) else None
     if not (isinstance(dp, dict)
@@ -96,7 +108,14 @@ def path_from_doc(dp: dict):
         raise SchemaError("a sampling path needs real t1, t2_start and t2_end, "
                           f"an integer points from 1 to {MAX_POINTS} and "
                           f"z_seed null or [re, im]; got {dp!r}")
-    svals = np.linspace(dp["t2_start"], dp["t2_end"], dp["points"])
+    a, b, n = dp["t2_start"], dp["t2_end"], dp["points"]
+    step = (b - a) / max(n - 1, 1)
+    if n > 1 and step == 0:
+        raise SchemaError(f"a sampling path of {n} points needs a nonzero step "
+                          f"from t2_start to t2_end; got {dp!r}")
+    svals = [a + k * step for k in range(n)]
+    if n > 1:
+        svals[-1] = b
     return ([(dp["t1"], s) for s in svals], svals,
             None if seed is None else complex(*seed))
 
@@ -188,6 +207,7 @@ def symbolic_block(pvf: PotentialVF, flags: Dict[str, bool]):
 def pvi_block(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
     """(block, samples, params): the PVI check of one entry on a computed
     track (p6.frames_along), with the parameters read off its first frame."""
+    from . import p6
     samples, params, residual = p6.pvi_on_frames(m, lam, entry_choice, track,
                                                  path, svals=svals)
     return ({"pvi_residual": residual,
@@ -196,6 +216,7 @@ def pvi_block(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
 
 def schlesinger_block(snaps, svals=None) -> dict:
     """The Schlesinger residual of residue snapshots along a path."""
+    from . import isomono
     res = isomono.schlesinger_residual(snaps, svals=svals)
     return {"schlesinger_residual": res,
             "pass": within("schlesinger_residual", res)}
@@ -206,6 +227,8 @@ def midconv_block(m: SaitoMatrices, point, z_seed=None):
     with -w_n, and measure the distances of the result's Gamma_inf from the
     weights and of its residue traces from the snapshot's, with the
     invariance defect of the big convolution system."""
+    import numpy as np
+    from . import midconv
     lam_w = list(m.weights)
     snap, sys1, family = midconv.rank_one_from_structure(m, point, lam_w,
                                                          z_seed=z_seed)
@@ -227,6 +250,7 @@ def midconv_block(m: SaitoMatrices, point, z_seed=None):
 def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, track,
                     snaps) -> dict:
     """Numeric checks on the default path's track and residue snapshots."""
+    import numpy as np
     pvi, samples, params = pvi_block(m, lam, entry.p6_entry, track,
                                      entry.default_path.points,
                                      svals=entry.path_svals)
@@ -249,6 +273,7 @@ def _verify_full(entry: CatalogEntry, m: SaitoMatrices, lam, track,
                  snaps) -> dict:
     """Full-depth checks; track and snaps as for _verify_numeric.  The entry
     survey reads every second frame."""
+    from . import p6
     path = entry.default_path.points
     svals = entry.path_svals
     schles = schlesinger_block(snaps, svals=svals)
@@ -274,6 +299,7 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
               "tolerances": dict(TOLERANCES)}
     report["symbolic"], m = symbolic_block(entry.pvf, entry.flags)
     if depth != "symbolic":
+        from . import isomono, p6
         lam = p6.default_lambda(m.weights)
         track, snaps = isomono.track_snapshots(m, entry.default_path.points, lam,
                                                z_seed=entry.z_seed)

@@ -3,7 +3,10 @@
 Verbs: verify-wdvv, saito, logvf, extract-p6, params, schlesinger, midconv,
 jm-roundtrip, catalog.  Machine-readable JSON goes to stdout (or --json FILE);
 a one-line human summary goes to stderr.  Exit codes: 0 all requested checks
-pass, 1 a check failed, 2 input error, 3 numeric failure.
+pass, 1 a check failed, 2 input error, 3 numeric failure.  The symbolic verbs
+(verify-wdvv, saito, logvf, catalog verify --depth symbolic) never load
+numpy: the numeric verbs import it, with p6, isomono and midconv, when they
+run.
 """
 
 from __future__ import annotations
@@ -13,10 +16,8 @@ import json
 import sys
 from functools import lru_cache
 
-import numpy as np
-
 from . import catalog as cat
-from . import exprio, flatcore, isomono, midconv, p6
+from . import exprio, flatcore
 from .errors import FlatIsoError, InputError, NumericError, SchemaError
 
 INPUT_ERRORS = (InputError, FileNotFoundError, json.JSONDecodeError)
@@ -120,6 +121,7 @@ def _cpair(v):
 def _json_value(value):
     """JSON form of a value json cannot write: arrays become lists, numpy
     bools, ints and floats Python values, complex numbers [re, im]."""
+    import numpy as np
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.bool_):
@@ -202,6 +204,7 @@ def _run_logvf(args):
 
 
 def _run_extract_p6(args):
+    from . import p6
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     track = p6.frames_along(m, points, z_seed=seed)
@@ -220,6 +223,7 @@ def _run_extract_p6(args):
 
 
 def _run_params(args):
+    from . import p6
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     params = p6.p6_parameters(m, points[0],
@@ -237,6 +241,7 @@ def _run_params(args):
 
 
 def _run_schlesinger(args):
+    from . import isomono, p6
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
@@ -249,6 +254,7 @@ def _run_schlesinger(args):
 
 
 def _run_midconv(args):
+    from . import midconv
     pvf, points, svals, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     block, out = cat.midconv_block(m, points[len(points) // 2], z_seed=seed)
@@ -262,6 +268,8 @@ def _run_midconv(args):
 
 
 def _run_jm_roundtrip(args):
+    import numpy as np
+    from . import isomono, p6
     # five grid points for the stencils, at most catalog.MAX_POINTS steps
     if not 4 <= args.steps <= cat.MAX_POINTS:
         raise InputError(f"--steps must be from 4 to {cat.MAX_POINTS}, "

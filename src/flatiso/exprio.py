@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from .errors import DenominatorNotUnit, ParseError, SchemaError
-from .ring import (Ring, RingElem, _grlex_key, _p_lincomb, _p_scale, _packing,
-                   _to_fractions)
+from .errors import DegreeOverflow, DenominatorNotUnit, ParseError, SchemaError
+from .ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _p_lincomb, _p_scale,
+                   _packing, _to_fractions)
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -151,13 +151,19 @@ class _Parser:
         return out_n, out_d
 
     def exponent(self):
+        """The exponent after a ^, at most MAX_DEGREE: a larger one raises
+        DegreeOverflow before any power is computed."""
         t = self.take()
         if t[0] != "int":
             raise ParseError(t[2], "nonnegative integer exponent", t[1])
         k = int(t[1])
         if self.peek()[0] == "^":
             self.take()
-            k = k ** self.exponent()
+            # for k >= 2, k ** e is above MAX_DEGREE once e reaches its bit
+            # length, so capping e there keeps the verdict and the cost small
+            k **= min(self.exponent(), MAX_DEGREE.bit_length())
+        if k > MAX_DEGREE:
+            raise DegreeOverflow(f"at {t[2]}: exponent above {MAX_DEGREE}")
         return k
 
     def atom(self):

@@ -39,7 +39,7 @@ from functools import cached_property
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, NoRescalingFound, NotMonic, SchemaError
-from .ring import EvalStack, Ring, RingElem
+from .ring import Ring, RingElem
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +312,7 @@ class SaitoMatrices:
     @cached_property
     def T0_stack(self):
         """T0 compiled for evaluation, of shape (n, n)."""
+        from .numeric import EvalStack
         return EvalStack(self.T0)
 
     @cached_property
@@ -323,6 +324,7 @@ class SaitoMatrices:
     def dT0_stack(self):
         """The n - 1 matrices of dT0 compiled for one evaluation, of shape
         (n - 1, n, n)."""
+        from .numeric import EvalStack
         return EvalStack(self.dT0)
 
 

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .catalog import TOLERANCES
 from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      InsufficientSamples, InverseMismatch, PoleAtY,
                      PoleOnPath, RankViolation, RootCollision, StepUnderflow,
@@ -24,7 +25,6 @@ from .flatcore import SaitoMatrices
 from .p6 import (_raise_first, _stencil_d1, _uniform_step, _windows,
                  frames_along, residues_from_frame)
 
-RESIDUE_TOL = 1e-10
 # The bounds _check_jm enforces on a Jimbo-Miwa triple: the
 # off-diagonal of A_inf and tr A_i - theta_i within JM_RESIDUE_TOL, the
 # diagonal of A_inf - diag(kappa_1, kappa_2) within JM_DIAGONAL_TOL.
@@ -46,14 +46,6 @@ HAMILTONIAN_TOL = 1e-14
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PathSpec:
-    points: list
-
-    def __post_init__(self):
-        self.points = [tuple(complex(c) for c in p) for p in self.points]
-
-
-@dataclass
 class OkuboNumeric:
     """Numeric snapshot of an Okubo system at a base point."""
 
@@ -68,17 +60,19 @@ class OkuboNumeric:
 def _check_residues(lam, residues, traces, points):
     """The snapshot checks on stacked residues (N, n, n, n) and traces (N, n).
 
-    Residues sum to -Binf, no trace lies within TRACE_GUARD of +-1 and no
-    lambda_i - lambda_j is near an integer.  Raises for the first failing
-    point, named from points.  The rank is one by construction:
-    residues_from_frame forms outer products, whose second singular value is
-    at rounding level (pinned in tests/test_midconv.py).
+    Residues sum to -Binf within catalog.TOLERANCES["residue_identities"],
+    no trace lies within TRACE_GUARD of +-1 and no lambda_i - lambda_j is
+    near an integer.  Raises for the first failing point, named from points.
+    The rank is one by construction: residues_from_frame forms outer
+    products, whose second singular value is at rounding level (pinned in
+    tests/test_midconv.py).
     """
     lam = np.asarray(lam)
     n = residues.shape[1]
     total = residues.sum(axis=1) + np.diag(lam)
     near = np.minimum(np.abs(traces - 1), np.abs(traces + 1)) < TRACE_GUARD
-    checks = [(np.abs(total).max(axis=(1, 2)) > RESIDUE_TOL, lambda k:
+    tol = TOLERANCES["residue_identities"]
+    checks = [(np.abs(total).max(axis=(1, 2)) > tol, lambda k:
                RankViolation(f"residues do not sum to -Binf at {points[k]}"))]
     checks += [(near[:, i], lambda k, i=i: RankViolation(
         f"trace r_{i+1} within {TRACE_GUARD} of +-1 at {points[k]}"))

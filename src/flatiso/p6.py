@@ -8,21 +8,21 @@ runs along a sampling path in t', with derivatives from five-point central
 differences.  A path is evaluated in one batch (frames_along): the algebraic
 generator is tracked by Newton's method run on all points in lockstep, then
 T0 and the entry coefficients are evaluated over all points at once, each
-matrix or pair in one ring.EvalStack call, and the eigenproblems are solved
+matrix or pair in one numeric.EvalStack call, and the eigenproblems are solved
 as one stack (on the real LAPACK driver when the stack is real, and without
 eigenvectors where only the roots are read).
 
 StructureSampler is the one tracker of both the generator z and the order
 of the roots of T0.  A step is accepted only where it is shorter than
 STEP_FRACTION (1/4) of the gap to the nearest other candidate.  For z the gap
-is a gamma-theory certificate (ring.certified_separation), computed for all
+is a gamma-theory certificate (numeric.certified_separation), computed for all
 points of a lockstep pass in one call, with np.roots only where it is
 inconclusive.  For the roots of T0 it is the distance to the second-nearest
 root at the next point, and the nearest-neighbour matches of all steps are
 composed at once.
 A rejected step is bisected, evaluating z and T0 at the midpoint; after
 MAX_BISECTIONS (24) halvings it raises TrackingLost, a NumericError (CLI
-exit 3).  Roots closer than ring.ROOT_SEPARATION raise RootCollision.
+exit 3).  Roots closer than numeric.ROOT_SEPARATION raise RootCollision.
 
 frame_tangent differentiates a tracked point exactly: the roots and the
 Okubo residues along each t_k, from the exact dT0/dt_k of the structure.
@@ -42,8 +42,8 @@ from .errors import (DegenerateLinearEntry, EigenvalueCollision,
                      InsufficientSamples, RootCollision, RootNotConverged,
                      TrackingLost)
 from .flatcore import SaitoMatrices
-from .ring import (ROOT_SEPARATION, EvalStack, certified_separation,
-                   newton_roots)
+from .numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
+                      newton_roots, rel_coeffs)
 
 # A continuation step is accepted only below this fraction of the gap to the
 # nearest other candidate; a rejected step is bisected at most this deep.
@@ -205,7 +205,7 @@ def ordered_eig(T0vals, prev_roots=None, bridge=None, vectors=True):
 
 
 def _matrix_rows(stack, values):
-    """A ring.EvalStack at every row of values, the row axis first: (N, n, n)
+    """A numeric.EvalStack at every row of values, the row axis first: (N, n, n)
     for a matrix."""
     return np.moveaxis(stack.eval_batch(values), -1, 0)
 
@@ -219,7 +219,7 @@ class StructureSampler:
 
     Both are continued by one rule.  A step is accepted only where it is
     shorter than STEP_FRACTION of the gap to the nearest other candidate:
-    for z the gap is the certified separation of ring.certified_separation,
+    for z the gap is the certified separation of numeric.certified_separation,
     for the roots of T0 the distance to the second-nearest root at the next
     point.  A rejected step is bisected, at most MAX_BISECTIONS deep, and
     then raises TrackingLost.  The state is the last tracked point, so
@@ -269,7 +269,7 @@ class StructureSampler:
         S = np.empty(len(chain))
         if off:
             Z[0], S[0] = self._z, self._zsep
-        coeffs = self.ring.rel_coeffs(pts)
+        coeffs = rel_coeffs(self.ring, pts)
         k = off
         while k < len(chain):
             rows = coeffs[k - off:]
@@ -298,7 +298,7 @@ class StructureSampler:
 
     def _z_step(self, p0, z0, s0, p1, depth):
         """(z, separation) at p1 from (z0, s0) at p0, bisected if rejected."""
-        coeffs = self.ring.rel_coeffs([p1])
+        coeffs = rel_coeffs(self.ring, [p1])
         z1 = newton_roots(coeffs, z0)
         if np.isnan(z1[0]):
             return self._z_halves(p0, z0, s0, p1, depth + 1)

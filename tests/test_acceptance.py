@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from flatiso import catalog, exprio, flatcore, isomono, logvf, midconv, p6
+from flatiso.numeric import EvalStack
 from flatiso.ring import Ring
 
 ALL_IDS = catalog.catalog_list()
@@ -289,9 +290,9 @@ def test_a9_randomized_properties():
     for k in range(1000):
         a, b = _random_poly(ring, rng), _random_poly(ring, rng)
         row = [(0j,) + pts[k % 3]]
-        va, vb = a.eval_batch(row)[0], b.eval_batch(row)[0]
+        va, vb = EvalStack(a).eval_batch(row)[0], EvalStack(b).eval_batch(row)[0]
         scale = max(1.0, abs(va)) * max(1.0, abs(vb))
-        assert abs((a + b).eval_batch(row)[0] - (va + vb)) < 1e-12 * scale
-        assert abs((a * b).eval_batch(row)[0] - va * vb) < 1e-12 * scale
+        assert abs(EvalStack(a + b).eval_batch(row)[0] - (va + vb)) < 1e-12 * scale
+        assert abs(EvalStack(a * b).eval_batch(row)[0] - va * vb) < 1e-12 * scale
     report("A9 randomized ring/parser properties", True,
            "4 x 1000 cases, fixed seeds")

@@ -267,11 +267,11 @@ def test_verbs_report_the_catalog_numbers_and_gates(eid, capsys, monkeypatch):
 
 
 def test_params_echoes_the_bound_it_enforces(capsys):
-    from flatiso import p6, ring
+    from flatiso import numeric, p6
     code, out, _ = run(capsys, "params", "--catalog", "LT26")
     assert code == 0
     assert json.loads(out)["tolerances"] == {"root_separation": p6.ROOT_SEPARATION}
-    assert p6.ROOT_SEPARATION is ring.ROOT_SEPARATION
+    assert p6.ROOT_SEPARATION is numeric.ROOT_SEPARATION
 
 
 def test_tol_residual_option_is_gone(capsys):
@@ -310,6 +310,32 @@ def test_malformed_path_documents_are_input_errors(change, capsys, tmp_path):
     code, out, err = run(capsys, "schlesinger", "--catalog", "LT8",
                          "--path", str(p))
     assert code == 2 and "input error" in err and out == ""
+
+
+@pytest.mark.parametrize("verb", ["schlesinger", "extract-p6"])
+def test_zero_length_path_is_an_input_error(verb, capsys, tmp_path):
+    # t2_start == t2_end gives a step of 0, which the stencils divide by;
+    # a path of one point has no step and stays valid
+    doc = {"t1": 1.0, "t2_start": 0.3, "t2_end": 0.3, "points": 9}
+    p = tmp_path / "path.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, verb, "--catalog", "LT8", "--path", str(p))
+    assert code == 2 and "nonzero step" in err and out == ""
+    assert catalog.path_from_doc(dict(doc, points=1))[1] == [0.3]
+
+
+def test_exponent_tower_returns_at_once(tmp_path):
+    # t1^9^9^9 asks for the exponent 9 ** 387420489; the parser refuses it
+    # before computing it, so the verb exits 2 well inside the timeout
+    import subprocess
+    import sys
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"weights": ["1"], "g": ["t1^9^9^9"]}))
+    out = subprocess.run([sys.executable, "-m", "flatiso.cli", "verify-wdvv",
+                          "--input", str(doc)],
+                         capture_output=True, text=True, timeout=20)
+    assert out.returncode == 2
+    assert "exponent above" in out.stderr and out.stdout == ""
 
 
 def test_sizes_past_the_bound_are_input_errors(capsys):

@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from flatiso import catalog, exprio
-from flatiso.errors import DenominatorNotUnit, ParseError, SchemaError
-from flatiso.ring import Ring
+from flatiso.errors import (DegreeOverflow, DenominatorNotUnit, ParseError,
+                            SchemaError)
+from flatiso.ring import MAX_DEGREE, Ring
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,26 @@ def test_parse_basics(plain):
     assert exprio.parse_expr(" 2 ^ 3 ^ 2 ", plain) == plain.const(512)
     assert exprio.parse_expr("(-2*t1^3*t2 + t2^3 + 12*t1*t3)/12", plain) == \
         (t1 ** 3 * t2 * (-2) + t2 ** 3 + t1 * t3 * 12) / 12
+
+
+def test_exponents_up_to_max_degree_parse(plain):
+    t1 = plain.var(0)
+    assert exprio.parse_expr(f"t1^{MAX_DEGREE}", plain) == t1 ** MAX_DEGREE
+    assert exprio.parse_expr("t1^2^3^1", plain) == t1 ** 8
+    assert exprio.parse_expr("t1^1^9^2", plain) == t1
+    assert exprio.parse_expr("t1^0^7", plain) == plain.one()
+    assert exprio.parse_expr("t1^7^0", plain) == t1
+
+
+@pytest.mark.parametrize("text", [f"t1^{MAX_DEGREE + 1}", "t1^9^9^9", "t1^2^15",
+                                  "2^40000", "t1^1^99999"])
+def test_exponents_above_max_degree_are_refused(plain, text):
+    # refused before the power is computed: t1^9^9^9 would ask for
+    # 9 ** 387420489; relations parse through the same code
+    with pytest.raises(DegreeOverflow, match="exponent above"):
+        exprio.parse_expr(text, plain)
+    with pytest.raises(DegreeOverflow, match="exponent above"):
+        exprio.parse_raw(text.replace("t1", "z"), 3, True)
 
 
 def test_parse_error_positions(plain):

@@ -20,11 +20,12 @@ def test_roots_of_h_vieta_klein():
     hc = h.coeffs_in(2)
     pt = (1.0, 1.0)
     roots = p6.StructureSampler(m).frame(pt)[0]
+    from flatiso.numeric import EvalStack
     row = [(0j,) + pt + (0.0,)]
     # sum of roots = -coeff of t3^2; product = -constant coefficient (cubic)
-    assert abs(sum(roots) + hc[2].eval_batch(row)[0]) < 1e-12
+    assert abs(sum(roots) + EvalStack(hc[2]).eval_batch(row)[0]) < 1e-12
     prod = roots[0] * roots[1] * roots[2]
-    assert abs(prod + hc[0].eval_batch(row)[0]) < 1e-10
+    assert abs(prod + EvalStack(hc[0]).eval_batch(row)[0]) < 1e-10
 
 
 def test_roots_ordering_and_continuation():
@@ -227,7 +228,8 @@ def test_eigenvalue_swap_is_bisected():
     # matching swaps the pair: the tracker must bisect the step and agree
     # with a fine track of the same segment
     from types import SimpleNamespace
-    from flatiso.ring import EvalStack, Ring
+    from flatiso.numeric import EvalStack
+    from flatiso.ring import Ring
     ring = Ring(["1", "1"])
     t1, _ = ring.gens()
     m = SimpleNamespace(ring=ring, n=2,
@@ -330,15 +332,43 @@ def _path_401(e):
     return pts, z_seed
 
 
+def relation_coeffs_by_terms(ring, points):
+    """The relation's coefficients in z at t-points by the loop over its
+    terms that numeric.rel_coeffs replaced: each term's complex coefficient
+    times its t-powers, slot by slot, added into its z-degree column."""
+    pts = np.asarray(points, dtype=complex).reshape(-1, ring.nvars)
+    out = np.zeros((len(pts), ring.ext.z_degree + 1), dtype=complex)
+    for mono, c in ring.ext.relation.items():
+        term = np.full(len(pts), complex(c))
+        for s, e in enumerate(mono[1:]):
+            if e:
+                term *= pts[:, s] ** e
+        out[:, mono[0]] += term
+    return out
+
+
+@pytest.mark.parametrize("eid", ["H3p", "H3pp", "LT27", "LT14", "LT19"])
+def test_relation_coefficients_match_the_term_loop(eid):
+    # the compiled z-slices at rows (0, t), along the path and point by
+    # point, bit for bit the loop over the relation's terms
+    from flatiso.numeric import rel_coeffs
+    e, m = entry_setup(eid)
+    pts = [p + (0.0,) for p in _path_401(e)[0]]
+    want = relation_coeffs_by_terms(m.ring, pts)
+    assert rel_coeffs(m.ring, pts).tobytes() == want.tobytes()
+    one = np.array([rel_coeffs(m.ring, [p])[0] for p in pts])
+    assert one.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("eid", ["H3p", "H3pp", "LT27", "LT14", "LT19"])
 def test_lockstep_matches_point_by_point_continuation(eid):
     # reference: Newton from the previous root at every point, one row at a
     # time, and the roots of T0 at those z by the complex driver
-    from flatiso.ring import newton_roots
+    from flatiso.numeric import newton_roots, rel_coeffs
     e, m = entry_setup(eid)
     pts, z_seed = _path_401(e)
     values, roots, _ = p6.StructureSampler(m, z_seed=z_seed).frames(pts)
-    coeffs = m.ring.rel_coeffs([p + (0.0,) for p in pts])
+    coeffs = rel_coeffs(m.ring, [p + (0.0,) for p in pts])
     ref, z = np.empty(len(pts), dtype=complex), z_seed
     for k, row in enumerate(coeffs):
         ref[k] = z = newton_roots(row[None], z)[0]
@@ -354,7 +384,8 @@ def test_lockstep_matches_point_by_point_continuation(eid):
 def sqrt_sampler(z_seed):
     """The tracker on z^2 = t1 with T0 = diag(z, 5)."""
     from types import SimpleNamespace
-    from flatiso.ring import EvalStack, Ring
+    from flatiso.numeric import EvalStack
+    from flatiso.ring import Ring
     ring = Ring(["1", "1"], extension={(2, 0, 0): 1, (0, 1, 0): -1},
                 z_weight="1/2")
     T0 = [[ring.zgen(), ring.zero()], [ring.zero(), ring.const(5)]]
@@ -371,7 +402,7 @@ def test_seed_with_no_newton_step_is_refused():
 def test_lockstep_restarts_where_newton_leaves_the_branch(monkeypatch):
     # z^2 = t1 once round the unit circle: Newton from z = 1 reaches -sqrt(t1)
     # past theta = pi, so the lockstep must restart there, not bisect
-    from flatiso.ring import certified_separation
+    from flatiso.numeric import certified_separation, rel_coeffs
     sampler = sqrt_sampler(1.0)
     ring = sampler.ring
     steps = []
@@ -385,7 +416,7 @@ def test_lockstep_restarts_where_newton_leaves_the_branch(monkeypatch):
     path = [(np.exp(1j * th), 0.0) for th in np.linspace(0, 2 * np.pi, 401)]
     z = sampler.frames(path)[0][:, 0]
     assert abs(z[-1] + 1) < 1e-12
-    sep = certified_separation(ring.rel_coeffs(path), z)
+    sep = certified_separation(rel_coeffs(ring, path), z)
     assert np.all(np.abs(np.diff(z))
                   < p6.STEP_FRACTION * np.minimum(sep[:-1], sep[1:]))
     assert steps == []
@@ -423,7 +454,7 @@ def test_real_driver_and_roots_only_tracking(monkeypatch):
 def test_one_evaluation_per_matrix(eid, monkeypatch):
     # a 401-point track evaluates T0 in one call over all points, not one per
     # entry, and frame_tangent evaluates both dT0 matrices in one call
-    from flatiso.ring import EvalStack, RingElem
+    from flatiso.numeric import EvalStack
     e, m = entry_setup(eid)
     pts, z_seed = _path_401(e)
     calls = []
@@ -434,7 +465,6 @@ def test_one_evaluation_per_matrix(eid, monkeypatch):
         return stacked(self, values)
 
     monkeypatch.setattr(EvalStack, "eval_batch", counting)
-    monkeypatch.setattr(RingElem, "eval_batch", None)
     values, roots, P = p6.StructureSampler(m, z_seed=z_seed).frames(pts)
     assert calls == [(m.T0_stack, 401)]
     calls.clear()

@@ -8,14 +8,15 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from flatiso import catalog
 from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
+from flatiso.numeric import (EvalStack, certified_separation, newton_roots,
+                             rel_coeffs)
 from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _normalized,
-                          _p_lincomb, _packing, _probe_points,
-                          certified_separation, newton_roots)
+                          _p_lincomb, _packing, _probe_points)
 
 
 def root_near(ring, pt, seed):
     """Newton's zero of the relation at the full point pt, from seed."""
-    return newton_roots(ring.rel_coeffs([pt]), seed)[0]
+    return newton_roots(rel_coeffs(ring, [pt]), seed)[0]
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +81,8 @@ def test_zero_homogeneous_of_every_weight(plain):
 
 def test_eval_basic(plain, klein):
     t1, t2, t3 = plain.gens()
-    assert (t1 * t3).eval_batch([(0, 1, 0, 2)])[0] == 2
-    v = klein.g[0].eval_batch([(0, 1, 1, 1)])[0]
+    assert EvalStack(t1 * t3).eval_batch([(0, 1, 0, 2)])[0] == 2
+    v = EvalStack(klein.g[0]).eval_batch([(0, 1, 1, 1)])[0]
     assert abs(v - F(11, 12)) < 1e-12
 
 
@@ -97,7 +98,7 @@ def test_implicit_derivative_against_finite_difference(ext):
     dz = ext.zgen().partial(1)          # dz/dt2 = -1/(t1 + 4 z^3)
     pt = (1.0, 0.3, 0.0)
     z0 = root_near(ext, pt, -0.3)
-    val = dz.eval_batch([(z0,) + pt])[0]
+    val = EvalStack(dz).eval_batch([(z0,) + pt])[0]
     h = 1e-6
     zp = root_near(ext, (1.0, 0.3 + h, 0.0), z0)
     zm = root_near(ext, (1.0, 0.3 - h, 0.0), z0)
@@ -140,7 +141,6 @@ def z_tracker(ring, seed):
     # the path tracker on T0 = diag(z, 1, 2), whose first root is the generator
     from types import SimpleNamespace
     from flatiso import p6
-    from flatiso.ring import EvalStack
     zero = ring.zero()
     T0 = [[ring.zgen(), zero, zero], [zero, ring.const(1), zero],
           [zero, zero, ring.const(2)]]
@@ -152,7 +152,7 @@ def z_tracker(ring, seed):
 def test_eval_root_seeds(ext):
     # at t1 = 1, t2 = 0 the relation is z(1 + z^3) = 0; seed 0 picks z = 0
     zv = z_tracker(ext, 0.01).z_at((1.0, 0.0, 0.0))
-    assert abs(ext.zgen().eval_batch([(zv, 1.0, 0.0, 0.0)])[0]) < 1e-12
+    assert abs(EvalStack(ext.zgen()).eval_batch([(zv, 1.0, 0.0, 0.0)])[0]) < 1e-12
 
 
 def test_root_collision_raises():
@@ -167,7 +167,7 @@ def test_z_continuation_satisfies_relation(ext):
     pts = [(1.0, 0.4 + 0.01 * k, 0.0) for k in range(21)]
     tracker = z_tracker(ext, 0.6134 + 0.8853j)
     zs = [tracker.z_at(pt) for pt in pts]
-    for coeffs, zv in zip(ext.rel_coeffs(pts), zs):
+    for coeffs, zv in zip(rel_coeffs(ext, pts), zs):
         val = sum(c * zv ** k for k, c in enumerate(coeffs))
         assert abs(val) < 1e-9
 
@@ -248,10 +248,10 @@ def test_eval_is_ring_homomorphism(ext):
     for _ in range(25):
         a = random_elem(ext, rng, with_z=True)
         b = random_elem(ext, rng, with_z=True)
-        va, vb = a.eval_batch(row)[0], b.eval_batch(row)[0]
+        va, vb = EvalStack(a).eval_batch(row)[0], EvalStack(b).eval_batch(row)[0]
         scale = max(1.0, abs(va), abs(vb))
-        assert abs((a + b).eval_batch(row)[0] - (va + vb)) < 1e-12 * scale
-        assert abs((a * b).eval_batch(row)[0] - va * vb) < 1e-12 * scale * scale
+        assert abs(EvalStack(a + b).eval_batch(row)[0] - (va + vb)) < 1e-12 * scale
+        assert abs(EvalStack(a * b).eval_batch(row)[0] - va * vb) < 1e-12 * scale * scale
 
 
 def test_reduction_idempotent(ext):
@@ -528,7 +528,7 @@ def test_compiled_eval_matches_fraction_reference(eid):
     elems = [x for M in (m.T0, m.adjT) for row in M for x in row] + list(m.dh)
     assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
     for x in elems:
-        got = x.eval_batch(rows)
+        got = EvalStack(x).eval_batch(rows)
         for k, values in enumerate(rows):
             val, scale = reference(x.num, values)
             if x.zden:
@@ -570,8 +570,9 @@ def test_batched_eval_matches_scalar(eid):
             scale /= np.abs(values[:, 0]) ** x.zden
         if x.dden:
             scale /= np.abs(terms(ring.ext.drel).sum(axis=0)) ** x.dden
-        got = x.eval_batch(values)
-        want = np.array([x.eval_batch(row[None])[0] for row in values])
+        stack = EvalStack(x)
+        got = stack.eval_batch(values)
+        want = np.array([stack.eval_batch(row[None])[0] for row in values])
         assert got.shape == (len(values),)
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
@@ -605,7 +606,6 @@ def test_stacked_eval_is_bit_identical(eid):
     # denominators of LT14 and LT19 included
     import numpy as np
     from flatiso import flatcore, p6
-    from flatiso.ring import EvalStack
     cat = catalog.catalog_get(eid)
     m = flatcore.build_saito_matrices(cat.pvf)
     n = m.n
@@ -626,5 +626,5 @@ def test_stacked_eval_is_bit_identical(eid):
                               want[:n * n].reshape(n, n, -1))
         assert np.array_equal(m.dT0_stack.eval_batch(rows),
                               want[n * n:n ** 3].reshape(n - 1, n, n, -1))
-        assert np.array_equal(np.array([x.eval_batch(rows) for x in elems]),
+        assert np.array_equal(np.array([EvalStack(x).eval_batch(rows) for x in elems]),
                               want)
