@@ -88,8 +88,9 @@ def catalog_list() -> List[str]:
 def path_from_doc(dp: dict):
     """(points, svals, z_seed) of a sampling-path document: t1 fixed, t2 on
     points (1 to MAX_POINTS) uniform steps from t2_start to t2_end, z_seed
-    null or [re, im].  A path of two or more points must have a nonzero
-    step.  Any other document raises SchemaError.
+    null or [re, im].  No two consecutive t2 values may be equal, which
+    also refuses a step below the rounding of the endpoints.  Any other
+    document raises SchemaError.
 
     svals is the grid of np.linspace, bit for bit: t2_start + k * step, with
     the last point set to t2_end.
@@ -110,12 +111,13 @@ def path_from_doc(dp: dict):
                           f"z_seed null or [re, im]; got {dp!r}")
     a, b, n = dp["t2_start"], dp["t2_end"], dp["points"]
     step = (b - a) / max(n - 1, 1)
-    if n > 1 and step == 0:
-        raise SchemaError(f"a sampling path of {n} points needs a nonzero step "
-                          f"from t2_start to t2_end; got {dp!r}")
     svals = [a + k * step for k in range(n)]
     if n > 1:
         svals[-1] = b
+    if any(s == t for s, t in zip(svals, svals[1:])):
+        raise SchemaError(f"a sampling path of {n} points needs distinct "
+                          f"consecutive t2 values (a nonzero step above the "
+                          f"rounding of t2_start and t2_end); got {dp!r}")
     return ([(dp["t1"], s) for s in svals], svals,
             None if seed is None else complex(*seed))
 

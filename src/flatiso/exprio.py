@@ -64,6 +64,18 @@ def _tokenize(text):
 # parser on raw (numerator, denominator) polynomial pairs
 # ---------------------------------------------------------------------------
 
+def _integer(digits, tok, expected):
+    """int(digits) of the token tok; a string int() refuses (more digits
+    than the interpreter converts, or a digit that is not decimal) raises
+    ParseError at the token, which it shortens past 20 characters."""
+    try:
+        return int(digits)
+    except ValueError:
+        found = (tok[1] if len(tok[1]) <= 20
+                 else f"{tok[1][:20]}... ({len(tok[1])} characters)")
+        raise ParseError(tok[2], expected, found) from None
+
+
 class _Parser:
     """Precedence climbing: ^ (right) > unary - > * / > binary + -.
 
@@ -156,7 +168,7 @@ class _Parser:
         t = self.take()
         if t[0] != "int":
             raise ParseError(t[2], "nonnegative integer exponent", t[1])
-        k = int(t[1])
+        k = _integer(t[1], t, "nonnegative integer exponent")
         if self.peek()[0] == "^":
             self.take()
             # for k >= 2, k ** e is above MAX_DEGREE once e reaches its bit
@@ -169,7 +181,7 @@ class _Parser:
     def atom(self):
         t = self.take()
         if t[0] == "int":
-            c = int(t[1])
+            c = _integer(t[1], t, "integer coefficient")
             return ({0: c} if c else {}, {0: 1})
         if t[0] == "(":
             v = self.expr()
@@ -187,7 +199,7 @@ class _Parser:
                 raise ParseError(pos, "t-variable (no generator declared)", name)
             return self.pk.units[0]
         if name.startswith("t") and name[1:].isdigit():
-            idx = int(name[1:])
+            idx = _integer(name[1:], tok, "variable t1..t%d or z" % self.nvars)
             if 1 <= idx <= self.nvars:
                 return self.pk.units[idx]
         raise ParseError(pos, "variable t1..t%d or z" % self.nvars, name)

@@ -5,24 +5,26 @@ z_3.  The off-diagonal entries of h * adj(T) * Binf are linear in t_3; the
 zero z_ij of a chosen entry, normalized by the cross-ratio map sending
 (z_1, z_2, z_3) to (0, 1, t), is a PVI solution y(t).  Everything numeric
 runs along a sampling path in t', with derivatives from five-point central
-differences.  A path is evaluated in one batch (frames_along): the algebraic
-generator is tracked by Newton's method run on all points in lockstep, then
-T0 and the entry coefficients are evaluated over all points at once, each
-matrix or pair in one numeric.EvalStack call, and the eigenproblems are solved
-as one stack (on the real LAPACK driver when the stack is real, and without
-eigenvectors where only the roots are read).
+differences.
 
-StructureSampler is the one tracker of both the generator z and the order
-of the roots of T0.  A step is accepted only where it is shorter than
-STEP_FRACTION (1/4) of the gap to the nearest other candidate.  For z the gap
-is a gamma-theory certificate (numeric.certified_separation), computed for all
-points of a lockstep pass in one call, with np.roots only where it is
-inconclusive.  For the roots of T0 it is the distance to the second-nearest
-root at the next point, and the nearest-neighbour matches of all steps are
-composed at once.
-A rejected step is bisected, evaluating z and T0 at the midpoint; after
-MAX_BISECTIONS (24) halvings it raises TrackingLost, a NumericError (CLI
-exit 3).  Roots closer than numeric.ROOT_SEPARATION raise RootCollision.
+StructureSampler is the one path tracker: it continues the algebraic
+generator z and the ordered roots of T0 together, in one loop of lockstep
+passes under one step rule.  A pass runs Newton's method for z on all
+remaining points at once from the last accepted z (z = 0 on a plain ring),
+certifies the distance from each z to the other roots of the relation in
+one call (numeric.certified_separation), evaluates T0 on the same rows in one
+numeric.EvalStack call and solves the eigenproblems as one stack (on the
+real LAPACK driver when the stack is real, and without eigenvectors where
+only the roots are read).  A step is accepted when Newton converged, |dz| is
+below STEP_FRACTION (1/4) of the separation at both of its ends, and the
+nearest-neighbour match of the roots is accepted (each root moved less than
+STEP_FRACTION of the distance to its second-nearest candidate).  A pass keeps
+the rows before its first rejected step and the next pass starts there; a
+pass whose first step is rejected bisects that step, the whole state (point,
+z, separation, roots) at the midpoint, under the same rule, and raises
+TrackingLost, a NumericError (CLI exit 3), past MAX_BISECTIONS (24)
+halvings.  A z separation or a root gap below numeric.ROOT_SEPARATION raises
+RootCollision for the earliest such point.
 
 frame_tangent differentiates a tracked point exactly: the roots and the
 Okubo residues along each t_k, from the exact dT0/dt_k of the structure.
@@ -33,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,8 +82,6 @@ class P6Params:
 class P6Sample:
     s: float                      # path parameter
     tprime: tuple                 # (t_1, t_2)
-    roots: tuple                  # (z_1, z_2, z_3)
-    z_entry: complex              # zero of the chosen matrix entry
     t: complex
     y: complex
     dy_dt: Optional[complex] = None
@@ -161,28 +161,19 @@ def _eig(A, vectors):
     return w.astype(complex, copy=False), V.astype(complex, copy=False)
 
 
-def ordered_eig(T0vals, prev_roots=None, bridge=None, vectors=True):
-    """Eigen-decompositions of stacked (N, n, n) matrices, ordered for continuation.
+def ordered_eig(T0vals, prev_roots=None, vectors=True):
+    """(roots, frames, accepted) of stacked (N, n, n) matrices, ordered for
+    continuation.
 
     First point: ascending real part, ties (within ROOT_SEPARATION, scaled by
     the root size) by imaginary part; with prev_roots, matched against them.
-    Every later point is matched to the one before by nearest neighbour,
-    accepted where _nearest_match accepts it.  A rejected step into point k
-    goes to bridge(k, roots before, roots at k), which returns the
-    permutation; with no bridge it raises TrackingLost.  Raises
-    RootCollision, before any matching, naming the first point with roots
-    closer than ROOT_SEPARATION.  With vectors False only the roots are
-    computed, and the frames returned are None.
+    Every later point is matched to the one before by nearest neighbour.
+    accepted counts the leading rows whose match _nearest_match accepts (a
+    first point with no prev_roots is always accepted); the rows after are
+    ordered by the same matches, which are not to be trusted.  With vectors
+    False only the roots are computed, and the frames returned are None.
     """
     w, V = _eig(np.asarray(T0vals, dtype=complex), vectors)
-    n = w.shape[1]
-    if n > 1:
-        i, j = np.triu_indices(n, 1)
-        gaps = np.abs(w[:, i] - w[:, j]).min(axis=1)
-        _raise_first([(gaps < ROOT_SEPARATION, lambda k: RootCollision(
-            f"roots closer than {ROOT_SEPARATION} at path point {k}"))])
-    if not len(w):
-        return w, V
     if prev_roots is None:
         first = np.array(_first_point_order(
             w[0], ROOT_SEPARATION * max(1.0, float(np.abs(w[0]).max()))))
@@ -191,17 +182,20 @@ def ordered_eig(T0vals, prev_roots=None, bridge=None, vectors=True):
         first = np.arange(w.shape[1])
         chain = np.concatenate([np.asarray(prev_roots, dtype=complex)[None], w])
     steps, ok = _nearest_match(chain[:-1], chain[1:])
-    for k in np.flatnonzero(~ok):
-        point = k + (prev_roots is None)
-        if bridge is None:
-            raise TrackingLost(f"eigenvalue step into path point {point} is "
-                               f"not below {STEP_FRACTION} of the root gap")
-        steps[k] = bridge(point, chain[k], chain[k + 1])
+    rejected = np.flatnonzero(~ok)
+    accepted = ((int(rejected[0]) if len(rejected) else len(ok))
+                + (prev_roots is None))
     labels = _compose(first, steps)[len(chain) - len(w):]
     w = np.take_along_axis(w, labels, axis=1)
     if vectors:
         V = np.take_along_axis(V, labels[:, None, :], axis=2)
-    return w, V
+    return w, V, accepted
+
+
+def _root_gaps(w):
+    """The smallest distance between two roots of each row of w (N, n)."""
+    i, j = np.triu_indices(w.shape[1], 1)
+    return np.abs(w[:, i] - w[:, j]).min(axis=1, initial=np.inf)
 
 
 def _matrix_rows(stack, values):
@@ -214,136 +208,134 @@ def _midpoint(p0, p1):
     return tuple((a + b) / 2 for a, b in zip(p0, p1))
 
 
+class _Rows(NamedTuple):
+    """Tracked rows: values (N, nvars + 1) of (z, t_1, ..., t_n), the
+    certified separation of z (N,), T0 (N, n, n), the ordered roots (N, n)
+    and their frames P (N, n, n), or P None where only the roots are
+    computed.  A sampler's state is the last row it tracked."""
+    values: np.ndarray
+    seps: np.ndarray
+    T0: np.ndarray
+    roots: np.ndarray
+    P: Optional[np.ndarray]
+
+
 class StructureSampler:
     """The path tracker: the algebraic generator z and the ordered roots of T0.
 
-    Both are continued by one rule.  A step is accepted only where it is
-    shorter than STEP_FRACTION of the gap to the nearest other candidate:
-    for z the gap is the certified separation of numeric.certified_separation,
-    for the roots of T0 the distance to the second-nearest root at the next
-    point.  A rejected step is bisected, at most MAX_BISECTIONS deep, and
-    then raises TrackingLost.  The state is the last tracked point, so
+    Both are continued by one loop of lockstep passes under one step rule
+    (see the module docstring); the state is the last tracked row, so
     successive calls continue from it.
     """
 
     def __init__(self, m: SaitoMatrices, z_seed=None):
         self.m = m
-        ring = m.ring
-        self.ring = ring
+        self.ring = m.ring
         self.n = m.n
         self.z_seed = z_seed
         self._T0 = m.T0_stack
-        # (point, z, certified separation) where z was last tracked
-        self._prev_pt = None
-        self._z = None
-        self._zsep = None
-        # ordered roots, and the (point, z, separation) they were taken at
-        self._prev_roots = None
-        self._roots_at = None
+        self._last: Optional[_Rows] = None
 
     def _full_point(self, tprime):
         return tuple(tprime) + (0.0,) * (self.n - len(tprime))
 
-    def _collision(self, point):
-        return RootCollision(
-            f"generator roots closer than {ROOT_SEPARATION} at {point}")
+    def _pass(self, last, pts, k, vectors):
+        """The accepted rows of one lockstep pass over the full points pts,
+        continued from the row last (None on a fresh sampler, whose first
+        row starts from z_seed and has no step to check).
 
-    def _track_z(self, pts):
-        """(z, certified separation) at full points pts, continued from the state.
-
-        Newton runs on all remaining points at once, in lockstep from the
-        last accepted z, and one certificate covers them.  The points up to
-        the first step that is not below STEP_FRACTION of the separation at
-        both of its ends are accepted, and the lockstep restarts from that
-        point; a step rejected right after a restart is bisected until it
-        passes.  An accepted point with a separation below ROOT_SEPARATION
-        raises RootCollision.
+        Rows are kept up to the first rejected step.  RootCollision names
+        the earliest row whose z separation (on the converged rows up to
+        and including the first rejected z step) or root gap (on the rows
+        before that step) is below ROOT_SEPARATION: as path point k + i,
+        where pts[0] is path point k, or by its coordinates where k is None.
         """
-        if self.ring.ext is None or not pts:
-            return np.zeros(len(pts), dtype=complex), np.full(len(pts), np.inf)
-        if self._z is None and self.z_seed is None:
-            raise InputError("extension ring requires a z seed")
-        off = 0 if self._z is None else 1
-        chain = [self._prev_pt] * off + list(pts)
-        Z = np.empty(len(chain), dtype=complex)
-        S = np.empty(len(chain))
-        if off:
-            Z[0], S[0] = self._z, self._zsep
-        coeffs = rel_coeffs(self.ring, pts)
-        k = off
-        while k < len(chain):
-            rows = coeffs[k - off:]
-            z = newton_roots(rows, Z[k - 1] if k else self.z_seed)
+        count = len(pts)
+        values = np.zeros((count, self.n + 1), dtype=complex)
+        values[:, 1:] = pts
+        seps = np.full(count, np.inf)
+        good = checked = count
+        if self.ring.ext is not None:
+            if last is None and self.z_seed is None:
+                raise InputError("extension ring requires a z seed")
+            coeffs = rel_coeffs(self.ring, pts)
+            z = newton_roots(coeffs, self.z_seed if last is None
+                             else last.values[0, 0])
             failed = np.flatnonzero(np.isnan(z))
-            conv = int(failed[0]) if len(failed) else len(z)
-            if k == 0 and not conv:
+            conv = int(failed[0]) if len(failed) else count
+            if last is None and not conv:
                 raise RootNotConverged(
                     f"Newton from the seed {self.z_seed} did not converge")
-            end = k + conv
-            Z[k:end] = z[:conv]
-            S[k:end] = certified_separation(rows[:conv], z[:conv])
-            lo = max(k, 1)
-            jump = (np.abs(np.diff(Z[lo - 1:end]))
-                    >= STEP_FRACTION * np.minimum(S[lo - 1:end - 1], S[lo:end]))
-            stop = lo + int(np.argmax(jump)) if jump.any() else end
-            _raise_first([(S[k:stop] < ROOT_SEPARATION,
-                           lambda i: self._collision(chain[k + i]))])
-            if stop == k:
-                Z[k], S[k] = self._z_step(chain[k - 1], Z[k - 1], S[k - 1],
-                                          chain[k], 0)
-                stop += 1
-            k = stop
-        self._prev_pt, self._z, self._zsep = chain[-1], complex(Z[-1]), S[-1]
-        return Z[off:], S[off:]
+            z = z[:conv]
+            seps[:conv] = certified_separation(coeffs[:conv], z)
+            values[:conv, 0] = z
+            z0, s0 = ((z[:1], seps[:1]) if last is None
+                      else (last.values[:, 0], last.seps))
+            zprev = np.concatenate([z0, z])[:conv]
+            sprev = np.concatenate([s0, seps])[:conv]
+            jump = (np.abs(z - zprev)
+                    >= STEP_FRACTION * np.minimum(sprev, seps[:conv]))
+            if last is None:
+                jump[:1] = False          # a fresh first row has no step
+            good = int(np.argmax(jump)) if jump.any() else conv
+            checked = min(good + 1, conv)
+        T0 = _matrix_rows(self._T0, values[:good])
+        roots, P, accepted = ordered_eig(
+            T0, None if last is None else last.roots[0], vectors)
 
-    def _z_step(self, p0, z0, s0, p1, depth):
-        """(z, separation) at p1 from (z0, s0) at p0, bisected if rejected."""
-        coeffs = rel_coeffs(self.ring, [p1])
-        z1 = newton_roots(coeffs, z0)
-        if np.isnan(z1[0]):
-            return self._z_halves(p0, z0, s0, p1, depth + 1)
-        s1 = certified_separation(coeffs, z1)[0]
-        if s1 < ROOT_SEPARATION:
-            raise self._collision(p1)
-        if abs(z1[0] - z0) < STEP_FRACTION * min(s0, s1):
-            return z1[0], s1
-        return self._z_halves(p0, z0, s0, p1, depth + 1)
+        def where(i):
+            return f"path point {k + i}" if k is not None else f"{pts[i]}"
+        _raise_first([
+            (seps[:checked] < ROOT_SEPARATION, lambda i: RootCollision(
+                f"generator roots closer than {ROOT_SEPARATION} at {where(i)}")),
+            (_root_gaps(roots) < ROOT_SEPARATION, lambda i: RootCollision(
+                f"roots closer than {ROOT_SEPARATION} at {where(i)}"))])
+        return _Rows(values[:accepted], seps[:accepted], T0[:accepted],
+                     roots[:accepted], None if P is None else P[:accepted])
 
-    def _z_halves(self, p0, z0, s0, p1, depth):
-        if depth > MAX_BISECTIONS:
-            raise TrackingLost(f"generator continuation to {p1} needs more "
-                               f"than {MAX_BISECTIONS} bisections")
-        mid = _midpoint(p0, p1)
-        zm, sm = self._z_step(p0, z0, s0, mid, depth)
-        return self._z_step(mid, zm, sm, p1, depth)
+    def _bisect(self, last, point, k, vectors, depth):
+        """The row at point, continued from the row last in one step where
+        the step passes, else through the midpoint in two halves, each
+        continued the same way; TrackingLost past MAX_BISECTIONS halvings."""
+        rows = self._pass(last, [point], k, vectors)
+        if len(rows.values):
+            return rows
+        if depth == MAX_BISECTIONS:
+            raise TrackingLost(f"continuation to {point} needs more than "
+                               f"{MAX_BISECTIONS} bisections")
+        mid = self._bisect(last, _midpoint(last.values[0, 1:], point), None,
+                           False, depth + 1)
+        return self._bisect(mid, point, k, vectors, depth + 1)
 
-    def _eig_step(self, a, b, depth):
-        """Permutation taking the roots of a to those of b, each a tuple
-        (point, z, separation, roots); bisected if the match is rejected."""
-        perm, ok = _nearest_match(a[3][None], b[3][None])
-        if ok[0]:
-            return perm[0]
-        if depth >= MAX_BISECTIONS:
-            raise TrackingLost(f"eigenvalue continuation to {b[0]} needs more "
-                               f"than {MAX_BISECTIONS} bisections")
-        pm = _midpoint(a[0], b[0])
-        zm, sm = ((0j, np.inf) if self.ring.ext is None
-                  else self._z_step(a[0], a[1], a[2], pm, depth))
-        wm = _eig(_matrix_rows(self._T0, np.array([(zm,) + pm])), False)[0][0]
-        mid = (pm, zm, sm, wm)
-        return self._eig_step(mid, b, depth + 1)[self._eig_step(a, mid, depth + 1)]
+    def _track(self, path, vectors):
+        """The _Rows of a path, continued from the state, which moves to the
+        last of them: passes until every point is accepted, and a bisection
+        where a pass accepts none."""
+        pts = [self._full_point(tp) for tp in path]
+        parts, k = [], 0
+        while k < len(pts):
+            rows = self._pass(self._last, pts[k:], k, vectors)
+            if not len(rows.values):
+                rows = self._bisect(self._last, pts[k], k, vectors, 0)
+            self._last = _Rows(*(None if a is None else a[-1:] for a in rows))
+            parts.append(rows)
+            k += len(rows.values)
+        if len(parts) == 1:
+            return parts[0]
+        return _Rows(*(None if a[0] is None else np.concatenate(a)
+                       for a in zip(*parts)))
 
     def z_at(self, tprime):
-        if self.ring.ext is None:
-            return None
-        zs, _ = self._track_z([self._full_point(tprime)])
-        return complex(zs[0])
+        """z at one point (None on a plain ring), with z and the roots
+        continued from the last tracked point."""
+        self._track([tprime], False)
+        z = self._last.values[0, 0]
+        return None if self.ring.ext is None else complex(z)
 
     def t0_matrix(self, tprime):
-        """T0 at one point, with z continued from the last tracked point."""
-        zv = self.z_at(tprime)
-        row = (0j if zv is None else zv,) + self._full_point(tprime)
-        return _matrix_rows(self._T0, np.array([row]))[0]
+        """T0 at one point, continued there by z_at."""
+        self.z_at(tprime)
+        return self._last.T0[0]
 
     def frames(self, path):
         """(values, roots, frames) along a path, continuation-ordered.
@@ -352,30 +344,14 @@ class StructureSampler:
         tracked along the path (0 on a plain ring) and t_n = 0; roots is
         (N, n) and frames is (N, n, n), columns following the roots.
         """
-        return self._track(path, True)
+        rows = self._track(path, True)
+        return rows.values, rows.roots, rows.P
 
     def roots(self, path):
         """(values, roots) of frames(path), with no eigenvectors computed;
         the sampler's state moves on exactly as under frames."""
-        values, roots, _ = self._track(path, False)
-        return values, roots
-
-    def _track(self, path, vectors):
-        pts = [self._full_point(tp) for tp in path]
-        zs, seps = self._track_z(pts)
-        values = np.column_stack(
-            [zs, np.array(pts, dtype=complex).reshape(len(pts), self.n)])
-
-        def bridge(k, w0, w1):
-            a = self._roots_at if k == 0 else (pts[k - 1], zs[k - 1], seps[k - 1])
-            return self._eig_step(a + (w0,), (pts[k], zs[k], seps[k], w1), 0)
-
-        roots, P = ordered_eig(_matrix_rows(self._T0, values), self._prev_roots,
-                               bridge, vectors)
-        if len(roots):
-            self._prev_roots = roots[-1]
-            self._roots_at = (pts[-1], zs[-1], seps[-1])
-        return values, roots, P
+        rows = self._track(path, False)
+        return rows.values, rows.roots
 
     def frame(self, tprime):
         """(roots, eigenvector matrix) at one path point, continuation-ordered."""
@@ -472,10 +448,10 @@ def _samples_on(alpha, beta, values, roots, path, svals):
     ])
     # Python scalars in the per-point records: numpy scalars cost more to
     # build and to read back, point by point
-    samples = [P6Sample(s=sv, tprime=tp, roots=tuple(r), z_entry=ze, t=tv, y=yv)
-               for sv, tp, r, ze, tv, yv in zip(
+    samples = [P6Sample(s=sv, tprime=tp, t=tv, y=yv)
+               for sv, tp, tv, yv in zip(
                    np.asarray(svals, dtype=float).tolist(), path,
-                   roots.tolist(), z_entry.tolist(), t.tolist(), y.tolist())]
+                   t.tolist(), y.tolist())]
     _differentiate_samples(samples)
     return samples
 
@@ -675,8 +651,7 @@ def survey_on_frames(m: SaitoMatrices, lam, track, path, svals=None) -> dict:
         if not np.isfinite(residual):
             out[key] = {"error": "PoleOnPath"}
             continue
-        out[key] = {"residual": residual,
-                    "thetainf": [params.thetainf.real, params.thetainf.imag]}
+        out[key] = {"residual": residual, "thetainf": params.thetainf}
     return out
 
 

@@ -314,14 +314,32 @@ def test_malformed_path_documents_are_input_errors(change, capsys, tmp_path):
 
 @pytest.mark.parametrize("verb", ["schlesinger", "extract-p6"])
 def test_zero_length_path_is_an_input_error(verb, capsys, tmp_path):
-    # t2_start == t2_end gives a step of 0, which the stencils divide by;
-    # a path of one point has no step and stays valid
-    doc = {"t1": 1.0, "t2_start": 0.3, "t2_end": 0.3, "points": 9}
-    p = tmp_path / "path.json"
-    p.write_text(json.dumps(doc))
-    code, out, err = run(capsys, verb, "--catalog", "LT8", "--path", str(p))
-    assert code == 2 and "nonzero step" in err and out == ""
-    assert catalog.path_from_doc(dict(doc, points=1))[1] == [0.3]
+    # t2_start == t2_end gives a step of 0, which the stencils divide by, and
+    # so does a step of 1.4e-17, which is not 0 but below the rounding of the
+    # endpoints: the sampled t2 values repeat.  A path of one point has no
+    # step and stays valid
+    for end in (0.3, 0.3000000000000001):
+        doc = {"t1": 1.0, "t2_start": 0.3, "t2_end": end, "points": 9}
+        p = tmp_path / "path.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run(capsys, verb, "--catalog", "LT8", "--path", str(p))
+        assert code == 2 and "nonzero step" in err and out == "", end
+        assert catalog.path_from_doc(dict(doc, points=1))[1] == [0.3]
+
+
+@pytest.mark.parametrize("g, at, length", [("t1*" + "9" * 5000, 3, 5000),
+                                           ("t1^" + "9" * 5000, 3, 5000),
+                                           ("t" + "1" * 5000, 0, 5001)],
+                         ids=["coefficient", "exponent", "variable"])
+def test_literals_past_the_int_digit_limit_are_parse_errors(g, at, length,
+                                                            capsys, tmp_path):
+    # int() refuses more than 4300 digits; the parser reports it at the token
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"weights": ["1"], "g": [g]}))
+    code, out, err = run(capsys, "verify-wdvv", "--input", str(doc))
+    assert code == 2 and out == ""
+    assert f"input error: at {at}: expected" in err
+    assert f"({length} characters)" in err
 
 
 def test_exponent_tower_returns_at_once(tmp_path):

@@ -214,7 +214,7 @@ def per_point_snapshots(m, path, lam, z_seed):
     Lam = np.diag([complex(x) for x in lam])
     prev, out = None, []
     for tp in path:
-        roots, P = p6.ordered_eig(sampler.t0_matrix(tp)[None], prev)
+        roots, P, _ = p6.ordered_eig(sampler.t0_matrix(tp)[None], prev)
         roots, P, prev = roots[0], P[0], roots[0]
         res = []
         for i in range(m.n):

@@ -163,8 +163,8 @@ def test_pvi_exact_family_sqrt_t():
     ts = np.linspace(2.0, 3.0, 101)
     samples = []
     for s, t in enumerate(ts):
-        samples.append(p6.P6Sample(s=float(t), tprime=(0, 0), roots=(0, 0, 0),
-                                   z_entry=0, t=t, y=np.sqrt(t)))
+        samples.append(p6.P6Sample(s=float(t), tprime=(0, 0), t=t,
+                                   y=np.sqrt(t)))
     p6._differentiate_samples(samples)
     res = p6.p6_residual(samples, params)
     assert res < 1e-9
@@ -172,8 +172,8 @@ def test_pvi_exact_family_sqrt_t():
 
 def test_insufficient_samples():
     params = p6.P6Params.from_thetas(0, 0, 0, 1)
-    few = [p6.P6Sample(s=float(k), tprime=(0, 0), roots=(0, 0, 0), z_entry=0,
-                       t=2.0 + k, y=1.0) for k in range(3)]
+    few = [p6.P6Sample(s=float(k), tprime=(0, 0), t=2.0 + k, y=1.0)
+           for k in range(3)]
     with pytest.raises(InsufficientSamples):
         p6.p6_residual(few, params)
 
@@ -214,15 +214,28 @@ def test_first_point_order_survives_rounding():
     # agree to rounding; ulp-level changes of T0 must not swap their labels
     e, m = entry_setup("LT27")
     T0 = p6.StructureSampler(m, z_seed=e.z_seed).t0_matrix(e.default_path.points[0])
-    base, _ = p6.ordered_eig(T0[None])
+    base, _, _ = p6.ordered_eig(T0[None])
     rng = np.random.default_rng(0)
     for _ in range(20):
         bumped = T0 * (1 + 1e-15 * rng.choice([-1.0, 1.0], size=T0.shape))
-        roots, _ = p6.ordered_eig(bumped[None])
+        roots, _, _ = p6.ordered_eig(bumped[None])
         assert np.abs(roots - base).max() < 1e-9
 
 
-def test_eigenvalue_swap_is_bisected():
+def count_calls(monkeypatch, name):
+    """The arguments of every call of StructureSampler.<name>, in order."""
+    calls = []
+    real = getattr(p6.StructureSampler, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(p6.StructureSampler, name, counting)
+    return calls
+
+
+def test_eigenvalue_swap_is_bisected(monkeypatch):
     # T0 = [[0, t1], [t1, 0]] has roots +-t1; on the step t1: 1 -> -0.2 + i
     # the root 1 lies nearer -t1 than t1 at the far end, so nearest-neighbour
     # matching swaps the pair: the tracker must bisect the step and agree
@@ -236,12 +249,13 @@ def test_eigenvalue_swap_is_bisected():
                         T0_stack=EvalStack([[ring.zero(), t1], [t1, ring.zero()]]))
     p0, p1 = (1.0, 0.0), (-0.2 + 1j, 0.0)
     T0 = [[[0, p[0]], [p[0], 0]] for p in (p0, p1)]
-    with pytest.raises(TrackingLost):
-        p6.ordered_eig(T0)
+    assert p6.ordered_eig(T0)[2] == 1          # the match into p1 is rejected
     w1 = np.linalg.eigvals(T0[1])
     nearest = w1[np.abs(w1 - np.array([[-1.0], [1.0]])).argmin(axis=1)]
     assert np.allclose(nearest, [-0.2 + 1j, 0.2 - 1j])
+    bisections = count_calls(monkeypatch, "_bisect")
     _, roots, _ = p6.StructureSampler(m).frames([p0, p1])
+    assert bisections
     fine = [(1.0 + s * (p1[0] - 1.0), 0.0) for s in np.linspace(0, 1, 201)]
     _, fine_roots, _ = p6.StructureSampler(m).frames(fine)
     assert np.abs(roots[1] - fine_roots[-1]).max() < 1e-12
@@ -381,14 +395,15 @@ def test_lockstep_matches_point_by_point_continuation(eid):
                   <= 1e-11 * np.maximum(1, np.abs(nearest)))
 
 
-def sqrt_sampler(z_seed):
-    """The tracker on z^2 = t1 with T0 = diag(z, 5)."""
+def sqrt_sampler(z_seed, T0=None):
+    """The tracker on z^2 = t1 with T0 = diag(z, 5), or with T0(ring, z)."""
     from types import SimpleNamespace
     from flatiso.numeric import EvalStack
     from flatiso.ring import Ring
     ring = Ring(["1", "1"], extension={(2, 0, 0): 1, (0, 1, 0): -1},
                 z_weight="1/2")
-    T0 = [[ring.zgen(), ring.zero()], [ring.zero(), ring.const(5)]]
+    z = ring.zgen()
+    T0 = (T0 or (lambda r, z: [[z, r.zero()], [r.zero(), r.const(5)]]))(ring, z)
     return p6.StructureSampler(
         SimpleNamespace(ring=ring, n=2, T0_stack=EvalStack(T0)), z_seed=z_seed)
 
@@ -405,21 +420,52 @@ def test_lockstep_restarts_where_newton_leaves_the_branch(monkeypatch):
     from flatiso.numeric import certified_separation, rel_coeffs
     sampler = sqrt_sampler(1.0)
     ring = sampler.ring
-    steps = []
-    real_step = p6.StructureSampler._z_step
-
-    def counting(self, *args):
-        steps.append(args)
-        return real_step(self, *args)
-
-    monkeypatch.setattr(p6.StructureSampler, "_z_step", counting)
+    passes = count_calls(monkeypatch, "_pass")
+    bisections = count_calls(monkeypatch, "_bisect")
     path = [(np.exp(1j * th), 0.0) for th in np.linspace(0, 2 * np.pi, 401)]
     z = sampler.frames(path)[0][:, 0]
     assert abs(z[-1] + 1) < 1e-12
     sep = certified_separation(rel_coeffs(ring, path), z)
     assert np.all(np.abs(np.diff(z))
                   < p6.STEP_FRACTION * np.minimum(sep[:-1], sep[1:]))
-    assert steps == []
+    assert len(passes) > 1 and bisections == []
+
+
+def test_z_rejected_step_is_bisected_with_its_roots(monkeypatch):
+    # T0 = [[0, z], [z, 0]] on z^2 = t1 has roots +-z.  On the one step
+    # t1: 1 -> -1 + 0.1i, z turns by 87 degrees: Newton from z = 1 fails the
+    # z rule and the roots' nearest-neighbour match across the step is
+    # rejected, so z and the roots are continued together through the
+    # bisection, and must agree with a fine track of the same segment
+    from flatiso.numeric import certified_separation, newton_roots, rel_coeffs
+    swap = lambda r, z: [[r.zero(), z], [z, r.zero()]]    # noqa: E731
+    p0, p1 = (1.0, 0.0), (-1 + 0.1j, 0.0)
+    coeffs = rel_coeffs(sqrt_sampler(1.0).ring, [p0, p1])
+    z = newton_roots(coeffs[1:], 1.0)
+    sep = certified_separation(coeffs, np.array([1.0, z[0]]))
+    assert abs(z[0] - 1) >= p6.STEP_FRACTION * sep.min()
+    fine = [(1.0 + s * (p1[0] - 1.0), 0.0) for s in np.linspace(0, 1, 401)]
+    fine_values, fine_roots, _ = sqrt_sampler(1.0, swap).frames(fine)
+    T0 = [[[0, zv], [zv, 0]] for zv in (1.0, fine_values[-1, 0])]
+    assert p6.ordered_eig(T0)[2] == 1
+    bisections = count_calls(monkeypatch, "_bisect")
+    values, roots, _ = sqrt_sampler(1.0, swap).frames([p0, p1])
+    assert bisections
+    assert abs(values[1, 0] - fine_values[-1, 0]) < 1e-12
+    assert np.abs(roots[1] - fine_roots[-1]).max() < 1e-12
+
+
+def test_tracking_lost_past_max_bisections(monkeypatch):
+    # with STEP_FRACTION 0 no step passes: the left half of the first step
+    # is halved again MAX_BISECTIONS times, and then the track is given up
+    monkeypatch.setattr(p6, "STEP_FRACTION", 0.0)
+    passes = count_calls(monkeypatch, "_pass")
+    with pytest.raises(TrackingLost):
+        sqrt_sampler(1.0).frames([(1.0, 0.0), (1.1, 0.0)])
+    # the path, its second point, then the second point and the halves
+    # towards the first point, one per depth
+    assert len(passes) == 2 + p6.MAX_BISECTIONS + 1
+    assert passes[-1][1][0][0] - 1.0 == pytest.approx(0.1 / 2 ** p6.MAX_BISECTIONS)
 
 
 def test_real_driver_and_roots_only_tracking(monkeypatch):
@@ -432,7 +478,7 @@ def test_real_driver_and_roots_only_tracking(monkeypatch):
     assert not T0.imag.any()                  # so the real driver ran
     # the same stack through the complex driver
     monkeypatch.setattr(p6, "_eig", lambda A, vectors: np.linalg.eig(A))
-    want, Pc = p6.ordered_eig(T0)
+    want, Pc, _ = p6.ordered_eig(T0)
     monkeypatch.undo()
     assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
     res, res_c = p6.residues_from_frame(P, lam), p6.residues_from_frame(Pc, lam)
@@ -442,31 +488,42 @@ def test_real_driver_and_roots_only_tracking(monkeypatch):
     only_values, only_roots = fresh.roots(path)
     assert np.array_equal(only_values, values)
     assert np.array_equal(only_roots, roots)
-    for name in ("_prev_pt", "_z", "_zsep", "_roots_at"):
-        assert getattr(fresh, name) == getattr(sampler, name)
-    assert np.array_equal(fresh._prev_roots, sampler._prev_roots)
+    for name in ("values", "seps", "T0", "roots"):
+        assert np.array_equal(getattr(fresh._last, name),
+                              getattr(sampler._last, name))
     more = [(p[0], p[1] + 0.01) for p in path[-3:]]
     for a, b in zip(sampler.frames(more), fresh.frames(more)):
         assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("eid", ["LT8", "LT19"])
+@pytest.mark.parametrize("eid", catalog.catalog_list())
 def test_one_evaluation_per_matrix(eid, monkeypatch):
-    # a 401-point track evaluates T0 in one call over all points, not one per
-    # entry, and frame_tangent evaluates both dT0 matrices in one call
+    # a 401-point track is one lockstep pass: one Newton run on an extension
+    # ring (none on a plain ring), T0 evaluated in one call over all points,
+    # not one per entry, and no bisection; frame_tangent evaluates both dT0
+    # matrices in one call
     from flatiso.numeric import EvalStack
     e, m = entry_setup(eid)
     pts, z_seed = _path_401(e)
-    calls = []
-    stacked = EvalStack.eval_batch
+    calls, newton = [], []
+    stacked, newton_roots = EvalStack.eval_batch, p6.newton_roots
 
     def counting(self, values):
         calls.append((self, len(values)))
         return stacked(self, values)
 
+    def counting_newton(coeffs, seed):
+        newton.append(len(coeffs))
+        return newton_roots(coeffs, seed)
+
     monkeypatch.setattr(EvalStack, "eval_batch", counting)
+    monkeypatch.setattr(p6, "newton_roots", counting_newton)
+    passes = count_calls(monkeypatch, "_pass")
+    bisections = count_calls(monkeypatch, "_bisect")
     values, roots, P = p6.StructureSampler(m, z_seed=z_seed).frames(pts)
     assert calls == [(m.T0_stack, 401)]
+    assert newton == ([] if m.ring.ext is None else [401])
+    assert len(passes) == 1 and bisections == []
     calls.clear()
     lam = p6.default_lambda(e.pvf.ring.weights)
     p6.frame_tangent(m, values[200], roots[200], P[200], lam)
