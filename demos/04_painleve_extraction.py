@@ -25,7 +25,7 @@ params = p6.p6_parameters(m, entry.default_path.points[0], lam=lam,
 residual = p6.p6_residual(samples, params)
 
 print(f"path: t1 = 1, t2 in [{entry.path_svals[0]}, {entry.path_svals[-1]}], "
-      f"{len(samples)} samples")
+      f"{len(samples.y)} samples")
 print(f"theta = ({params.theta0:.6f}, {params.theta1:.6f}, "
       f"{params.thetat:.6f}, {params.thetainf:.6f})")
 print(f"(alpha, beta, gamma, delta) = ({params.alpha:.6f}, {params.beta:.6f}, "

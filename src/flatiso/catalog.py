@@ -39,6 +39,13 @@ TOLERANCES = {
 # allocated up front.
 MAX_POINTS = 10_000
 
+# The smallest step of a sampling path, relative to max(1, |t2_start|,
+# |t2_end|): sqrt(eps), as 2**-26.  Each sampled value carries a rounding of
+# about eps times that scale, and the five-point stencils divide it by 12 h
+# and 12 h^2; below sqrt(eps) the second differences read that rounding
+# (eps / h^2 > 1), not the path, and the residuals measure nothing.
+MIN_PATH_STEP = 2.0 ** -26
+
 
 @dataclass
 class PathSpec:
@@ -88,9 +95,9 @@ def catalog_list() -> List[str]:
 def path_from_doc(dp: dict):
     """(points, svals, z_seed) of a sampling-path document: t1 fixed, t2 on
     points (1 to MAX_POINTS) uniform steps from t2_start to t2_end, z_seed
-    null or [re, im].  No two consecutive t2 values may be equal, which
-    also refuses a step below the rounding of the endpoints.  Any other
-    document raises SchemaError.
+    null or [re, im].  A path of more than one point needs a step of at
+    least MIN_PATH_STEP * max(1, |t2_start|, |t2_end|).  Any other document
+    raises SchemaError.
 
     svals is the grid of np.linspace, bit for bit: t2_start + k * step, with
     the last point set to t2_end.
@@ -111,13 +118,13 @@ def path_from_doc(dp: dict):
                           f"z_seed null or [re, im]; got {dp!r}")
     a, b, n = dp["t2_start"], dp["t2_end"], dp["points"]
     step = (b - a) / max(n - 1, 1)
+    if n > 1 and abs(step) < MIN_PATH_STEP * max(1, abs(a), abs(b)):
+        raise SchemaError(f"a sampling path of {n} points needs a nonzero step "
+                          f"of at least 2**-26 max(1, |t2_start|, |t2_end|); "
+                          f"got {dp!r}")
     svals = [a + k * step for k in range(n)]
     if n > 1:
         svals[-1] = b
-    if any(s == t for s, t in zip(svals, svals[1:])):
-        raise SchemaError(f"a sampling path of {n} points needs distinct "
-                          f"consecutive t2 values (a nonzero step above the "
-                          f"rounding of t2_start and t2_end); got {dp!r}")
     return ([(dp["t1"], s) for s in svals], svals,
             None if seed is None else complex(*seed))
 
@@ -266,7 +273,7 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, track,
         "pvi_residual": pvi["pvi_residual"],
         "trace_spread": trace_spread,
         "theta": theta.tolist(),
-        "samples": len(samples),
+        "samples": len(samples.s),
         "pass": pvi["pass"] and within("trace_constancy", trace_spread),
     }
 

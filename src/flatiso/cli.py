@@ -274,6 +274,9 @@ def _run_jm_roundtrip(args):
     if not 4 <= args.steps <= cat.MAX_POINTS:
         raise InputError(f"--steps must be from 4 to {cat.MAX_POINTS}, "
                          f"got {args.steps}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be a nonnegative integer, "
+                         f"got {args.seed}")
     rng = np.random.default_rng(args.seed)
     th = tuple(rng.normal(0, 0.35, 3) + 1j * rng.normal(0, 0.1, 3))
     k2 = rng.normal(0, 0.35) + 1j * rng.normal(0, 0.1)

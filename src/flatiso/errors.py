@@ -95,7 +95,8 @@ class StepUnderflow(NumericError):
 
 
 class PoleOnPath(NumericError):
-    """A pole of the connection lies on the integration path."""
+    """A pole lies on the path: of the connection on an integration loop,
+    or of PVI at a sample of the solution."""
 
 
 class BlowUp(NumericError):

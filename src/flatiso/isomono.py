@@ -18,12 +18,10 @@ import numpy as np
 
 from .catalog import TOLERANCES
 from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
-                     InsufficientSamples, InverseMismatch, PoleAtY,
-                     PoleOnPath, RankViolation, RootCollision, StepUnderflow,
-                     TrackingLost)
+                     InverseMismatch, PoleAtY, PoleOnPath, RankViolation,
+                     RootCollision, StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
-from .p6 import (_raise_first, _stencil_d1, _uniform_step, _windows,
-                 frames_along, residues_from_frame)
+from .p6 import _raise_first, five_point, frames_along, residues_from_frame
 
 # The bounds _check_jm enforces on a Jimbo-Miwa triple: the
 # off-diagonal of A_inf and tr A_i - theta_i within JM_RESIDUE_TOL, the
@@ -115,7 +113,6 @@ def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None):
     Snapshot k holds the rank-one residues B_i = -P E_i P^{-1} Binf of the
     Okubo z-equation at path point k.
     """
-    path = [tuple(p) for p in path]
     try:
         track = frames_along(m, path, z_seed=z_seed)
     except RootCollision as exc:
@@ -257,31 +254,27 @@ def schlesinger_residual(snapshots: Sequence[OkuboNumeric],
 
 def stacked_schlesinger_residual(zs, Bs, svals=None) -> float:
     """schlesinger_residual of stacked poles zs (N, n) and residues
-    Bs (N, n, n, n)."""
+    Bs (N, n, n, n); svals None is the grid 0, 1, ..., N - 1."""
     zs = np.asarray(zs, dtype=complex)
-    if len(zs) < 5:
-        raise InsufficientSamples("need at least 5 snapshots")
-    h = _uniform_step(np.arange(len(zs)) if svals is None else svals)
+    defects = schlesinger_defects(
+        zs, Bs, np.arange(len(zs)) if svals is None else svals)
     jump = np.abs(np.diff(zs, axis=0)).max(axis=1)
     _raise_first([(jump > 0.5 * np.maximum(1.0, np.abs(zs[:-1]).max(axis=1)),
                    lambda k: TrackingLost(
                        f"roots jumped between snapshots {k} and {k+1}"))])
-    return float(np.abs(schlesinger_defects(zs, Bs, h)).max())
+    return float(np.abs(defects).max())
 
 
-def schlesinger_defects(zs, Bs, h):
+def schlesinger_defects(zs, Bs, svals):
     """dB_i/ds - sum_j [B_j, B_i] (z_i' - z_j')/(z_i - z_j) at interior points.
 
-    zs (N, n) are the pole positions and Bs (N, n, n, n) the residues on a
-    uniform grid with spacing h.  Returns the (N - 4, n, n, n) defects at
-    the points 2 .. N - 3, where the five-point stencil reaches; [k, i] is
-    the defect of residue i.
+    zs (N, n) are the pole positions and Bs (N, n, n, n) the residues on the
+    uniform grid svals.  Returns the (N - 4, n, n, n) defects at the
+    interior points, where p6.five_point reaches; [k, i] is the defect of
+    residue i.
     """
-    zs = np.asarray(zs, dtype=complex)
-    Bs = np.asarray(Bs, dtype=complex)
-    zdot = _stencil_d1(_windows(zs), h)                 # (M, n)
-    dB = _stencil_d1(_windows(Bs), h)                   # (M, n, n, n)
-    z, B = zs[2:-2], Bs[2:-2]
+    _, z, zdot, _ = five_point(svals, np.asarray(zs, dtype=complex))
+    _, B, dB, _ = five_point(svals, np.asarray(Bs, dtype=complex))
     n, m = B.shape[1], B.shape[-1]
     # z_i - z_j, with 1 on the diagonal, where z_i' - z_j' is exactly 0
     dz = z[:, None, :] - z[:, :, None] + np.eye(n)

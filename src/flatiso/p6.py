@@ -4,8 +4,10 @@ For n = 3 the discriminant h(t', .) is a cubic in t_3 with roots z_1, z_2,
 z_3.  The off-diagonal entries of h * adj(T) * Binf are linear in t_3; the
 zero z_ij of a chosen entry, normalized by the cross-ratio map sending
 (z_1, z_2, z_3) to (0, 1, t), is a PVI solution y(t).  Everything numeric
-runs along a sampling path in t', with derivatives from five-point central
-differences.
+runs along a sampling path in t' and stays stacked: a path of N points is
+one (N, n) point array in the tracker and one P6Samples record of arrays
+after it.  five_point is the one finite-difference helper: the five-point
+central differences on a uniform grid, at the interior points it reaches.
 
 StructureSampler is the one path tracker: it continues the algebraic
 generator z and the ordered roots of T0 together, in one loop of lockstep
@@ -41,8 +43,8 @@ import numpy as np
 
 from .errors import (DegenerateLinearEntry, EigenvalueCollision,
                      EntryIdenticallyZero, FlatIsoError, InputError,
-                     InsufficientSamples, RootCollision, RootNotConverged,
-                     TrackingLost)
+                     InsufficientSamples, PoleOnPath, RootCollision,
+                     RootNotConverged, TrackingLost)
 from .flatcore import SaitoMatrices
 from .numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
                       newton_roots, rel_coeffs)
@@ -79,14 +81,18 @@ class P6Params:
 
 
 @dataclass
-class P6Sample:
-    s: float                      # path parameter
-    tprime: tuple                 # (t_1, t_2)
-    t: complex
-    y: complex
-    dy_dt: Optional[complex] = None
-    d2y_dt2: Optional[complex] = None
-    residual: Optional[float] = None
+class P6Samples:
+    """PVI samples along a path, stacked: the path parameter s (N,), the N
+    path points (t_1, t_2) as the caller passed them, and t and y (N,).
+    dy_dt, d2y_dt2 and residual cover the interior points, where five_point
+    reaches; p6_residual sets them."""
+    s: np.ndarray
+    points: Sequence
+    t: np.ndarray
+    y: np.ndarray
+    dy_dt: Optional[np.ndarray] = None
+    d2y_dt2: Optional[np.ndarray] = None
+    residual: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +210,6 @@ def _matrix_rows(stack, values):
     return np.moveaxis(stack.eval_batch(values), -1, 0)
 
 
-def _midpoint(p0, p1):
-    return tuple((a + b) / 2 for a, b in zip(p0, p1))
-
-
 class _Rows(NamedTuple):
     """Tracked rows: values (N, nvars + 1) of (z, t_1, ..., t_n), the
     certified separation of z (N,), T0 (N, n, n), the ordered roots (N, n)
@@ -236,13 +238,10 @@ class StructureSampler:
         self._T0 = m.T0_stack
         self._last: Optional[_Rows] = None
 
-    def _full_point(self, tprime):
-        return tuple(tprime) + (0.0,) * (self.n - len(tprime))
-
     def _pass(self, last, pts, k, vectors):
-        """The accepted rows of one lockstep pass over the full points pts,
-        continued from the row last (None on a fresh sampler, whose first
-        row starts from z_seed and has no step to check).
+        """The accepted rows of one lockstep pass over the (count, n) points
+        pts, continued from the row last (None on a fresh sampler, whose
+        first row starts from z_seed and has no step to check).
 
         Rows are kept up to the first rejected step.  RootCollision names
         the earliest row whose z separation (on the converged rows up to
@@ -297,21 +296,23 @@ class StructureSampler:
         """The row at point, continued from the row last in one step where
         the step passes, else through the midpoint in two halves, each
         continued the same way; TrackingLost past MAX_BISECTIONS halvings."""
-        rows = self._pass(last, [point], k, vectors)
+        rows = self._pass(last, point[None], k, vectors)
         if len(rows.values):
             return rows
         if depth == MAX_BISECTIONS:
             raise TrackingLost(f"continuation to {point} needs more than "
                                f"{MAX_BISECTIONS} bisections")
-        mid = self._bisect(last, _midpoint(last.values[0, 1:], point), None,
+        mid = self._bisect(last, (last.values[0, 1:] + point) / 2, None,
                            False, depth + 1)
         return self._bisect(mid, point, k, vectors, depth + 1)
 
     def _track(self, path, vectors):
         """The _Rows of a path, continued from the state, which moves to the
         last of them: passes until every point is accepted, and a bisection
-        where a pass accepts none."""
-        pts = [self._full_point(tp) for tp in path]
+        where a pass accepts none.  Missing trailing coordinates of the
+        path points are 0 (t_n = 0 on a path in t')."""
+        pts = np.zeros((len(path), self.n), dtype=complex)
+        pts[:, :len(path[0])] = path
         parts, k = [], 0
         while k < len(pts):
             rows = self._pass(self._last, pts[k:], k, vectors)
@@ -362,36 +363,31 @@ class StructureSampler:
 def frames_along(m: SaitoMatrices, path, z_seed=None):
     """(values, roots, frames) of StructureSampler.frames on a fresh sampler,
     so the first point is labelled by _first_point_order."""
-    sampler = StructureSampler(m, z_seed=z_seed)
-    return sampler.frames([tuple(p) for p in path])
+    return StructureSampler(m, z_seed=z_seed).frames(path)
 
 
 # ---------------------------------------------------------------------------
 # solution extraction
 # ---------------------------------------------------------------------------
 
-def _windows(a):
-    """The five shifted views a[d : N - 4 + d] a five-point stencil reads;
-    the stencil lands on the interior points 2 .. N - 3."""
-    return [a[d:len(a) - 4 + d] for d in range(5)]
+def five_point(s, a):
+    """(s, a, da/ds, d2a/ds2) at the interior points 2 .. N - 3 of the
+    uniform grid s, where the five-point central differences along the
+    first axis of a reach.
 
-
-def _uniform_step(s):
-    """The spacing h of a uniform grid s, or ValueError if s drifts from it."""
-    s = np.asarray(s)
+    Raises InsufficientSamples below five points, and ValueError where s
+    drifts from a uniform grid.
+    """
+    if len(a) < 5:
+        raise InsufficientSamples("need at least 5 samples for the stencil")
+    s, a = np.asarray(s), np.asarray(a)
     h = s[1] - s[0]
     k = np.arange(len(s))
     if np.any(np.abs(s - s[0] - k * h) > 1e-9 * np.maximum(1.0, abs(h) * k)):
         raise ValueError("sample grid must be uniform")
-    return h
-
-
-def _stencil_d1(vals, h):
-    return (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
-
-
-def _stencil_d2(vals, h):
-    return (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (12 * h * h)
+    v = [a[d:len(a) - 4 + d] for d in range(5)]
+    return (s[2:-2], v[2], (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h),
+            (-v[4] + 16 * v[3] - 30 * v[2] + 16 * v[1] - v[0]) / (12 * h * h))
 
 
 def _check_entry(m: SaitoMatrices, entry_choice):
@@ -429,8 +425,6 @@ def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
 
 def _samples_on(alpha, beta, values, roots, path, svals):
     """PVI samples of one entry on the tracked values and roots of a path."""
-    if svals is None:
-        svals = range(len(path))
     av, bv = EvalStack([alpha, beta]).eval_batch(values)
     z1, z2, z3 = roots.T
     den = z2 - z1
@@ -446,18 +440,12 @@ def _samples_on(alpha, beta, values, roots, path, svals):
         (np.minimum(np.abs(t), np.abs(t - 1)) < 1e-8, lambda k:
          RootCollision(f"cross-ratio t hits 0/1 at {path[k]}")),
     ])
-    # Python scalars in the per-point records: numpy scalars cost more to
-    # build and to read back, point by point
-    samples = [P6Sample(s=sv, tprime=tp, t=tv, y=yv)
-               for sv, tp, tv, yv in zip(
-                   np.asarray(svals, dtype=float).tolist(), path,
-                   t.tolist(), y.tolist())]
-    _differentiate_samples(samples)
-    return samples
+    return P6Samples(s=np.asarray(range(len(path)) if svals is None else svals,
+                                  dtype=float), points=path, t=t, y=y)
 
 
 def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
-                        z_seed=None, svals=None) -> List[P6Sample]:
+                        z_seed=None, svals=None) -> P6Samples:
     """PVI samples along a t'-path from the chosen off-diagonal entry.
 
     binf_eigs are the Okubo eigenvalues (lambda_1, lambda_2, lambda_3); the
@@ -465,25 +453,20 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
     cross-ratio normalized against the roots of h, is the PVI solution.
     """
     alpha, beta = _linear_entry(m, binf_eigs, entry_choice)
-    path = [tuple(p) for p in path]
     values, roots = StructureSampler(m, z_seed=z_seed).roots(path)
     return _samples_on(alpha, beta, values, roots, path, svals)
 
 
-def _differentiate_samples(samples):
-    if len(samples) < 5:
-        return
-    h = _uniform_step([x.s for x in samples])
-    ys = _windows(np.array([x.y for x in samples]))
-    ts = _windows(np.array([x.t for x in samples]))
-    dy, dt = _stencil_d1(ys, h), _stencil_d1(ts, h)
-    d2y, d2t = _stencil_d2(ys, h), _stencil_d2(ts, h)
+def _differentiate_samples(samples: P6Samples):
+    """(t, y) at the interior samples, with dy/dt and d2y/dt2 there set on
+    samples: the stencils of t and y along s, then the chain rule."""
+    s, y, dy, d2y = five_point(samples.s, samples.y)
+    _, t, dt, d2t = five_point(samples.s, samples.t)
     _raise_first([(np.abs(dt) < 1e-12, lambda j: DegenerateLinearEntry(
-        f"dt/ds vanishes at sample {j + 2}; path is not t-regular"))])
-    dy_dt = dy / dt
-    d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
-    for smp, a, b in zip(samples[2:-2], dy_dt.tolist(), d2y_dt2.tolist()):
-        smp.dy_dt, smp.d2y_dt2 = a, b
+        f"dt/ds vanishes at s = {s[j]}; path is not t-regular"))])
+    samples.dy_dt = dy / dt
+    samples.d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
+    return t, y
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +532,7 @@ def p6_parameters(m: SaitoMatrices, point, sampler: StructureSampler,
     if lam is None:
         lam = default_lambda(m.weights)
     try:
-        _, P = sampler.frame(tuple(point))
+        _, P = sampler.frame(point)
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
     return _params_from_frame(P, lam, entry_choice)
@@ -580,17 +563,13 @@ def pvi_rhs(t, y, dy, params: P6Params):
     return term1 + term2 + term3
 
 
-def p6_residual(samples: Sequence[P6Sample], params: P6Params) -> float:
-    """Max |y'' - PVI_rhs(y, y', t)| over interior samples; fills .residual."""
-    interior = [s for s in samples if s.d2y_dt2 is not None]
-    if len(interior) < 1 or len(samples) < 5:
-        raise InsufficientSamples("need at least 5 samples for the stencil")
-    t, y, dy, d2y = (np.array([getattr(s, a) for s in interior], dtype=complex)
-                     for a in ("t", "y", "dy_dt", "d2y_dt2"))
-    val = _pvi_defects(t, y, dy, d2y, params)
-    for s, v in zip(interior, val.tolist()):
-        s.residual = v
-    return float(val.max())
+def p6_residual(samples: P6Samples, params: P6Params) -> float:
+    """Max |y'' - PVI_rhs(t, y, y')| over the interior samples; sets the
+    derivatives and the residuals there on samples."""
+    t, y = _differentiate_samples(samples)
+    samples.residual = _pvi_defects(t, y, samples.dy_dt, samples.d2y_dt2,
+                                    params)
+    return float(samples.residual.max())
 
 
 def pvi_grid_residual(ts, ys, params: P6Params) -> float:
@@ -599,21 +578,19 @@ def pvi_grid_residual(ts, ys, params: P6Params) -> float:
     ys are the values of y at the grid points ts; y' and y'' are the
     five-point stencils, formed for all interior points in one pass.
     """
-    if len(ts) < 5:
-        raise InsufficientSamples("need at least 5 samples for the stencil")
-    h = _uniform_step(ts)
-    win = _windows(np.asarray(ys, dtype=complex))
-    return float(_pvi_defects(np.asarray(ts)[2:-2], win[2], _stencil_d1(win, h),
-                              _stencil_d2(win, h), params).max())
+    t, y, dy, d2y = five_point(ts, np.asarray(ys, dtype=complex))
+    return float(_pvi_defects(t, y, dy, d2y, params).max())
 
 
 def _pvi_defects(t, y, dy, d2y, params):
     """|y'' - PVI_rhs(t, y, y')| elementwise.  A sample sitting on a PVI pole
-    (y in {0, 1, t}) yields a non-finite defect, reported as infinite rather
-    than NaN."""
+    (y in {0, 1, t}) yields a non-finite defect: PoleOnPath names the first
+    such sample."""
     with np.errstate(all="ignore"):
         val = np.abs(d2y - pvi_rhs(t, y, dy, params))
-    val[~np.isfinite(val)] = np.inf
+    _raise_first([(~np.isfinite(val), lambda k: PoleOnPath(
+        f"the PVI defect is not finite at the sample t = {t[k]}, "
+        f"y = {y[k]}: a pole of PVI (y in {{0, 1, t}}) lies on the path"))])
     return val
 
 
@@ -648,9 +625,6 @@ def survey_on_frames(m: SaitoMatrices, lam, track, path, svals=None) -> dict:
         except (FlatIsoError, np.linalg.LinAlgError) as exc:
             out[key] = {"error": type(exc).__name__}
             continue
-        if not np.isfinite(residual):
-            out[key] = {"error": "PoleOnPath"}
-            continue
         out[key] = {"residual": residual, "thetainf": params.thetainf}
     return out
 
@@ -659,17 +633,26 @@ def survey_on_frames(m: SaitoMatrices, lam, track, path, svals=None) -> dict:
 # reporting
 # ---------------------------------------------------------------------------
 
-def samples_to_csv(samples: Sequence[P6Sample]) -> str:
+def samples_to_csv(samples: P6Samples) -> str:
+    """One line per sample; the derivative and residual cells are empty
+    where they are not set: outside the interior, or before p6_residual."""
+    def c(v):
+        v = complex(v)
+        return f"{v.real:.16g}{v.imag:+.16g}j"
+
+    def column(vals, fmt):
+        if vals is None:
+            return [""] * len(samples.s)
+        edge = [""] * ((len(samples.s) - len(vals)) // 2)
+        return edge + [fmt(v) for v in vals.tolist()] + edge
     lines = ["s,t1,t2,t,y,dy,d2y,residual"]
-    for s in samples:
-        def c(v):
-            if v is None:
-                return ""
-            v = complex(v)
-            return f"{v.real:.16g}{v.imag:+.16g}j"
-        lines.append(",".join([f"{s.s:.16g}", c(s.tprime[0]), c(s.tprime[1]),
-                               c(s.t), c(s.y), c(s.dy_dt), c(s.d2y_dt2),
-                               "" if s.residual is None else f"{s.residual:.6g}"]))
+    for s, tp, t, y, dy, d2y, res in zip(
+            samples.s.tolist(), samples.points, samples.t.tolist(),
+            samples.y.tolist(), column(samples.dy_dt, c),
+            column(samples.d2y_dt2, c),
+            column(samples.residual, lambda v: f"{v:.6g}")):
+        lines.append(",".join([f"{s:.16g}", c(tp[0]), c(tp[1]), c(t), c(y),
+                               dy, d2y, res]))
     return "\n".join(lines) + "\n"
 
 

@@ -106,7 +106,7 @@ def test_a4_pvi_extraction(built):
         samples = p6.extract_p6_solution(m, lam, e.p6_entry,
                                          e.default_path.points,
                                          z_seed=e.z_seed, svals=e.path_svals)
-        assert len(samples) >= 20, f"{eid}: needs >= 20 samples"
+        assert len(samples.y) >= 20, f"{eid}: needs >= 20 samples"
         params = p6.p6_parameters(m, e.default_path.points[0], lam=lam,
                                   sampler=p6.StructureSampler(m, z_seed=e.z_seed),
                                   entry_choice=e.p6_entry)

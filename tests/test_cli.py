@@ -97,6 +97,16 @@ def test_extract_p6_degenerate_entry(capsys):
     assert code == 2
 
 
+def test_extract_p6_on_a_pvi_pole_is_a_numeric_failure(capsys, tmp_path):
+    # on LT30 the (3,1) branch has y = 0, a pole of PVI, so the defect is not
+    # finite: PoleOnPath (exit 3) names the sample, and no report is written
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, "extract-p6", "--catalog", "LT30",
+                         "--entry", "3,1", "--json", str(target))
+    assert code == 3 and out == "" and not target.exists()
+    assert "numeric failure" in err and "not finite at the sample t =" in err
+
+
 def test_schlesinger_and_midconv(capsys):
     code, out, _ = run(capsys, "schlesinger", "--catalog", "LT8")
     assert code == 0
@@ -316,9 +326,10 @@ def test_malformed_path_documents_are_input_errors(change, capsys, tmp_path):
 def test_zero_length_path_is_an_input_error(verb, capsys, tmp_path):
     # t2_start == t2_end gives a step of 0, which the stencils divide by, and
     # so does a step of 1.4e-17, which is not 0 but below the rounding of the
-    # endpoints: the sampled t2 values repeat.  A path of one point has no
-    # step and stays valid
-    for end in (0.3, 0.3000000000000001):
+    # endpoints: the sampled t2 values repeat.  Steps of one ulp are distinct
+    # but below catalog.MIN_PATH_STEP, where the stencils read rounding.  A
+    # path of one point has no step and stays valid
+    for end in (0.3, 0.3000000000000001, 0.30000000000000043):
         doc = {"t1": 1.0, "t2_start": 0.3, "t2_end": end, "points": 9}
         p = tmp_path / "path.json"
         p.write_text(json.dumps(doc))
@@ -384,6 +395,13 @@ def test_untyped_document_fields_are_schema_errors(doc, capsys, tmp_path):
     assert code == 2 and "input error" in err and out == ""
     with pytest.raises(SchemaError):
         exprio.parse_pvf(doc)
+
+
+def test_negative_seed_is_an_input_error(capsys):
+    # numpy refuses a negative seed; the verb refuses it first, as input
+    code, out, err = run(capsys, "jm-roundtrip", "--seed", "-1")
+    assert code == 2 and "input error" in err and "--seed" in err
+    assert out == ""
 
 
 def test_short_paths_are_input_errors(capsys, tmp_path):

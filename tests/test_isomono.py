@@ -276,6 +276,12 @@ def test_corrupted_residue_sum_raises(monkeypatch):
 # Schlesinger
 # ---------------------------------------------------------------------------
 
+def stencil_d1(vals, k, h):
+    """The five-point first difference at point k, one point at a time."""
+    a, b, _, d, e = (vals[k + j] for j in (-2, -1, 0, 1, 2))
+    return (-e + 8 * d - 8 * b + a) / (12 * h)
+
+
 def test_schlesinger_defects_match_per_point_loop():
     e, m = entry_setup("LT27")
     lam = p6.default_lambda(e.pvf.ring.weights)
@@ -283,17 +289,17 @@ def test_schlesinger_defects_match_per_point_loop():
     zs = [s.z for s in snaps]
     Bs = [s.residues for s in snaps]
     h = e.path_svals[1] - e.path_svals[0]
-    got = iso.schlesinger_defects(zs, Bs, h)
+    got = iso.schlesinger_defects(zs, Bs, e.path_svals)
     assert got.shape == (len(snaps) - 4, 3, 3, 3)
     for k in range(2, len(zs) - 2):
-        zdot = p6._stencil_d1([zs[k + d] for d in (-2, -1, 0, 1, 2)], h)
+        zdot = stencil_d1(zs, k, h)
         for i in range(3):
             rhs = 0
             for j in range(3):
                 if j != i:
                     com = Bs[k][j] @ Bs[k][i] - Bs[k][i] @ Bs[k][j]
                     rhs = rhs + com * (zdot[i] - zdot[j]) / (zs[k][i] - zs[k][j])
-            dBi = p6._stencil_d1([Bs[k + d][i] for d in (-2, -1, 0, 1, 2)], h)
+            dBi = stencil_d1([B[i] for B in Bs], k, h)
             want = dBi - rhs
             assert np.abs(got[k - 2, i] - want).max() <= 1e-12 * max(
                 1.0, np.abs(dBi).max())
@@ -308,9 +314,9 @@ def test_schlesinger_defects_match_pairwise_commutators(shape):
     zs = rng.normal(size=(N, n)) + 1j * rng.normal(size=(N, n)) + 3 * np.arange(n)
     Bs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     h = 0.01
-    got = iso.schlesinger_defects(zs, Bs, h)
-    zdot = p6._stencil_d1(p6._windows(zs), h)
-    dB = p6._stencil_d1(p6._windows(Bs), h)
+    got = iso.schlesinger_defects(zs, Bs, h * np.arange(N))
+    zdot = np.array([stencil_d1(zs, k, h) for k in range(2, N - 2)])
+    dB = np.array([stencil_d1(Bs, k, h) for k in range(2, N - 2)])
     z, B = zs[2:-2], Bs[2:-2]
     prod = B[:, :, None] @ B[:, None, :]
     com = prod - np.swapaxes(prod, 1, 2)

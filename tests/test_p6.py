@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from flatiso import catalog, p6
 from flatiso.errors import (EntryIdenticallyZero, InsufficientSamples,
-                            RootNotConverged, TrackingLost)
+                            PoleOnPath, RootNotConverged, TrackingLost)
 from flatiso.flatcore import build_saito_matrices, mat_adjugate
 
 
@@ -58,10 +60,10 @@ def test_extraction_finite_and_regular():
     lam = p6.default_lambda(e.pvf.ring.weights)
     samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
                                      svals=e.path_svals)
-    assert len(samples) == 41
-    for s in samples:
-        assert np.isfinite(s.y.real) and np.isfinite(s.y.imag)
-        assert min(abs(s.t), abs(s.t - 1)) > 1e-3
+    assert samples.s.shape == samples.t.shape == samples.y.shape == (41,)
+    assert samples.points == e.default_path.points
+    assert np.all(np.isfinite(samples.y))
+    assert np.all(np.minimum(np.abs(samples.t), np.abs(samples.t - 1)) > 1e-3)
 
 
 def test_residual_below_tolerance_and_sensitivity():
@@ -74,8 +76,7 @@ def test_residual_below_tolerance_and_sensitivity():
     res = p6.p6_residual(samples, params)
     assert res < 1e-6
     # perturbing y by 1e-3 must blow the residual past 1e-4
-    for s in samples:
-        s.y = s.y + 1e-3
+    samples.y = samples.y + 1e-3
     res_bad = p6.p6_residual(samples, params)
     assert res_bad > 1e-4
 
@@ -96,7 +97,7 @@ def test_relabeling_roots_keeps_residual_small():
     # the relabeled t really is the 0 <-> 1 swapped cross-ratio
     plain = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points[:5],
                                    svals=e.path_svals[:5])
-    t_plain, t_swapped = plain[0].t, samples[0].t
+    t_plain, t_swapped = plain.t[0], samples.t[0]
     assert abs(t_swapped - (1 - t_plain)) < 1e-9
 
 
@@ -112,9 +113,8 @@ def test_weighted_scaling_invariance():
                    for tp in e.default_path.points]
     scaled = p6.extract_p6_solution(m, lam, (1, 2), scaled_path,
                                     svals=e.path_svals)
-    for a, b in zip(samples, scaled):
-        assert abs(a.t - b.t) < 1e-10
-        assert abs(a.y - b.y) < 1e-10
+    assert np.abs(samples.t - scaled.t).max() < 1e-10
+    assert np.abs(samples.y - scaled.y).max() < 1e-10
 
 
 def test_parameters_klein():
@@ -160,20 +160,68 @@ def test_pvi_exact_family_sqrt_t():
     params = p6.P6Params.from_thetas(0.5, 0.5, 0.5, 1.5)
     assert abs(params.alpha - 1 / 8) < 1e-15 and abs(params.beta + 1 / 8) < 1e-15
     assert abs(params.gamma - 1 / 8) < 1e-15 and abs(params.delta - 3 / 8) < 1e-15
-    ts = np.linspace(2.0, 3.0, 101)
-    samples = []
-    for s, t in enumerate(ts):
-        samples.append(p6.P6Sample(s=float(t), tprime=(0, 0), t=t,
-                                   y=np.sqrt(t)))
-    p6._differentiate_samples(samples)
+    samples = sqrt_t_samples(np.linspace(2.0, 3.0, 101))
     res = p6.p6_residual(samples, params)
     assert res < 1e-9
 
 
+def sqrt_t_samples(ts):
+    """Samples of y = sqrt(t) with s = t, at complex t."""
+    ts = np.asarray(ts, dtype=complex)
+    return p6.P6Samples(s=ts.real, points=[(0, 0)] * len(ts), t=ts,
+                        y=np.sqrt(ts))
+
+
+def five_point_reference(vals, k, h):
+    """First and second five-point central differences at point k, one
+    point at a time."""
+    a, b, c, d, e = (vals[k + j] for j in (-2, -1, 0, 1, 2))
+    return ((-e + 8 * d - 8 * b + a) / (12 * h),
+            (-e + 16 * d - 30 * c + 16 * b - a) / (12 * h * h))
+
+
+def per_point_derivatives(samples):
+    """dy/dt and d2y/dt2 at each interior sample by the chain rule from the
+    per-point stencils of y and t along s."""
+    s, t, y = (list(a) for a in (samples.s, samples.t, samples.y))
+    h = s[1] - s[0]
+    dy_dt, d2y_dt2 = [], []
+    for k in range(2, len(s) - 2):
+        dy, d2y = five_point_reference(y, k, h)
+        dt, d2t = five_point_reference(t, k, h)
+        dy_dt.append(dy / dt)
+        d2y_dt2.append((d2y * dt - dy * d2t) / dt ** 3)
+    return np.array(dy_dt), np.array(d2y_dt2)
+
+
+def test_stacked_derivatives_match_per_point_chain_rule():
+    # the sample route (y and t along s, then the chain rule to d/dt) on
+    # LT8's default path and on the exact family y = sqrt(t), whose
+    # derivatives are also known in closed form
+    e, m = entry_setup("LT8")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    params = p6.p6_parameters(m, e.default_path.points[0],
+                              sampler=p6.StructureSampler(m))
+    lt8 = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
+                                 svals=e.path_svals)
+    family = sqrt_t_samples(np.linspace(2.0, 3.0, 101))
+    for samples, pars in ((lt8, params),
+                          (family, p6.P6Params.from_thetas(0.5, 0.5, 0.5, 1.5))):
+        assert samples.dy_dt is None and samples.residual is None
+        assert p6.p6_residual(samples, pars) < 1e-6
+        want_d1, want_d2 = per_point_derivatives(samples)
+        assert samples.dy_dt.shape == samples.d2y_dt2.shape == (len(samples.s) - 4,)
+        assert samples.residual.shape == samples.dy_dt.shape
+        for got, want in ((samples.dy_dt, want_d1), (samples.d2y_dt2, want_d2)):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    t = family.t[2:-2]
+    assert np.abs(family.dy_dt - 0.5 / np.sqrt(t)).max() < 1e-8
+    assert np.abs(family.d2y_dt2 + 0.25 * t ** -1.5).max() < 1e-8
+
+
 def test_insufficient_samples():
     params = p6.P6Params.from_thetas(0, 0, 0, 1)
-    few = [p6.P6Sample(s=float(k), tprime=(0, 0), t=2.0 + k, y=1.0)
-           for k in range(3)]
+    few = sqrt_t_samples(2.0 + np.arange(4))
     with pytest.raises(InsufficientSamples):
         p6.p6_residual(few, params)
 
@@ -310,8 +358,7 @@ def test_pvi_grid_residual_matches_per_point_stencils():
     h = ts[1] - ts[0]
     want = 0.0
     for k in range(2, len(ts) - 2):
-        y5 = ys[k - 2:k + 3]
-        dy, d2y = p6._stencil_d1(y5, h), p6._stencil_d2(y5, h)
+        dy, d2y = five_point_reference(ys, k, h)
         want = max(want, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dy, params)))
     got = p6.pvi_grid_residual(ts, ys, params)
     assert abs(got - want) <= 1e-14 * want
@@ -328,7 +375,8 @@ def test_pvi_grid_residual_guards():
         p6.pvi_grid_residual(bent, ts + 1, params)
     on_pole = ts + 1
     on_pole[4] = 1.0                     # y = 1 at an interior point
-    assert p6.pvi_grid_residual(ts, on_pole, params) == np.inf
+    with pytest.raises(PoleOnPath, match=re.escape(f"t = {ts[4]}, y = (1+0j)")):
+        p6.pvi_grid_residual(ts, on_pole, params)
 
 
 def test_midconv_block_tracks_once(monkeypatch):

@@ -514,7 +514,7 @@ def test_compiled_eval_matches_fraction_reference(eid):
     rows = []
     for tp in cat.default_path.points:
         zv = sampler.z_at(tp)
-        rows.append((0j if zv is None else zv,) + sampler._full_point(tp))
+        rows.append((0j if zv is None else zv,) + tuple(tp) + (0.0,))
 
     def reference(num, values):
         terms = []
@@ -552,7 +552,7 @@ def test_batched_eval_matches_scalar(eid):
     m = flatcore.build_saito_matrices(cat.pvf)
     ring = m.ring
     sampler = p6.StructureSampler(m, z_seed=cat.z_seed)
-    pts = [sampler._full_point(tp) for tp in cat.default_path.points]
+    pts = [tuple(tp) + (0.0,) for tp in cat.default_path.points]
     zs = [sampler.z_at(tp) for tp in cat.default_path.points]
     values = np.array([(0j if z is None else z,) + pt for z, pt in zip(zs, pts)])
 
