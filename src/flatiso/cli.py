@@ -135,8 +135,18 @@ def _json_value(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, report, summary):
-    text = json.dumps(report, indent=1, sort_keys=True, default=_json_value)
+def _report_text(report):
+    """The report as JSON text.  JSON has no NaN or infinity, so a report
+    holding one is a NumericError (exit 3), and nothing is written."""
+    try:
+        return json.dumps(report, indent=1, sort_keys=True,
+                          default=_json_value, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"the report holds a non-finite number: {exc}"
+                           ) from exc
+
+
+def _emit(args, text, summary):
     if getattr(args, "json", None):
         with open(args.json, "w") as f:
             f.write(text + "\n")
@@ -288,7 +298,9 @@ def _run_jm_roundtrip(args):
     pvi = p6.pvi_grid_residual(ts, ys, params)
     poles, residues = isomono.jm_residues(ts, ys, zs, ks, th, (k1, k2))
     schles = isomono.stacked_schlesinger_residual(poles, residues, svals=ts)
-    final = isomono.jm_build(ys[-1], zs[-1], ks[-1], th, (k1, k2), ts[-1])
+    # the last row of the checked residues is the final system
+    final = isomono.JMSystem(*residues[-1], thetas=th, kappas=(k1, k2),
+                             t=ts[-1], y=ys[-1], ztilde=zs[-1], k=ks[-1])
     report = {
         "check": "jm-roundtrip", "seed": args.seed,
         "tolerances": {**_tolerances("pvi_residual", "schlesinger_residual"),
@@ -338,6 +350,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         report, summary = VERBS[args.verb](args)
+        text = _report_text(report)
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
@@ -347,7 +360,7 @@ def main(argv=None):
     except FlatIsoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, report, summary)
+    _emit(args, text, summary)
     return 0 if report["pass"] else 1
 
 

@@ -306,6 +306,13 @@ class JMSystem:
     ztilde: complex
     k: complex
 
+    def __post_init__(self):
+        """The scalar data as Python complex numbers, as reports write them."""
+        self.thetas = tuple(complex(x) for x in self.thetas)
+        self.kappas = tuple(complex(x) for x in self.kappas)
+        for name in ("t", "y", "ztilde", "k"):
+            setattr(self, name, complex(getattr(self, name)))
+
     @property
     def Ainf(self):
         return -(self.A0 + self.A1 + self.At)
@@ -399,11 +406,8 @@ def jm_build(y, ztilde, k, thetas, kappas, t) -> JMSystem:
     Requires kappa_1 + kappa_2 + theta_0 + theta_1 + theta_t = 0 and
     theta_inf = kappa_1 - kappa_2 != 0; y must stay off {0, 1, t}.
     """
-    A0, A1, At = _jm_stack([t], [y], [ztilde], [k], thetas, kappas)[0]
-    return JMSystem(A0=A0, A1=A1, At=At,
-                    thetas=tuple(complex(x) for x in thetas),
-                    kappas=tuple(complex(x) for x in kappas), t=complex(t),
-                    y=complex(y), ztilde=complex(ztilde), k=complex(k))
+    return JMSystem(*_jm_stack([t], [y], [ztilde], [k], thetas, kappas)[0],
+                    thetas=thetas, kappas=kappas, t=t, y=y, ztilde=ztilde, k=k)
 
 
 def jm_residues(ts, ys, zs, ks, thetas, kappas):

@@ -15,9 +15,10 @@ passes under one step rule.  A pass runs Newton's method for z on all
 remaining points at once from the last accepted z (z = 0 on a plain ring),
 certifies the distance from each z to the other roots of the relation in
 one call (numeric.certified_separation), evaluates T0 on the same rows in one
-numeric.EvalStack call and solves the eigenproblems as one stack (on the
-real LAPACK driver when the stack is real, and without eigenvectors where
-only the roots are read).  A step is accepted when Newton converged, |dz| is
+numeric.EvalStack call and solves the eigenproblems as one stack (for
+n = 3 in closed form, _eig3, with np.linalg.eig only on the rows whose roots
+it cannot certify within EIG_TOL; without eigenvectors where only the roots
+are read).  A step is accepted when Newton converged, |dz| is
 below STEP_FRACTION (1/4) of the separation at both of its ends, and the
 nearest-neighbour match of the roots is accepted (each root moved less than
 STEP_FRACTION of the distance to its second-nearest candidate).  A pass keeps
@@ -53,6 +54,10 @@ from .numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
 # nearest other candidate; a rejected step is bisected at most this deep.
 STEP_FRACTION = 0.25
 MAX_BISECTIONS = 24
+# The closed-form eigenvalues of a 3x3 T0 are kept where the first-order
+# error bound of each is below this multiple of max(1, |root|); other rows
+# go to LAPACK (see _eig3).
+EIG_TOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -156,15 +161,94 @@ def _compose(first, steps):
     return out
 
 
+def _char_coeffs(a, s):
+    """(c2, c1, c0) of the 3x3 stack with entries a[i][j] (N,): the trace,
+    the sum of the principal 2x2 minors and the determinant by the
+    cofactors of row 0, each minor a[i][j] a[k][l] + s a[i][l] a[k][j].
+    With s = -1 these are the coefficients of det(x - A) = x^3 - c2 x^2 +
+    c1 x - c0; with s = +1 and the moduli of A, the sums of the moduli of
+    their terms, which bound their rounding."""
+    def minor(i, j, k, l):
+        return a[i][j] * a[k][l] + s * a[i][l] * a[k][j]
+    m00 = minor(1, 1, 2, 2)
+    return (a[0][0] + a[1][1] + a[2][2],
+            m00 + minor(0, 0, 2, 2) + minor(0, 0, 1, 1),
+            a[0][0] * m00 + a[0][1] * minor(1, 2, 2, 0)
+            + a[0][2] * minor(1, 0, 2, 1))
+
+
+def _eig3(A, vectors):
+    """(eigenvalues, unit eigenvectors or None) of a complex (N, 3, 3) stack
+    in closed form, with the rows the closed form cannot certify by LAPACK.
+
+    The roots of f(x) = det(x - A) by Cardano's formula, the cube root taken
+    of whichever of -q/2 +- sqrt(disc) has the larger modulus so that
+    nothing cancels, then two Newton steps on the cubic.  A row is kept
+    where every root x_i has |f(x_i)| plus the rounding bound of f there
+    below EIG_TOL max(1, |x_i|) |prod_{j != i} (x_i - x_j)|, a first-order
+    bound on its error; a multiple or near-multiple root, a Newton step off
+    a root (f' = 0 included) and two roots polished onto one fail it, and
+    those rows go to np.linalg.eig.  Eigenvector i is the longest cross
+    product of two rows of A - x_i I, which are the columns of its
+    adjugate.  Arrays run (root, N) so that each operation is one long loop.
+    """
+    a = [[A[:, i, j] for j in range(3)] for i in range(3)]
+    c2, c1, c0 = _char_coeffs(a, -1)
+    s = c2 / 3
+    p, q = c1 - c2 * s, (c1 - 2 * s * s) * s - c0
+    omega = np.exp(2j * np.pi / 3 * np.arange(3))[:, None]
+    with np.errstate(all="ignore"):       # a failed row goes to LAPACK
+        d = np.sqrt(q * q / 4 + p * p * p / 27)
+        u = np.where(np.abs(d - q / 2) >= np.abs(d + q / 2), d - q / 2,
+                     -d - q / 2) ** (1 / 3)
+        # u = 0 only where p = q = 0, at the triple root s
+        x = np.where(u == 0, s, s + omega * u - p / (3 * omega * u))
+        for _ in range(2):
+            x = x - (((x - c2) * x + c1) * x - c0) / ((3 * x - 2 * c2) * x + c1)
+        f = ((x - c2) * x + c1) * x - c0
+        absA = np.abs(A)
+        h2, h1, h0 = _char_coeffs(
+            [[absA[:, i, j] for j in range(3)] for i in range(3)], 1)
+        r = np.abs(x)
+        # the rounding of the coefficients and of Horner's rule, at most a
+        # few units of eps on each term
+        bound = 8 * np.finfo(float).eps * (((r + h2) * r + h1) * r + h0)
+        gap = np.abs(x - x[[1, 2, 0]])
+        ok = ((np.abs(f) + bound)
+              < EIG_TOL * np.maximum(1, r) * gap * gap[[2, 0, 1]])
+        V = None
+        if vectors:
+            b = [[a[j][k] - x if j == k else a[j][k] for k in range(3)]
+                 for j in range(3)]
+            adj = np.empty((3, 3) + x.shape, dtype=complex)
+            for j in range(3):
+                j1, j2 = (j + 1) % 3, (j + 2) % 3
+                for k in range(3):
+                    k1, k2 = (k + 1) % 3, (k + 2) % 3
+                    adj[j, k] = b[k1][j1] * b[k2][j2] - b[k1][j2] * b[k2][j1]
+            norm2 = (adj.real ** 2 + adj.imag ** 2).sum(axis=0)
+            k = norm2.argmax(axis=0)[None, None]
+            V = (np.take_along_axis(adj, k, axis=1)[:, 0]
+                 / np.sqrt(np.take_along_axis(norm2, k[0], axis=0)))
+            V = np.moveaxis(V, 2, 0)      # (N, component, root)
+    x = x.T
+    bad = np.flatnonzero(~ok.all(axis=0))
+    if len(bad):
+        w, P = np.linalg.eig(A[bad])
+        x[bad] = w
+        if vectors:
+            V[bad] = P
+    return x, V
+
+
 def _eig(A, vectors):
-    """(eigenvalues, eigenvectors or None) of a complex (N, n, n) stack, by
-    the real LAPACK driver when every imaginary part is exactly 0."""
-    if not A.imag.any():
-        A = A.real
+    """(eigenvalues, eigenvectors or None) of a complex (N, n, n) stack:
+    _eig3 for n = 3, np.linalg otherwise."""
+    if A.shape[-1] == 3:
+        return _eig3(A, vectors)
     if not vectors:
-        return np.linalg.eigvals(A).astype(complex, copy=False), None
-    w, V = np.linalg.eig(A)
-    return w.astype(complex, copy=False), V.astype(complex, copy=False)
+        return np.linalg.eigvals(A), None
+    return np.linalg.eig(A)
 
 
 def ordered_eig(T0vals, prev_roots=None, vectors=True):

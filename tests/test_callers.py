@@ -33,6 +33,9 @@ ALLOWED = {
     "saito_criterion": "Saito's criterion for any matrix of vector fields; "
                        "the pipelines use its -T case, generator_criterion",
     "JMSystem.Ainf": "demo 07 and test_acceptance.py read A_inf of one system",
+    "jm_build": "demo 07, test_acceptance.py and the tests build one system "
+                "from its scalar data; jm-roundtrip reads its final system "
+                "off jm_residues",
 }
 
 

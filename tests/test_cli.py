@@ -404,6 +404,21 @@ def test_negative_seed_is_an_input_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                 complex(0, -float("inf"))])
+def test_non_finite_report_is_a_numeric_failure(bad, capsys, tmp_path,
+                                                monkeypatch):
+    # JSON has no NaN or infinity: a report holding one exits 3, as a
+    # NumericError, and no file is written
+    monkeypatch.setitem(cli.VERBS, "logvf", lambda args: (
+        {"check": "logvf", "value": bad, "pass": True}, "summary"))
+    out = tmp_path / "report.json"
+    code, stdout, err = run(capsys, "logvf", "--catalog", "LT8",
+                            "--json", str(out))
+    assert code == 3 and "numeric failure" in err and "non-finite" in err
+    assert stdout == "" and not out.exists()
+
+
 def test_short_paths_are_input_errors(capsys, tmp_path):
     # three points are too few for the five-point stencil; the input is at
     # fault, so the verbs exit 2, not 3

@@ -1,11 +1,13 @@
 import re
+from itertools import permutations
 
 import numpy as np
 import pytest
 
 from flatiso import catalog, p6
 from flatiso.errors import (EntryIdenticallyZero, InsufficientSamples,
-                            PoleOnPath, RootNotConverged, TrackingLost)
+                            PoleOnPath, RootCollision, RootNotConverged,
+                            TrackingLost)
 from flatiso.flatcore import build_saito_matrices, mat_adjugate
 
 
@@ -516,20 +518,117 @@ def test_tracking_lost_past_max_bisections(monkeypatch):
     assert passes[-1][1][0][0] - 1.0 == pytest.approx(0.1 / 2 ** p6.MAX_BISECTIONS)
 
 
-def test_real_driver_and_roots_only_tracking(monkeypatch):
+def lapack_in_order(A, roots):
+    """np.linalg.eig of the stack A, its columns put in the order of roots
+    (the permutation that moves no root far, the first among ties)."""
+    w, V = np.linalg.eig(A)
+    perms = np.array(list(permutations(range(3))))
+    far = np.abs(roots[:, None, :] - w[:, perms]).max(axis=2)
+    k = perms[far.argmin(axis=1)]
+    return np.take_along_axis(w, k, axis=1), np.take_along_axis(V, k[:, None], 2)
+
+
+def assert_eig3_matches_lapack(A, lam=(1.0, 0.5, 0.0)):
+    """_eig3 against np.linalg.eig: the roots within 1e-12 max(1, |root|)
+    and the residues of the frames within 1e-10 of their largest entry."""
+    A = np.asarray(A, dtype=complex)
+    roots, P = p6._eig3(A, True)
+    want, V = lapack_in_order(A, roots)
+    assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+    res, ref = p6.residues_from_frame(P, lam), p6.residues_from_frame(V, lam)
+    assert np.abs(res - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
+    # the roots-only call returns the same roots bit for bit
+    assert np.array_equal(p6._eig3(A, False)[0], roots)
+
+
+def count_lapack(monkeypatch):
+    """The sizes of the stacks passed to np.linalg.eig, in order."""
+    calls = []
+    real = np.linalg.eig
+
+    def counting(A):
+        calls.append(len(A))
+        return real(A)
+
+    monkeypatch.setattr(np.linalg, "eig", counting)
+    return calls
+
+
+def unitary_stack(rng, count):
+    z = rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3))
+    return np.linalg.qr(z)[0]
+
+
+@pytest.mark.filterwarnings("error")
+def test_eig3_matches_lapack_on_random_stacks(monkeypatch):
+    rng = np.random.default_rng(3)
+    real = rng.normal(size=(200, 3, 3))
+    for A in (real, real + 1j * rng.normal(size=real.shape), 1e3 * real):
+        lapack = count_lapack(monkeypatch)
+        p6._eig3(A.astype(complex), True)
+        assert sum(lapack) < len(A) // 20     # nearly every row closed form
+        monkeypatch.undo()
+        assert_eig3_matches_lapack(A)
+
+
+@pytest.mark.filterwarnings("error")
+def test_eig3_matches_lapack_where_the_cubic_is_ill_conditioned(monkeypatch):
+    # the closed form cannot certify these rows, so LAPACK solves them:
+    # frames with cond(P) = 1e3, a root pair 10 ROOT_SEPARATION apart and
+    # scalar (derogatory) matrices
+    rng = np.random.default_rng(4)
+    count = 50
+    lam = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+    P = unitary_stack(rng, count) @ (
+        np.array([1.0, 10 ** -1.5, 1e-3])[:, None] * unitary_stack(rng, count))
+    assert np.allclose(np.linalg.cond(P), 1e3)
+    pair = lam.copy()
+    pair[:, 1] = pair[:, 0] + 10 * p6.ROOT_SEPARATION
+    Q = unitary_stack(rng, count)
+    stacks = [P @ (lam[..., None] * np.linalg.inv(P)),
+              Q @ (pair[..., None] * np.swapaxes(Q.conj(), 1, 2)),
+              (2.5 - 1j) * np.eye(3)[None].repeat(2, axis=0),
+              np.zeros((1, 3, 3))]
+    for A in stacks:
+        lapack = count_lapack(monkeypatch)
+        p6._eig3(A.astype(complex), True)
+        assert sum(lapack) == len(A)
+        monkeypatch.undo()
+        assert_eig3_matches_lapack(A)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_eig3_matches_lapack_on_catalog_paths(eid, monkeypatch):
+    e, m = entry_setup(eid)
+    lapack = count_lapack(monkeypatch)
+    values, _, _ = p6.frames_along(m, e.default_path.points, z_seed=e.z_seed)
+    assert not lapack                     # every row in closed form
+    monkeypatch.undo()
+    assert_eig3_matches_lapack(p6._matrix_rows(m.T0_stack, values),
+                               p6.default_lambda(m.weights))
+
+
+@pytest.mark.filterwarnings("error")
+def test_path_into_a_triple_root_raises_root_collision():
+    # LT8 at t' = 0 has T0 = 0, a triple root, at the last point
+    e, m = entry_setup("LT8")
+    path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
+    for track in (p6.StructureSampler(m).frames, p6.StructureSampler(m).roots):
+        with pytest.raises(RootCollision, match="path point 8"):
+            track(path)
+
+
+def test_closed_form_frames_and_roots_only_tracking():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     path = e.default_path.points
     sampler = p6.StructureSampler(m)
     values, roots, P = sampler.frames(path)
-    T0 = p6._matrix_rows(m.T0_stack, values)
-    assert not T0.imag.any()                  # so the real driver ran
-    # the same stack through the complex driver
-    monkeypatch.setattr(p6, "_eig", lambda A, vectors: np.linalg.eig(A))
-    want, Pc, _ = p6.ordered_eig(T0)
-    monkeypatch.undo()
+    # the tracked frames against LAPACK on the same stack
+    want, V = lapack_in_order(p6._matrix_rows(m.T0_stack, values), roots)
     assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
-    res, res_c = p6.residues_from_frame(P, lam), p6.residues_from_frame(Pc, lam)
+    res, res_c = p6.residues_from_frame(P, lam), p6.residues_from_frame(V, lam)
     assert np.abs(res - res_c).max() <= 1e-12 * max(1, np.abs(res_c).max())
     # roots only: the same roots, and the sampler continues identically
     fresh = p6.StructureSampler(m)
