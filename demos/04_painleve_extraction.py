@@ -35,9 +35,8 @@ print(f"max PVI residual over the path: {residual:.3e}")
 # residue traces are first integrals of the deformation
 snaps = isomono.snapshots_along(m, entry.default_path.points, lam,
                                 z_seed=entry.z_seed)
-traces = np.array([s.traces for s in snaps])
 print(f"residue-trace drift along the path: "
-      f"{np.abs(traces - traces[0]).max():.2e}")
+      f"{np.abs(snaps.traces - snaps.traces[0]).max():.2e}")
 
 out = pathlib.Path("lt8_p6_samples.csv")
 out.write_text(p6.samples_to_csv(samples))

@@ -17,10 +17,10 @@ snaps = isomono.snapshots_along(m, entry.default_path.points, lam)
 res = isomono.schlesinger_residual(snaps, svals=entry.path_svals)
 print(f"Schlesinger residual along the default path: {res:.3e}")
 
-frozen = np.array([s.residues for s in snaps])
+frozen = snaps.residues.copy()
 frozen[:, 0] = frozen[0, 0]
-bad = isomono.stacked_schlesinger_residual(np.array([s.z for s in snaps]),
-                                           frozen, svals=entry.path_svals)
+bad = isomono.stacked_schlesinger_residual(snaps.z, frozen,
+                                           svals=entry.path_svals)
 print(f"with the first residue frozen (not isomonodromic): {bad:.3e}")
 
 snap = snaps[len(snaps) // 2]

@@ -256,15 +256,15 @@ def midconv_block(m: SaitoMatrices, point, z_seed=None):
     return block, out
 
 
-def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, track,
-                    snaps) -> dict:
-    """Numeric checks on the default path's track and residue snapshots."""
+def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, snaps) -> dict:
+    """Numeric checks on the default path's residue snapshots
+    (isomono.snapshots_along) and the frames they were read from."""
     import numpy as np
-    pvi, samples, params = pvi_block(m, lam, entry.p6_entry, track,
+    pvi, samples, params = pvi_block(m, lam, entry.p6_entry,
+                                     (snaps.values, snaps.z, snaps.P),
                                      entry.default_path.points,
                                      svals=entry.path_svals)
-    traces = np.array([s.traces for s in snaps])
-    trace_spread = float(np.abs(traces - traces[0]).max())
+    trace_spread = float(np.abs(snaps.traces - snaps.traces[0]).max())
     # + 0.0 turns a -0.0 left by rounding into 0.0, so last-bit noise
     # cannot flip the printed sign of a vanishing part
     theta = np.round([params.theta0, params.theta1, params.thetat,
@@ -278,16 +278,16 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, track,
     }
 
 
-def _verify_full(entry: CatalogEntry, m: SaitoMatrices, lam, track,
-                 snaps) -> dict:
-    """Full-depth checks; track and snaps as for _verify_numeric.  The entry
-    survey reads every second frame."""
+def _verify_full(entry: CatalogEntry, m: SaitoMatrices, lam, snaps) -> dict:
+    """Full-depth checks; snaps as for _verify_numeric.  The entry survey
+    reads every second frame."""
     from . import p6
     path = entry.default_path.points
     svals = entry.path_svals
     schles = schlesinger_block(snaps, svals=svals)
     mc, _ = midconv_block(m, path[len(path) // 2], z_seed=entry.z_seed)
-    survey = p6.survey_on_frames(m, lam, tuple(x[::2] for x in track),
+    half = snaps[::2]
+    survey = p6.survey_on_frames(m, lam, (half.values, half.z, half.P),
                                  path[::2], svals=svals[::2])
     return {"schlesinger_residual": schles["schlesinger_residual"],
             "entry_survey": survey,
@@ -310,11 +310,11 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
     if depth != "symbolic":
         from . import isomono, p6
         lam = p6.default_lambda(m.weights)
-        track, snaps = isomono.track_snapshots(m, entry.default_path.points, lam,
-                                               z_seed=entry.z_seed)
-        report["numeric"] = _verify_numeric(entry, m, lam, track, snaps)
+        snaps = isomono.snapshots_along(m, entry.default_path.points, lam,
+                                        z_seed=entry.z_seed)
+        report["numeric"] = _verify_numeric(entry, m, lam, snaps)
     if depth == "full":
-        report["full"] = _verify_full(entry, m, lam, track, snaps)
+        report["full"] = _verify_full(entry, m, lam, snaps)
     report["pass"] = all(report[k]["pass"] for k in ("symbolic", "numeric", "full")
                          if k in report)
     return report

@@ -1,8 +1,10 @@
 """Numeric Okubo/Pfaffian machinery.
 
-Residue decomposition of the z-equation along a path, monodromy around a
-circle by batched Gauss-Legendre collocation with a Liouville determinant
-guard, Schlesinger residuals along isomonodromic families, and the 2x2
+Residue decomposition of the z-equation along a path, as one OkuboNumeric
+record stacked on a point axis (a point of it is the snapshot there),
+monodromy around a circle by batched Gauss-Legendre collocation with a
+Liouville determinant guard, Schlesinger residuals along isomonodromic
+families read straight off the record's stacks, and the 2x2
 Jimbo-Miwa parametrization linking Schlesinger flow to the PVI Hamiltonian
 system.
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 from operator import mul
-from typing import Sequence
 
 import numpy as np
 
@@ -45,14 +46,24 @@ HAMILTONIAN_TOL = 1e-14
 
 @dataclass
 class OkuboNumeric:
-    """Numeric snapshot of an Okubo system at a base point."""
+    """Residue snapshots of an Okubo system along a path, stacked on a
+    leading point axis.  Indexing by a point gives that point's snapshot,
+    the same fields without the point axis; indexing by a slice gives a
+    sub-path."""
 
-    n: int
-    Binf: np.ndarray                  # diagonal entries
-    z: np.ndarray                     # eigenvalues of T, tracked order
-    P: np.ndarray                     # eigenvector matrix, columns follow z
-    residues: Sequence[np.ndarray]    # n residue matrices, in the order of z
-    traces: np.ndarray
+    Binf: np.ndarray                  # diagonal entries, one for all points
+    values: np.ndarray                # tracked (z, t_1, ..., t_n) rows
+    z: np.ndarray                     # eigenvalues of T0, tracked order
+    P: np.ndarray                     # eigenvector frames, columns follow z
+    residues: np.ndarray              # (N, n, n, n), in the order of z
+    traces: np.ndarray                # (N, n)
+
+    def __len__(self):
+        return len(self.z)
+
+    def __getitem__(self, k):
+        return OkuboNumeric(self.Binf, self.values[k], self.z[k], self.P[k],
+                            self.residues[k], self.traces[k])
 
 
 def _check_residues(lam, residues, traces, points):
@@ -100,31 +111,23 @@ def _integer_gap(lam):
 # residue decomposition
 # ---------------------------------------------------------------------------
 
-def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None):
+def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None) -> OkuboNumeric:
     """Residue snapshots along a path from one batched, continuation-ordered
-    pass (frames_along), checked as one stack."""
-    return track_snapshots(m, path, lam, z_seed=z_seed)[1]
+    pass (frames_along), checked as one stack.
 
-
-def track_snapshots(m: SaitoMatrices, path, lam, z_seed=None):
-    """(track, snapshots): snapshots_along and the frames_along track they
-    were read from, for further checks on the same path.
-
-    Snapshot k holds the rank-one residues B_i = -P E_i P^{-1} Binf of the
-    Okubo z-equation at path point k.
+    Point k holds the rank-one residues B_i = -P E_i P^{-1} Binf of the
+    Okubo z-equation at path point k, with the tracked row, roots and frame
+    they were read from.
     """
     try:
-        track = frames_along(m, path, z_seed=z_seed)
+        values, roots, P = frames_along(m, path, z_seed=z_seed)
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
-    _, roots, P = track
     lamv = np.array([complex(x) for x in lam])
     res = residues_from_frame(P, lamv)
     traces = np.trace(res, axis1=2, axis2=3)
     _check_residues(lamv, res, traces, path)
-    return track, [OkuboNumeric(n=m.n, Binf=lamv, z=roots[k], P=P[k],
-                                residues=res[k], traces=traces[k])
-                   for k in range(len(path))]
+    return OkuboNumeric(lamv, values, roots, P, res, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -243,13 +246,10 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius):
 # Schlesinger residual
 # ---------------------------------------------------------------------------
 
-def schlesinger_residual(snapshots: Sequence[OkuboNumeric],
-                         svals=None) -> float:
+def schlesinger_residual(snapshots: OkuboNumeric, svals=None) -> float:
     """Max defect of dB_i/ds = sum_j [B_j, B_i] (z_i' - z_j')/(z_i - z_j)
     over snapshots on a uniform grid of the path parameter."""
-    return stacked_schlesinger_residual(
-        np.array([s.z for s in snapshots], dtype=complex),
-        np.array([s.residues for s in snapshots], dtype=complex), svals)
+    return stacked_schlesinger_residual(snapshots.z, snapshots.residues, svals)
 
 
 def stacked_schlesinger_residual(zs, Bs, svals=None) -> float:

@@ -25,10 +25,11 @@ from typing import List
 
 import numpy as np
 
+from .catalog import TOLERANCES
 from .errors import (ConditionDViolation, FactorizationFailed,
                      InverseMismatch, PivotColumnNotFound, RankViolation,
                      ResonantLambda)
-from .isomono import OkuboNumeric, track_snapshots
+from .isomono import OkuboNumeric, snapshots_along
 from .p6 import frame_tangent, residues_from_frame
 
 RANK_TOL = 1e-8
@@ -55,7 +56,7 @@ class RankOneSystem:
         if np.any(np.abs(lam) < 1e-10):
             raise ConditionDViolation("D4", "Gamma_inf has a zero eigenvalue")
         total = self.residues.sum(axis=0) + np.diag(lam)
-        if np.abs(total).max() > 1e-10:
+        if np.abs(total).max() > TOLERANCES["residue_identities"]:
             raise ConditionDViolation("D4", "residues do not sum to -Gamma_inf")
         s = np.linalg.svd(self.residues, compute_uv=False)
         tr = np.trace(self.residues, axis1=1, axis2=2)
@@ -97,7 +98,7 @@ def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
     system.  z_grad (shape n x nx) carries the root gradients for the
     x-direction matrices.
     """
-    n = ok.n
+    n = len(ok.Binf)
     if n < 2:
         raise ConditionDViolation("D1", "need rank >= 2 to truncate")
     lam = np.asarray(ok.Binf, dtype=complex)
@@ -171,7 +172,8 @@ def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
             "no column of the a-matrix is bounded away from zero")
     gamma_inf = np.concatenate([sys.Gamma_inf - lam, [-lam]])
     residues = residues_from_frame(_extend_to_inverse_pair(B, A), gamma_inf)
-    if np.abs(residues.sum(axis=0) + np.diag(gamma_inf)).max() > 1e-10:
+    if (np.abs(residues.sum(axis=0) + np.diag(gamma_inf)).max()
+            > TOLERANCES["residue_identities"]):
         raise RankViolation("convolved residues do not sum to -Gamma_inf")
     return ConvolutionResult(residues=residues, Gamma_inf=gamma_inf,
                              z=np.asarray(sys.z), lam=lam,
@@ -285,10 +287,9 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None):
     d residue_i / dt_{k+1}, are p6.frame_tangent at the tracked point, for
     invariant_subspace_check.
     """
-    track, (snap,) = track_snapshots(m, [tprime], lam, z_seed=z_seed)
-    values, roots, P = track
+    snap = snapshots_along(m, [tprime], lam, z_seed=z_seed)[0]
     n = m.n
-    dz, dB = frame_tangent(m, values[0], roots[0], P[0],
+    dz, dB = frame_tangent(m, snap.values, snap.z, snap.P,
                            snap.Binf - snap.Binf[n - 1])
     return snap, truncate_okubo(snap, z_grad=dz), dB[:, :, :n - 1, :n - 1]
 

@@ -553,14 +553,12 @@ class Ring:
 
     def _inverse(self, b):
         """(A, D) with b A = D modulo the relation and D free of z; D = 0 when
-        b is a zero divisor.  On a plain ring A = 1 and D = b.
+        b is a zero divisor.
 
         Column j of the multiplication matrix of b is z^j b = B_j / D_j.  The
         first column y of the adjugate of the integer columns B_j solves
         B y = det(B) e_0, so A = sum_j D_j y_j z^j and D = det(B).
         """
-        if self.ext is None:
-            return {0: 1}, b
         pk = self._pk
         d, zunit = self.ext.z_degree, pk.zunit
         cols, col_dens = [], []
@@ -668,17 +666,6 @@ class RingElem:
     def is_zero(self):
         return not self._t
 
-    def is_constant(self):
-        t = self._t
-        return not t or (len(t) == 1 and 0 in t and self.zden == 0 and self.dden == 0)
-
-    def as_fraction(self):
-        if self.is_zero():
-            return Fraction(0)
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return Fraction(self._t[0], self._d)
-
     def cancel(self):
         """Best-effort minimal-denominator form (exact; may be a no-op)."""
         if not (self.zden or self.dden):
@@ -772,50 +759,14 @@ class RingElem:
         return out
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                raise ZeroDivisionError
-            return self * (1 / c)
-        other = self._coerce(other)
-        if other.is_zero():
+        """Division by a nonzero int or Fraction; ring divisors are not
+        supported."""
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        c = Fraction(other)
+        if not c:
             raise ZeroDivisionError
-        if other.is_constant():
-            return self * (1 / other.as_fraction())
-        ring = self.ring
-        pk = ring._pk
-        # self/other = [self.num * den(other) / other.num] / den(self)
-        dt, dd = other._den_poly()
-        num, d = ring._reduce(pk.mul(self._t, dt))
-        den = d * dd * self._d              # num / den = self.num * den(other)
-        q = ring._divide(num, ring._inverse(other._t))
-        if q is not None:
-            qt, qd = q
-            return RingElem(ring, _p_scale(qt, other._d), qd * den,
-                            self.zden, self.dden)
-        # pure z-monomial denominators extend the localization bookkeeping
-        if ring.ext is not None and len(other._t) == 1:
-            (k, c), = other._t.items()
-            ez = pk.exp(k, 0)
-            if k == ez * pk.zunit:
-                return RingElem(ring, _p_scale(num, other._d), den * c,
-                                self.zden + ez, self.dden)
-        raise DivisionNotExact("quotient is not in the localized ring")
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def _den_poly(self):
-        """(terms, den) of z^zden * rel_z^dden, reduced."""
-        ring = self.ring
-        out, den = {0: 1}, 1
-        if self.zden:
-            out, den = ring._reduce({self.zden * ring._pk.zunit: 1})
-        if self.dden:
-            pt, pd = ring._drel_power(self.dden)
-            out, d = ring._reduce(ring._pk.mul(out, pt))
-            den *= d * pd
-        return out, den
+        return self * (1 / c)
 
     def __eq__(self, other):
         if not isinstance(other, RingElem):

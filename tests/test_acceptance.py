@@ -113,8 +113,7 @@ def test_a4_pvi_extraction(built):
         residual = p6.p6_residual(samples, params)
         snaps = isomono.snapshots_along(m, e.default_path.points, lam,
                                         z_seed=e.z_seed)
-        traces = np.array([s.traces for s in snaps])
-        spread = float(np.abs(traces - traces[0]).max())
+        spread = float(np.abs(snaps.traces - snaps.traces[0]).max())
         elapsed = time.time() - t0
         assert residual < 1e-6, f"{eid}: PVI residual {residual}"
         assert spread < 1e-8, f"{eid}: trace spread {spread}"
@@ -234,10 +233,10 @@ def test_a8_negative_controls(built):
 
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = isomono.snapshots_along(m, e.default_path.points, lam)
-    frozen = np.array([s.residues for s in snaps])
+    frozen = snaps.residues.copy()
     frozen[:, 0] = frozen[0, 0]
-    res = isomono.stacked_schlesinger_residual(
-        np.array([s.z for s in snaps]), frozen, svals=e.path_svals)
+    res = isomono.stacked_schlesinger_residual(snaps.z, frozen,
+                                               svals=e.path_svals)
     assert res > 1e-3, f"frozen family residual only {res}"
 
     # a zero residue tangent leaves K fixed while the poles move

@@ -70,8 +70,8 @@ def test_missing_seed_is_an_input_error():
 def one_pole_snapshot(B):
     """An n = 2 snapshot whose connection is B / z: one pole at 0."""
     B = np.asarray(B, dtype=complex)
-    return iso.OkuboNumeric(n=2, Binf=np.zeros(2), z=np.array([0j]),
-                            P=np.eye(2), residues=[B],
+    return iso.OkuboNumeric(Binf=np.zeros(2), values=None, z=np.array([0j]),
+                            P=np.eye(2), residues=B[None],
                             traces=np.array([np.trace(B)]))
 
 
@@ -198,8 +198,9 @@ def test_cli_and_a_loop_leave_scipy_out():
     probe = ("import sys, numpy as np, flatiso.cli\n"
              "from flatiso import isomono as iso\n"
              "B = np.array([[0.3, 1], [0, -0.2]], dtype=complex)\n"
-             "snap = iso.OkuboNumeric(n=2, Binf=np.zeros(2), "
-             "z=np.array([0j]), P=np.eye(2), residues=[B], traces=np.zeros(1))\n"
+             "snap = iso.OkuboNumeric(Binf=np.zeros(2), values=None, "
+             "z=np.array([0j]), P=np.eye(2), residues=B[None], "
+             "traces=np.zeros(1))\n"
              "iso.monodromy_on_loop(snap, center=0.0, radius=1.0)\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -229,13 +230,39 @@ def per_point_snapshots(m, path, lam, z_seed):
 def test_snapshots_along_matches_per_point(eid):
     e, m = entry_setup(eid)
     lam = p6.default_lambda(e.pvf.ring.weights)
-    snaps = snapshots_along(m, e.default_path.points, lam, z_seed=e.z_seed)
-    ref = per_point_snapshots(m, e.default_path.points, lam, e.z_seed)
-    assert len(snaps) == len(ref)
+    path = e.default_path.points
+    snaps = snapshots_along(m, path, lam, z_seed=e.z_seed)
+    ref = per_point_snapshots(m, path, lam, e.z_seed)
+    # one record with a leading point axis
+    n = m.n
+    assert len(snaps) == len(ref) == len(path)
+    assert snaps.residues.shape == (len(path), n, n, n)
+    assert snaps.traces.shape == (len(path), n)
+    assert snaps.values.shape[0] == snaps.z.shape[0] == snaps.P.shape[0]
     for snap, (roots, res, traces) in zip(snaps, ref):
         assert np.abs(snap.z - roots).max() <= 1e-12 * max(1.0, np.abs(roots).max())
         assert max(np.abs(a - b).max() for a, b in zip(snap.residues, res)) <= 1e-12
         assert np.abs(snap.traces - traces).max() <= 1e-12
+    # a point is that row of every stack; a slice is a sub-path
+    k = len(path) // 2
+    snap = snaps[k]
+    for name in ("values", "z", "P", "residues", "traces"):
+        assert np.array_equal(getattr(snap, name), getattr(snaps, name)[k])
+    assert snap.Binf is snaps.Binf
+    half = snaps[::2]
+    assert len(half) == (len(path) + 1) // 2
+    assert np.array_equal(half.residues, snaps.residues[::2])
+    assert [s.z[0] for s in half] == list(snaps.z[::2, 0])
+    # a point snapshot is what a loop reads
+    far = np.abs(snap.z[1:] - snap.z[0]).min()
+    M = monodromy_on_loop(snap, center=snap.z[0], radius=far / 4)
+    want = np.exp(2j * np.pi * np.linalg.eigvals(snap.residues[0]))
+    assert np.abs(np.sort_complex(np.linalg.eigvals(M))
+                  - np.sort_complex(want)).max() < 1e-6
+    # the Schlesinger residual reads the stacks as they are
+    assert (schlesinger_residual(snaps, svals=e.path_svals)
+            == iso.stacked_schlesinger_residual(snaps.z, snaps.residues,
+                                                svals=e.path_svals))
 
 
 def test_path_into_root_collision_raises():
@@ -286,8 +313,7 @@ def test_schlesinger_defects_match_per_point_loop():
     e, m = entry_setup("LT27")
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = snapshots_along(m, e.default_path.points, lam, z_seed=e.z_seed)
-    zs = [s.z for s in snaps]
-    Bs = [s.residues for s in snaps]
+    zs, Bs = snaps.z, snaps.residues
     h = e.path_svals[1] - e.path_svals[0]
     got = iso.schlesinger_defects(zs, Bs, e.path_svals)
     assert got.shape == (len(snaps) - 4, 3, 3, 3)
@@ -329,9 +355,9 @@ def test_schlesinger_defects_match_pairwise_commutators(shape):
 
 def test_schlesinger_constant_family():
     e, m = entry_setup("LT8")
-    snap = snapshot_at(m, (1.0, 0.5),
-                       p6.default_lambda(e.pvf.ring.weights))
-    assert schlesinger_residual([snap] * 7) < 1e-12
+    snap = snapshots_along(m, [(1.0, 0.5)],
+                           p6.default_lambda(e.pvf.ring.weights))
+    assert schlesinger_residual(snap[[0] * 7]) < 1e-12
 
 
 def test_schlesinger_catalog_path():
@@ -346,16 +372,18 @@ def test_schlesinger_frozen_family_fails():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = snapshots_along(m, e.default_path.points, lam)
-    zs = np.array([s.z for s in snaps])
-    frozen = np.array([s.residues for s in snaps])
+    frozen = snaps.residues.copy()
     frozen[:, 0] = frozen[0, 0]
-    assert iso.stacked_schlesinger_residual(zs, frozen,
+    assert iso.stacked_schlesinger_residual(snaps.z, frozen,
                                             svals=e.path_svals) > 1e-3
 
 
 def test_schlesinger_needs_samples_and_tracking():
+    e, m = entry_setup("LT8")
+    snaps = snapshots_along(m, e.default_path.points[:4],
+                            p6.default_lambda(e.pvf.ring.weights))
     with pytest.raises(InsufficientSamples):
-        schlesinger_residual([])
+        schlesinger_residual(snaps)
     z = np.array([0.0, 1.0, 2.0])
     zs = np.array([z, z, z + 40.0, z, z])
     Bs = np.array([[np.eye(3, dtype=complex)] * 3] * 5)
@@ -437,8 +465,7 @@ def test_isomonodromy_traces_constant():
     e, m = entry_setup("LT27")
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = snapshots_along(m, e.default_path.points, lam, z_seed=e.z_seed)
-    traces = np.array([s.traces for s in snaps])
-    assert np.abs(traces - traces[0]).max() < 1e-8
+    assert np.abs(snaps.traces - snaps.traces[0]).max() < 1e-8
 
 
 def test_trajectory_reports():

@@ -31,9 +31,9 @@ def test_truncation_shapes_and_conditions():
 
 
 def test_truncation_rejects_rank_one_input():
-    snap = iso.OkuboNumeric(n=1, Binf=np.array([0.5 + 0j]),
+    snap = iso.OkuboNumeric(Binf=np.array([0.5 + 0j]), values=None,
                             z=np.array([0.3 + 0j]), P=np.eye(1),
-                            residues=[np.array([[-0.5 + 0j]])],
+                            residues=np.array([[[-0.5 + 0j]]]),
                             traces=np.array([-0.5 + 0j]))
     with pytest.raises(ConditionDViolation):
         mc.truncate_okubo(snap, z_grad=np.zeros((1, 1)))
@@ -87,8 +87,7 @@ def test_tangent_matches_oracles(eid):
     snap, sys1, family = mc.rank_one_from_structure(m, tp, lam,
                                                     z_seed=e.z_seed)
     assert family.shape == (n, n, n - 1, n - 1)
-    (values, _, _), _ = iso.track_snapshots(m, [tp], lam, z_seed=e.z_seed)
-    at_roots = [(values[0, 0],) + tuple(tp) + (zj,) for zj in snap.z]
+    at_roots = [(snap.values[0],) + tuple(tp) + (zj,) for zj in snap.z]
     dh = EvalStack(m.dh).eval_batch(at_roots)
     for k in range(n - 1):
         want = -dh[k] / dh[n - 1]
@@ -102,8 +101,8 @@ def test_tangent_matches_oracles(eid):
     for k in range(n - 1):
         step = h * np.eye(n - 1)[k]
         path = [tuple(np.add(tp, -step)), tp, tuple(np.add(tp, step))]
-        _, (minus, _, plus) = iso.track_snapshots(m, path, shifted,
-                                                  z_seed=e.z_seed)
+        minus, _, plus = iso.snapshots_along(m, path, shifted,
+                                             z_seed=e.z_seed)
         fd = ((plus.residues - minus.residues) / (2 * h))[:, :n - 1, :n - 1]
         assert np.abs(family[k] - fd).max() <= 1e-6 * np.abs(family[k]).max()
 

@@ -276,10 +276,12 @@ def test_distributivity_hypothesis(c1, c2, den, e1, e2):
 
 def test_division_rational_and_exact(plain):
     t1, t2, t3 = plain.gens()
-    assert (t1 * t3) / t1 == t3
     assert (t1 * 2) / 2 == t1
-    with pytest.raises(DivisionNotExact):
-        (t1 + t3) / t2
+    assert (t1 * t3) / F(3, 4) == t1 * t3 * F(4, 3)
+    with pytest.raises(ZeroDivisionError):
+        t1 / 0
+    with pytest.raises(TypeError):
+        (t1 * t3) / t1
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +367,6 @@ def test_division_matches_cramer_reference(eid, unit, data):
         assume(ring._inverse(u._t)[1])          # not a zero divisor
     x = u * a
     assert not (x.zden or x.dden)
-    assert x / u == a
     assert _as_quotient(ring, ring._divide(x._t, ring._inverse(u._t)), x, u) == a
     assert _as_quotient(ring, _cramer_quotient(ring, x._t, u._t), x, u) == a
     if unit == "z":
@@ -382,9 +383,6 @@ def test_division_refuses_non_multiples_of_rel_z(eid, data):
     x = drel * data.draw(_raw_elems(ring)) + 1
     assert ring._divide(x._t, ring._drel_inverse()) is None
     assert _cramer_quotient(ring, x._t, drel._t) is None
-    if len(drel._t) > 1:        # H3pp's rel_z = 2z divides in the localization
-        with pytest.raises(DivisionNotExact):
-            x / drel
 
 
 # z-degrees 2, 3, 4, 9 and 16; the last two rings keep lazy denominators
