@@ -19,12 +19,12 @@ print("Okubo normalization lambda =", [str(x) for x in lam])
 
 samples = p6.extract_p6_solution(m, lam, entry.p6_entry,
                                  entry.default_path.points,
-                                 z_seed=entry.z_seed, svals=entry.path_svals)
+                                 z_seed=entry.z_seed)
 params = p6.p6_parameters(m, entry.default_path.points[0], lam=lam,
                           sampler=p6.StructureSampler(m, z_seed=entry.z_seed))
 residual = p6.p6_residual(samples, params)
 
-print(f"path: t1 = 1, t2 in [{entry.path_svals[0]}, {entry.path_svals[-1]}], "
+print(f"path: t1 = 1, t2 in [{samples.s[0]}, {samples.s[-1]}], "
       f"{len(samples.y)} samples")
 print(f"theta = ({params.theta0:.6f}, {params.theta1:.6f}, "
       f"{params.thetat:.6f}, {params.thetainf:.6f})")

@@ -14,13 +14,13 @@ m = flatcore.build_saito_matrices(entry.pvf)
 lam = p6.default_lambda(entry.pvf.ring.weights)
 
 snaps = isomono.snapshots_along(m, entry.default_path.points, lam)
-res = isomono.schlesinger_residual(snaps, svals=entry.path_svals)
+res = isomono.schlesinger_residual(snaps)
 print(f"Schlesinger residual along the default path: {res:.3e}")
 
 frozen = snaps.residues.copy()
 frozen[:, 0] = frozen[0, 0]
-bad = isomono.stacked_schlesinger_residual(snaps.z, frozen,
-                                           svals=entry.path_svals)
+bad = isomono.stacked_schlesinger_residual(
+    snaps.z, frozen, svals=p6.path_parameter(snaps.values))
 print(f"with the first residue frozen (not isomonodromic): {bad:.3e}")
 
 snap = snaps[len(snaps) // 2]

@@ -22,7 +22,8 @@ ts, ys, zs, ks = isomono.integrate_p6_hamiltonian(
     theta, (kappa1, kappa2), (2.1 + 0.4j, 0.3 + 0.1j, 1.0), 2.0, 2.4, steps=400)
 
 params = p6.P6Params.from_thetas(theta[0], theta[1], theta[2], kappa1 - kappa2)
-pvi = p6.pvi_grid_residual(ts, ys, params)
+dys = isomono.hamiltonian_velocity(ts, ys, zs, theta)
+pvi = p6.pvi_grid_residual(ts, ys, dys, params)
 print(f"\nPVI residual of the integrated y(t): {pvi:.3e}")
 
 sys0 = isomono.jm_build(ys[0], zs[0], ks[0], theta, (kappa1, kappa2), ts[0])

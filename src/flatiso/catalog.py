@@ -64,7 +64,6 @@ class CatalogEntry:
     notes: str
     p6_entry: tuple
     z_seed: Optional[complex]
-    path_svals: list
     doc: dict
 
 
@@ -93,14 +92,14 @@ def catalog_list() -> List[str]:
 
 
 def path_from_doc(dp: dict):
-    """(points, svals, z_seed) of a sampling-path document: t1 fixed, t2 on
+    """(points, z_seed) of a sampling-path document: t1 fixed, t2 on
     points (1 to MAX_POINTS) uniform steps from t2_start to t2_end, z_seed
     null or [re, im].  A path of more than one point needs a step of at
     least MIN_PATH_STEP * max(1, |t2_start|, |t2_end|).  Any other document
     raises SchemaError.
 
-    svals is the grid of np.linspace, bit for bit: t2_start + k * step, with
-    the last point set to t2_end.
+    The t2 values, the path parameter of the tracked rows, are the grid of
+    np.linspace bit for bit: t2_start + k * step, the last one t2_end.
     """
     def real(x):
         # neither a JSON bool nor NaN or an infinity
@@ -122,10 +121,10 @@ def path_from_doc(dp: dict):
         raise SchemaError(f"a sampling path of {n} points needs a nonzero step "
                           f"of at least 2**-26 max(1, |t2_start|, |t2_end|); "
                           f"got {dp!r}")
-    svals = [a + k * step for k in range(n)]
+    t2 = [a + k * step for k in range(n)]
     if n > 1:
-        svals[-1] = b
-    return ([(dp["t1"], s) for s in svals], svals,
+        t2[-1] = b
+    return ([(dp["t1"], s) for s in t2],
             None if seed is None else complex(*seed))
 
 
@@ -137,13 +136,13 @@ def catalog_get(entry_id: str) -> CatalogEntry:
     _check_manifest()
     doc = json.loads(_data_text(f"{entry_id.lower()}.json"))
     pvf = exprio.parse_pvf(doc["pvf"])
-    points, svals, seed = path_from_doc(doc["default_path"])
+    points, seed = path_from_doc(doc["default_path"])
     entry = CatalogEntry(
         id=entry_id, pvf=pvf,
         default_path=PathSpec(points=points),
         flags=dict(doc["flags"]), notes=doc.get("notes", ""),
         p6_entry=tuple(doc.get("p6_entry", (1, 2))),
-        z_seed=seed, path_svals=svals, doc=doc)
+        z_seed=seed, doc=doc)
     _cache[entry_id] = entry
     return entry
 
@@ -213,20 +212,19 @@ def symbolic_block(pvf: PotentialVF, flags: Dict[str, bool]):
     return out, m
 
 
-def pvi_block(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
-    """(block, samples, params): the PVI check of one entry on a computed
-    track (p6.frames_along), with the parameters read off its first frame."""
+def pvi_block(m: SaitoMatrices, lam, entry_choice, track):
+    """(block, samples, params): the PVI check of one entry on a track or on
+    residue snapshots, with the parameters read off its first frame."""
     from . import p6
-    samples, params, residual = p6.pvi_on_frames(m, lam, entry_choice, track,
-                                                 path, svals=svals)
+    samples, params, residual = p6.pvi_on_frames(m, lam, entry_choice, track)
     return ({"pvi_residual": residual,
              "pass": within("pvi_residual", residual)}, samples, params)
 
 
-def schlesinger_block(snaps, svals=None) -> dict:
+def schlesinger_block(snaps) -> dict:
     """The Schlesinger residual of residue snapshots along a path."""
     from . import isomono
-    res = isomono.schlesinger_residual(snaps, svals=svals)
+    res = isomono.schlesinger_residual(snaps)
     return {"schlesinger_residual": res,
             "pass": within("schlesinger_residual", res)}
 
@@ -260,10 +258,7 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, snaps) -> dict:
     """Numeric checks on the default path's residue snapshots
     (isomono.snapshots_along) and the frames they were read from."""
     import numpy as np
-    pvi, samples, params = pvi_block(m, lam, entry.p6_entry,
-                                     (snaps.values, snaps.z, snaps.P),
-                                     entry.default_path.points,
-                                     svals=entry.path_svals)
+    pvi, samples, params = pvi_block(m, lam, entry.p6_entry, snaps)
     trace_spread = float(np.abs(snaps.traces - snaps.traces[0]).max())
     # + 0.0 turns a -0.0 left by rounding into 0.0, so last-bit noise
     # cannot flip the printed sign of a vanishing part
@@ -283,12 +278,9 @@ def _verify_full(entry: CatalogEntry, m: SaitoMatrices, lam, snaps) -> dict:
     reads every second frame."""
     from . import p6
     path = entry.default_path.points
-    svals = entry.path_svals
-    schles = schlesinger_block(snaps, svals=svals)
+    schles = schlesinger_block(snaps)
     mc, _ = midconv_block(m, path[len(path) // 2], z_seed=entry.z_seed)
-    half = snaps[::2]
-    survey = p6.survey_on_frames(m, lam, (half.values, half.z, half.P),
-                                 path[::2], svals=svals[::2])
+    survey = p6.survey_on_frames(m, lam, snaps[::2])
     return {"schlesinger_residual": schles["schlesinger_residual"],
             "entry_survey": survey,
             "midconv_gamma_inf_error": mc["gamma_inf_error"],

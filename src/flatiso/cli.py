@@ -73,25 +73,23 @@ def _build_parser():
 
 
 def _resolve_input(args):
-    """(pvf, path points, svals, z_seed, entry_choice) from the flags."""
+    """(pvf, path points, z_seed, entry_choice) from the flags."""
     if getattr(args, "catalog", None):
         entry = cat.catalog_get(args.catalog)
         pvf = entry.pvf
         points = entry.default_path.points
-        svals = entry.path_svals
         seed = entry.z_seed
         choice = entry.p6_entry
     elif getattr(args, "input", None):
         with open(args.input) as f:
             pvf = exprio.parse_pvf(f.read())
-        points = svals = None
-        seed = None
+        points = seed = None
         choice = (1, 2)
     else:
         raise SchemaError("one of --catalog or --input is required")
     if getattr(args, "path", None):
         with open(args.path) as f:
-            points, svals, seed = cat.path_from_doc(json.load(f))
+            points, seed = cat.path_from_doc(json.load(f))
     if getattr(args, "entry", None):
         try:
             i, j = (int(x) for x in args.entry.split(","))
@@ -104,7 +102,7 @@ def _resolve_input(args):
     if points is not None and len(points[0]) != n - 1:
         raise InputError(f"path points give {len(points[0])} coordinates "
                          f"(t1, t2), which fit n = 3; {pvf.name} has n = {n}")
-    return pvf, points, svals, seed, choice
+    return pvf, points, seed, choice
 
 
 def _tolerances(*keys):
@@ -215,12 +213,11 @@ def _run_logvf(args):
 
 def _run_extract_p6(args):
     from . import p6
-    pvf, points, svals, seed, choice = _resolve_input(args)
+    pvf, points, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     track = p6.frames_along(m, points, z_seed=seed)
     block, samples, params = cat.pvi_block(
-        m, p6.default_lambda(pvf.ring.weights), choice, track, points,
-        svals=svals)
+        m, p6.default_lambda(pvf.ring.weights), choice, track)
     report = {
         "check": "extract-p6", "name": pvf.name, "entry": list(choice),
         "tolerances": _tolerances("pvi_residual"),
@@ -234,7 +231,7 @@ def _run_extract_p6(args):
 
 def _run_params(args):
     from . import p6
-    pvf, points, svals, seed, choice = _resolve_input(args)
+    pvf, points, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     params = p6.p6_parameters(m, points[0],
                               sampler=p6.StructureSampler(m, z_seed=seed),
@@ -252,11 +249,11 @@ def _run_params(args):
 
 def _run_schlesinger(args):
     from . import isomono, p6
-    pvf, points, svals, seed, choice = _resolve_input(args)
+    pvf, points, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
                                     z_seed=seed)
-    block = cat.schlesinger_block(snaps, svals=svals)
+    block = cat.schlesinger_block(snaps)
     report = {"check": "schlesinger", "name": pvf.name,
               "tolerances": _tolerances("schlesinger_residual"), **block}
     return report, (f"Schlesinger residual {block['schlesinger_residual']:.3e} "
@@ -265,7 +262,7 @@ def _run_schlesinger(args):
 
 def _run_midconv(args):
     from . import midconv
-    pvf, points, svals, seed, choice = _resolve_input(args)
+    pvf, points, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
     block, out = cat.midconv_block(m, points[len(points) // 2], z_seed=seed)
     report = {
@@ -295,7 +292,8 @@ def _run_jm_roundtrip(args):
     ts, ys, zs, ks = isomono.integrate_p6_hamiltonian(
         th, (k1, k2), init, 2.0, 2.4, steps=args.steps)
     params = p6.P6Params.from_thetas(th[0], th[1], th[2], k1 - k2)
-    pvi = p6.pvi_grid_residual(ts, ys, params)
+    pvi = p6.pvi_grid_residual(
+        ts, ys, isomono.hamiltonian_velocity(ts, ys, zs, th), params)
     poles, residues = isomono.jm_residues(ts, ys, zs, ks, th, (k1, k2))
     schles = isomono.stacked_schlesinger_residual(poles, residues, svals=ts)
     # the last row of the checked residues is the final system

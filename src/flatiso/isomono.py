@@ -22,7 +22,8 @@ from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      InverseMismatch, PoleAtY, PoleOnPath, RankViolation,
                      RootCollision, StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
-from .p6 import _raise_first, five_point, frames_along, residues_from_frame
+from .p6 import (_raise_first, five_point, frames_along, path_parameter,
+                 residues_from_frame)
 
 # The bounds _check_jm enforces on a Jimbo-Miwa triple: the
 # off-diagonal of A_inf and tr A_i - theta_i within JM_RESIDUE_TOL, the
@@ -36,7 +37,7 @@ LOOP_TOL = 1e-10
 # integrate_p6_hamiltonian's bound on DOP853's error estimate of one step,
 # scaled by max(1, |state|).  Over jm-roundtrip seeds 0-99 at 400 steps,
 # 1e-13 leaves grid errors up to 1.3e-12, and 1e-12 takes the worst PVI
-# stencil residual to 1.4e-6, over its 1e-6 gate.
+# residual from 2.1e-9 to 1.8e-8.
 HAMILTONIAN_TOL = 1e-14
 
 
@@ -248,16 +249,17 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius):
 
 def schlesinger_residual(snapshots: OkuboNumeric, svals=None) -> float:
     """Max defect of dB_i/ds = sum_j [B_j, B_i] (z_i' - z_j')/(z_i - z_j)
-    over snapshots on a uniform grid of the path parameter."""
-    return stacked_schlesinger_residual(snapshots.z, snapshots.residues, svals)
+    over snapshots on a uniform grid of s: svals, by default the tracked
+    rows' path parameter (p6.path_parameter)."""
+    s = path_parameter(snapshots.values) if svals is None else svals
+    return stacked_schlesinger_residual(snapshots.z, snapshots.residues, s)
 
 
-def stacked_schlesinger_residual(zs, Bs, svals=None) -> float:
+def stacked_schlesinger_residual(zs, Bs, svals) -> float:
     """schlesinger_residual of stacked poles zs (N, n) and residues
-    Bs (N, n, n, n); svals None is the grid 0, 1, ..., N - 1."""
+    Bs (N, n, n, n) on the uniform grid svals."""
     zs = np.asarray(zs, dtype=complex)
-    defects = schlesinger_defects(
-        zs, Bs, np.arange(len(zs)) if svals is None else svals)
+    defects = schlesinger_defects(zs, Bs, svals)
     jump = np.abs(np.diff(zs, axis=0)).max(axis=1)
     _raise_first([(jump > 0.5 * np.maximum(1.0, np.abs(zs[:-1]).max(axis=1)),
                    lambda k: TrackingLost(
@@ -420,6 +422,14 @@ def jm_residues(ts, ys, zs, ks, thetas, kappas):
     return np.column_stack([np.zeros_like(t), np.ones_like(t), t]), residues
 
 
+def hamiltonian_velocity(t, y, ztilde, thetas):
+    """dy/dt = dH/dztilde of the PVI Hamiltonian system, scalar or stacked."""
+    th0, th1, tht = thetas
+    ym1, ymt = y - 1, y - t
+    return (y * ym1 * ymt / (t * (t - 1))
+            * (2 * ztilde - th0 / y - th1 / ym1 - (tht - 1) / ymt))
+
+
 def p6_hamiltonian_rhs(t, y, ztilde, thetas, kappas):
     """(dy, dztilde, dlog k)/dt of the PVI Hamiltonian system.
 
@@ -431,8 +441,7 @@ def p6_hamiltonian_rhs(t, y, ztilde, thetas, kappas):
     ym1, ymt, tt = y - 1, y - t, t * (t - 1)
     if abs(y) < 1e-9 or abs(ym1) < 1e-9 or abs(ymt) < 1e-9:
         raise BlowUp(f"y too close to a pole at t = {t}")
-    dy = (y * ym1 * ymt / tt
-          * (2 * ztilde - th0 / y - th1 / ym1 - (tht - 1) / ymt))
+    dy = hamiltonian_velocity(t, y, ztilde, thetas)
     dz = (1 / tt) * (
         (-3 * y * y + 2 * (1 + t) * y - t) * ztilde * ztilde
         + ((2 * y - 1 - t) * th0 + (2 * y - t) * th1

@@ -29,7 +29,7 @@ from .catalog import TOLERANCES
 from .errors import (ConditionDViolation, FactorizationFailed,
                      InverseMismatch, PivotColumnNotFound, RankViolation,
                      ResonantLambda)
-from .isomono import OkuboNumeric, snapshots_along
+from .isomono import TRACE_GUARD, OkuboNumeric, snapshots_along
 from .p6 import frame_tangent, residues_from_frame
 
 RANK_TOL = 1e-8
@@ -46,12 +46,9 @@ class RankOneSystem:
     z_grad: np.ndarray             # dz_j/dx_i at the working point, shape (n, nx)
 
     def __post_init__(self):
+        """Conditions (D3) and (D4), checked once, at construction; a caller
+        may build a system of any residues, so the rank is tested too."""
         self.residues = np.asarray(self.residues, dtype=complex)
-
-    def validate(self):
-        """Conditions (D3) and (D4).  truncate_okubo's residues are outer
-        products, but middle_convolution accepts a system any caller built,
-        so the rank is tested here."""
         lam = self.Gamma_inf
         if np.any(np.abs(lam) < 1e-10):
             raise ConditionDViolation("D4", "Gamma_inf has a zero eigenvalue")
@@ -64,13 +61,12 @@ class RankOneSystem:
         bad = np.column_stack([
             s[:, 0] < 1e-12,
             (s[:, 1:] > RANK_TOL * np.maximum(1.0, s[:, :1])).any(axis=1),
-            np.minimum(abs(tr - 1), abs(tr + 1)) < 1e-8])
+            np.minimum(abs(tr - 1), abs(tr + 1)) < TRACE_GUARD])
         if bad.any():
             j, c = np.argwhere(bad)[0]
             raise ConditionDViolation("D3", (
                 f"residue {j+1} vanishes", f"residue {j+1} has rank >= 2",
                 f"trace of residue {j+1} is near +-1")[c])
-        return self
 
 
 @dataclass
@@ -104,9 +100,8 @@ def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
     lam = np.asarray(ok.Binf, dtype=complex)
     lam_shifted = lam - lam[n - 1]
     res = residues_from_frame(ok.P, lam_shifted)[:, :n - 1, :n - 1]
-    sys = RankOneSystem(n=n, residues=res, Gamma_inf=lam_shifted[:n - 1],
-                        z=np.asarray(ok.z), z_grad=np.asarray(z_grad))
-    return sys.validate()
+    return RankOneSystem(n=n, residues=res, Gamma_inf=lam_shifted[:n - 1],
+                         z=np.asarray(ok.z), z_grad=np.asarray(z_grad))
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +154,6 @@ def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
     to one it does not enter the closed form.
     """
     lam = complex(lam)
-    sys.validate()
     for li in list(sys.Gamma_inf) + [0.0]:
         if abs(lam - li) < 1e-10:
             raise ResonantLambda(f"lambda = {lam} is resonant with {li}")

@@ -6,8 +6,9 @@ zero z_ij of a chosen entry, normalized by the cross-ratio map sending
 (z_1, z_2, z_3) to (0, 1, t), is a PVI solution y(t).  Everything numeric
 runs along a sampling path in t' and stays stacked: a path of N points is
 one (N, n) point array in the tracker and one P6Samples record of arrays
-after it.  five_point is the one finite-difference helper: the five-point
-central differences on a uniform grid, at the interior points it reaches.
+after it, whose points and parameter s = t_2 (path_parameter) are read
+off the tracked rows.  five_point is the one finite-difference helper: the
+five-point central differences on a uniform grid, at the interior points.
 
 StructureSampler is the one path tracker: it continues the algebraic
 generator z and the ordered roots of T0 together, in one loop of lockstep
@@ -35,10 +36,11 @@ Okubo residues along each t_k, from the exact dT0/dt_k of the structure.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
@@ -87,12 +89,12 @@ class P6Params:
 
 @dataclass
 class P6Samples:
-    """PVI samples along a path, stacked: the path parameter s (N,), the N
-    path points (t_1, t_2) as the caller passed them, and t and y (N,).
-    dy_dt, d2y_dt2 and residual cover the interior points, where five_point
-    reaches; p6_residual sets them."""
+    """PVI samples along a path, stacked: the path parameter s (N,), the
+    tracked points (t_1, t_2) (N, 2), and t and y (N,).  dy_dt, d2y_dt2 and
+    residual cover the interior points, where five_point reaches;
+    p6_residual sets them."""
     s: np.ndarray
-    points: Sequence
+    points: np.ndarray
     t: np.ndarray
     y: np.ndarray
     dy_dt: Optional[np.ndarray] = None
@@ -306,6 +308,15 @@ class _Rows(NamedTuple):
     P: Optional[np.ndarray]
 
 
+# A tracked path: rows, roots z and frames P, named as on an OkuboNumeric
+Track = namedtuple("Track", "values z P")
+
+
+def path_parameter(values):
+    """The path parameter s of tracked rows: t_{n-1}, the column before t_n."""
+    return values[:, -2].real
+
+
 class StructureSampler:
     """The path tracker: the algebraic generator z and the ordered roots of T0.
 
@@ -423,14 +434,11 @@ class StructureSampler:
         return self._last.T0[0]
 
     def frames(self, path):
-        """(values, roots, frames) along a path, continuation-ordered.
-
-        values is the (N, nvars + 1) array of (z, t_1, ..., t_n) with z
-        tracked along the path (0 on a plain ring) and t_n = 0; roots is
-        (N, n) and frames is (N, n, n), columns following the roots.
-        """
+        """The Track of a path, continuation-ordered: rows (z, t_1, ...,
+        t_n) with z tracked (0 on a plain ring) and t_n = 0, the roots, and
+        frames whose columns follow the roots."""
         rows = self._track(path, True)
-        return rows.values, rows.roots, rows.P
+        return Track(rows.values, rows.roots, rows.P)
 
     def roots(self, path):
         """(values, roots) of frames(path), with no eigenvectors computed;
@@ -444,9 +452,9 @@ class StructureSampler:
         return roots[0], P[0]
 
 
-def frames_along(m: SaitoMatrices, path, z_seed=None):
-    """(values, roots, frames) of StructureSampler.frames on a fresh sampler,
-    so the first point is labelled by _first_point_order."""
+def frames_along(m: SaitoMatrices, path, z_seed=None) -> Track:
+    """StructureSampler.frames on a fresh sampler, so the first point is
+    labelled by _first_point_order."""
     return StructureSampler(m, z_seed=z_seed).frames(path)
 
 
@@ -459,16 +467,17 @@ def five_point(s, a):
     uniform grid s, where the five-point central differences along the
     first axis of a reach.
 
-    Raises InsufficientSamples below five points, and ValueError where s
-    drifts from a uniform grid.
+    Raises InsufficientSamples below five points, and InputError where s
+    has a zero step or drifts from a uniform grid.
     """
     if len(a) < 5:
         raise InsufficientSamples("need at least 5 samples for the stencil")
     s, a = np.asarray(s), np.asarray(a)
     h = s[1] - s[0]
     k = np.arange(len(s))
-    if np.any(np.abs(s - s[0] - k * h) > 1e-9 * np.maximum(1.0, abs(h) * k)):
-        raise ValueError("sample grid must be uniform")
+    if h == 0 or np.any(np.abs(s - s[0] - k * h)
+                        > 1e-9 * np.maximum(1.0, abs(h) * k)):
+        raise InputError("sample grid must be uniform with a nonzero step")
     v = [a[d:len(a) - 4 + d] for d in range(5)]
     return (s[2:-2], v[2], (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h),
             (-v[4] + 16 * v[3] - 30 * v[2] + 16 * v[1] - v[0]) / (12 * h * h))
@@ -507,8 +516,9 @@ def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
     return alpha, beta
 
 
-def _samples_on(alpha, beta, values, roots, path, svals):
-    """PVI samples of one entry on the tracked values and roots of a path."""
+def _samples_on(alpha, beta, values, roots):
+    """PVI samples of one entry on the tracked values and roots of a path,
+    with the points and s read off the rows."""
     av, bv = EvalStack([alpha, beta]).eval_batch(values)
     z1, z2, z3 = roots.T
     den = z2 - z1
@@ -518,14 +528,14 @@ def _samples_on(alpha, beta, values, roots, path, svals):
         t = (z3 - z1) / den
     _raise_first([
         (np.abs(av) < 1e-12 * np.maximum(1.0, np.abs(bv)), lambda k:
-         DegenerateLinearEntry(f"t_3-coefficient vanishes at {path[k]}")),
+         DegenerateLinearEntry(f"t_3-coefficient vanishes at path point {k}")),
         (np.abs(den) < ROOT_SEPARATION, lambda k:
-         RootCollision(f"z_2 - z_1 ~ 0 at {path[k]}")),
+         RootCollision(f"z_2 - z_1 ~ 0 at path point {k}")),
         (np.minimum(np.abs(t), np.abs(t - 1)) < 1e-8, lambda k:
-         RootCollision(f"cross-ratio t hits 0/1 at {path[k]}")),
+         RootCollision(f"cross-ratio t hits 0/1 at path point {k}")),
     ])
-    return P6Samples(s=np.asarray(range(len(path)) if svals is None else svals,
-                                  dtype=float), points=path, t=t, y=y)
+    return P6Samples(s=path_parameter(values), points=values[:, 1:-1],
+                     t=t, y=y)
 
 
 def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
@@ -535,22 +545,14 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
     binf_eigs are the Okubo eigenvalues (lambda_1, lambda_2, lambda_3); the
     (i, j) entry of h B^(3) = -adj(T) Binf is linear in t_3 and its zero,
     cross-ratio normalized against the roots of h, is the PVI solution.
+    svals, where given, replaces s of the tracked rows.
     """
     alpha, beta = _linear_entry(m, binf_eigs, entry_choice)
     values, roots = StructureSampler(m, z_seed=z_seed).roots(path)
-    return _samples_on(alpha, beta, values, roots, path, svals)
-
-
-def _differentiate_samples(samples: P6Samples):
-    """(t, y) at the interior samples, with dy/dt and d2y/dt2 there set on
-    samples: the stencils of t and y along s, then the chain rule."""
-    s, y, dy, d2y = five_point(samples.s, samples.y)
-    _, t, dt, d2t = five_point(samples.s, samples.t)
-    _raise_first([(np.abs(dt) < 1e-12, lambda j: DegenerateLinearEntry(
-        f"dt/ds vanishes at s = {s[j]}; path is not t-regular"))])
-    samples.dy_dt = dy / dt
-    samples.d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
-    return t, y
+    samples = _samples_on(alpha, beta, values, roots)
+    if svals is not None:
+        samples.s = np.asarray(svals, dtype=float)
+    return samples
 
 
 # ---------------------------------------------------------------------------
@@ -649,20 +651,27 @@ def pvi_rhs(t, y, dy, params: P6Params):
 
 def p6_residual(samples: P6Samples, params: P6Params) -> float:
     """Max |y'' - PVI_rhs(t, y, y')| over the interior samples; sets the
-    derivatives and the residuals there on samples."""
-    t, y = _differentiate_samples(samples)
+    derivatives there, the stencils of t and y along s and then the chain
+    rule, and the residuals on samples."""
+    s, y, dy, d2y = five_point(samples.s, samples.y)
+    _, t, dt, d2t = five_point(samples.s, samples.t)
+    _raise_first([(np.abs(dt) < 1e-12, lambda j: DegenerateLinearEntry(
+        f"dt/ds vanishes at s = {s[j]}; path is not t-regular"))])
+    samples.dy_dt = dy / dt
+    samples.d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
     samples.residual = _pvi_defects(t, y, samples.dy_dt, samples.d2y_dt2,
                                     params)
     return float(samples.residual.max())
 
 
-def pvi_grid_residual(ts, ys, params: P6Params) -> float:
+def pvi_grid_residual(ts, ys, dys, params: P6Params) -> float:
     """Max |y'' - PVI_rhs(t, y, y')| over the interior of a uniform t-grid.
 
-    ys are the values of y at the grid points ts; y' and y'' are the
-    five-point stencils, formed for all interior points in one pass.
+    ys and dys are y and y' at the grid points ts; y'' is the five-point
+    first difference of y', formed for all interior points in one pass.
     """
-    t, y, dy, d2y = five_point(ts, np.asarray(ys, dtype=complex))
+    t, dy, d2y, _ = five_point(ts, np.asarray(dys, dtype=complex))
+    y = np.asarray(ys, dtype=complex)[2:-2]
     return float(_pvi_defects(t, y, dy, d2y, params).max())
 
 
@@ -678,20 +687,16 @@ def _pvi_defects(t, y, dy, d2y, params):
     return val
 
 
-def pvi_on_frames(m: SaitoMatrices, lam, entry_choice, track, path, svals=None):
-    """(samples, params, residual) of one PVI extraction on computed frames
-    of the path (frames_along's track).
-
-    The parameters are read from the frame at the first path point.
-    """
+def pvi_on_frames(m: SaitoMatrices, lam, entry_choice, track):
+    """(samples, params, residual) of one PVI extraction on a Track or an
+    isomono.OkuboNumeric, with the parameters read off its first frame."""
     alpha, beta = _linear_entry(m, lam, entry_choice)
-    values, roots, P = track
-    samples = _samples_on(alpha, beta, values, roots, path, svals)
-    params = _params_from_frame(P[0], lam, entry_choice)
+    samples = _samples_on(alpha, beta, track.values, track.z)
+    params = _params_from_frame(track.P[0], lam, entry_choice)
     return samples, params, p6_residual(samples, params)
 
 
-def survey_on_frames(m: SaitoMatrices, lam, track, path, svals=None) -> dict:
+def survey_on_frames(m: SaitoMatrices, lam, track) -> dict:
     """PVI residuals for every off-diagonal entry choice, reported not gated.
 
     Different entries give different solution branches; each is checked
@@ -704,8 +709,7 @@ def survey_on_frames(m: SaitoMatrices, lam, track, path, svals=None) -> dict:
     for i, j in permutations((1, 2, 3), 2):
         key = f"{i},{j}"
         try:
-            _, params, residual = pvi_on_frames(m, lam, (i, j), track, path,
-                                                svals)
+            _, params, residual = pvi_on_frames(m, lam, (i, j), track)
         except (FlatIsoError, np.linalg.LinAlgError) as exc:
             out[key] = {"error": type(exc).__name__}
             continue
@@ -731,7 +735,7 @@ def samples_to_csv(samples: P6Samples) -> str:
         return edge + [fmt(v) for v in vals.tolist()] + edge
     lines = ["s,t1,t2,t,y,dy,d2y,residual"]
     for s, tp, t, y, dy, d2y, res in zip(
-            samples.s.tolist(), samples.points, samples.t.tolist(),
+            samples.s.tolist(), samples.points.tolist(), samples.t.tolist(),
             samples.y.tolist(), column(samples.dy_dt, c),
             column(samples.d2y_dt2, c),
             column(samples.residual, lambda v: f"{v:.6g}")):

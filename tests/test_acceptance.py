@@ -105,7 +105,7 @@ def test_a4_pvi_extraction(built):
         lam = p6.default_lambda(e.pvf.ring.weights)
         samples = p6.extract_p6_solution(m, lam, e.p6_entry,
                                          e.default_path.points,
-                                         z_seed=e.z_seed, svals=e.path_svals)
+                                         z_seed=e.z_seed)
         assert len(samples.y) >= 20, f"{eid}: needs >= 20 samples"
         params = p6.p6_parameters(m, e.default_path.points[0], lam=lam,
                                   sampler=p6.StructureSampler(m, z_seed=e.z_seed),
@@ -134,7 +134,7 @@ def test_a5_schlesinger(built):
         lam = p6.default_lambda(e.pvf.ring.weights)
         snaps = isomono.snapshots_along(m, e.default_path.points, lam,
                                         z_seed=e.z_seed)
-        res = isomono.schlesinger_residual(snaps, svals=e.path_svals)
+        res = isomono.schlesinger_residual(snaps)
         assert res < 1e-6, f"{eid}: Schlesinger residual {res}"
         worst = max(worst, res)
     report("A5 Schlesinger residual, all entries", True,
@@ -235,8 +235,8 @@ def test_a8_negative_controls(built):
     snaps = isomono.snapshots_along(m, e.default_path.points, lam)
     frozen = snaps.residues.copy()
     frozen[:, 0] = frozen[0, 0]
-    res = isomono.stacked_schlesinger_residual(snaps.z, frozen,
-                                               svals=e.path_svals)
+    res = isomono.stacked_schlesinger_residual(
+        snaps.z, frozen, svals=p6.path_parameter(snaps.values))
     assert res > 1e-3, f"frozen family residual only {res}"
 
     # a zero residue tangent leaves K fixed while the poles move

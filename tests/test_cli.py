@@ -126,6 +126,18 @@ def test_jm_roundtrip_deterministic(capsys):
     assert rep["pvi_residual"] < 1e-6 and rep["schlesinger_residual"] < 1e-6
 
 
+def test_jm_roundtrip_passes_at_ten_thousand_steps(capsys):
+    # y' is the flow's velocity at the grid points and y'' its first
+    # difference, so no stencil divides the rounding of y by h^2: these
+    # seeds' PVI residuals were 1.0e-6 to 1.6e-6 through the second
+    # difference of y, and are below 1e-10 now
+    for seed in ("0", "1", "2"):
+        code, out, _ = run(capsys, "jm-roundtrip", "--seed", seed,
+                           "--steps", "10000")
+        assert code == 0, seed
+        assert json.loads(out)["pvi_residual"] < 1e-9, seed
+
+
 def test_jm_roundtrip_reports_the_enforced_bounds(capsys):
     from flatiso import isomono
     code, out, _ = run(capsys, "jm-roundtrip", "--seed", "11", "--steps", "200")
@@ -324,7 +336,7 @@ def test_malformed_path_documents_are_input_errors(change, capsys, tmp_path):
 
 @pytest.mark.parametrize("verb", ["schlesinger", "extract-p6"])
 def test_zero_length_path_is_an_input_error(verb, capsys, tmp_path):
-    # t2_start == t2_end gives a step of 0, which the stencils divide by, and
+    # t2_start == t2_end gives a step of 0, which the stencils reject, and
     # so does a step of 1.4e-17, which is not 0 but below the rounding of the
     # endpoints: the sampled t2 values repeat.  Steps of one ulp are distinct
     # but below catalog.MIN_PATH_STEP, where the stencils read rounding.  A
@@ -335,7 +347,7 @@ def test_zero_length_path_is_an_input_error(verb, capsys, tmp_path):
         p.write_text(json.dumps(doc))
         code, out, err = run(capsys, verb, "--catalog", "LT8", "--path", str(p))
         assert code == 2 and "nonzero step" in err and out == "", end
-        assert catalog.path_from_doc(dict(doc, points=1))[1] == [0.3]
+        assert catalog.path_from_doc(dict(doc, points=1))[0] == [(1.0, 0.3)]
 
 
 @pytest.mark.parametrize("g, at, length", [("t1*" + "9" * 5000, 3, 5000),

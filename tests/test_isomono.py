@@ -260,9 +260,9 @@ def test_snapshots_along_matches_per_point(eid):
     assert np.abs(np.sort_complex(np.linalg.eigvals(M))
                   - np.sort_complex(want)).max() < 1e-6
     # the Schlesinger residual reads the stacks as they are
-    assert (schlesinger_residual(snaps, svals=e.path_svals)
-            == iso.stacked_schlesinger_residual(snaps.z, snaps.residues,
-                                                svals=e.path_svals))
+    assert (schlesinger_residual(snaps)
+            == iso.stacked_schlesinger_residual(
+                snaps.z, snaps.residues, p6.path_parameter(snaps.values)))
 
 
 def test_path_into_root_collision_raises():
@@ -314,8 +314,9 @@ def test_schlesinger_defects_match_per_point_loop():
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = snapshots_along(m, e.default_path.points, lam, z_seed=e.z_seed)
     zs, Bs = snaps.z, snaps.residues
-    h = e.path_svals[1] - e.path_svals[0]
-    got = iso.schlesinger_defects(zs, Bs, e.path_svals)
+    svals = p6.path_parameter(snaps.values)
+    h = svals[1] - svals[0]
+    got = iso.schlesinger_defects(zs, Bs, svals)
     assert got.shape == (len(snaps) - 4, 3, 3, 3)
     for k in range(2, len(zs) - 2):
         zdot = stencil_d1(zs, k, h)
@@ -357,14 +358,14 @@ def test_schlesinger_constant_family():
     e, m = entry_setup("LT8")
     snap = snapshots_along(m, [(1.0, 0.5)],
                            p6.default_lambda(e.pvf.ring.weights))
-    assert schlesinger_residual(snap[[0] * 7]) < 1e-12
+    assert schlesinger_residual(snap[[0] * 7], svals=np.arange(7)) < 1e-12
 
 
 def test_schlesinger_catalog_path():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = snapshots_along(m, e.default_path.points, lam)
-    res = schlesinger_residual(snaps, svals=e.path_svals)
+    res = schlesinger_residual(snaps)
     assert res < 1e-6
 
 
@@ -374,8 +375,8 @@ def test_schlesinger_frozen_family_fails():
     snaps = snapshots_along(m, e.default_path.points, lam)
     frozen = snaps.residues.copy()
     frozen[:, 0] = frozen[0, 0]
-    assert iso.stacked_schlesinger_residual(snaps.z, frozen,
-                                            svals=e.path_svals) > 1e-3
+    assert iso.stacked_schlesinger_residual(
+        snaps.z, frozen, p6.path_parameter(snaps.values)) > 1e-3
 
 
 def test_schlesinger_needs_samples_and_tracking():
@@ -388,7 +389,7 @@ def test_schlesinger_needs_samples_and_tracking():
     zs = np.array([z, z, z + 40.0, z, z])
     Bs = np.array([[np.eye(3, dtype=complex)] * 3] * 5)
     with pytest.raises(TrackingLost):
-        iso.stacked_schlesinger_residual(zs, Bs)
+        iso.stacked_schlesinger_residual(zs, Bs, np.arange(5))
 
 
 # ---------------------------------------------------------------------------

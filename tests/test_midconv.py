@@ -39,6 +39,20 @@ def test_truncation_rejects_rank_one_input():
         mc.truncate_okubo(snap, z_grad=np.zeros((1, 1)))
 
 
+def test_trace_near_one_violates_d3_when_built():
+    # the bound is isomono.TRACE_GUARD, the one _check_residues applies to
+    # the same condition; the system is checked once, when it is built
+    lam = np.array([0.7 + 0j])
+    a = 1 + 5e-7
+    resid = [np.array([[a]]), np.array([[-0.7 - a]])]
+    with pytest.raises(ConditionDViolation) as hit:
+        mc.RankOneSystem(n=2, residues=resid, Gamma_inf=lam,
+                         z=np.array([0.0 + 0j, 1.0 + 0j]),
+                         z_grad=np.zeros((2, 0)))
+    assert hit.value.condition == "D3"
+    assert "trace of residue 1 is near +-1" in str(hit.value)
+
+
 def test_middle_convolution_roundtrip():
     snap, sys1, family = klein_rank_one()
     lam_w = [complex(x) for x in catalog.catalog_get("LT8").pvf.ring.weights]

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from flatiso import catalog, p6
-from flatiso.errors import (EntryIdenticallyZero, InsufficientSamples,
-                            PoleOnPath, RootCollision, RootNotConverged,
-                            TrackingLost)
+from flatiso import isomono
+from flatiso.errors import (EntryIdenticallyZero, InputError,
+                            InsufficientSamples, PoleOnPath, RootCollision,
+                            RootNotConverged, TrackingLost)
 from flatiso.flatcore import build_saito_matrices, mat_adjugate
 
 
@@ -60,10 +61,10 @@ def test_entry_column_three_rejected():
 def test_extraction_finite_and_regular():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
-                                     svals=e.path_svals)
+    samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points)
     assert samples.s.shape == samples.t.shape == samples.y.shape == (41,)
-    assert samples.points == e.default_path.points
+    assert np.array_equal(samples.points, e.default_path.points)
+    assert np.array_equal(samples.s, [tp[1].real for tp in e.default_path.points])
     assert np.all(np.isfinite(samples.y))
     assert np.all(np.minimum(np.abs(samples.t), np.abs(samples.t - 1)) > 1e-3)
 
@@ -71,8 +72,7 @@ def test_extraction_finite_and_regular():
 def test_residual_below_tolerance_and_sensitivity():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
-                                     svals=e.path_svals)
+    samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points)
     params = p6.p6_parameters(m, e.default_path.points[0],
                               sampler=p6.StructureSampler(m))
     res = p6.p6_residual(samples, params)
@@ -92,13 +92,11 @@ def test_relabeling_roots_keeps_residual_small():
     path = e.default_path.points
     values, roots, P = p6.frames_along(m, path)
     swap = [1, 0, 2]
-    track = (values, roots[:, swap], P[:, :, swap])
-    samples, _, res = p6.pvi_on_frames(m, lam, (1, 2), track, path,
-                                       svals=e.path_svals)
+    track = p6.Track(values, roots[:, swap], P[:, :, swap])
+    samples, _, res = p6.pvi_on_frames(m, lam, (1, 2), track)
     assert res < 1e-6
     # the relabeled t really is the 0 <-> 1 swapped cross-ratio
-    plain = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points[:5],
-                                   svals=e.path_svals[:5])
+    plain = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points[:5])
     t_plain, t_swapped = plain.t[0], samples.t[0]
     assert abs(t_swapped - (1 - t_plain)) < 1e-9
 
@@ -107,16 +105,52 @@ def test_weighted_scaling_invariance():
     # t_i -> c^(w_i d) t_i leaves the cross-ratios invariant (weight-zero data)
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
-                                     svals=e.path_svals)
+    samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points)
     c, d = 1.3, 7          # weights k/7: c^(w d) has integer exponents
     w = [float(x) for x in e.pvf.ring.weights]
     scaled_path = [(tp[0] * c ** (w[0] * d), tp[1] * c ** (w[1] * d))
                    for tp in e.default_path.points]
-    scaled = p6.extract_p6_solution(m, lam, (1, 2), scaled_path,
-                                    svals=e.path_svals)
+    scaled = p6.extract_p6_solution(m, lam, (1, 2), scaled_path)
     assert np.abs(samples.t - scaled.t).max() < 1e-10
     assert np.abs(samples.y - scaled.y).max() < 1e-10
+
+
+def test_path_parameter_is_t2_of_the_tracked_rows():
+    # perfbench passes the t2 values of its np.linspace path as svals; the
+    # default reads the same values off the tracked rows, so its PVI and
+    # Schlesinger results are bit-identical either way
+    e, m = entry_setup("LT27")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    dp = e.doc["default_path"]
+    t2 = np.linspace(dp["t2_start"], 0.3 * dp["t2_start"] + 0.7 * dp["t2_end"],
+                     61)
+    pts = [(dp["t1"], s) for s in t2]
+    params = p6.p6_parameters(m, pts[0], lam=lam,
+                              sampler=p6.StructureSampler(m, z_seed=e.z_seed))
+    plain = p6.extract_p6_solution(m, lam, e.p6_entry, pts, z_seed=e.z_seed)
+    given = p6.extract_p6_solution(m, lam, e.p6_entry, pts, z_seed=e.z_seed,
+                                   svals=t2)
+    assert np.array_equal(plain.s, t2)
+    assert p6.p6_residual(plain, params) == p6.p6_residual(given, params)
+    for name in ("t", "y", "dy_dt", "d2y_dt2", "residual"):
+        assert np.array_equal(getattr(plain, name), getattr(given, name))
+    snaps = isomono.snapshots_along(m, pts, lam, z_seed=e.z_seed)
+    assert (isomono.schlesinger_residual(snaps)
+            == isomono.schlesinger_residual(snaps, svals=t2))
+
+
+def test_path_fixed_in_t2_is_a_zero_step():
+    # a path that moves in t1 alone tracks, but its parameter t2 does not
+    # move, and the stencils reject the zero step instead of dividing by it
+    e, m = entry_setup("LT8")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    pts = [(1.0 + 0.01 * k, 0.5) for k in range(9)]
+    samples = p6.extract_p6_solution(m, lam, (1, 2), pts)
+    params = p6.p6_parameters(m, pts[0], sampler=p6.StructureSampler(m))
+    with pytest.raises(InputError, match="nonzero step"):
+        p6.p6_residual(samples, params)
+    with pytest.raises(InputError, match="nonzero step"):
+        isomono.schlesinger_residual(isomono.snapshots_along(m, pts, lam))
 
 
 def test_parameters_klein():
@@ -204,8 +238,7 @@ def test_stacked_derivatives_match_per_point_chain_rule():
     lam = p6.default_lambda(e.pvf.ring.weights)
     params = p6.p6_parameters(m, e.default_path.points[0],
                               sampler=p6.StructureSampler(m))
-    lt8 = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points,
-                                 svals=e.path_svals)
+    lt8 = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points)
     family = sqrt_t_samples(np.linspace(2.0, 3.0, 101))
     for samples, pars in ((lt8, params),
                           (family, p6.P6Params.from_thetas(0.5, 0.5, 0.5, 1.5))):
@@ -232,8 +265,7 @@ def test_csv_and_json_reports():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     samples = p6.extract_p6_solution(m, lam, (1, 2),
-                                     e.default_path.points[:7],
-                                     svals=e.path_svals[:7])
+                                     e.default_path.points[:7])
     csv = p6.samples_to_csv(samples)
     assert csv.splitlines()[0] == "s,t1,t2,t,y,dy,d2y,residual"
     assert len(csv.splitlines()) == 8
@@ -247,8 +279,7 @@ def test_entry_survey_reports_all_six():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     track = p6.frames_along(m, e.default_path.points)
-    survey = p6.survey_on_frames(m, lam, track, e.default_path.points,
-                                 svals=e.path_svals)
+    survey = p6.survey_on_frames(m, lam, track)
     assert set(survey) == {"1,2", "2,1", "1,3", "3,1", "2,3", "3,2"}
     # the lambda_3 = 0 normalization kills column 3
     assert survey["1,3"] == {"error": "EntryIdenticallyZero"}
@@ -328,9 +359,7 @@ def test_pvi_on_frames_reads_params_off_frame_zero():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     track = p6.frames_along(m, e.default_path.points)
-    _, params, residual = p6.pvi_on_frames(m, lam, (1, 2), track,
-                                           e.default_path.points,
-                                           svals=e.path_svals)
+    _, params, residual = p6.pvi_on_frames(m, lam, (1, 2), track)
     assert residual < 1e-6
     # the parameters read off frame 0 are those of a fresh sampler at path[0]
     fresh = p6.p6_parameters(m, e.default_path.points[0],
@@ -344,25 +373,27 @@ def test_entry_survey_matches_pvi_on_frames(monkeypatch):
     calls = count_frames(monkeypatch)
     path = e.default_path.points
     track = p6.frames_along(m, path)
-    survey = p6.survey_on_frames(m, lam, track, path, svals=e.path_svals)
+    survey = p6.survey_on_frames(m, lam, track)
     for key, (i, j) in (("1,2", (1, 2)), ("2,1", (2, 1)), ("3,1", (3, 1))):
-        _, _, residual = p6.pvi_on_frames(m, lam, (i, j), track, path,
-                                          svals=e.path_svals)
+        _, _, residual = p6.pvi_on_frames(m, lam, (i, j), track)
         assert survey[key]["residual"] == residual
     assert calls == [len(path)]
 
 
 def test_pvi_grid_residual_matches_per_point_stencils():
+    # y' is given at the grid points and y'' is its five-point first
+    # difference
     rng = np.random.default_rng(4)
     ts = np.linspace(2.0, 2.4, 41)
     ys = 2.1 + 0.4j + 0.3 * ts ** 2 + 1e-3 * rng.normal(size=41)
+    dys = 0.6 * ts + 1e-3 * rng.normal(size=41)
     params = p6.P6Params.from_thetas(0.2, -0.1, 0.3 + 0.1j, 0.7)
     h = ts[1] - ts[0]
     want = 0.0
     for k in range(2, len(ts) - 2):
-        dy, d2y = five_point_reference(ys, k, h)
-        want = max(want, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dy, params)))
-    got = p6.pvi_grid_residual(ts, ys, params)
+        d2y, _ = five_point_reference(dys, k, h)
+        want = max(want, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dys[k], params)))
+    got = p6.pvi_grid_residual(ts, ys, dys, params)
     assert abs(got - want) <= 1e-14 * want
 
 
@@ -370,15 +401,15 @@ def test_pvi_grid_residual_guards():
     params = p6.P6Params.from_thetas(0.2, -0.1, 0.3, 0.7)
     ts = np.linspace(2.0, 2.4, 9)
     with pytest.raises(InsufficientSamples):
-        p6.pvi_grid_residual(ts[:4], ts[:4] + 1, params)
+        p6.pvi_grid_residual(ts[:4], ts[:4] + 1, ts[:4], params)
     bent = ts.copy()
     bent[5] += 1e-3
     with pytest.raises(ValueError, match="uniform"):
-        p6.pvi_grid_residual(bent, ts + 1, params)
+        p6.pvi_grid_residual(bent, ts + 1, ts, params)
     on_pole = ts + 1
     on_pole[4] = 1.0                     # y = 1 at an interior point
     with pytest.raises(PoleOnPath, match=re.escape(f"t = {ts[4]}, y = (1+0j)")):
-        p6.pvi_grid_residual(ts, on_pole, params)
+        p6.pvi_grid_residual(ts, on_pole, ts, params)
 
 
 def test_midconv_block_tracks_once(monkeypatch):
@@ -392,7 +423,7 @@ def test_midconv_block_tracks_once(monkeypatch):
 
 
 def _path_401(e):
-    pts, _, z_seed = catalog.path_from_doc(dict(e.doc["default_path"], points=401))
+    pts, z_seed = catalog.path_from_doc(dict(e.doc["default_path"], points=401))
     return pts, z_seed
 
 
