@@ -2,25 +2,27 @@
 
 Residue decomposition of the z-equation along a path, as one OkuboNumeric
 record stacked on a point axis (a point of it is the snapshot there),
-monodromy around a circle by batched Gauss-Legendre collocation with a
-Liouville determinant guard, Schlesinger residuals along isomonodromic
-families read straight off the record's stacks, and the 2x2
+monodromy around a circle by batched Gauss-Legendre collocation (solved for
+the stage derivatives, the first two step-doubling levels formed in one
+pass) with a Liouville determinant guard, Schlesinger residuals along
+isomonodromic families read straight off the record's stacks, and the 2x2
 Jimbo-Miwa parametrization linking Schlesinger flow to the PVI Hamiltonian
-system.
+system, integrated by DOP853.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
 from .catalog import TOLERANCES
 from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
-                     InverseMismatch, PoleAtY, PoleOnPath, RankViolation,
-                     RootCollision, StepUnderflow, TrackingLost)
+                     InputError, InverseMismatch, PoleAtY, PoleOnPath,
+                     RankViolation, RootCollision, StepUnderflow,
+                     TrackingLost)
 from .flatcore import SaitoMatrices
 from .p6 import (_raise_first, five_point, frames_along, path_parameter,
                  residues_from_frame)
@@ -183,39 +185,58 @@ def _ordered_product(P):
     return P[0]
 
 
-def _loop_propagators(A, center, radius, N):
-    """(propagators (N, n, n), int tr A dz) of N uniform steps in theta on
-    the circle, from one evaluation of A at the 4N Gauss-Legendre nodes."""
-    h = 2 * np.pi / N
-    e = np.exp(1j * h * (np.arange(N)[:, None] + _GL_C))      # (N, 4)
+def _loop_propagators(A, center, radius, Ns):
+    """The step propagators of every level N in Ns (N uniform steps in
+    theta on the circle), a list of (N, n, n) stacks, and F = A dz/dtheta
+    at the nodes of the last level, (N, 4, n, n).
+
+    All levels come from one evaluation of A at their 4 sum(Ns)
+    Gauss-Legendre nodes and one batched np.linalg.solve.  The collocation
+    is solved for the stage derivatives K_j = F_j Y_j of the propagator
+    from Y0 = I: K_j - h sum_l a_jl F_j K_l = F_j, one (4n, 4n) system per
+    step with the F_j stacked on the right, and Phi = I + h sum_j b_j K_j.
+    """
+    k = np.concatenate([np.arange(N) for N in Ns])
+    h = np.repeat(2 * np.pi / np.array(Ns), Ns)                    # (S,)
+    e = np.exp(1j * h[:, None] * (k[:, None] + _GL_C))             # (S, 4)
     F = A(center + radius * e.ravel())
-    n = F.shape[-1]
-    F = F.reshape(N, 4, n, n) * (1j * radius * e)[..., None, None]
-    # stage equations Y_j = Y0 + h sum_l a_jl F_l Y_l, one (4n, 4n) system
-    # per step with the stacked identities on the right
-    L = (-h * _GL_A[:, :, None, None]) * F[:, None]              # (N, j, l, n, n)
-    L[:, np.arange(4), np.arange(4)] += np.eye(n)
-    L = L.transpose(0, 1, 3, 2, 4).reshape(N, 4 * n, 4 * n)
-    X = np.linalg.solve(L, np.tile(np.eye(n), (4, 1))).reshape(N, 4, n, n)
-    Phi = np.eye(n) + h * np.tensordot(F @ X, _GL_B, axes=([1], [0]))
-    trace = h * (np.trace(F, axis1=2, axis2=3) @ _GL_B).sum()
-    return Phi, trace
+    S, n = len(k), F.shape[-1]
+    F = F.reshape(S, 4, n, n) * (1j * radius * e)[..., None, None]
+    # [s, j, a, l, b]: block (j, l) of step s is delta_jl I - h a_jl F_j,
+    # the identity added on the diagonal of each (4n, 4n) matrix
+    hA = h[:, None, None] * -_GL_A
+    L = hA[:, :, None, :, None] * F[:, :, :, None, :]
+    L = L.reshape(S, 4 * n, 4 * n)
+    L.reshape(S, -1)[:, ::4 * n + 1] += 1
+    K = np.linalg.solve(L, F.reshape(S, 4 * n, n)).reshape(S, 4, n * n)
+    Phi = np.eye(n) + ((h[:, None] * _GL_B)[:, None] @ K).reshape(S, n, n)
+    ends = np.cumsum(Ns)
+    return [Phi[e - N:e] for N, e in zip(Ns, ends)], F[-Ns[-1]:]
 
 
 def monodromy_on_loop(snapshot: OkuboNumeric, center, radius):
     """Fundamental-solution monodromy around a circle |z - center| = radius.
 
     The circle is cut into N uniform steps in theta, each propagated by
-    4-stage Gauss-Legendre collocation (order 8), and the N propagators are
-    multiplied in order.  N starts at the larger of 16 and the count whose
-    arc step is no longer than the gap from the circle to the nearest pole,
-    and doubles until two successive monodromies agree within
-    LOOP_TOL * max(1, |M|).  det M is checked against exp(int tr A dz),
-    taken by the same quadrature, to a relative 1e-6.
+    4-stage Gauss-Legendre collocation (order 8, solved for the stage
+    derivatives by _loop_propagators), and the N propagators are
+    multiplied in order.  N starts at N0, the larger of 16 and the count
+    whose arc step is no longer than the gap from the circle to the
+    nearest pole, and doubles until two successive monodromies agree
+    within LOOP_TOL * max(1, |M|).  No level can be accepted alone, so N0
+    and 2 N0 are formed in one call, and each later doubling in a call of
+    its own.  det M is checked against exp(int tr A dz), taken once by the
+    same quadrature on the accepted level, to a relative 1e-6.
 
-    Raises PoleOnPath when a pole lies on the circle, and StepUnderflow when
-    the nodes would pass MAX_CONNECTION_EVALS or the Liouville check fails.
+    Raises InputError when the center is not finite or the radius is not
+    finite and > 0, and PoleOnPath when a pole lies on the circle, both
+    before any evaluation; StepUnderflow when the nodes would pass
+    MAX_CONNECTION_EVALS (4N per level, counted before the level is
+    formed) or the Liouville check fails.
     """
+    if not (np.isfinite(center) and np.isfinite(radius) and radius > 0):
+        raise InputError(f"a loop needs a finite center and a finite radius "
+                         f"> 0, got center {center} and radius {radius}")
     poles = np.asarray(snapshot.z, dtype=complex)
     gap = np.abs(np.abs(poles - center) - radius).min()
     # a pole within rounding of the circle is on it
@@ -223,19 +244,21 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius):
         raise PoleOnPath(f"a pole lies on the circle |z - {center}| = {radius}")
     A = okubo_z_system(snapshot)
     N = max(16, int(np.ceil(2 * np.pi * radius / gap)))
-    evals, M = 0, None
+    Ns, evals, M = [N, 2 * N], 0, None
     while True:
-        evals += 4 * N
-        if evals > MAX_CONNECTION_EVALS:
-            raise StepUnderflow(
-                f"{MAX_CONNECTION_EVALS} connection evaluations (the budget) "
-                f"do not reach {N} steps around the circle")
-        Phi, trace = _loop_propagators(A, center, radius, N)
-        prev, M = M, _ordered_product(Phi)
-        if prev is not None and (np.abs(M - prev).max()
-                                 <= LOOP_TOL * max(1.0, np.abs(M).max())):
+        for N in Ns:
+            evals += 4 * N
+            if evals > MAX_CONNECTION_EVALS:
+                raise StepUnderflow(
+                    f"{MAX_CONNECTION_EVALS} connection evaluations (the "
+                    f"budget) do not reach {N} steps around the circle")
+        Phis, F = _loop_propagators(A, center, radius, Ns)
+        prev = M if len(Ns) == 1 else _ordered_product(Phis[0])
+        M = _ordered_product(Phis[-1])
+        if np.abs(M - prev).max() <= LOOP_TOL * max(1.0, np.abs(M).max()):
             break
-        N *= 2
+        Ns = [2 * N]
+    trace = 2 * np.pi / N * (np.trace(F, axis1=2, axis2=3) @ _GL_B).sum()
     det, target = np.linalg.det(M), np.exp(trace)
     if abs(det - target) > 1e-6 * max(1.0, abs(target)):
         raise StepUnderflow(
@@ -521,12 +544,30 @@ DOP853_D = (
      96.32455395918828, -39.17726167561544, -149.72683625798564),)
 
 
+def _nonzero(row):
+    """(get, a) of a tableau row: its nonzero entries a, and get(X), the
+    entries of the stage list X that they weight, as a sequence."""
+    idx = [i for i, a in enumerate(row) if a]
+    if len(idx) > 1:
+        return itemgetter(*idx), tuple(row[i] for i in idx)
+    # itemgetter of one index returns the bare item
+    return (lambda X: [X[i] for i in idx]), tuple(row[i] for i in idx)
+
+
+# the tableau as the steps combine it, over the nonzero entries of each row:
+# (node, row) of every stage, the error weights (E5, E3) and the rows of D
+_DOP853_STAGES = [(c, _nonzero(a)) for c, a in zip(DOP853_C, DOP853_A)]
+_DOP853_E = (_nonzero(DOP853_E5), _nonzero(DOP853_E3))
+_DOP853_D = [_nonzero(row) for row in DOP853_D]
+
+
 def _stages(f, t, h, y, z, thetas, kappas, rows, P, Q, R):
-    """Append the stages (node c, row a) of rows, taken at the step (t, h)
-    from the state (y, z), to the lists P, Q, R of dy, dztilde and dlog k."""
-    for c, a in rows:
-        p, q, r = f(t + c * h, y + h * sum(map(mul, a, P)),
-                    z + h * sum(map(mul, a, Q)), thetas, kappas)
+    """Append the stages (node c, nonzero entries of its row) of rows,
+    taken at the step (t, h) from the state (y, z), to the lists P, Q, R of
+    dy, dztilde and dlog k."""
+    for c, (get, a) in rows:
+        p, q, r = f(t + c * h, y + h * sum(map(mul, a, get(P))),
+                    z + h * sum(map(mul, a, get(Q))), thetas, kappas)
         P.append(p), Q.append(q), R.append(r)
 
 
@@ -548,7 +589,8 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400):
     steps is.  The grid is read from the 7th-order dense output of the
     accepted steps in one numpy pass; its first row is the initial state
     exactly.  The state is three Python complex scalars; log k is a
-    quadrature, so the stages combine only y and ztilde.
+    quadrature, so the stages combine only y and ztilde.  Every
+    combination runs over the nonzero entries of its tableau row only.
 
     Raises BlowUp when y comes within 1e-9 of a pole (the guard in
     p6_hamiltonian_rhs), or when |y| or |ztilde| passes 1e8 or the state
@@ -566,7 +608,8 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400):
     out = np.empty((steps + 1, 3), dtype=complex)
     out[:] = y, z, lk
     sign = 1.0 if t1 >= t0 else -1.0
-    C, A, B, E5, E3 = DOP853_C, DOP853_A, DOP853_A[12], DOP853_E5, DOP853_E3
+    rows, E, D = _DOP853_STAGES, _DOP853_E, _DOP853_D
+    gb, b = rows[12][1]                     # the order-8 weights
 
     tol = HAMILTONIAN_TOL
     min_step = 1e-9             # a step this short has underflowed
@@ -578,12 +621,12 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400):
         else:
             tn = t + h
         P, Q, R = ([x] for x in first)
-        _stages(f, t, h, y, z, th, kp, zip(C[1:12], A[1:12]), P, Q, R)
-        yn = y + h * sum(map(mul, B, P))
-        zn = z + h * sum(map(mul, B, Q))
-        ln = lk + h * sum(map(mul, B, R))
-        e5, e3 = (max(abs(sum(map(mul, e, X))) for X in (P, Q, R))
-                  for e in (E5, E3))
+        _stages(f, t, h, y, z, th, kp, rows[1:12], P, Q, R)
+        yn = y + h * sum(map(mul, b, gb(P)))
+        zn = z + h * sum(map(mul, b, gb(Q)))
+        ln = lk + h * sum(map(mul, b, gb(R)))
+        e5, e3 = (max(abs(sum(map(mul, e, g(X)))) for X in (P, Q, R))
+                  for g, e in E)
         den = math.hypot(e5, 0.1 * e3)
         err = (abs(h) * e5 * (e5 / den) / max(1.0, abs(yn), abs(zn), abs(ln))
                if den else 0.0)
@@ -597,15 +640,16 @@ def integrate_p6_hamiltonian(thetas, kappas, init, t0, t1, steps=400):
             continue
         # written so that a NaN state fails too, log k included: a NaN
         # error estimate, which no rejection catches, comes only from a
-        # non-finite stage, and every stage enters the new state
+        # non-finite stage, and every stage reaches the new state, one of
+        # weight 0 in b through the later stages that read it
         if not (abs(yn) <= 1e8 and abs(zn) <= 1e8 and abs(ln) < math.inf):
             at = ts[min(np.searchsorted(sign * ts, sign * tn), steps)]
             raise BlowUp(f"trajectory blew up at t = {float(at)}")
         first = f(tn, yn, zn, th, kp)
         P.append(first[0]), Q.append(first[1]), R.append(first[2])
-        _stages(f, t, h, y, z, th, kp, zip(C[13:], A[13:]), P, Q, R)
+        _stages(f, t, h, y, z, th, kp, rows[13:], P, Q, R)
         F = [(d, h * X[0] - d, 2 * d - h * (X[0] + X[12]),
-              *(h * sum(map(mul, row, X)) for row in DOP853_D))
+              *(h * sum(map(mul, w, g(X))) for g, w in D))
              for X, d in ((P, yn - y), (Q, zn - z), (R, ln - lk))]
         accepted.append((t, h, (y, z, lk), F))
         h *= min(1.0, factor) if rejected else factor

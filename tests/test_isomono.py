@@ -6,8 +6,8 @@ import pytest
 
 from flatiso import catalog, cli, isomono as iso, p6
 from flatiso.errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
-                            InsufficientSamples, InverseMismatch, PoleAtY,
-                            PoleOnPath, RankViolation, StepUnderflow,
+                            InputError, InsufficientSamples, InverseMismatch,
+                            PoleAtY, PoleOnPath, RankViolation, StepUnderflow,
                             TrackingLost)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.isomono import (integrate_p6_hamiltonian,
@@ -188,6 +188,82 @@ def test_loop_near_a_root_stops_within_budget(monkeypatch):
                           radius=rad)
     assert time.perf_counter() - start < 0.5
     assert sum(points) <= iso.MAX_CONNECTION_EVALS
+
+
+@pytest.mark.parametrize("center, radius", [
+    (complex("nan"), 0.1), (complex("inf"), 0.1), (1 + 1j * np.nan, 0.1),
+    (0.0, float("nan")), (0.0, float("inf")), (0.0, -0.1), (0.0, 0.0)])
+def test_loop_input_is_checked_before_any_evaluation(monkeypatch, center,
+                                                     radius):
+    # a negative radius would run the loop from the opposite base point
+    points = counted_connection(monkeypatch)
+    with pytest.raises(InputError, match="finite"):
+        monodromy_on_loop(one_pole_snapshot(np.eye(2)), center=center,
+                          radius=radius)
+    assert points == []
+
+
+def lt8_loop():
+    """(snapshot, center, radius) of a loop around LT8's first root."""
+    e, m = entry_setup("LT8")
+    snap = snapshot_at(m, (1.0, 0.5), p6.default_lambda(e.pvf.ring.weights))
+    rad = 0.25 * min(abs(snap.z[0] - snap.z[1]), abs(snap.z[0] - snap.z[2]))
+    return snap, snap.z[0], rad
+
+
+def test_first_two_levels_are_one_evaluation(monkeypatch):
+    # N0 and 2 N0 steps from one call of the connection on 12 N0 points,
+    # each later doubling from a call of its own
+    snap, center, rad = lt8_loop()
+    gap = np.abs(np.abs(snap.z - center) - rad).min()
+    n0 = max(16, int(np.ceil(2 * np.pi * rad / gap)))
+    points = counted_connection(monkeypatch)
+    monodromy_on_loop(snap, center=center, radius=rad)
+    assert points == [12 * n0] + [4 * n0 * 2 ** k
+                                  for k in range(2, len(points) + 1)]
+
+
+def test_levels_from_one_call_match_one_call_each():
+    snap, center, rad = lt8_loop()
+    A = iso.okubo_z_system(snap)
+    for n0 in (16, 37):
+        both, F = iso._loop_propagators(A, center, rad, [n0, 2 * n0])
+        one, _ = iso._loop_propagators(A, center, rad, [n0])
+        two, F2 = iso._loop_propagators(A, center, rad, [2 * n0])
+        assert np.array_equal(both[0], one[0])
+        assert np.array_equal(both[1], two[0])
+        assert np.array_equal(F, F2)
+
+
+def stage_value_propagators(A, center, radius, N):
+    """The step propagators of the collocation solved step by step for the
+    stage values: Y_j = I + h sum_l a_jl F_l Y_l, Phi = I + h sum_j b_j F_j
+    Y_j, with F = A dz/dtheta at the Gauss-Legendre nodes."""
+    a, b, c, h = iso._GL_A, iso._GL_B, iso._GL_C, 2 * np.pi / N
+    e = np.exp(1j * h * (np.arange(N)[:, None] + c)).ravel()
+    F = A(center + radius * e) * (1j * radius * e)[:, None, None]
+    n, out = F.shape[-1], []
+    for Fs in F.reshape(N, 4, n, n):
+        L = np.eye(4 * n) - h * np.block([[a[j, l] * Fs[l] for l in range(4)]
+                                          for j in range(4)])
+        Y = np.linalg.solve(L, np.tile(np.eye(n), (4, 1))).reshape(4, n, n)
+        out.append(np.eye(n) + h * sum(b[j] * Fs[j] @ Y[j] for j in range(4)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_stage_derivatives_match_stage_values(eid):
+    e, m = entry_setup(eid)
+    snap = snapshot_at(m, e.default_path.points[0],
+                       p6.default_lambda(e.pvf.ring.weights),
+                       z_seed=e.z_seed)
+    A = iso.okubo_z_system(snap)
+    for r, zr in enumerate(snap.z):
+        rad = 0.25 * min(abs(zr - z) for k, z in enumerate(snap.z) if k != r)
+        got, _ = iso._loop_propagators(A, zr, rad, [16, 32])
+        for N, Phi in zip((16, 32), got):
+            want = stage_value_propagators(A, zr, rad, N)
+            assert np.abs(Phi - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_cli_and_a_loop_leave_scipy_out():
@@ -741,6 +817,26 @@ def test_hamiltonian_nan_state_is_a_blowup(monkeypatch):
     with pytest.raises(BlowUp, match="blew up"):
         integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.3, 1.0), 2.0, 2.4,
                                  steps=40)
+
+
+def test_hamiltonian_nan_at_a_zero_weight_stage_is_a_blowup(monkeypatch):
+    # stage 2 has weight 0 in b, E5 and E3, so the combinations skip it: a
+    # NaN there reaches the new state only through the stages that read it
+    assert iso.DOP853_A[12][1] == iso.DOP853_E5[1] == iso.DOP853_E3[1] == 0
+    th, kp = admissible(3)
+    rhs, calls = iso.p6_hamiltonian_rhs, []
+
+    def nan_at_stage_2(*args):
+        calls.append(args[0])
+        return (complex("nan"),) * 3 if len(calls) == 2 else rhs(*args)
+
+    monkeypatch.setattr(iso, "p6_hamiltonian_rhs", nan_at_stage_2)
+    with pytest.raises(BlowUp, match="blew up"):
+        integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.3, 1.0), 2.0, 2.4,
+                                 steps=40)
+    # the first stage and the 11 of the first attempt, which fails
+    assert abs(calls[1] - (2.0 + iso.DOP853_C[1] * 0.4)) < 1e-12
+    assert len(calls) == 12
 
 
 def test_hamiltonian_nan_log_k_is_a_blowup(monkeypatch):
