@@ -17,20 +17,18 @@ print("T =")
 for row in exprio.serialize_matrix(m.T):
     print("  [" + ", ".join(row) + "]")
 
-d = logvf.discriminant(m)
-print(f"\nh = det(-T) = {exprio.format_elem(d.h)}")
-print(f"h is monic of degree 3 in t3 and homogeneous of weight {d.h.weight()}")
+print(f"\nh = det(-T) = {exprio.format_elem(m.h)}")
+print(f"h is monic of degree 3 in t3 and homogeneous of weight {m.h.weight()}")
 
 print(f"\nSaito criterion for the rows of -T: c = "
-      f"{logvf.saito_criterion(flatcore.mat_scale(m.T, Fraction(-1)), d)}")
+      f"{logvf.saito_criterion(flatcore.mat_scale(m.T, Fraction(-1)), m.h)}")
 
-rep = logvf.logvf_identities(m)
+failed = logvf.logvf_identities(m)
 print(f"generator identities (Euler row, V_1 h = 3h, ratio rule, "
-      f"weight duality): all pass = {rep.all_ok}")
+      f"weight duality): all pass = {not failed}")
 
-defects = logvf.trace_identity_defects(m)
 print("V_k h = tr(B^(k)) h defects:",
-      {k: exprio.format_elem(v) for k, v in defects.items()})
+      {k: exprio.format_elem(v) for k, v in enumerate(m.trace_defects, 1)})
 
 # the Euler field is logarithmic with E h = 3 h
 t = pvf.ring.gens()

@@ -215,7 +215,7 @@ def _run_extract_p6(args):
     from . import p6
     pvf, points, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
-    track = p6.frames_along(m, points, z_seed=seed)
+    track = p6.StructureSampler(m, z_seed=seed).frames(points)
     block, samples, params = cat.pvi_block(
         m, p6.default_lambda(pvf.ring.weights), choice, track)
     report = {
@@ -297,8 +297,9 @@ def _run_jm_roundtrip(args):
     poles, residues = isomono.jm_residues(ts, ys, zs, ks, th, (k1, k2))
     schles = isomono.stacked_schlesinger_residual(poles, residues, svals=ts)
     # the last row of the checked residues is the final system
-    final = isomono.JMSystem(*residues[-1], thetas=th, kappas=(k1, k2),
-                             t=ts[-1], y=ys[-1], ztilde=zs[-1], k=ks[-1])
+    final = {"A0": residues[-1, 0], "A1": residues[-1, 1],
+             "At": residues[-1, 2], "thetas": th, "kappas": (k1, k2),
+             "t": complex(ts[-1]), "y": ys[-1], "ztilde": zs[-1], "k": ks[-1]}
     report = {
         "check": "jm-roundtrip", "seed": args.seed,
         "tolerances": {**_tolerances("pvi_residual", "schlesinger_residual"),
@@ -308,7 +309,7 @@ def _run_jm_roundtrip(args):
         "thetas": th, "kappas": [k1, k2],
         "pvi_residual": pvi, "schlesinger_residual": schles,
         "trajectory_csv": isomono.trajectory_to_csv(ts, ys, zs, ks),
-        "final_system": vars(final),
+        "final_system": final,
         "pass": (cat.within("pvi_residual", pvi)
                  and cat.within("schlesinger_residual", schles)),
     }

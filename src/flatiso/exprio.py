@@ -17,10 +17,15 @@ emits and what the algebraic entries of the corpus require.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from .errors import DegreeOverflow, DenominatorNotUnit, ParseError, SchemaError
 from .ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _p_lincomb, _p_scale,
                    _packing, _to_fractions)
+
+# The bit length a power may give a coefficient: that of the largest literal
+# int() converts (4300 digits), the bound literals already obey.
+MAX_COEFF_BITS = 14_284
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -143,8 +148,16 @@ class _Parser:
     def power(self):
         v = self.atom()
         if self.peek()[0] == "^":
-            self.take()
+            at = self.take()[2]
             k = self.exponent()
+            # the coefficients of p^k are at most (sum |c|)^k in size: a
+            # power that could pass MAX_COEFF_BITS, in its numerator or its
+            # denominator, is refused before it is computed
+            for part in v:
+                total = sum(map(abs, part.values()))
+                if total > 1 and k * math.log2(total) > MAX_COEFF_BITS:
+                    raise ParseError(at, f"a power with coefficients of at "
+                                     f"most {MAX_COEFF_BITS} bits", f"^{k}")
             return self.pow(v, k)
         return v
 

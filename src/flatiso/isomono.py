@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+import numbers
 from operator import itemgetter, mul
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      RankViolation, RootCollision, StepUnderflow,
                      TrackingLost)
 from .flatcore import SaitoMatrices
-from .p6 import (_raise_first, five_point, frames_along, path_parameter,
+from .p6 import (StructureSampler, _raise_first, five_point, path_parameter,
                  residues_from_frame)
 
 # The bounds _check_jm enforces on a Jimbo-Miwa triple: the
@@ -116,14 +117,14 @@ def _integer_gap(lam):
 
 def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None) -> OkuboNumeric:
     """Residue snapshots along a path from one batched, continuation-ordered
-    pass (frames_along), checked as one stack.
+    pass (StructureSampler.frames on a fresh sampler), checked as one stack.
 
     Point k holds the rank-one residues B_i = -P E_i P^{-1} Binf of the
     Okubo z-equation at path point k, with the tracked row, roots and frame
     they were read from.
     """
     try:
-        values, roots, P = frames_along(m, path, z_seed=z_seed)
+        values, roots, P = StructureSampler(m, z_seed=z_seed).frames(path)
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
     lamv = np.array([complex(x) for x in lam])
@@ -229,14 +230,15 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius):
     same quadrature on the accepted level, to a relative 1e-6.
 
     Raises InputError when the center is not finite or the radius is not
-    finite and > 0, and PoleOnPath when a pole lies on the circle, both
-    before any evaluation; StepUnderflow when the nodes would pass
-    MAX_CONNECTION_EVALS (4N per level, counted before the level is
+    a real number, finite and > 0, and PoleOnPath when a pole lies on the
+    circle, both before any evaluation; StepUnderflow when the nodes would
+    pass MAX_CONNECTION_EVALS (4N per level, counted before the level is
     formed) or the Liouville check fails.
     """
-    if not (np.isfinite(center) and np.isfinite(radius) and radius > 0):
-        raise InputError(f"a loop needs a finite center and a finite radius "
-                         f"> 0, got center {center} and radius {radius}")
+    if not (isinstance(radius, numbers.Real) and np.isfinite(center)
+            and np.isfinite(radius) and radius > 0):
+        raise InputError(f"a loop needs a finite center and a real, finite "
+                         f"radius > 0, got center {center} and radius {radius}")
     poles = np.asarray(snapshot.z, dtype=complex)
     gap = np.abs(np.abs(poles - center) - radius).min()
     # a pole within rounding of the circle is on it
@@ -319,30 +321,6 @@ def schlesinger_defects(zs, Bs, svals):
 # Jimbo-Miwa 2x2 parametrization
 # ---------------------------------------------------------------------------
 
-@dataclass
-class JMSystem:
-    A0: np.ndarray
-    A1: np.ndarray
-    At: np.ndarray
-    thetas: tuple
-    kappas: tuple
-    t: complex
-    y: complex
-    ztilde: complex
-    k: complex
-
-    def __post_init__(self):
-        """The scalar data as Python complex numbers, as reports write them."""
-        self.thetas = tuple(complex(x) for x in self.thetas)
-        self.kappas = tuple(complex(x) for x in self.kappas)
-        for name in ("t", "y", "ztilde", "k"):
-            setattr(self, name, complex(getattr(self, name)))
-
-    @property
-    def Ainf(self):
-        return -(self.A0 + self.A1 + self.At)
-
-
 def _check_jm(residues, thetas, kappas, ts):
     """The Jimbo-Miwa bounds on stacked residues (N, 3, 2, 2) at the times ts.
 
@@ -378,8 +356,11 @@ def _jm_stack(ts, ys, ztildes, ks, thetas, kappas):
     """The Jimbo-Miwa triples at N points in one pass, as (N, 3, 2, 2) with
     A_0, A_1, A_t at [k, 0], [k, 1], [k, 2].
 
-    The guards of jm_build are array checks that name the first failing
-    point: y on a pole, a vanishing z_i, then the bounds of _check_jm.
+    Requires kappa_1 + kappa_2 + theta_0 + theta_1 + theta_t = 0 and
+    theta_inf = kappa_1 - kappa_2 != 0 (DegenerateTheta otherwise).  The
+    guards on the points are array checks that name the first failing
+    point: y on a pole 0, 1 or t, a vanishing z_i, then the bounds of
+    _check_jm.
     """
     th0, th1, tht = (complex(x) for x in thetas)
     k1, k2 = (complex(x) for x in kappas)
@@ -425,21 +406,13 @@ def _jm_stack(ts, ys, ztildes, ks, thetas, kappas):
     return residues
 
 
-def jm_build(y, ztilde, k, thetas, kappas, t) -> JMSystem:
-    """Assemble (A_0, A_1, A_t) from the scalar Jimbo-Miwa data.
-
-    Requires kappa_1 + kappa_2 + theta_0 + theta_1 + theta_t = 0 and
-    theta_inf = kappa_1 - kappa_2 != 0; y must stay off {0, 1, t}.
-    """
-    return JMSystem(*_jm_stack([t], [y], [ztilde], [k], thetas, kappas)[0],
-                    thetas=thetas, kappas=kappas, t=t, y=y, ztilde=ztilde, k=k)
-
-
 def jm_residues(ts, ys, zs, ks, thetas, kappas):
     """(poles, residues) of a Jimbo-Miwa trajectory, stacked for
     stacked_schlesinger_residual: poles (N, 3) are (0, 1, t) and residues
-    (N, 3, 2, 2) are jm_build's (A_0, A_1, A_t) at every point, with its
-    guards."""
+    (N, 3, 2, 2) are (A_0, A_1, A_t) at every point, assembled from the
+    scalar data (t, y, ztilde, k) with the guards of _jm_stack.  The one
+    constructor of a Jimbo-Miwa system: a single point is a one-point
+    trajectory."""
     residues = _jm_stack(ts, ys, zs, ks, thetas, kappas)
     t = np.asarray(ts, dtype=complex)
     return np.column_stack([np.zeros_like(t), np.ones_like(t), t]), residues

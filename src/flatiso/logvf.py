@@ -1,67 +1,40 @@
-"""Discriminants, logarithmic vector fields and the Saito-matrix identities.
+"""Logarithmic vector fields and the Saito-matrix identities.
 
-The divisor is cut out by h = det(-T), a monic degree-n polynomial in the
-last variable.  A vector field V = sum v_k d/dt_k is logarithmic when h
-divides Vh exactly; the rows of -T (in reversed order, V_{n+1-i} = row i)
-give the standard generator system, with V_1 the Euler field.
+The divisor is cut out by h = det(-T) (SaitoMatrices.h), a monic degree-n
+polynomial in the last variable.  A vector field V = sum v_k d/dt_k is
+logarithmic when h divides Vh exactly; the rows of -T (in reversed order,
+V_{n+1-i} = row i) give the standard generator system, with V_1 the Euler
+field.
 
-The trace identity V_k h = tr(B^(k)) h, V_k the k-th row of -T, certifies
-each row of the generator system and names its quotient: where its defect
-(SaitoMatrices.trace_defects, one exact zero test) vanishes, (V_k h)/h is
-tr(B^(k)) with no division.  Only a row that fails it is long-divided by h,
-as is every field given from outside the structure.
+The trace identity V_k h = tr(B^(k)) h, V_k the k-th row of -T (no sign
+factor: it holds for every n), certifies each row of the generator system
+and names its quotient: where its defect (SaitoMatrices.trace_defects, one
+exact zero test) vanishes, (V_k h)/h is tr(B^(k)) with no division.  Only a
+row that fails it is long-divided by h, as is every field given from
+outside the structure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .errors import RowNotLogarithmic
 from .flatcore import (SaitoMatrices, _proportionality_constant,
                        check_flat_normalization, log_division, mat_det)
-from .ring import Ring, RingElem
-
-
-@dataclass
-class DivisorData:
-    h: RingElem            # monic degree-n in the last variable
-    ring: Ring
-
-    @property
-    def n(self):
-        return self.ring.nvars
-
-
-@dataclass
-class LogVfReport:
-    failed: List[str] = field(default_factory=list)
-
-    @property
-    def all_ok(self):
-        return not self.failed
+from .ring import RingElem
 
 
 # ---------------------------------------------------------------------------
-# divisor and divisibility
+# divisibility
 # ---------------------------------------------------------------------------
 
-def discriminant(m: SaitoMatrices) -> DivisorData:
-    """h = det(-T), checked monic in t_n and weighted homogeneous of weight n."""
-    return DivisorData(h=m.h, ring=m.ring)
-
-
-def _partials(d: DivisorData) -> List[RingElem]:
-    return [d.h.partial(k) for k in range(d.n)]
-
-
-def is_logarithmic(V, d: DivisorData, dh=None) -> bool:
+def is_logarithmic(V, h: RingElem, dh=None) -> bool:
     """True iff h divides Vh = sum_k V[k] dh/dt_k exactly; dh, the partials
     of h, when the caller holds them already."""
     if dh is None:
-        dh = _partials(d)
-    return log_division(V, d.h, dh)[1].is_zero()
+        dh = [h.partial(k) for k in range(h.ring.nvars)]
+    return log_division(V, h, dh)[1].is_zero()
 
 
 def _quotient(division, row) -> RingElem:
@@ -71,17 +44,17 @@ def _quotient(division, row) -> RingElem:
     return q
 
 
-def saito_criterion(M, d: DivisorData) -> Optional[Fraction]:
+def saito_criterion(M, h: RingElem) -> Optional[Fraction]:
     """det(M) = c*h for a nonzero rational c, if the rows of M (vector
     fields) are logarithmic."""
-    dh = _partials(d)
+    dh = [h.partial(k) for k in range(h.ring.nvars)]
     for i, row in enumerate(M):
-        if not is_logarithmic(row, d, dh):
+        if not is_logarithmic(row, h, dh):
             raise RowNotLogarithmic(i)
     det = mat_det(M)
     if det.is_zero():
         return None
-    c = _proportionality_constant(det, d.h)
+    c = _proportionality_constant(det, h)
     return c if c else None
 
 
@@ -100,8 +73,9 @@ def generator_criterion(m: SaitoMatrices) -> Fraction:
 # the generator-system identities
 # ---------------------------------------------------------------------------
 
-def logvf_identities(m: SaitoMatrices) -> LogVfReport:
-    """Euler row, V_1 h = n h, the s_1-derivative ratios, and weight duality."""
+def logvf_identities(m: SaitoMatrices) -> List[str]:
+    """The names of the failed identities among the Euler row, V_1 h = n h,
+    the s_1-derivative ratios and weight duality; empty when all hold."""
     n = m.n
     w = m.weights
     M = m.minus_T                             # row i encodes V_{n+1-i}
@@ -130,14 +104,5 @@ def logvf_identities(m: SaitoMatrices) -> LogVfReport:
             e = M[i][j]
             if not e.is_zero() and not e.is_homogeneous(1 - w[i] + w[j]):
                 failed.append(f"entry_weight_{i+1}{j+1}")
-    return LogVfReport(failed=failed)
+    return failed
 
-
-def trace_identity_defects(m: SaitoMatrices) -> Dict[int, RingElem]:
-    """Defects of V_k h - tr(B^(k)) h keyed by k; all zero for a flat structure.
-
-    V_k here is the k-th row of -T applied to d/dt, the only alignment that
-    matches the weight of tr(B^(k)).  The identity carries no sign: it holds
-    for every n.  The defects are the structure's cached trace_defects.
-    """
-    return dict(enumerate(m.trace_defects, start=1))

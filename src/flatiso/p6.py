@@ -446,17 +446,6 @@ class StructureSampler:
         rows = self._track(path, False)
         return rows.values, rows.roots
 
-    def frame(self, tprime):
-        """(roots, eigenvector matrix) at one path point, continuation-ordered."""
-        _, roots, P = self.frames([tprime])
-        return roots[0], P[0]
-
-
-def frames_along(m: SaitoMatrices, path, z_seed=None) -> Track:
-    """StructureSampler.frames on a fresh sampler, so the first point is
-    labelled by _first_point_order."""
-    return StructureSampler(m, z_seed=z_seed).frames(path)
-
 
 # ---------------------------------------------------------------------------
 # solution extraction
@@ -618,7 +607,7 @@ def p6_parameters(m: SaitoMatrices, point, sampler: StructureSampler,
     if lam is None:
         lam = default_lambda(m.weights)
     try:
-        _, P = sampler.frame(point)
+        P = sampler.frames([point]).P[0]
     except RootCollision as exc:
         raise EigenvalueCollision(str(exc)) from exc
     return _params_from_frame(P, lam, entry_choice)

@@ -70,11 +70,10 @@ def test_a2_saito_logvf_identities(built):
         n = m.n
         for j in range(n):
             assert (m.T[n - 1][j] + t[j] * w[j]).is_zero(), f"{eid}: T_nj"
-        d = logvf.discriminant(m)     # raises unless monic of degree n
-        assert d.h.is_homogeneous(n), f"{eid}: weight of h"
-        defects = logvf.trace_identity_defects(m)
-        assert all(v.is_zero() for v in defects.values()), f"{eid}: V_k h"
-        c = logvf.saito_criterion(flatcore.mat_scale(m.T, F(-1)), d)
+        h = m.h                       # raises unless monic of degree n
+        assert h.is_homogeneous(n), f"{eid}: weight of h"
+        assert all(v.is_zero() for v in m.trace_defects), f"{eid}: V_k h"
+        c = logvf.saito_criterion(flatcore.mat_scale(m.T, F(-1)), h)
         assert c == 1, f"{eid}: Saito criterion c = {c}"
         # the logvf verb's block: every identity, the trace identity included
         assert catalog.logvf_block(m)["pass"], f"{eid}: logvf block"
@@ -162,18 +161,14 @@ def test_a6_jm_roundtrip():
         d2y = (-y5[4] + 16 * y5[3] - 30 * y5[2] + 16 * y5[1] - y5[0]) / (12 * h * h)
         pvi = max(pvi, abs(d2y - p6.pvi_rhs(ts[k], ys[k], dy, params)))
     assert pvi < 1e-6, f"PVI residual {pvi}"
-    poles, residues = [], []
-    for t, y, zt, kv in zip(ts, ys, zs, ks):
-        sys_ = isomono.jm_build(y, zt, kv, th, (k1, k2), t)
-        for A, theta in zip((sys_.A0, sys_.A1, sys_.At), th):
-            assert abs(np.trace(A) - theta) < 1e-12
-        Ainf = sys_.Ainf
-        assert max(abs(Ainf[0, 1]), abs(Ainf[1, 0])) < 1e-12
-        assert abs(Ainf[0, 0] - k1) < 1e-12 and abs(Ainf[1, 1] - k2) < 1e-12
-        poles.append([0.0, 1.0, t])
-        residues.append([sys_.A0, sys_.A1, sys_.At])
-    schles = isomono.stacked_schlesinger_residual(
-        np.array(poles, dtype=complex), np.array(residues), svals=ts)
+    poles, residues = isomono.jm_residues(ts, ys, zs, ks, th, (k1, k2))
+    # every step: tr A_i = theta_i, and A_inf = -(A_0 + A_1 + A_t) is
+    # diag(kappa_1, kappa_2)
+    traces = np.trace(residues, axis1=2, axis2=3)
+    assert np.abs(traces - np.array(th)).max() < 1e-12
+    Ainf = -residues.sum(axis=1)
+    assert np.abs(Ainf - np.diag([k1, k2])).max() < 1e-12
+    schles = isomono.stacked_schlesinger_residual(poles, residues, svals=ts)
     assert schles < 1e-6, f"2x2 Schlesinger residual {schles}"
     report("A6 Jimbo-Miwa round trip", True,
            f"pvi {pvi:.2e}, schlesinger {schles:.2e}, "

@@ -365,6 +365,24 @@ def test_literals_past_the_int_digit_limit_are_parse_errors(g, at, length,
     assert f"({length} characters)" in err
 
 
+@pytest.mark.parametrize("doc", [
+    {"weights": ["1"], "g": ["((2^1000)^1000)^1000"]},
+    {"weights": ["1/4", "1/2", "1"],
+     "g": ["(2^32767)^32767*t1*t3 + t2^2/2", "t1*t2", "t1^2"]}],
+    ids=["tower", "scaled"])
+def test_nested_constant_powers_exit_2_at_once(doc, capsys, tmp_path):
+    # each exponent is within MAX_DEGREE, but the coefficients the powers
+    # would build are not: the parser refuses them at the ^ before pow runs
+    import time
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-wdvv", "--input", str(p))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert "coefficients of at most" in err
+
+
 def test_exponent_tower_returns_at_once(tmp_path):
     # t1^9^9^9 asks for the exponent 9 ** 387420489; the parser refuses it
     # before computing it, so the verb exits 2 well inside the timeout

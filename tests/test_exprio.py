@@ -46,6 +46,20 @@ def test_exponents_above_max_degree_are_refused(plain, text):
         exprio.parse_raw(text.replace("t1", "z"), 3, True)
 
 
+def test_powers_past_the_coefficient_bound_are_refused(plain):
+    # (sum |c|)^k bounds the coefficients of a power; past MAX_COEFF_BITS
+    # it is refused at the ^, numerator and denominator alike
+    assert exprio.parse_expr(f"2^{exprio.MAX_COEFF_BITS}", plain) == \
+        plain.const(2 ** exprio.MAX_COEFF_BITS)
+    assert exprio.parse_expr("(t1 - 1/3)^2", plain) == \
+        (plain.var(0) - F(1, 3)) ** 2
+    for text, at in ((f"2^{exprio.MAX_COEFF_BITS + 1}", 1),
+                     ("t2 + (t1/3)^9100", 11), ("(t1 + 1)^14285", 8)):
+        with pytest.raises(ParseError, match="coefficients") as e:
+            exprio.parse_expr(text, plain)
+        assert e.value.position == at, text
+
+
 def test_parse_error_positions(plain):
     with pytest.raises(ParseError) as e:
         exprio.parse_expr("t1 + t2^t3", plain)

@@ -10,9 +10,9 @@ from flatiso.errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                             PoleAtY, PoleOnPath, RankViolation, StepUnderflow,
                             TrackingLost)
 from flatiso.flatcore import build_saito_matrices
-from flatiso.isomono import (integrate_p6_hamiltonian,
-                             jm_build, jm_residues, monodromy_on_loop,
-                             schlesinger_residual, snapshots_along)
+from flatiso.isomono import (integrate_p6_hamiltonian, jm_residues,
+                             monodromy_on_loop, schlesinger_residual,
+                             snapshots_along)
 
 
 def entry_setup(eid):
@@ -192,10 +192,12 @@ def test_loop_near_a_root_stops_within_budget(monkeypatch):
 
 @pytest.mark.parametrize("center, radius", [
     (complex("nan"), 0.1), (complex("inf"), 0.1), (1 + 1j * np.nan, 0.1),
-    (0.0, float("nan")), (0.0, float("inf")), (0.0, -0.1), (0.0, 0.0)])
+    (0.0, float("nan")), (0.0, float("inf")), (0.0, -0.1), (0.0, 0.0),
+    (0.0, 0.5 + 0j), (0.0, np.complex128(0.5))])
 def test_loop_input_is_checked_before_any_evaluation(monkeypatch, center,
                                                      radius):
-    # a negative radius would run the loop from the opposite base point
+    # a negative radius would run the loop from the opposite base point; a
+    # complex one, even with a zero imaginary part, is not a radius
     points = counted_connection(monkeypatch)
     with pytest.raises(InputError, match="finite"):
         monodromy_on_loop(one_pole_snapshot(np.eye(2)), center=center,
@@ -480,32 +482,34 @@ def admissible(seed):
     return th, (k1, k2)
 
 
-def test_jm_build_identities():
+def test_jm_residues_one_point_identities():
     th, kp = admissible(0)
-    t = 2.2
-    sys_ = jm_build(2.1 + 0.4j, 0.3 + 0.1j, 1.3, th, kp, t)
-    for A, theta in zip((sys_.A0, sys_.A1, sys_.At), th):
+    t, y, k = 2.2, 2.1 + 0.4j, 1.3
+    poles, residues = jm_residues([t], [y], [0.3 + 0.1j], [k], th, kp)
+    assert np.array_equal(poles, [[0, 1, t]])
+    A0, A1, At = residues[0]
+    for A, theta in zip((A0, A1, At), th):
         assert abs(np.trace(A) - theta) < 1e-12
         assert abs(np.linalg.det(A)) < 1e-12          # rank one
-    Ainf = sys_.Ainf
+    Ainf = -(A0 + A1 + At)
     assert max(abs(Ainf[0, 1]), abs(Ainf[1, 0])) < 1e-10
     assert abs(Ainf[0, 0] - kp[0]) < 1e-8 and abs(Ainf[1, 1] - kp[1]) < 1e-8
     # the (1,2)-entry numerator is k (x - y): vanishes at x = y
-    y = sys_.y
-    val = (sys_.A0[0, 1] / y + sys_.A1[0, 1] / (y - 1)
-           + sys_.At[0, 1] / (y - t)) * y * (y - 1) * (y - t)
-    assert abs(val) < 1e-9 * max(1.0, abs(sys_.k))
+    val = (A0[0, 1] / y + A1[0, 1] / (y - 1)
+           + At[0, 1] / (y - t)) * y * (y - 1) * (y - t)
+    assert abs(val) < 1e-9 * max(1.0, abs(k))
 
 
-def test_jm_build_guards():
+def test_jm_residues_one_point_guards():
     th, kp = admissible(1)
     with pytest.raises(PoleAtY):
-        jm_build(2.2, 0.1, 1.0, th, kp, 2.2)
-    with pytest.raises(DegenerateTheta):
-        jm_build(2.1, 0.1, 1.0, (0.1, 0.2, 0.3), (0.5, 0.5), 2.0)  # sum != 0
+        jm_residues([2.2], [2.2], [0.1], [1.0], th, kp)
+    with pytest.raises(DegenerateTheta):                       # sum != 0
+        jm_residues([2.0], [2.1], [0.1], [1.0], (0.1, 0.2, 0.3), (0.5, 0.5))
     s = sum((0.1, 0.2, 0.3))
     with pytest.raises(DegenerateTheta):
-        jm_build(2.1, 0.1, 1.0, (0.1, 0.2, 0.3), (-s / 2, -s / 2), 2.0)
+        jm_residues([2.0], [2.1], [0.1], [1.0], (0.1, 0.2, 0.3),
+                    (-s / 2, -s / 2))
 
 
 def test_hamiltonian_flow_pvi_and_schlesinger():
@@ -545,7 +549,7 @@ def test_isomonodromy_traces_constant():
     assert np.abs(snaps.traces - snaps.traces[0]).max() < 1e-8
 
 
-def test_trajectory_reports():
+def test_trajectory_reports(tmp_path):
     th, kp = admissible(5)
     ts, ys, zs, ks = integrate_p6_hamiltonian(th, kp, (2.1 + 0.4j, 0.2, 1.0),
                                               2.0, 2.1, steps=20)
@@ -553,11 +557,20 @@ def test_trajectory_reports():
     lines = csv.splitlines()
     assert lines[0] == "t,y_re,y_im,ztilde_re,ztilde_im,k_re,k_im"
     assert len(lines) == 22
-    sys_ = jm_build(ys[0], zs[0], ks[0], th, kp, ts[0])
-    # jm-roundtrip reports the final system as vars(JMSystem)
-    blob = json.loads(json.dumps(vars(sys_), default=cli._json_value))
-    assert set(blob) >= {"A0", "A1", "At", "thetas", "kappas", "t", "y"}
-    assert blob["A0"][0][0] == [sys_.A0[0, 0].real, sys_.A0[0, 0].imag]
+    # jm-roundtrip reports the final system from the last row of the
+    # residues it checked, every number a complex [re, im] pair
+    out = tmp_path / "jm.json"
+    assert cli.main(["jm-roundtrip", "--steps", "20", "--json", str(out)]) == 0
+    blob = json.loads(out.read_text())["final_system"]
+    assert set(blob) == {"A0", "A1", "At", "thetas", "kappas", "t", "y",
+                         "ztilde", "k"}
+    th, kp, init = default_jm_problem()
+    ts, ys, zs, ks = integrate_p6_hamiltonian(th, kp, init, 2.0, 2.4, steps=20)
+    _, residues = jm_residues(ts, ys, zs, ks, th, kp)
+    pairs = np.stack([residues[-1, 0].real, residues[-1, 0].imag], axis=-1)
+    assert blob["A0"] == pairs.tolist()
+    assert blob["t"] == [ts[-1], 0.0]
+    assert blob["k"] == [ks[-1].real, ks[-1].imag]
 
 
 def test_trajectory_csv_matches_per_row_formatting():
@@ -892,8 +905,7 @@ def test_jm_residues_match_per_point_build(jm_trajectory):
     assert np.array_equal(poles, np.column_stack([0 * ts, 0 * ts + 1, ts]))
     for k in range(len(ts)):
         ref = jm_reference(ys[k], zs[k], ks[k], th, kp, ts[k])
-        sys_ = jm_build(ys[k], zs[k], ks[k], th, kp, ts[k])
-        built = np.array([sys_.A0, sys_.A1, sys_.At])
+        built = jm_residues([ts[k]], [ys[k]], [zs[k]], [ks[k]], th, kp)[1][0]
         scale = max(1.0, np.abs(ref).max())
         assert np.abs(residues[k] - ref).max() < 1e-13 * scale
         assert np.abs(built - ref).max() < 1e-13 * scale

@@ -7,24 +7,22 @@ from flatiso import catalog
 from flatiso.errors import NotMonic, RowNotLogarithmic
 from flatiso.flatcore import (SaitoMatrices, build_saito_matrices,
                               divmod_main_var, log_division, mat_scale)
-from flatiso.logvf import (DivisorData, discriminant, is_logarithmic,
-                           logvf_identities, saito_criterion,
-                           trace_identity_defects)
+from flatiso.logvf import is_logarithmic, logvf_identities, saito_criterion
 from flatiso.ring import Ring, RingElem
 
 
-def log_ratio(V, d):
+def log_ratio(V, h):
     """(V h)/h of a logarithmic field, checked exact."""
-    q, r = log_division(V, d.h, [d.h.partial(k) for k in range(d.n)])
+    q, r = log_division(V, h, [h.partial(k) for k in range(h.ring.nvars)])
     assert r.is_zero()
     return q
 
 
 def test_discriminant_klein(klein_matrices):
-    d = discriminant(klein_matrices)
-    assert d.h.degree_in(2) == 3
-    assert d.h.is_homogeneous(3)
-    lead = d.h.coeffs_in(2)[3]
+    h = klein_matrices.h
+    assert h.degree_in(2) == 3
+    assert h.is_homogeneous(3)
+    lead = h.coeffs_in(2)[3]
     assert lead == klein_matrices.ring.one()
 
 
@@ -32,8 +30,7 @@ def test_discriminant_n1():
     ring = Ring(["1"])
     t1 = ring.var(0)
     m = SaitoMatrices(ring=ring, C=[[t1]])
-    d = discriminant(m)
-    assert d.h == t1
+    assert m.h == t1
 
 
 def test_not_monic_raises():
@@ -41,27 +38,27 @@ def test_not_monic_raises():
     t1 = ring.var(0)
     m = SaitoMatrices(ring=ring, C=[[t1 * 2]])
     with pytest.raises(NotMonic):
-        discriminant(m)
+        m.h
 
 
 def test_euler_field_logarithmic(klein, klein_matrices):
-    d = discriminant(klein_matrices)
+    h = klein_matrices.h
     w = klein.weights
     t = klein.ring.gens()
     euler = [t[i] * w[i] for i in range(3)]
-    assert is_logarithmic(euler, d)
-    assert log_ratio(euler, d) == 3
+    assert is_logarithmic(euler, h)
+    assert log_ratio(euler, h) == 3
 
 
 def test_is_logarithmic_simple_cases():
     ring = Ring(["2/7", "3/7", "1"])
     t3 = ring.var(2)
-    d = DivisorData(h=t3 ** 3, ring=ring)
-    assert is_logarithmic([ring.one(), ring.zero(), ring.zero()], d)
-    assert not is_logarithmic([ring.zero(), ring.zero(), ring.one()], d)
+    h = t3 ** 3
+    assert is_logarithmic([ring.one(), ring.zero(), ring.zero()], h)
+    assert not is_logarithmic([ring.zero(), ring.zero(), ring.one()], h)
     # V = t3 d/dt3: V h = 3 h
-    assert is_logarithmic([ring.zero(), ring.zero(), t3], d)
-    assert log_ratio([ring.zero(), ring.zero(), t3], d) == 3
+    assert is_logarithmic([ring.zero(), ring.zero(), t3], h)
+    assert log_ratio([ring.zero(), ring.zero(), t3], h) == 3
 
 
 def test_division_by_a_divisor_not_monic_raises():
@@ -74,53 +71,50 @@ def test_division_by_a_divisor_not_monic_raises():
     with pytest.raises(NotMonic):
         divmod_main_var(t3 ** 3 + t1, ring.zero(), 2)
     with pytest.raises(NotMonic):
-        is_logarithmic([ring.zero(), ring.zero(), t3],
-                       DivisorData(h=t3 ** 3 * 2, ring=ring))
+        is_logarithmic([ring.zero(), ring.zero(), t3], t3 ** 3 * 2)
 
 
 def test_saito_criterion_derives_the_partials_once(monkeypatch):
     ring = Ring(["2/7", "3/7", "1"])
     t3 = ring.var(2)
-    d = DivisorData(h=t3 ** 3, ring=ring)
+    h = t3 ** 3
     calls = []
     partial = RingElem.partial
 
     def counting(self, var):
-        if self is d.h:
+        if self is h:
             calls.append(var)
         return partial(self, var)
 
     monkeypatch.setattr(RingElem, "partial", counting)
     MV = [[t3 if i == j else ring.zero() for j in range(3)] for i in range(3)]
-    assert saito_criterion(MV, d) == 1
+    assert saito_criterion(MV, h) == 1
     assert sorted(calls) == [0, 1, 2]
 
 
 def test_saito_criterion_diagonal():
     ring = Ring(["2/7", "3/7", "1"])
     t3 = ring.var(2)
-    d = DivisorData(h=t3 ** 3, ring=ring)
+    h = t3 ** 3
     MV = [[t3 if i == j else ring.zero() for j in range(3)] for i in range(3)]
-    assert saito_criterion(MV, d) == 1
+    assert saito_criterion(MV, h) == 1
     MV2 = [row[:] for row in MV]
     MV2[0] = MV2[1]
-    assert saito_criterion(MV2, d) is None
+    assert saito_criterion(MV2, h) is None
 
 
 def test_saito_criterion_minus_t_catalog():
     for eid in ("LT8", "LT30", "H3p", "LT19"):
         m = build_saito_matrices(catalog.catalog_get(eid).pvf)
-        d = discriminant(m)
-        assert saito_criterion(mat_scale(m.T, F(-1)), d) == 1
+        assert saito_criterion(mat_scale(m.T, F(-1)), m.h) == 1
 
 
 def test_saito_criterion_row_not_logarithmic(klein_matrices):
-    d = discriminant(klein_matrices)
     ring = klein_matrices.ring
     MV = [[ring.zero()] * 3 for _ in range(3)]
     MV[0][0] = ring.var(2)   # d/dt3-only field is not logarithmic for this h
     with pytest.raises(RowNotLogarithmic):
-        saito_criterion(MV, d)
+        saito_criterion(MV, klein_matrices.h)
 
 
 def test_logvf_block_names_the_failing_row(perturbed_lazy):
@@ -136,24 +130,22 @@ def test_logvf_block_names_the_failing_row(perturbed_lazy):
 
 
 def test_identities_klein(klein_matrices):
-    rep = logvf_identities(klein_matrices)
-    assert rep.all_ok
-    defects = trace_identity_defects(klein_matrices)
-    assert all(v.is_zero() for v in defects.values())
+    assert logvf_identities(klein_matrices) == []
+    assert all(v.is_zero() for v in klein_matrices.trace_defects)
 
 
 def test_identity_iii_explicit(klein_matrices):
     # V_2 h / h = - d s_1 / d t_2 where s_1 is minus the t3^2-coefficient of h
-    d = discriminant(klein_matrices)
+    h = klein_matrices.h
     M = mat_scale(klein_matrices.T, F(-1))
     v2 = M[1]                       # V_2 = row n+1-2
-    s1 = -d.h.coeffs_in(2)[2]
-    assert log_ratio(v2, d) == -s1.partial(1)
+    s1 = -h.coeffs_in(2)[2]
+    assert log_ratio(v2, h) == -s1.partial(1)
 
 
 def test_tn_free_logarithmic_fields_vanish(klein_matrices):
     # a nonzero field with t3-free coefficients cannot be logarithmic
-    d = discriminant(klein_matrices)
+    h = klein_matrices.h
     ring = klein_matrices.ring
     rng = random.Random(1234)
     for _ in range(10):
@@ -167,14 +159,14 @@ def test_tn_free_logarithmic_fields_vanish(klein_matrices):
             v.append(e)
         if all(x.is_zero() for x in v):
             continue
-        assert not is_logarithmic(v, d)
+        assert not is_logarithmic(v, h)
 
 
 def test_trace_identity_holds_for_n2(trivial_n2):
     # V_k h = tr(B^(k)) h carries no sign: at n = 2 a factor (-1)^(n+1)
     # would fail the genuine structure
     m = build_saito_matrices(trivial_n2)
-    assert all(v.is_zero() for v in trace_identity_defects(m).values())
+    assert all(v.is_zero() for v in m.trace_defects)
     block = catalog.logvf_block(m)
     assert block["pass"] and block["trace_identity"]
 
@@ -194,13 +186,13 @@ def test_log_rows_and_trace_defects_match_long_division(perturbed_lazy):
     # fused defect must be the chained V_k h - tr(B^(k)) h
     nonzero = {}
     for name, m in _structures(perturbed_lazy):
-        defects = trace_identity_defects(m)
+        defects = m.trace_defects
         for k, (row, (q, r)) in enumerate(zip(m.minus_T, m.log_rows)):
             q_ref, r_ref = log_division(row, m.h, m.dh)
             assert q == q_ref and r == r_ref, (name, k)
             tr = sum((m.Btilde[k][i][i] for i in range(m.n)), m.ring.zero())
             vh = sum((v * d for v, d in zip(row, m.dh)), m.ring.zero())
-            assert defects[k + 1] == vh - tr * m.h, (name, k)
-        nonzero[name] = [k for k, v in defects.items() if not v.is_zero()]
-    assert nonzero.pop("LT19-perturbed") == nonzero.pop("LT14-perturbed") == [1, 2]
+            assert defects[k] == vh - tr * m.h, (name, k)
+        nonzero[name] = [k for k, v in enumerate(defects) if not v.is_zero()]
+    assert nonzero.pop("LT19-perturbed") == nonzero.pop("LT14-perturbed") == [0, 1]
     assert all(ks == [] for ks in nonzero.values()) and len(nonzero) == 11

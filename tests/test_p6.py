@@ -20,11 +20,10 @@ def entry_setup(eid):
 
 def test_roots_of_h_vieta_klein():
     e, m = entry_setup("LT8")
-    from flatiso.logvf import discriminant
-    h = discriminant(m).h
+    h = m.h
     hc = h.coeffs_in(2)
     pt = (1.0, 1.0)
-    roots = p6.StructureSampler(m).frame(pt)[0]
+    roots = p6.StructureSampler(m).frames([pt]).z[0]
     from flatiso.numeric import EvalStack
     row = [(0j,) + pt + (0.0,)]
     # sum of roots = -coeff of t3^2; product = -constant coefficient (cubic)
@@ -90,7 +89,7 @@ def test_relabeling_roots_keeps_residual_small():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     path = e.default_path.points
-    values, roots, P = p6.frames_along(m, path)
+    values, roots, P = p6.StructureSampler(m).frames(path)
     swap = [1, 0, 2]
     track = p6.Track(values, roots[:, swap], P[:, :, swap])
     samples, _, res = p6.pvi_on_frames(m, lam, (1, 2), track)
@@ -278,7 +277,7 @@ def test_csv_and_json_reports():
 def test_entry_survey_reports_all_six():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    track = p6.frames_along(m, e.default_path.points)
+    track = p6.StructureSampler(m).frames(e.default_path.points)
     survey = p6.survey_on_frames(m, lam, track)
     assert set(survey) == {"1,2", "2,1", "1,3", "3,1", "2,3", "3,2"}
     # the lambda_3 = 0 normalization kills column 3
@@ -358,7 +357,7 @@ def count_frames(monkeypatch):
 def test_pvi_on_frames_reads_params_off_frame_zero():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    track = p6.frames_along(m, e.default_path.points)
+    track = p6.StructureSampler(m).frames(e.default_path.points)
     _, params, residual = p6.pvi_on_frames(m, lam, (1, 2), track)
     assert residual < 1e-6
     # the parameters read off frame 0 are those of a fresh sampler at path[0]
@@ -372,7 +371,7 @@ def test_entry_survey_matches_pvi_on_frames(monkeypatch):
     lam = p6.default_lambda(e.pvf.ring.weights)
     calls = count_frames(monkeypatch)
     path = e.default_path.points
-    track = p6.frames_along(m, path)
+    track = p6.StructureSampler(m).frames(path)
     survey = p6.survey_on_frames(m, lam, track)
     for key, (i, j) in (("1,2", (1, 2)), ("2,1", (2, 1)), ("3,1", (3, 1))):
         _, _, residual = p6.pvi_on_frames(m, lam, (i, j), track)
@@ -657,7 +656,8 @@ def test_eig3_matches_lapack_where_the_cubic_is_ill_conditioned(monkeypatch):
 def test_eig3_matches_lapack_on_catalog_paths(eid, monkeypatch):
     e, m = entry_setup(eid)
     lapack = count_lapack(monkeypatch)
-    values, _, _ = p6.frames_along(m, e.default_path.points, z_seed=e.z_seed)
+    values, _, _ = p6.StructureSampler(m, z_seed=e.z_seed).frames(
+        e.default_path.points)
     assert not lapack                     # every row in closed form
     monkeypatch.undo()
     assert_eig3_matches_lapack(p6._matrix_rows(m.T0_stack, values),

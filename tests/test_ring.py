@@ -611,7 +611,8 @@ def test_stacked_eval_is_bit_identical(eid):
     elems = [x for M in mats for row in M for x in row]
     assert any(x.is_zero() for x in elems)
     assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
-    values = p6.frames_along(m, cat.default_path.points, z_seed=cat.z_seed)[0]
+    values = p6.StructureSampler(m, z_seed=cat.z_seed).frames(
+        cat.default_path.points).values
     stack = EvalStack(mats)
     assert stack.shape == (n + 1, n, n)
     for rows in (values, values[len(values) // 2][None]):
