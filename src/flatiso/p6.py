@@ -28,7 +28,8 @@ pass whose first step is rejected bisects that step, the whole state (point,
 z, separation, roots) at the midpoint, under the same rule, and raises
 TrackingLost, a NumericError (CLI exit 3), past MAX_BISECTIONS (24)
 halvings.  A z separation or a root gap below numeric.ROOT_SEPARATION raises
-RootCollision for the earliest such point.
+RootCollision for the earliest such point, and a T0 that is not finite (a
+path point too large for floating point) raises BlowUp for the earliest.
 
 frame_tangent differentiates a tracked point exactly: the roots and the
 Okubo residues along each t_k, from the exact dT0/dt_k of the structure.
@@ -44,7 +45,7 @@ from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (DegenerateLinearEntry, EigenvalueCollision,
+from .errors import (BlowUp, DegenerateLinearEntry, EigenvalueCollision,
                      EntryIdenticallyZero, FlatIsoError, InputError,
                      InsufficientSamples, PoleOnPath, RootCollision,
                      RootNotConverged, TrackingLost)
@@ -343,6 +344,7 @@ class StructureSampler:
         and including the first rejected z step) or root gap (on the rows
         before that step) is below ROOT_SEPARATION: as path point k + i,
         where pts[0] is path point k, or by its coordinates where k is None.
+        BlowUp names the earliest row whose T0 is not finite the same way.
         """
         count = len(pts)
         values = np.zeros((count, self.n + 1), dtype=complex)
@@ -374,11 +376,20 @@ class StructureSampler:
             good = int(np.argmax(jump)) if jump.any() else conv
             checked = min(good + 1, conv)
         T0 = _matrix_rows(self._T0, values[:good])
-        roots, P, accepted = ordered_eig(
-            T0, None if last is None else last.roots[0], vectors)
 
         def where(i):
             return f"path point {k + i}" if k is not None else f"{pts[i]}"
+        try:
+            roots, P, accepted = ordered_eig(
+                T0, None if last is None else last.roots[0], vectors)
+        except np.linalg.LinAlgError:
+            # a non-finite row never passes _eig3, and LAPACK refuses it:
+            # only then are the rows tested
+            blown = ~np.isfinite(T0).all(axis=(1, 2))
+            if not blown.any():
+                raise
+            raise BlowUp(f"T0 is not finite at {where(int(np.argmax(blown)))}"
+                         ) from None
         _raise_first([
             (seps[:checked] < ROOT_SEPARATION, lambda i: RootCollision(
                 f"generator roots closer than {ROOT_SEPARATION} at {where(i)}")),

@@ -803,19 +803,30 @@ class RingElem:
         Ri = pk.partial(ext._rel, slot)
         N_i, N_z = pk.partial(N, slot), pk.partial(N, 0)
         a, b = self.zden, self.dden
-        # d/dt [N/(z^a D^b)] = num' / (z^(a+1) D^(b+2)),
-        # num' = z D (N_i D - N_z R_i) + a N R_i D - b z N (D_i D - D_z R_i);
-        # with the integer relation s * rel every term of num' carries s^2
-        zunit = pk.zunit
-        core = _p_lincomb(pk.mul(N_i, D), 1, pk.mul(N_z, Ri), -1)
-        num = pk.shift(pk.mul(core, D), zunit)
+        # With z' = -R_i / D, d/dt [N/(z^a D^b)] = num' / (z^(a+ez) D^(b+1+eD)),
+        # num' = z^ez D^eD (N_i D - N_z R_i) + a N R_i D^eD
+        #        - b z^ez N (D_i D - D_z R_i),
+        # where ez = [a > 0] and eD = [b > 0]: the a-term alone needs the
+        # extra z and the b-term alone the extra D.  Over rel_z = D / s the
+        # integer scale is s^(1+eD).  Lazy rings take ez = eD = 1 throughout,
+        # since nothing cancels there and the denominators partial returns
+        # are the ones the printed and compiled structures carry.
+        ez = 1 if a or ring.lazy else 0
+        eD = 1 if b or ring.lazy else 0
+        zkey = ez * pk.zunit
+        num = _p_lincomb(pk.mul(N_i, D), 1, pk.mul(N_z, Ri), -1)
+        if eD:
+            num = pk.mul(num, D)
+        num = pk.shift(num, zkey)
         if a:
-            num = _p_lincomb(num, 1, pk.mul(pk.mul(N, Ri), D), a)
+            NR = pk.mul(N, Ri)
+            num = _p_lincomb(num, 1, pk.mul(NR, D) if eD else NR, a)
         if b:
             D_i, D_z = pk.partial(D, slot), pk.partial(D, 0)
             inner = _p_lincomb(pk.mul(D_i, D), 1, pk.mul(D_z, Ri), -1)
-            num = _p_lincomb(num, 1, pk.shift(pk.mul(N, inner), zunit), -b)
-        return RingElem(ring, num, self._d * ext._scale ** 2, a + 1, b + 2)
+            num = _p_lincomb(num, 1, pk.shift(pk.mul(N, inner), zkey), -b)
+        return RingElem(ring, num, self._d * ext._scale ** (1 + eD),
+                        a + ez, b + 1 + eD)
 
     def _key_weights(self):
         """Integer weight (times ring._wscale) of each monomial, and of the denominator."""

@@ -107,6 +107,20 @@ def test_extract_p6_on_a_pvi_pole_is_a_numeric_failure(capsys, tmp_path):
     assert "numeric failure" in err and "not finite at the sample t =" in err
 
 
+@pytest.mark.parametrize("verb", ["extract-p6", "schlesinger", "midconv", "params"])
+def test_path_past_the_float_range_is_a_blow_up(verb, capsys, tmp_path):
+    # t1 = 1e308 is a real JSON number, but T0 overflows there: BlowUp
+    # (exit 3) names the first path point, and no report is written
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"t1": 1e308, "t2_start": 0.1, "t2_end": 0.2,
+                                "points": 9}))
+    target = tmp_path / "report.json"
+    code, out, err = run(capsys, verb, "--catalog", "LT8", "--path", str(path),
+                         "--json", str(target))
+    assert code == 3 and out == "" and not target.exists()
+    assert "numeric failure: T0 is not finite at path point 0" in err
+
+
 def test_schlesinger_and_midconv(capsys):
     code, out, _ = run(capsys, "schlesinger", "--catalog", "LT8")
     assert code == 0
@@ -381,6 +395,21 @@ def test_nested_constant_powers_exit_2_at_once(doc, capsys, tmp_path):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert "coefficients of at most" in err
+
+
+@pytest.mark.parametrize("verb", ["verify-wdvv", "saito", "logvf"])
+def test_power_past_the_term_bound_exits_2_at_once(verb, capsys, tmp_path):
+    # (t1 + t2 + t3 + 1)^200 would have C(203, 3) = 1,373,701 terms; the
+    # parser refuses it at the ^ before pow runs
+    import time
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"weights": ["1/4", "1/2", "1"],
+                             "g": ["(t1 + t2 + t3 + 1)^200", "t1*t2", "t1^2"]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, verb, "--input", str(p))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert f"a power of at most {exprio.MAX_POWER_TERMS} terms" in err
 
 
 def test_exponent_tower_returns_at_once(tmp_path):

@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
@@ -56,6 +57,19 @@ def test_powers_past_the_coefficient_bound_are_refused(plain):
     for text, at in ((f"2^{exprio.MAX_COEFF_BITS + 1}", 1),
                      ("t2 + (t1/3)^9100", 11), ("(t1 + 1)^14285", 8)):
         with pytest.raises(ParseError, match="coefficients") as e:
+            exprio.parse_expr(text, plain)
+        assert e.value.position == at, text
+
+
+def test_powers_past_the_term_bound_are_refused(plain):
+    # an m-term polynomial to the k has at most C(m + k - 1, k) terms; past
+    # MAX_POWER_TERMS it is refused at the ^, numerator and denominator alike
+    # (the bound for ^37 is 9,880 terms, which it reaches, for ^38 10,660)
+    assert comb(40, 37) <= exprio.MAX_POWER_TERMS < comb(41, 38)
+    base = "(t1 + t2 + t3 + 1)"
+    assert len(exprio.parse_raw(base + "^37", 3, False)[0]) == comb(40, 37)
+    for text, at in ((base + "^38", 18), ("t1 + (t2/" + base + ")^38", 28)):
+        with pytest.raises(ParseError, match="terms") as e:
             exprio.parse_expr(text, plain)
         assert e.value.position == at, text
 

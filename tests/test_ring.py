@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 from math import lcm
 
 import numpy as np
@@ -406,6 +407,83 @@ def test_z_shift_division_matches_adjugate_route(eid, multiple, data):
     if shift is not None:
         q, q_adj = _normalized(*shift), _normalized(*adjugate)
         assert q == q_adj and list(q[0]) == list(q_adj[0])
+
+
+def _partial_over_the_general_denominator(e, var):
+    """d/dt_{var+1} of e over z^(a+1) rel_z^(b+2), whatever a and b: with
+    N, D and R_i the integer numerator, rel_z and d(rel)/dt_i,
+    num' = z D (N_i D - N_z R_i) + a N R_i D - b z N (D_i D - D_z R_i)
+    over s^2 times the denominators."""
+    ring, pk, ext = e.ring, e.ring._pk, e.ring.ext
+    slot = var + 1
+    N, D, Ri = e._t, ext._drel, pk.partial(ext._rel, slot)
+    a, b = e.zden, e.dden
+    core = _p_lincomb(pk.mul(pk.partial(N, slot), D), 1,
+                      pk.mul(pk.partial(N, 0), Ri), -1)
+    num = pk.shift(pk.mul(core, D), pk.zunit)
+    if a:
+        num = _p_lincomb(num, 1, pk.mul(pk.mul(N, Ri), D), a)
+    if b:
+        inner = _p_lincomb(pk.mul(pk.partial(D, slot), D), 1,
+                           pk.mul(pk.partial(D, 0), Ri), -1)
+        num = _p_lincomb(num, 1, pk.shift(pk.mul(N, inner), pk.zunit), -b)
+    return RingElem(ring, num, e._d * ext._scale ** 2, a + 1, b + 2)
+
+
+@lru_cache(maxsize=None)
+def _scaled_ring(eid, c):
+    """The ring of a catalog entry with its relation multiplied by c, so that
+    the integer relation is c's denominator times the stored one."""
+    ring = catalog.catalog_get(eid).pvf.ring
+    if c == 1:
+        return ring
+    return Ring(ring.weights, {m: c * v for m, v in ring.ext.relation.items()},
+                ring.ext.z_weight)
+
+
+# the cancelling rings of z-degrees 4, 2 and 3 and a lazy one (z-degree 9),
+# as catalogued (integer relations) and with rational relations
+PARTIAL_RINGS = (("H3p", 1), ("H3pp", 1), ("LT27", 1), ("LT27", F(5, 6)),
+                 ("LT19", 1), ("LT19", F(2, 7)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(PARTIAL_RINGS), st.integers(0, 2), st.integers(0, 2),
+       st.data())
+def test_partial_matches_the_general_formula(spec, zden, dden, data):
+    # the minimal denominator z^(a+[a>0]) rel_z^(b+1+[b>0]) gives the same
+    # element as the general one; a lazy ring keeps the general one term
+    # for term, since its denominators are printed and compiled
+    ring = _scaled_ring(*spec)
+    e = ring.from_raw(data.draw(_raw_elems(ring)).num, zden, dden)
+    for var in range(ring.nvars):
+        got, want = e.partial(var), _partial_over_the_general_denominator(e, var)
+        assert got == want
+        if ring.lazy:
+            assert (got.zden, got.dden, got._d) == (want.zden, want.dden, want._d)
+            assert list(got._t.items()) == list(want._t.items())
+
+
+@pytest.mark.parametrize("eid", QUOTIENT_ENTRIES)
+def test_partial_of_a_polynomial_divides_at_most_once(eid, monkeypatch):
+    # with no denominator to differentiate, no z enters the new one and
+    # rel_z enters once, so cancelling it takes at most one division
+    ring = catalog.catalog_get(eid).pvf.ring
+    calls = {"_divide": 0, "_z_divide": 0}
+    for name in calls:
+        def counted(self, *args, _name=name, _orig=getattr(Ring, name)):
+            calls[_name] += 1
+            return _orig(self, *args)
+        monkeypatch.setattr(Ring, name, counted)
+    rng = random.Random(7)
+    for _ in range(5):
+        e = random_elem(ring, rng, with_z=True)
+        assert not (e.zden or e.dden)
+        for var in range(ring.nvars):
+            before = dict(calls)
+            e.partial(var)
+            assert calls["_z_divide"] == before["_z_divide"]
+            assert calls["_divide"] - before["_divide"] <= 1
 
 
 # ---------------------------------------------------------------------------
