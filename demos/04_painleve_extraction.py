@@ -39,5 +39,5 @@ print(f"residue-trace drift along the path: "
       f"{np.abs(snaps.traces - snaps.traces[0]).max():.2e}")
 
 out = pathlib.Path("lt8_p6_samples.csv")
-out.write_text(p6.samples_to_csv(samples))
+out.write_text(p6.samples_to_csv(samples, params))
 print(f"samples written to {out}")

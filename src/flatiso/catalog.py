@@ -211,11 +211,10 @@ def symbolic_block(pvf: PotentialVF, flags: Dict[str, bool]):
     return out, m
 
 
-def pvi_block(m: SaitoMatrices, lam, entry_choice, track):
-    """(block, samples, params): the PVI check of one entry on a track or on
-    residue snapshots, with the parameters read off its first frame."""
+def pvi_block(m: SaitoMatrices, entry_choice, snaps):
+    """(block, samples, params): the PVI check of one entry on snapshots."""
     from . import p6
-    samples, params, residual = p6.pvi_on_frames(m, lam, entry_choice, track)
+    samples, params, residual = p6.pvi_on_frames(m, entry_choice, snaps)
     return ({"pvi_residual": residual,
              "pass": within("pvi_residual", residual)}, samples, params)
 
@@ -253,11 +252,10 @@ def midconv_block(m: SaitoMatrices, point, z_seed=None):
     return block, out
 
 
-def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, snaps) -> dict:
-    """Numeric checks on the default path's residue snapshots
-    (isomono.snapshots_along) and the frames they were read from."""
+def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
+    """Numeric checks on the default path's residue snapshots."""
     import numpy as np
-    pvi, samples, params = pvi_block(m, lam, entry.p6_entry, snaps)
+    pvi, samples, params = pvi_block(m, entry.p6_entry, snaps)
     trace_spread = float(np.abs(snaps.traces - snaps.traces[0]).max())
     # + 0.0 turns a -0.0 left by rounding into 0.0, so last-bit noise
     # cannot flip the printed sign of a vanishing part
@@ -272,14 +270,14 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, lam, snaps) -> dict:
     }
 
 
-def _verify_full(entry: CatalogEntry, m: SaitoMatrices, lam, snaps) -> dict:
+def _verify_full(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
     """Full-depth checks; snaps as for _verify_numeric.  The entry survey
-    reads every second frame."""
+    reads every second snapshot."""
     from . import p6
     path = entry.default_path.points
     schles = schlesinger_block(snaps)
     mc, _ = midconv_block(m, path[len(path) // 2], z_seed=entry.z_seed)
-    survey = p6.survey_on_frames(m, lam, snaps[::2])
+    survey = p6.survey_on_frames(m, snaps[::2])
     return {"schlesinger_residual": schles["schlesinger_residual"],
             "entry_survey": survey,
             "midconv_gamma_inf_error": mc["gamma_inf_error"],
@@ -300,12 +298,12 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
     report["symbolic"], m = symbolic_block(entry.pvf, entry.flags)
     if depth != "symbolic":
         from . import isomono, p6
-        lam = p6.default_lambda(m.weights)
-        snaps = isomono.snapshots_along(m, entry.default_path.points, lam,
+        snaps = isomono.snapshots_along(m, entry.default_path.points,
+                                        p6.default_lambda(m.weights),
                                         z_seed=entry.z_seed)
-        report["numeric"] = _verify_numeric(entry, m, lam, snaps)
+        report["numeric"] = _verify_numeric(entry, m, snaps)
     if depth == "full":
-        report["full"] = _verify_full(entry, m, lam, snaps)
+        report["full"] = _verify_full(entry, m, snaps)
     report["pass"] = all(report[k]["pass"] for k in ("symbolic", "numeric", "full")
                          if k in report)
     return report

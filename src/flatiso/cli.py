@@ -212,17 +212,17 @@ def _run_logvf(args):
 
 
 def _run_extract_p6(args):
-    from . import p6
+    from . import isomono, p6
     pvf, points, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
-    track = p6.StructureSampler(m, z_seed=seed).frames(points)
-    block, samples, params = cat.pvi_block(
-        m, p6.default_lambda(pvf.ring.weights), choice, track)
+    snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
+                                    z_seed=seed)
+    block, samples, params = cat.pvi_block(m, choice, snaps)
     report = {
         "check": "extract-p6", "name": pvf.name, "entry": list(choice),
         "tolerances": _tolerances("pvi_residual"),
         "params": p6.params_to_json(params),
-        "samples_csv": p6.samples_to_csv(samples),
+        "samples_csv": p6.samples_to_csv(samples, params),
         **block,
     }
     return report, (f"PVI residual {block['pvi_residual']:.3e} "

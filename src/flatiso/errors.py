@@ -70,8 +70,8 @@ class NoRescalingFound(FlatIsoError):
 
 # --- numeric pipelines ----------------------------------------------------
 
-class EigenvalueCollision(NumericError):
-    pass
+class EigenvalueCollision(RootCollision):
+    """Two roots of T0 met, or two Okubo eigenvalues nearly an integer apart."""
 
 
 class RankViolation(NumericError):

@@ -30,6 +30,10 @@ MAX_COEFF_BITS = 14_284
 # m-term polynomial has at most C(m + k - 1, k) terms, and one of about this
 # many, such as (t1 + t2 + t3 + 1)^37 with 9,880, parses in about 0.3 s.
 MAX_POWER_TERMS = 10_000
+# A power's size, its term bound times its coefficient-bit bound: within the
+# two bounds above, (t1 + 1)^4000 (size 1.6e7) took 15 s.  The slowest power
+# all three admit, (t1 + t2 + 1)^137 (size 2.08e6), parses in about 1.1 s.
+MAX_POWER_SIZE = 2 ** 21
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -156,17 +160,22 @@ class _Parser:
             k = self.exponent()
             # the coefficients of p^k are at most (sum |c|)^k in size and its
             # terms at most C(m + k - 1, k) in number: a power that could
-            # pass MAX_COEFF_BITS or MAX_POWER_TERMS, in its numerator or its
-            # denominator, is refused before it is computed
+            # pass MAX_COEFF_BITS, MAX_POWER_TERMS or MAX_POWER_SIZE, in its
+            # numerator or its denominator, is refused before it is computed
             for part in v:
                 total = sum(map(abs, part.values()))
-                if total > 1 and k * math.log2(total) > MAX_COEFF_BITS:
+                bits = k * math.log2(total) if total > 1 else 0
+                if bits > MAX_COEFF_BITS:
                     raise ParseError(at, f"a power with coefficients of at "
                                      f"most {MAX_COEFF_BITS} bits", f"^{k}")
                 m = len(part)
-                if m > 1 and math.comb(m + k - 1, min(k, m - 1)) > MAX_POWER_TERMS:
+                terms = math.comb(m + k - 1, min(k, m - 1)) if m > 1 else 1
+                if terms > MAX_POWER_TERMS:
                     raise ParseError(at, f"a power of at most "
                                      f"{MAX_POWER_TERMS} terms", f"^{k}")
+                if terms * bits > MAX_POWER_SIZE:
+                    raise ParseError(at, f"a power of at most {MAX_POWER_SIZE} "
+                                     f"terms times coefficient bits", f"^{k}")
             return self.pow(v, k)
         return v
 

@@ -22,8 +22,7 @@ import numpy as np
 from .catalog import TOLERANCES
 from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                      InputError, InverseMismatch, PoleAtY, PoleOnPath,
-                     RankViolation, RootCollision, StepUnderflow,
-                     TrackingLost)
+                     RankViolation, StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
 from .p6 import (StructureSampler, _raise_first, five_point, path_parameter,
                  residues_from_frame)
@@ -123,10 +122,7 @@ def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None) -> OkuboNumeric:
     Okubo z-equation at path point k, with the tracked row, roots and frame
     they were read from.
     """
-    try:
-        values, roots, P = StructureSampler(m, z_seed=z_seed).frames(path)
-    except RootCollision as exc:
-        raise EigenvalueCollision(str(exc)) from exc
+    values, roots, P = StructureSampler(m, z_seed=z_seed).frames(path)
     lamv = np.array([complex(x) for x in lam])
     res = residues_from_frame(P, lamv)
     traces = np.trace(res, axis1=2, axis2=3)

@@ -283,8 +283,7 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None):
     """
     snap = snapshots_along(m, [tprime], lam, z_seed=z_seed)[0]
     n = m.n
-    dz, dB = frame_tangent(m, snap.values, snap.z, snap.P,
-                           snap.Binf - snap.Binf[n - 1])
+    dz, dB = frame_tangent(m, snap, snap.Binf - snap.Binf[n - 1])
     return snap, truncate_okubo(snap, z_grad=dz), dB[:, :, :n - 1, :n - 1]
 
 

@@ -27,11 +27,13 @@ the rows before its first rejected step and the next pass starts there; a
 pass whose first step is rejected bisects that step, the whole state (point,
 z, separation, roots) at the midpoint, under the same rule, and raises
 TrackingLost, a NumericError (CLI exit 3), past MAX_BISECTIONS (24)
-halvings.  A z separation or a root gap below numeric.ROOT_SEPARATION raises
-RootCollision for the earliest such point, and a T0 that is not finite (a
-path point too large for floating point) raises BlowUp for the earliest.
+halvings.  For the earliest point where it happens, a z separation below
+numeric.ROOT_SEPARATION raises RootCollision, a root gap of T0 below it
+EigenvalueCollision (a RootCollision too), and a T0 that is not finite BlowUp.
 
-frame_tangent differentiates a tracked point exactly: the roots and the
+After the tracker every check reads one record, isomono.snapshots_along's
+residue snapshots: lam is their Binf, theta their traces at the first point.
+frame_tangent differentiates one snapshot exactly: the roots and the
 Okubo residues along each t_k, from the exact dT0/dt_k of the structure.
 """
 
@@ -91,16 +93,11 @@ class P6Params:
 @dataclass
 class P6Samples:
     """PVI samples along a path, stacked: the path parameter s (N,), the
-    tracked points (t_1, t_2) (N, 2), and t and y (N,).  dy_dt, d2y_dt2 and
-    residual cover the interior points, where five_point reaches;
-    p6_residual sets them."""
+    tracked points (t_1, t_2) (N, 2), and t and y (N,)."""
     s: np.ndarray
     points: np.ndarray
     t: np.ndarray
     y: np.ndarray
-    dy_dt: Optional[np.ndarray] = None
-    d2y_dt2: Optional[np.ndarray] = None
-    residual: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +337,11 @@ class StructureSampler:
         first row starts from z_seed and has no step to check).
 
         Rows are kept up to the first rejected step.  RootCollision names
-        the earliest row whose z separation (on the converged rows up to
-        and including the first rejected z step) or root gap (on the rows
-        before that step) is below ROOT_SEPARATION: as path point k + i,
-        where pts[0] is path point k, or by its coordinates where k is None.
-        BlowUp names the earliest row whose T0 is not finite the same way.
+        the earliest row whose z separation (on the converged rows up to and
+        including the first rejected z step), EigenvalueCollision whose root
+        gap (on the rows before that step) is below ROOT_SEPARATION: as path
+        point k + i, where pts[0] is path point k, or by its coordinates
+        where k is None.  BlowUp names a T0 that is not finite the same way.
         """
         count = len(pts)
         values = np.zeros((count, self.n + 1), dtype=complex)
@@ -393,7 +390,7 @@ class StructureSampler:
         _raise_first([
             (seps[:checked] < ROOT_SEPARATION, lambda i: RootCollision(
                 f"generator roots closer than {ROOT_SEPARATION} at {where(i)}")),
-            (_root_gaps(roots) < ROOT_SEPARATION, lambda i: RootCollision(
+            (_root_gaps(roots) < ROOT_SEPARATION, lambda i: EigenvalueCollision(
                 f"roots closer than {ROOT_SEPARATION} at {where(i)}"))])
         return _Rows(values[:accepted], seps[:accepted], T0[:accepted],
                      roots[:accepted], None if P is None else P[:accepted])
@@ -529,8 +526,6 @@ def _samples_on(alpha, beta, values, roots):
     _raise_first([
         (np.abs(av) < 1e-12 * np.maximum(1.0, np.abs(bv)), lambda k:
          DegenerateLinearEntry(f"t_3-coefficient vanishes at path point {k}")),
-        (np.abs(den) < ROOT_SEPARATION, lambda k:
-         RootCollision(f"z_2 - z_1 ~ 0 at path point {k}")),
         (np.minimum(np.abs(t), np.abs(t - 1)) < 1e-8, lambda k:
          RootCollision(f"cross-ratio t hits 0/1 at path point {k}")),
     ])
@@ -573,9 +568,10 @@ def residues_from_frame(P, lam):
     return np.multiply(-cols, Pinv[..., :, None, :] * lamv, order="C")
 
 
-def frame_tangent(m: SaitoMatrices, values, roots, P, lam):
+def frame_tangent(m: SaitoMatrices, snap, lam):
     """(dz, dB): exact first derivatives of the roots and of the residues
-    residues_from_frame(P, lam) at one point (values, roots, P) of a track.
+    residues_from_frame(P, lam) at snap, one point of residue snapshots
+    (isomono.OkuboNumeric), whose row values, roots z and frame P it reads.
 
     dz[i, k] = dz_i/dt_{k+1} and dB[k, i] = dB_i/dt_{k+1}.  For k < n, with
     X = P^{-1} (dT0/dt_k) P, first-order eigen-perturbation gives dz = diag X
@@ -583,10 +579,10 @@ def frame_tangent(m: SaitoMatrices, values, roots, P, lam):
     the residues do not depend on the diagonal gauge.  Then
     dB_i = -P [Y, E_i] P^{-1} Binf.  Along t_n, dz = -1 and dB = 0.
     """
-    n = m.n
+    n, P = m.n, snap.P
     Pinv = np.linalg.inv(P)
-    X = Pinv @ _matrix_rows(m.dT0_stack, values[None])[0] @ P
-    gap = roots - roots[:, None]                        # [i, j] = z_j - z_i
+    X = Pinv @ _matrix_rows(m.dT0_stack, snap.values[None])[0] @ P
+    gap = snap.z - snap.z[:, None]                      # [i, j] = z_j - z_i
     np.fill_diagonal(gap, 1)
     Y = X / gap * (1 - np.eye(n))
     PinvL = Pinv * np.array([complex(x) for x in lam])
@@ -617,19 +613,16 @@ def p6_parameters(m: SaitoMatrices, point, sampler: StructureSampler,
     _check_entry(m, entry_choice)
     if lam is None:
         lam = default_lambda(m.weights)
-    try:
-        P = sampler.frames([point]).P[0]
-    except RootCollision as exc:
-        raise EigenvalueCollision(str(exc)) from exc
-    return _params_from_frame(P, lam, entry_choice)
+    res = residues_from_frame(sampler.frames([point]).P[0], lam)
+    return _params_from_traces(np.trace(res, axis1=-2, axis2=-1), lam,
+                               entry_choice)
 
 
-def _params_from_frame(P, lam, entry_choice):
-    """p6_parameters on a computed frame P."""
+def _params_from_traces(r, lam, entry_choice):
+    """P6Params of entry_choice from residue traces r (see p6_parameters)."""
     lamc = [complex(x) for x in lam]
     i, j = entry_choice
     k = ({1, 2, 3} - {i, j}).pop()
-    r = list(np.trace(residues_from_frame(P, lamc), axis1=-2, axis2=-1))
     theta0, theta1, thetat = (rm + lamc[k - 1] for rm in r)
     thetainf = lamc[i - 1] - lamc[j - 1]
     return P6Params.from_thetas(theta0, theta1, thetat, thetainf, r=r, lam=lamc)
@@ -649,19 +642,21 @@ def pvi_rhs(t, y, dy, params: P6Params):
     return term1 + term2 + term3
 
 
-def p6_residual(samples: P6Samples, params: P6Params) -> float:
-    """Max |y'' - PVI_rhs(t, y, y')| over the interior samples; sets the
-    derivatives there, the stencils of t and y along s and then the chain
-    rule, and the residuals on samples."""
+def _sample_defects(samples: P6Samples, params: P6Params):
+    """(dy/dt, d2y/dt2, |y'' - PVI_rhs(t, y, y')|) at the interior samples:
+    the stencils of t and y along s, then the chain rule."""
     s, y, dy, d2y = five_point(samples.s, samples.y)
     _, t, dt, d2t = five_point(samples.s, samples.t)
     _raise_first([(np.abs(dt) < 1e-12, lambda j: DegenerateLinearEntry(
         f"dt/ds vanishes at s = {s[j]}; path is not t-regular"))])
-    samples.dy_dt = dy / dt
-    samples.d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
-    samples.residual = _pvi_defects(t, y, samples.dy_dt, samples.d2y_dt2,
-                                    params)
-    return float(samples.residual.max())
+    dy_dt = dy / dt
+    d2y_dt2 = (d2y * dt - dy * d2t) / dt ** 3
+    return dy_dt, d2y_dt2, _pvi_defects(t, y, dy_dt, d2y_dt2, params)
+
+
+def p6_residual(samples: P6Samples, params: P6Params) -> float:
+    """Max |y'' - PVI_rhs(t, y, y')| over the interior samples."""
+    return float(_sample_defects(samples, params)[2].max())
 
 
 def pvi_grid_residual(ts, ys, dys, params: P6Params) -> float:
@@ -687,16 +682,17 @@ def _pvi_defects(t, y, dy, d2y, params):
     return val
 
 
-def pvi_on_frames(m: SaitoMatrices, lam, entry_choice, track):
-    """(samples, params, residual) of one PVI extraction on a Track or an
-    isomono.OkuboNumeric, with the parameters read off its first frame."""
-    alpha, beta = _linear_entry(m, lam, entry_choice)
-    samples = _samples_on(alpha, beta, track.values, track.z)
-    params = _params_from_frame(track.P[0], lam, entry_choice)
+def pvi_on_frames(m: SaitoMatrices, entry_choice, snaps):
+    """(samples, params, residual) of one PVI extraction on residue
+    snapshots (isomono.OkuboNumeric): lam is their Binf, and the parameters
+    are read off their traces at the first point."""
+    alpha, beta = _linear_entry(m, snaps.Binf, entry_choice)
+    samples = _samples_on(alpha, beta, snaps.values, snaps.z)
+    params = _params_from_traces(snaps.traces[0], snaps.Binf, entry_choice)
     return samples, params, p6_residual(samples, params)
 
 
-def survey_on_frames(m: SaitoMatrices, lam, track) -> dict:
+def survey_on_frames(m: SaitoMatrices, snaps) -> dict:
     """PVI residuals for every off-diagonal entry choice, reported not gated.
 
     Different entries give different solution branches; each is checked
@@ -709,8 +705,8 @@ def survey_on_frames(m: SaitoMatrices, lam, track) -> dict:
     for i, j in permutations((1, 2, 3), 2):
         key = f"{i},{j}"
         try:
-            _, params, residual = pvi_on_frames(m, lam, (i, j), track)
-        except (FlatIsoError, np.linalg.LinAlgError) as exc:
+            _, params, residual = pvi_on_frames(m, (i, j), snaps)
+        except FlatIsoError as exc:
             out[key] = {"error": type(exc).__name__}
             continue
         out[key] = {"residual": residual, "thetainf": params.thetainf}
@@ -721,24 +717,23 @@ def survey_on_frames(m: SaitoMatrices, lam, track) -> dict:
 # reporting
 # ---------------------------------------------------------------------------
 
-def samples_to_csv(samples: P6Samples) -> str:
-    """One line per sample; the derivative and residual cells are empty
-    where they are not set: outside the interior, or before p6_residual."""
+def samples_to_csv(samples: P6Samples, params: P6Params) -> str:
+    """One line per sample; dy/dt, d2y/dt2 and the PVI residual of params,
+    as p6_residual forms them, fill the cells of the interior samples."""
+    dy_dt, d2y_dt2, residual = _sample_defects(samples, params)
+
     def c(v):
         v = complex(v)
         return f"{v.real:.16g}{v.imag:+.16g}j"
 
     def column(vals, fmt):
-        if vals is None:
-            return [""] * len(samples.s)
         edge = [""] * ((len(samples.s) - len(vals)) // 2)
         return edge + [fmt(v) for v in vals.tolist()] + edge
     lines = ["s,t1,t2,t,y,dy,d2y,residual"]
     for s, tp, t, y, dy, d2y, res in zip(
             samples.s.tolist(), samples.points.tolist(), samples.t.tolist(),
-            samples.y.tolist(), column(samples.dy_dt, c),
-            column(samples.d2y_dt2, c),
-            column(samples.residual, lambda v: f"{v:.6g}")):
+            samples.y.tolist(), column(dy_dt, c), column(d2y_dt2, c),
+            column(residual, lambda v: f"{v:.6g}")):
         lines.append(",".join([f"{s:.16g}", c(tp[0]), c(tp[1]), c(t), c(y),
                                dy, d2y, res]))
     return "\n".join(lines) + "\n"

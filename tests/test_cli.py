@@ -302,6 +302,25 @@ def test_verbs_report_the_catalog_numbers_and_gates(eid, capsys, monkeypatch):
                 assert json.loads(out)["pass"] is False
 
 
+def test_extract_p6_reports_the_catalog_pvi_numbers(capsys):
+    # both read the residue snapshots of isomono.snapshots_along: the same
+    # PVI residual, and the same theta as catalog verify rounds them
+    import numpy as np
+    code, out, _ = run(capsys, "catalog", "verify", "--all", "--depth",
+                       "numeric")
+    assert code == 0
+    entries = json.loads(out)["entries"]
+    assert sorted(entries) == sorted(catalog.catalog_list())
+    for eid, rep in entries.items():
+        code, out, _ = run(capsys, "extract-p6", "--catalog", eid)
+        assert code == 0, eid
+        p6_rep = json.loads(out)
+        assert p6_rep["pvi_residual"] == rep["numeric"]["pvi_residual"], eid
+        theta = np.array([p6_rep["params"]["theta"][k]
+                          for k in ("0", "1", "t", "inf")])
+        assert (np.round(theta, 12) + 0.0).tolist() == rep["numeric"]["theta"], eid
+
+
 def test_params_echoes_the_bound_it_enforces(capsys):
     from flatiso import numeric, p6
     code, out, _ = run(capsys, "params", "--catalog", "LT26")
@@ -410,6 +429,25 @@ def test_power_past_the_term_bound_exits_2_at_once(verb, capsys, tmp_path):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert f"a power of at most {exprio.MAX_POWER_TERMS} terms" in err
+
+
+def test_power_past_the_size_bound_exits_2_at_once(capsys, tmp_path):
+    # (t1 + 1)^4000 is within the coefficient-bit and the term bounds, but
+    # its size, 4001 terms times 4000 bits, passes MAX_POWER_SIZE: the parser
+    # refuses it at the ^, where it would take seconds to build
+    import time
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"weights": ["1/4", "1/2", "1"],
+                             "g": ["(t1 + 1)^4000", "t1*t2", "t1^2"]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify-wdvv", "--input", str(p))
+    assert time.perf_counter() - start < 0.1
+    assert code == 2 and out == ""
+    assert f"a power of at most {exprio.MAX_POWER_SIZE} terms times" in err
+    # the densest power the term bound admits is within the size bound
+    from flatiso.ring import Ring
+    dense = exprio.parse_expr("(t1 + t2 + t3 + 1)^37", Ring(["1/4", "1/2", "1"]))
+    assert len(dense.num) == 9880
 
 
 def test_exponent_tower_returns_at_once(tmp_path):

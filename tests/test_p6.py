@@ -89,10 +89,12 @@ def test_relabeling_roots_keeps_residual_small():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     path = e.default_path.points
-    values, roots, P = p6.StructureSampler(m).frames(path)
+    snaps = isomono.snapshots_along(m, path, lam)
     swap = [1, 0, 2]
-    track = p6.Track(values, roots[:, swap], P[:, :, swap])
-    samples, _, res = p6.pvi_on_frames(m, lam, (1, 2), track)
+    relabeled = isomono.OkuboNumeric(
+        snaps.Binf, snaps.values, snaps.z[:, swap], snaps.P[:, :, swap],
+        snaps.residues[:, swap], snaps.traces[:, swap])
+    samples, _, res = p6.pvi_on_frames(m, (1, 2), relabeled)
     assert res < 1e-6
     # the relabeled t really is the 0 <-> 1 swapped cross-ratio
     plain = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points[:5])
@@ -131,8 +133,11 @@ def test_path_parameter_is_t2_of_the_tracked_rows():
                                    svals=t2)
     assert np.array_equal(plain.s, t2)
     assert p6.p6_residual(plain, params) == p6.p6_residual(given, params)
-    for name in ("t", "y", "dy_dt", "d2y_dt2", "residual"):
+    for name in ("t", "y"):
         assert np.array_equal(getattr(plain, name), getattr(given, name))
+    for a, b in zip(p6._sample_defects(plain, params),
+                    p6._sample_defects(given, params)):
+        assert np.array_equal(a, b)
     snaps = isomono.snapshots_along(m, pts, lam, z_seed=e.z_seed)
     assert (isomono.schlesinger_residual(snaps)
             == isomono.schlesinger_residual(snaps, svals=t2))
@@ -241,16 +246,16 @@ def test_stacked_derivatives_match_per_point_chain_rule():
     family = sqrt_t_samples(np.linspace(2.0, 3.0, 101))
     for samples, pars in ((lt8, params),
                           (family, p6.P6Params.from_thetas(0.5, 0.5, 0.5, 1.5))):
-        assert samples.dy_dt is None and samples.residual is None
         assert p6.p6_residual(samples, pars) < 1e-6
+        dy_dt, d2y_dt2, residual = p6._sample_defects(samples, pars)
         want_d1, want_d2 = per_point_derivatives(samples)
-        assert samples.dy_dt.shape == samples.d2y_dt2.shape == (len(samples.s) - 4,)
-        assert samples.residual.shape == samples.dy_dt.shape
-        for got, want in ((samples.dy_dt, want_d1), (samples.d2y_dt2, want_d2)):
+        assert dy_dt.shape == d2y_dt2.shape == (len(samples.s) - 4,)
+        assert residual.shape == dy_dt.shape
+        for got, want in ((dy_dt, want_d1), (d2y_dt2, want_d2)):
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    t = family.t[2:-2]
-    assert np.abs(family.dy_dt - 0.5 / np.sqrt(t)).max() < 1e-8
-    assert np.abs(family.d2y_dt2 + 0.25 * t ** -1.5).max() < 1e-8
+    t = family.t[2:-2]                  # the family is the last pair
+    assert np.abs(dy_dt - 0.5 / np.sqrt(t)).max() < 1e-8
+    assert np.abs(d2y_dt2 + 0.25 * t ** -1.5).max() < 1e-8
 
 
 def test_insufficient_samples():
@@ -265,20 +270,37 @@ def test_csv_and_json_reports():
     lam = p6.default_lambda(e.pvf.ring.weights)
     samples = p6.extract_p6_solution(m, lam, (1, 2),
                                      e.default_path.points[:7])
-    csv = p6.samples_to_csv(samples)
-    assert csv.splitlines()[0] == "s,t1,t2,t,y,dy,d2y,residual"
-    assert len(csv.splitlines()) == 8
     params = p6.p6_parameters(m, e.default_path.points[0],
                               sampler=p6.StructureSampler(m))
+    csv = p6.samples_to_csv(samples, params)
+    assert csv.splitlines()[0] == "s,t1,t2,t,y,dy,d2y,residual"
+    assert len(csv.splitlines()) == 8
     blob = p6.params_to_json(params)
     assert set(blob) >= {"theta", "alpha", "beta", "gamma", "delta", "r"}
+
+
+def test_csv_does_not_depend_on_p6_residual_running_first():
+    # samples_to_csv forms its derivative and residual cells itself, and
+    # p6_residual writes nothing to the samples
+    e, m = entry_setup("LT8")
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    params = p6.p6_parameters(m, e.default_path.points[0],
+                              sampler=p6.StructureSampler(m))
+    samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points)
+    before = p6.samples_to_csv(samples, params)
+    residual = p6.p6_residual(samples, params)
+    assert p6.samples_to_csv(samples, params) == before
+    rows = [line.split(",") for line in before.splitlines()[1:]]
+    assert all(row[5:] == ["", "", ""] for row in rows[:2] + rows[-2:])
+    assert all(cell for row in rows[2:-2] for cell in row[5:])
+    assert max(float(row[7]) for row in rows[2:-2]) == float(f"{residual:.6g}")
 
 
 def test_entry_survey_reports_all_six():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    track = p6.StructureSampler(m).frames(e.default_path.points)
-    survey = p6.survey_on_frames(m, lam, track)
+    snaps = isomono.snapshots_along(m, e.default_path.points, lam)
+    survey = p6.survey_on_frames(m, snaps)
     assert set(survey) == {"1,2", "2,1", "1,3", "3,1", "2,3", "3,2"}
     # the lambda_3 = 0 normalization kills column 3
     assert survey["1,3"] == {"error": "EntryIdenticallyZero"}
@@ -357,8 +379,8 @@ def count_frames(monkeypatch):
 def test_pvi_on_frames_reads_params_off_frame_zero():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    track = p6.StructureSampler(m).frames(e.default_path.points)
-    _, params, residual = p6.pvi_on_frames(m, lam, (1, 2), track)
+    snaps = isomono.snapshots_along(m, e.default_path.points, lam)
+    _, params, residual = p6.pvi_on_frames(m, (1, 2), snaps)
     assert residual < 1e-6
     # the parameters read off frame 0 are those of a fresh sampler at path[0]
     fresh = p6.p6_parameters(m, e.default_path.points[0],
@@ -371,10 +393,10 @@ def test_entry_survey_matches_pvi_on_frames(monkeypatch):
     lam = p6.default_lambda(e.pvf.ring.weights)
     calls = count_frames(monkeypatch)
     path = e.default_path.points
-    track = p6.StructureSampler(m).frames(path)
-    survey = p6.survey_on_frames(m, lam, track)
+    snaps = isomono.snapshots_along(m, path, lam)
+    survey = p6.survey_on_frames(m, snaps)
     for key, (i, j) in (("1,2", (1, 2)), ("2,1", (2, 1)), ("3,1", (3, 1))):
-        _, _, residual = p6.pvi_on_frames(m, lam, (i, j), track)
+        _, _, residual = p6.pvi_on_frames(m, (i, j), snaps)
         assert survey[key]["residual"] == residual
     assert calls == [len(path)]
 
@@ -674,6 +696,21 @@ def test_path_into_a_triple_root_raises_root_collision():
             track(path)
 
 
+def test_each_collision_is_named_where_the_tracker_finds_it():
+    # z^2 = t1 at t1 = 1e-22 puts the two roots of the relation 2e-11
+    # apart: a RootCollision through snapshots_along, not renamed; a root
+    # gap of T0 is an EigenvalueCollision, straight from frames
+    from flatiso.errors import EigenvalueCollision
+    m = sqrt_sampler(1e-11).m
+    with pytest.raises(RootCollision, match="generator roots closer") as exc:
+        isomono.snapshots_along(m, [(1e-22, 0.0)], (0.5, 0.0), z_seed=1e-11)
+    assert not isinstance(exc.value, EigenvalueCollision)
+    e, m = entry_setup("LT8")
+    path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
+    with pytest.raises(EigenvalueCollision, match="path point 8"):
+        p6.StructureSampler(m).frames(path)
+
+
 def test_closed_form_frames_and_roots_only_tracking():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
@@ -722,11 +759,11 @@ def test_one_evaluation_per_matrix(eid, monkeypatch):
     monkeypatch.setattr(p6, "newton_roots", counting_newton)
     passes = count_calls(monkeypatch, "_pass")
     bisections = count_calls(monkeypatch, "_bisect")
-    values, roots, P = p6.StructureSampler(m, z_seed=z_seed).frames(pts)
+    lam = p6.default_lambda(e.pvf.ring.weights)
+    snaps = isomono.snapshots_along(m, pts, lam, z_seed=z_seed)
     assert calls == [(m.T0_stack, 401)]
     assert newton == ([] if m.ring.ext is None else [401])
     assert len(passes) == 1 and bisections == []
     calls.clear()
-    lam = p6.default_lambda(e.pvf.ring.weights)
-    p6.frame_tangent(m, values[200], roots[200], P[200], lam)
+    p6.frame_tangent(m, snaps[200], lam)
     assert calls == [(m.dT0_stack, 1)]

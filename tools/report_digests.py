@@ -8,7 +8,8 @@ report is byte-identical, so comparing a change with its parent is one diff:
 
     python tools/report_digests.py > after.txt
 
-A report that a verb did not write (an input or numeric error) is listed as
+Catalog ids as arguments (`python tools/report_digests.py LT8 LT19`) limit
+the output to those entries' per-entry reports.  A report that a verb did not write (an input or numeric error) is listed as
 `name exit-N` in place of its digest.
 """
 import contextlib
@@ -59,4 +60,4 @@ def main(entries=None):
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:] or None)
