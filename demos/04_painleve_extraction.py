@@ -17,12 +17,10 @@ m = flatcore.build_saito_matrices(entry.pvf)
 lam = p6.default_lambda(entry.pvf.ring.weights)
 print("Okubo normalization lambda =", [str(x) for x in lam])
 
-samples = p6.extract_p6_solution(m, lam, entry.p6_entry,
-                                 entry.default_path.points,
-                                 z_seed=entry.z_seed)
-params = p6.p6_parameters(m, entry.default_path.points[0], lam=lam,
-                          sampler=p6.StructureSampler(m, z_seed=entry.z_seed))
-residual = p6.p6_residual(samples, params)
+snaps = isomono.snapshots_along(m, entry.default_path.points, lam,
+                                z_seed=entry.z_seed)
+samples, params, defects = p6.pvi_on_frames(m, entry.p6_entry, snaps)
+residual = defects[2].max()
 
 print(f"path: t1 = 1, t2 in [{samples.s[0]}, {samples.s[-1]}], "
       f"{len(samples.y)} samples")
@@ -33,11 +31,9 @@ print(f"(alpha, beta, gamma, delta) = ({params.alpha:.6f}, {params.beta:.6f}, "
 print(f"max PVI residual over the path: {residual:.3e}")
 
 # residue traces are first integrals of the deformation
-snaps = isomono.snapshots_along(m, entry.default_path.points, lam,
-                                z_seed=entry.z_seed)
 print(f"residue-trace drift along the path: "
       f"{np.abs(snaps.traces - snaps.traces[0]).max():.2e}")
 
 out = pathlib.Path("lt8_p6_samples.csv")
-out.write_text(p6.samples_to_csv(samples, params))
+out.write_text(p6.samples_to_csv(samples, defects))
 print(f"samples written to {out}")

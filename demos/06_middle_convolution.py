@@ -31,5 +31,5 @@ print("  all residues rank one:",
 
 rep = midconv.invariant_subspace_check(sys2, -1.0, family=family)
 print(f"\ninvariant subspaces of the big convolution system: "
-      f"dim K = {rep.dim_K}, dim L = {rep.dim_L}, "
+      f"dim K = {rep.dim_K}, "
       f"max invariance defect {rep.max_defect:.2e}")

@@ -217,12 +217,12 @@ def _run_extract_p6(args):
     m = flatcore.build_saito_matrices(pvf)
     snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
                                     z_seed=seed)
-    block, samples, params = cat.pvi_block(m, choice, snaps)
+    block, samples, params, defects = cat.pvi_block(m, choice, snaps)
     report = {
         "check": "extract-p6", "name": pvf.name, "entry": list(choice),
         "tolerances": _tolerances("pvi_residual"),
         "params": p6.params_to_json(params),
-        "samples_csv": p6.samples_to_csv(samples, params),
+        "samples_csv": p6.samples_to_csv(samples, defects),
         **block,
     }
     return report, (f"PVI residual {block['pvi_residual']:.3e} "

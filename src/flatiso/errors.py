@@ -71,7 +71,7 @@ class NoRescalingFound(FlatIsoError):
 # --- numeric pipelines ----------------------------------------------------
 
 class EigenvalueCollision(RootCollision):
-    """Two roots of T0 met, or two Okubo eigenvalues nearly an integer apart."""
+    """Two roots of T0 came closer than the separation threshold."""
 
 
 class RankViolation(NumericError):
@@ -130,7 +130,8 @@ class ConditionDViolation(NumericError):
 
 
 class ResonantLambda(NumericError):
-    pass
+    """Two Okubo eigenvalues of residue snapshots nearly an integer apart,
+    or a middle-convolution parameter on the spectrum {Gamma_inf} or at 0."""
 
 
 class PivotColumnNotFound(FlatIsoError):

@@ -20,9 +20,9 @@ from operator import itemgetter, mul
 import numpy as np
 
 from .catalog import TOLERANCES
-from .errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
-                     InputError, InverseMismatch, PoleAtY, PoleOnPath,
-                     RankViolation, StepUnderflow, TrackingLost)
+from .errors import (BlowUp, DegenerateTheta, InputError, InverseMismatch,
+                     PoleAtY, PoleOnPath, RankViolation, ResonantLambda,
+                     StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
 from .p6 import (StructureSampler, _raise_first, five_point, path_parameter,
                  residues_from_frame)
@@ -92,7 +92,7 @@ def _check_residues(lam, residues, traces, points):
     resonant = _integer_gap(lam)
     if resonant is not None:
         checks.append((np.ones(len(residues), dtype=bool),
-                       lambda k: EigenvalueCollision(resonant)))
+                       lambda k: ResonantLambda(resonant)))
     _raise_first(checks)
 
 

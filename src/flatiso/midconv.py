@@ -9,19 +9,19 @@ the rank-one factor matrices to an inverse pair (P, P^{-1}), then
     new residue_j = - P[:, j] P^{-1}[j, :] diag(lam_1 - lam, ..., -lam),
 
 which is p6.residues_from_frame(P, gamma_inf).  Residues are stacked
-(n, m, m) arrays throughout, as in isomono and p6.
+(n, m, m) arrays throughout, as in isomono and p6, and one SVD of them,
+taken when a system is built, serves every factorization below.
 
 The big n(n-1) convolution matrices and their invariant subspaces are kept
 as an independent diagnostic of that closed form.  One block matrix
-M = [residue_j + lam delta_ij]_ij gives G^(z), G^(x) and L = ker M.  The
-deformation directions are checked on the exact tangent of the residues
+M = [residue_j + lam delta_ij]_ij gives G^(z) and G^(x).  The deformation
+directions are checked on the exact tangent of the residues
 (p6.frame_tangent), so the diagnostic needs one tracked point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .isomono import TRACE_GUARD, OkuboNumeric, snapshots_along
 from .p6 import frame_tangent, residues_from_frame
 
 RANK_TOL = 1e-8
+PIN_TIE = 1e-9      # relative tie window of the gauge pins (_pin)
 
 
 @dataclass
@@ -44,6 +45,7 @@ class RankOneSystem:
     Gamma_inf: np.ndarray          # diagonal entries, length n-1
     z: np.ndarray                  # singular locations
     z_grad: np.ndarray             # dz_j/dx_i at the working point, shape (n, nx)
+    svd: tuple = field(init=False, repr=False)   # (u, s, vh) of the residues
 
     def __post_init__(self):
         """Conditions (D3) and (D4), checked once, at construction; a caller
@@ -55,7 +57,7 @@ class RankOneSystem:
         total = self.residues.sum(axis=0) + np.diag(lam)
         if np.abs(total).max() > TOLERANCES["residue_identities"]:
             raise ConditionDViolation("D4", "residues do not sum to -Gamma_inf")
-        s = np.linalg.svd(self.residues, compute_uv=False)
+        _, s, _ = self.svd = np.linalg.svd(self.residues)
         tr = np.trace(self.residues, axis1=1, axis2=2)
         # per residue, in order: vanishing, rank >= 2, trace near +-1
         bad = np.column_stack([
@@ -108,42 +110,46 @@ def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
 # middle convolution
 # ---------------------------------------------------------------------------
 
+def _pin(x):
+    """Last-axis index of the first entry within PIN_TIE of the largest
+    modulus, so that entries of equal modulus cannot swap under rounding."""
+    mod = np.abs(x)
+    return np.argmax(mod >= (1 - PIN_TIE) * mod.max(-1, keepdims=True), -1)
+
+
 def _rank_one_factors(sys: RankOneSystem):
     """(B, A): columns b_j of B (n-1, n) and rows a_j of A (n, n-1) with
-    residue_j = -b_j a_j Gamma_inf.
+    residue_j = -b_j a_j Gamma_inf, read off the system's SVD.
 
-    Scales are pinned per column by normalizing the largest |entry| of b_j to
-    one, so factorizations vary smoothly along families.
+    Scales are pinned per column by normalizing the first largest |entry| of
+    b_j to one (_pin), so factorizations vary smoothly along families.
     """
-    u, s, vh = np.linalg.svd(-sys.residues * (1 / sys.Gamma_inf))
-    gone = s[:, 0] < 1e-12
-    if gone.any():
-        raise FactorizationFailed(f"residue {np.argmax(gone) + 1} vanishes")
+    u, s, vh = sys.svd
     b = u[:, :, 0] * s[:, :1]
-    scale = b[np.arange(sys.n), np.argmax(np.abs(b), axis=1), None]
-    return (b / scale).T, vh[:, 0, :] * scale
+    scale = b[np.arange(sys.n), _pin(b), None]
+    return (b / scale).T, -vh[:, 0, :] / sys.Gamma_inf * scale
 
 
 def _extend_to_inverse_pair(B, A):
     """Square P = [B; row], checked against P^{-1} = [A | col], given
-    B A = I_{n-1}."""
-    # col spans ker(B); row spans the left kernel of A; row . col = 1
-    _, _, vh = np.linalg.svd(B)
-    col = vh[-1, :].conj()
-    u, _, _ = np.linalg.svd(A)
-    row = u[:, -1].conj()
-    dot = row @ col
-    if abs(dot) < 1e-12:
-        raise FactorizationFailed("kernel extension is degenerate")
-    row = row / dot
-    # pin the gauge: largest entry of col scaled to 1
-    scale = col[np.argmax(np.abs(col))]
-    col, row = col / scale, row * scale
-    P = np.vstack([B, row[None, :]])
-    Pinv = np.hstack([A, col[:, None]])
+    B A = I_{n-1}: Q = I - A B = col row projects onto ker B along range A,
+    and trace Q = 1 gives |Q_ii| >= 1/n.  col is Q[:, i] pinned to 1 at its
+    first largest entry k, so row = Q[k], |Q[k, i]| >= (1 - PIN_TIE)|Q_ii|."""
+    Q = np.eye(A.shape[0]) - A @ B
+    i = np.argmax(np.abs(np.diag(Q)))
+    k = _pin(Q[:, i])
+    P = np.vstack([B, Q[k]])
+    Pinv = np.hstack([A, Q[:, i, None] / Q[k, i]])
     if np.abs(P @ Pinv - np.eye(len(P))).max() > 1e-10:
         raise InverseMismatch("extended pair is not inverse")
     return P
+
+
+def _check_lambda(sys: RankOneSystem, lam):
+    """ResonantLambda for a lam on the spectrum {Gamma_inf} or 0."""
+    for li in list(sys.Gamma_inf) + [0.0]:
+        if abs(lam - li) < 1e-10:
+            raise ResonantLambda(f"lambda = {lam} is resonant with {li}")
 
 
 def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
@@ -154,9 +160,7 @@ def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
     to one it does not enter the closed form.
     """
     lam = complex(lam)
-    for li in list(sys.Gamma_inf) + [0.0]:
-        if abs(lam - li) < 1e-10:
-            raise ResonantLambda(f"lambda = {lam} is resonant with {li}")
+    _check_lambda(sys, lam)
     B, A = _rank_one_factors(sys)
     if np.abs(B @ A - np.eye(sys.n - 1)).max() > 1e-9:
         raise FactorizationFailed("rank-one factors do not multiply to identity")
@@ -178,13 +182,6 @@ def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
 # the big convolution matrices and their invariant subspaces
 # ---------------------------------------------------------------------------
 
-def _null_space(A):
-    """Orthonormal kernel basis (columns) of a square A: the right singular
-    vectors whose singular value is below RANK_TOL * max(1, s_0)."""
-    _, s, vh = np.linalg.svd(A)
-    return vh[s < RANK_TOL * max(1.0, s[0])].conj().T
-
-
 def _block_diag(X):
     """The block-diagonal matrix of a stack X (n, p, q), shape (n p, n q)."""
     n, p, q = X.shape
@@ -192,20 +189,16 @@ def _block_diag(X):
 
 
 def kernel_stack_basis(sys: RankOneSystem):
-    """Basis of K = {(v_1..v_n) : v_i in ker residue_i}, shape (n(n-1), dim)."""
-    kernels = [_null_space(G) for G in sys.residues]
-    for i, kern in enumerate(kernels):
-        if kern.shape[1] != sys.n - 2:
-            raise RankViolation(f"kernel of residue {i+1} has unexpected dimension")
-    return _block_diag(np.array(kernels))
+    """Orthonormal basis of K = {(v_1..v_n) : v_i in ker residue_i}, shape
+    (n(n-1), n(n-2)): each residue's right singular vectors but the first."""
+    return _block_diag(sys.svd[2][:, 1:, :].conj().transpose(0, 2, 1))
 
 
 @dataclass
 class InvarianceReport:
     dim_K: int
-    dim_L: int
     z_defect: float
-    x_defects: List[float]
+    x_defects: list[float]
 
     @property
     def max_defect(self):
@@ -214,21 +207,24 @@ class InvarianceReport:
 
 def invariant_subspace_check(sys: RankOneSystem, lam, family
                              ) -> InvarianceReport:
-    """Numeric check that (d - G) maps K and L into K + L.
+    """Numeric check that (d - G) maps K into K.
 
     With the block matrix M = [residue_j + lam delta_ij]_ij, G^(z) is M with
-    block row i divided by z - z_i, and L = ker M.  The z-direction is
-    pointwise linear algebra (K is z-independent), at z = max Re z_i + 1.7
-    + 0.3i.  Along x_k, with w_ij = (dz_i - dz_j)/(z_i - z_j), G^(k) has
-    blocks -dz_i G^(z)_ij - w_ij residue_j off the diagonal and
-    -dz_i G^(z)_ii + sum_l w_il residue_l on it.  family is the tangent of
-    the residues, family[k][i] = d residue_i / dx_k (rank_one_from_structure's
-    third value); along x_k a vector v of K moves with the kernels as
-    dv_i = -residue_i^+ (d residue_i / dx_k) v_i, the exact derivative of
-    its projection onto ker residue_i.  Defects are distances of the mapped
-    basis vectors to K + L, normalized per vector.
+    block row i divided by z - z_i.  As the residues sum to -Gamma_inf,
+    ker M = {(u, ..., u) : (Gamma_inf - lam) u = 0}, which is {0} for every
+    lam that middle_convolution accepts; others raise ResonantLambda.  The
+    z-direction is pointwise linear algebra (K is z-independent), at
+    z = max Re z_i + 1.7 + 0.3i.  Along x_k, with w_ij = (dz_i - dz_j) /
+    (z_i - z_j), G^(k) has blocks -dz_i G^(z)_ij - w_ij residue_j off the
+    diagonal and -dz_i G^(z)_ii + sum_l w_il residue_l on it.  family is
+    the tangent of the residues, family[k][i] = d residue_i / dx_k
+    (rank_one_from_structure's third value); along x_k a vector v of K moves
+    with the kernels as dv_i = -residue_i^+ (d residue_i / dx_k) v_i, the
+    exact derivative of its projection onto ker residue_i.  Defects are
+    distances of the mapped basis vectors to K, normalized per vector.
     """
     lam = complex(lam)
+    _check_lambda(sys, lam)
     n, m = sys.n, sys.n - 1
     R = sys.residues
     RT = R.transpose(1, 0, 2)[None]                   # [., a, j, b] = R_j[a, b]
@@ -238,32 +234,30 @@ def invariant_subspace_check(sys: RankOneSystem, lam, family
 
     M = blocks(np.ones((n, n))) + lam * np.eye(n * m)
     K = kernel_stack_basis(sys)
-    L = _null_space(M)
     zval = sys.z.real.max() + 1.7 + 0.3j
     Gz = M / np.repeat(zval - sys.z, m)[:, None]
     # z_i - z_j, with 1 on the diagonal, where dz_i - dz_j is exactly 0
     gap = sys.z[:, None] - sys.z + np.eye(n)
-    pinv = np.linalg.pinv(R, RANK_TOL)
-    mapped = [Gz @ K, Gz @ L]
+    u, s, vh = sys.svd
+    Rplus = (vh[:, 0, :, None] * u[:, None, :, 0]).conj() / s[:, :1, None]
+    mapped = [Gz @ K]
     for k, dres in enumerate(family):
         dz = sys.z_grad[:, k]
         w = (dz[:, None] - dz) / gap
         # D - G^(k), D the block-diagonal motion v -> dv of K along x_k
-        diag = -pinv @ dres - (w @ R.reshape(n, m * m)).reshape(n, m, m)
+        diag = -Rplus @ dres - (w @ R.reshape(n, m * m)).reshape(n, m, m)
         Mk = _block_diag(diag) + np.repeat(dz, m)[:, None] * Gz + blocks(w)
         mapped.append(Mk @ K)
 
     V = np.column_stack(mapped)
-    Q, _ = np.linalg.qr(np.column_stack([K, L]))
     nv = np.linalg.norm(V, axis=0)
     dist = np.where(nv < 1e-14, 0.0,
-                    np.linalg.norm(V - Q @ (Q.conj().T @ V), axis=0)
+                    np.linalg.norm(V - K @ (K.conj().T @ V), axis=0)
                     / np.maximum(nv, 1.0))
-    nz = K.shape[1] + L.shape[1]
-    x_parts = dist[nz:].reshape(len(family), K.shape[1])
+    nz = K.shape[1]
+    x_parts = dist[nz:].reshape(len(family), nz)
     return InvarianceReport(
-        dim_K=K.shape[1], dim_L=L.shape[1],
-        z_defect=float(np.max(dist[:nz], initial=0.0)),
+        dim_K=nz, z_defect=float(np.max(dist[:nz], initial=0.0)),
         x_defects=[float(x) for x in x_parts.max(axis=1, initial=0.0)])
 
 

@@ -683,13 +683,14 @@ def _pvi_defects(t, y, dy, d2y, params):
 
 
 def pvi_on_frames(m: SaitoMatrices, entry_choice, snaps):
-    """(samples, params, residual) of one PVI extraction on residue
+    """(samples, params, defects) of one PVI extraction on residue
     snapshots (isomono.OkuboNumeric): lam is their Binf, and the parameters
-    are read off their traces at the first point."""
+    are read off their traces at the first point; defects, formed once for
+    the residual and the CSV, are _sample_defects(samples, params)."""
     alpha, beta = _linear_entry(m, snaps.Binf, entry_choice)
     samples = _samples_on(alpha, beta, snaps.values, snaps.z)
     params = _params_from_traces(snaps.traces[0], snaps.Binf, entry_choice)
-    return samples, params, p6_residual(samples, params)
+    return samples, params, _sample_defects(samples, params)
 
 
 def survey_on_frames(m: SaitoMatrices, snaps) -> dict:
@@ -705,11 +706,11 @@ def survey_on_frames(m: SaitoMatrices, snaps) -> dict:
     for i, j in permutations((1, 2, 3), 2):
         key = f"{i},{j}"
         try:
-            _, params, residual = pvi_on_frames(m, (i, j), snaps)
+            _, params, (_, _, res) = pvi_on_frames(m, (i, j), snaps)
         except FlatIsoError as exc:
             out[key] = {"error": type(exc).__name__}
             continue
-        out[key] = {"residual": residual, "thetainf": params.thetainf}
+        out[key] = {"residual": float(res.max()), "thetainf": params.thetainf}
     return out
 
 
@@ -717,10 +718,10 @@ def survey_on_frames(m: SaitoMatrices, snaps) -> dict:
 # reporting
 # ---------------------------------------------------------------------------
 
-def samples_to_csv(samples: P6Samples, params: P6Params) -> str:
-    """One line per sample; dy/dt, d2y/dt2 and the PVI residual of params,
-    as p6_residual forms them, fill the cells of the interior samples."""
-    dy_dt, d2y_dt2, residual = _sample_defects(samples, params)
+def samples_to_csv(samples: P6Samples, defects) -> str:
+    """One line per sample; defects, the dy/dt, d2y/dt2 and PVI residuals
+    of pvi_on_frames, fill the cells of the interior samples."""
+    dy_dt, d2y_dt2, residual = defects
 
     def c(v):
         v = complex(v)

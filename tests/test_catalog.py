@@ -112,10 +112,10 @@ def test_theta_strings_have_no_negative_zero(monkeypatch):
     pvi_on_frames = p6.pvi_on_frames
 
     def negative_noise(*args, **kwargs):
-        samples, params, residual = pvi_on_frames(*args, **kwargs)
+        samples, params, defects = pvi_on_frames(*args, **kwargs)
         for name in ("theta0", "theta1", "thetat", "thetainf"):
             setattr(params, name, getattr(params, name).real - 1e-15j)
-        return samples, params, residual
+        return samples, params, defects
 
     monkeypatch.setattr(p6, "pvi_on_frames", negative_noise)
     theta = theta_pairs(catalog.catalog_verify("LT27", "numeric"))

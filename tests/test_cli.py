@@ -321,6 +321,24 @@ def test_extract_p6_reports_the_catalog_pvi_numbers(capsys):
         assert (np.round(theta, 12) + 0.0).tolist() == rep["numeric"]["theta"], eid
 
 
+def test_extract_p6_forms_its_defects_once(capsys, monkeypatch):
+    # the PVI gate and the samples CSV read the defects pvi_on_frames formed
+    from flatiso import p6
+    calls = []
+    real = p6._sample_defects
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(p6, "_sample_defects", counting)
+    code, out, _ = run(capsys, "extract-p6", "--catalog", "LT8")
+    assert code == 0
+    assert len(calls) == 1
+    rows = json.loads(out)["samples_csv"].splitlines()[1:]
+    assert all(row.split(",")[7] for row in rows[2:-2])
+
+
 def test_params_echoes_the_bound_it_enforces(capsys):
     from flatiso import numeric, p6
     code, out, _ = run(capsys, "params", "--catalog", "LT26")

@@ -7,7 +7,8 @@ import pytest
 from flatiso import catalog, cli, isomono as iso, p6
 from flatiso.errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                             InputError, InsufficientSamples, InverseMismatch,
-                            PoleAtY, PoleOnPath, RankViolation, StepUnderflow,
+                            PoleAtY, PoleOnPath, RankViolation,
+                            ResonantLambda, RootCollision, StepUnderflow,
                             TrackingLost)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.isomono import (integrate_p6_hamiltonian, jm_residues,
@@ -352,10 +353,12 @@ def test_path_into_root_collision_raises():
 
 
 def test_resonance_guard_reaches_every_integer():
-    # lambda_1 - lambda_3 = 12 + 1e-7 lies within TRACE_GUARD of 12
+    # lambda_1 - lambda_3 = 12 + 1e-7 lies within TRACE_GUARD of 12: a
+    # resonance of the Okubo eigenvalues, with no root involved
     e, m = entry_setup("LT8")
-    with pytest.raises(EigenvalueCollision, match="of the integer 12$"):
+    with pytest.raises(ResonantLambda, match="of the integer 12$") as hit:
         snapshots_along(m, e.default_path.points, (12 + 1e-7, 0.5, 0.0))
+    assert not isinstance(hit.value, RootCollision)
     assert iso._integer_gap(np.array([0, 11 + 1e-7, 0.3])) == (
         f"lambda_1 - lambda_2 within {iso.TRACE_GUARD} of the integer -11")
     assert iso._integer_gap(np.array([12.5, 0, 0.3])) is None

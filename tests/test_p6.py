@@ -94,8 +94,8 @@ def test_relabeling_roots_keeps_residual_small():
     relabeled = isomono.OkuboNumeric(
         snaps.Binf, snaps.values, snaps.z[:, swap], snaps.P[:, :, swap],
         snaps.residues[:, swap], snaps.traces[:, swap])
-    samples, _, res = p6.pvi_on_frames(m, (1, 2), relabeled)
-    assert res < 1e-6
+    samples, _, defects = p6.pvi_on_frames(m, (1, 2), relabeled)
+    assert defects[2].max() < 1e-6
     # the relabeled t really is the 0 <-> 1 swapped cross-ratio
     plain = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points[:5])
     t_plain, t_swapped = plain.t[0], samples.t[0]
@@ -272,7 +272,7 @@ def test_csv_and_json_reports():
                                      e.default_path.points[:7])
     params = p6.p6_parameters(m, e.default_path.points[0],
                               sampler=p6.StructureSampler(m))
-    csv = p6.samples_to_csv(samples, params)
+    csv = p6.samples_to_csv(samples, p6._sample_defects(samples, params))
     assert csv.splitlines()[0] == "s,t1,t2,t,y,dy,d2y,residual"
     assert len(csv.splitlines()) == 8
     blob = p6.params_to_json(params)
@@ -280,16 +280,17 @@ def test_csv_and_json_reports():
 
 
 def test_csv_does_not_depend_on_p6_residual_running_first():
-    # samples_to_csv forms its derivative and residual cells itself, and
-    # p6_residual writes nothing to the samples
+    # samples_to_csv writes the defects it is given, and p6_residual writes
+    # nothing to the samples
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     params = p6.p6_parameters(m, e.default_path.points[0],
                               sampler=p6.StructureSampler(m))
     samples = p6.extract_p6_solution(m, lam, (1, 2), e.default_path.points)
-    before = p6.samples_to_csv(samples, params)
+    before = p6.samples_to_csv(samples, p6._sample_defects(samples, params))
     residual = p6.p6_residual(samples, params)
-    assert p6.samples_to_csv(samples, params) == before
+    assert (p6.samples_to_csv(samples, p6._sample_defects(samples, params))
+            == before)
     rows = [line.split(",") for line in before.splitlines()[1:]]
     assert all(row[5:] == ["", "", ""] for row in rows[:2] + rows[-2:])
     assert all(cell for row in rows[2:-2] for cell in row[5:])
@@ -380,8 +381,8 @@ def test_pvi_on_frames_reads_params_off_frame_zero():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = isomono.snapshots_along(m, e.default_path.points, lam)
-    _, params, residual = p6.pvi_on_frames(m, (1, 2), snaps)
-    assert residual < 1e-6
+    _, params, defects = p6.pvi_on_frames(m, (1, 2), snaps)
+    assert defects[2].max() < 1e-6
     # the parameters read off frame 0 are those of a fresh sampler at path[0]
     fresh = p6.p6_parameters(m, e.default_path.points[0],
                              sampler=p6.StructureSampler(m), lam=lam)
@@ -396,8 +397,8 @@ def test_entry_survey_matches_pvi_on_frames(monkeypatch):
     snaps = isomono.snapshots_along(m, path, lam)
     survey = p6.survey_on_frames(m, snaps)
     for key, (i, j) in (("1,2", (1, 2)), ("2,1", (2, 1)), ("3,1", (3, 1))):
-        _, _, residual = p6.pvi_on_frames(m, (i, j), snaps)
-        assert survey[key]["residual"] == residual
+        _, _, defects = p6.pvi_on_frames(m, (i, j), snaps)
+        assert survey[key]["residual"] == defects[2].max()
     assert calls == [len(path)]
 
 
