@@ -1,13 +1,15 @@
 """Numeric Okubo/Pfaffian machinery.
 
 Residue decomposition of the z-equation along a path, as one OkuboNumeric
-record stacked on a point axis (a point of it is the snapshot there),
-monodromy around a circle by batched Gauss-Legendre collocation (solved for
-the stage derivatives, the first two step-doubling levels formed in one
-pass) with a Liouville determinant guard, Schlesinger residuals along
-isomonodromic families read straight off the record's stacks, and the 2x2
-Jimbo-Miwa parametrization linking Schlesinger flow to the PVI Hamiltonian
-system, integrated by DOP853.
+record stacked on a point axis (a point of it is the snapshot there): the
+residues -E_i Binf come from the spectral projectors E_i of T0, which
+p6.projectors forms from the tracked roots and T0, with no eigenvector and
+no matrix inverse.  Then monodromy around a circle by batched
+Gauss-Legendre collocation (solved for the stage derivatives, the first two
+step-doubling levels formed in one pass) with a Liouville determinant
+guard, Schlesinger residuals along isomonodromic families read straight off
+the record's stacks, and the 2x2 Jimbo-Miwa parametrization linking
+Schlesinger flow to the PVI Hamiltonian system, integrated by DOP853.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .errors import (BlowUp, DegenerateTheta, InputError, InverseMismatch,
                      StepUnderflow, TrackingLost)
 from .flatcore import SaitoMatrices
 from .p6 import (StructureSampler, _raise_first, five_point, path_parameter,
-                 residues_from_frame)
+                 projectors)
 
 # The bounds _check_jm enforces on a Jimbo-Miwa triple: the
 # off-diagonal of A_inf and tr A_i - theta_i within JM_RESIDUE_TOL, the
@@ -57,7 +59,7 @@ class OkuboNumeric:
     Binf: np.ndarray                  # diagonal entries, one for all points
     values: np.ndarray                # tracked (z, t_1, ..., t_n) rows
     z: np.ndarray                     # eigenvalues of T0, tracked order
-    P: np.ndarray                     # eigenvector frames, columns follow z
+    E: np.ndarray                     # (N, n, n, n) spectral projectors of T0
     residues: np.ndarray              # (N, n, n, n), in the order of z
     traces: np.ndarray                # (N, n)
 
@@ -65,7 +67,7 @@ class OkuboNumeric:
         return len(self.z)
 
     def __getitem__(self, k):
-        return OkuboNumeric(self.Binf, self.values[k], self.z[k], self.P[k],
+        return OkuboNumeric(self.Binf, self.values[k], self.z[k], self.E[k],
                             self.residues[k], self.traces[k])
 
 
@@ -75,9 +77,12 @@ def _check_residues(lam, residues, traces, points):
     Residues sum to -Binf within catalog.TOLERANCES["residue_identities"],
     no trace lies within TRACE_GUARD of +-1 and no lambda_i - lambda_j is
     near an integer.  Raises for the first failing point, named from points.
-    The rank is one by construction: residues_from_frame forms outer
-    products, whose second singular value is at rounding level (pinned in
-    tests/test_midconv.py).
+    The rank is not checked: a residue -E_i Binf is rank one up to rounding
+    (its second singular value is at most 3.3e-16 of the first on the
+    default paths, pinned in tests/test_midconv.py, and grows with the
+    condition of the eigenvectors of T0), and neither the Schlesinger check
+    nor the loops assume rank one.  midconv, which does, tests the rank
+    first (condition D3 of RankOneSystem, by its SVD).
     """
     lam = np.asarray(lam)
     n = residues.shape[1]
@@ -116,18 +121,20 @@ def _integer_gap(lam):
 
 def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None) -> OkuboNumeric:
     """Residue snapshots along a path from one batched, continuation-ordered
-    pass (StructureSampler.frames on a fresh sampler), checked as one stack.
+    pass (StructureSampler.track on a fresh sampler), checked as one stack.
 
-    Point k holds the rank-one residues B_i = -P E_i P^{-1} Binf of the
-    Okubo z-equation at path point k, with the tracked row, roots and frame
-    they were read from.
+    Point k holds the residues B_i = -E_i Binf of the Okubo z-equation at
+    path point k, E_i the spectral projectors of T0 there (p6.projectors,
+    from the tracked roots and T0), with the tracked row, roots and
+    projectors they were read from.
     """
-    values, roots, P = StructureSampler(m, z_seed=z_seed).frames(path)
+    values, roots, T0 = StructureSampler(m, z_seed=z_seed).track(path)
     lamv = np.array([complex(x) for x in lam])
-    res = residues_from_frame(P, lamv)
+    E = projectors(T0, roots)
+    res = -E * lamv
     traces = np.trace(res, axis1=2, axis2=3)
     _check_residues(lamv, res, traces, path)
-    return OkuboNumeric(lamv, values, roots, P, res, traces)
+    return OkuboNumeric(lamv, values, roots, E, res, traces)
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +232,16 @@ def monodromy_on_loop(snapshot: OkuboNumeric, center, radius):
     its own.  det M is checked against exp(int tr A dz), taken once by the
     same quadrature on the accepted level, to a relative 1e-6.
 
-    Raises InputError when the center is not finite or the radius is not
-    a real number, finite and > 0, and PoleOnPath when a pole lies on the
-    circle, both before any evaluation; StepUnderflow when the nodes would
-    pass MAX_CONNECTION_EVALS (4N per level, counted before the level is
-    formed) or the Liouville check fails.
+    Raises InputError when the center is not a finite number or the
+    radius is not a real number, finite and > 0 (a bool is neither), and
+    PoleOnPath when a pole lies on the circle, both before any evaluation;
+    StepUnderflow when the nodes would pass MAX_CONNECTION_EVALS (4N per
+    level, counted before the level is formed) or the Liouville check fails.
     """
-    if not (isinstance(radius, numbers.Real) and np.isfinite(center)
-            and np.isfinite(radius) and radius > 0):
+    if not (isinstance(center, numbers.Complex)
+            and isinstance(radius, numbers.Real)
+            and not isinstance(center, bool) and not isinstance(radius, bool)
+            and np.isfinite(center) and np.isfinite(radius) and radius > 0):
         raise InputError(f"a loop needs a finite center and a real, finite "
                          f"radius > 0, got center {center} and radius {radius}")
     poles = np.asarray(snapshot.z, dtype=complex)

@@ -8,15 +8,18 @@ the rank-one factor matrices to an inverse pair (P, P^{-1}), then
 
     new residue_j = - P[:, j] P^{-1}[j, :] diag(lam_1 - lam, ..., -lam),
 
-which is p6.residues_from_frame(P, gamma_inf).  Residues are stacked
-(n, m, m) arrays throughout, as in isomono and p6, and one SVD of them,
-taken when a system is built, serves every factorization below.
+with P^{-1} the inverse the extension has already checked, so no matrix
+is inverted; P[:, j] P^{-1}[j, :] is the spectral projector E_j, as on the
+Okubo side, where the truncation reads the leading blocks of the residues
+-E_i diag(lam') of the snapshot.  Residues are stacked (n, m, m) arrays
+throughout, as in isomono and p6, and one SVD of them, taken when a system
+is built, serves every factorization below.
 
 The big n(n-1) convolution matrices and their invariant subspaces are kept
 as an independent diagnostic of that closed form.  One block matrix
 M = [residue_j + lam delta_ij]_ij gives G^(z) and G^(x).  The deformation
 directions are checked on the exact tangent of the residues
-(p6.frame_tangent), so the diagnostic needs one tracked point.
+(p6.projector_tangent), so the diagnostic needs one tracked point.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (ConditionDViolation, FactorizationFailed,
                      InverseMismatch, PivotColumnNotFound, RankViolation,
                      ResonantLambda)
 from .isomono import TRACE_GUARD, OkuboNumeric, snapshots_along
-from .p6 import frame_tangent, residues_from_frame
+from .p6 import projector_tangent
 
 RANK_TOL = 1e-8
 PIN_TIE = 1e-9      # relative tie window of the gauge pins (_pin)
@@ -92,16 +95,17 @@ def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
     """Leading (n-1)-blocks of the system with the last eigenvalue shifted to 0.
 
     The shift replaces Binf by Binf - lam_n I, after which the last unknown
-    decouples; the leading blocks of the shifted residues form the rank-(n-1)
-    system.  z_grad (shape n x nx) carries the root gradients for the
-    x-direction matrices.
+    decouples; the leading blocks of the shifted residues -E_i diag(lam'),
+    read off the snapshot's projectors E, form the rank-(n-1) system.
+    z_grad (shape n x nx) carries the root gradients for the x-direction
+    matrices.
     """
     n = len(ok.Binf)
     if n < 2:
         raise ConditionDViolation("D1", "need rank >= 2 to truncate")
     lam = np.asarray(ok.Binf, dtype=complex)
     lam_shifted = lam - lam[n - 1]
-    res = residues_from_frame(ok.P, lam_shifted)[:, :n - 1, :n - 1]
+    res = -ok.E[:, :n - 1, :n - 1] * lam_shifted[:n - 1]
     return RankOneSystem(n=n, residues=res, Gamma_inf=lam_shifted[:n - 1],
                          z=np.asarray(ok.z), z_grad=np.asarray(z_grad))
 
@@ -131,10 +135,11 @@ def _rank_one_factors(sys: RankOneSystem):
 
 
 def _extend_to_inverse_pair(B, A):
-    """Square P = [B; row], checked against P^{-1} = [A | col], given
-    B A = I_{n-1}: Q = I - A B = col row projects onto ker B along range A,
-    and trace Q = 1 gives |Q_ii| >= 1/n.  col is Q[:, i] pinned to 1 at its
-    first largest entry k, so row = Q[k], |Q[k, i]| >= (1 - PIN_TIE)|Q_ii|."""
+    """(P, P^{-1}): square P = [B; row] and P^{-1} = [A | col], checked to
+    be inverse, given B A = I_{n-1}: Q = I - A B = col row projects onto
+    ker B along range A, and trace Q = 1 gives |Q_ii| >= 1/n.  col is
+    Q[:, i] pinned to 1 at its first largest entry k, so row = Q[k],
+    |Q[k, i]| >= (1 - PIN_TIE)|Q_ii|."""
     Q = np.eye(A.shape[0]) - A @ B
     i = np.argmax(np.abs(np.diag(Q)))
     k = _pin(Q[:, i])
@@ -142,7 +147,7 @@ def _extend_to_inverse_pair(B, A):
     Pinv = np.hstack([A, Q[:, i, None] / Q[k, i]])
     if np.abs(P @ Pinv - np.eye(len(P))).max() > 1e-10:
         raise InverseMismatch("extended pair is not inverse")
-    return P
+    return P, Pinv
 
 
 def _check_lambda(sys: RankOneSystem, lam):
@@ -169,7 +174,8 @@ def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
         raise PivotColumnNotFound(
             "no column of the a-matrix is bounded away from zero")
     gamma_inf = np.concatenate([sys.Gamma_inf - lam, [-lam]])
-    residues = residues_from_frame(_extend_to_inverse_pair(B, A), gamma_inf)
+    P, Pinv = _extend_to_inverse_pair(B, A)
+    residues = -P.T[:, :, None] * (Pinv[:, None, :] * gamma_inf)
     if (np.abs(residues.sum(axis=0) + np.diag(gamma_inf)).max()
             > TOLERANCES["residue_identities"]):
         raise RankViolation("convolved residues do not sum to -Gamma_inf")
@@ -272,12 +278,12 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None):
     entry must be nonzero so the truncation shift is meaningful) and returns
     (snapshot, system, family).  The system's root gradients and family, the
     truncated residue tangent of shape (n, n, n-1, n-1) with family[k][i] =
-    d residue_i / dt_{k+1}, are p6.frame_tangent at the tracked point, for
-    invariant_subspace_check.
+    d residue_i / dt_{k+1}, are p6.projector_tangent at the tracked point,
+    for invariant_subspace_check.
     """
     snap = snapshots_along(m, [tprime], lam, z_seed=z_seed)[0]
     n = m.n
-    dz, dB = frame_tangent(m, snap, snap.Binf - snap.Binf[n - 1])
+    dz, dB = projector_tangent(m, snap, snap.Binf - snap.Binf[n - 1])
     return snap, truncate_okubo(snap, z_grad=dz), dB[:, :, :n - 1, :n - 1]
 
 

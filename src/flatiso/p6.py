@@ -12,14 +12,14 @@ five-point central differences on a uniform grid, at the interior points.
 
 StructureSampler is the one path tracker: it continues the algebraic
 generator z and the ordered roots of T0 together, in one loop of lockstep
-passes under one step rule.  A pass runs Newton's method for z on all
-remaining points at once from the last accepted z (z = 0 on a plain ring),
-certifies the distance from each z to the other roots of the relation in
-one call (numeric.certified_separation), evaluates T0 on the same rows in one
-numeric.EvalStack call and solves the eigenproblems as one stack (for
-n = 3 in closed form, _eig3, with np.linalg.eig only on the rows whose roots
-it cannot certify within EIG_TOL; without eigenvectors where only the roots
-are read).  A step is accepted when Newton converged, |dz| is
+passes under one step rule, and tracks roots only.  A pass runs Newton's
+method for z on all remaining points at once from the last accepted z
+(z = 0 on a plain ring), certifies the distance from each z to the other
+roots of the relation in one call (numeric.certified_separation),
+evaluates T0 on the same rows in one numeric.EvalStack call and finds the
+roots as one stack (for n = 3 in closed form, _eig3, with
+np.linalg.eigvals only on the rows whose roots it cannot certify within
+EIG_TOL).  A step is accepted when Newton converged, |dz| is
 below STEP_FRACTION (1/4) of the separation at both of its ends, and the
 nearest-neighbour match of the roots is accepted (each root moved less than
 STEP_FRACTION of the distance to its second-nearest candidate).  A pass keeps
@@ -30,20 +30,25 @@ TrackingLost, a NumericError (CLI exit 3), past MAX_BISECTIONS (24)
 halvings.  For the earliest point where it happens, a z separation below
 numeric.ROOT_SEPARATION raises RootCollision, a root gap of T0 below it
 EigenvalueCollision (a RootCollision too), and a T0 that is not finite BlowUp.
+A path's Track holds its rows, roots and T0.
 
-After the tracker every check reads one record, isomono.snapshots_along's
-residue snapshots: lam is their Binf, theta their traces at the first point.
-frame_tangent differentiates one snapshot exactly: the roots and the
-Okubo residues along each t_k, from the exact dT0/dt_k of the structure.
+No eigenvector is formed: projectors turns the roots and T0 of a Track into
+the spectral projectors E_i, the residues of the resolvent of T0, from
+which isomono.snapshots_along reads the Okubo residues -E_i Binf.  After
+the tracker every check reads those residue snapshots: lam is their Binf,
+theta their traces at the first point.  projector_tangent differentiates
+one snapshot exactly: the roots and the Okubo residues along each t_k,
+from the exact dT0/dt_k of the structure, by first-order perturbation of
+the resolvent, dz_i = tr(E_i D) and dE_i = sum_{j != i} (E_i D E_j +
+E_j D E_i) / (z_i - z_j).
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple
 
 import numpy as np
 
@@ -177,9 +182,9 @@ def _char_coeffs(a, s):
             + a[0][2] * minor(1, 0, 2, 1))
 
 
-def _eig3(A, vectors):
-    """(eigenvalues, unit eigenvectors or None) of a complex (N, 3, 3) stack
-    in closed form, with the rows the closed form cannot certify by LAPACK.
+def _eig3(A):
+    """Eigenvalues of a complex (N, 3, 3) stack in closed form, with the rows
+    the closed form cannot certify by LAPACK.
 
     The roots of f(x) = det(x - A) by Cardano's formula, the cube root taken
     of whichever of -q/2 +- sqrt(disc) has the larger modulus so that
@@ -188,9 +193,8 @@ def _eig3(A, vectors):
     below EIG_TOL max(1, |x_i|) |prod_{j != i} (x_i - x_j)|, a first-order
     bound on its error; a multiple or near-multiple root, a Newton step off
     a root (f' = 0 included) and two roots polished onto one fail it, and
-    those rows go to np.linalg.eig.  Eigenvector i is the longest cross
-    product of two rows of A - x_i I, which are the columns of its
-    adjugate.  Arrays run (root, N) so that each operation is one long loop.
+    those rows go to np.linalg.eigvals.  Arrays run (root, N) so that each
+    operation is one long loop.
     """
     a = [[A[:, i, j] for j in range(3)] for i in range(3)]
     c2, c1, c0 = _char_coeffs(a, -1)
@@ -216,54 +220,26 @@ def _eig3(A, vectors):
         gap = np.abs(x - x[[1, 2, 0]])
         ok = ((np.abs(f) + bound)
               < EIG_TOL * np.maximum(1, r) * gap * gap[[2, 0, 1]])
-        V = None
-        if vectors:
-            b = [[a[j][k] - x if j == k else a[j][k] for k in range(3)]
-                 for j in range(3)]
-            adj = np.empty((3, 3) + x.shape, dtype=complex)
-            for j in range(3):
-                j1, j2 = (j + 1) % 3, (j + 2) % 3
-                for k in range(3):
-                    k1, k2 = (k + 1) % 3, (k + 2) % 3
-                    adj[j, k] = b[k1][j1] * b[k2][j2] - b[k1][j2] * b[k2][j1]
-            norm2 = (adj.real ** 2 + adj.imag ** 2).sum(axis=0)
-            k = norm2.argmax(axis=0)[None, None]
-            V = (np.take_along_axis(adj, k, axis=1)[:, 0]
-                 / np.sqrt(np.take_along_axis(norm2, k[0], axis=0)))
-            V = np.moveaxis(V, 2, 0)      # (N, component, root)
     x = x.T
     bad = np.flatnonzero(~ok.all(axis=0))
     if len(bad):
-        w, P = np.linalg.eig(A[bad])
-        x[bad] = w
-        if vectors:
-            V[bad] = P
-    return x, V
+        x[bad] = np.linalg.eigvals(A[bad])
+    return x
 
 
-def _eig(A, vectors):
-    """(eigenvalues, eigenvectors or None) of a complex (N, n, n) stack:
-    _eig3 for n = 3, np.linalg otherwise."""
-    if A.shape[-1] == 3:
-        return _eig3(A, vectors)
-    if not vectors:
-        return np.linalg.eigvals(A), None
-    return np.linalg.eig(A)
-
-
-def ordered_eig(T0vals, prev_roots=None, vectors=True):
-    """(roots, frames, accepted) of stacked (N, n, n) matrices, ordered for
-    continuation.
+def ordered_eig(T0vals, prev_roots=None):
+    """(roots, accepted) of stacked (N, n, n) matrices, ordered for
+    continuation: _eig3 for n = 3, np.linalg.eigvals otherwise.
 
     First point: ascending real part, ties (within ROOT_SEPARATION, scaled by
     the root size) by imaginary part; with prev_roots, matched against them.
     Every later point is matched to the one before by nearest neighbour.
     accepted counts the leading rows whose match _nearest_match accepts (a
     first point with no prev_roots is always accepted); the rows after are
-    ordered by the same matches, which are not to be trusted.  With vectors
-    False only the roots are computed, and the frames returned are None.
+    ordered by the same matches, which are not to be trusted.
     """
-    w, V = _eig(np.asarray(T0vals, dtype=complex), vectors)
+    A = np.asarray(T0vals, dtype=complex)
+    w = _eig3(A) if A.shape[-1] == 3 else np.linalg.eigvals(A)
     if prev_roots is None:
         first = np.array(_first_point_order(
             w[0], ROOT_SEPARATION * max(1.0, float(np.abs(w[0]).max()))))
@@ -276,10 +252,42 @@ def ordered_eig(T0vals, prev_roots=None, vectors=True):
     accepted = ((int(rejected[0]) if len(rejected) else len(ok))
                 + (prev_roots is None))
     labels = _compose(first, steps)[len(chain) - len(w):]
-    w = np.take_along_axis(w, labels, axis=1)
-    if vectors:
-        V = np.take_along_axis(V, labels[:, None, :], axis=2)
-    return w, V, accepted
+    return np.take_along_axis(w, labels, axis=1), accepted
+
+
+def projectors(T0, z):
+    """The spectral projectors of stacked matrices T0 (N, n, n) at their
+    simple roots z (N, n), as (N, n, n, n) with E_i at [:, i].
+
+    E_i = adj(z_i - T0) / prod_{j != i} (z_i - z_j) is the residue of the
+    resolvent (x - T0)^{-1} at z_i (Kato, Perturbation Theory for Linear
+    Operators, II 1-2): E_i E_j = delta_ij E_i and sum_i E_i = I.  With
+    c_k the coefficients of prod_j (x - z_j), the Faddeev-LeVerrier
+    recursion B_{n-1} = I, B_{k-1} = T0 B_k + c_k I gives
+    adj(x - T0) = sum_k x^k B_k, summed at each root by Horner's rule.
+    E_i does not change when T0 and z are shifted by one number, so both
+    are first shifted by the mean root, which keeps the terms at the size
+    of the spread of the roots.  Arrays run with the row axis last, so each
+    operation is one long loop.
+    """
+    N, n = z.shape
+    eye = np.eye(n)[..., None]
+    shift = z.mean(axis=1)
+    A = np.moveaxis(T0, 0, -1) - eye * shift            # (n, n, N)
+    w = z.T - shift                                     # (root, N)
+    c = np.zeros((n + 1, N), dtype=complex)             # c[k] of x^k
+    c[0] = 1
+    for j in range(n):
+        c[1:j + 2] = c[:j + 1] - w[j] * c[1:j + 2]
+        c[0] = -w[j] * c[0]
+    adj = B = eye                                       # B_{n-1} = I
+    for k in range(n - 1, 0, -1):
+        TB = A if k == n - 1 else (A[:, :, None] * B[None]).sum(axis=1)
+        B = TB + c[k] * eye
+        adj = adj * w[:, None, None] + B                # (root, n, n, N)
+    gap = w[:, None] - w + eye                          # [i, j] = z_i - z_j
+    E = adj / gap.prod(axis=1)[:, None, None]
+    return np.ascontiguousarray(np.moveaxis(E, -1, 0))
 
 
 def _root_gaps(w):
@@ -294,20 +302,13 @@ def _matrix_rows(stack, values):
     return np.moveaxis(stack.eval_batch(values), -1, 0)
 
 
-class _Rows(NamedTuple):
-    """Tracked rows: values (N, nvars + 1) of (z, t_1, ..., t_n), the
-    certified separation of z (N,), T0 (N, n, n), the ordered roots (N, n)
-    and their frames P (N, n, n), or P None where only the roots are
-    computed.  A sampler's state is the last row it tracked."""
+class Track(NamedTuple):
+    """A tracked path: rows values (N, nvars + 1) of (z, t_1, ..., t_n), the
+    ordered roots z (N, n) of T0 and T0 (N, n, n), named as on
+    isomono.OkuboNumeric."""
     values: np.ndarray
-    seps: np.ndarray
+    z: np.ndarray
     T0: np.ndarray
-    roots: np.ndarray
-    P: Optional[np.ndarray]
-
-
-# A tracked path: rows, roots z and frames P, named as on an OkuboNumeric
-Track = namedtuple("Track", "values z P")
 
 
 def path_parameter(values):
@@ -319,8 +320,8 @@ class StructureSampler:
     """The path tracker: the algebraic generator z and the ordered roots of T0.
 
     Both are continued by one loop of lockstep passes under one step rule
-    (see the module docstring); the state is the last tracked row, so
-    successive calls continue from it.
+    (see the module docstring); the state is the last tracked row with the
+    certified separation of its z, so successive calls continue from it.
     """
 
     def __init__(self, m: SaitoMatrices, z_seed=None):
@@ -329,12 +330,13 @@ class StructureSampler:
         self.n = m.n
         self.z_seed = z_seed
         self._T0 = m.T0_stack
-        self._last: Optional[_Rows] = None
+        self._last = None
 
-    def _pass(self, last, pts, k, vectors):
-        """The accepted rows of one lockstep pass over the (count, n) points
-        pts, continued from the row last (None on a fresh sampler, whose
-        first row starts from z_seed and has no step to check).
+    def _pass(self, last, pts, k):
+        """(Track, separations of z) of the accepted rows of one lockstep
+        pass over the (count, n) points pts, continued from last, a row and
+        its separation (None on a fresh sampler, whose first row starts from
+        z_seed and has no step to check).
 
         Rows are kept up to the first rejected step.  RootCollision names
         the earliest row whose z separation (on the converged rows up to and
@@ -343,32 +345,33 @@ class StructureSampler:
         point k + i, where pts[0] is path point k, or by its coordinates
         where k is None.  BlowUp names a T0 that is not finite the same way.
         """
+        prev, prev_sep = last or (None, None)
         count = len(pts)
         values = np.zeros((count, self.n + 1), dtype=complex)
         values[:, 1:] = pts
         seps = np.full(count, np.inf)
         good = checked = count
         if self.ring.ext is not None:
-            if last is None and self.z_seed is None:
+            if prev is None and self.z_seed is None:
                 raise InputError("extension ring requires a z seed")
             coeffs = rel_coeffs(self.ring, pts)
-            z = newton_roots(coeffs, self.z_seed if last is None
-                             else last.values[0, 0])
+            z = newton_roots(coeffs, self.z_seed if prev is None
+                             else prev.values[0, 0])
             failed = np.flatnonzero(np.isnan(z))
             conv = int(failed[0]) if len(failed) else count
-            if last is None and not conv:
+            if prev is None and not conv:
                 raise RootNotConverged(
                     f"Newton from the seed {self.z_seed} did not converge")
             z = z[:conv]
             seps[:conv] = certified_separation(coeffs[:conv], z)
             values[:conv, 0] = z
-            z0, s0 = ((z[:1], seps[:1]) if last is None
-                      else (last.values[:, 0], last.seps))
+            z0, s0 = ((z[:1], seps[:1]) if prev is None
+                      else (prev.values[:, 0], prev_sep))
             zprev = np.concatenate([z0, z])[:conv]
             sprev = np.concatenate([s0, seps])[:conv]
             jump = (np.abs(z - zprev)
                     >= STEP_FRACTION * np.minimum(sprev, seps[:conv]))
-            if last is None:
+            if prev is None:
                 jump[:1] = False          # a fresh first row has no step
             good = int(np.argmax(jump)) if jump.any() else conv
             checked = min(good + 1, conv)
@@ -377,8 +380,8 @@ class StructureSampler:
         def where(i):
             return f"path point {k + i}" if k is not None else f"{pts[i]}"
         try:
-            roots, P, accepted = ordered_eig(
-                T0, None if last is None else last.roots[0], vectors)
+            roots, accepted = ordered_eig(
+                T0, None if prev is None else prev.z[0])
         except np.linalg.LinAlgError:
             # a non-finite row never passes _eig3, and LAPACK refuses it:
             # only then are the rows tested
@@ -392,67 +395,54 @@ class StructureSampler:
                 f"generator roots closer than {ROOT_SEPARATION} at {where(i)}")),
             (_root_gaps(roots) < ROOT_SEPARATION, lambda i: EigenvalueCollision(
                 f"roots closer than {ROOT_SEPARATION} at {where(i)}"))])
-        return _Rows(values[:accepted], seps[:accepted], T0[:accepted],
-                     roots[:accepted], None if P is None else P[:accepted])
+        return (Track(values[:accepted], roots[:accepted], T0[:accepted]),
+                seps[:accepted])
 
-    def _bisect(self, last, point, k, vectors, depth):
-        """The row at point, continued from the row last in one step where
-        the step passes, else through the midpoint in two halves, each
-        continued the same way; TrackingLost past MAX_BISECTIONS halvings."""
-        rows = self._pass(last, point[None], k, vectors)
-        if len(rows.values):
-            return rows
+    def _bisect(self, last, point, k, depth):
+        """_pass at point, continued from last in one step where the step
+        passes, else through the midpoint in two halves, each continued the
+        same way; TrackingLost past MAX_BISECTIONS halvings."""
+        rows, seps = self._pass(last, point[None], k)
+        if len(seps):
+            return rows, seps
         if depth == MAX_BISECTIONS:
             raise TrackingLost(f"continuation to {point} needs more than "
                                f"{MAX_BISECTIONS} bisections")
-        mid = self._bisect(last, (last.values[0, 1:] + point) / 2, None,
-                           False, depth + 1)
-        return self._bisect(mid, point, k, vectors, depth + 1)
+        mid = self._bisect(last, (last[0].values[0, 1:] + point) / 2, None,
+                           depth + 1)
+        return self._bisect(mid, point, k, depth + 1)
 
-    def _track(self, path, vectors):
-        """The _Rows of a path, continued from the state, which moves to the
-        last of them: passes until every point is accepted, and a bisection
-        where a pass accepts none.  Missing trailing coordinates of the
-        path points are 0 (t_n = 0 on a path in t')."""
+    def track(self, path):
+        """The Track of a path, continuation-ordered: rows (z, t_1, ...,
+        t_n) with z tracked (0 on a plain ring) and t_n = 0 (missing
+        trailing coordinates of the path points are 0), the roots and T0.
+
+        Continued from the state, which moves to the last row: passes until
+        every point is accepted, and a bisection where a pass accepts none.
+        """
         pts = np.zeros((len(path), self.n), dtype=complex)
         pts[:, :len(path[0])] = path
         parts, k = [], 0
         while k < len(pts):
-            rows = self._pass(self._last, pts[k:], k, vectors)
-            if not len(rows.values):
-                rows = self._bisect(self._last, pts[k], k, vectors, 0)
-            self._last = _Rows(*(None if a is None else a[-1:] for a in rows))
+            rows, seps = self._pass(self._last, pts[k:], k)
+            if not len(seps):
+                rows, seps = self._bisect(self._last, pts[k], k, 0)
+            self._last = Track(*(a[-1:] for a in rows)), seps[-1:]
             parts.append(rows)
-            k += len(rows.values)
-        if len(parts) == 1:
-            return parts[0]
-        return _Rows(*(None if a[0] is None else np.concatenate(a)
-                       for a in zip(*parts)))
+            k += len(seps)
+        return parts[0] if len(parts) == 1 else Track(
+            *map(np.concatenate, zip(*parts)))
 
     def z_at(self, tprime):
         """z at one point (None on a plain ring), with z and the roots
         continued from the last tracked point."""
-        self._track([tprime], False)
-        z = self._last.values[0, 0]
+        z = self.track([tprime]).values[0, 0]
         return None if self.ring.ext is None else complex(z)
 
     def t0_matrix(self, tprime):
         """T0 at one point, continued there by z_at."""
         self.z_at(tprime)
-        return self._last.T0[0]
-
-    def frames(self, path):
-        """The Track of a path, continuation-ordered: rows (z, t_1, ...,
-        t_n) with z tracked (0 on a plain ring) and t_n = 0, the roots, and
-        frames whose columns follow the roots."""
-        rows = self._track(path, True)
-        return Track(rows.values, rows.roots, rows.P)
-
-    def roots(self, path):
-        """(values, roots) of frames(path), with no eigenvectors computed;
-        the sampler's state moves on exactly as under frames."""
-        rows = self._track(path, False)
-        return rows.values, rows.roots
+        return self._last[0].T0[0]
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +533,7 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
     svals, where given, replaces s of the tracked rows.
     """
     alpha, beta = _linear_entry(m, binf_eigs, entry_choice)
-    values, roots = StructureSampler(m, z_seed=z_seed).roots(path)
+    values, roots, _ = StructureSampler(m, z_seed=z_seed).track(path)
     samples = _samples_on(alpha, beta, values, roots)
     if svals is not None:
         samples.s = np.asarray(svals, dtype=float)
@@ -554,43 +544,27 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
 # parameters
 # ---------------------------------------------------------------------------
 
-def residues_from_frame(P, lam):
-    """Rank-one residues -P E_i P^{-1} Binf of the Okubo z-equation.
-
-    P is one frame (n, n) or a stack (..., n, n); residue i of each frame is
-    the outer product -P[:, i] (P^{-1}[i, :] Binf), returned at [..., i, :, :].
-    """
-    P = np.asarray(P, dtype=complex)
-    Pinv = np.linalg.inv(P)
-    lamv = np.array([complex(x) for x in lam])
-    cols = np.swapaxes(P, -1, -2)[..., :, :, None]      # P[:, i] as column i
-    # C order, so each residue is a contiguous matrix for later arithmetic
-    return np.multiply(-cols, Pinv[..., :, None, :] * lamv, order="C")
-
-
-def frame_tangent(m: SaitoMatrices, snap, lam):
+def projector_tangent(m: SaitoMatrices, snap, lam):
     """(dz, dB): exact first derivatives of the roots and of the residues
-    residues_from_frame(P, lam) at snap, one point of residue snapshots
-    (isomono.OkuboNumeric), whose row values, roots z and frame P it reads.
+    -E_i diag(lam) at snap, one point of residue snapshots
+    (isomono.OkuboNumeric), whose row values, roots z and projectors E it
+    reads.
 
     dz[i, k] = dz_i/dt_{k+1} and dB[k, i] = dB_i/dt_{k+1}.  For k < n, with
-    X = P^{-1} (dT0/dt_k) P, first-order eigen-perturbation gives dz = diag X
-    and dP = P Y, Y_ij = X_ij / (z_j - z_i) off the diagonal; Y_ii = 0, as
-    the residues do not depend on the diagonal gauge.  Then
-    dB_i = -P [Y, E_i] P^{-1} Binf.  Along t_n, dz = -1 and dB = 0.
+    D = dT0/dt_k, first-order perturbation of the resolvent gives
+    dz_i = tr(E_i D) and dE_i = sum_{j != i} (E_i D E_j + E_j D E_i) /
+    (z_i - z_j).  Along t_n, dz = -1 and dB = 0.
     """
-    n, P = m.n, snap.P
-    Pinv = np.linalg.inv(P)
-    X = Pinv @ _matrix_rows(m.dT0_stack, snap.values[None])[0] @ P
-    gap = snap.z - snap.z[:, None]                      # [i, j] = z_j - z_i
-    np.fill_diagonal(gap, 1)
-    Y = X / gap * (1 - np.eye(n))
-    PinvL = Pinv * np.array([complex(x) for x in lam])
+    n, E = m.n, snap.E
+    D = _matrix_rows(m.dT0_stack, snap.values[None])[0]
+    EDE = np.einsum("iab,kbc,jcd->kijad", E, D, E)
+    gap = snap.z[:, None] - snap.z + np.eye(n)          # [i, j] = z_i - z_j
+    dE = np.einsum("ij,kijab->kiab", (1 - np.eye(n)) / gap,
+                   EDE + EDE.swapaxes(1, 2))
     dB = np.zeros((n, n, n, n), dtype=complex)
-    dB[:n - 1] = (np.einsum("kai,ib->kiab", -(P @ Y), PinvL)
-                  + np.einsum("ai,kib->kiab", P, Y @ PinvL))
+    dB[:n - 1] = -dE * np.array([complex(x) for x in lam])
     dz = np.full((n, n), -1, dtype=complex)
-    dz[:, :n - 1] = np.diagonal(X, axis1=1, axis2=2).T
+    dz[:, :n - 1] = np.einsum("iab,kba->ik", E, D)
     return dz, dB
 
 
@@ -602,8 +576,9 @@ def default_lambda(weights):
 
 def p6_parameters(m: SaitoMatrices, point, sampler: StructureSampler,
                   lam=None, entry_choice=(1, 2)) -> P6Params:
-    """theta and (alpha, beta, gamma, delta) from the residue traces at a
-    point, on the frame that sampler, a StructureSampler of m, computes there.
+    """theta and (alpha, beta, gamma, delta) from the residue traces
+    -sum_a (E_i)_aa lam_a at a point, on the projectors of the roots and T0
+    that sampler, a StructureSampler of m, tracks there.
 
     For entry (i, j) the two-dimensional reduction keeps the unknowns i, j
     and drops the remaining index k, which requires shifting the Okubo
@@ -613,9 +588,11 @@ def p6_parameters(m: SaitoMatrices, point, sampler: StructureSampler,
     _check_entry(m, entry_choice)
     if lam is None:
         lam = default_lambda(m.weights)
-    res = residues_from_frame(sampler.frames([point]).P[0], lam)
-    return _params_from_traces(np.trace(res, axis1=-2, axis2=-1), lam,
-                               entry_choice)
+    _, z, T0 = sampler.track([point])
+    E = projectors(T0, z)[0]
+    traces = -np.diagonal(E, axis1=1, axis2=2) @ np.array(
+        [complex(x) for x in lam])
+    return _params_from_traces(traces, lam, entry_choice)
 
 
 def _params_from_traces(r, lam, entry_choice):
@@ -697,8 +674,8 @@ def survey_on_frames(m: SaitoMatrices, snaps) -> dict:
     """PVI residuals for every off-diagonal entry choice, reported not gated.
 
     Different entries give different solution branches; each is checked
-    against its own parameter dictionary on the one set of frames of the
-    path.  Entries whose column is killed by a zero Okubo eigenvalue (or
+    against its own parameter dictionary on the one set of residue
+    snapshots of the path.  Entries whose column is killed by a zero Okubo eigenvalue (or
     that degenerate on the path) are reported by error name.  No
     equivalence between branches is asserted.
     """

@@ -268,13 +268,13 @@ def test_full_verify_tracks_snapshots_once(monkeypatch):
     # all read the one track of the 41-point default path
     from flatiso import p6
     lengths = []
-    real = p6.StructureSampler.frames
+    real = p6.StructureSampler.track
 
     def counting(self, path):
         lengths.append(len(path))
         return real(self, path)
 
-    monkeypatch.setattr(p6.StructureSampler, "frames", counting)
+    monkeypatch.setattr(p6.StructureSampler, "track", counting)
     assert catalog.catalog_verify("LT8", "full")["pass"]
     assert lengths.count(41) == 1
 

@@ -72,7 +72,7 @@ def one_pole_snapshot(B):
     """An n = 2 snapshot whose connection is B / z: one pole at 0."""
     B = np.asarray(B, dtype=complex)
     return iso.OkuboNumeric(Binf=np.zeros(2), values=None, z=np.array([0j]),
-                            P=np.eye(2), residues=B[None],
+                            E=np.eye(2)[None], residues=B[None],
                             traces=np.array([np.trace(B)]))
 
 
@@ -194,11 +194,15 @@ def test_loop_near_a_root_stops_within_budget(monkeypatch):
 @pytest.mark.parametrize("center, radius", [
     (complex("nan"), 0.1), (complex("inf"), 0.1), (1 + 1j * np.nan, 0.1),
     (0.0, float("nan")), (0.0, float("inf")), (0.0, -0.1), (0.0, 0.0),
-    (0.0, 0.5 + 0j), (0.0, np.complex128(0.5))])
+    (0.0, 0.5 + 0j), (0.0, np.complex128(0.5)),
+    (None, 0.1), ("0", 0.1), ([0.0], 0.1), (np.array([0.0, 1.0]), 0.1),
+    (True, 0.1), (0.0, True)])
 def test_loop_input_is_checked_before_any_evaluation(monkeypatch, center,
                                                      radius):
     # a negative radius would run the loop from the opposite base point; a
-    # complex one, even with a zero imaginary part, is not a radius
+    # complex one, even with a zero imaginary part, is not a radius; a
+    # center that is not a number, a list or a vector included, and a bool
+    # for either are refused too
     points = counted_connection(monkeypatch)
     with pytest.raises(InputError, match="finite"):
         monodromy_on_loop(one_pole_snapshot(np.eye(2)), center=center,
@@ -278,7 +282,7 @@ def test_cli_and_a_loop_leave_scipy_out():
              "from flatiso import isomono as iso\n"
              "B = np.array([[0.3, 1], [0, -0.2]], dtype=complex)\n"
              "snap = iso.OkuboNumeric(Binf=np.zeros(2), values=None, "
-             "z=np.array([0j]), P=np.eye(2), residues=B[None], "
+             "z=np.array([0j]), E=np.eye(2)[None], residues=B[None], "
              "traces=np.zeros(1))\n"
              "iso.monodromy_on_loop(snap, center=0.0, radius=1.0)\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -288,14 +292,19 @@ def test_cli_and_a_loop_leave_scipy_out():
 
 
 def per_point_snapshots(m, path, lam, z_seed):
-    """(roots, residues, traces) point by point: scalar RingElem.eval of T0,
-    one eig per point and -P E_i P^{-1} Binf as matrix products."""
+    """(roots, residues, traces) point by point: T0 one point at a time, its
+    roots continued from the point before, one np.linalg.eig per point with
+    the columns of its frame P put in the order of the roots (the nearest
+    eigenvalue), and -P E_i P^{-1} Binf as matrix products."""
     sampler = p6.StructureSampler(m, z_seed=z_seed)
     Lam = np.diag([complex(x) for x in lam])
     prev, out = None, []
     for tp in path:
-        roots, P, _ = p6.ordered_eig(sampler.t0_matrix(tp)[None], prev)
-        roots, P, prev = roots[0], P[0], roots[0]
+        T0 = sampler.t0_matrix(tp)
+        roots, _ = p6.ordered_eig(T0[None], prev)
+        roots = prev = roots[0]
+        w, V = np.linalg.eig(T0)
+        P = V[:, np.abs(w[None] - roots[:, None]).argmin(axis=1)]
         res = []
         for i in range(m.n):
             E = np.zeros((m.n, m.n))
@@ -317,7 +326,7 @@ def test_snapshots_along_matches_per_point(eid):
     assert len(snaps) == len(ref) == len(path)
     assert snaps.residues.shape == (len(path), n, n, n)
     assert snaps.traces.shape == (len(path), n)
-    assert snaps.values.shape[0] == snaps.z.shape[0] == snaps.P.shape[0]
+    assert snaps.values.shape[0] == snaps.z.shape[0] == snaps.E.shape[0]
     for snap, (roots, res, traces) in zip(snaps, ref):
         assert np.abs(snap.z - roots).max() <= 1e-12 * max(1.0, np.abs(roots).max())
         assert max(np.abs(a - b).max() for a, b in zip(snap.residues, res)) <= 1e-12
@@ -325,7 +334,7 @@ def test_snapshots_along_matches_per_point(eid):
     # a point is that row of every stack; a slice is a sub-path
     k = len(path) // 2
     snap = snaps[k]
-    for name in ("values", "z", "P", "residues", "traces"):
+    for name in ("values", "z", "E", "residues", "traces"):
         assert np.array_equal(getattr(snap, name), getattr(snaps, name)[k])
     assert snap.Binf is snaps.Binf
     half = snaps[::2]
@@ -367,14 +376,14 @@ def test_resonance_guard_reaches_every_integer():
 def test_corrupted_residue_sum_raises(monkeypatch):
     e, m = entry_setup("LT8")
     path = e.default_path.points[:10]
-    real = iso.residues_from_frame
+    real = iso.projectors
 
-    def corrupted(P, lam):
-        res = real(P, lam)
-        res[6, 0, 0, 0] += 1e-6
-        return res
+    def corrupted(T0, z):
+        E = real(T0, z)
+        E[6, 0, 0, 0] += 1e-6
+        return E
 
-    monkeypatch.setattr(iso, "residues_from_frame", corrupted)
+    monkeypatch.setattr(iso, "projectors", corrupted)
     with pytest.raises(RankViolation,
                        match=re.escape(f"sum to -Binf at {path[6]}")):
         snapshots_along(m, path, p6.default_lambda(e.pvf.ring.weights))

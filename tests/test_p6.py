@@ -23,7 +23,7 @@ def test_roots_of_h_vieta_klein():
     h = m.h
     hc = h.coeffs_in(2)
     pt = (1.0, 1.0)
-    roots = p6.StructureSampler(m).frames([pt]).z[0]
+    roots = p6.StructureSampler(m).track([pt]).z[0]
     from flatiso.numeric import EvalStack
     row = [(0j,) + pt + (0.0,)]
     # sum of roots = -coeff of t3^2; product = -constant coefficient (cubic)
@@ -34,7 +34,7 @@ def test_roots_of_h_vieta_klein():
 
 def test_roots_ordering_and_continuation():
     e, m = entry_setup("LT8")
-    _, (r1, r2), _ = p6.StructureSampler(m).frames([(1.0, 0.4), (1.0, 0.41)])
+    _, (r1, r2), _ = p6.StructureSampler(m).track([(1.0, 0.4), (1.0, 0.41)])
     assert list(np.argsort([x.real for x in r1])) == [0, 1, 2]
     assert np.abs(r2 - r1).max() < 0.1
 
@@ -92,7 +92,7 @@ def test_relabeling_roots_keeps_residual_small():
     snaps = isomono.snapshots_along(m, path, lam)
     swap = [1, 0, 2]
     relabeled = isomono.OkuboNumeric(
-        snaps.Binf, snaps.values, snaps.z[:, swap], snaps.P[:, :, swap],
+        snaps.Binf, snaps.values, snaps.z[:, swap], snaps.E[:, swap],
         snaps.residues[:, swap], snaps.traces[:, swap])
     samples, _, defects = p6.pvi_on_frames(m, (1, 2), relabeled)
     assert defects[2].max() < 1e-6
@@ -317,11 +317,11 @@ def test_first_point_order_survives_rounding():
     # agree to rounding; ulp-level changes of T0 must not swap their labels
     e, m = entry_setup("LT27")
     T0 = p6.StructureSampler(m, z_seed=e.z_seed).t0_matrix(e.default_path.points[0])
-    base, _, _ = p6.ordered_eig(T0[None])
+    base, _ = p6.ordered_eig(T0[None])
     rng = np.random.default_rng(0)
     for _ in range(20):
         bumped = T0 * (1 + 1e-15 * rng.choice([-1.0, 1.0], size=T0.shape))
-        roots, _, _ = p6.ordered_eig(bumped[None])
+        roots, _ = p6.ordered_eig(bumped[None])
         assert np.abs(roots - base).max() < 1e-9
 
 
@@ -352,28 +352,28 @@ def test_eigenvalue_swap_is_bisected(monkeypatch):
                         T0_stack=EvalStack([[ring.zero(), t1], [t1, ring.zero()]]))
     p0, p1 = (1.0, 0.0), (-0.2 + 1j, 0.0)
     T0 = [[[0, p[0]], [p[0], 0]] for p in (p0, p1)]
-    assert p6.ordered_eig(T0)[2] == 1          # the match into p1 is rejected
+    assert p6.ordered_eig(T0)[1] == 1          # the match into p1 is rejected
     w1 = np.linalg.eigvals(T0[1])
     nearest = w1[np.abs(w1 - np.array([[-1.0], [1.0]])).argmin(axis=1)]
     assert np.allclose(nearest, [-0.2 + 1j, 0.2 - 1j])
     bisections = count_calls(monkeypatch, "_bisect")
-    _, roots, _ = p6.StructureSampler(m).frames([p0, p1])
+    _, roots, _ = p6.StructureSampler(m).track([p0, p1])
     assert bisections
     fine = [(1.0 + s * (p1[0] - 1.0), 0.0) for s in np.linspace(0, 1, 201)]
-    _, fine_roots, _ = p6.StructureSampler(m).frames(fine)
+    _, fine_roots, _ = p6.StructureSampler(m).track(fine)
     assert np.abs(roots[1] - fine_roots[-1]).max() < 1e-12
     assert np.allclose(roots[1], [0.2 - 1j, -0.2 + 1j])
 
 
-def count_frames(monkeypatch):
+def count_tracks(monkeypatch):
     calls = []
-    real = p6.StructureSampler.frames
+    real = p6.StructureSampler.track
 
     def counting(self, path):
         calls.append(len(path))
         return real(self, path)
 
-    monkeypatch.setattr(p6.StructureSampler, "frames", counting)
+    monkeypatch.setattr(p6.StructureSampler, "track", counting)
     return calls
 
 
@@ -392,7 +392,7 @@ def test_pvi_on_frames_reads_params_off_frame_zero():
 def test_entry_survey_matches_pvi_on_frames(monkeypatch):
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
-    calls = count_frames(monkeypatch)
+    calls = count_tracks(monkeypatch)
     path = e.default_path.points
     snaps = isomono.snapshots_along(m, path, lam)
     survey = p6.survey_on_frames(m, snaps)
@@ -438,7 +438,7 @@ def test_midconv_block_tracks_once(monkeypatch):
     # the residue tangent comes from the one tracked point, not from
     # re-tracking displaced points
     e, m = entry_setup("LT8")
-    calls = count_frames(monkeypatch)
+    calls = count_tracks(monkeypatch)
     pts = e.default_path.points
     catalog.midconv_block(m, pts[len(pts) // 2], z_seed=e.z_seed)
     assert calls == [1]
@@ -484,7 +484,7 @@ def test_lockstep_matches_point_by_point_continuation(eid):
     from flatiso.numeric import newton_roots, rel_coeffs
     e, m = entry_setup(eid)
     pts, z_seed = _path_401(e)
-    values, roots, _ = p6.StructureSampler(m, z_seed=z_seed).frames(pts)
+    values, roots, _ = p6.StructureSampler(m, z_seed=z_seed).track(pts)
     coeffs = rel_coeffs(m.ring, [p + (0.0,) for p in pts])
     ref, z = np.empty(len(pts), dtype=complex), z_seed
     for k, row in enumerate(coeffs):
@@ -514,7 +514,7 @@ def sqrt_sampler(z_seed, T0=None):
 def test_seed_with_no_newton_step_is_refused():
     # f'(0) = 0 for z^2 - t1: Newton cannot leave the seed at the first point
     with pytest.raises(RootNotConverged):
-        sqrt_sampler(0.0).frames([(1.0, 0.0), (1.1, 0.0)])
+        sqrt_sampler(0.0).track([(1.0, 0.0), (1.1, 0.0)])
 
 
 def test_lockstep_restarts_where_newton_leaves_the_branch(monkeypatch):
@@ -526,7 +526,7 @@ def test_lockstep_restarts_where_newton_leaves_the_branch(monkeypatch):
     passes = count_calls(monkeypatch, "_pass")
     bisections = count_calls(monkeypatch, "_bisect")
     path = [(np.exp(1j * th), 0.0) for th in np.linspace(0, 2 * np.pi, 401)]
-    z = sampler.frames(path)[0][:, 0]
+    z = sampler.track(path)[0][:, 0]
     assert abs(z[-1] + 1) < 1e-12
     sep = certified_separation(rel_coeffs(ring, path), z)
     assert np.all(np.abs(np.diff(z))
@@ -548,11 +548,11 @@ def test_z_rejected_step_is_bisected_with_its_roots(monkeypatch):
     sep = certified_separation(coeffs, np.array([1.0, z[0]]))
     assert abs(z[0] - 1) >= p6.STEP_FRACTION * sep.min()
     fine = [(1.0 + s * (p1[0] - 1.0), 0.0) for s in np.linspace(0, 1, 401)]
-    fine_values, fine_roots, _ = sqrt_sampler(1.0, swap).frames(fine)
+    fine_values, fine_roots, _ = sqrt_sampler(1.0, swap).track(fine)
     T0 = [[[0, zv], [zv, 0]] for zv in (1.0, fine_values[-1, 0])]
-    assert p6.ordered_eig(T0)[2] == 1
+    assert p6.ordered_eig(T0)[1] == 1
     bisections = count_calls(monkeypatch, "_bisect")
-    values, roots, _ = sqrt_sampler(1.0, swap).frames([p0, p1])
+    values, roots, _ = sqrt_sampler(1.0, swap).track([p0, p1])
     assert bisections
     assert abs(values[1, 0] - fine_values[-1, 0]) < 1e-12
     assert np.abs(roots[1] - fine_roots[-1]).max() < 1e-12
@@ -574,7 +574,7 @@ def test_near_crossing_inside_one_step_keeps_the_labels():
     def roots_at_end(path):
         sampler = p6.StructureSampler(
             SimpleNamespace(ring=ring, n=2, T0_stack=T0))
-        return sampler.frames(path)[1][-1]
+        return sampler.track(path)[1][-1]
 
     p0, p1 = (1.0, 0.0), (-1 + 0.2j, 0.0)
     fine = [(1.0 + s * (p1[0] - 1.0), 0.0) for s in np.linspace(0, 1, 401)]
@@ -588,7 +588,7 @@ def test_tracking_lost_past_max_bisections(monkeypatch):
     monkeypatch.setattr(p6, "STEP_FRACTION", 0.0)
     passes = count_calls(monkeypatch, "_pass")
     with pytest.raises(TrackingLost):
-        sqrt_sampler(1.0).frames([(1.0, 0.0), (1.1, 0.0)])
+        sqrt_sampler(1.0).track([(1.0, 0.0), (1.1, 0.0)])
     # the path, its second point, then the second point and the halves
     # towards the first point, one per depth
     assert len(passes) == 2 + p6.MAX_BISECTIONS + 1
@@ -599,35 +599,30 @@ def lapack_in_order(A, roots):
     """np.linalg.eig of the stack A, its columns put in the order of roots
     (the permutation that moves no root far, the first among ties)."""
     w, V = np.linalg.eig(A)
-    perms = np.array(list(permutations(range(3))))
+    perms = np.array(list(permutations(range(A.shape[-1]))))
     far = np.abs(roots[:, None, :] - w[:, perms]).max(axis=2)
     k = perms[far.argmin(axis=1)]
     return np.take_along_axis(w, k, axis=1), np.take_along_axis(V, k[:, None], 2)
 
 
-def assert_eig3_matches_lapack(A, lam=(1.0, 0.5, 0.0)):
-    """_eig3 against np.linalg.eig: the roots within 1e-12 max(1, |root|)
-    and the residues of the frames within 1e-10 of their largest entry."""
+def assert_eig3_matches_lapack(A):
+    """_eig3 against np.linalg.eig: the roots within 1e-12 max(1, |root|)."""
     A = np.asarray(A, dtype=complex)
-    roots, P = p6._eig3(A, True)
-    want, V = lapack_in_order(A, roots)
+    roots = p6._eig3(A)
+    want, _ = lapack_in_order(A, roots)
     assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
-    res, ref = p6.residues_from_frame(P, lam), p6.residues_from_frame(V, lam)
-    assert np.abs(res - ref).max() <= 1e-10 * max(1.0, np.abs(ref).max())
-    # the roots-only call returns the same roots bit for bit
-    assert np.array_equal(p6._eig3(A, False)[0], roots)
 
 
 def count_lapack(monkeypatch):
-    """The sizes of the stacks passed to np.linalg.eig, in order."""
+    """The sizes of the stacks passed to np.linalg.eigvals, in order."""
     calls = []
-    real = np.linalg.eig
+    real = np.linalg.eigvals
 
     def counting(A):
         calls.append(len(A))
         return real(A)
 
-    monkeypatch.setattr(np.linalg, "eig", counting)
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
     return calls
 
 
@@ -642,17 +637,16 @@ def test_eig3_matches_lapack_on_random_stacks(monkeypatch):
     real = rng.normal(size=(200, 3, 3))
     for A in (real, real + 1j * rng.normal(size=real.shape), 1e3 * real):
         lapack = count_lapack(monkeypatch)
-        p6._eig3(A.astype(complex), True)
+        p6._eig3(A.astype(complex))
         assert sum(lapack) < len(A) // 20     # nearly every row closed form
         monkeypatch.undo()
         assert_eig3_matches_lapack(A)
 
 
-@pytest.mark.filterwarnings("error")
-def test_eig3_matches_lapack_where_the_cubic_is_ill_conditioned(monkeypatch):
-    # the closed form cannot certify these rows, so LAPACK solves them:
-    # frames with cond(P) = 1e3, a root pair 10 ROOT_SEPARATION apart and
-    # scalar (derogatory) matrices
+def ill_conditioned_stacks():
+    """Stacks whose roots the closed form cannot certify: frames with
+    cond(P) = 1e3, a root pair 10 ROOT_SEPARATION apart (the pair stack),
+    and scalar (derogatory) matrices."""
     rng = np.random.default_rng(4)
     count = 50
     lam = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
@@ -662,13 +656,20 @@ def test_eig3_matches_lapack_where_the_cubic_is_ill_conditioned(monkeypatch):
     pair = lam.copy()
     pair[:, 1] = pair[:, 0] + 10 * p6.ROOT_SEPARATION
     Q = unitary_stack(rng, count)
-    stacks = [P @ (lam[..., None] * np.linalg.inv(P)),
-              Q @ (pair[..., None] * np.swapaxes(Q.conj(), 1, 2)),
-              (2.5 - 1j) * np.eye(3)[None].repeat(2, axis=0),
-              np.zeros((1, 3, 3))]
-    for A in stacks:
+    return [P @ (lam[..., None] * np.linalg.inv(P)),
+            Q @ (pair[..., None] * np.swapaxes(Q.conj(), 1, 2)),
+            (2.5 - 1j) * np.eye(3)[None].repeat(2, axis=0),
+            np.zeros((1, 3, 3))]
+
+
+@pytest.mark.filterwarnings("error")
+def test_eig3_matches_lapack_where_the_cubic_is_ill_conditioned(monkeypatch):
+    # the closed form cannot certify these rows, so LAPACK solves them:
+    # frames with cond(P) = 1e3, a root pair 10 ROOT_SEPARATION apart and
+    # scalar (derogatory) matrices
+    for A in ill_conditioned_stacks():
         lapack = count_lapack(monkeypatch)
-        p6._eig3(A.astype(complex), True)
+        p6._eig3(A.astype(complex))
         assert sum(lapack) == len(A)
         monkeypatch.undo()
         assert_eig3_matches_lapack(A)
@@ -679,12 +680,11 @@ def test_eig3_matches_lapack_where_the_cubic_is_ill_conditioned(monkeypatch):
 def test_eig3_matches_lapack_on_catalog_paths(eid, monkeypatch):
     e, m = entry_setup(eid)
     lapack = count_lapack(monkeypatch)
-    values, _, _ = p6.StructureSampler(m, z_seed=e.z_seed).frames(
+    values, _, _ = p6.StructureSampler(m, z_seed=e.z_seed).track(
         e.default_path.points)
     assert not lapack                     # every row in closed form
     monkeypatch.undo()
-    assert_eig3_matches_lapack(p6._matrix_rows(m.T0_stack, values),
-                               p6.default_lambda(m.weights))
+    assert_eig3_matches_lapack(p6._matrix_rows(m.T0_stack, values))
 
 
 @pytest.mark.filterwarnings("error")
@@ -692,15 +692,14 @@ def test_path_into_a_triple_root_raises_root_collision():
     # LT8 at t' = 0 has T0 = 0, a triple root, at the last point
     e, m = entry_setup("LT8")
     path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
-    for track in (p6.StructureSampler(m).frames, p6.StructureSampler(m).roots):
-        with pytest.raises(RootCollision, match="path point 8"):
-            track(path)
+    with pytest.raises(RootCollision, match="path point 8"):
+        p6.StructureSampler(m).track(path)
 
 
 def test_each_collision_is_named_where_the_tracker_finds_it():
     # z^2 = t1 at t1 = 1e-22 puts the two roots of the relation 2e-11
     # apart: a RootCollision through snapshots_along, not renamed; a root
-    # gap of T0 is an EigenvalueCollision, straight from frames
+    # gap of T0 is an EigenvalueCollision, straight from the tracker
     from flatiso.errors import EigenvalueCollision
     m = sqrt_sampler(1e-11).m
     with pytest.raises(RootCollision, match="generator roots closer") as exc:
@@ -709,38 +708,160 @@ def test_each_collision_is_named_where_the_tracker_finds_it():
     e, m = entry_setup("LT8")
     path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
     with pytest.raises(EigenvalueCollision, match="path point 8"):
-        p6.StructureSampler(m).frames(path)
+        p6.StructureSampler(m).track(path)
 
 
-def test_closed_form_frames_and_roots_only_tracking():
+def test_closed_form_roots_tracking():
+    # the Track's T0 is the stack its rows evaluate to, and its roots are
+    # _eig3's on that stack bit for bit, in the tracked order, and agree
+    # with LAPACK
     e, m = entry_setup("LT8")
-    lam = p6.default_lambda(e.pvf.ring.weights)
-    path = e.default_path.points
-    sampler = p6.StructureSampler(m)
-    values, roots, P = sampler.frames(path)
-    # the tracked frames against LAPACK on the same stack
-    want, V = lapack_in_order(p6._matrix_rows(m.T0_stack, values), roots)
+    values, roots, T0 = p6.StructureSampler(m).track(e.default_path.points)
+    assert np.array_equal(T0, p6._matrix_rows(m.T0_stack, values))
+    assert np.array_equal(np.sort_complex(roots),
+                          np.sort_complex(p6._eig3(T0)))
+    want, _ = lapack_in_order(T0, roots)
     assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
-    res, res_c = p6.residues_from_frame(P, lam), p6.residues_from_frame(V, lam)
-    assert np.abs(res - res_c).max() <= 1e-12 * max(1, np.abs(res_c).max())
-    # roots only: the same roots, and the sampler continues identically
-    fresh = p6.StructureSampler(m)
-    only_values, only_roots = fresh.roots(path)
-    assert np.array_equal(only_values, values)
-    assert np.array_equal(only_roots, roots)
-    for name in ("values", "seps", "T0", "roots"):
-        assert np.array_equal(getattr(fresh._last, name),
-                              getattr(sampler._last, name))
-    more = [(p[0], p[1] + 0.01) for p in path[-3:]]
-    for a, b in zip(sampler.frames(more), fresh.frames(more)):
-        assert np.array_equal(a, b)
+
+
+def frame_projectors(V):
+    """P[:, i] P^{-1}[i, :] of stacked eigenvector frames V (N, n, n): the
+    projectors through an inverted frame, the construction that
+    p6.projectors replaced, kept here as the reference."""
+    return np.einsum("Nai,Nib->Niab", V, np.linalg.inv(V))
+
+
+def assert_projectors_match_frames(T0, roots, lam, tol=1e-12):
+    """The residues -E_i diag(lam) of p6.projectors against those of
+    LAPACK's frames within tol of the largest residue entry, point by
+    point."""
+    _, V = lapack_in_order(T0, roots)
+    got = -p6.projectors(T0, roots) * lam
+    ref = -frame_projectors(V) * lam
+    err = np.abs(got - ref).max(axis=(1, 2, 3))
+    assert np.all(err <= tol * np.abs(ref).max(axis=(1, 2, 3)))
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_projector_residues_match_lapack_frames_on_catalog_paths(eid):
+    # the residues of snapshots_along against np.linalg.eig frames on the
+    # same T0 stack, and the projectors sum to the identity within rounding
+    # of their size (LT30's reach 334; measured <= 6.3e-16 of it)
+    e, m = entry_setup(eid)
+    lam = np.array([complex(x) for x in p6.default_lambda(m.weights)])
+    snaps = isomono.snapshots_along(m, e.default_path.points, lam,
+                                    z_seed=e.z_seed)
+    T0 = p6._matrix_rows(m.T0_stack, snaps.values)
+    assert np.array_equal(snaps.residues, -p6.projectors(T0, snaps.z) * lam)
+    assert_projectors_match_frames(T0, snaps.z, lam)
+    size = np.maximum(1, np.abs(snaps.E).max(axis=(1, 2, 3)))
+    defect = np.abs(snaps.E.sum(axis=1) - np.eye(3)).max(axis=(1, 2))
+    assert np.all(defect <= 2e-15 * size)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_projector_residues_match_lapack_frames_on_random_stacks(n):
+    rng = np.random.default_rng(n)
+    for scale in (1e-3, 1.0, 1e3):
+        A = scale * (rng.normal(size=(200, n, n))
+                     + 1j * rng.normal(size=(200, n, n)))
+        lam = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert_projectors_match_frames(A, np.linalg.eigvals(A), lam)
+        # a common shift of the spectrum, far from the spread of the roots
+        A = A + 30 * scale * np.eye(n)
+        assert_projectors_match_frames(A, np.linalg.eigvals(A), lam)
+
+
+def test_projector_error_tracks_lapack_frames_as_cond_grows():
+    # T0 = P diag(z) P^{-1} with cond(P) up to 1e6: the error of the
+    # projector residues against the exact -P[:, i] P^{-1}[i, :] diag(lam)
+    # is at most twice that of LAPACK's frames, above a rounding floor of
+    # 1e-14: forming T0 dominates both (about 1e-16 cond(P)^2); at
+    # cond(P) = 1 both stay at rounding level, the projectors' 2 to 5
+    # times the frames'
+    rng = np.random.default_rng(5)
+    count = 50
+    for cond in (1.0, 1e2, 1e3, 1e4, 1e6):
+        z = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+        lam = rng.normal(size=3) + 1j * rng.normal(size=3)
+        U, W = unitary_stack(rng, count), unitary_stack(rng, count)
+        sv = np.logspace(0, -np.log10(cond), 3)
+        P = (U * sv) @ W
+        Pinv = (np.swapaxes(W.conj(), 1, 2) / sv) @ np.swapaxes(U.conj(), 1, 2)
+        T0 = P @ (z[..., None] * Pinv)
+        exact = -np.einsum("Nai,Nib->Niab", P, Pinv) * lam
+        roots = p6._eig3(T0)
+        _, V = lapack_in_order(T0, roots)
+        scale = np.abs(exact).max()
+        got = np.abs(-p6.projectors(T0, roots) * lam - exact).max() / scale
+        ref = np.abs(-frame_projectors(V) * lam - exact).max() / scale
+        assert got <= max(2 * ref, 1e-14), cond
+
+
+def test_projectors_on_a_close_pair_against_mpmath():
+    # on the pair stack (roots 10 ROOT_SEPARATION apart) both routes stand
+    # about eps / gap from the projectors of the same float matrices taken
+    # to 50 digits; the projectors' error is at most 4 times the frames'
+    mp = pytest.importorskip("mpmath")
+    T0 = ill_conditioned_stacks()[1]
+    roots = p6._eig3(T0)
+    _, V = lapack_in_order(T0, roots)
+    ref = np.empty(T0.shape[:1] + (3, 3, 3), dtype=complex)
+    with mp.workdps(50):
+        for k, A in enumerate(T0):
+            w, R = mp.eig(mp.matrix(A.tolist()))
+            L = mp.inverse(R)
+            for i, r in enumerate(roots[k]):
+                j = int(np.argmin([abs(complex(x) - r) for x in w]))
+                ref[k, i] = [[complex(R[a, j] * L[j, b]) for b in range(3)]
+                             for a in range(3)]
+    frames = np.abs(frame_projectors(V) - ref).max()
+    assert 1e-10 < frames < 1e-6
+    assert np.abs(p6.projectors(T0, roots) - ref).max() <= 4 * frames
+
+
+def eigen_perturbation_tangent(m, snap, lam):
+    """(dz, dB) of the residues -P E_i P^{-1} diag(lam) by first-order
+    eigen-perturbation of a LAPACK frame P: with X = P^{-1} (dT0/dt_k) P,
+    dz = diag X and dP = P Y, Y_ij = X_ij / (z_j - z_i) off the diagonal;
+    then dB_i = -P [Y, E_i] P^{-1} diag(lam).  Along t_n, dz = -1 and
+    dB = 0.  The formula that projector_tangent replaced, kept here as the
+    reference."""
+    n = m.n
+    T0 = p6._matrix_rows(m.T0_stack, snap.values[None])
+    P = lapack_in_order(T0, snap.z[None])[1][0]
+    Pinv = np.linalg.inv(P)
+    X = Pinv @ p6._matrix_rows(m.dT0_stack, snap.values[None])[0] @ P
+    gap = snap.z - snap.z[:, None]
+    np.fill_diagonal(gap, 1)
+    Y = X / gap * (1 - np.eye(n))
+    PinvL = Pinv * np.array([complex(x) for x in lam])
+    dB = np.zeros((n, n, n, n), dtype=complex)
+    dB[:n - 1] = (np.einsum("kai,ib->kiab", -(P @ Y), PinvL)
+                  + np.einsum("ai,kib->kiab", P, Y @ PinvL))
+    dz = np.full((n, n), -1, dtype=complex)
+    dz[:, :n - 1] = np.diagonal(X, axis1=1, axis2=2).T
+    return dz, dB
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_projector_tangent_matches_eigen_perturbation(eid):
+    e, m = entry_setup(eid)
+    lam = p6.default_lambda(m.weights)
+    pts = e.default_path.points
+    snap = isomono.snapshots_along(m, [pts[len(pts) // 2]], lam,
+                                   z_seed=e.z_seed)[0]
+    dz, dB = p6.projector_tangent(m, snap, lam)
+    want_dz, want_dB = eigen_perturbation_tangent(m, snap, lam)
+    assert np.abs(dz - want_dz).max() <= 1e-12 * np.abs(want_dz).max()
+    assert np.abs(dB - want_dB).max() <= 1e-12 * np.abs(want_dB).max()
 
 
 @pytest.mark.parametrize("eid", catalog.catalog_list())
 def test_one_evaluation_per_matrix(eid, monkeypatch):
     # a 401-point track is one lockstep pass: one Newton run on an extension
     # ring (none on a plain ring), T0 evaluated in one call over all points,
-    # not one per entry, and no bisection; frame_tangent evaluates both dT0
+    # not one per entry, and no bisection; projector_tangent evaluates both dT0
     # matrices in one call
     from flatiso.numeric import EvalStack
     e, m = entry_setup(eid)
@@ -766,5 +887,5 @@ def test_one_evaluation_per_matrix(eid, monkeypatch):
     assert newton == ([] if m.ring.ext is None else [401])
     assert len(passes) == 1 and bisections == []
     calls.clear()
-    p6.frame_tangent(m, snaps[200], lam)
+    p6.projector_tangent(m, snaps[200], lam)
     assert calls == [(m.dT0_stack, 1)]

@@ -189,7 +189,7 @@ def test_branch_jump_is_bisected(ext):
     coarse = z_tracker(ext, z0)
     coarse.z_at(p0)
     assert abs(coarse.z_at(p1) - zf) < 1e-10
-    values, roots, _ = z_tracker(ext, z0).frames([p0, p1])
+    values, roots, _ = z_tracker(ext, z0).track([p0, p1])
     assert abs(values[1, 0] - zf) < 1e-10
     assert abs(roots[1, 0] - zf) < 1e-10
 
@@ -689,7 +689,7 @@ def test_stacked_eval_is_bit_identical(eid):
     elems = [x for M in mats for row in M for x in row]
     assert any(x.is_zero() for x in elems)
     assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
-    values = p6.StructureSampler(m, z_seed=cat.z_seed).frames(
+    values = p6.StructureSampler(m, z_seed=cat.z_seed).track(
         cat.default_path.points).values
     stack = EvalStack(mats)
     assert stack.shape == (n + 1, n, n)
