@@ -74,6 +74,8 @@ def _build_parser():
 
 def _resolve_input(args):
     """(pvf, path points, z_seed, entry_choice) from the flags."""
+    if getattr(args, "catalog", None) and getattr(args, "input", None):
+        raise SchemaError("give one of --catalog or --input, not both")
     if getattr(args, "catalog", None):
         entry = cat.catalog_get(args.catalog)
         pvf = entry.pvf
@@ -322,7 +324,9 @@ def _run_catalog(args):
         report = {"check": "catalog-list", "ids": cat.catalog_list(),
                   "pass": True}
         return report, " ".join(cat.catalog_list())
-    ids = cat.catalog_list() if (args.all or not args.catalog) else [args.catalog]
+    if args.all and args.catalog:
+        raise SchemaError("give one of --all or --catalog, not both")
+    ids = [args.catalog] if args.catalog else cat.catalog_list()
     reports = {eid: cat.catalog_verify(eid, args.depth) for eid in ids}
     report = {"check": "catalog-verify", "depth": args.depth,
               "tolerances": dict(cat.TOLERANCES), "entries": reports,

@@ -28,7 +28,9 @@ Everything derived from C (T, the B^(k) and their traces, the commutators,
 the divisor h = det(-T) with its partials, the trace defects and the
 quotients (V_k h)/h they certify, adj(T) and T + t_n I) is computed on
 first use and kept on its SaitoMatrices.  The checks read
-SaitoMatrices.cancelled, a copy with z divided out of C.
+SaitoMatrices.cancelled, a copy with z divided out of C; on a lazy ring it
+holds the gradient over its minimal denominators, while the stored C and
+dT0, which are printed and compiled, are lifted to the general ones.
 """
 
 from __future__ import annotations
@@ -78,6 +80,17 @@ def mat_scale(a, c):
 
 def mat_z_cancelled(a):
     return [[e._z_cancelled() for e in row] for row in a]
+
+
+def _printed(d, e):
+    """The derivative d of e in the form the serialized C and the compiled
+    dT0 carry: on a lazy ring (Ring.lazy), d over the general denominator
+    z^(a+1) rel_z^(b+2), z^a rel_z^b being e's; d itself on other rings."""
+    ring = d.ring
+    if not ring.lazy:
+        return d
+    a, b = e.zden + 1, e.dden + 2
+    return RingElem(ring, *d._scaled(a, b), a, b)
 
 
 def mat_det(a):
@@ -201,12 +214,16 @@ class SaitoMatrices:
         """The structure the exact checks read: C and T with z divided out of
         every entry as far as it goes (RingElem._z_cancelled).
 
-        On a lazy ring (Ring.lazy) C carries up to z^18, and every sum
-        shifts its operands to a common power of z and reduces the high
-        powers modulo the relation again.  Zero tests do not depend on the
+        On a lazy ring (Ring.lazy) the stored C is lifted to the general
+        derivative denominators (_printed), up to z^18, and every sum shifts
+        its operands to a common power of z and reduces the high powers
+        modulo the relation again.  Zero tests do not depend on the
         representation, so only they read this copy; C, T, h and T0, which
-        are printed and evaluated, stay as built.  On other rings it is self.
-        The copy's T is derived from its C and shares its denominators.
+        are printed and evaluated, stay as built.  build_saito_matrices sets
+        the copy to the gradient as RingElem.partial returns it, over its
+        minimal denominators, z-cancelled; a structure built from a C alone
+        z-cancels that C.  On other rings it is self.  The copy's T is
+        derived from its C and shares its denominators.
         """
         if not self.ring.lazy:
             return self
@@ -317,8 +334,11 @@ class SaitoMatrices:
 
     @cached_property
     def dT0(self):
-        """dT0/dt_k for k = 1..n-1; T0 is free of t_n."""
-        return [mat_partial(self.T0, k) for k in range(self.n - 1)]
+        """dT0/dt_k for k = 1..n-1; T0 is free of t_n.  On a lazy ring each
+        entry is lifted here (_printed) to the general denominator of the T0
+        entry it differentiates, the form dT0_stack compiles."""
+        return [[[_printed(e.partial(k), e) for e in row] for row in self.T0]
+                for k in range(self.n - 1)]
 
     @cached_property
     def dT0_stack(self):
@@ -366,17 +386,23 @@ class Prepotential:
 # ---------------------------------------------------------------------------
 
 def _gradient_matrix(pvf: PotentialVF):
-    """C_ij = dg_j/dt_i."""
+    """C_ij = dg_j/dt_i, each over its minimal denominator."""
     n = pvf.n
     return [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
 
 
 def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
     """The structure of g; SchemaError unless every entry of T = -E C is
-    homogeneous."""
-    m = SaitoMatrices(ring=pvf.ring, C=_gradient_matrix(pvf))
+    homogeneous.  The gradient is taken once: lifted (_printed), it is the
+    stored C; on a lazy ring, z-cancelled, the copy the checks read."""
+    ring = pvf.ring
+    grad = _gradient_matrix(pvf)
+    m = SaitoMatrices(ring=ring, C=[[_printed(d, g) for d, g in zip(row, pvf.g)]
+                                    for row in grad])
+    if ring.lazy:
+        m.cancelled = SaitoMatrices(ring=ring, C=grad).cancelled
     w = m.weights
-    for i, row in enumerate(m.T):
+    for i, row in enumerate(m.cancelled.T):
         for j, e in enumerate(row):
             if not e.is_homogeneous(1 + w[j] - w[i]):
                 raise SchemaError(

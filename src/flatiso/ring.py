@@ -808,11 +808,11 @@ class RingElem:
         #        - b z^ez N (D_i D - D_z R_i),
         # where ez = [a > 0] and eD = [b > 0]: the a-term alone needs the
         # extra z and the b-term alone the extra D.  Over rel_z = D / s the
-        # integer scale is s^(1+eD).  Lazy rings take ez = eD = 1 throughout,
-        # since nothing cancels there and the denominators partial returns
-        # are the ones the printed and compiled structures carry.
-        ez = 1 if a or ring.lazy else 0
-        eD = 1 if b or ring.lazy else 0
+        # integer scale is s^(1+eD).  Every ring takes this rule; the printed
+        # C and compiled dT0 of a lazy ring are re-expressed over the general
+        # z^(a+1) D^(b+2) where they are built (flatcore._printed).
+        ez = 1 if a else 0
+        eD = 1 if b else 0
         zkey = ez * pk.zunit
         num = _p_lincomb(pk.mul(N_i, D), 1, pk.mul(N_z, Ri), -1)
         if eD:

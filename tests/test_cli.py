@@ -58,6 +58,24 @@ def test_missing_input(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-wdvv", "--catalog", "LT8", "--input", "/nonexistent.json"),
+    ("catalog", "verify", "--all", "--catalog", "LT8"),
+])
+def test_conflicting_input_flags_are_schema_errors(argv, capsys, monkeypatch):
+    # neither flag wins: the file is not opened and no entry is verified
+    def refuse(*args, **kwargs):
+        raise AssertionError("nothing is read or verified")
+
+    monkeypatch.setattr("builtins.open", refuse)
+    monkeypatch.setattr(catalog, "catalog_verify", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and "input error" in err and "not both" in err
+    assert out == ""
+    with pytest.raises(SchemaError, match="not both"):
+        cli.VERBS[argv[0]](cli._build_parser().parse_args(argv))
+
+
 def test_saito_and_logvf(capsys):
     code, out, _ = run(capsys, "saito", "--catalog", "H3")
     assert code == 0

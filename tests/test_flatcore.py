@@ -136,6 +136,19 @@ def test_saito_relations_catalog_subset():
         assert check_saito_relations(m)
 
 
+@pytest.mark.parametrize("eid", catalog.IDS)
+def test_printed_and_cancelled_structures_agree(eid):
+    # on a lazy ring the printed C (its gradient lifted to the general
+    # denominators) and the cancelled copy the checks read (the minimal
+    # gradient) are built by two routes; every entry of C, T and h agrees
+    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
+    c = m.cancelled
+    assert (c is not m) is m.ring.lazy
+    pairs = [(x, y) for a, b in ((m.C, c.C), (m.T, c.T))
+             for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
+    assert all((x - y).is_zero() for x, y in pairs + [(m.h, c.h)])
+
+
 def test_homogeneity_ok_is_the_weight_test(klein, perturbed_klein):
     # is_homogeneous(1 + w_j) against the zero test of E g_j - (1 + w_j) g_j
     # it replaced, on the catalog, a homogeneous control and an

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from flatiso import catalog
+from flatiso import catalog, flatcore
 from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
 from flatiso.numeric import (EvalStack, certified_separation, newton_roots,
                              rel_coeffs)
@@ -351,6 +351,7 @@ def _raw_elems(ring):
 
 # z-degrees 2, 3 and 4
 QUOTIENT_ENTRIES = ("H3pp", "LT27", "H3p")
+LAZY_ENTRIES = ("LT19", "LT14")
 
 
 @settings(max_examples=60, deadline=None)
@@ -452,16 +453,63 @@ PARTIAL_RINGS = (("H3p", 1), ("H3pp", 1), ("LT27", 1), ("LT27", F(5, 6)),
        st.data())
 def test_partial_matches_the_general_formula(spec, zden, dden, data):
     # the minimal denominator z^(a+[a>0]) rel_z^(b+1+[b>0]) gives the same
-    # element as the general one; a lazy ring keeps the general one term
-    # for term, since its denominators are printed and compiled
+    # element as the general one on every ring; on a lazy ring the lift to
+    # the printed form (flatcore._printed) has the general one's
+    # denominators and terms (their order is pinned on the catalog below)
     ring = _scaled_ring(*spec)
     e = ring.from_raw(data.draw(_raw_elems(ring)).num, zden, dden)
     for var in range(ring.nvars):
         got, want = e.partial(var), _partial_over_the_general_denominator(e, var)
         assert got == want
         if ring.lazy:
-            assert (got.zden, got.dden, got._d) == (want.zden, want.dden, want._d)
-            assert list(got._t.items()) == list(want._t.items())
+            lifted = flatcore._printed(got, e)
+            assert _denominators(lifted) == _denominators(want)
+            assert lifted._t == want._t
+
+
+def _denominators(e):
+    return e.zden, e.dden, e._d
+
+
+def _assert_same_terms(got, want):
+    # the same terms in the same order, which fixes the summation order of
+    # the compiled stacks
+    assert _denominators(got) == _denominators(want)
+    assert list(got._t.items()) == list(want._t.items())
+
+
+@pytest.mark.parametrize("eid", LAZY_ENTRIES)
+def test_printed_c_and_dt0_carry_the_general_denominators(eid):
+    # the serialized C and the compiled dT0 of a lazy ring are the general
+    # formula term for term, from the g_j and the T0 entries they
+    # differentiate, while the cancelled copy the checks read carries the
+    # minimal gradient
+    pvf = catalog.catalog_get(eid).pvf
+    m = flatcore.build_saito_matrices(pvf)
+    n = m.n
+    for i in range(n):
+        for j in range(n):
+            _assert_same_terms(
+                m.C[i][j], _partial_over_the_general_denominator(pvf.g[j], i))
+            assert m.cancelled.C[i][j].dden <= 1
+    for k, dT0 in enumerate(m.dT0):
+        for row, drow in zip(m.T0, dT0):
+            for e, d in zip(row, drow):
+                _assert_same_terms(d, _partial_over_the_general_denominator(e, k))
+
+
+@pytest.mark.parametrize("eid", LAZY_ENTRIES)
+def test_partial_of_a_polynomial_on_a_lazy_ring_has_one_rel_z(eid):
+    # the minimal rule holds on lazy rings too: no z and one rel_z
+    ring = catalog.catalog_get(eid).pvf.ring
+    assert ring.lazy
+    rng = random.Random(11)
+    for e in [random_elem(ring, rng, with_z=True) for _ in range(8)]:
+        assert not (e.zden or e.dden)
+        for var in range(ring.nvars):
+            d = e.partial(var)
+            if not d.is_zero():
+                assert (d.zden, d.dden) == (0, 1)
 
 
 @pytest.mark.parametrize("eid", QUOTIENT_ENTRIES)
