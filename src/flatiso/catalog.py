@@ -166,9 +166,7 @@ def structure_report(pvf: PotentialVF) -> flatcore.WdvvReport:
 
 
 def logvf_block(m: SaitoMatrices) -> dict:
-    """The discriminant and logarithmic-field identities, exactly, read from
-    the structure's cancelled copy."""
-    m = m.cancelled
+    """The discriminant and logarithmic-field identities, exactly."""
     failed = logvf.logvf_identities(m)
     trace_ok = all(v.is_zero() for v in m.trace_defects)
     return {

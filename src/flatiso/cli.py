@@ -66,8 +66,8 @@ def _build_parser():
     c.add_argument("action", choices=["list", "verify"])
     c.add_argument("--catalog", metavar="ID")
     c.add_argument("--all", action="store_true")
-    c.add_argument("--depth", default="symbolic",
-                   choices=["symbolic", "numeric", "full"])
+    c.add_argument("--depth", choices=["symbolic", "numeric", "full"],
+                   help="verify depth (default symbolic)")
     c.add_argument("--json", metavar="FILE")
     return ap
 
@@ -183,7 +183,7 @@ def _run_verify_wdvv(args):
 def _run_saito(args):
     pvf, *_ = _resolve_input(args)
     rep = cat.structure_report(pvf)
-    m = rep.matrices
+    m = flatcore.printed(pvf, rep.matrices)
     report = {
         "check": "saito", "name": pvf.name,
         "tolerances": {"symbolic": "exact"},
@@ -203,7 +203,7 @@ def _run_logvf(args):
     report = {
         "check": "logvf", "name": pvf.name,
         "tolerances": {"symbolic": "exact"},
-        "h": exprio.format_elem(m.h),
+        "h": exprio.format_elem(flatcore.printed(pvf, m).h),
         "h_weight": lv["discriminant_weight"],
         "identities_failed": lv["identities_failed"],
         "saito_criterion_c": lv["saito_criterion_c"],
@@ -321,17 +321,20 @@ def _run_jm_roundtrip(args):
 
 def _run_catalog(args):
     if args.action == "list":
+        if args.catalog or args.all or args.depth:
+            raise SchemaError("catalog list takes no --catalog, --all or --depth")
         report = {"check": "catalog-list", "ids": cat.catalog_list(),
                   "pass": True}
         return report, " ".join(cat.catalog_list())
     if args.all and args.catalog:
         raise SchemaError("give one of --all or --catalog, not both")
     ids = [args.catalog] if args.catalog else cat.catalog_list()
-    reports = {eid: cat.catalog_verify(eid, args.depth) for eid in ids}
-    report = {"check": "catalog-verify", "depth": args.depth,
+    depth = args.depth or "symbolic"
+    reports = {eid: cat.catalog_verify(eid, depth) for eid in ids}
+    report = {"check": "catalog-verify", "depth": depth,
               "tolerances": dict(cat.TOLERANCES), "entries": reports,
               "pass": all(r["pass"] for r in reports.values())}
-    return report, (f"catalog verify [{args.depth}]: "
+    return report, (f"catalog verify [{depth}]: "
                     + " ".join(f"{k}={'ok' if v['pass'] else 'FAIL'}"
                                for k, v in reports.items()))
 

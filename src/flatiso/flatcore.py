@@ -27,10 +27,12 @@ ordinary RingElem arithmetic.
 Everything derived from C (T, the B^(k) and their traces, the commutators,
 the divisor h = det(-T) with its partials, the trace defects and the
 quotients (V_k h)/h they certify, adj(T) and T + t_n I) is computed on
-first use and kept on its SaitoMatrices.  The checks read
-SaitoMatrices.cancelled, a copy with z divided out of C; on a lazy ring it
-holds the gradient over its minimal denominators, while the stored C and
-dT0, which are printed and compiled, are lifted to the general ones.
+first use and kept on its SaitoMatrices.  Its C is the gradient over its
+minimal denominators on every ring, z divided out as far as it goes, and
+the checks, T0, dT0 and the numeric stacks all read it.  Only the
+serialized C, T and h take another form: on a lazy ring (Ring.lazy) they
+are lifted to the general derivative denominators where they are printed
+(printed).
 """
 
 from __future__ import annotations
@@ -83,14 +85,11 @@ def mat_z_cancelled(a):
 
 
 def _printed(d, e):
-    """The derivative d of e in the form the serialized C and the compiled
-    dT0 carry: on a lazy ring (Ring.lazy), d over the general denominator
-    z^(a+1) rel_z^(b+2), z^a rel_z^b being e's; d itself on other rings."""
-    ring = d.ring
-    if not ring.lazy:
-        return d
+    """The derivative d of e over the general denominator z^(a+1) rel_z^(b+2),
+    z^a rel_z^b being e's: the form a serialized C entry takes on a lazy
+    ring (printed)."""
     a, b = e.zden + 1, e.dden + 2
-    return RingElem(ring, *d._scaled(a, b), a, b)
+    return RingElem(d.ring, *d._scaled(a, b), a, b)
 
 
 def mat_det(a):
@@ -210,41 +209,13 @@ class SaitoMatrices:
         return self.ring.weights
 
     @cached_property
-    def cancelled(self) -> "SaitoMatrices":
-        """The structure the exact checks read: C and T with z divided out of
-        every entry as far as it goes (RingElem._z_cancelled).
-
-        On a lazy ring (Ring.lazy) the stored C is lifted to the general
-        derivative denominators (_printed), up to z^18, and every sum shifts
-        its operands to a common power of z and reduces the high powers
-        modulo the relation again.  Zero tests do not depend on the
-        representation, so only they read this copy; C, T, h and T0, which
-        are printed and evaluated, stay as built.  build_saito_matrices sets
-        the copy to the gradient as RingElem.partial returns it, over its
-        minimal denominators, z-cancelled; a structure built from a C alone
-        z-cancels that C.  On other rings it is self.  The copy's T is
-        derived from its C and shares its denominators.
-        """
-        if not self.ring.lazy:
-            return self
-        out = SaitoMatrices(ring=self.ring, C=mat_z_cancelled(self.C))
-        out.cancelled = out             # its entries are cancelled already
-        return out
-
-    @cached_property
     def T(self) -> list:
         """T = -E C, E = sum_k w_k t_k d/dt_k the Euler field."""
         return [[-(e.euler()) for e in row] for row in self.C]
 
     @cached_property
     def Btilde(self) -> list:
-        """The n matrices B^(k) = dC/dt_k, z-cancelled.
-
-        They are only zero-tested, so they are derived once, from the
-        cancelled C, and shared with the cancelled copy.
-        """
-        if self.cancelled is not self:
-            return self.cancelled.Btilde
+        """The n matrices B^(k) = dC/dt_k, z-cancelled."""
         return [mat_z_cancelled(mat_partial(self.C, k)) for k in range(self.n)]
 
     @cached_property
@@ -316,7 +287,8 @@ class SaitoMatrices:
 
     @cached_property
     def T0(self):
-        """T + t_n I, which condition (T) requires to be free of t_n."""
+        """T + t_n I, which condition (T) requires to be free of t_n; from the
+        minimal C on every ring, so the numeric stacks compile it as is."""
         last = self.n - 1
         t_last = self.ring.var(last)
         zero = self.ring.zero()
@@ -334,11 +306,9 @@ class SaitoMatrices:
 
     @cached_property
     def dT0(self):
-        """dT0/dt_k for k = 1..n-1; T0 is free of t_n.  On a lazy ring each
-        entry is lifted here (_printed) to the general denominator of the T0
-        entry it differentiates, the form dT0_stack compiles."""
-        return [[[_printed(e.partial(k), e) for e in row] for row in self.T0]
-                for k in range(self.n - 1)]
+        """dT0/dt_k for k = 1..n-1, over RingElem.partial's minimal
+        denominators; T0 is free of t_n."""
+        return [mat_partial(self.T0, k) for k in range(self.n - 1)]
 
     @cached_property
     def dT0_stack(self):
@@ -391,24 +361,36 @@ def _gradient_matrix(pvf: PotentialVF):
     return [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
 
 
+def _structure(pvf: PotentialVF) -> SaitoMatrices:
+    """The SaitoMatrices of g unchecked: its gradient with z divided out of
+    every entry as far as it goes (RingElem._z_cancelled)."""
+    return SaitoMatrices(ring=pvf.ring, C=mat_z_cancelled(_gradient_matrix(pvf)))
+
+
 def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
     """The structure of g; SchemaError unless every entry of T = -E C is
-    homogeneous.  The gradient is taken once: lifted (_printed), it is the
-    stored C; on a lazy ring, z-cancelled, the copy the checks read."""
-    ring = pvf.ring
-    grad = _gradient_matrix(pvf)
-    m = SaitoMatrices(ring=ring, C=[[_printed(d, g) for d, g in zip(row, pvf.g)]
-                                    for row in grad])
-    if ring.lazy:
-        m.cancelled = SaitoMatrices(ring=ring, C=grad).cancelled
+    homogeneous."""
+    m = _structure(pvf)
     w = m.weights
-    for i, row in enumerate(m.cancelled.T):
+    for i, row in enumerate(m.T):
         for j, e in enumerate(row):
             if not e.is_homogeneous(1 + w[j] - w[i]):
                 raise SchemaError(
                     f"T[{i+1}][{j+1}] is not homogeneous of weight 1+w{j+1}-w{i+1}; "
                     "input g is not weighted homogeneous")
     return m
+
+
+def printed(pvf: PotentialVF, m: SaitoMatrices) -> SaitoMatrices:
+    """The forms of C, T and h that are serialized, for the structure m of
+    pvf.  On a lazy ring (Ring.lazy) each C_ij is lifted to the general
+    derivative denominator of g_j (_printed); T = -E C and h = det(-T) are
+    derived from that C on first use, h only when asked for.  m itself on
+    other rings.  Nothing but a printer reads these forms."""
+    if not m.ring.lazy:
+        return m
+    return SaitoMatrices(ring=m.ring, C=[[_printed(d, g) for d, g in zip(row, pvf.g)]
+                                         for row in m.C])
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +403,7 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
 
     The report also carries the SaitoMatrices it checked, or None when T is
     not homogeneous (the relations then count as failed).  The B^(k) and
-    their commutators are read from its cancelled copy in either case.
+    their commutators are read from a structure of g in either case.
     """
     ring = pvf.ring
     n = pvf.n
@@ -430,8 +412,8 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
         m = build_saito_matrices(pvf)
     except SchemaError:             # T inhomogeneous: the relations fail below
         m = None
-    checked = m if m is not None else SaitoMatrices(ring=ring, C=_gradient_matrix(pvf))
-    B, commutators = checked.cancelled.Btilde, checked.cancelled.commutators
+    checked = m if m is not None else _structure(pvf)
+    B, commutators = checked.Btilde, checked.commutators
     return WdvvReport(
         unit_ok=mat_is_zero(mat_sub(B[n - 1], mat_identity(ring, n))),
         homogeneity_ok=all(g.is_homogeneous(1 + wj) for g, wj in zip(pvf.g, w)),
@@ -447,7 +429,7 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
     of the B^(k), [T, B^(k)] = 0 and dT/dt_k + B^(k) + [B^(k), Binf] = 0:
     the integrability of the Okubo system.  A scalar shift of Binf changes
     none of them.  With B^(k) = dC/dt_k and T = -E C, which a SaitoMatrices
-    holds by construction, two tests decide them, read from m.cancelled:
+    holds by construction, two tests decide them:
 
     - the commutators [B^(p), B^(q)] vanish.  Closedness holds because mixed
       partials commute, and [T, B^(i)] = -sum_k w_k t_k [B^(k), B^(i)]
@@ -457,7 +439,6 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
       (1 + w_c - w_r - w_i - E) B^(i)_rc, zero exactly for such an entry.
       This is a test of monomial weights (RingElem.is_homogeneous).
     """
-    m = m.cancelled
     w = m.weights
     return (all(mat_is_zero(c) for c in m.commutators.values())
             and all(e.is_homogeneous(1 + w[c] - w[r] - w[i])
@@ -466,8 +447,7 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
 
 
 def check_flat_normalization(m: SaitoMatrices) -> bool:
-    """T_nj + w_j t_j = 0 exactly for all j, read from m.cancelled."""
-    m = m.cancelled
+    """T_nj + w_j t_j = 0 exactly for all j."""
     n = m.n
     w = m.weights
     t = m.ring.gens()

@@ -22,7 +22,7 @@ extension.  z is divided by a shift instead (Ring._z_divide): with c0 the
 z-free coefficient of the relation, a / z = (a - a0) / z + a0 A / c0, with no
 reduction and no determinant.  Denominators are cancelled through these two
 after every operation up to AUTO_CANCEL_BOUND; above it RingElem._z_cancelled
-divides out z alone, for copies that are only zero-tested.
+divides out z alone, where the caller asks for it.
 
 Every RingElem operation reduces and normalizes its result, and cancels it
 up to AUTO_CANCEL_BOUND.  A sum that is only zero-tested need not pay that
@@ -808,9 +808,9 @@ class RingElem:
         #        - b z^ez N (D_i D - D_z R_i),
         # where ez = [a > 0] and eD = [b > 0]: the a-term alone needs the
         # extra z and the b-term alone the extra D.  Over rel_z = D / s the
-        # integer scale is s^(1+eD).  Every ring takes this rule; the printed
-        # C and compiled dT0 of a lazy ring are re-expressed over the general
-        # z^(a+1) D^(b+2) where they are built (flatcore._printed).
+        # integer scale is s^(1+eD).  Every ring takes this rule; only the
+        # serialized C of a lazy ring is re-expressed over the general
+        # z^(a+1) D^(b+2), where it is printed (flatcore.printed).
         ez = 1 if a else 0
         eD = 1 if b else 0
         zkey = ez * pk.zunit

@@ -214,7 +214,7 @@ def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
         return partial(self, var)
 
     def capturing(m):
-        structures.append(m.cancelled)
+        structures.append(m)
         return check(m)
 
     def touches_t(pairs):
@@ -277,6 +277,31 @@ def test_full_verify_tracks_snapshots_once(monkeypatch):
     monkeypatch.setattr(p6.StructureSampler, "track", counting)
     assert catalog.catalog_verify("LT8", "full")["pass"]
     assert lengths.count(41) == 1
+
+
+@pytest.mark.parametrize("eid", ["LT19", "LT14"])
+def test_full_verify_derives_each_object_once(monkeypatch, eid):
+    # one structure per entry on the lazy rings too: the 9 entries of
+    # T = -E C are each differentiated along the Euler field once, and
+    # h = det(-T) is the one 3x3 determinant
+    from flatiso import flatcore
+    from flatiso.ring import RingElem
+    calls = {"euler": 0, "det3": 0}
+    euler, mat_det = RingElem.euler, flatcore.mat_det
+
+    def counting_euler(self):
+        calls["euler"] += 1
+        return euler(self)
+
+    def counting_det(a):
+        calls["det3"] += len(a) == 3
+        return mat_det(a)
+
+    monkeypatch.setattr(RingElem, "euler", counting_euler)
+    monkeypatch.setattr(flatcore, "mat_det", counting_det)
+    monkeypatch.setattr(catalog, "_cache", {})
+    assert catalog.catalog_verify(eid, "full")["pass"]
+    assert calls == {"euler": 9, "det3": 1}
 
 
 def test_build_script_rederives_committed_g():

@@ -76,6 +76,26 @@ def test_conflicting_input_flags_are_schema_errors(argv, capsys, monkeypatch):
         cli.VERBS[argv[0]](cli._build_parser().parse_args(argv))
 
 
+@pytest.mark.parametrize("flags", [
+    ("--catalog", "LT8"), ("--all",), ("--depth", "symbolic"),
+    ("--depth", "full"), ("--catalog", "LT8", "--depth", "full", "--all"),
+])
+def test_catalog_list_refuses_verify_flags(flags, capsys):
+    # catalog list has no entry or depth to choose, so these flags are a
+    # SchemaError rather than silently ignored
+    code, out, err = run(capsys, "catalog", "list", *flags)
+    assert code == 2 and "input error" in err and "catalog list takes no" in err
+    assert out == ""
+    with pytest.raises(SchemaError, match="catalog list takes no"):
+        cli._run_catalog(cli._build_parser().parse_args(["catalog", "list", *flags]))
+
+
+def test_catalog_verify_depth_defaults_to_symbolic(capsys):
+    code, out, err = run(capsys, "catalog", "verify", "--catalog", "LT8")
+    assert code == 0 and json.loads(out)["depth"] == "symbolic"
+    assert err.startswith("catalog verify [symbolic]:")
+
+
 def test_saito_and_logvf(capsys):
     code, out, _ = run(capsys, "saito", "--catalog", "H3")
     assert code == 0

@@ -7,13 +7,19 @@ grammar with hostile tokens spliced in (unknown variables, z with no
 generator, a zero denominator, an exponent past the degree bound, stray
 operators and characters).  Catalog documents, as they are or with one
 field changed, reach the structure checks on plain and extension rings.
-The conflicting-flag cases of the CLI ride along.  The run is seeded and
-bounded.
+The conflicting-flag cases of the CLI ride along.
+
+The numeric verbs (extract-p6, params, schlesinger, midconv) run on catalog
+entries with generated path documents: 1 to 5 points, endpoints equal up to
+a few ulps or about the minimal step apart, and one field perhaps NaN, an
+infinity, huge, a string, a bool, a list or missing; extract-p6 also takes
+generated --entry values.  Both runs are seeded and bounded.
 """
 
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -139,3 +145,65 @@ def test_symbolic_verbs_exit_0_to_3_on_generated_documents(doc_path, case):
     assert code in (0, 1, 2, 3), (argv, doc, err.getvalue())
     if "--all" in argv or "--catalog" in argv:
         assert code == 2 and "not both" in err.getvalue()
+
+
+NUMERIC_VERBS = ("extract-p6", "params", "schlesinger", "midconv")
+
+SPOILED = (math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-300, 0, -1, 3.0,
+           "0.4", "x", None, True, [1.0], [math.nan, 0.0], [1.0, 2.0, 3.0])
+
+ENTRIES = ("1,2", "2,1", "3,1", "0,5", "1,1", "a,b", "1,2,3", "1", "", ",",
+           "-1,2", "4,1", " 1, 2")
+
+
+@st.composite
+def path_documents(draw, eid):
+    """The entry's default path document with 1 to 5 points, t1 and the
+    t2 endpoints perhaps moved (to a few ulps or about the minimal step
+    apart), and perhaps one field spoiled or dropped, or the document
+    replaced by a list or a string."""
+    dp = dict(catalog.catalog_get(eid).doc["default_path"])
+    dp["points"] = draw(st.integers(1, 5))
+    finite = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    dp["t1"] = draw(st.one_of(st.just(dp["t1"]), finite))
+    start = dp["t2_start"] = draw(st.one_of(st.just(dp["t2_start"]), finite))
+    gap = draw(st.sampled_from(("default", "ulps", "min-step", "free")))
+    if gap == "ulps":
+        dp["t2_end"] = start + draw(st.integers(0, 4)) * math.ulp(start)
+    elif gap == "min-step":
+        scale = max(1.0, abs(start)) * 2.0 ** -26
+        dp["t2_end"] = start + draw(st.sampled_from((0.5, 1.0, 4.0, 16.0))) * scale
+    elif gap == "free":
+        dp["t2_end"] = draw(finite)
+    spoil = draw(st.sampled_from((None,) * 12 + tuple(dp) + ("drop", "list", "text")))
+    if spoil in dp:
+        dp[spoil] = draw(st.sampled_from(SPOILED))
+    elif spoil == "drop":
+        del dp[draw(st.sampled_from(sorted(dp)))]
+    return {"list": [dp], "text": "path"}.get(spoil, dp)
+
+
+@st.composite
+def numeric_invocations(draw):
+    """(argv without the path file, path document)."""
+    verb = draw(st.sampled_from(NUMERIC_VERBS))
+    eid = draw(st.sampled_from(catalog.IDS))
+    argv = [verb, "--catalog", eid]
+    if verb == "extract-p6" and draw(st.booleans()):
+        # attached, so that argparse passes "-1,2" on as a value
+        argv.append("--entry=" + draw(st.sampled_from(ENTRIES)))
+    return argv, draw(path_documents(eid))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(numeric_invocations())
+def test_numeric_verbs_exit_0_to_3_on_generated_paths(doc_path, case):
+    argv, doc = case
+    doc_path.write_text(json.dumps(doc))
+    argv = argv + ["--path", str(doc_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, doc, err.getvalue())
+    if code in (0, 1):
+        assert json.loads(out.getvalue())["check"] == argv[0]

@@ -70,8 +70,8 @@ def test_wdvv_perturbed_klein(perturbed_klein):
 
 @pytest.mark.parametrize("eid", ["LT19", "LT14"])
 def test_wdvv_perturbed_lazy_ring(perturbed_lazy, eid):
-    # the same defect in a ring with lazy denominators, whose checks read
-    # the z-cancelled copy of the structure
+    # the same defect in a ring with lazy denominators, whose structure
+    # holds the z-cancelled gradient
     pvf = perturbed_lazy(eid)
     assert pvf.ring.lazy
     assert (pvf.g[2] - catalog.catalog_get(eid).pvf.g[2]).weight() == 2
@@ -121,7 +121,7 @@ def test_multiplication_matrix_symmetry(perturbed_klein, perturbed_lazy):
     # closedness dB^(i)/dt_j = dB^(j)/dt_i, since mixed partials commute,
     # which check_saito_relations takes from how B is derived
     for pvf, _ in _structures(perturbed_klein, perturbed_lazy):
-        m = build_saito_matrices(pvf).cancelled
+        m = build_saito_matrices(pvf)
         B, n = m.Btilde, m.n
         idx = list(itertools.product(range(n), repeat=3))
         assert all((B[k][i][j] - B[i][k][j]).is_zero() for k, i, j in idx), pvf.name
@@ -138,15 +138,17 @@ def test_saito_relations_catalog_subset():
 
 @pytest.mark.parametrize("eid", catalog.IDS)
 def test_printed_and_cancelled_structures_agree(eid):
-    # on a lazy ring the printed C (its gradient lifted to the general
-    # denominators) and the cancelled copy the checks read (the minimal
-    # gradient) are built by two routes; every entry of C, T and h agrees
-    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
-    c = m.cancelled
-    assert (c is not m) is m.ring.lazy
-    pairs = [(x, y) for a, b in ((m.C, c.C), (m.T, c.T))
+    # the printed forms (on a lazy ring C lifted to the general
+    # denominators, T and h derived from it) equal the z-cancelled
+    # structure the checks read, entry by entry as ring elements; off lazy
+    # rings they are its own objects
+    pvf = catalog.catalog_get(eid).pvf
+    m = build_saito_matrices(pvf)
+    p = flatcore.printed(pvf, m)
+    assert (p is m) is not m.ring.lazy
+    pairs = [(x, y) for a, b in ((p.C, m.C), (p.T, m.T))
              for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
-    assert all((x - y).is_zero() for x, y in pairs + [(m.h, c.h)])
+    assert all(x == y for x, y in pairs + [(p.h, m.h)])
 
 
 def test_homogeneity_ok_is_the_weight_test(klein, perturbed_klein):
@@ -176,7 +178,6 @@ def _direct_relations(m):
     """The structure relations formed entry by entry, the reference for
     check_saito_relations: (closedness and commutativity, [T, B^(i)] = 0,
     dT/dt_i + B^(i) + [B^(i), Binf] = 0)."""
-    m = m.cancelled
     n, B, w = m.n, m.Btilde, m.weights
     fused_sum = m.ring.fused_sum
     rc = [(r, c) for r in range(n) for c in range(n)]
@@ -192,7 +193,6 @@ def _direct_relations(m):
 
 def _homogeneous_b(m):
     """Every B^(i)_rc homogeneous of weight 1 + w_c - w_r - w_i."""
-    m = m.cancelled
     w = m.weights
     return all(e.is_homogeneous(1 + w[c] - w[r] - w[i])
                for i, Bi in enumerate(m.Btilde)
@@ -201,7 +201,6 @@ def _homogeneous_b(m):
 
 def _euler_defects_vanish(m):
     """T + sum_k w_k t_k B^(k) = 0, entry by entry."""
-    m = m.cancelled
     t, w, B = m.ring.gens(), m.weights, m.Btilde
     return all(m.ring.fused_sum([(1, e)] + [(w[k], t[k], B[k][r][c])
                                             for k in range(m.n)]).is_zero()

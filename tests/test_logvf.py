@@ -125,7 +125,7 @@ def test_logvf_block_names_the_failing_row(perturbed_lazy):
         catalog.logvf_block(m)
     assert exc.value.row == 1
     assert str(exc.value) == "row 1 is not a logarithmic vector field"
-    rows = m.cancelled.log_rows
+    rows = m.log_rows
     assert rows[2][1].is_zero() and not rows[1][1].is_zero()
 
 
@@ -172,12 +172,12 @@ def test_trace_identity_holds_for_n2(trivial_n2):
 
 
 def _structures(perturbed_lazy):
-    """The cancelled copies the checks read: the 11 entries, then the LT19
-    and LT14 controls, whose rows 0 and 1 are not logarithmic."""
+    """The structures the checks read: the 11 entries, then the LT19 and
+    LT14 controls, whose rows 0 and 1 are not logarithmic."""
     for eid in catalog.catalog_list():
-        yield eid, build_saito_matrices(catalog.catalog_get(eid).pvf).cancelled
+        yield eid, build_saito_matrices(catalog.catalog_get(eid).pvf)
     for eid in ("LT19", "LT14"):
-        yield f"{eid}-perturbed", build_saito_matrices(perturbed_lazy(eid)).cancelled
+        yield f"{eid}-perturbed", build_saito_matrices(perturbed_lazy(eid))
 
 
 def test_log_rows_and_trace_defects_match_long_division(perturbed_lazy):

@@ -28,12 +28,12 @@ DIGESTS = {
              "a991e40429e34e61feec637f44bd4fb8dcf4319b547d7cfe75e781ad57ff6c4b"),
     "LT13": ("be74bf2176d81f2263eee567534f6d604b5ad872902c4a14255aa11bb3061454",
              "35ef04e7fd32c7d7569e92ee87f85ee2b6b04199f68d58742f7d984216d20198"),
-    "LT14": ("10ae94a8600340abdc182fef143e4085580c346b86b7a6b77ba467a4005723c0",
-             "d843d5c7fae57af1c2e94aece0baf014dde0339341057f50d2d219e32d703346"),
+    "LT14": ("70fb82779d071817eb5e7c885735349d75c5e57d2c0991afba411917a37ba5d5",
+             "d1c89b33e91c9a12c856e4d1c475f3b2fba7aaacc350d30ef5ed6fc028f89db2"),
     "LT18": ("a9a7b607ec1e82b5660efacda4e10a074fdd9554bfec3c41ae3383462cab4de0",
              "c1e9faf6e0c5b31a40d409c942eae14fca347398f362c115054f33a5e3292ed1"),
-    "LT19": ("1fdcb9e10cdd56b183563e7434a70f8e104a641ffe5036f8ef7fbbd3a38992be",
-             "9f4383924bc9312445bdae0733ef5f55f3492856dc8ecf075fa73222ebd903db"),
+    "LT19": ("0836f088d372de3928e69f47a99c796bcaae891e7ca7f22deed127a9d6a0172e",
+             "667f2d6155164179ec929be1426c19e1280ce52b05073cfa53a52d216d746642"),
     "LT30": ("ccd1db1e7e3ec82057e3c3e9bf3bbb4c4a344455a723e4564a3d6495dacd7423",
              "1420a8aacd243c474bd7eeb625618792b088d4b869734f3ec7d5bb7cef11e41c"),
 }
