@@ -20,15 +20,23 @@ from . import catalog as cat
 from . import exprio, flatcore
 from .errors import FlatIsoError, InputError, NumericError, SchemaError
 
-INPUT_ERRORS = (InputError, FileNotFoundError, json.JSONDecodeError)
+INPUT_ERRORS = (InputError, OSError, UnicodeDecodeError, json.JSONDecodeError)
 
 DEFAULT_SEED = 20240901
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print an input error line."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"input error: {message}\n")
 
 
 @lru_cache(maxsize=None)
 def _build_parser():
     """The argument parser, built once per process."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="flatiso",
         description="flat-structure verification and Painleve VI extraction")
     sub = ap.add_subparsers(dest="verb", required=True)
@@ -353,10 +361,12 @@ VERBS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         report, summary = VERBS[args.verb](args)
-        text = _report_text(report)
+        _emit(args, _report_text(report), summary)
+    except SystemExit as exc:         # argparse, after --help or its usage
+        return exc.code
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
@@ -366,7 +376,6 @@ def main(argv=None):
     except FlatIsoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, text, summary)
     return 0 if report["pass"] else 1
 
 

@@ -12,23 +12,23 @@ five-point central differences on a uniform grid, at the interior points.
 
 StructureSampler is the one path tracker: it continues the algebraic
 generator z and the ordered roots of T0 together, in one loop of lockstep
-passes under one step rule, and tracks roots only.  A pass runs Newton's
-method for z on all remaining points at once from the last accepted z
-(z = 0 on a plain ring), certifies the distance from each z to the other
-roots of the relation in one call (numeric.certified_separation),
-evaluates T0 on the same rows in one numeric.EvalStack call and finds the
-roots as one stack (for n = 3 in closed form, _eig3, with
-np.linalg.eigvals only on the rows whose roots it cannot certify within
-EIG_TOL).  A step is accepted when Newton converged, |dz| is
-below STEP_FRACTION (1/4) of the separation at both of its ends, and the
-nearest-neighbour match of the roots is accepted (each root moved less than
-STEP_FRACTION of the distance to its second-nearest candidate).  A pass keeps
-the rows before its first rejected step and the next pass starts there; a
-pass whose first step is rejected bisects that step, the whole state (point,
-z, separation, roots) at the midpoint, under the same rule, and raises
-TrackingLost, a NumericError (CLI exit 3), past MAX_BISECTIONS (24)
-halvings.  For the earliest point where it happens, a z separation below
-numeric.ROOT_SEPARATION raises RootCollision, a root gap of T0 below it
+passes, and tracks roots only.  A pass runs Newton's method for z on all
+remaining points at once from the last accepted z (z = 0 on a plain ring),
+certifies the distance from each z to the other roots of the relation in
+one call (numeric.certified_separation), evaluates T0 on the same rows in
+one numeric.EvalStack call and finds the roots as one stack (for n = 3 in
+closed form, _eig3, with np.linalg.eigvals only on the rows whose roots it
+cannot certify within EIG_TOL), labelled by nearest neighbour.  One step
+rule, _steps_ok, decides every tracked zero: a step is accepted when Newton
+converged and each zero, z and every root, moved less than STEP_FRACTION
+(1/4) of its separation at both ends (for z the certified one, for a root
+the distance to the nearest other root).  A pass keeps the rows before its
+first rejected step and the next pass starts there; a pass whose first step
+is rejected bisects that step, the whole state (point, z, separation, roots)
+at the midpoint, under the same rule, and raises TrackingLost, a
+NumericError (CLI exit 3), past MAX_BISECTIONS (24) halvings.  For the
+earliest point where it happens, a z separation below
+numeric.ROOT_SEPARATION raises RootCollision, a root separation below it
 EigenvalueCollision (a RootCollision too), and a T0 that is not finite BlowUp.
 A path's Track holds its rows, roots and T0.
 
@@ -60,8 +60,8 @@ from .flatcore import SaitoMatrices
 from .numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
                       newton_roots, rel_coeffs)
 
-# A continuation step is accepted only below this fraction of the gap to the
-# nearest other candidate; a rejected step is bisected at most this deep.
+# A continuation step is accepted only below this fraction of each tracked
+# zero's separation; a rejected step is bisected at most this deep.
 STEP_FRACTION = 0.25
 MAX_BISECTIONS = 24
 # The closed-form eigenvalues of a 3x3 T0 are kept where the first-order
@@ -136,21 +136,19 @@ def _raise_first(checks):
         raise checks[c][1](k)
 
 
-def _nearest_match(w0, w1):
-    """(perm, ok) of the nearest-neighbour match of stacked roots w0 to w1.
+def _steps_ok(prev, new, sep_prev, sep_new):
+    """The one step rule: where a step of tracked zeros passes, along the
+    first axis.  Every zero (one per row, or a row of them) moved less than
+    STEP_FRACTION of its separation at both ends of the step."""
+    moved = np.abs(new - prev) < STEP_FRACTION * np.minimum(sep_prev, sep_new)
+    return moved.all(axis=tuple(range(1, moved.ndim)))
 
-    perm[m, a] is the index in w1[m] of the root nearest w0[m, a].  ok[m]
-    holds where the match is one-to-one and every root moved less than
-    STEP_FRACTION of the distance to its second-nearest candidate.
-    """
-    dist = np.abs(w1[:, None, :] - w0[:, :, None])
-    perm = dist.argmin(axis=2)
-    n = w0.shape[1]
-    if n < 2:
-        return perm, np.ones(len(w0), dtype=bool)
-    near = np.partition(dist, 1, axis=2)
-    ok = (near[..., 0] < STEP_FRACTION * near[..., 1]).all(axis=1)
-    return perm, ok & (np.sort(perm, axis=1) == np.arange(n)).all(axis=1)
+
+def _separations(w):
+    """The distance from each root of w (N, n) to the nearest other root of
+    its row (inf where n = 1)."""
+    d = np.abs(w[:, :, None] - w[:, None, :])
+    return np.where(np.eye(w.shape[1], dtype=bool), np.inf, d).min(axis=2)
 
 
 def _compose(first, steps):
@@ -232,11 +230,11 @@ def ordered_eig(T0vals, prev_roots=None):
     continuation: _eig3 for n = 3, np.linalg.eigvals otherwise.
 
     First point: ascending real part, ties (within ROOT_SEPARATION, scaled by
-    the root size) by imaginary part; with prev_roots, matched against them.
-    Every later point is matched to the one before by nearest neighbour.
-    accepted counts the leading rows whose match _nearest_match accepts (a
-    first point with no prev_roots is always accepted); the rows after are
-    ordered by the same matches, which are not to be trusted.
+    the root size) by imaginary part; with prev_roots, continued from them.
+    Each later point takes the labels of the one before by nearest
+    neighbour.  accepted counts the leading rows whose step passes
+    _steps_ok on the labelled roots and their _separations (a first point
+    with no prev_roots has no step); the rows after it are not to be trusted.
     """
     A = np.asarray(T0vals, dtype=complex)
     w = _eig3(A) if A.shape[-1] == 3 else np.linalg.eigvals(A)
@@ -247,12 +245,13 @@ def ordered_eig(T0vals, prev_roots=None):
     else:
         first = np.arange(w.shape[1])
         chain = np.concatenate([np.asarray(prev_roots, dtype=complex)[None], w])
-    steps, ok = _nearest_match(chain[:-1], chain[1:])
-    rejected = np.flatnonzero(~ok)
-    accepted = ((int(rejected[0]) if len(rejected) else len(ok))
+    steps = np.abs(chain[1:, None, :] - chain[:-1, :, None]).argmin(axis=2)
+    chain = np.take_along_axis(chain, _compose(first, steps), axis=1)
+    sep = _separations(chain)
+    rejected = np.flatnonzero(~_steps_ok(chain[:-1], chain[1:], sep[:-1], sep[1:]))
+    accepted = ((int(rejected[0]) if len(rejected) else len(chain) - 1)
                 + (prev_roots is None))
-    labels = _compose(first, steps)[len(chain) - len(w):]
-    return np.take_along_axis(w, labels, axis=1), accepted
+    return chain[len(chain) - len(w):], accepted
 
 
 def projectors(T0, z):
@@ -288,12 +287,6 @@ def projectors(T0, z):
     gap = w[:, None] - w + eye                          # [i, j] = z_i - z_j
     E = adj / gap.prod(axis=1)[:, None, None]
     return np.ascontiguousarray(np.moveaxis(E, -1, 0))
-
-
-def _root_gaps(w):
-    """The smallest distance between two roots of each row of w (N, n)."""
-    i, j = np.triu_indices(w.shape[1], 1)
-    return np.abs(w[:, i] - w[:, j]).min(axis=1, initial=np.inf)
 
 
 def _matrix_rows(stack, values):
@@ -332,18 +325,21 @@ class StructureSampler:
         self._T0 = m.T0_stack
         self._last = None
 
+    @np.errstate(all="ignore")      # a non-finite value is BlowUp or a NaN z
     def _pass(self, last, pts, k):
         """(Track, separations of z) of the accepted rows of one lockstep
         pass over the (count, n) points pts, continued from last, a row and
         its separation (None on a fresh sampler, whose first row starts from
         z_seed and has no step to check).
 
-        Rows are kept up to the first rejected step.  RootCollision names
-        the earliest row whose z separation (on the converged rows up to and
-        including the first rejected z step), EigenvalueCollision whose root
-        gap (on the rows before that step) is below ROOT_SEPARATION: as path
-        point k + i, where pts[0] is path point k, or by its coordinates
-        where k is None.  BlowUp names a T0 that is not finite the same way.
+        Rows are kept up to the first step that _steps_ok rejects, for z
+        first and then for the roots on the rows z keeps.  RootCollision
+        names the earliest row whose z separation (on the converged rows up
+        to and including the first rejected z step), EigenvalueCollision
+        whose root separation (on the rows z keeps) is below
+        ROOT_SEPARATION: as path point k + i, where pts[0] is path point k,
+        or by its coordinates where k is None.  BlowUp names a T0 that is
+        not finite the same way.
         """
         prev, prev_sep = last or (None, None)
         count = len(pts)
@@ -369,11 +365,10 @@ class StructureSampler:
                       else (prev.values[:, 0], prev_sep))
             zprev = np.concatenate([z0, z])[:conv]
             sprev = np.concatenate([s0, seps])[:conv]
-            jump = (np.abs(z - zprev)
-                    >= STEP_FRACTION * np.minimum(sprev, seps[:conv]))
+            ok = _steps_ok(zprev, z, sprev, seps[:conv])
             if prev is None:
-                jump[:1] = False          # a fresh first row has no step
-            good = int(np.argmax(jump)) if jump.any() else conv
+                ok[:1] = True             # a fresh first row has no step
+            good = conv if ok.all() else int(np.argmin(ok))
             checked = min(good + 1, conv)
         T0 = _matrix_rows(self._T0, values[:good])
 
@@ -393,8 +388,9 @@ class StructureSampler:
         _raise_first([
             (seps[:checked] < ROOT_SEPARATION, lambda i: RootCollision(
                 f"generator roots closer than {ROOT_SEPARATION} at {where(i)}")),
-            (_root_gaps(roots) < ROOT_SEPARATION, lambda i: EigenvalueCollision(
-                f"roots closer than {ROOT_SEPARATION} at {where(i)}"))])
+            (_separations(roots).min(axis=1) < ROOT_SEPARATION,
+             lambda i: EigenvalueCollision(
+                 f"roots closer than {ROOT_SEPARATION} at {where(i)}"))])
         return (Track(values[:accepted], roots[:accepted], T0[:accepted]),
                 seps[:accepted])
 

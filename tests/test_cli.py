@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,22 @@ def test_path_past_the_float_range_is_a_blow_up(verb, capsys, tmp_path):
                          "--json", str(target))
     assert code == 3 and out == "" and not target.exists()
     assert "numeric failure: T0 is not finite at path point 0" in err
+
+
+@pytest.mark.parametrize("verb", ["extract-p6", "schlesinger", "midconv", "params"])
+def test_huge_path_fails_with_one_line_and_no_warning(verb, capsys, tmp_path):
+    # t1 = 1e300 and t2 near 1e200 overflow T0 inside the tracker, which
+    # turns the non-finite values into BlowUp without a numpy warning
+    path = tmp_path / "path.json"
+    for doc in ({"t1": 1e300, "t2_start": 0.1, "t2_end": 0.2, "points": 9},
+                {"t1": 1.0, "t2_start": 1e200, "t2_end": 2e200, "points": 9}):
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, verb, "--catalog", "LT8",
+                                 "--path", str(path))
+        assert code == 3 and out == ""
+        assert err == "numeric failure: T0 is not finite at path point 0\n"
 
 
 def test_schlesinger_and_midconv(capsys):
@@ -405,6 +422,38 @@ def test_malformed_entry_and_path_are_input_errors(capsys, tmp_path):
         code, _, err = run(capsys, "params", "--catalog", "LT8",
                            "--path", str(p))
         assert code == 2 and "input error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["saito", "--input", "{dir}"],
+    ["params", "--catalog", "LT8", "--path", "{dir}"],
+    ["saito", "--input", "{latin1}"],
+    ["params", "--catalog", "LT8", "--path", "{latin1}"],
+    ["saito", "--catalog", "LT8", "--json", "{dir}/missing/report.json"],
+    ["saito", "--catalog", "LT8", "--json", "{dir}"],
+    ["saito", "--bogus"],
+    ["extract-p6", "--catalog", "H3", "--entry", "-1,2"],
+], ids=["input-dir", "path-dir", "input-latin1", "path-latin1",
+        "json-missing-dir", "json-dir", "unknown-flag", "dash-entry"])
+def test_file_and_usage_errors_are_input_errors(argv, capsys, tmp_path):
+    # directories, files that are not UTF-8, unwritable --json targets and
+    # argparse's usage errors return 2 from main, and no report is written
+    folder = tmp_path / "dir"
+    folder.mkdir()
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    argv = [a.format(dir=folder, latin1=latin1) for a in argv]
+    target = tmp_path / "report.json"
+    if "--json" not in argv:
+        argv += ["--json", str(target)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "\ninput error: " in "\n" + err
+    assert not target.exists() and list(folder.iterdir()) == []
+
+
+def test_help_returns_0(capsys):
+    code, out, _ = run(capsys, "saito", "--help")
+    assert code == 0 and out.startswith("usage: flatiso saito")
 
 
 @pytest.mark.parametrize("change", [

@@ -13,7 +13,10 @@ The numeric verbs (extract-p6, params, schlesinger, midconv) run on catalog
 entries with generated path documents: 1 to 5 points, endpoints equal up to
 a few ulps or about the minimal step apart, and one field perhaps NaN, an
 infinity, huge, a string, a bool, a list or missing; extract-p6 also takes
-generated --entry values.  Both runs are seeded and bounded.
+generated --entry values, passed as their own argument so that argparse
+reads "-1,2" as a flag.  They also run on generated --input documents with
+generated path documents, where every n other than 3 is refused.  All runs
+are seeded and bounded.
 """
 
 import contextlib
@@ -190,8 +193,7 @@ def numeric_invocations(draw):
     eid = draw(st.sampled_from(catalog.IDS))
     argv = [verb, "--catalog", eid]
     if verb == "extract-p6" and draw(st.booleans()):
-        # attached, so that argparse passes "-1,2" on as a value
-        argv.append("--entry=" + draw(st.sampled_from(ENTRIES)))
+        argv += ["--entry", draw(st.sampled_from(ENTRIES))]
     return argv, draw(path_documents(eid))
 
 
@@ -206,4 +208,31 @@ def test_numeric_verbs_exit_0_to_3_on_generated_paths(doc_path, case):
         code = cli.main(argv)
     assert code in (0, 1, 2, 3), (argv, doc, err.getvalue())
     if code in (0, 1):
+        assert json.loads(out.getvalue())["check"] == argv[0]
+
+
+@st.composite
+def input_invocations(draw):
+    """(argv without the input and path files, input document, path
+    document): a numeric verb on a generated document, whose n is 3 only
+    now and then, and a generated path document."""
+    verb = draw(st.sampled_from(NUMERIC_VERBS))
+    doc = draw(documents())
+    return [verb], doc, draw(path_documents(draw(st.sampled_from(catalog.IDS))))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(input_invocations())
+def test_numeric_verbs_exit_0_to_3_on_generated_documents(doc_path, case):
+    argv, doc, path_doc = case
+    input_path = doc_path.with_name("input.json")
+    input_path.write_text(json.dumps(doc))
+    doc_path.write_text(json.dumps(path_doc))
+    argv = argv + ["--input", str(input_path), "--path", str(doc_path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2, 3), (argv, doc, path_doc, err.getvalue())
+    if code in (0, 1):
+        assert len(doc["weights"]) == 3
         assert json.loads(out.getvalue())["check"] == argv[0]

@@ -8,8 +8,7 @@ from flatiso import catalog, cli, isomono as iso, p6
 from flatiso.errors import (BlowUp, DegenerateTheta, EigenvalueCollision,
                             InputError, InsufficientSamples, InverseMismatch,
                             PoleAtY, PoleOnPath, RankViolation,
-                            ResonantLambda, RootCollision, StepUnderflow,
-                            TrackingLost)
+                            ResonantLambda, RootCollision, StepUnderflow)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.isomono import (integrate_p6_hamiltonian, jm_residues,
                              monodromy_on_loop, schlesinger_residual,
@@ -475,11 +474,6 @@ def test_schlesinger_needs_samples_and_tracking():
                             p6.default_lambda(e.pvf.ring.weights))
     with pytest.raises(InsufficientSamples):
         schlesinger_residual(snaps)
-    z = np.array([0.0, 1.0, 2.0])
-    zs = np.array([z, z, z + 40.0, z, z])
-    Bs = np.array([[np.eye(3, dtype=complex)] * 3] * 5)
-    with pytest.raises(TrackingLost):
-        iso.stacked_schlesinger_residual(zs, Bs, np.arange(5))
 
 
 # ---------------------------------------------------------------------------

@@ -338,6 +338,38 @@ def count_calls(monkeypatch, name):
     return calls
 
 
+def test_one_step_rule_decides_z_and_the_roots(monkeypatch):
+    # on H3p's default path (z-degree 4) the steps of z (one zero per row)
+    # and of the roots of T0 (a row of zeros) are decided by _steps_ok
+    e, m = entry_setup("H3p")
+    assert m.ring.ext.z_degree == 4
+    ranks = []
+    real = p6._steps_ok
+
+    def recording(prev, new, sep_prev, sep_new):
+        ranks.append(np.ndim(new))
+        return real(prev, new, sep_prev, sep_new)
+
+    monkeypatch.setattr(p6, "_steps_ok", recording)
+    p6.StructureSampler(m, z_seed=e.z_seed).track(e.default_path.points)
+    assert set(ranks) == {1, 2}
+
+
+def test_ordered_eig_accepts_up_to_the_first_step_the_rule_rejects():
+    # roots +-x and 5 of [[0, x, 0], [x, 0, 0], [0, 0, 5]]: the step
+    # x: 1 -> 0.65 moves +-x by 0.35, below 1/4 of the gap 1.65 to the other
+    # candidate but not of the separation 1.3 at its end, so it is rejected
+    xs = [1.2, 1.0, 0.65, 0.6]
+    T0 = np.array([[[0, x, 0], [x, 0, 0], [0, 0, 5]] for x in xs], dtype=complex)
+    roots, accepted = p6.ordered_eig(T0)
+    assert np.allclose(roots, [[-x, x, 5] for x in xs])
+    sep = p6._separations(roots)
+    ok = p6._steps_ok(roots[:-1], roots[1:], sep[:-1], sep[1:])
+    assert list(ok) == [True, False, True] and accepted == 2
+    rest, count = p6.ordered_eig(T0[1:], roots[0])
+    assert count == 1 and np.allclose(rest, roots[1:])
+
+
 def test_eigenvalue_swap_is_bisected(monkeypatch):
     # T0 = [[0, t1], [t1, 0]] has roots +-t1; on the step t1: 1 -> -0.2 + i
     # the root 1 lies nearer -t1 than t1 at the far end, so nearest-neighbour
