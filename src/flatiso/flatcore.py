@@ -305,6 +305,14 @@ class SaitoMatrices:
         return EvalStack(self.T0)
 
     @cached_property
+    def h_stack(self):
+        """h's coefficients in t_n, lowest first, compiled for evaluation, of
+        shape (n + 1,): T0 is free of t_n, so h = det(t_n - T0) and its
+        t_n-roots are the roots of T0."""
+        from .numeric import EvalStack
+        return EvalStack(self.h.coeffs_in(self.n - 1))
+
+    @cached_property
     def dT0(self):
         """dT0/dt_k for k = 1..n-1, over RingElem.partial's minimal
         denominators; T0 is free of t_n."""

@@ -1,21 +1,21 @@
-"""Numeric evaluation of ring elements and of the relation's roots.
+"""Numeric evaluation of ring elements and of the roots of polynomials
+whose coefficients they are.
 
 This is the one place where ring elements become numbers.  EvalStack
 compiles an array of elements once and evaluates it at rows (z, t1..tn);
-rel_coeffs gives the relation's coefficients in z at t-points, newton_roots
-solves for z from them, and certified_separation bounds the distance from
-each root to the others.  The exact layers (ring, exprio, flatcore, logvf)
-import neither this module nor numpy at module level, so a symbolic check
-never loads them: SaitoMatrices compiles its T0 stacks on first use, and the
+rel_coeffs gives the relation's coefficients in z at t-points.  newton_roots
+solves such rows of coefficients, the relation's for z and h's for the
+roots of T0, and certified_separation bounds the distance from each root to
+the others.  The exact layers (ring, exprio, flatcore, logvf) import
+neither this module nor numpy at module level, so a symbolic check never
+loads them: SaitoMatrices compiles its T0 and h stacks on first use, and the
 numeric forms of a ring (its relation's z-slices and rel_z) are compiled on
 first numeric use and kept on its ExtensionRing.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import accumulate
-from math import comb
 
 import numpy as np
 
@@ -145,7 +145,8 @@ def rel_coeffs(ring, points):
 
 def newton_roots(coeffs, seed):
     """Zeros of sum_k coeffs[n, k] z^k for every row n, by Newton's method
-    run on all rows at once from the one seed.
+    run on all rows at once, from one seed for every row or seed[n] for row
+    n.
 
     coeffs is (N, d + 1), lowest degree first.  A row is done once
     |f| < 1e-13 scale, scale = max(1, max |coeffs|), and takes one more
@@ -155,32 +156,31 @@ def newton_roots(coeffs, seed):
     coeffs = np.asarray(coeffs, dtype=complex)
     tol = 1e-13 * np.maximum(1.0, np.abs(coeffs).max(axis=1, initial=0.0))
     c = np.ascontiguousarray(coeffs.T)                 # (d + 1, N)
-    dc = c[1:] * np.arange(1, len(c))[:, None]
-    z = np.full(len(coeffs), complex(seed))
+    z = np.array(np.broadcast_to(np.asarray(seed, dtype=complex), len(coeffs)))
     live = np.arange(len(coeffs))
     with np.errstate(all="ignore"):       # a diverging row only turns NaN
         for _ in range(100):
             if not len(live):
                 return z
-            f, fp = _poly_values(c[:, live], dc[:, live], z[live])
+            f, fp = _poly_values(c[:, live], z[live])
             done = np.abs(f) < tol[live]
             stuck = (fp == 0) & ~done
             z[live] -= np.where(fp == 0, 0, f / fp)
             z[live[stuck]] = np.nan
             live = live[~(done | stuck)]
-        f, _ = _poly_values(c[:, live], dc[:, live], z[live])
+        f, _ = _poly_values(c[:, live], z[live])
     z[live[~(np.abs(f) <= 1e4 * tol[live])]] = np.nan
     return z
 
 
-def _poly_values(c, dc, z):
-    """(f(z), f'(z)) column by column: c (d + 1, N) holds the coefficients of
-    f, lowest first, and dc (d, N) those of f'."""
-    zp = np.empty(c.shape, dtype=complex)
-    zp[0] = 1
-    zp[1:] = z
-    np.multiply.accumulate(zp, axis=0, out=zp)
-    return (c * zp).sum(axis=0), (dc * zp[:-1]).sum(axis=0)
+def _poly_values(c, z):
+    """(f(z), f'(z)) column by column by Horner's rule: c (d + 1, N) holds
+    the coefficients of f, lowest first."""
+    f, fp = c[-1], np.zeros_like(z)
+    for ck in c[-2::-1]:
+        fp = fp * z + f
+        f = f * z + ck
+    return f, fp
 
 
 # No other zero lies within _SEPARATION_GAMMA / gamma(f, zeta) of a simple
@@ -191,42 +191,71 @@ _SEPARATION_GAMMA = (5 - 17 ** 0.5) / 4
 _U_MAX = 0.25
 
 
-@lru_cache(maxsize=None)
-def _binomials(d):
-    """The (d + 1, d + 1) matrix of C(j, k)."""
-    return np.array([[comb(j, k) for k in range(d + 1)] for j in range(d + 1)],
-                    dtype=float)
+def _taylor(coeffs, z):
+    """The Taylor coefficients f^(k)(z) / k!, k = 0..d, of each row of
+    coeffs (N, d + 1) (lowest degree first) at z (N,), as (N, d + 1), by
+    repeated synthetic division."""
+    b = list(coeffs.T[::-1])
+    for i in range(len(b) - 1, 0, -1):
+        for j in range(1, i + 1):
+            b[j] = b[j] + z * b[j - 1]
+    return np.array(b[::-1]).T
+
+
+def _rounding(coeffs, z):
+    """A bound on the rounding of f(z) = sum_j c_j z^j in double precision
+    for each row of coeffs (N, d + 1): 4 (d + 1) eps sum_j |c_j| |z|^j."""
+    a, r = np.abs(coeffs), np.abs(z)
+    acc = a[:, -1]
+    for k in range(a.shape[1] - 2, -1, -1):
+        acc = acc * r + a[:, k]
+    return 4 * a.shape[1] * np.finfo(float).eps * acc
 
 
 def certified_separation(coeffs, zs):
     """Lower bounds on the distance from each iterate to every other zero.
 
     coeffs is (N, d + 1), lowest degree first, and zs holds N iterates of
-    Newton's method.  At z, with beta = |f / f'| and gamma = max_k
+    Newton's method.  At z, with beta = |f / f'| (|f| raised by its
+    rounding bound, 4 (d + 1) eps sum_j |c_j z^j|) and gamma = max_k
     |f^(k) / (k! f')|^(1/(k-1)), alpha-theory (Blum-Cucker-Shub-Smale,
     Complexity and Real Computation, ch. 8) puts a zero zeta within 2 beta of
     z once u = 2 beta gamma is small, with gamma(zeta) <= gamma / ((1 - u)
     psi(u)), psi(u) = 1 - 4u + 2u^2, and no other zero lies within
     (5 - sqrt 17) / (4 gamma(zeta)) of zeta; so every other zero is at least
     that bound less 2 beta from z.  Rows where this is inconclusive (u not
-    below _U_MAX, or the bound below ROOT_SEPARATION) fall back to np.roots
-    and give the distance from z to its second-nearest root.
+    below _U_MAX, or the bound below ROOT_SEPARATION) fall back to the roots
+    r_i of np.roots and their Weierstrass discs |x - r_i| <= rho_i =
+    m |f(r_i)| / |a_m prod_{j != i} (r_i - r_j)| (f of degree m, |f(r_i)|
+    raised by its rounding bound too), whose union holds every zero, one in
+    each disc that meets no other.  With r_i the root nearest z, every
+    other zero then lies at least min_{j != i} (|r_i - r_j| - rho_j) less
+    |z - r_i| from z, and the bound is 0 where disc i meets another: at a
+    multiple root, however np.roots splits it and however close Newton
+    stopped.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     z = np.asarray(zs, dtype=complex)
     d = coeffs.shape[1] - 1
-    zp = np.vander(z, d + 1, increasing=True)
+    c = np.abs(_taylor(coeffs, z))
     with np.errstate(all="ignore"):
-        # Taylor coefficients f^(k)(z) / k! = z^-k sum_j C(j, k) c_j z^j
-        # (not finite at z = 0, which the fallback then handles)
-        c = (coeffs * zp) @ _binomials(d) / zp
-        beta = np.abs(c[:, 0] / c[:, 1])
-        gamma = (np.abs(c[:, 2:] / c[:, 1:2]) ** (1.0 / np.arange(1, d))).max(
+        beta = (c[:, 0] + _rounding(coeffs, z)) / c[:, 1]
+        gamma = ((c[:, 2:] / c[:, 1:2]) ** (1.0 / np.arange(1, d))).max(
             axis=1, initial=0.0)
         u = 2 * beta * gamma
         psi = 1 - 4 * u + 2 * u * u
         sep = _SEPARATION_GAMMA * (1 - u) * psi / gamma - 2 * beta
     for k in np.flatnonzero(~((u < _U_MAX) & (sep >= ROOT_SEPARATION))):
-        dists = np.sort(np.abs(np.roots(coeffs[k][::-1]) - z[k]))
-        sep[k] = dists[1] if len(dists) > 1 else np.inf
+        r = np.roots(coeffs[k][::-1])
+        m = len(r)
+        f = np.broadcast_to(coeffs[k][:m + 1], (m, m + 1))
+        with np.errstate(all="ignore"):
+            rho = m * (np.abs(_taylor(f, r)[:, 0]) + _rounding(f, r)) / np.abs(
+                coeffs[k][m] * (r[:, None] - r + np.eye(m)).prod(axis=1))
+        i = np.argmin(np.abs(r - z[k]))
+        rest = np.arange(m) != i
+        gaps = np.abs(r[rest] - r[i])
+        disjoint = np.all(gaps > rho[rest] + rho[i])
+        sep[k] = 0.0 if not disjoint else max(
+            0.0, (gaps - rho[rest]).min(initial=np.inf) - abs(z[k] - r[i]))
     return sep

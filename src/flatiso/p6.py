@@ -12,25 +12,31 @@ five-point central differences on a uniform grid, at the interior points.
 
 StructureSampler is the one path tracker: it continues the algebraic
 generator z and the ordered roots of T0 together, in one loop of lockstep
-passes, and tracks roots only.  A pass runs Newton's method for z on all
-remaining points at once from the last accepted z (z = 0 on a plain ring),
-certifies the distance from each z to the other roots of the relation in
-one call (numeric.certified_separation), evaluates T0 on the same rows in
-one numeric.EvalStack call and finds the roots as one stack (for n = 3 in
-closed form, _eig3, with np.linalg.eigvals only on the rows whose roots it
-cannot certify within EIG_TOL), labelled by nearest neighbour.  One step
+passes, and tracks roots only.  Both are zeros of polynomials whose
+coefficients are ring elements: z of the relation, and the roots of T0 of
+h = det(t_n - T0), monic of degree n in t_n, whose coefficients
+SaitoMatrices compiles once (h_stack).  So one Newton continuation,
+_continue, tracks every zero: a pass runs Newton's method on all remaining
+points at once and certifies the distance from each zero to the others of
+its polynomial in one call (numeric.certified_separation).  z comes first
+(z = 0 on a plain ring), each row from the last accepted z (z_seed on a
+fresh sampler).  Then T0 and h's coefficients are evaluated on the rows z
+keeps, one numeric.EvalStack call each, and the roots are continued on
+them, each row from the first-order prediction of its roots by the roots
+and spectral projectors of the last accepted row (np.roots of the first
+row on a fresh sampler), with no eigensolver.  One step
 rule, _steps_ok, decides every tracked zero: a step is accepted when Newton
-converged and each zero, z and every root, moved less than STEP_FRACTION
-(1/4) of its separation at both ends (for z the certified one, for a root
-the distance to the nearest other root).  A pass keeps the rows before its
-first rejected step and the next pass starts there; a pass whose first step
-is rejected bisects that step, the whole state (point, z, separation, roots)
-at the midpoint, under the same rule, and raises TrackingLost, a
-NumericError (CLI exit 3), past MAX_BISECTIONS (24) halvings.  For the
-earliest point where it happens, a z separation below
-numeric.ROOT_SEPARATION raises RootCollision, a root separation below it
-EigenvalueCollision (a RootCollision too), and a T0 that is not finite BlowUp.
-A path's Track holds its rows, roots and T0.
+converged and each zero moved less than STEP_FRACTION (1/4) of its
+certified separation at both ends.  A pass keeps the rows before its first
+rejected step and the next pass starts there; a pass whose first step is
+rejected bisects that step, the whole state (point, zeros, separations) at
+the midpoint, under the same rule, and raises TrackingLost, a NumericError
+(CLI exit 3), past MAX_BISECTIONS (24) halvings of one step or
+MAX_BISECTION_PASSES (1024) passes in all.  For the earliest point
+where it happens, a z separation below numeric.ROOT_SEPARATION raises
+RootCollision, a root separation below it EigenvalueCollision (a
+RootCollision too), and a T0 or h that is not finite BlowUp.  A path's
+Track holds its rows, roots and T0.
 
 No eigenvector is formed: projectors turns the roots and T0 of a Track into
 the spectral projectors E_i, the residues of the resolvent of T0, from
@@ -61,13 +67,11 @@ from .numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
                       newton_roots, rel_coeffs)
 
 # A continuation step is accepted only below this fraction of each tracked
-# zero's separation; a rejected step is bisected at most this deep.
+# zero's separation; a rejected step is bisected at most this deep, in at
+# most this many passes.
 STEP_FRACTION = 0.25
 MAX_BISECTIONS = 24
-# The closed-form eigenvalues of a 3x3 T0 are kept where the first-order
-# error bound of each is below this multiple of max(1, |root|); other rows
-# go to LAPACK (see _eig3).
-EIG_TOL = 1e-12
+MAX_BISECTION_PASSES = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -144,114 +148,64 @@ def _steps_ok(prev, new, sep_prev, sep_new):
     return moved.all(axis=tuple(range(1, moved.ndim)))
 
 
-def _separations(w):
-    """The distance from each root of w (N, n) to the nearest other root of
-    its row (inf where n = 1)."""
-    d = np.abs(w[:, :, None] - w[:, None, :])
-    return np.where(np.eye(w.shape[1], dtype=bool), np.inf, d).min(axis=2)
+def _continue(coeffs, seeds, last):
+    """(zeros, separations, good, checked) of one Newton continuation over
+    the rows of coeffs (N, d + 1), polynomial coefficients lowest first.
 
-
-def _compose(first, steps):
-    """Labels along a stack: row 0 is first, row k + 1 is steps[k][row k].
-
-    Composed as a prefix scan, log2(N) gathers over the whole stack.
+    seeds (N,) for z or (N, n) for the poles holds each row's start: one
+    newton_roots call runs from them on all rows and labels at once, and
+    one certified_separation call bounds each zero's distance to the
+    others.  last is (zeros, separations) of the row before, or None on a
+    fresh sampler, whose first row has no step and raises RootNotConverged
+    where Newton fails on it.  The zeros and separations cover the rows
+    before the first that Newton could not solve; good counts the rows
+    before the first step _steps_ok rejects, and checked those up to and
+    including it.
     """
-    out = np.concatenate([first[None], steps])
-    d = 1
-    while d < len(out):
-        out[d:] = np.take_along_axis(out[d:], out[:-d], axis=1)
-        d *= 2
-    return out
+    count, k = len(coeffs), int(np.prod(seeds.shape[1:]))
+    rows = np.repeat(coeffs, k, axis=0)
+    w = newton_roots(rows, seeds.ravel()).reshape(seeds.shape)
+    failed = np.flatnonzero(np.isnan(w.reshape(count, k)).any(axis=1))
+    conv = int(failed[0]) if len(failed) else count
+    if last is None and not conv:
+        raise RootNotConverged(f"Newton from the seed {seeds[0]} did not converge")
+    w = w[:conv]
+    sep = certified_separation(rows[:conv * k], w.ravel()).reshape(w.shape)
+    w0, s0 = last or (w[:1], sep[:1])
+    ok = _steps_ok(np.concatenate([w0, w])[:conv], w,
+                   np.concatenate([s0, sep])[:conv], sep)
+    if last is None:
+        ok[:1] = True                     # a fresh first row has no step
+    good = conv if ok.all() else int(np.argmin(ok))
+    return w, sep, good, min(good + 1, conv)
 
 
-def _char_coeffs(a, s):
-    """(c2, c1, c0) of the 3x3 stack with entries a[i][j] (N,): the trace,
-    the sum of the principal 2x2 minors and the determinant by the
-    cofactors of row 0, each minor a[i][j] a[k][l] + s a[i][l] a[k][j].
-    With s = -1 these are the coefficients of det(x - A) = x^3 - c2 x^2 +
-    c1 x - c0; with s = +1 and the moduli of A, the sums of the moduli of
-    their terms, which bound their rounding."""
-    def minor(i, j, k, l):
-        return a[i][j] * a[k][l] + s * a[i][l] * a[k][j]
-    m00 = minor(1, 1, 2, 2)
-    return (a[0][0] + a[1][1] + a[2][2],
-            m00 + minor(0, 0, 2, 2) + minor(0, 0, 1, 1),
-            a[0][0] * m00 + a[0][1] * minor(1, 2, 2, 0)
-            + a[0][2] * minor(1, 0, 2, 1))
+def ordered_eig(coeffs, T0, last=None):
+    """_continue for the roots of T0, the t_n-roots of h, on rows of h's
+    t_n-coefficients coeffs (N, n + 1) and of T0 (N, n, n), continued from
+    last, the roots, separations and T0 of the row before.
 
-
-def _eig3(A):
-    """Eigenvalues of a complex (N, 3, 3) stack in closed form, with the rows
-    the closed form cannot certify by LAPACK.
-
-    The roots of f(x) = det(x - A) by Cardano's formula, the cube root taken
-    of whichever of -q/2 +- sqrt(disc) has the larger modulus so that
-    nothing cancels, then two Newton steps on the cubic.  A row is kept
-    where every root x_i has |f(x_i)| plus the rounding bound of f there
-    below EIG_TOL max(1, |x_i|) |prod_{j != i} (x_i - x_j)|, a first-order
-    bound on its error; a multiple or near-multiple root, a Newton step off
-    a root (f' = 0 included) and two roots polished onto one fail it, and
-    those rows go to np.linalg.eigvals.  Arrays run (root, N) so that each
-    operation is one long loop.
+    Newton on row k starts from the first-order prediction
+    u_i + tr(E_i (T0_k - T)) by the roots u_i, the spectral projectors E_i
+    (projectors) and T0 = T of the row before, or from u_i where that is
+    not finite.  On a fresh sampler (no last) that row is the first, with
+    np.roots' roots, and the labels are put in _first_point_order of the
+    polished first row, with ties within ROOT_SEPARATION scaled by the root
+    size.
     """
-    a = [[A[:, i, j] for j in range(3)] for i in range(3)]
-    c2, c1, c0 = _char_coeffs(a, -1)
-    s = c2 / 3
-    p, q = c1 - c2 * s, (c1 - 2 * s * s) * s - c0
-    omega = np.exp(2j * np.pi / 3 * np.arange(3))[:, None]
-    with np.errstate(all="ignore"):       # a failed row goes to LAPACK
-        d = np.sqrt(q * q / 4 + p * p * p / 27)
-        u = np.where(np.abs(d - q / 2) >= np.abs(d + q / 2), d - q / 2,
-                     -d - q / 2) ** (1 / 3)
-        # u = 0 only where p = q = 0, at the triple root s
-        x = np.where(u == 0, s, s + omega * u - p / (3 * omega * u))
-        for _ in range(2):
-            x = x - (((x - c2) * x + c1) * x - c0) / ((3 * x - 2 * c2) * x + c1)
-        f = ((x - c2) * x + c1) * x - c0
-        absA = np.abs(A)
-        h2, h1, h0 = _char_coeffs(
-            [[absA[:, i, j] for j in range(3)] for i in range(3)], 1)
-        r = np.abs(x)
-        # the rounding of the coefficients and of Horner's rule, at most a
-        # few units of eps on each term
-        bound = 8 * np.finfo(float).eps * (((r + h2) * r + h1) * r + h0)
-        gap = np.abs(x - x[[1, 2, 0]])
-        ok = ((np.abs(f) + bound)
-              < EIG_TOL * np.maximum(1, r) * gap * gap[[2, 0, 1]])
-    x = x.T
-    bad = np.flatnonzero(~ok.all(axis=0))
-    if len(bad):
-        x[bad] = np.linalg.eigvals(A[bad])
-    return x
-
-
-def ordered_eig(T0vals, prev_roots=None):
-    """(roots, accepted) of stacked (N, n, n) matrices, ordered for
-    continuation: _eig3 for n = 3, np.linalg.eigvals otherwise.
-
-    First point: ascending real part, ties (within ROOT_SEPARATION, scaled by
-    the root size) by imaginary part; with prev_roots, continued from them.
-    Each later point takes the labels of the one before by nearest
-    neighbour.  accepted counts the leading rows whose step passes
-    _steps_ok on the labelled roots and their _separations (a first point
-    with no prev_roots has no step); the rows after it are not to be trusted.
-    """
-    A = np.asarray(T0vals, dtype=complex)
-    w = _eig3(A) if A.shape[-1] == 3 else np.linalg.eigvals(A)
-    if prev_roots is None:
-        first = np.array(_first_point_order(
-            w[0], ROOT_SEPARATION * max(1.0, float(np.abs(w[0]).max()))))
-        chain = w
-    else:
-        first = np.arange(w.shape[1])
-        chain = np.concatenate([np.asarray(prev_roots, dtype=complex)[None], w])
-    steps = np.abs(chain[1:, None, :] - chain[:-1, :, None]).argmin(axis=2)
-    chain = np.take_along_axis(chain, _compose(first, steps), axis=1)
-    sep = _separations(chain)
-    rejected = np.flatnonzero(~_steps_ok(chain[:-1], chain[1:], sep[:-1], sep[1:]))
-    accepted = ((int(rejected[0]) if len(rejected) else len(chain) - 1)
-                + (prev_roots is None))
-    return chain[len(chain) - len(w):], accepted
+    u, T = ((np.roots(coeffs[0, ::-1]), T0[0]) if last is None
+            else (last[0][0], last[2][0]))
+    seeds = np.broadcast_to(u, (len(T0), len(u)))
+    if last is not None or len(T0) > 1:   # a row besides the one of u
+        pred = u + np.einsum("iab,Nba->Ni", projectors(T[None], u[None])[0],
+                             T0 - T)
+        seeds = np.where(np.isfinite(pred), pred, u)
+    w, sep, good, checked = _continue(coeffs, seeds, last and last[:2])
+    if last is not None:
+        return w, sep, good, checked
+    order = _first_point_order(
+        w[0], ROOT_SEPARATION * max(1.0, float(np.abs(w[0]).max())))
+    return w[:, order], sep[:, order], good, checked
 
 
 def projectors(T0, z):
@@ -310,11 +264,13 @@ def path_parameter(values):
 
 
 class StructureSampler:
-    """The path tracker: the algebraic generator z and the ordered roots of T0.
+    """The path tracker: the algebraic generator z and the ordered roots of
+    T0, the t_n-roots of h.
 
-    Both are continued by one loop of lockstep passes under one step rule
-    (see the module docstring); the state is the last tracked row with the
-    certified separation of its z, so successive calls continue from it.
+    Both are continued by one Newton continuation in one loop of lockstep
+    passes under one step rule (see the module docstring); the state is the
+    last tracked row with the certified separations of its zeros, so
+    successive calls continue from it.
     """
 
     def __init__(self, m: SaitoMatrices, z_seed=None):
@@ -322,91 +278,89 @@ class StructureSampler:
         self.ring = m.ring
         self.n = m.n
         self.z_seed = z_seed
-        self._T0 = m.T0_stack
+        self._T0, self._h = m.T0_stack, m.h_stack
         self._last = None
 
-    @np.errstate(all="ignore")      # a non-finite value is BlowUp or a NaN z
+    @np.errstate(all="ignore")      # a non-finite value is BlowUp or a NaN zero
     def _pass(self, last, pts, k):
-        """(Track, separations of z) of the accepted rows of one lockstep
-        pass over the (count, n) points pts, continued from last, a row and
-        its separation (None on a fresh sampler, whose first row starts from
-        z_seed and has no step to check).
+        """(Track, separations) of the accepted rows of one lockstep pass
+        over the (count, n) points pts, continued from last, a row and its
+        separations (None on a fresh sampler, whose first row starts from
+        z_seed and has no step to check).  Column 0 of the separations is
+        z's (inf on a plain ring), the others the roots'.
 
-        Rows are kept up to the first step that _steps_ok rejects, for z
-        first and then for the roots on the rows z keeps.  RootCollision
-        names the earliest row whose z separation (on the converged rows up
-        to and including the first rejected z step), EigenvalueCollision
-        whose root separation (on the rows z keeps) is below
-        ROOT_SEPARATION: as path point k + i, where pts[0] is path point k,
-        or by its coordinates where k is None.  BlowUp names a T0 that is
-        not finite the same way.
+        z is continued first (_continue on the relation), then the roots on
+        the rows z keeps (ordered_eig on h), and rows are kept up to the
+        first step either rejects.  BlowUp names the earliest row z keeps
+        where T0 or h is not finite; RootCollision the earliest row whose z
+        separation is below ROOT_SEPARATION, on the rows up to and including
+        the first rejected z step, and EigenvalueCollision the earliest
+        whose root separation is, on every row whose roots converged (all
+        the roots of a row are tracked, whatever their labels): as path
+        point k + i, where pts[0] is path point k, or by its coordinates
+        where k is None.
         """
         prev, prev_sep = last or (None, None)
         count = len(pts)
         values = np.zeros((count, self.n + 1), dtype=complex)
         values[:, 1:] = pts
-        seps = np.full(count, np.inf)
+        seps = np.full((count, self.n + 1), np.inf)
         good = checked = count
         if self.ring.ext is not None:
             if prev is None and self.z_seed is None:
                 raise InputError("extension ring requires a z seed")
-            coeffs = rel_coeffs(self.ring, pts)
-            z = newton_roots(coeffs, self.z_seed if prev is None
-                             else prev.values[0, 0])
-            failed = np.flatnonzero(np.isnan(z))
-            conv = int(failed[0]) if len(failed) else count
-            if prev is None and not conv:
-                raise RootNotConverged(
-                    f"Newton from the seed {self.z_seed} did not converge")
-            z = z[:conv]
-            seps[:conv] = certified_separation(coeffs[:conv], z)
-            values[:conv, 0] = z
-            z0, s0 = ((z[:1], seps[:1]) if prev is None
-                      else (prev.values[:, 0], prev_sep))
-            zprev = np.concatenate([z0, z])[:conv]
-            sprev = np.concatenate([s0, seps])[:conv]
-            ok = _steps_ok(zprev, z, sprev, seps[:conv])
-            if prev is None:
-                ok[:1] = True             # a fresh first row has no step
-            good = conv if ok.all() else int(np.argmin(ok))
-            checked = min(good + 1, conv)
-        T0 = _matrix_rows(self._T0, values[:good])
+            z, zsep, good, checked = _continue(
+                rel_coeffs(self.ring, pts),
+                np.full(count, self.z_seed if prev is None
+                        else prev.values[0, 0], dtype=complex),
+                None if prev is None else (prev.values[:, 0], prev_sep[:, 0]))
+            values[:len(z), 0], seps[:len(z), 0] = z, zsep
+        rows = values[:good]
+        T0 = _matrix_rows(self._T0, rows)
+        h = self._h.eval_batch(rows).T
 
         def where(i):
             return f"path point {k + i}" if k is not None else f"{pts[i]}"
-        try:
-            roots, accepted = ordered_eig(
-                T0, None if prev is None else prev.z[0])
-        except np.linalg.LinAlgError:
-            # a non-finite row never passes _eig3, and LAPACK refuses it:
-            # only then are the rows tested
-            blown = ~np.isfinite(T0).all(axis=(1, 2))
-            if not blown.any():
-                raise
-            raise BlowUp(f"T0 is not finite at {where(int(np.argmax(blown)))}"
-                         ) from None
         _raise_first([
-            (seps[:checked] < ROOT_SEPARATION, lambda i: RootCollision(
+            (~np.isfinite(T0).all(axis=(1, 2)),
+             lambda i: BlowUp(f"T0 is not finite at {where(i)}")),
+            (~np.isfinite(h).all(axis=1),
+             lambda i: BlowUp(f"h is not finite at {where(i)}"))])
+        roots, rsep, accepted, _ = ordered_eig(
+            h, T0, None if prev is None else (prev.z, prev_sep[:, 1:], prev.T0))
+        seps[:len(roots), 1:] = rsep
+        _raise_first([
+            (seps[:checked, 0] < ROOT_SEPARATION, lambda i: RootCollision(
                 f"generator roots closer than {ROOT_SEPARATION} at {where(i)}")),
-            (_separations(roots).min(axis=1) < ROOT_SEPARATION,
+            (rsep.min(axis=1) < ROOT_SEPARATION,
              lambda i: EigenvalueCollision(
                  f"roots closer than {ROOT_SEPARATION} at {where(i)}"))])
         return (Track(values[:accepted], roots[:accepted], T0[:accepted]),
                 seps[:accepted])
 
-    def _bisect(self, last, point, k, depth):
+    def _bisect(self, last, point, k):
         """_pass at point, continued from last in one step where the step
         passes, else through the midpoint in two halves, each continued the
-        same way; TrackingLost past MAX_BISECTIONS halvings."""
-        rows, seps = self._pass(last, point[None], k)
-        if len(seps):
-            return rows, seps
-        if depth == MAX_BISECTIONS:
-            raise TrackingLost(f"continuation to {point} needs more than "
-                               f"{MAX_BISECTIONS} bisections")
-        mid = self._bisect(last, (last[0].values[0, 1:] + point) / 2, None,
-                           depth + 1)
-        return self._bisect(mid, point, k, depth + 1)
+        same way; TrackingLost past MAX_BISECTIONS halvings of one step or
+        MAX_BISECTION_PASSES passes in all."""
+        todo = [(point, k, 0)]                # targets, the next one last
+        for _ in range(MAX_BISECTION_PASSES):
+            target, at, depth = todo[-1]
+            rows, seps = self._pass(last, target[None], at)
+            if len(seps):
+                last = rows, seps
+                todo.pop()
+                if not todo:
+                    return last
+            elif depth == MAX_BISECTIONS:
+                raise TrackingLost(f"continuation to {target} needs more "
+                                   f"than {MAX_BISECTIONS} bisections")
+            else:
+                todo[-1] = target, at, depth + 1
+                todo.append(((last[0].values[0, 1:] + target) / 2, None,
+                             depth + 1))
+        raise TrackingLost(f"continuation to {point} needs more than "
+                           f"{MAX_BISECTION_PASSES} passes")
 
     def track(self, path):
         """The Track of a path, continuation-ordered: rows (z, t_1, ...,
@@ -422,7 +376,7 @@ class StructureSampler:
         while k < len(pts):
             rows, seps = self._pass(self._last, pts[k:], k)
             if not len(seps):
-                rows, seps = self._bisect(self._last, pts[k], k, 0)
+                rows, seps = self._bisect(self._last, pts[k], k)
             self._last = Track(*(a[-1:] for a in rows)), seps[-1:]
             parts.append(rows)
             k += len(seps)
@@ -645,10 +599,13 @@ def pvi_grid_residual(ts, ys, dys, params: P6Params) -> float:
 
 def _pvi_defects(t, y, dy, d2y, params):
     """|y'' - PVI_rhs(t, y, y')| elementwise.  A sample sitting on a PVI pole
-    (y in {0, 1, t}) yields a non-finite defect: PoleOnPath names the first
-    such sample."""
+    (y in {0, 1, t}, to within eps max(1, |t|), below which rounding leaves
+    y's distance to the pole) has no finite defect: PoleOnPath names the
+    first such sample."""
     with np.errstate(all="ignore"):
         val = np.abs(d2y - pvi_rhs(t, y, dy, params))
+    pole = np.minimum(np.minimum(np.abs(y), np.abs(y - 1)), np.abs(y - t))
+    val[pole <= np.finfo(float).eps * np.maximum(1, np.abs(t))] = np.inf
     _raise_first([(~np.isfinite(val), lambda k: PoleOnPath(
         f"the PVI defect is not finite at the sample t = {t[k]}, "
         f"y = {y[k]}: a pole of PVI (y in {{0, 1, t}}) lies on the path"))])

@@ -291,17 +291,15 @@ def test_cli_and_a_loop_leave_scipy_out():
 
 
 def per_point_snapshots(m, path, lam, z_seed):
-    """(roots, residues, traces) point by point: T0 one point at a time, its
-    roots continued from the point before, one np.linalg.eig per point with
-    the columns of its frame P put in the order of the roots (the nearest
-    eigenvalue), and -P E_i P^{-1} Binf as matrix products."""
+    """(roots, residues, traces) point by point: T0 and its roots one point
+    at a time, continued from the point before, one np.linalg.eig per point
+    with the columns of its frame P put in the order of the roots (the
+    nearest eigenvalue), and -P E_i P^{-1} Binf as matrix products."""
     sampler = p6.StructureSampler(m, z_seed=z_seed)
     Lam = np.diag([complex(x) for x in lam])
-    prev, out = None, []
+    out = []
     for tp in path:
-        T0 = sampler.t0_matrix(tp)
-        roots, _ = p6.ordered_eig(T0[None], prev)
-        roots = prev = roots[0]
+        _, (roots,), (T0,) = sampler.track([tp])
         w, V = np.linalg.eig(T0)
         P = V[:, np.abs(w[None] - roots[:, None]).argmin(axis=1)]
         res = []

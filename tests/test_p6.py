@@ -9,13 +9,33 @@ from flatiso import isomono
 from flatiso.errors import (EntryIdenticallyZero, InputError,
                             InsufficientSamples, PoleOnPath, RootCollision,
                             RootNotConverged, TrackingLost)
-from flatiso.flatcore import build_saito_matrices, mat_adjugate
+from flatiso.flatcore import build_saito_matrices, mat_adjugate, mat_det
 
 
 def entry_setup(eid):
     e = catalog.catalog_get(eid)
     m = build_saito_matrices(e.pvf)
     return e, m
+
+
+def structure(ring, T0):
+    """What the tracker reads of a SaitoMatrices, for a ring matrix T0 free
+    of t_n: T0 and h = det(t_n - T0), as their compiled stacks."""
+    from types import SimpleNamespace
+    from flatiso.numeric import EvalStack
+    n = len(T0)
+    t, zero = ring.var(n - 1), ring.zero()
+    h = mat_det([[(t if i == j else zero) - e for j, e in enumerate(row)]
+                 for i, row in enumerate(T0)])
+    return SimpleNamespace(ring=ring, n=n, T0_stack=EvalStack(T0),
+                           h_stack=EvalStack(h.coeffs_in(n - 1)))
+
+
+def h_rows(m, points):
+    """h's t_n-coefficients (N, n + 1) at t'-points of a plain ring."""
+    values = np.zeros((len(points), m.n + 1), dtype=complex)
+    values[:, 1:len(points[0]) + 1] = points
+    return m.h_stack.eval_batch(values).T
 
 
 def test_roots_of_h_vieta_klein():
@@ -35,7 +55,10 @@ def test_roots_of_h_vieta_klein():
 def test_roots_ordering_and_continuation():
     e, m = entry_setup("LT8")
     _, (r1, r2), _ = p6.StructureSampler(m).track([(1.0, 0.4), (1.0, 0.41)])
-    assert list(np.argsort([x.real for x in r1])) == [0, 1, 2]
+    # ascending real part; r1[1:] is a conjugate pair whose real parts agree
+    # to rounding, ordered by imaginary part
+    assert r1[0].real < r1[1].real - 0.5
+    assert abs(r1[1].real - r1[2].real) < 1e-15 and r1[1].imag < r1[2].imag
     assert np.abs(r2 - r1).max() < 0.1
 
 
@@ -316,12 +339,15 @@ def test_first_point_order_survives_rounding():
     # at the first LT27 point two roots are a conjugate pair whose real parts
     # agree to rounding; ulp-level changes of T0 must not swap their labels
     e, m = entry_setup("LT27")
-    T0 = p6.StructureSampler(m, z_seed=e.z_seed).t0_matrix(e.default_path.points[0])
-    base, _ = p6.ordered_eig(T0[None])
+    sampler = p6.StructureSampler(m, z_seed=e.z_seed)
+    sampler.z_at(e.default_path.points[0])
+    first = sampler._last[0]
+    coeffs = m.h_stack.eval_batch(first.values).T
+    base = p6.ordered_eig(coeffs, first.T0)[0]
     rng = np.random.default_rng(0)
     for _ in range(20):
-        bumped = T0 * (1 + 1e-15 * rng.choice([-1.0, 1.0], size=T0.shape))
-        roots, _ = p6.ordered_eig(bumped[None])
+        bumped = coeffs * (1 + 1e-15 * rng.choice([-1.0, 1.0], size=coeffs.shape))
+        roots = p6.ordered_eig(bumped, first.T0)[0]
         assert np.abs(roots - base).max() < 1e-9
 
 
@@ -356,38 +382,35 @@ def test_one_step_rule_decides_z_and_the_roots(monkeypatch):
 
 
 def test_ordered_eig_accepts_up_to_the_first_step_the_rule_rejects():
-    # roots +-x and 5 of [[0, x, 0], [x, 0, 0], [0, 0, 5]]: the step
-    # x: 1 -> 0.65 moves +-x by 0.35, below 1/4 of the gap 1.65 to the other
-    # candidate but not of the separation 1.3 at its end, so it is rejected
-    xs = [1.2, 1.0, 0.65, 0.6]
+    # roots +-x and 5 of h = (t^2 - x^2)(t - 5): the step x: 0.98 -> 0.9
+    # moves -x by 0.08, far below 1/4 of its true separation 1.8 but not
+    # below 1/4 of its certified one (0.30), so it is rejected
+    xs = [1.0, 0.98, 0.9, 0.89]
+    coeffs = np.array([[5 * x * x, -x * x, -5, 1] for x in xs], dtype=complex)
     T0 = np.array([[[0, x, 0], [x, 0, 0], [0, 0, 5]] for x in xs], dtype=complex)
-    roots, accepted = p6.ordered_eig(T0)
+    roots, sep, accepted, checked = p6.ordered_eig(coeffs, T0)
     assert np.allclose(roots, [[-x, x, 5] for x in xs])
-    sep = p6._separations(roots)
+    assert np.all(sep < 2 * np.abs(roots[:, :1] - roots[:, 1:2]))
     ok = p6._steps_ok(roots[:-1], roots[1:], sep[:-1], sep[1:])
-    assert list(ok) == [True, False, True] and accepted == 2
-    rest, count = p6.ordered_eig(T0[1:], roots[0])
+    assert list(ok) == [True, False, True] and (accepted, checked) == (2, 3)
+    rest, _, count, _ = p6.ordered_eig(coeffs[1:], T0[1:],
+                                       (roots[:1], sep[:1], T0[:1]))
     assert count == 1 and np.allclose(rest, roots[1:])
 
 
 def test_eigenvalue_swap_is_bisected(monkeypatch):
-    # T0 = [[0, t1], [t1, 0]] has roots +-t1; on the step t1: 1 -> -0.2 + i
-    # the root 1 lies nearer -t1 than t1 at the far end, so nearest-neighbour
-    # matching swaps the pair: the tracker must bisect the step and agree
-    # with a fine track of the same segment
-    from types import SimpleNamespace
-    from flatiso.numeric import EvalStack
+    # T0 = [[0, t1], [t1, 0]] has roots +-t1 (h = t2^2 - t1^2); on the step
+    # t1: 1 -> -0.2 + i the root 1 lies nearer -t1 than t1 at the far end,
+    # and each root moves 1.6, far past a quarter of its separation: the
+    # tracker must bisect the step and agree with a fine track of the same
+    # segment
     from flatiso.ring import Ring
     ring = Ring(["1", "1"])
     t1, _ = ring.gens()
-    m = SimpleNamespace(ring=ring, n=2,
-                        T0_stack=EvalStack([[ring.zero(), t1], [t1, ring.zero()]]))
+    m = structure(ring, [[ring.zero(), t1], [t1, ring.zero()]])
     p0, p1 = (1.0, 0.0), (-0.2 + 1j, 0.0)
     T0 = [[[0, p[0]], [p[0], 0]] for p in (p0, p1)]
-    assert p6.ordered_eig(T0)[1] == 1          # the match into p1 is rejected
-    w1 = np.linalg.eigvals(T0[1])
-    nearest = w1[np.abs(w1 - np.array([[-1.0], [1.0]])).argmin(axis=1)]
-    assert np.allclose(nearest, [-0.2 + 1j, 0.2 - 1j])
+    assert p6.ordered_eig(h_rows(m, [p0, p1]), np.array(T0))[2] == 1
     bisections = count_calls(monkeypatch, "_bisect")
     _, roots, _ = p6.StructureSampler(m).track([p0, p1])
     assert bisections
@@ -464,6 +487,11 @@ def test_pvi_grid_residual_guards():
     on_pole[4] = 1.0                     # y = 1 at an interior point
     with pytest.raises(PoleOnPath, match=re.escape(f"t = {ts[4]}, y = (1+0j)")):
         p6.pvi_grid_residual(ts, on_pole, ts, params)
+    # y = t up to an imaginary part far below the rounding of y: on the pole
+    near_pole = (ts + 1).astype(complex)
+    near_pole[4] = ts[4] + 1e-30j
+    with pytest.raises(PoleOnPath, match=re.escape(f"t = {ts[4]}, y = ")):
+        p6.pvi_grid_residual(ts, near_pole, ts, params)
 
 
 def test_midconv_block_tracks_once(monkeypatch):
@@ -532,15 +560,12 @@ def test_lockstep_matches_point_by_point_continuation(eid):
 
 def sqrt_sampler(z_seed, T0=None):
     """The tracker on z^2 = t1 with T0 = diag(z, 5), or with T0(ring, z)."""
-    from types import SimpleNamespace
-    from flatiso.numeric import EvalStack
     from flatiso.ring import Ring
     ring = Ring(["1", "1"], extension={(2, 0, 0): 1, (0, 1, 0): -1},
                 z_weight="1/2")
     z = ring.zgen()
     T0 = (T0 or (lambda r, z: [[z, r.zero()], [r.zero(), r.const(5)]]))(ring, z)
-    return p6.StructureSampler(
-        SimpleNamespace(ring=ring, n=2, T0_stack=EvalStack(T0)), z_seed=z_seed)
+    return p6.StructureSampler(structure(ring, T0), z_seed=z_seed)
 
 
 def test_seed_with_no_newton_step_is_refused():
@@ -569,8 +594,8 @@ def test_lockstep_restarts_where_newton_leaves_the_branch(monkeypatch):
 def test_z_rejected_step_is_bisected_with_its_roots(monkeypatch):
     # T0 = [[0, z], [z, 0]] on z^2 = t1 has roots +-z.  On the one step
     # t1: 1 -> -1 + 0.1i, z turns by 87 degrees: Newton from z = 1 fails the
-    # z rule and the roots' nearest-neighbour match across the step is
-    # rejected, so z and the roots are continued together through the
+    # z rule and the roots' step (h = t2^2 - z^2) is rejected too, so z
+    # and the roots are continued together through the
     # bisection, and must agree with a fine track of the same segment
     from flatiso.numeric import certified_separation, newton_roots, rel_coeffs
     swap = lambda r, z: [[r.zero(), z], [z, r.zero()]]    # noqa: E731
@@ -581,8 +606,9 @@ def test_z_rejected_step_is_bisected_with_its_roots(monkeypatch):
     assert abs(z[0] - 1) >= p6.STEP_FRACTION * sep.min()
     fine = [(1.0 + s * (p1[0] - 1.0), 0.0) for s in np.linspace(0, 1, 401)]
     fine_values, fine_roots, _ = sqrt_sampler(1.0, swap).track(fine)
-    T0 = [[[0, zv], [zv, 0]] for zv in (1.0, fine_values[-1, 0])]
-    assert p6.ordered_eig(T0)[1] == 1
+    zs = (1.0, fine_values[-1, 0])
+    h = np.array([[-zv * zv, 0, 1] for zv in zs], dtype=complex)
+    assert p6.ordered_eig(h, np.array([[[0, zv], [zv, 0]] for zv in zs]))[2] == 1
     bisections = count_calls(monkeypatch, "_bisect")
     values, roots, _ = sqrt_sampler(1.0, swap).track([p0, p1])
     assert bisections
@@ -590,27 +616,28 @@ def test_z_rejected_step_is_bisected_with_its_roots(monkeypatch):
     assert np.abs(roots[1] - fine_roots[-1]).max() < 1e-12
 
 
-@pytest.mark.xfail(strict=True, reason="the gap rule tests only the ends of "
-                   "a step, so a near-crossing inside it swaps the labels")
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the gap rule tests only the ends of a step, so a "
+                   "near-crossing inside it swaps the labels")
 def test_near_crossing_inside_one_step_keeps_the_labels():
-    # T0 = diag(t1, -t1) on the one step t1: 1 -> -1 + 0.2i: the roots come
-    # within 0.2 of each other at the midpoint but are 2 apart at both ends;
-    # a 401-point track of the same segment is the reference
-    from types import SimpleNamespace
-    from flatiso.numeric import EvalStack
+    # T0 = [[0, 1], [t1^2, 0]] has the roots +-t1 (h = t2^2 - t1^2); on the
+    # one step t1: 1 -> -1 + 0.02i they come within 0.02 of each other at
+    # the midpoint but are 2 apart at both ends.  The first-order seed
+    # (exact for a diagonal T0) starts each root 0.02 from the other's
+    # continuation, Newton lands there, below a quarter of its certified
+    # separation (0.11), and the step passes with the labels swapped; a
+    # 401-point track of the same segment is the reference
     from flatiso.ring import Ring
     ring = Ring(["1", "1"])
     t1 = ring.gens()[0]
-    T0 = EvalStack([[t1, ring.zero()], [ring.zero(), -t1]])
+    m = structure(ring, [[ring.zero(), ring.const(1)], [t1 ** 2, ring.zero()]])
 
     def roots_at_end(path):
-        sampler = p6.StructureSampler(
-            SimpleNamespace(ring=ring, n=2, T0_stack=T0))
-        return sampler.track(path)[1][-1]
+        return p6.StructureSampler(m).track(path)[1][-1]
 
-    p0, p1 = (1.0, 0.0), (-1 + 0.2j, 0.0)
+    p0, p1 = (1.0, 0.0), (-1 + 0.02j, 0.0)
     fine = [(1.0 + s * (p1[0] - 1.0), 0.0) for s in np.linspace(0, 1, 401)]
-    assert np.abs(roots_at_end(fine) - [1 - 0.2j, -1 + 0.2j]).max() < 1e-12
+    assert np.abs(roots_at_end(fine) - [1 - 0.02j, -1 + 0.02j]).max() < 1e-12
     assert np.abs(roots_at_end([p0, p1]) - roots_at_end(fine)).max() < 1e-12
 
 
@@ -627,6 +654,17 @@ def test_tracking_lost_past_max_bisections(monkeypatch):
     assert passes[-1][1][0][0] - 1.0 == pytest.approx(0.1 / 2 ** p6.MAX_BISECTIONS)
 
 
+def test_tracking_lost_past_the_pass_budget(monkeypatch):
+    # the one step t1: 1 -> -1 + 0.1i on z^2 = t1 needs about a hundred
+    # passes of bisection; past the budget the track is given up
+    monkeypatch.setattr(p6, "MAX_BISECTION_PASSES", 8)
+    passes = count_calls(monkeypatch, "_pass")
+    with pytest.raises(TrackingLost, match="more than 8 passes"):
+        sqrt_sampler(1.0).track([(1.0, 0.0), (-1 + 0.1j, 0.0)])
+    # the path, its second point, then the budget
+    assert len(passes) == 2 + 8
+
+
 def lapack_in_order(A, roots):
     """np.linalg.eig of the stack A, its columns put in the order of roots
     (the permutation that moves no root far, the first among ties)."""
@@ -635,14 +673,6 @@ def lapack_in_order(A, roots):
     far = np.abs(roots[:, None, :] - w[:, perms]).max(axis=2)
     k = perms[far.argmin(axis=1)]
     return np.take_along_axis(w, k, axis=1), np.take_along_axis(V, k[:, None], 2)
-
-
-def assert_eig3_matches_lapack(A):
-    """_eig3 against np.linalg.eig: the roots within 1e-12 max(1, |root|)."""
-    A = np.asarray(A, dtype=complex)
-    roots = p6._eig3(A)
-    want, _ = lapack_in_order(A, roots)
-    assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
 
 
 def count_lapack(monkeypatch):
@@ -663,22 +693,10 @@ def unitary_stack(rng, count):
     return np.linalg.qr(z)[0]
 
 
-@pytest.mark.filterwarnings("error")
-def test_eig3_matches_lapack_on_random_stacks(monkeypatch):
-    rng = np.random.default_rng(3)
-    real = rng.normal(size=(200, 3, 3))
-    for A in (real, real + 1j * rng.normal(size=real.shape), 1e3 * real):
-        lapack = count_lapack(monkeypatch)
-        p6._eig3(A.astype(complex))
-        assert sum(lapack) < len(A) // 20     # nearly every row closed form
-        monkeypatch.undo()
-        assert_eig3_matches_lapack(A)
-
-
 def ill_conditioned_stacks():
-    """Stacks whose roots the closed form cannot certify: frames with
-    cond(P) = 1e3, a root pair 10 ROOT_SEPARATION apart (the pair stack),
-    and scalar (derogatory) matrices."""
+    """Stacks with ill-conditioned roots: frames with cond(P) = 1e3, a root
+    pair 10 ROOT_SEPARATION apart (the pair stack), and scalar (derogatory)
+    matrices."""
     rng = np.random.default_rng(4)
     count = 50
     lam = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
@@ -695,28 +713,34 @@ def ill_conditioned_stacks():
 
 
 @pytest.mark.filterwarnings("error")
-def test_eig3_matches_lapack_where_the_cubic_is_ill_conditioned(monkeypatch):
-    # the closed form cannot certify these rows, so LAPACK solves them:
-    # frames with cond(P) = 1e3, a root pair 10 ROOT_SEPARATION apart and
-    # scalar (derogatory) matrices
-    for A in ill_conditioned_stacks():
-        lapack = count_lapack(monkeypatch)
-        p6._eig3(A.astype(complex))
-        assert sum(lapack) == len(A)
-        monkeypatch.undo()
-        assert_eig3_matches_lapack(A)
-
-
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("eid", catalog.catalog_list())
-def test_eig3_matches_lapack_on_catalog_paths(eid, monkeypatch):
+def test_tracked_poles_are_the_eigenvalues_of_T0(eid):
+    # the tracker finds the poles as the t_n-roots of h, with no
+    # eigensolver; np.linalg.eigvals of the Track's T0, the stack its rows
+    # evaluate to, is the reference only
     e, m = entry_setup(eid)
-    lapack = count_lapack(monkeypatch)
-    values, _, _ = p6.StructureSampler(m, z_seed=e.z_seed).track(
-        e.default_path.points)
-    assert not lapack                     # every row in closed form
-    monkeypatch.undo()
-    assert_eig3_matches_lapack(p6._matrix_rows(m.T0_stack, values))
+    for points in (41, 401):
+        pts, z_seed = catalog.path_from_doc(
+            dict(e.doc["default_path"], points=points))
+        values, roots, T0 = p6.StructureSampler(m, z_seed=z_seed).track(pts)
+        assert np.array_equal(T0, p6._matrix_rows(m.T0_stack, values))
+        want, _ = lapack_in_order(T0, roots)
+        assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+
+
+def test_a_close_pair_raises_eigenvalue_collision():
+    # T0 = diag(t1, 1): continued from t1 = 0 to a pair 10 ROOT_SEPARATION
+    # apart, closer than h's coefficients resolve in double precision, so
+    # the certified separation reads 0 and the rejected step names the
+    # collision at once
+    from flatiso.errors import EigenvalueCollision
+    from flatiso.ring import Ring
+    ring = Ring(["1", "1"])
+    t1 = ring.gens()[0]
+    m = structure(ring, [[t1, ring.zero()], [ring.zero(), ring.const(1)]])
+    end = (1 + 10 * p6.ROOT_SEPARATION, 0.0)
+    with pytest.raises(EigenvalueCollision, match="path point 1"):
+        p6.StructureSampler(m).track([(0.0, 0.0), end])
 
 
 @pytest.mark.filterwarnings("error")
@@ -726,6 +750,25 @@ def test_path_into_a_triple_root_raises_root_collision():
     path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
     with pytest.raises(RootCollision, match="path point 8"):
         p6.StructureSampler(m).track(path)
+
+
+def test_path_into_a_double_root_raises_root_collision():
+    # z^2 = t1 continued from t1 = 1: Newton stops about 1e-7 off the pair at
+    # t1 = 1e-22 (and at t1 = 0), farther than the pair's own gap, so the
+    # certified separation there reads 0 and the rejected step names it
+    with pytest.raises(RootCollision, match="at path point 1"):
+        sqrt_sampler(1.0).track([(1.0, 0.0), (1e-22, 0.0)])
+    with pytest.raises(RootCollision, match="at path point 2"):
+        sqrt_sampler(1.0).track([(1.0, 0.0), (0.5, 0.0), (0.0, 0.0)])
+
+
+@pytest.mark.filterwarnings("error")
+def test_h_past_the_float_range_is_a_blow_up():
+    # at t1 = 1e50 LT8's T0 is finite but h's coefficients overflow
+    from flatiso.errors import BlowUp
+    e, m = entry_setup("LT8")
+    with pytest.raises(BlowUp, match="h is not finite at path point 0"):
+        p6.StructureSampler(m).track([(1e50, 0.1)])
 
 
 def test_each_collision_is_named_where_the_tracker_finds_it():
@@ -741,19 +784,6 @@ def test_each_collision_is_named_where_the_tracker_finds_it():
     path = [(1.0 - s, 0.4 * (1.0 - s)) for s in np.linspace(0, 1, 9)]
     with pytest.raises(EigenvalueCollision, match="path point 8"):
         p6.StructureSampler(m).track(path)
-
-
-def test_closed_form_roots_tracking():
-    # the Track's T0 is the stack its rows evaluate to, and its roots are
-    # _eig3's on that stack bit for bit, in the tracked order, and agree
-    # with LAPACK
-    e, m = entry_setup("LT8")
-    values, roots, T0 = p6.StructureSampler(m).track(e.default_path.points)
-    assert np.array_equal(T0, p6._matrix_rows(m.T0_stack, values))
-    assert np.array_equal(np.sort_complex(roots),
-                          np.sort_complex(p6._eig3(T0)))
-    want, _ = lapack_in_order(T0, roots)
-    assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
 
 
 def frame_projectors(V):
@@ -822,7 +852,7 @@ def test_projector_error_tracks_lapack_frames_as_cond_grows():
         Pinv = (np.swapaxes(W.conj(), 1, 2) / sv) @ np.swapaxes(U.conj(), 1, 2)
         T0 = P @ (z[..., None] * Pinv)
         exact = -np.einsum("Nai,Nib->Niab", P, Pinv) * lam
-        roots = p6._eig3(T0)
+        roots = np.linalg.eigvals(T0)
         _, V = lapack_in_order(T0, roots)
         scale = np.abs(exact).max()
         got = np.abs(-p6.projectors(T0, roots) * lam - exact).max() / scale
@@ -836,7 +866,7 @@ def test_projectors_on_a_close_pair_against_mpmath():
     # to 50 digits; the projectors' error is at most 4 times the frames'
     mp = pytest.importorskip("mpmath")
     T0 = ill_conditioned_stacks()[1]
-    roots = p6._eig3(T0)
+    roots = np.linalg.eigvals(T0)
     _, V = lapack_in_order(T0, roots)
     ref = np.empty(T0.shape[:1] + (3, 3, 3), dtype=complex)
     with mp.workdps(50):
@@ -891,15 +921,17 @@ def test_projector_tangent_matches_eigen_perturbation(eid):
 
 @pytest.mark.parametrize("eid", catalog.catalog_list())
 def test_one_evaluation_per_matrix(eid, monkeypatch):
-    # a 401-point track is one lockstep pass: one Newton run on an extension
-    # ring (none on a plain ring), T0 evaluated in one call over all points,
-    # not one per entry, and no bisection; projector_tangent evaluates both dT0
-    # matrices in one call
+    # a 401-point track is one lockstep pass and no bisection: Newton runs
+    # once for z on an extension ring and once for the poles, all three
+    # labels of every row, and T0 and h's coefficients are evaluated in one
+    # call each over all points, not one per entry.  No eigensolver runs,
+    # and np.roots only on the first row.  projector_tangent evaluates both
+    # dT0 matrices in one call
     from flatiso.numeric import EvalStack
     e, m = entry_setup(eid)
     pts, z_seed = _path_401(e)
-    calls, newton = [], []
-    stacked, newton_roots = EvalStack.eval_batch, p6.newton_roots
+    calls, newton, roots = [], [], []
+    stacked, newton_roots, np_roots = EvalStack.eval_batch, p6.newton_roots, np.roots
 
     def counting(self, values):
         calls.append((self, len(values)))
@@ -909,15 +941,22 @@ def test_one_evaluation_per_matrix(eid, monkeypatch):
         newton.append(len(coeffs))
         return newton_roots(coeffs, seed)
 
+    def counting_roots(p):
+        roots.append(len(p) - 1)
+        return np_roots(p)
+
     monkeypatch.setattr(EvalStack, "eval_batch", counting)
     monkeypatch.setattr(p6, "newton_roots", counting_newton)
+    monkeypatch.setattr(np, "roots", counting_roots)
+    lapack = count_lapack(monkeypatch)
     passes = count_calls(monkeypatch, "_pass")
     bisections = count_calls(monkeypatch, "_bisect")
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = isomono.snapshots_along(m, pts, lam, z_seed=z_seed)
-    assert calls == [(m.T0_stack, 401)]
-    assert newton == ([] if m.ring.ext is None else [401])
     assert len(passes) == 1 and bisections == []
+    assert calls == [(m.T0_stack, 401), (m.h_stack, 401)]
+    assert newton == ([] if m.ring.ext is None else [401]) + [3 * 401]
+    assert roots == [3] and lapack == []
     calls.clear()
     p6.projector_tangent(m, snaps[200], lam)
     assert calls == [(m.dT0_stack, 1)]

@@ -9,8 +9,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from flatiso import catalog, flatcore
 from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
-from flatiso.numeric import (EvalStack, certified_separation, newton_roots,
-                             rel_coeffs)
+from flatiso.numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
+                             newton_roots, rel_coeffs)
 from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _normalized,
                           _p_lincomb, _packing, _probe_points)
 
@@ -139,15 +139,15 @@ def test_catalog_relations_pass_squarefree_guard():
 
 
 def z_tracker(ring, seed):
-    # the path tracker on T0 = diag(z, 1, 2), whose first root is the generator
-    from types import SimpleNamespace
+    # the path tracker on T0 = diag(z, 1, .., n - 1), whose first root is the
+    # generator
     from flatiso import p6
-    zero = ring.zero()
-    T0 = [[ring.zgen(), zero, zero], [zero, ring.const(1), zero],
-          [zero, zero, ring.const(2)]]
-    return p6.StructureSampler(
-        SimpleNamespace(ring=ring, n=ring.nvars, T0_stack=EvalStack(T0)),
-        z_seed=seed)
+    from test_p6 import structure
+    n = ring.nvars
+    diag = [ring.zgen()] + [ring.const(k) for k in range(1, n)]
+    T0 = [[diag[i] if i == j else ring.zero() for j in range(n)]
+          for i in range(n)]
+    return p6.StructureSampler(structure(ring, T0), z_seed=seed)
 
 
 def test_eval_root_seeds(ext):
@@ -208,6 +208,41 @@ def test_certified_separation_is_a_lower_bound(roots, pick, nudge):
     true = np.sort(np.abs(np.roots(coeffs[::-1]) - zv))[1]
     sep = certified_separation(coeffs[None], [zv])[0]
     assert sep <= true * (1 + 1e-9)
+
+
+def test_certified_separation_reads_zero_at_a_multiple_root():
+    # Newton stops about 1e-7 off a double root and 3e-5 off a triple root,
+    # farther than the other root of the cluster lies, and np.roots splits a
+    # double root: the bound is 0 there, not the distance from the iterate
+    # to the cluster or the gap of the split
+    for roots, seed in (([1e-11, -1e-11, 3.0], 1.0), ([0.0, 0.0, 0.0], 1.0),
+                        ([2.0, 2.0, -1.0], 1.5)):
+        coeffs = np.poly(roots)[::-1][None]
+        zv = newton_roots(coeffs, seed)
+        assert 1e-8 < abs(zv[0] - roots[0]) < 1e-4
+        assert certified_separation(coeffs, zv)[0] < ROOT_SEPARATION
+    # an exact double root, which np.roots splits by about 1e-8, polished
+    # from one of its split roots
+    coeffs = np.poly([1.0, 1.0, -2.0])[::-1][None]
+    split = np.roots(coeffs[0][::-1])
+    zv = newton_roots(coeffs, split[np.argmin(np.abs(split - 1))])
+    assert certified_separation(coeffs, zv)[0] < ROOT_SEPARATION
+    assert certified_separation([[-1.0, 1.0]], [1.0])[0] == np.inf
+
+
+def test_newton_roots_takes_one_seed_per_row():
+    # random cubics, row n seeded within 1/20 of its separation from one of
+    # its roots: one call takes every row to the root its own seed is near
+    rng = np.random.default_rng(7)
+    count = 300
+    roots = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+    coeffs = np.array([np.poly(r)[::-1] for r in roots])
+    want = np.array([np.roots(c[::-1]) for c in coeffs])
+    pick = want[np.arange(count), rng.integers(0, 3, count)]
+    gap = np.sort(np.abs(want - pick[:, None]), axis=1)[:, 1]
+    seeds = pick + gap / 20 * np.exp(2j * np.pi * rng.random(count))
+    got = newton_roots(coeffs, seeds)
+    assert np.all(np.abs(got - pick) <= 1e-12 * np.maximum(1, np.abs(pick)))
 
 
 # ---------------------------------------------------------------------------
