@@ -728,6 +728,24 @@ def test_tracked_poles_are_the_eigenvalues_of_T0(eid):
         assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
 
 
+def test_closed_form_roots_tracking(monkeypatch):
+    # a fresh sampler (first row from np.roots, no z_seed): the Track's T0
+    # is the stack its rows evaluate to, its roots are zeros of h's
+    # closed-form t_n-coefficients to rounding, found with no eigensolver,
+    # and agree with LAPACK
+    e, m = entry_setup("LT8")
+    lapack = count_lapack(monkeypatch)
+    values, roots, T0 = p6.StructureSampler(m).track(e.default_path.points)
+    assert lapack == []
+    monkeypatch.undo()
+    assert np.array_equal(T0, p6._matrix_rows(m.T0_stack, values))
+    terms = m.h_stack.eval_batch(values).T[:, None, :] * (
+        roots[..., None] ** np.arange(m.n + 1))
+    assert np.all(np.abs(terms.sum(-1)) <= 1e-14 * np.abs(terms).sum(-1))
+    want, _ = lapack_in_order(T0, roots)
+    assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
+
+
 def test_a_close_pair_raises_eigenvalue_collision():
     # T0 = diag(t1, 1): continued from t1 = 0 to a pair 10 ROOT_SEPARATION
     # apart, closer than h's coefficients resolve in double precision, so
