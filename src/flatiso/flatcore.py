@@ -16,13 +16,13 @@ T_nj = -w_j t_j.  All checks are exact zero tests in the ring.
 
 With T = -E C, the structure relations come down to two tests: the
 commutators [B^(p), B^(q)] vanish, and every B^(i)_rc is weighted
-homogeneous of weight 1 + w_c - w_r - w_i (check_saito_relations).  The
-identities that are only zero-tested go through one exact kernel,
-Ring.fused_sum: each entry of the commutators, and each trace defect
-V_k h - tr(B^(k)) h = sum_j (-T)_kj dh/dt_j - tr(B^(k)) h, is formed from
-the raw numerators of its elements over one common denominator and reduced
-once.  The stored objects (C, the B^(k), T, h, adj(T), T0) are built by
-ordinary RingElem arithmetic.
+homogeneous of weight 1 + w_c - w_r - w_i (check_saito_relations).  Every
+sum of products this module forms goes through one exact kernel,
+Ring.fused_sum, which brings the raw numerators of its products over one
+common denominator and reduces the sum once: the determinants (each level
+of the cofactor expansion one sum), adj(T), the traces, the commutators,
+the trace defects V_k h - tr(B^(k)) h, the sums V h that log_division
+divides, each step of that division and the prepotential F.
 
 Everything derived from C (T, the B^(k) and their traces, the commutators,
 the divisor h = det(-T) with its partials, the trace defects and the
@@ -92,22 +92,18 @@ def _printed(d, e):
     return RingElem(d.ring, *d._scaled(a, b), a, b)
 
 
+def _minor(a, i, j):
+    """a without row i and column j."""
+    return [row[:j] + row[j + 1:] for r, row in enumerate(a) if r != i]
+
+
 def mat_det(a):
-    """Exact determinant by cofactor expansion along the first row."""
-    n = len(a)
-    if n == 1:
+    """Exact determinant by cofactor expansion along the first row, each
+    level one Ring.fused_sum over the nonzero entries of the row."""
+    if len(a) == 1:
         return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    ring = a[0][0].ring
-    det = ring.zero()
-    for j in range(n):
-        if a[0][j].is_zero():
-            continue
-        minor = [[a[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = a[0][j] * mat_det(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+    return a[0][0].ring.fused_sum([((-1) ** j, e, mat_det(_minor(a, 0, j)))
+                                   for j, e in enumerate(a[0]) if not e.is_zero()])
 
 
 def mat_adjugate(a):
@@ -115,14 +111,8 @@ def mat_adjugate(a):
     n = len(a)
     if n == 1:
         return [[a[0][0].ring.one()]]
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[a[r][c] for c in range(n) if c != j]
-                     for r in range(n) if r != i]
-            cof = mat_det(minor)
-            out[j][i] = cof if (i + j) % 2 == 0 else -cof
-    return out
+    return [[mat_det(_minor(a, j, i)) * (-1) ** (i + j) for j in range(n)]
+            for i in range(n)]
 
 
 def divmod_main_var(f: RingElem, h: RingElem, var: int):
@@ -133,25 +123,22 @@ def divmod_main_var(f: RingElem, h: RingElem, var: int):
     d = len(hc) - 1
     if not (hc[d] - 1).is_zero():
         raise NotMonic(f"the divisor is not monic in t{var + 1}")
-    q = ring.zero()
+    quotient = []                       # q's terms (1, lead, t^k)
     r = f
     t = ring.var(var)
     while True:
         rc = r.coeffs_in(var)
         dr = len(rc) - 1
         if r.is_zero() or dr < d:
-            return q, r
-        lead = rc[dr]
-        mono = lead * t ** (dr - d)
-        q = q + mono
-        r = r - mono * h
+            return ring.fused_sum(quotient), r
+        mono = (rc[dr], t ** (dr - d))
+        quotient.append((1, *mono))
+        r = ring.fused_sum([(1, r), (-1, *mono, h)])
 
 
 def log_division(V, h: RingElem, dh) -> tuple:
     """(q, r) with sum_k V[k] dh[k] = q*h + r; V is logarithmic iff r = 0."""
-    vh = h.ring.zero()
-    for vk, dk in zip(V, dh):
-        vh = vh + vk * dk
+    vh = h.ring.fused_sum([(1, vk, dk) for vk, dk in zip(V, dh)])
     return divmod_main_var(vh, h, h.ring.nvars - 1)
 
 
@@ -253,8 +240,8 @@ class SaitoMatrices:
     @cached_property
     def traces(self) -> List[RingElem]:
         """tr(B^(k)) for k = 1..n."""
-        zero = self.ring.zero()
-        return [sum((B[i][i] for i in range(self.n)), zero) for B in self.Btilde]
+        return [self.ring.fused_sum([(1, B[i][i]) for i in range(self.n)])
+                for B in self.Btilde]
 
     @cached_property
     def trace_defects(self) -> List[RingElem]:
@@ -541,10 +528,8 @@ def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
     # weighted-homogeneous primitive of the closed form
     t = ring.gens()
     wF = 1 + minus_2r
-    F = ring.zero()
-    for i in range(n):
-        F = F + t[i] * pvf.g[n - 1 - i] * (w[i] * u[i])
-    F = F / wF
+    F = ring.fused_sum([(w[i] * u[i] / wF, t[i], pvf.g[n - 1 - i])
+                        for i in range(n)])
     for i in range(n):
         if not (F.partial(i) - pvf.g[n - 1 - i] * u[i]).is_zero():
             raise NoRescalingFound("integrated prepotential does not match")

@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from flatiso import catalog, flatcore
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture
+def src_env():
+    """The environment of a child interpreter, with this checkout's src first
+    on PYTHONPATH, so that it imports the same flatiso whether or not the
+    package is installed."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
 
 
 @pytest.fixture(scope="session")

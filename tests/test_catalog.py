@@ -190,8 +190,10 @@ def test_symbolic_verify_inverts_each_unit_once(monkeypatch):
 def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
     # T = -E C = -sum_k w_k t_k B^(k) reduces the relations to the 3
     # commutators [B^(p), B^(q)] per entry and a weight test, so the pass
-    # differentiates no entry of T; its fused sums are the 9 entries of each
-    # commutator and the 3 trace defects per entry (11 * (27 + 3) = 330)
+    # differentiates no entry of T; its fused sums are, per entry, the 9
+    # entries of each commutator, the 3 trace defects, the 4 levels of
+    # h = det(-T) (the 3x3 row and its three 2x2 minors) and the 3 traces,
+    # and H3's prepotential F (11 * (27 + 3 + 4 + 3) + 1 = 408)
     from flatiso import flatcore
     from flatiso.ring import Ring, RingElem
     commuted, differentiated, structures = [], [], []
@@ -235,7 +237,7 @@ def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
     assert len(structures) == 11
     assert len(commuted) == 33 and touches_t(commuted) == 0
     assert t_partials() == 0
-    assert fused == 330
+    assert fused == 408
 
 
 def test_symbolic_verify_divides_no_row_by_h(monkeypatch, perturbed_lazy):

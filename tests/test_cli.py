@@ -309,12 +309,12 @@ def test_report_encoder_converts_numpy_and_complex():
         json.dumps({"x": object()}, default=cli._json_value)
 
 
-def test_cli_import_leaves_scipy_optimize_out():
+def test_cli_import_leaves_scipy_optimize_out(src_env):
     import subprocess
     import sys
     probe = "import sys, flatiso.cli; print('scipy.optimize' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=src_env)
     assert out.stdout.strip() == "False"
 
 
@@ -555,7 +555,7 @@ def test_power_past_the_size_bound_exits_2_at_once(capsys, tmp_path):
     assert len(dense.num) == 9880
 
 
-def test_exponent_tower_returns_at_once(tmp_path):
+def test_exponent_tower_returns_at_once(tmp_path, src_env):
     # t1^9^9^9 asks for the exponent 9 ** 387420489; the parser refuses it
     # before computing it, so the verb exits 2 well inside the timeout
     import subprocess
@@ -564,7 +564,7 @@ def test_exponent_tower_returns_at_once(tmp_path):
     doc.write_text(json.dumps({"weights": ["1"], "g": ["t1^9^9^9"]}))
     out = subprocess.run([sys.executable, "-m", "flatiso.cli", "verify-wdvv",
                           "--input", str(doc)],
-                         capture_output=True, text=True, timeout=20)
+                         capture_output=True, text=True, timeout=20, env=src_env)
     assert out.returncode == 2
     assert "exponent above" in out.stderr and out.stdout == ""
 

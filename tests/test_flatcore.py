@@ -10,7 +10,8 @@ from flatiso.flatcore import (PotentialVF, build_saito_matrices,
                               check_extended_wdvv, check_flat_normalization,
                               check_saito_relations, frobenius_check,
                               mat_commutator, mat_det, mat_identity,
-                              mat_is_zero, mat_scale, mat_sub)
+                              mat_is_zero, mat_sub)
+from flatiso.ring import RingElem
 
 
 def test_klein_matrices(klein, klein_matrices):
@@ -324,19 +325,58 @@ def test_frobenius_nontrivial_rescaling(h3):
     assert pre.F.euler() == pre.F * (1 - 2 * pre.r)
 
 
-def test_mat_det_oracle(klein_matrices):
-    # permanent-style expansion agrees with the cofactor determinant
-    M = mat_scale(klein_matrices.T, F(-1))
-    ring = klein_matrices.ring
+def _random_matrix(ring, n, seed):
+    """n x n over a plain ring, up to 3 random terms an entry; the first row
+    has a zero entry from n = 3 on, whose cofactor mat_det skips."""
+    rng = random.Random(seed)
+    M = [[ring.from_raw({(0,) + tuple(rng.randint(0, 2) for _ in range(ring.nvars)):
+                         F(rng.randint(-9, 9), rng.randint(1, 6))
+                         for _ in range(rng.randint(1, 3))})
+          for _ in range(n)] for _ in range(n)]
+    if n >= 3:
+        M[0][1] = ring.zero()
+    return M
+
+
+@pytest.mark.parametrize("size", [2, 3, 4, "LT19"])
+def test_mat_det_oracle(klein, size):
+    # the fused cofactor expansion agrees with the Leibniz formula formed by
+    # chained RingElem arithmetic: generated matrices over LT8's plain ring
+    # and LT19's -T on its lazy ring
+    if size == "LT19":
+        M = build_saito_matrices(catalog.catalog_get("LT19").pvf).minus_T
+    else:
+        M = _random_matrix(klein.ring, size, seed=size)
+    n = len(M)
+    ring = M[0][0].ring
     acc = ring.zero()
-    for p in itertools.permutations(range(3)):
+    for p in itertools.permutations(range(n)):
         sgn = 1
-        for i in range(3):
-            for j in range(i + 1, 3):
+        for i in range(n):
+            for j in range(i + 1, n):
                 if p[i] > p[j]:
                     sgn = -sgn
         term = ring.one()
-        for i in range(3):
+        for i in range(n):
             term = term * M[i][p[i]]
         acc = acc + term * sgn
+    assert not acc.is_zero()
     assert acc == mat_det(M)
+
+
+@pytest.mark.parametrize("eid", ["LT8", "LT19"])
+def test_h_adjugate_and_traces_are_fused_sums(monkeypatch, eid):
+    # Ring.fused_sum is the one route for a sum of products: forming h,
+    # adj(T) and the traces multiplies no two elements by RingElem.__mul__
+    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
+    mul, products = RingElem.__mul__, []
+
+    def counting_mul(self, other):
+        if isinstance(other, RingElem):
+            products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(RingElem, "__mul__", counting_mul)
+    for name in ("h", "adjT", "traces"):
+        getattr(m, name)
+    assert products == []

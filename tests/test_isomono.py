@@ -272,7 +272,7 @@ def test_stage_derivatives_match_stage_values(eid):
             assert np.abs(Phi - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_cli_and_a_loop_leave_scipy_out():
+def test_cli_and_a_loop_leave_scipy_out(src_env):
     # scipy is a development dependency only: the CLI and the loop run
     # without it
     import subprocess
@@ -286,7 +286,7 @@ def test_cli_and_a_loop_leave_scipy_out():
              "iso.monodromy_on_loop(snap, center=0.0, radius=1.0)\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=src_env)
     assert out.stdout.strip() == "[]"
 
 

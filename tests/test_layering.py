@@ -69,7 +69,7 @@ def test_import_scan_sees_module_level_imports_only(tmp_path):
         "flatiso.isomono"]
 
 
-def test_symbolic_verbs_never_load_numeric_code():
+def test_symbolic_verbs_never_load_numeric_code(src_env):
     probe = (
         "import contextlib, io, sys\n"
         "from flatiso import cli\n"
@@ -80,5 +80,5 @@ def test_symbolic_verbs_never_load_numeric_code():
         "    codes = [cli.main(argv) for argv in runs]\n"
         f"print(codes, sorted(m for m in {NUMERIC!r} if m in sys.modules))\n")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                         text=True, check=True)
+                         text=True, check=True, env=src_env)
     assert out.stdout.strip() == "[0, 0, 0, 0] []"
