@@ -7,32 +7,31 @@ Given weights w and an n-tuple g with g_j of weight 1+w_j, the matrices
     T      = -E C             (E the Euler field),
     Binf   = diag(w_1..w_n),
 
-carry the whole flat structure.  A SaitoMatrices holds C alone and derives
-the rest from it, so T is -E C by construction.  This module builds them
-exactly and checks the extended WDVV system: pairwise commutativity of the
-B^(k), the unit condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the
-structure relations coupling T, B^(k) and Binf, and the normalization
-T_nj = -w_j t_j.  All checks are exact zero tests in the ring.
+carry the whole flat structure.  A SaitoMatrices holds C, the gradient over
+its minimal denominators with z divided out as far as it goes, and derives
+each other object from it once, on first use: T, the B^(k) and their
+traces, the commutators, h = det(-T) with its t_n-coefficients (split once)
+and partials, the trace defects and the quotients (V_k h)/h they certify,
+adj(T), T0 = T + t_n I, which shares T's off-diagonal entries, and
+dT0/dt_k = -(E + w_k) B^(k) for k < n, so that no partial of T0 is taken.
+check_extended_wdvv checks the extended WDVV system on one structure of g,
+whose T it tests with the predicate build_saito_matrices raises from:
+pairwise commutativity of the B^(k), the unit condition B^(n) = I,
+homogeneity E g_j = (1+w_j) g_j, the structure relations coupling T, B^(k)
+and Binf, and the normalization T_nj = -w_j t_j.  All checks are exact zero
+tests in the ring.
 
 With T = -E C, the structure relations come down to two tests: the
 commutators [B^(p), B^(q)] vanish, and every B^(i)_rc is weighted
 homogeneous of weight 1 + w_c - w_r - w_i (check_saito_relations).  Every
-sum of products this module forms goes through one exact kernel,
-Ring.fused_sum, which brings the raw numerators of its products over one
-common denominator and reduces the sum once: the determinants (each level
-of the cofactor expansion one sum), adj(T), the traces, the commutators,
-the trace defects V_k h - tr(B^(k)) h, the sums V h that log_division
-divides, each step of that division and the prepotential F.
-
-Everything derived from C (T, the B^(k) and their traces, the commutators,
-the divisor h = det(-T) with its partials, the trace defects and the
-quotients (V_k h)/h they certify, adj(T) and T + t_n I) is computed on
-first use and kept on its SaitoMatrices.  Its C is the gradient over its
-minimal denominators on every ring, z divided out as far as it goes, and
-the checks, T0, dT0 and the numeric stacks all read it.  Only the
-serialized C, T and h take another form: on a lazy ring (Ring.lazy) they
-are lifted to the general derivative denominators where they are printed
-(printed).
+sum of products goes through one exact kernel, Ring.fused_sum, which brings
+the raw numerators of its products over one common denominator and reduces
+the sum once: the determinants (each level of the cofactor expansion one
+sum), adj(T), the traces, the commutators, the trace defects, the sums V h
+that log_division divides, each step of that division, dT0 and the
+prepotential F.  Only the serialized C, T and h take another form: on a
+lazy ring (Ring.lazy) they are lifted to the general derivative
+denominators where they are printed (printed).
 """
 
 from __future__ import annotations
@@ -72,16 +71,8 @@ def mat_is_zero(a):
     return all(e.is_zero() for row in a for e in row)
 
 
-def mat_partial(a, var):
-    return [[e.partial(var) for e in row] for row in a]
-
-
 def mat_scale(a, c):
     return [[e * c for e in row] for row in a]
-
-
-def mat_z_cancelled(a):
-    return [[e._z_cancelled() for e in row] for row in a]
 
 
 def _printed(d, e):
@@ -203,7 +194,8 @@ class SaitoMatrices:
     @cached_property
     def Btilde(self) -> list:
         """The n matrices B^(k) = dC/dt_k, z-cancelled."""
-        return [mat_z_cancelled(mat_partial(self.C, k)) for k in range(self.n)]
+        return [[[e.partial(k)._z_cancelled() for e in row] for row in self.C]
+                for k in range(self.n)]
 
     @cached_property
     def commutators(self):
@@ -218,19 +210,30 @@ class SaitoMatrices:
         return mat_scale(self.T, Fraction(-1))
 
     @cached_property
-    def h(self) -> RingElem:
-        """h = det(-T), checked monic in t_n and weighted homogeneous of weight n."""
+    def _h_split(self):
+        """(h, its t_n-coefficients lowest first) for h = det(-T), split once;
+        NotMonic unless h is monic of degree n in t_n and of weight n."""
         h = mat_det(self.minus_T)
         n = self.n
         last = n - 1
         if h.degree_in(last) != n:
             raise NotMonic(f"det(-T) has degree {h.degree_in(last)} in t{n}, expected {n}")
-        lead = h.coeffs_in(last)[n]
-        if not (lead - 1).is_zero():
+        coeffs = h.coeffs_in(last)
+        if not (coeffs[n] - 1).is_zero():
             raise NotMonic("det(-T) is not monic in the last variable")
         if not h.is_homogeneous(n):
             raise NotMonic(f"det(-T) is not weighted homogeneous of weight {n}")
-        return h
+        return h, coeffs
+
+    @property
+    def h(self) -> RingElem:
+        """h = det(-T), checked monic in t_n and weighted homogeneous of weight n."""
+        return self._h_split[0]
+
+    @property
+    def h_coeffs(self) -> List[RingElem]:
+        """h's coefficients in t_n, lowest first, split once with h's checks."""
+        return self._h_split[1]
 
     @cached_property
     def dh(self) -> List[RingElem]:
@@ -278,8 +281,7 @@ class SaitoMatrices:
         minimal C on every ring, so the numeric stacks compile it as is."""
         last = self.n - 1
         t_last = self.ring.var(last)
-        zero = self.ring.zero()
-        T0 = [[e + (t_last if i == j else zero) for j, e in enumerate(row)]
+        T0 = [[e + t_last if i == j else e for j, e in enumerate(row)]
               for i, row in enumerate(self.T)]
         if any(e.degree_in(last) > 0 for row in T0 for e in row):
             raise InputError("T + t_n I is not free of t_n")
@@ -297,13 +299,15 @@ class SaitoMatrices:
         shape (n + 1,): T0 is free of t_n, so h = det(t_n - T0) and its
         t_n-roots are the roots of T0."""
         from .numeric import EvalStack
-        return EvalStack(self.h.coeffs_in(self.n - 1))
+        return EvalStack(self.h_coeffs)
 
     @cached_property
     def dT0(self):
-        """dT0/dt_k for k = 1..n-1, over RingElem.partial's minimal
-        denominators; T0 is free of t_n."""
-        return [mat_partial(self.T0, k) for k in range(self.n - 1)]
+        """dT0/dt_k = -(E + w_k) B^(k) for k = 1..n-1 (T0 is free of t_n), each
+        entry one Ring.fused_sum: T = -E C and [d/dt_k, E] = w_k d/dt_k."""
+        fused_sum, w = self.ring.fused_sum, self.weights
+        return [[[fused_sum([(-1, e.euler()), (-w[k], e)]) for e in row] for row in B]
+                for k, B in enumerate(self.Btilde[:-1])]
 
     @cached_property
     def dT0_stack(self):
@@ -359,20 +363,27 @@ def _gradient_matrix(pvf: PotentialVF):
 def _structure(pvf: PotentialVF) -> SaitoMatrices:
     """The SaitoMatrices of g unchecked: its gradient with z divided out of
     every entry as far as it goes (RingElem._z_cancelled)."""
-    return SaitoMatrices(ring=pvf.ring, C=mat_z_cancelled(_gradient_matrix(pvf)))
+    return SaitoMatrices(ring=pvf.ring, C=[[e._z_cancelled() for e in row]
+                                           for row in _gradient_matrix(pvf)])
+
+
+def _inhomogeneous_t_entries(m: SaitoMatrices) -> List[Tuple[int, int]]:
+    """Each (i, j), row by row, with T_ij not homogeneous of weight 1 + w_j - w_i."""
+    w = m.weights
+    return [(i, j) for i, row in enumerate(m.T) for j, e in enumerate(row)
+            if not e.is_homogeneous(1 + w[j] - w[i])]
 
 
 def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
     """The structure of g; SchemaError unless every entry of T = -E C is
     homogeneous."""
     m = _structure(pvf)
-    w = m.weights
-    for i, row in enumerate(m.T):
-        for j, e in enumerate(row):
-            if not e.is_homogeneous(1 + w[j] - w[i]):
-                raise SchemaError(
-                    f"T[{i+1}][{j+1}] is not homogeneous of weight 1+w{j+1}-w{i+1}; "
-                    "input g is not weighted homogeneous")
+    bad = _inhomogeneous_t_entries(m)
+    if bad:
+        i, j = bad[0]
+        raise SchemaError(
+            f"T[{i+1}][{j+1}] is not homogeneous of weight 1+w{j+1}-w{i+1}; "
+            "input g is not weighted homogeneous")
     return m
 
 
@@ -398,21 +409,15 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
 
     The report also carries the SaitoMatrices it checked, or None when T is
     not homogeneous (the relations then count as failed).  The B^(k) and
-    their commutators are read from a structure of g in either case.
+    their commutators are read from the one structure of g in either case.
     """
-    ring = pvf.ring
     n = pvf.n
-    w = ring.weights
-    try:
-        m = build_saito_matrices(pvf)
-    except SchemaError:             # T inhomogeneous: the relations fail below
-        m = None
-    checked = m if m is not None else _structure(pvf)
-    B, commutators = checked.Btilde, checked.commutators
+    checked = _structure(pvf)
+    m = None if _inhomogeneous_t_entries(checked) else checked
     return WdvvReport(
-        unit_ok=mat_is_zero(mat_sub(B[n - 1], mat_identity(ring, n))),
-        homogeneity_ok=all(g.is_homogeneous(1 + wj) for g, wj in zip(pvf.g, w)),
-        commutators=commutators, matrices=m,
+        unit_ok=mat_is_zero(mat_sub(checked.Btilde[n - 1], mat_identity(pvf.ring, n))),
+        homogeneity_ok=all(g.is_homogeneous(1 + w) for g, w in zip(pvf.g, pvf.weights)),
+        commutators=checked.commutators, matrices=m,
         saito_relations_ok=m is not None and check_saito_relations(m),
         flat_normalization_ok=m is not None and check_flat_normalization(m))
 

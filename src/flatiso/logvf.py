@@ -20,8 +20,9 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import RowNotLogarithmic
-from .flatcore import (SaitoMatrices, _proportionality_constant,
-                       check_flat_normalization, log_division, mat_det)
+from .flatcore import (SaitoMatrices, _inhomogeneous_t_entries,
+                       _proportionality_constant, check_flat_normalization,
+                       log_division, mat_det)
 from .ring import RingElem
 
 
@@ -77,8 +78,6 @@ def logvf_identities(m: SaitoMatrices) -> List[str]:
     """The names of the failed identities among the Euler row, V_1 h = n h,
     the s_1-derivative ratios and weight duality; empty when all hold."""
     n = m.n
-    w = m.weights
-    M = m.minus_T                             # row i encodes V_{n+1-i}
     failed = []
 
     # (i) V_1 = Euler field: row n of -T is (w_1 t_1, ..., w_n t_n), which
@@ -91,18 +90,14 @@ def logvf_identities(m: SaitoMatrices) -> List[str]:
         failed.append("v1_h")
 
     # (iii) for i > 1: (V_i h)/h = -d s_1/d t_{n-i+1}, s_1 the t_n^{n-1} coeff of -h
-    hc = m.h.coeffs_in(n - 1)
-    s1 = -hc[n - 1]
+    s1 = -m.h_coeffs[n - 1]
     for i in range(2, n + 1):
         ratio = _quotient(m.log_rows[n - i], n - i)
         if not (ratio + s1.partial(n - i)).is_zero():
             failed.append(f"vi_ratio_{i}")
 
-    # (iv) weight duality via entry weights: w(M_ij) = 1 - w_i + w_j
-    for i in range(n):
-        for j in range(n):
-            e = M[i][j]
-            if not e.is_zero() and not e.is_homogeneous(1 - w[i] + w[j]):
-                failed.append(f"entry_weight_{i+1}{j+1}")
+    # (iv) weight duality via entry weights: w((-T)_ij) = 1 - w_i + w_j, the
+    # weights of T that build_saito_matrices checks
+    failed += [f"entry_weight_{i+1}{j+1}" for i, j in _inhomogeneous_t_entries(m)]
     return failed
 

@@ -125,17 +125,18 @@ def test_theta_strings_have_no_negative_zero(monkeypatch):
 
 @pytest.mark.parametrize("eid", ["H3", "H3p", "LT8"])
 def test_symbolic_verify_derives_once(eid, monkeypatch):
-    # one build of the matrices, one gradient matrix C (H3 also runs the
+    # one structure of g (check_extended_wdvv tests T's homogeneity on it
+    # and builds no second one), one gradient matrix C (H3 also runs the
     # prepotential check on it) and one n x n determinant (h = det(-T))
     from flatiso import flatcore
     n = catalog.catalog_get(eid).pvf.n
-    builds, grads, dets = [], [], []
-    build, grad, det = (flatcore.build_saito_matrices, flatcore._gradient_matrix,
-                        flatcore.mat_det)
+    structures, grads, dets = [], [], []
+    structure, grad, det = (flatcore._structure, flatcore._gradient_matrix,
+                            flatcore.mat_det)
 
-    def counting_build(pvf):
-        builds.append(pvf)
-        return build(pvf)
+    def counting_structure(pvf):
+        structures.append(pvf)
+        return structure(pvf)
 
     def counting_grad(pvf):
         grads.append(pvf)
@@ -146,13 +147,13 @@ def test_symbolic_verify_derives_once(eid, monkeypatch):
             dets.append(a)
         return det(a)
 
-    monkeypatch.setattr(flatcore, "build_saito_matrices", counting_build)
+    monkeypatch.setattr(flatcore, "_structure", counting_structure)
     monkeypatch.setattr(flatcore, "_gradient_matrix", counting_grad)
     monkeypatch.setattr(flatcore, "mat_det", counting_det)
     rep = catalog.catalog_verify(eid, "symbolic")
     assert rep["pass"]
     assert rep["symbolic"].get("prepotential_found", eid == "H3") == (eid == "H3")
-    assert len(builds) == 1
+    assert len(structures) == 1
     assert len(grads) == 1
     assert len(dets) == 1
 
@@ -284,26 +285,53 @@ def test_full_verify_tracks_snapshots_once(monkeypatch):
 @pytest.mark.parametrize("eid", ["LT19", "LT14"])
 def test_full_verify_derives_each_object_once(monkeypatch, eid):
     # one structure per entry on the lazy rings too: the 9 entries of
-    # T = -E C are each differentiated along the Euler field once, and
-    # h = det(-T) is the one 3x3 determinant
+    # T = -E C are each differentiated along the Euler field once, as are
+    # the 18 entries of B^(1) and B^(2) that dT0 = -(E + w_k) B^(k) reads,
+    # and h = det(-T) is the one 3x3 determinant.  The 41 partials are C's
+    # 9, the 27 of the B^(k), dh's 3 and the 2 of the logvf identities; no
+    # entry of T0 is differentiated, and h is split into its t_n-coefficients
+    # once, for its monic check, h_stack and the logvf identities
     from flatiso import flatcore
     from flatiso.ring import RingElem
     calls = {"euler": 0, "det3": 0}
-    euler, mat_det = RingElem.euler, flatcore.mat_det
+    structures, differentiated, split = [], [], []
+    euler, partial, mat_det = RingElem.euler, RingElem.partial, flatcore.mat_det
+    coeffs_in = RingElem.coeffs_in
+    structure = flatcore._structure
 
     def counting_euler(self):
         calls["euler"] += 1
         return euler(self)
 
+    def counting_partial(self, var):
+        differentiated.append(self)
+        return partial(self, var)
+
+    def counting_split(self, var):
+        split.append(self)
+        return coeffs_in(self, var)
+
     def counting_det(a):
         calls["det3"] += len(a) == 3
         return mat_det(a)
 
+    def keeping_structure(pvf):
+        structures.append(structure(pvf))
+        return structures[-1]
+
     monkeypatch.setattr(RingElem, "euler", counting_euler)
+    monkeypatch.setattr(RingElem, "partial", counting_partial)
+    monkeypatch.setattr(RingElem, "coeffs_in", counting_split)
     monkeypatch.setattr(flatcore, "mat_det", counting_det)
+    monkeypatch.setattr(flatcore, "_structure", keeping_structure)
     monkeypatch.setattr(catalog, "_cache", {})
     assert catalog.catalog_verify(eid, "full")["pass"]
-    assert calls == {"euler": 9, "det3": 1}
+    assert calls == {"euler": 27, "det3": 1}
+    assert len(differentiated) == 41
+    [m] = structures
+    T0 = [e for row in m.T0 for e in row]
+    assert not any(x is e for x in differentiated for e in T0)
+    assert sum(x is m.h for x in split) == 1
 
 
 def test_build_script_rederives_committed_g():

@@ -208,11 +208,23 @@ def _euler_defects_vanish(m):
                for r, row in enumerate(m.T) for c, e in enumerate(row))
 
 
+def _forms(mats):
+    """Each entry of stacked matrices as stored: its terms in order, the
+    integer denominator and the z and rel_z powers."""
+    return [(list(e._t.items()), e._d, e.zden, e.dden)
+            for M in mats for row in M for e in row]
+
+
 def test_euler_identity_certifies_the_direct_families(perturbed_klein,
                                                       perturbed_lazy):
     for pvf, expected in _structures(perturbed_klein, perturbed_lazy):
         m = build_saito_matrices(pvf)
         assert _euler_defects_vanish(m), pvf.name
+        # the same identity differentiated: dT0/dt_k = -(E + w_k) B^(k) is
+        # stored as the partials of T0 are, term order and denominators too
+        oracle = [[[e.partial(k) for e in row] for row in m.T0]
+                  for k in range(m.n - 1)]
+        assert _forms(m.dT0) == _forms(oracle), pvf.name
         assert _homogeneous_b(m), pvf.name
         first, t_family, dt_family = _direct_relations(m)
         # homogeneous B^(i) and closedness give the dT family on every
