@@ -82,25 +82,25 @@ def _build_parser():
 
 def _resolve_input(args):
     """(pvf, path points, z_seed, entry_choice) from the flags."""
-    if getattr(args, "catalog", None) and getattr(args, "input", None):
+    if args.catalog is not None and args.input is not None:
         raise SchemaError("give one of --catalog or --input, not both")
-    if getattr(args, "catalog", None):
+    if args.catalog is not None:
         entry = cat.catalog_get(args.catalog)
         pvf = entry.pvf
         points = entry.default_path.points
         seed = entry.z_seed
         choice = entry.p6_entry
-    elif getattr(args, "input", None):
+    elif args.input is not None:
         with open(args.input) as f:
             pvf = exprio.parse_pvf(f.read())
         points = seed = None
         choice = (1, 2)
     else:
         raise SchemaError("one of --catalog or --input is required")
-    if getattr(args, "path", None):
+    if getattr(args, "path", None) is not None:
         with open(args.path) as f:
             points, seed = cat.path_from_doc(json.load(f))
-    if getattr(args, "entry", None):
+    if getattr(args, "entry", None) is not None:
         try:
             i, j = (int(x) for x in args.entry.split(","))
         except ValueError:
@@ -155,7 +155,7 @@ def _report_text(report):
 
 
 def _emit(args, text, summary):
-    if getattr(args, "json", None):
+    if args.json is not None:
         with open(args.json, "w") as f:
             f.write(text + "\n")
     else:
@@ -329,14 +329,14 @@ def _run_jm_roundtrip(args):
 
 def _run_catalog(args):
     if args.action == "list":
-        if args.catalog or args.all or args.depth:
+        if args.catalog is not None or args.all or args.depth is not None:
             raise SchemaError("catalog list takes no --catalog, --all or --depth")
         report = {"check": "catalog-list", "ids": cat.catalog_list(),
                   "pass": True}
         return report, " ".join(cat.catalog_list())
-    if args.all and args.catalog:
+    if args.all and args.catalog is not None:
         raise SchemaError("give one of --all or --catalog, not both")
-    ids = [args.catalog] if args.catalog else cat.catalog_list()
+    ids = [args.catalog] if args.catalog is not None else cat.catalog_list()
     depth = args.depth or "symbolic"
     reports = {eid: cat.catalog_verify(eid, depth) for eid in ids}
     report = {"check": "catalog-verify", "depth": depth,

@@ -12,8 +12,8 @@ its minimal denominators with z divided out as far as it goes, and derives
 each other object from it once, on first use: T, the B^(k) and their
 traces, the commutators, h = det(-T) with its t_n-coefficients (split once)
 and partials, the trace defects and the quotients (V_k h)/h they certify,
-adj(T), T0 = T + t_n I, which shares T's off-diagonal entries, and
-dT0/dt_k = -(E + w_k) B^(k) for k < n, so that no partial of T0 is taken.
+T0 = T + t_n I, which shares T's off-diagonal entries, and dT0/dt_k =
+-(E + w_k) B^(k) for k < n, so that no partial of T0 is taken.
 check_extended_wdvv checks the extended WDVV system on one structure of g,
 whose T it tests with the predicate build_saito_matrices raises from:
 pairwise commutativity of the B^(k), the unit condition B^(n) = I,
@@ -27,7 +27,7 @@ homogeneous of weight 1 + w_c - w_r - w_i (check_saito_relations).  Every
 sum of products goes through one exact kernel, Ring.fused_sum, which brings
 the raw numerators of its products over one common denominator and reduces
 the sum once: the determinants (each level of the cofactor expansion one
-sum), adj(T), the traces, the commutators, the trace defects, the sums V h
+sum), the traces, the commutators, the trace defects, the sums V h
 that log_division divides, each step of that division, dT0 and the
 prepotential F.  Only the serialized C, T and h take another form: on a
 lazy ring (Ring.lazy) they are lifted to the general derivative
@@ -95,15 +95,6 @@ def mat_det(a):
         return a[0][0]
     return a[0][0].ring.fused_sum([((-1) ** j, e, mat_det(_minor(a, 0, j)))
                                    for j, e in enumerate(a[0]) if not e.is_zero()])
-
-
-def mat_adjugate(a):
-    """adj(a) with a @ adj(a) = det(a) I."""
-    n = len(a)
-    if n == 1:
-        return [[a[0][0].ring.one()]]
-    return [[mat_det(_minor(a, j, i)) * (-1) ** (i + j) for j in range(n)]
-            for i in range(n)]
 
 
 def divmod_main_var(f: RingElem, h: RingElem, var: int):
@@ -269,11 +260,6 @@ class SaitoMatrices:
                 else log_division(row, self.h, self.dh)
                 for row, tr, defect in zip(self.minus_T, self.traces,
                                            self.trace_defects)]
-
-    @cached_property
-    def adjT(self):
-        """adj(T), with T adj(T) = det(T) I."""
-        return mat_adjugate(self.T)
 
     @cached_property
     def T0(self):

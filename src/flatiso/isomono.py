@@ -59,6 +59,7 @@ class OkuboNumeric:
     Binf: np.ndarray                  # diagonal entries, one for all points
     values: np.ndarray                # tracked (z, t_1, ..., t_n) rows
     z: np.ndarray                     # eigenvalues of T0, tracked order
+    T0: np.ndarray                    # (N, n, n) T0 at the tracked rows
     E: np.ndarray                     # (N, n, n, n) spectral projectors of T0
     residues: np.ndarray              # (N, n, n, n), in the order of z
     traces: np.ndarray                # (N, n)
@@ -67,8 +68,8 @@ class OkuboNumeric:
         return len(self.z)
 
     def __getitem__(self, k):
-        return OkuboNumeric(self.Binf, self.values[k], self.z[k], self.E[k],
-                            self.residues[k], self.traces[k])
+        return OkuboNumeric(self.Binf, self.values[k], self.z[k], self.T0[k],
+                            self.E[k], self.residues[k], self.traces[k])
 
 
 def _check_residues(lam, residues, traces, points):
@@ -125,7 +126,7 @@ def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None) -> OkuboNumeric:
 
     Point k holds the residues B_i = -E_i Binf of the Okubo z-equation at
     path point k, E_i the spectral projectors of T0 there (p6.projectors,
-    from the tracked roots and T0), with the tracked row, roots and
+    from the tracked roots and T0), with the tracked row, roots, T0 and
     projectors they were read from.
     """
     values, roots, T0 = StructureSampler(m, z_seed=z_seed).track(path)
@@ -134,7 +135,7 @@ def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None) -> OkuboNumeric:
     res = -E * lamv
     traces = np.trace(res, axis1=2, axis2=3)
     _check_residues(lamv, res, traces, path)
-    return OkuboNumeric(lamv, values, roots, E, res, traces)
+    return OkuboNumeric(lamv, values, roots, T0, E, res, traces)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Painlevé VI extraction from three-dimensional flat structures.
 
 For n = 3 the discriminant h(t', .) is a cubic in t_3 with roots z_1, z_2,
-z_3.  The off-diagonal entries of h * adj(T) * Binf are linear in t_3; the
-zero z_ij of a chosen entry, normalized by the cross-ratio map sending
-(z_1, z_2, z_3) to (0, 1, t), is a PVI solution y(t).  Everything numeric
-runs along a sampling path in t' and stays stacked: a path of N points is
-one (N, n) point array in the tracker and one P6Samples record of arrays
-after it, whose points and parameter s = t_2 (path_parameter) are read
-off the tracked rows.  five_point is the one finite-difference helper: the
-five-point central differences on a uniform grid, at the interior points.
+z_3.  The off-diagonal entries of h * B^(3) = -adj(T) * Binf are linear in
+t_3: with T = T0 - t_3 I, Cayley-Hamilton gives adj(T)_ij = T0_ij t_3 +
+(T0_ik T0_kj - T0_kk T0_ij), k the third index, so the zero of entry (i, j)
+is z_ij = T0_kk - T0_ik T0_kj / T0_ij, read off the tracked T0.  It is
+normalized by the cross-ratio map sending (z_1, z_2, z_3) to (0, 1, t) to a
+PVI solution y(t).  Everything numeric runs along a sampling path in t' and
+stays stacked: a path of N points is one (N, n) point array in the tracker
+and one P6Samples record of arrays after it, whose points and parameter
+s = t_2 (path_parameter) are read off the tracked rows.  five_point is the
+one finite-difference helper: the five-point central differences on a
+uniform grid, at the interior points.
 
 StructureSampler is the one path tracker: it continues the algebraic
 generator z and the ordered roots of T0 together, in one loop of lockstep
@@ -63,8 +66,8 @@ from .errors import (BlowUp, DegenerateLinearEntry, EigenvalueCollision,
                      InsufficientSamples, PoleOnPath, RootCollision,
                      RootNotConverged, TrackingLost)
 from .flatcore import SaitoMatrices
-from .numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
-                      newton_roots, rel_coeffs)
+from .numeric import (ROOT_SEPARATION, certified_separation, newton_roots,
+                      rel_coeffs)
 
 # A continuation step is accepted only below this fraction of each tracked
 # zero's separation; a rejected step is bisected at most this deep, in at
@@ -431,45 +434,52 @@ def _check_entry(m: SaitoMatrices, entry_choice):
 
 
 def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
-    """(alpha, beta) with entry (i, j) of h B^(3) = alpha t_3 + beta, checked."""
+    """(i, j, k), 0-based, of the chosen entry (i, j) of h B^(3) = -adj(T) Binf
+    and the third index k, checked on T0.
+
+    With T = T0 - t_3 I, Cayley-Hamilton gives adj(T)_ij = T0_ij t_3 +
+    (T0_ik T0_kj - T0_kk T0_ij) for i != j, so the entry is linear in t_3,
+    with the zero z_ij = T0_kk - T0_ik T0_kj / T0_ij.  It is identically
+    zero where T0_ij and T0_ik T0_kj are, and has no t_3 term where T0_ij
+    alone is.
+    """
     i, j = _check_entry(m, entry_choice)
     lam = [complex(x) for x in binf_eigs]
     if abs(lam[j - 1]) < 1e-14:
         raise EntryIdenticallyZero(
             f"column {j} of h B^(3) vanishes (lambda_{j} = 0)")
-    entry = m.adjT[i - 1][j - 1]
-    if entry.is_zero():
-        raise EntryIdenticallyZero(f"adj(T)[{i}][{j}] is identically zero")
-    last = m.n - 1
-    deg = entry.degree_in(last)
-    if deg > 1:
-        raise DegenerateLinearEntry(
-            f"entry ({i},{j}) has t_3-degree {deg}, expected <= 1")
-    coeffs = entry.coeffs_in(last)
-    beta = coeffs[0]
-    alpha = coeffs[1] if deg == 1 else m.ring.zero()
-    if alpha.is_zero():
-        raise DegenerateLinearEntry(f"entry ({i},{j}) has no t_3 term")
-    return alpha, beta
+    i, j = i - 1, j - 1
+    k = 3 - i - j
+    T0 = m.T0
+    if T0[i][j].is_zero():
+        if m.ring.fused_sum([(1, T0[i][k], T0[k][j])]).is_zero():
+            raise EntryIdenticallyZero(
+                f"adj(T)[{i + 1}][{j + 1}] is identically zero")
+        raise DegenerateLinearEntry(f"entry ({i + 1},{j + 1}) has no t_3 term")
+    return i, j, k
 
 
-def _samples_on(alpha, beta, values, roots):
-    """PVI samples of one entry on the tracked values and roots of a path,
-    with the points and s read off the rows."""
-    av, bv = EvalStack([alpha, beta]).eval_batch(values)
-    z1, z2, z3 = roots.T
+def _samples_on(entry, rows):
+    """PVI samples of one entry (i, j, k) (_linear_entry) on the tracked rows
+    of a path, a Track or an isomono.OkuboNumeric: the zero of adj(T)_ij =
+    alpha t_3 + beta from the tracked T0, cross-ratio normalized against the
+    tracked roots z, with the points and s read off the row values."""
+    i, j, k = entry
+    T0 = rows.T0
+    alpha = T0[:, i, j]
+    beta = T0[:, i, k] * T0[:, k, j] - T0[:, k, k] * alpha
+    z1, z2, z3 = rows.z.T
     den = z2 - z1
     with np.errstate(all="ignore"):
-        z_entry = -bv / av
-        y = (z_entry - z1) / den
+        y = (-beta / alpha - z1) / den
         t = (z3 - z1) / den
     _raise_first([
-        (np.abs(av) < 1e-12 * np.maximum(1.0, np.abs(bv)), lambda k:
-         DegenerateLinearEntry(f"t_3-coefficient vanishes at path point {k}")),
-        (np.minimum(np.abs(t), np.abs(t - 1)) < 1e-8, lambda k:
-         RootCollision(f"cross-ratio t hits 0/1 at path point {k}")),
+        (np.abs(alpha) < 1e-12 * np.maximum(1.0, np.abs(beta)), lambda p:
+         DegenerateLinearEntry(f"t_3-coefficient vanishes at path point {p}")),
+        (np.minimum(np.abs(t), np.abs(t - 1)) < 1e-8, lambda p:
+         RootCollision(f"cross-ratio t hits 0/1 at path point {p}")),
     ])
-    return P6Samples(s=path_parameter(values), points=values[:, 1:-1],
+    return P6Samples(s=path_parameter(rows.values), points=rows.values[:, 1:-1],
                      t=t, y=y)
 
 
@@ -479,12 +489,12 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
 
     binf_eigs are the Okubo eigenvalues (lambda_1, lambda_2, lambda_3); the
     (i, j) entry of h B^(3) = -adj(T) Binf is linear in t_3 and its zero,
-    cross-ratio normalized against the roots of h, is the PVI solution.
-    svals, where given, replaces s of the tracked rows.
+    read off the tracked T0 (_linear_entry) and cross-ratio normalized
+    against the roots of h, is the PVI solution.  svals, where given,
+    replaces s of the tracked rows.
     """
-    alpha, beta = _linear_entry(m, binf_eigs, entry_choice)
-    values, roots, _ = StructureSampler(m, z_seed=z_seed).track(path)
-    samples = _samples_on(alpha, beta, values, roots)
+    entry = _linear_entry(m, binf_eigs, entry_choice)
+    samples = _samples_on(entry, StructureSampler(m, z_seed=z_seed).track(path))
     if svals is not None:
         samples.s = np.asarray(svals, dtype=float)
     return samples
@@ -617,8 +627,7 @@ def pvi_on_frames(m: SaitoMatrices, entry_choice, snaps):
     snapshots (isomono.OkuboNumeric): lam is their Binf, and the parameters
     are read off their traces at the first point; defects, formed once for
     the residual and the CSV, are _sample_defects(samples, params)."""
-    alpha, beta = _linear_entry(m, snaps.Binf, entry_choice)
-    samples = _samples_on(alpha, beta, snaps.values, snaps.z)
+    samples = _samples_on(_linear_entry(m, snaps.Binf, entry_choice), snaps)
     params = _params_from_traces(snaps.traces[0], snaps.Binf, entry_choice)
     return samples, params, _sample_defects(samples, params)
 

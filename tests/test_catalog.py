@@ -241,6 +241,23 @@ def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
     assert fused == 408
 
 
+def test_full_verify_compiles_three_stacks(monkeypatch):
+    # a full-depth verify compiles the three stacks of its one structure, T0,
+    # h's t_n-coefficients and dT0, and nothing else: every PVI entry choice
+    # is read off the tracked T0 (p6._samples_on), with no stack of its own
+    from flatiso.numeric import EvalStack
+    stacks = []
+    init = EvalStack.__init__
+
+    def counting(self, elems):
+        stacks.append(self)
+        init(self, elems)
+
+    monkeypatch.setattr(EvalStack, "__init__", counting)
+    assert catalog.catalog_verify("LT19", "full")["pass"]
+    assert len(stacks) == 3
+
+
 def test_symbolic_verify_divides_no_row_by_h(monkeypatch, perturbed_lazy):
     # the trace identity certifies every row of -T, so long division by h
     # runs only for a row whose trace defect is nonzero

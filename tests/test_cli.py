@@ -433,11 +433,17 @@ def test_malformed_entry_and_path_are_input_errors(capsys, tmp_path):
     ["saito", "--catalog", "LT8", "--json", "{dir}"],
     ["saito", "--bogus"],
     ["extract-p6", "--catalog", "H3", "--entry", "-1,2"],
+    ["extract-p6", "--catalog", "LT8", "--entry", ""],
+    ["params", "--catalog", "LT8", "--path", ""],
+    ["verify-wdvv", "--catalog", "LT8", "--json", ""],
+    ["catalog", "verify", "--catalog", ""],
 ], ids=["input-dir", "path-dir", "input-latin1", "path-latin1",
-        "json-missing-dir", "json-dir", "unknown-flag", "dash-entry"])
+        "json-missing-dir", "json-dir", "unknown-flag", "dash-entry",
+        "empty-entry", "empty-path", "empty-json", "empty-catalog"])
 def test_file_and_usage_errors_are_input_errors(argv, capsys, tmp_path):
-    # directories, files that are not UTF-8, unwritable --json targets and
-    # argparse's usage errors return 2 from main, and no report is written
+    # directories, files that are not UTF-8, unwritable --json targets,
+    # argparse's usage errors and empty flag values (a flag given, not a flag
+    # missing) return 2 from main, and no report is written
     folder = tmp_path / "dir"
     folder.mkdir()
     latin1 = tmp_path / "latin1.json"
@@ -597,6 +603,44 @@ def test_untyped_document_fields_are_schema_errors(doc, capsys, tmp_path):
     assert code == 2 and "input error" in err and out == ""
     with pytest.raises(SchemaError):
         exprio.parse_pvf(doc)
+
+
+TOY = {"weights": ["1/5", "3/5", "1"],
+       "g": ["t1*t3", "t2*t3", "1/2*t3^2 + t1^10"]}
+TOY_RELATION = {"gen": "z", "relation": "z^2 - t1", "weight": "1/10"}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("saito", dict(TOY, g=["t1*t3", "t2*t3", "1/2*t3^2 + t1^2"]),
+     "T is not homogeneous; input g is not weighted homogeneous"),
+    ("params", TOY, "--path is required with --input for this verb"),
+    ("verify-wdvv", [TOY], "document must be a JSON object"),
+    ("verify-wdvv", {"g": TOY["g"]}, "missing weights"),
+    ("verify-wdvv", {"weights": TOY["weights"]}, "missing g"),
+    ("verify-wdvv", dict(TOY, extension=dict(TOY_RELATION, gen="w")),
+     "extension generator must be named z"),
+    ("verify-wdvv", dict(TOY, extension={"gen": "z", "weight": "1/10"}),
+     "extension needs a relation and a weight"),
+    ("verify-wdvv", dict(TOY, extension={"gen": "z", "relation": "z^2 - t1"}),
+     "extension needs a relation and a weight"),
+    ("verify-wdvv", dict(TOY, extension=dict(TOY_RELATION, relation="z^2/t1 - 1")),
+     "relation must be polynomial"),
+    ("verify-wdvv", dict(TOY, weights=["1/0", "3/5", "1"]), "bad weight: '1/0'"),
+    ("verify-wdvv", dict(TOY, extension=dict(TOY_RELATION, weight="a")),
+     "bad z weight: 'a'"),
+], ids=["inhomogeneous-g", "params-without-path", "not-an-object",
+        "missing-weights", "missing-g", "generator-not-z", "no-relation",
+        "no-weight", "relation-not-polynomial", "bad-weight", "bad-z-weight"])
+def test_document_errors_exit_2_with_their_message(verb, doc, message, capsys,
+                                                   tmp_path):
+    # parse_pvf's schema errors, a g whose T is not homogeneous (saito) and
+    # an --input with no --path where the verb needs one: exit 2, the
+    # message on stderr and no report
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, verb, "--input", str(p))
+    assert code == 2 and out == ""
+    assert err == f"input error: {message}\n"
 
 
 def test_negative_seed_is_an_input_error(capsys):

@@ -378,8 +378,10 @@ def test_mat_det_oracle(klein, size):
 
 @pytest.mark.parametrize("eid", ["LT8", "LT19"])
 def test_h_adjugate_and_traces_are_fused_sums(monkeypatch, eid):
-    # Ring.fused_sum is the one route for a sum of products: forming h,
-    # adj(T) and the traces multiplies no two elements by RingElem.__mul__
+    # Ring.fused_sum is the one route for a sum of products: forming h and
+    # the traces, and testing the adj(T) entries of every PVI entry choice on
+    # T0 (p6._linear_entry), multiplies no two elements by RingElem.__mul__
+    from flatiso import p6
     m = build_saito_matrices(catalog.catalog_get(eid).pvf)
     mul, products = RingElem.__mul__, []
 
@@ -389,6 +391,8 @@ def test_h_adjugate_and_traces_are_fused_sums(monkeypatch, eid):
         return mul(self, other)
 
     monkeypatch.setattr(RingElem, "__mul__", counting_mul)
-    for name in ("h", "adjT", "traces"):
+    for name in ("h", "traces"):
         getattr(m, name)
+    for choice in itertools.permutations((1, 2, 3), 2):
+        p6._linear_entry(m, (1, 2, 3), choice)
     assert products == []

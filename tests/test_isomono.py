@@ -71,8 +71,8 @@ def one_pole_snapshot(B):
     """An n = 2 snapshot whose connection is B / z: one pole at 0."""
     B = np.asarray(B, dtype=complex)
     return iso.OkuboNumeric(Binf=np.zeros(2), values=None, z=np.array([0j]),
-                            E=np.eye(2)[None], residues=B[None],
-                            traces=np.array([np.trace(B)]))
+                            T0=np.zeros((2, 2)), E=np.eye(2)[None],
+                            residues=B[None], traces=np.array([np.trace(B)]))
 
 
 def counted_connection(monkeypatch):
@@ -281,8 +281,8 @@ def test_cli_and_a_loop_leave_scipy_out(src_env):
              "from flatiso import isomono as iso\n"
              "B = np.array([[0.3, 1], [0, -0.2]], dtype=complex)\n"
              "snap = iso.OkuboNumeric(Binf=np.zeros(2), values=None, "
-             "z=np.array([0j]), E=np.eye(2)[None], residues=B[None], "
-             "traces=np.zeros(1))\n"
+             "z=np.array([0j]), T0=np.zeros((2, 2)), E=np.eye(2)[None], "
+             "residues=B[None], traces=np.zeros(1))\n"
              "iso.monodromy_on_loop(snap, center=0.0, radius=1.0)\n"
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,

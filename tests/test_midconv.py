@@ -32,7 +32,8 @@ def test_truncation_shapes_and_conditions():
 
 def test_truncation_rejects_rank_one_input():
     snap = iso.OkuboNumeric(Binf=np.array([0.5 + 0j]), values=None,
-                            z=np.array([0.3 + 0j]), E=np.eye(1)[None],
+                            z=np.array([0.3 + 0j]), T0=np.array([[0.3 + 0j]]),
+                            E=np.eye(1)[None],
                             residues=np.array([[[-0.5 + 0j]]]),
                             traces=np.array([-0.5 + 0j]))
     with pytest.raises(ConditionDViolation):
@@ -51,6 +52,23 @@ def test_trace_near_one_violates_d3_when_built():
                          z_grad=np.zeros((2, 0)))
     assert hit.value.condition == "D3"
     assert "trace of residue 1 is near +-1" in str(hit.value)
+
+
+@pytest.mark.parametrize("lam, second, detail", [
+    ([0.7, 0.0], -0.7, "Gamma_inf has a zero eigenvalue"),
+    ([0.7, 0.3], -0.7 + 1e-6, "residues do not sum to -Gamma_inf"),
+], ids=["zero-gamma", "residue-sum"])
+def test_condition_d4_when_built(lam, second, detail):
+    # a zero entry of Gamma_inf, or residues that miss -Gamma_inf by more
+    # than TOLERANCES["residue_identities"], are D4, tested before the SVD
+    lam = np.array(lam, dtype=complex)
+    resid = [np.diag([second, 0]), np.diag([0, -lam[1]])]
+    with pytest.raises(ConditionDViolation) as hit:
+        mc.RankOneSystem(n=2, residues=resid, Gamma_inf=lam,
+                         z=np.array([0.0 + 0j, 1.0 + 0j]),
+                         z_grad=np.zeros((2, 0)))
+    assert hit.value.condition == "D4"
+    assert str(hit.value) == f"condition D4 violated: {detail}"
 
 
 def test_middle_convolution_roundtrip():

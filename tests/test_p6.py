@@ -6,10 +6,11 @@ import pytest
 
 from flatiso import catalog, p6
 from flatiso import isomono
-from flatiso.errors import (EntryIdenticallyZero, InputError,
-                            InsufficientSamples, PoleOnPath, RootCollision,
-                            RootNotConverged, TrackingLost)
-from flatiso.flatcore import build_saito_matrices, mat_adjugate, mat_det
+from flatiso.errors import (DegenerateLinearEntry, EntryIdenticallyZero,
+                            InputError, InsufficientSamples, PoleOnPath,
+                            RootCollision, RootNotConverged, TrackingLost)
+from flatiso.flatcore import PotentialVF, build_saito_matrices, mat_det
+from flatiso.ring import Ring
 
 
 def entry_setup(eid):
@@ -62,15 +63,70 @@ def test_roots_ordering_and_continuation():
     assert np.abs(r2 - r1).max() < 0.1
 
 
-def test_adjugate_entries_linear_in_t3():
-    # the off-diagonal entries of h B^(3) have t3-degree <= 1, symbolically
-    for eid in ("LT8", "H3", "LT30", "H3p"):
-        e, m = entry_setup(eid)
-        adj = mat_adjugate(m.T)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert adj[i][j].degree_in(2) <= 1
+def signed_minors(T):
+    """adj(T) of a 3x3 ring matrix by chained RingElem arithmetic: adj(T)_ij
+    is the 2x2 minor of T without row j and column i, whose sign the cyclic
+    order of the rows and columns it keeps carries."""
+    def kept(a):
+        return (a + 1) % 3, (a + 2) % 3
+    return [[T[kept(j)[0]][kept(i)[0]] * T[kept(j)[1]][kept(i)[1]]
+             - T[kept(j)[0]][kept(i)[1]] * T[kept(j)[1]][kept(i)[0]]
+             for j in range(3)] for i in range(3)]
+
+
+def test_adjugate_entries_linear_in_t3(perturbed_klein, perturbed_lazy):
+    # the identity _linear_entry reads the PVI entry off: with T = T0 - t3 I,
+    # adj(T)_ij = T0_ij t3 + (T0_ik T0_kj - T0_kk T0_ij), k the third index,
+    # exactly on every off-diagonal entry of the 11 entries and of the three
+    # perturbed controls.  On the entries T0 is m.T0, the tracker's, which
+    # raises unless it is free of t3, so adj(T)_ij is linear in t3
+    cases = [(catalog.catalog_get(eid).pvf, True) for eid in catalog.IDS]
+    cases += [(perturbed_klein, False), (perturbed_lazy("LT19"), False),
+              (perturbed_lazy("LT14"), False)]
+    for pvf, entry in cases:
+        m = build_saito_matrices(pvf)
+        t3 = pvf.ring.var(2)
+        T0 = [[e + t3 if i == j else e for j, e in enumerate(row)]
+              for i, row in enumerate(m.T)]
+        if entry:
+            assert T0 == m.T0
+        adj = signed_minors(m.T)
+        for i, j in permutations(range(3), 2):
+            k = 3 - i - j
+            assert adj[i][j] == (T0[i][j] * t3 + T0[i][k] * T0[k][j]
+                                 - T0[k][k] * T0[i][j]), (pvf.name, i, j)
+
+
+def toy_structure():
+    """weights (1/5, 3/5, 1) and g = (t1 t3, t2 t3, t3^2/2 + t1^10), whose
+    T0 = [[0, 0, -18 t1^9], [0, 0, 0], [-t1/5, -3 t2/5, 0]] has zero
+    off-diagonal entries of both kinds."""
+    ring = Ring(["1/5", "3/5", "1"])
+    t1, t2, t3 = ring.gens()
+    return build_saito_matrices(PotentialVF(
+        ring=ring, g=[t1 * t3, t2 * t3, t3 ** 2 / 2 + t1 ** 10], name="toy"))
+
+
+@pytest.mark.parametrize("choice, error, want", [
+    ((1, 2), DegenerateLinearEntry, "entry (1,2) has no t_3 term"),
+    ((2, 1), EntryIdenticallyZero, "adj(T)[2][1] is identically zero"),
+    ((2, 3), EntryIdenticallyZero, "adj(T)[2][3] is identically zero"),
+    ((1, 3), None, (0, 2, 1)),
+    ((3, 1), None, (2, 0, 1)),
+    ((3, 2), None, (2, 1, 0)),
+])
+def test_linear_entry_exact_branches(choice, error, want):
+    # T0_ij = 0 with T0_ik T0_kj = 0 is an entry identically zero, T0_ij = 0
+    # alone an entry with no t3 term, each with its message; the others give
+    # their 0-based indices (i, j, k)
+    m = toy_structure()
+    lam = (1, 2, 3)
+    if error is None:
+        assert p6._linear_entry(m, lam, choice) == want
+        return
+    with pytest.raises(error) as info:
+        p6._linear_entry(m, lam, choice)
+    assert str(info.value) == want
 
 
 def test_entry_column_three_rejected():
@@ -115,7 +171,7 @@ def test_relabeling_roots_keeps_residual_small():
     snaps = isomono.snapshots_along(m, path, lam)
     swap = [1, 0, 2]
     relabeled = isomono.OkuboNumeric(
-        snaps.Binf, snaps.values, snaps.z[:, swap], snaps.E[:, swap],
+        snaps.Binf, snaps.values, snaps.z[:, swap], snaps.T0, snaps.E[:, swap],
         snaps.residues[:, swap], snaps.traces[:, swap])
     samples, _, defects = p6.pvi_on_frames(m, (1, 2), relabeled)
     assert defects[2].max() < 1e-6

@@ -14,6 +14,8 @@ from flatiso.numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
 from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _normalized,
                           _p_lincomb, _packing, _probe_points)
 
+from test_p6 import signed_minors
+
 
 def root_near(ring, pt, seed):
     """Newton's zero of the relation at the full point pt, from seed."""
@@ -650,6 +652,39 @@ def test_monomial_division_detects_negative_exponents(args):
         assert F(coeff, q[1]) == 3
 
 
+@pytest.mark.parametrize("eid", ["H3p", "LT27", "LT19"])
+def test_eval_divides_by_powers_of_z_and_rel_z(eid):
+    # num / z^2 and num / rel_z built by Ring.from_raw, at the zero z of the
+    # relation that Newton's method finds from the entry's z seed at the
+    # first default-path point, against the closed form: num term by term
+    # over z^2, and over rel_z, the z-derivative of the relation term by
+    # term.  Neither denominator cancels, so eval_batch divides by z^2 and
+    # by rel_z, which no element of a catalog structure makes it do for z
+    cat = catalog.catalog_get(eid)
+    ring = cat.pvf.ring
+    row = (*cat.default_path.points[0], 0.7)
+    z = complex(root_near(ring, row, cat.z_seed))
+    values = (z, *row)
+    num = {(1, 1, 0, 0): F(2, 3), (0, 0, 1, 1): F(-5, 7), (0, 0, 0, 0): F(1)}
+    num_value = sum(complex(c) * np.prod([x ** e for x, e in zip(values, mono)])
+                    for mono, c in num.items())
+    rel_z = sum(complex(c * mono[0]) * z ** (mono[0] - 1)
+                * np.prod([x ** e for x, e in zip(row, mono[1:])])
+                for mono, c in ring.ext.relation.items() if mono[0])
+    by_z, by_rel_z = ring.from_raw(num, zden=2), ring.from_raw(num, dden=1)
+    assert (by_z.zden, by_rel_z.dden) == (2, 1)
+    got = EvalStack([by_z, by_rel_z]).eval_batch([values])[:, 0]
+    want = num_value / np.array([z ** 2, rel_z])
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
+def test_eval_batch_refuses_rows_of_another_width(plain):
+    stack = EvalStack(plain.var(0))
+    for rows in ([(0, 1, 2)], [(0, 1, 2, 3, 4)], [0, 1, 2, 3]):
+        with pytest.raises(ValueError, match="expected rows of 4 values"):
+            stack.eval_batch(rows)
+
+
 @pytest.mark.parametrize("eid", catalog.catalog_list())
 def test_compiled_eval_matches_fraction_reference(eid):
     # eval_batch along the whole default path, for every entry of T0, adj(T)
@@ -675,7 +710,7 @@ def test_compiled_eval_matches_fraction_reference(eid):
             terms.append(v)
         return sum(terms), sum(abs(v) for v in terms)
 
-    elems = [x for M in (m.T0, m.adjT) for row in M for x in row] + list(m.dh)
+    elems = [x for M in (m.T0, signed_minors(m.T)) for row in M for x in row] + list(m.dh)
     assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
     for x in elems:
         got = EvalStack(x).eval_batch(rows)
@@ -712,7 +747,7 @@ def test_batched_eval_matches_scalar(eid):
         coeffs = np.array([complex(c) for c in num.values()])
         return coeffs[:, None] * np.prod(values[None] ** exps[:, None], axis=2)
 
-    elems = [x for M in (m.T0, m.adjT) for row in M for x in row] + list(m.dh)
+    elems = [x for M in (m.T0, signed_minors(m.T)) for row in M for x in row] + list(m.dh)
     assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
     for x in elems:
         scale = np.abs(terms(x.num)).sum(axis=0)
@@ -759,7 +794,7 @@ def test_stacked_eval_is_bit_identical(eid):
     cat = catalog.catalog_get(eid)
     m = flatcore.build_saito_matrices(cat.pvf)
     n = m.n
-    mats = [m.T0, *m.dT0, m.adjT]
+    mats = [m.T0, *m.dT0, signed_minors(m.T)]
     elems = [x for M in mats for row in M for x in row]
     assert any(x.is_zero() for x in elems)
     assert any(x.zden or x.dden for x in elems) == (eid in ("LT14", "LT19"))
