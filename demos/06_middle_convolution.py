@@ -23,7 +23,7 @@ print("truncated residue traces:",
       np.round([np.trace(G) for G in sys2.residues], 6))
 
 out = midconv.middle_convolution(sys2, -1.0)
-print(f"\nreconvolved with lambda = -1 (pivot column {out.pivot_column}):")
+print("\nreconvolved with lambda = -1 (closed form, epsilon = 1):")
 print("  Gamma_inf =", np.round(out.Gamma_inf, 6))
 print("  residue traces =", np.round(out.traces(), 6))
 print("  all residues rank one:",

@@ -134,10 +134,6 @@ class ResonantLambda(NumericError):
     or a middle-convolution parameter on the spectrum {Gamma_inf} or at 0."""
 
 
-class PivotColumnNotFound(FlatIsoError):
-    pass
-
-
 class UnknownId(InputError):
     def __init__(self, entry_id):
         self.entry_id = entry_id

@@ -241,9 +241,10 @@ class _Parser:
 # ---------------------------------------------------------------------------
 
 def _normalize_denominator(ring: Ring, num, den):
-    """den must be rational * z^a * rel_z^b; returns the localized element num/den."""
-    if not den:
-        raise ZeroDivisionError("zero denominator")
+    """den must be rational * z^a * rel_z^b; returns the localized element num/den.
+
+    The parser has already refused a zero divisor, and z in a plain ring.
+    """
     pk = ring._pk
     a = min(pk.exp(k, 0) for k in den)
     if a:
@@ -261,8 +262,6 @@ def _normalize_denominator(ring: Ring, num, den):
     if len(den) != 1 or 0 not in den:
         raise DenominatorNotUnit(
             "denominator must be rational * z^a * rel_z^b")
-    if a and ring.ext is None:
-        raise DenominatorNotUnit("z denominator in a plain ring")
     c = scale * den[0]
     return RingElem(ring, _p_scale(num, c.denominator), c.numerator, a, b)
 

@@ -3,8 +3,9 @@
 Truncating a rank-n Okubo system whose last Okubo eigenvalue has been
 shifted to zero leaves an integrable rank-(n-1) Pfaffian system with n
 rank-one residues.  Middle convolution with a parameter off the spectrum
-lifts such a system back to a rank-n Okubo system in closed form: extend
-the rank-one factor matrices to an inverse pair (P, P^{-1}), then
+lifts such a system back to a rank-n Okubo system in closed form, in the
+gauge epsilon = 1: extend the rank-one factor matrices to an inverse pair
+(P, P^{-1}), then
 
     new residue_j = - P[:, j] P^{-1}[j, :] diag(lam_1 - lam, ..., -lam),
 
@@ -13,13 +14,15 @@ is inverted; P[:, j] P^{-1}[j, :] is the spectral projector E_j, as on the
 Okubo side, where the truncation reads the leading blocks of the residues
 -E_i diag(lam') of the snapshot.  Residues are stacked (n, m, m) arrays
 throughout, as in isomono and p6, and one SVD of them, taken when a system
-is built, serves every factorization below.
+is built, serves every factorization below.  The closed form needs no
+pivot column: any system that passes (D3) and (D4) lifts.
 
 The big n(n-1) convolution matrices and their invariant subspaces are kept
 as an independent diagnostic of that closed form.  One block matrix
 M = [residue_j + lam delta_ij]_ij gives G^(z) and G^(x).  The deformation
-directions are checked on the exact tangent of the residues
-(p6.projector_tangent), so the diagnostic needs one tracked point.
+directions are checked on the exact tangent (z_grad, dres) of the poles
+and residues (p6.projector_tangent), so the diagnostic needs one tracked
+point.
 """
 
 from __future__ import annotations
@@ -30,8 +33,7 @@ import numpy as np
 
 from .catalog import TOLERANCES
 from .errors import (ConditionDViolation, FactorizationFailed,
-                     InverseMismatch, PivotColumnNotFound, RankViolation,
-                     ResonantLambda)
+                     InverseMismatch, RankViolation, ResonantLambda)
 from .isomono import TRACE_GUARD, OkuboNumeric, snapshots_along
 from .p6 import projector_tangent
 
@@ -43,11 +45,9 @@ PIN_TIE = 1e-9      # relative tie window of the gauge pins (_pin)
 class RankOneSystem:
     """Rank-(n-1) Pfaffian system with n rank-one residues at a working point."""
 
-    n: int                         # number of singular points
     residues: np.ndarray           # (n, n-1, n-1)
     Gamma_inf: np.ndarray          # diagonal entries, length n-1
     z: np.ndarray                  # singular locations
-    z_grad: np.ndarray             # dz_j/dx_i at the working point, shape (n, nx)
     svd: tuple = field(init=False, repr=False)   # (u, s, vh) of the residues
 
     def __post_init__(self):
@@ -73,6 +73,11 @@ class RankOneSystem:
                 f"residue {j+1} vanishes", f"residue {j+1} has rank >= 2",
                 f"trace of residue {j+1} is near +-1")[c])
 
+    @property
+    def n(self):
+        """The number of singular points."""
+        return len(self.residues)
+
 
 @dataclass
 class ConvolutionResult:
@@ -80,8 +85,6 @@ class ConvolutionResult:
     Gamma_inf: np.ndarray          # diagonal entries, length n
     z: np.ndarray
     lam: complex
-    pivot_column: int
-    epsilon: complex = 1 + 0j
 
     def traces(self):
         return np.trace(self.residues, axis1=1, axis2=2)
@@ -91,14 +94,12 @@ class ConvolutionResult:
 # truncation
 # ---------------------------------------------------------------------------
 
-def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
+def truncate_okubo(ok: OkuboNumeric) -> RankOneSystem:
     """Leading (n-1)-blocks of the system with the last eigenvalue shifted to 0.
 
     The shift replaces Binf by Binf - lam_n I, after which the last unknown
     decouples; the leading blocks of the shifted residues -E_i diag(lam'),
     read off the snapshot's projectors E, form the rank-(n-1) system.
-    z_grad (shape n x nx) carries the root gradients for the x-direction
-    matrices.
     """
     n = len(ok.Binf)
     if n < 2:
@@ -106,8 +107,8 @@ def truncate_okubo(ok: OkuboNumeric, z_grad) -> RankOneSystem:
     lam = np.asarray(ok.Binf, dtype=complex)
     lam_shifted = lam - lam[n - 1]
     res = -ok.E[:, :n - 1, :n - 1] * lam_shifted[:n - 1]
-    return RankOneSystem(n=n, residues=res, Gamma_inf=lam_shifted[:n - 1],
-                         z=np.asarray(ok.z), z_grad=np.asarray(z_grad))
+    return RankOneSystem(residues=res, Gamma_inf=lam_shifted[:n - 1],
+                         z=np.asarray(ok.z))
 
 
 # ---------------------------------------------------------------------------
@@ -160,19 +161,14 @@ def _check_lambda(sys: RankOneSystem, lam):
 def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
     """Closed-form rank-n Okubo system from a rank-(n-1) one.
 
-    lam must avoid the spectrum {Gamma_inf} and 0.  The pivot column (all a_j
-    entries bounded away from zero) is recorded; with the epsilon gauge fixed
-    to one it does not enter the closed form.
+    lam must avoid the spectrum {Gamma_inf} and 0.  The lift is
+    -P[:, j] P^{-1}[j, :] diag(Gamma_inf - lam, -lam), the epsilon = 1 gauge.
     """
     lam = complex(lam)
     _check_lambda(sys, lam)
     B, A = _rank_one_factors(sys)
     if np.abs(B @ A - np.eye(sys.n - 1)).max() > 1e-9:
         raise FactorizationFailed("rank-one factors do not multiply to identity")
-    bounded = np.all(np.abs(A) > 1e-8, axis=0)
-    if not bounded.any():
-        raise PivotColumnNotFound(
-            "no column of the a-matrix is bounded away from zero")
     gamma_inf = np.concatenate([sys.Gamma_inf - lam, [-lam]])
     P, Pinv = _extend_to_inverse_pair(B, A)
     residues = -P.T[:, :, None] * (Pinv[:, None, :] * gamma_inf)
@@ -180,8 +176,7 @@ def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
             > TOLERANCES["residue_identities"]):
         raise RankViolation("convolved residues do not sum to -Gamma_inf")
     return ConvolutionResult(residues=residues, Gamma_inf=gamma_inf,
-                             z=np.asarray(sys.z), lam=lam,
-                             pivot_column=int(np.argmax(bounded)) + 1)
+                             z=np.asarray(sys.z), lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +198,7 @@ def kernel_stack_basis(sys: RankOneSystem):
 @dataclass
 class InvarianceReport:
     dim_K: int
-    z_defect: float
-    x_defects: list[float]
-
-    @property
-    def max_defect(self):
-        return max([self.z_defect] + self.x_defects)
+    max_defect: float              # largest distance of a mapped vector to K
 
 
 def invariant_subspace_check(sys: RankOneSystem, lam, family
@@ -222,11 +212,12 @@ def invariant_subspace_check(sys: RankOneSystem, lam, family
     z-direction is pointwise linear algebra (K is z-independent), at
     z = max Re z_i + 1.7 + 0.3i.  Along x_k, with w_ij = (dz_i - dz_j) /
     (z_i - z_j), G^(k) has blocks -dz_i G^(z)_ij - w_ij residue_j off the
-    diagonal and -dz_i G^(z)_ii + sum_l w_il residue_l on it.  family is
-    the tangent of the residues, family[k][i] = d residue_i / dx_k
-    (rank_one_from_structure's third value); along x_k a vector v of K moves
-    with the kernels as dv_i = -residue_i^+ (d residue_i / dx_k) v_i, the
-    exact derivative of its projection onto ker residue_i.  Defects are
+    diagonal and -dz_i G^(z)_ii + sum_l w_il residue_l on it.  family =
+    (z_grad, dres) is the tangent of the poles and residues, z_grad[i, k] =
+    dz_i / dx_k and dres[k][i] = d residue_i / dx_k (rank_one_from_structure's
+    third value); along x_k a vector v of K moves with the kernels as
+    dv_i = -residue_i^+ (d residue_i / dx_k) v_i, the exact derivative of
+    its projection onto ker residue_i.  Defects are
     distances of the mapped basis vectors to K, normalized per vector.
     """
     lam = complex(lam)
@@ -246,12 +237,12 @@ def invariant_subspace_check(sys: RankOneSystem, lam, family
     gap = sys.z[:, None] - sys.z + np.eye(n)
     u, s, vh = sys.svd
     Rplus = (vh[:, 0, :, None] * u[:, None, :, 0]).conj() / s[:, :1, None]
+    z_grad, dres = family
     mapped = [Gz @ K]
-    for k, dres in enumerate(family):
-        dz = sys.z_grad[:, k]
+    for dz, dR in zip(z_grad.T, dres, strict=True):
         w = (dz[:, None] - dz) / gap
         # D - G^(k), D the block-diagonal motion v -> dv of K along x_k
-        diag = -Rplus @ dres - (w @ R.reshape(n, m * m)).reshape(n, m, m)
+        diag = -Rplus @ dR - (w @ R.reshape(n, m * m)).reshape(n, m, m)
         Mk = _block_diag(diag) + np.repeat(dz, m)[:, None] * Gz + blocks(w)
         mapped.append(Mk @ K)
 
@@ -260,11 +251,8 @@ def invariant_subspace_check(sys: RankOneSystem, lam, family
     dist = np.where(nv < 1e-14, 0.0,
                     np.linalg.norm(V - K @ (K.conj().T @ V), axis=0)
                     / np.maximum(nv, 1.0))
-    nz = K.shape[1]
-    x_parts = dist[nz:].reshape(len(family), nz)
-    return InvarianceReport(
-        dim_K=nz, z_defect=float(np.max(dist[:nz], initial=0.0)),
-        x_defects=[float(x) for x in x_parts.max(axis=1, initial=0.0)])
+    return InvarianceReport(dim_K=K.shape[1],
+                            max_defect=float(np.max(dist, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -276,15 +264,16 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None):
 
     Tracks the Okubo system at (t', t_n = 0) with diagonal lam (whose last
     entry must be nonzero so the truncation shift is meaningful) and returns
-    (snapshot, system, family).  The system's root gradients and family, the
-    truncated residue tangent of shape (n, n, n-1, n-1) with family[k][i] =
-    d residue_i / dt_{k+1}, are p6.projector_tangent at the tracked point,
-    for invariant_subspace_check.
+    (snapshot, system, family).  family = (z_grad, dres), the root
+    gradients (n, n) and the truncated residue tangent (n, n, n-1, n-1) with
+    z_grad[i, k] = dz_i / dt_{k+1} and dres[k][i] = d residue_i / dt_{k+1},
+    is p6.projector_tangent at the tracked point, for
+    invariant_subspace_check.
     """
     snap = snapshots_along(m, [tprime], lam, z_seed=z_seed)[0]
     n = m.n
     dz, dB = projector_tangent(m, snap, snap.Binf - snap.Binf[n - 1])
-    return snap, truncate_okubo(snap, z_grad=dz), dB[:, :, :n - 1, :n - 1]
+    return snap, truncate_okubo(snap), (dz, dB[:, :, :n - 1, :n - 1])
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +282,4 @@ def rank_one_from_structure(m, tprime, lam, z_seed=None):
 
 def convolution_to_json(res: ConvolutionResult) -> dict:
     return {"residues": res.residues, "gamma_inf": res.Gamma_inf,
-            "z": res.z, "lambda": res.lam,
-            "pivot_column": res.pivot_column,
-            "epsilon": res.epsilon}
+            "z": res.z, "lambda": res.lam}

@@ -277,7 +277,6 @@ class StructureSampler:
     """
 
     def __init__(self, m: SaitoMatrices, z_seed=None):
-        self.m = m
         self.ring = m.ring
         self.n = m.n
         self.z_seed = z_seed

@@ -237,10 +237,10 @@ def test_a8_negative_controls(built):
     # a zero residue tangent leaves K fixed while the poles move
     pt = e.default_path.points[len(e.default_path.points) // 2]
     lam_w = list(e.pvf.ring.weights)
-    _, sys1, family = midconv.rank_one_from_structure(m, pt, lam_w,
-                                                      z_seed=e.z_seed)
-    inv = midconv.invariant_subspace_check(sys1, -lam_w[-1],
-                                           family=np.zeros_like(family))
+    _, sys1, (z_grad, dres) = midconv.rank_one_from_structure(
+        m, pt, lam_w, z_seed=e.z_seed)
+    inv = midconv.invariant_subspace_check(
+        sys1, -lam_w[-1], family=(z_grad, np.zeros_like(dres)))
     assert inv.max_defect > 1e-3, f"zero tangent defect only {inv.max_defect}"
     report("A8 negative controls", True,
            f"perturbed commutator nonzero; frozen residual {res:.2e} > 1e-3; "

@@ -88,6 +88,19 @@ def test_parse_error_positions(plain):
     assert e.value.position == 3
 
 
+@pytest.mark.parametrize("text, at, expected", [
+    ("z", 0, "t-variable (no generator declared)"),
+    ("1/(t1 - t1)", 11, "nonzero denominator"),
+], ids=["z-in-plain-ring", "zero-divisor"])
+def test_parser_refuses_what_the_denominator_cannot_hold(plain, text, at,
+                                                         expected):
+    # the parser is the one place these are refused: the denominator it
+    # hands on is nonzero and, in a plain ring, free of z
+    with pytest.raises(ParseError) as e:
+        exprio.parse_expr(text, plain)
+    assert (e.value.position, e.value.expected) == (at, expected)
+
+
 def test_serialize_canonical(plain):
     t1, t2, t3 = plain.gens()
     assert exprio.format_elem(plain.zero()) == "0"

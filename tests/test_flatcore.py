@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from flatiso import catalog, exprio, flatcore
-from flatiso.errors import NoRescalingFound, SchemaError
+from flatiso.errors import InputError, NoRescalingFound, SchemaError
 from flatiso.flatcore import (PotentialVF, build_saito_matrices,
                               check_extended_wdvv, check_flat_normalization,
                               check_saito_relations, frobenius_check,
@@ -262,6 +262,17 @@ def test_perturbed_t_entry_fails_on_both_routes(klein_matrices, trivial_n2):
     assert not _homogeneous_b(inhomogeneous)
     assert _direct_relations(inhomogeneous) == (True, True, False)
     assert not check_saito_relations(inhomogeneous)
+
+
+def test_t0_must_be_free_of_tn():
+    # C = (2 t1) over the weight (1): T = -E C = -2 t1 and T + t1 I = -t1
+    # keeps t_n, where C = (t1) gives T0 = 0
+    from flatiso.ring import Ring
+    ring = Ring(["1"])
+    t1 = ring.var(0)
+    assert flatcore.SaitoMatrices(ring=ring, C=[[t1]]).T0 == [[ring.zero()]]
+    with pytest.raises(InputError, match="T \\+ t_n I is not free of t_n"):
+        flatcore.SaitoMatrices(ring=ring, C=[[t1 * 2]]).T0
 
 
 def test_rescaling_covariance(klein):

@@ -370,6 +370,22 @@ def test_resonance_guard_reaches_every_integer():
     assert iso._integer_gap(np.array([12.5, 0, 0.3])) is None
 
 
+def test_trace_near_one_is_named_at_its_point():
+    # residues summing to -diag(lam) at three points; the trace of the
+    # first is 1 + 5e-7, within TRACE_GUARD of 1, at the middle point only
+    lam = np.array([0.5, 0.25])
+    x = np.array([0.3, 1 + 5e-7, 0.3])
+    residues = np.zeros((3, 2, 2, 2))
+    residues[:, 0, 0, 0], residues[:, 0, 0, 1] = x, 0.2
+    residues[:, 1] = -np.diag(lam) - residues[:, 0]
+    traces = np.trace(residues, axis1=2, axis2=3)
+    points = [(1.0, 0.4), (1.0, 0.5), (1.0, 0.6)]
+    with pytest.raises(RankViolation, match=re.escape(
+            f"trace r_1 within {iso.TRACE_GUARD} of +-1 at {points[1]}")):
+        iso._check_residues(lam, residues, traces, points)
+    iso._check_residues(lam, residues[::2], traces[::2], points[::2])
+
+
 def test_corrupted_residue_sum_raises(monkeypatch):
     e, m = entry_setup("LT8")
     path = e.default_path.points[:10]

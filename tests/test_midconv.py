@@ -37,7 +37,7 @@ def test_truncation_rejects_rank_one_input():
                             residues=np.array([[[-0.5 + 0j]]]),
                             traces=np.array([-0.5 + 0j]))
     with pytest.raises(ConditionDViolation):
-        mc.truncate_okubo(snap, z_grad=np.zeros((1, 1)))
+        mc.truncate_okubo(snap)
 
 
 def test_trace_near_one_violates_d3_when_built():
@@ -47,9 +47,8 @@ def test_trace_near_one_violates_d3_when_built():
     a = 1 + 5e-7
     resid = [np.array([[a]]), np.array([[-0.7 - a]])]
     with pytest.raises(ConditionDViolation) as hit:
-        mc.RankOneSystem(n=2, residues=resid, Gamma_inf=lam,
-                         z=np.array([0.0 + 0j, 1.0 + 0j]),
-                         z_grad=np.zeros((2, 0)))
+        mc.RankOneSystem(residues=resid, Gamma_inf=lam,
+                         z=np.array([0.0 + 0j, 1.0 + 0j]))
     assert hit.value.condition == "D3"
     assert "trace of residue 1 is near +-1" in str(hit.value)
 
@@ -64,9 +63,8 @@ def test_condition_d4_when_built(lam, second, detail):
     lam = np.array(lam, dtype=complex)
     resid = [np.diag([second, 0]), np.diag([0, -lam[1]])]
     with pytest.raises(ConditionDViolation) as hit:
-        mc.RankOneSystem(n=2, residues=resid, Gamma_inf=lam,
-                         z=np.array([0.0 + 0j, 1.0 + 0j]),
-                         z_grad=np.zeros((2, 0)))
+        mc.RankOneSystem(residues=resid, Gamma_inf=lam,
+                         z=np.array([0.0 + 0j, 1.0 + 0j]))
     assert hit.value.condition == "D4"
     assert str(hit.value) == f"condition D4 violated: {detail}"
 
@@ -86,7 +84,25 @@ def test_middle_convolution_roundtrip():
         assert s[1] < 1e-8 * max(1.0, s[0])
     total = sum(out.residues) + np.diag(out.Gamma_inf)
     assert np.abs(total).max() < 1e-10
-    assert out.pivot_column >= 1
+
+
+def test_lift_needs_no_pivot_column():
+    # every column of A = (a_1; a_2; a_3) holds a zero, which the pivot
+    # search of the epsilon gauge refused; the closed form lifts the system
+    g = np.array([0.3 + 0.1j, -0.45 + 0.05j])
+    a = np.array([[1, 0], [0, 1], [0.7 - 0.2j, -0.4 + 0.3j]])
+    b3 = np.array([0.25 + 0.5j, -0.6 + 0.1j])
+    b = np.array([np.eye(2)[0] - a[2, 0] * b3, np.eye(2)[1] - a[2, 1] * b3,
+                  b3])
+    resid = -b[:, :, None] * (a * g)[:, None, :]
+    sys1 = mc.RankOneSystem(residues=resid, Gamma_inf=g,
+                            z=np.array([0.0, 1.0, 2.5 + 0.5j]))
+    assert (np.abs(a) < 1e-8).any(axis=0).all()
+    out = mc.middle_convolution(sys1, 0.2 - 0.1j)
+    assert out.residues.shape == (3, 3, 3)
+    total = out.residues.sum(axis=0) + np.diag(out.Gamma_inf)
+    assert np.abs(total).max() < 1e-14
+    assert rank_two_ratio(out.residues) < 1e-15
 
 
 def test_resonant_lambda_rejected():
@@ -126,7 +142,7 @@ def test_round_trip_takes_one_svd(monkeypatch):
 
     counted("svd")
     counted("pinv")
-    sys2 = mc.truncate_okubo(snap, z_grad=sys1.z_grad)
+    sys2 = mc.truncate_okubo(snap)
     mc.middle_convolution(sys2, -lam[-1])
     mc.invariant_subspace_check(sys2, -lam[-1], family=family)
     assert calls == {"svd": 1, "pinv": 0}
@@ -145,8 +161,8 @@ def test_lift_does_not_follow_rounding(eid):
     base = mc.middle_convolution(sys1, -lam[-1]).residues
     for k in range(1, 9):
         scaled = mc.RankOneSystem(
-            n=sys1.n, residues=sys1.residues * (1 + k * 2.0 ** -52),
-            Gamma_inf=sys1.Gamma_inf, z=sys1.z, z_grad=sys1.z_grad)
+            residues=sys1.residues * (1 + k * 2.0 ** -52),
+            Gamma_inf=sys1.Gamma_inf, z=sys1.z)
         lifted = mc.middle_convolution(scaled, -lam[-1]).residues
         assert np.abs(lifted - base).max() < 1e-12, k
 
@@ -169,17 +185,18 @@ def test_tangent_matches_oracles(eid):
     lam = list(e.pvf.ring.weights)
     pts = e.default_path.points
     tp = pts[len(pts) // 2]
-    snap, sys1, family = mc.rank_one_from_structure(m, tp, lam,
-                                                    z_seed=e.z_seed)
-    assert family.shape == (n, n, n - 1, n - 1)
+    snap, sys1, (z_grad, dres) = mc.rank_one_from_structure(
+        m, tp, lam, z_seed=e.z_seed)
+    assert z_grad.shape == (n, n)
+    assert dres.shape == (n, n, n - 1, n - 1)
     at_roots = [(snap.values[0],) + tuple(tp) + (zj,) for zj in snap.z]
     dh = EvalStack(m.dh).eval_batch(at_roots)
     for k in range(n - 1):
         want = -dh[k] / dh[n - 1]
-        assert (np.abs(sys1.z_grad[:, k] - want).max()
+        assert (np.abs(z_grad[:, k] - want).max()
                 <= 1e-12 * np.abs(want).max())
-    assert np.all(sys1.z_grad[:, n - 1] == -1)
-    assert not family[n - 1].any()
+    assert np.all(z_grad[:, n - 1] == -1)
+    assert not dres[n - 1].any()
 
     h = 1e-6
     shifted = [x - lam[-1] for x in lam]
@@ -189,7 +206,7 @@ def test_tangent_matches_oracles(eid):
         minus, _, plus = iso.snapshots_along(m, path, shifted,
                                              z_seed=e.z_seed)
         fd = ((plus.residues - minus.residues) / (2 * h))[:, :n - 1, :n - 1]
-        assert np.abs(family[k] - fd).max() <= 1e-6 * np.abs(family[k]).max()
+        assert np.abs(dres[k] - fd).max() <= 1e-6 * np.abs(dres[k]).max()
 
 
 def test_invariance_at_multiple_points():
@@ -264,9 +281,9 @@ def test_n2_kernel_dimension():
     # two singular points, 1x1 residues: K has dimension n(n-2) = 0
     lam = np.array([0.7 + 0j])
     resid = [np.array([[-0.3 + 0j]]), np.array([[-0.4 + 0j]])]
-    sys2 = mc.RankOneSystem(n=2, residues=resid, Gamma_inf=lam,
-                            z=np.array([0.0 + 0j, 1.0 + 0j]),
-                            z_grad=np.zeros((2, 0)))
+    sys2 = mc.RankOneSystem(residues=resid, Gamma_inf=lam,
+                            z=np.array([0.0 + 0j, 1.0 + 0j]))
+    assert sys2.n == 2
     K = mc.kernel_stack_basis(sys2)
     assert K.shape[1] == 0
 
@@ -281,4 +298,4 @@ def test_json_bundles():
     assert blob["residues"][0][0][0] == [out.residues[0][0, 0].real,
                                          out.residues[0][0, 0].imag]
     assert blob["lambda"] == [-1.0, 0.0]
-    assert blob["epsilon"] == [1.0, 0.0]
+    assert set(blob) == {"residues", "gamma_inf", "z", "lambda"}

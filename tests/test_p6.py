@@ -344,6 +344,55 @@ def test_insufficient_samples():
         p6.p6_residual(few, params)
 
 
+def synthetic_track(T0, z):
+    """A Track of n = 3 on the rows T0 (N, 3, 3) and roots z (N, 3), with
+    t_2 = 0.1 k at row k."""
+    values = np.zeros((len(z), 4), dtype=complex)
+    values[:, 1], values[:, 2] = 1.0, 0.1 * np.arange(len(z))
+    return p6.Track(values, np.asarray(z, dtype=complex),
+                    np.asarray(T0, dtype=complex))
+
+
+def test_samples_on_names_the_first_bad_point():
+    # entry (1, 2): alpha = T0_12, beta = T0_13 T0_32 - T0_33 alpha; the
+    # PVI solution is the zero -beta/alpha, cross-ratio normalized
+    T0 = np.tile(np.arange(1.0, 10.0).reshape(3, 3), (4, 1, 1))
+    z = np.tile([0.0, 1.0, 2.5 + 0.5j], (4, 1))
+    samples = p6._samples_on((0, 1, 2), synthetic_track(T0, z))
+    assert np.allclose(samples.y, -(3 * 8 - 9 * 2) / 2)
+    assert np.allclose(samples.t, 2.5 + 0.5j)
+    # |alpha| < 1e-12 max(1, |beta|): the t_3-coefficient vanishes
+    T0[2, 0, 1] = 1e-12 * abs(T0[2, 0, 2] * T0[2, 2, 1]) / 2
+    with pytest.raises(DegenerateLinearEntry, match="at path point 2$"):
+        p6._samples_on((0, 1, 2), synthetic_track(T0, z))
+    # z_3 = z_1 puts the cross-ratio t at 0, one point earlier
+    z[1, 2] = z[1, 0]
+    with pytest.raises(RootCollision, match="t hits 0/1 at path point 1$"):
+        p6._samples_on((0, 1, 2), synthetic_track(T0, z))
+
+
+def test_t_constant_along_s_is_not_t_regular():
+    s = np.linspace(0.0, 0.8, 9)
+    samples = p6.P6Samples(s=s, points=np.zeros((9, 2)),
+                           t=np.full(9, 2.0 + 0j), y=0.3 + 0.1 * s)
+    params = p6.P6Params.from_thetas(0.2, -0.1, 0.3, 0.7)
+    with pytest.raises(DegenerateLinearEntry, match=re.escape(
+            f"dt/ds vanishes at s = {s[2]}; path is not t-regular")):
+        p6.p6_residual(samples, params)
+
+
+def test_t0_matrix_follows_the_track():
+    # successive t0_matrix calls continue one point at a time; the track
+    # of the whole path evaluates the rows together, equal up to rounding
+    e, m = entry_setup("LT19")
+    pts = e.default_path.points
+    sampler = p6.StructureSampler(m, z_seed=e.z_seed)
+    one_by_one = np.array([sampler.t0_matrix(pt) for pt in pts])
+    T0 = p6.StructureSampler(m, z_seed=e.z_seed).track(pts).T0
+    assert (np.abs(one_by_one - T0).max(axis=(1, 2))
+            <= 1e-12 * np.abs(T0).max(axis=(1, 2))).all()
+
+
 def test_csv_and_json_reports():
     e, m = entry_setup("LT8")
     lam = p6.default_lambda(e.pvf.ring.weights)
@@ -614,14 +663,19 @@ def test_lockstep_matches_point_by_point_continuation(eid):
                   <= 1e-11 * np.maximum(1, np.abs(nearest)))
 
 
-def sqrt_sampler(z_seed, T0=None):
-    """The tracker on z^2 = t1 with T0 = diag(z, 5), or with T0(ring, z)."""
+def sqrt_structure(T0=None):
+    """The structure on z^2 = t1 with T0 = diag(z, 5), or with T0(ring, z)."""
     from flatiso.ring import Ring
     ring = Ring(["1", "1"], extension={(2, 0, 0): 1, (0, 1, 0): -1},
                 z_weight="1/2")
     z = ring.zgen()
     T0 = (T0 or (lambda r, z: [[z, r.zero()], [r.zero(), r.const(5)]]))(ring, z)
-    return p6.StructureSampler(structure(ring, T0), z_seed=z_seed)
+    return structure(ring, T0)
+
+
+def sqrt_sampler(z_seed, T0=None):
+    """The tracker on sqrt_structure(T0)."""
+    return p6.StructureSampler(sqrt_structure(T0), z_seed=z_seed)
 
 
 def test_seed_with_no_newton_step_is_refused():
@@ -850,7 +904,7 @@ def test_each_collision_is_named_where_the_tracker_finds_it():
     # apart: a RootCollision through snapshots_along, not renamed; a root
     # gap of T0 is an EigenvalueCollision, straight from the tracker
     from flatiso.errors import EigenvalueCollision
-    m = sqrt_sampler(1e-11).m
+    m = sqrt_structure()
     with pytest.raises(RootCollision, match="generator roots closer") as exc:
         isomono.snapshots_along(m, [(1e-22, 0.0)], (0.5, 0.0), z_seed=1e-11)
     assert not isinstance(exc.value, EigenvalueCollision)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flatiso import catalog, flatcore
-from flatiso.errors import DegreeOverflow, DivisionNotExact, RootCollision
+from flatiso.errors import (DegreeOverflow, DivisionNotExact, InputError,
+                            RootCollision)
 from flatiso.numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
                              newton_roots, rel_coeffs)
 from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _normalized,
@@ -129,6 +130,23 @@ def test_squarefree_guard_is_exact():
     sq = {(6, 0, 0): F(1), (3, 1, 0): F(-2), (0, 2, 0): F(1)}
     with pytest.raises(DivisionNotExact):
         Ring(["1/3", "1"], extension=sq, z_weight="1/9")
+
+
+@pytest.mark.parametrize("rel, message", [
+    ({(1, 0, 0): F(0)}, "empty relation"),
+    ({(0, 1, 0): F(1)}, "relation does not involve z"),
+    ({(2, 1, 0): F(1), (0, 0, 1): F(1)},
+     "relation must have a rational leading coefficient in z"),
+    ({(2, 0, 0): F(1), (1, 1, 0): F(1)},
+     "relation must have a nonzero z-constant term"),
+    ({(2, 0, 0): F(1), (0, 1, 0): F(1)}, "relation is not weighted homogeneous"),
+], ids=["empty", "no-z", "leading-coefficient", "no-z-constant",
+        "not-homogeneous"])
+def test_relation_checks(rel, message):
+    # z of weight 1/2 over weights (1/2, 1): z^2 + t1 z - t1^2 would pass
+    with pytest.raises(InputError) as e:
+        Ring(["1/2", "1"], extension=rel, z_weight="1/2")
+    assert str(e.value) == message
 
 
 def test_catalog_relations_pass_squarefree_guard():
