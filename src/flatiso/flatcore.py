@@ -460,12 +460,19 @@ def _proportionality_constant(a: RingElem, b: RingElem):
 def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
     """Prepotential reconstruction when the structure is Frobenius.
 
-    Returns None immediately if the weight pairing w_i + w_{n+1-i} is not
-    constant.  Otherwise solves for pair products u_i = c_i c_{n+1-i} making
-    the one-form sum_i u_i g_{n+1-i} dt_i closed, and integrates it to F.
-    Raises NoRescalingFound if the proportionality system is inconsistent.
-    C is the gradient matrix dg_j/dt_i when the caller already holds it
-    (SaitoMatrices.C); it is derived from g otherwise.
+    Returns None if the weight pairing w_i + w_{n+1-i} is not constant.
+    Otherwise reads the pair products u_i = c_i c_{n+1-i} off the unit row
+    in closed form and integrates sum_i u_i g_{n+1-i} dt_i to F.  The form
+    is closed iff u_i C[j][n-1-i] = u_j C[i][n-1-j] for all i, j (0-based,
+    C[i][j] = dg_j/dt_{i+1}); at j = n-1 this reads u_i C[n-1][n-1-i] =
+    u_{n-1} C[i][0], and the unit condition B^(n) = I, which
+    check_extended_wdvv tests, with homogeneity makes C[n-1][k] = t_{k+1}.
+    So with u_{n-1} = 1 each u_i is the constant ratio C[i][0] /
+    C[n-1][n-1-i].  Raises NoRescalingFound if an entry is zero or a ratio
+    is not constant, if u is not symmetric, or if dF differs from the form,
+    which happens exactly when the form is not closed.  C is the gradient
+    matrix when the caller already holds it (SaitoMatrices.C); it is
+    derived from g otherwise.
     """
     ring = pvf.ring
     n = pvf.n
@@ -478,45 +485,17 @@ def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
 
     if C is None:
         C = _gradient_matrix(pvf)
-    # closedness of sum_i u_i g_{n+1-i} dt_i:  u_i C[j][n-1-i] = u_j C[i][n-1-j]
-    u = [None] * n
-    u[0] = Fraction(1)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            if u[i] is None:
-                continue
-            for j in range(n):
-                if u[j] is not None:
-                    continue
-                a = C[j][n - 1 - i]    # multiplies u_i
-                b = C[i][n - 1 - j]    # multiplies u_j
-                if a.is_zero() or b.is_zero():
-                    continue
-                rho = _proportionality_constant(a, b)
-                if rho is None:
-                    raise NoRescalingFound(
-                        f"C[{j+1}][{n-i}] and C[{i+1}][{n-j}] are not proportional")
-                u[j] = u[i] * rho
-                changed = True
+    u = []
     for i in range(n):
-        if u[i] is None:
-            u[i] = Fraction(1)
-    # verify every pair
-    for i in range(n):
-        for j in range(n):
-            lhs = C[j][n - 1 - i] * u[i]
-            rhs = C[i][n - 1 - j] * u[j]
-            if not (lhs - rhs).is_zero():
-                raise NoRescalingFound(
-                    f"no diagonal rescaling symmetrizes C (pair {i+1},{j+1})")
-    # normalize so that u_n = 1 (i.e. c_1 = c_n = 1 is possible)
-    scale = u[n - 1]
-    u = [ui / scale for ui in u]
+        a, b = C[i][0], C[n - 1][n - 1 - i]
+        ui = None if a.is_zero() or b.is_zero() else _proportionality_constant(a, b)
+        if ui is None:
+            raise NoRescalingFound(
+                f"C[{i+1}][1] is not a constant multiple of C[{n}][{n-i}]")
+        u.append(ui)
     if any(ui != u[n - 1 - i] for i, ui in enumerate(u)):
         raise NoRescalingFound("pair products are not symmetric")
-    # weighted-homogeneous primitive of the closed form
+    # weighted-homogeneous primitive of the form
     t = ring.gens()
     wF = 1 + minus_2r
     F = ring.fused_sum([(w[i] * u[i] / wF, t[i], pvf.g[n - 1 - i])

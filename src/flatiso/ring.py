@@ -156,13 +156,12 @@ class _Packing:
         return out
 
     def exact_div(self, a, b):
-        """(q, den) with a = b * q / den over Q, or None if b does not divide a.
+        """(q, den) with a = b * q / den over Q, or None if b does not divide a;
+        b nonzero.
 
         Divides by the primitive part of b, which by Gauss's lemma leaves an
         integer quotient whenever one exists over Q.
         """
-        if not b:
-            return None
         if not a:
             return {}, 1
         g = gcd(*b.values())
@@ -604,16 +603,14 @@ class Ring:
         return dict(sorted(out.items(), reverse=True)), den
 
     def _divide(self, a, inverse):
-        """(q, den) with a = b q / den, where inverse = _inverse(b); None if b
-        does not divide a.
+        """(q, den) with a = b q / den, where inverse = _inverse(b) and b is no
+        zero divisor (so D is nonzero); None if b does not divide a.
 
         Since b A = D, b divides a exactly when D divides the reduced a A
         coefficientwise, and that quotient is q: rel is monic in z, so
         Q[t][z]/(rel) is free over Q[t] and a nonzero D is not a zero divisor.
         """
         A, D = inverse
-        if not D:
-            return None
         pk = self._pk
         prod, den = self._reduce(pk.mul(a, A))
         r = pk.exact_div(prod, D)
@@ -775,10 +772,6 @@ class RingElem:
             else:
                 return NotImplemented
         return (self - other).is_zero()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None
 

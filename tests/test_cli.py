@@ -33,6 +33,18 @@ def test_catalog_list(capsys):
     assert "LT8" in err
 
 
+def test_module_runs_as_a_script(capsys, monkeypatch):
+    import runpy
+    import sys
+    # a fresh copy of the module, as `python -m flatiso.cli` runs it
+    monkeypatch.delitem(sys.modules, "flatiso.cli")
+    monkeypatch.setattr(sys, "argv", ["flatiso", "catalog", "list"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("flatiso.cli", run_name="__main__")
+    assert exit_info.value.code == 0
+    assert json.loads(capsys.readouterr().out)["ids"] == catalog.catalog_list()
+
+
 def test_verify_wdvv_pass(capsys):
     code, out, err = run(capsys, "verify-wdvv", "--catalog", "LT8")
     assert code == 0

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from flatiso import catalog, exprio, flatcore
-from flatiso.errors import InputError, NoRescalingFound, SchemaError
+from flatiso.errors import InputError, NoRescalingFound, NotMonic, SchemaError
 from flatiso.flatcore import (PotentialVF, build_saito_matrices,
                               check_extended_wdvv, check_flat_normalization,
                               check_saito_relations, frobenius_check,
@@ -275,6 +275,23 @@ def test_t0_must_be_free_of_tn():
         flatcore.SaitoMatrices(ring=ring, C=[[t1 * 2]]).T0
 
 
+def test_component_count_must_match_the_variables(klein):
+    with pytest.raises(SchemaError, match="2 components for 3 variables"):
+        PotentialVF(ring=klein.ring, g=klein.g[:2])
+
+
+def test_h_must_be_homogeneous():
+    # C = diag(t2, t2 + t1) over the weights (1/2, 1): h = t2^2 + t1 t2 / 2
+    # is monic of degree 2 in t2, and t1 t2 has weight 3/2, not 2
+    from flatiso.ring import Ring
+    ring = Ring(["1/2", "1"])
+    t1, t2 = ring.gens()
+    m = flatcore.SaitoMatrices(ring=ring, C=[[t2, ring.zero()],
+                                             [ring.zero(), t2 + t1]])
+    with pytest.raises(NotMonic, match="not weighted homogeneous of weight 2"):
+        m.h
+
+
 def test_rescaling_covariance(klein):
     # c_j g_j(c1^-1 t1, ..., t_n) is again a solution, for random rational c
     ring = klein.ring
@@ -346,6 +363,56 @@ def test_frobenius_nontrivial_rescaling(h3):
     for i in range(3):
         assert (pre.F.partial(i) - g2[2 - i] * pre.u[i]).is_zero()
     assert pre.F.euler() == pre.F * (1 - 2 * pre.r)
+
+
+def _with_g(pvf, j, gj):
+    g = list(pvf.g)
+    g[j] = gj
+    return PotentialVF(ring=pvf.ring, g=g)
+
+
+def test_frobenius_needs_the_unit_row():
+    # g = (t1^3, t2^2/2) over the weights (1/2, 1) has B^(2) = diag(0, 1):
+    # C[1][1] = 3 t1^2 is no constant multiple of C[2][2] = t2
+    from flatiso.ring import Ring
+    ring = Ring(["1/2", "1"])
+    t1, t2 = ring.gens()
+    pvf = PotentialVF(ring=ring, g=[t1 ** 3, t2 ** 2 / 2])
+    assert not check_extended_wdvv(pvf).unit_ok
+    with pytest.raises(NoRescalingFound, match="C\\[1\\]\\[1\\]"):
+        frobenius_check(pvf)
+
+
+def test_frobenius_refuses_asymmetric_pair_products(h3):
+    # 2 g_1 doubles column 1 of C, so u = (2, 2, 1), with u_1 != u_3
+    with pytest.raises(NoRescalingFound, match="not symmetric"):
+        frobenius_check(_with_g(h3, 0, h3.g[0] * 2))
+
+
+def test_frobenius_refuses_a_form_that_is_not_closed(h3):
+    # t1^8 has weight 8/5 = 1 + w2 and leaves the unit row and column 1 of
+    # C alone, so u = (1, 1, 1), but d(g_2)/dt1 gains 8 t1^7 and the form
+    # u_i g_{4-i} dt_i is no longer closed
+    pvf = _with_g(h3, 1, h3.g[1] + h3.ring.var(0) ** 8)
+    assert check_extended_wdvv(pvf).unit_ok
+    with pytest.raises(NoRescalingFound, match="does not match"):
+        frobenius_check(pvf)
+
+
+def test_frobenius_negative_middle_pair_product():
+    # A3 with t2 -> i t2: g = (t1 t3 - t2^2/2, t2 t3 + t1^2 t2/2,
+    # t3^2/2 - t1 t2^2/2 + t1^4/12) over the weights (1/2, 3/4, 1) is a
+    # flat structure with u = (1, -1, 1); c_2 = sqrt(-1) is not rational
+    from flatiso.ring import Ring
+    ring = Ring(["1/2", "3/4", "1"])
+    t1, t2, t3 = ring.gens()
+    g = [t1 * t3 - t2 ** 2 / 2, t2 * t3 + t1 ** 2 * t2 / 2,
+         t3 ** 2 / 2 - t1 * t2 ** 2 / 2 + t1 ** 4 / 12]
+    pvf = PotentialVF(ring=ring, g=g)
+    assert check_extended_wdvv(pvf).is_solution
+    pre = frobenius_check(pvf)
+    assert pre.u == [F(1), F(-1), F(1)] and pre.c is None
+    assert pre.F == (t1 * t3 ** 2 - t2 ** 2 * t3) / 2 - t1 ** 2 * t2 ** 2 / 4 + t1 ** 5 / 60
 
 
 def _random_matrix(ring, n, seed):

@@ -530,6 +530,10 @@ def test_jm_residues_one_point_guards():
     with pytest.raises(DegenerateTheta):
         jm_residues([2.0], [2.1], [0.1], [1.0], (0.1, 0.2, 0.3),
                     (-s / 2, -s / 2))
+    # kappa_2 = 0 and ztilde = sum theta_i / (y - x_i) exactly (0.25 + 0.5
+    # - 0.25 at y = 2, t = 4) make every z_i exactly zero
+    with pytest.raises(DegenerateTheta, match="z0 vanishes at point 0"):
+        jm_residues([4.0], [2.0], [0.5], [1.0], (0.5, 0.5, 0.5), (-1.5, 0.0))
 
 
 def test_hamiltonian_flow_pvi_and_schlesinger():

@@ -134,6 +134,19 @@ def test_identities_klein(klein_matrices):
     assert all(v.is_zero() for v in klein_matrices.trace_defects)
 
 
+def test_identities_name_each_failure():
+    # C = ((t2/2 + t1^2, t1^3), (2 t1, 2 t2)) over the weights (1/2, 1):
+    # h = t2^2 + 2 t1^2 t2 - 3/2 t1^4, and both rows of -T are logarithmic,
+    # but the last row (t1, 2 t2) is not the Euler field, V_1 h = 4 h, and
+    # V_2 h / h = 2 t1 while -d s_1/dt_1 = 4 t1
+    ring = Ring(["1/2", "1"])
+    t1, t2 = ring.gens()
+    m = SaitoMatrices(ring=ring, C=[[t2 / 2 + t1 ** 2, t1 ** 3],
+                                    [t1 * 2, t2 * 2]])
+    assert m.h == t2 ** 2 + t1 ** 2 * t2 * 2 - t1 ** 4 * F(3, 2)
+    assert logvf_identities(m) == ["euler_row", "v1_h", "vi_ratio_2"]
+
+
 def test_identity_iii_explicit(klein_matrices):
     # V_2 h / h = - d s_1 / d t_2 where s_1 is minus the t3^2-coefficient of h
     h = klein_matrices.h

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from flatiso import catalog, cli, isomono as iso, midconv as mc, p6
-from flatiso.errors import ConditionDViolation, ResonantLambda
+from flatiso.errors import (ConditionDViolation, FactorizationFailed,
+                            InverseMismatch, RankViolation, ResonantLambda)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.numeric import EvalStack
 
@@ -86,23 +87,49 @@ def test_middle_convolution_roundtrip():
     assert np.abs(total).max() < 1e-10
 
 
-def test_lift_needs_no_pivot_column():
-    # every column of A = (a_1; a_2; a_3) holds a zero, which the pivot
-    # search of the epsilon gauge refused; the closed form lifts the system
-    g = np.array([0.3 + 0.1j, -0.45 + 0.05j])
-    a = np.array([[1, 0], [0, 1], [0.7 - 0.2j, -0.4 + 0.3j]])
+# rows a_j of a rank-one factorization with a zero in every column
+PIVOT_FREE_A = np.array([[1, 0], [0, 1], [0.7 - 0.2j, -0.4 + 0.3j]])
+
+
+def pivot_free(scale=1.0, delta=0.0):
+    """residue_j = -b_j a_j Gamma_inf with a_j the rows of PIVOT_FREE_A and
+    sum_j b_j a_j = I, Gamma_inf scaled by scale and residue 1 by 1 + delta:
+    still rank one, with (D4) off by delta |residue_1| and B A - I =
+    delta b_1 a_1."""
+    g = scale * np.array([0.3 + 0.1j, -0.45 + 0.05j])
+    a = PIVOT_FREE_A
     b3 = np.array([0.25 + 0.5j, -0.6 + 0.1j])
     b = np.array([np.eye(2)[0] - a[2, 0] * b3, np.eye(2)[1] - a[2, 1] * b3,
                   b3])
     resid = -b[:, :, None] * (a * g)[:, None, :]
-    sys1 = mc.RankOneSystem(residues=resid, Gamma_inf=g,
+    resid[0] *= 1 + delta
+    return mc.RankOneSystem(residues=resid, Gamma_inf=g,
                             z=np.array([0.0, 1.0, 2.5 + 0.5j]))
-    assert (np.abs(a) < 1e-8).any(axis=0).all()
-    out = mc.middle_convolution(sys1, 0.2 - 0.1j)
+
+
+def test_lift_needs_no_pivot_column():
+    # every column of A holds a zero, which the pivot search of the epsilon
+    # gauge refused; the closed form lifts the system
+    assert (np.abs(PIVOT_FREE_A) < 1e-8).any(axis=0).all()
+    out = mc.middle_convolution(pivot_free(), 0.2 - 0.1j)
     assert out.residues.shape == (3, 3, 3)
     total = out.residues.sum(axis=0) + np.diag(out.Gamma_inf)
     assert np.abs(total).max() < 1e-14
     assert rank_two_ratio(out.residues) < 1e-15
+
+
+@pytest.mark.parametrize("scale, delta, lam, error", [
+    # a small Gamma_inf passes (D4) within 1e-10 with B A - I near 1e-8
+    (1e-3, 1e-8, 0.2, FactorizationFailed),
+    # B A - I near 4e-10: within the factor check, not the inverse check
+    (1e-3, 5e-10, 0.2, InverseMismatch),
+    # P P^-1 - I near 1e-11, times |lam| = 1e3 in the residue sum
+    (1.0, 1e-11, 1e3, RankViolation),
+])
+def test_lift_checks_its_factors(scale, delta, lam, error):
+    with pytest.raises(error):
+        mc.middle_convolution(pivot_free(scale, delta), lam)
+    mc.middle_convolution(pivot_free(scale), lam)
 
 
 def test_resonant_lambda_rejected():

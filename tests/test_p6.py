@@ -236,6 +236,12 @@ def test_path_fixed_in_t2_is_a_zero_step():
         isomono.schlesinger_residual(isomono.snapshots_along(m, pts, lam))
 
 
+def test_extraction_needs_n_3(trivial_n2):
+    m = build_saito_matrices(trivial_n2)
+    with pytest.raises(InputError, match="needs n = 3"):
+        p6.extract_p6_solution(m, [0.5, 0.0], (1, 2), [(1.0,)])
+
+
 def test_parameters_klein():
     e, m = entry_setup("LT8")
     params = p6.p6_parameters(m, e.default_path.points[0],

@@ -81,6 +81,69 @@ def test_zero_homogeneous_of_every_weight(plain):
     z = plain.zero()
     for w in (0, 1, F(5, 7)):
         assert z.is_homogeneous(w)
+    assert z.weight() is None
+
+
+def test_equality_and_its_negation(plain):
+    # != is derived from __eq__, NotImplemented included
+    t1, t2, _ = plain.gens()
+    assert t1 != t2 and not t1 != t1
+    assert plain.one() * 3 == 3 and not plain.one() * 3 != 3
+    assert t1 != 1 and plain.const(F(1, 2)) != F(1, 3)
+    assert not plain.const(F(1, 2)) != F(1, 2)
+    assert t1.__eq__("t1") is NotImplemented
+    assert t1 != "t1" and not t1 == "t1"
+
+
+def test_rings_compare_by_weights_and_relation(plain, ext):
+    assert plain == Ring(["2/7", "3/7", "1"])
+    assert plain != Ring(["2/7", "3/7", "1", "1"])
+    assert ext != Ring(ext.weights)
+    assert ext == Ring(ext.weights, extension=ext.ext.relation, z_weight="1/5")
+    assert plain.__eq__(plain.weights) is NotImplemented
+
+
+def test_elementary_operations(plain):
+    t1, t2, _ = plain.gens()
+    assert not plain.zero() and t1
+    assert 1 - t1 == -(t1 - 1)
+    assert repr(t1 * t2 / 2) == "RingElem(1/2*t1*t2)"
+    with pytest.raises(ValueError, match="negative exponent"):
+        t1 ** -1
+
+
+def test_indices_and_generators_are_checked(plain):
+    with pytest.raises(IndexError):
+        plain.var(3)
+    with pytest.raises(IndexError):
+        plain.var(0).partial(3)
+    with pytest.raises(ValueError, match="no generator z"):
+        plain.zgen()
+
+
+def test_packing_refuses_bad_exponent_vectors():
+    pk = _packing(2)
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        pk.pack((0, 1))
+    with pytest.raises(ValueError, match="bad exponent vector"):
+        pk.pack((0, -1, 2))
+    with pytest.raises(DegreeOverflow):
+        pk.pack((0, MAX_DEGREE, 1))
+
+
+def test_lazy_denominators_cancel_on_request():
+    # LT19's relation z^9 + z^6 t2 + t1^6 makes t1^6 / z = -(z^8 + z^5 t2);
+    # the lazy ring keeps the z until cancel() is asked for, and 1 / z has
+    # nothing to cancel
+    ring = catalog.catalog_get("LT19").pvf.ring
+    assert ring.lazy
+    e = ring.from_raw({(0, 6, 0, 0): 1}, zden=1)
+    assert e.zden == 1
+    c = e.cancel()
+    assert (c.zden, c.dden) == (0, 0)
+    assert c == -(ring.zgen() ** 8 + ring.zgen() ** 5 * ring.var(1)) == e
+    inv = ring.from_raw({(0, 0, 0, 0): 1}, zden=1)
+    assert inv._z_cancelled() is inv
 
 
 def test_eval_basic(plain, klein):

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 MODULE = ('"""A module."""\n'          # 1
@@ -47,3 +48,43 @@ def test_lister_names_the_lines_that_never_ran(tmp_path, monkeypatch):
         "traced/lister_probe.py: 2 of 7 lines never ran"]
     assert tool.report(folder, {})[-1] == (
         "traced/lister_probe.py: 7 of 7 lines never ran")
+
+
+def test_named_list_decides_the_exit_status(tmp_path, monkeypatch, capsys):
+    # a pytest run of its own calls sign(2): return -1 and return 0 never
+    # run.  Naming both exits 0 and prints the reasons; leaving one out, or
+    # naming a line that ran, exits 1 and names the offending line
+    tool = load_tool()
+    folder = tmp_path / "traced"
+    folder.mkdir()
+    (folder / "named_probe.py").write_text(MODULE)
+    (tmp_path / "test_probe.py").write_text(
+        "import named_probe\n\n\n"
+        "def test_sign():\n"
+        "    assert named_probe.sign(2) == 1\n")
+    monkeypatch.syspath_prepend(str(folder))
+    monkeypatch.chdir(tmp_path)
+
+    def run(named):
+        # each run imports, and so traces, the module afresh
+        for module in ("test_probe", "named_probe"):
+            sys.modules.pop(module, None)
+        status = tool.main(["-p", "no:cacheprovider", "-p", "no:terminal",
+                            "test_probe.py"], folder, named)
+        return status, capsys.readouterr().out.splitlines()
+
+    unrun = [("named_probe.py", "return -1", "only negative x"),
+             ("named_probe.py", "return 0", "never called")]
+    count = "traced/named_probe.py: 2 of 7 lines never ran"
+    mismatch = "the lines that never ran are not the named ones:"
+    assert run(unrun) == (0, [
+        "traced/named_probe.py:8: return -1 -- only negative x",
+        "traced/named_probe.py:12: return 0 -- never called", count])
+    assert run(unrun[:1]) == (1, [
+        "traced/named_probe.py:8: return -1 -- only negative x",
+        "traced/named_probe.py:12: return 0", count, mismatch,
+        "traced/named_probe.py:12: return 0: never ran, not named"])
+    assert run(unrun + [("named_probe.py", "return 1", "positive x")]) == (1, [
+        "traced/named_probe.py:8: return -1 -- only negative x",
+        "traced/named_probe.py:12: return 0 -- never called", count, mismatch,
+        "named_probe.py: return 1: named, but ran or is gone"])
