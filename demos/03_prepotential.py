@@ -15,8 +15,7 @@ print("pair sums w_i + w_{4-i}:",
       [str(h3.weights[i] + h3.weights[2 - i]) for i in range(3)])
 print("prepotential found:", pre is not None)
 print("F =", exprio.format_elem(pre.F))
-print("rescaling pair products u =", [str(u) for u in pre.u],
-      " per-coordinate c =", [str(c) for c in pre.c])
+print("rescaling pair products u =", [str(u) for u in pre.u])
 print("E F = (1 - 2r) F with r =", pre.r)
 
 stored = exprio.parse_expr(h3.meta["prepotential"], h3.ring)

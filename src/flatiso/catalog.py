@@ -61,7 +61,6 @@ class CatalogEntry:
     pvf: PotentialVF
     default_path: PathSpec
     flags: Dict[str, bool]
-    notes: str
     p6_entry: tuple
     z_seed: Optional[complex]
     doc: dict
@@ -140,7 +139,7 @@ def catalog_get(entry_id: str) -> CatalogEntry:
     entry = CatalogEntry(
         id=entry_id, pvf=pvf,
         default_path=PathSpec(points=points),
-        flags=dict(doc["flags"]), notes=doc.get("notes", ""),
+        flags=dict(doc["flags"]),
         p6_entry=tuple(doc.get("p6_entry", (1, 2))),
         z_seed=seed, doc=doc)
     _cache[entry_id] = entry
@@ -231,7 +230,9 @@ def midconv_block(m: SaitoMatrices, point, z_seed=None):
     """(block, convolved system): truncate at a path point, convolve back
     with -w_n, and measure the distances of the result's Gamma_inf from the
     weights and of its residue traces from the snapshot's, with the
-    invariance defect of the big convolution system."""
+    invariance defect of the big convolution system.  The Gamma_inf
+    distance gates nothing: the lift's Gamma_inf is (Gamma_inf - lam, -lam)
+    by construction, so it reads the rounding of (w_i - w_n) + w_n alone."""
     import numpy as np
     from . import midconv
     lam_w = list(m.weights)
@@ -246,8 +247,7 @@ def midconv_block(m: SaitoMatrices, point, z_seed=None):
     block = {"gamma_inf_error": ginf_err, "trace_error": tr_err,
              "invariance_defect": inv.max_defect,
              "dim_K": inv.dim_K,
-             "pass": (within("midconv_recovery", ginf_err)
-                      and within("midconv_recovery", tr_err)
+             "pass": (within("midconv_recovery", tr_err)
                       and within("invariance_defect", inv.max_defect))}
     return block, out
 

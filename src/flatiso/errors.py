@@ -115,10 +115,6 @@ class PoleAtY(FlatIsoError):
     pass
 
 
-class FactorizationFailed(NumericError):
-    pass
-
-
 class InverseMismatch(NumericError):
     pass
 

@@ -328,12 +328,12 @@ class WdvvReport:
 
 @dataclass
 class Prepotential:
-    """Single function F with dF = sum_i u_i g_{n+1-i} dt_i in current coordinates."""
+    """Single function F with dF = sum_i u_i g_{n+1-i} dt_i in current
+    coordinates, and E F = (1 - 2r) F."""
 
     F: RingElem
     r: Fraction
-    u: List[Fraction]               # pair products c_i * c_{n+1-i}
-    c: Optional[List[Fraction]]     # per-coordinate rescalings when rational
+    u: List[Fraction]               # pair products c_i * c_{n+1-i}, u_n = 1
 
 
 # ---------------------------------------------------------------------------
@@ -470,9 +470,10 @@ def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
     So with u_{n-1} = 1 each u_i is the constant ratio C[i][0] /
     C[n-1][n-1-i].  Raises NoRescalingFound if an entry is zero or a ratio
     is not constant, if u is not symmetric, or if dF differs from the form,
-    which happens exactly when the form is not closed.  C is the gradient
-    matrix when the caller already holds it (SaitoMatrices.C); it is
-    derived from g otherwise.
+    which happens exactly when the form is not closed.  F is built from the
+    products u alone, so no split of them into rescalings c_i is formed.
+    C is the gradient matrix when the caller already holds it
+    (SaitoMatrices.C); it is derived from g otherwise.
     """
     ring = pvf.ring
     n = pvf.n
@@ -503,34 +504,4 @@ def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
     for i in range(n):
         if not (F.partial(i) - pvf.g[n - 1 - i] * u[i]).is_zero():
             raise NoRescalingFound("integrated prepotential does not match")
-    # per-coordinate rescalings over Q when they exist
-    c = _split_rescaling(u)
-    return Prepotential(F=F, r=r, u=u, c=c)
-
-
-def _split_rescaling(u):
-    n = len(u)
-    c = [None] * n
-    c[n - 1] = Fraction(1)
-    c[0] = u[n - 1]
-    for i in range(1, (n + 1) // 2):
-        c[i] = u[i]          # free split: c_{n+1-i} = 1
-        c[n - 1 - i] = Fraction(1)
-    if n % 2 == 1:
-        m = (n - 1) // 2
-        um = u[m]
-        # c_m = sqrt(u_m): rational only if u_m is a perfect square
-        num, den = um.numerator, um.denominator
-        if num < 0:
-            return None
-        rn, rd = _isqrt_exact(num), _isqrt_exact(den)
-        if rn is None or rd is None:
-            return None
-        c[m] = Fraction(rn, rd)
-    return c
-
-
-def _isqrt_exact(k):
-    import math
-    r = math.isqrt(k)
-    return r if r * r == k else None
+    return Prepotential(F=F, r=r, u=u)

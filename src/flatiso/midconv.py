@@ -10,8 +10,11 @@ gauge epsilon = 1: extend the rank-one factor matrices to an inverse pair
     new residue_j = - P[:, j] P^{-1}[j, :] diag(lam_1 - lam, ..., -lam),
 
 with P^{-1} the inverse the extension has already checked, so no matrix
-is inverted; P[:, j] P^{-1}[j, :] is the spectral projector E_j, as on the
-Okubo side, where the truncation reads the leading blocks of the residues
+is inverted.  That check of P P^{-1} = I is the lift's one numeric check:
+the product of the factor matrices is its top-left block, and the new
+residues sum to -P P^{-1} times the new Gamma_inf, whatever the size of
+lam.  P[:, j] P^{-1}[j, :] is the spectral projector E_j, as on the Okubo
+side, where the truncation reads the leading blocks of the residues
 -E_i diag(lam') of the snapshot.  Residues are stacked (n, m, m) arrays
 throughout, as in isomono and p6, and one SVD of them, taken when a system
 is built, serves every factorization below.  The closed form needs no
@@ -32,8 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import TOLERANCES
-from .errors import (ConditionDViolation, FactorizationFailed,
-                     InverseMismatch, RankViolation, ResonantLambda)
+from .errors import ConditionDViolation, InverseMismatch, ResonantLambda
 from .isomono import TRACE_GUARD, OkuboNumeric, snapshots_along
 from .p6 import projector_tangent
 
@@ -137,10 +139,11 @@ def _rank_one_factors(sys: RankOneSystem):
 
 def _extend_to_inverse_pair(B, A):
     """(P, P^{-1}): square P = [B; row] and P^{-1} = [A | col], checked to
-    be inverse, given B A = I_{n-1}: Q = I - A B = col row projects onto
-    ker B along range A, and trace Q = 1 gives |Q_ii| >= 1/n.  col is
-    Q[:, i] pinned to 1 at its first largest entry k, so row = Q[k],
-    |Q[k, i]| >= (1 - PIN_TIE)|Q_ii|."""
+    be inverse (InverseMismatch).  B A is the top-left block of P P^{-1},
+    so the check covers B A = I_{n-1}, under which Q = I - A B = col row
+    projects onto ker B along range A, and trace Q = 1 gives
+    |Q_ii| >= 1/n.  col is Q[:, i] pinned to 1 at its first largest entry
+    k, so row = Q[k], |Q[k, i]| >= (1 - PIN_TIE)|Q_ii|."""
     Q = np.eye(A.shape[0]) - A @ B
     i = np.argmax(np.abs(np.diag(Q)))
     k = _pin(Q[:, i])
@@ -163,18 +166,14 @@ def middle_convolution(sys: RankOneSystem, lam) -> ConvolutionResult:
 
     lam must avoid the spectrum {Gamma_inf} and 0.  The lift is
     -P[:, j] P^{-1}[j, :] diag(Gamma_inf - lam, -lam), the epsilon = 1 gauge.
+    Its one numeric check is the inverse pair's, InverseMismatch; the
+    residues then sum to minus that diagonal within |P P^{-1} - I|, relative.
     """
     lam = complex(lam)
     _check_lambda(sys, lam)
-    B, A = _rank_one_factors(sys)
-    if np.abs(B @ A - np.eye(sys.n - 1)).max() > 1e-9:
-        raise FactorizationFailed("rank-one factors do not multiply to identity")
+    P, Pinv = _extend_to_inverse_pair(*_rank_one_factors(sys))
     gamma_inf = np.concatenate([sys.Gamma_inf - lam, [-lam]])
-    P, Pinv = _extend_to_inverse_pair(B, A)
     residues = -P.T[:, :, None] * (Pinv[:, None, :] * gamma_inf)
-    if (np.abs(residues.sum(axis=0) + np.diag(gamma_inf)).max()
-            > TOLERANCES["residue_identities"]):
-        raise RankViolation("convolved residues do not sum to -Gamma_inf")
     return ConvolutionResult(residues=residues, Gamma_inf=gamma_inf,
                              z=np.asarray(sys.z), lam=lam)
 

@@ -10,10 +10,14 @@ can still mask each other: a call of one counts for both.  Strings, comments
 and docstrings do not count, nor do tests and demos, so a name that only
 they use fails here unless ALLOWED names it.
 
+A public field of a public dataclass or NamedTuple counts as read only
+through an Attribute node, as a method does: a field that only its
+constructor sets is data that nothing reads.
+
 Likewise every parameter with a default of a public function or method
 counts as set when some call in that code to a callee of the same name
 passes it, by keyword or by position; ALLOWED_OPTIONS names the exceptions.
-Dunder methods and dataclass fields are not covered.
+Dunder methods are not covered.
 """
 
 import ast
@@ -32,6 +36,8 @@ ALLOWED = {
                      "documents with it; flatiso exports it",
     "saito_criterion": "Saito's criterion for any matrix of vector fields; "
                        "the pipelines use its -T case, generator_criterion",
+    "Prepotential.u": "F is built from the pair products u; demo 03 "
+                      "prints them",
 }
 
 
@@ -40,9 +46,28 @@ def _public(node):
             and not node.name.startswith("_"))
 
 
-def public_definitions():
-    """(qualified name, name, node) of every public definition."""
-    for path in sorted(PACKAGE.glob("*.py")):
+def _is_record(cls):
+    """Whether a class is a dataclass or a NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d
+                  for d in cls.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass"
+                for d in decorators)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple"
+                   for b in cls.bases))
+
+
+def _fields(cls):
+    """The public fields of a record class: its annotated names."""
+    for node in cls.body:
+        if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and not node.target.id.startswith("_")):
+            yield node.target.id, node
+
+
+def public_definitions(paths=None):
+    """(qualified name, name, node) of every public definition, and of every
+    public field of a public record class, in paths (default: the package)."""
+    for path in paths or sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if not _public(node):
                 continue
@@ -51,6 +76,9 @@ def public_definitions():
                 for sub in filter(_public, node.body):
                     if isinstance(sub, ast.FunctionDef):
                         yield f"{node.name}.{sub.name}", sub.name, sub
+                if _is_record(node):
+                    for name, sub in _fields(node):
+                        yield f"{node.name}.{name}", name, sub
 
 
 def referenced_names(files):
@@ -102,6 +130,27 @@ def test_a_method_counts_only_through_an_attribute(tmp_path):
     defined = [("f", "f"), ("g", "g"), ("C.used", "used"),
                ("C.shadow", "shadow")]
     assert unreferenced(defined, [src]) == ["C.shadow"]
+
+
+def test_an_unread_field_has_no_caller(tmp_path):
+    src = tmp_path / "m.py"
+    src.write_text("from dataclasses import dataclass\n"
+                   "from typing import NamedTuple\n"
+                   "@dataclass(frozen=True)\n"
+                   "class R:\n"
+                   "    read: int\n"
+                   "    unread: int = 0\n"
+                   "    _private: int = 0\n"
+                   "class N(NamedTuple):\n"
+                   "    kept: int\n"
+                   "class Plain:\n"
+                   "    annotated: int\n"
+                   "unread = R(1).read + N(2).kept + Plain()\n")
+    defined = [(q, name) for q, name, _ in public_definitions([src])]
+    assert [q for q, _ in defined] == ["R", "R.read", "R.unread", "N",
+                                       "N.kept", "Plain"]
+    # the variable unread, a Name node of the same name, reads no field
+    assert unreferenced(defined, [src]) == ["R.unread"]
 
 
 # options kept although no production call sets them, each with its reason

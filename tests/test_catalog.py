@@ -96,6 +96,28 @@ def test_full_depth_one_extension_entry():
     assert rep["full"]["midconv_gamma_inf_error"] < 1e-8
 
 
+def test_midconv_gamma_inf_error_gates_nothing(monkeypatch):
+    # the lift's Gamma_inf is (Gamma_inf - lam, -lam) by construction, so
+    # its distance from the weights is reported as a rounding reading only:
+    # a lift whose Gamma_inf were off by 1e-3 would still pass
+    from flatiso import midconv
+    from flatiso.flatcore import build_saito_matrices
+    real = midconv.middle_convolution
+
+    def shifted(sys, lam):
+        out = real(sys, lam)
+        out.Gamma_inf = out.Gamma_inf + 1e-3
+        return out
+
+    monkeypatch.setattr(midconv, "middle_convolution", shifted)
+    e = catalog.catalog_get("LT8")
+    pts = e.default_path.points
+    block, _ = catalog.midconv_block(build_saito_matrices(e.pvf),
+                                     pts[len(pts) // 2], z_seed=e.z_seed)
+    assert abs(block["gamma_inf_error"] - 1e-3) < 1e-12
+    assert block["pass"]
+
+
 def theta_pairs(rep):
     """numeric.theta as the JSON report writes it: [re, im] pairs."""
     return json.loads(json.dumps(rep["numeric"]["theta"],

@@ -321,7 +321,7 @@ def test_frobenius_h3_exact(h3):
     assert pre is not None
     stored = exprio.parse_expr(h3.meta["prepotential"], h3.ring)
     assert (pre.F - stored).is_zero()
-    assert pre.u == [F(1)] * 3 and pre.c == [F(1)] * 3
+    assert pre.u == [F(1)] * 3
     assert pre.r == F(-3, 5)
     # EF = (1 - 2r) F
     assert pre.F.euler() == pre.F * (1 - 2 * pre.r)
@@ -341,8 +341,8 @@ def test_frobenius_n2_inconsistent(trivial_n2):
 def test_frobenius_nontrivial_rescaling(h3):
     # rescale the icosahedral field by c = (2, 3, 1): C stops being
     # persymmetric, and the search must recover pair products
-    # u = (1, 2/9, 1) (normalized so u_3 = 1); the per-coordinate split
-    # needs sqrt(2)/3, which is not rational, so c is None but F is exact
+    # u = (1, 2/9, 1) (normalized so u_3 = 1); F is exact although the
+    # per-coordinate split would need sqrt(2)/3, which is not rational
     ring = h3.ring
     c = [F(2), F(3), F(1)]
     g2 = []
@@ -359,7 +359,6 @@ def test_frobenius_nontrivial_rescaling(h3):
     pre = frobenius_check(pvf2)
     assert pre is not None
     assert pre.u == [F(1), F(2, 9), F(1)]
-    assert pre.c is None
     for i in range(3):
         assert (pre.F.partial(i) - g2[2 - i] * pre.u[i]).is_zero()
     assert pre.F.euler() == pre.F * (1 - 2 * pre.r)
@@ -402,7 +401,8 @@ def test_frobenius_refuses_a_form_that_is_not_closed(h3):
 def test_frobenius_negative_middle_pair_product():
     # A3 with t2 -> i t2: g = (t1 t3 - t2^2/2, t2 t3 + t1^2 t2/2,
     # t3^2/2 - t1 t2^2/2 + t1^4/12) over the weights (1/2, 3/4, 1) is a
-    # flat structure with u = (1, -1, 1); c_2 = sqrt(-1) is not rational
+    # flat structure with u = (1, -1, 1), whose split would need
+    # c_2 = sqrt(-1)
     from flatiso.ring import Ring
     ring = Ring(["1/2", "3/4", "1"])
     t1, t2, t3 = ring.gens()
@@ -411,7 +411,7 @@ def test_frobenius_negative_middle_pair_product():
     pvf = PotentialVF(ring=ring, g=g)
     assert check_extended_wdvv(pvf).is_solution
     pre = frobenius_check(pvf)
-    assert pre.u == [F(1), F(-1), F(1)] and pre.c is None
+    assert pre.u == [F(1), F(-1), F(1)]
     assert pre.F == (t1 * t3 ** 2 - t2 ** 2 * t3) / 2 - t1 ** 2 * t2 ** 2 / 4 + t1 ** 5 / 60
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from flatiso import catalog, cli, isomono as iso, midconv as mc, p6
-from flatiso.errors import (ConditionDViolation, FactorizationFailed,
-                            InverseMismatch, RankViolation, ResonantLambda)
+from flatiso.errors import (ConditionDViolation, InverseMismatch,
+                            ResonantLambda)
 from flatiso.flatcore import build_saito_matrices
 from flatiso.numeric import EvalStack
 
@@ -119,17 +119,32 @@ def test_lift_needs_no_pivot_column():
 
 
 @pytest.mark.parametrize("scale, delta, lam, error", [
-    # a small Gamma_inf passes (D4) within 1e-10 with B A - I near 1e-8
-    (1e-3, 1e-8, 0.2, FactorizationFailed),
-    # B A - I near 4e-10: within the factor check, not the inverse check
+    # a small Gamma_inf passes (D4) within 1e-10 with B A - I near 1e-8,
+    # or near 4e-10; B A is the top-left block of P P^-1, so the pair
+    # check, the lift's one numeric check, rejects both
+    (1e-3, 1e-8, 0.2, InverseMismatch),
     (1e-3, 5e-10, 0.2, InverseMismatch),
-    # P P^-1 - I near 1e-11, times |lam| = 1e3 in the residue sum
-    (1.0, 1e-11, 1e3, RankViolation),
 ])
 def test_lift_checks_its_factors(scale, delta, lam, error):
     with pytest.raises(error):
         mc.middle_convolution(pivot_free(scale, delta), lam)
     mc.middle_convolution(pivot_free(scale), lam)
+
+
+@pytest.mark.parametrize("delta, lam, bound", [
+    # P P^-1 - I near 1e-11 passes the pair check, and the residue sum
+    # misses -Gamma_inf by that much relative to |lam| = 1e3
+    (1e-11, 1e3, 1e-10),
+    # an exact system lifts at any scale of lam
+    (0.0, 1e3, 1e-14),
+    (0.0, 1e6, 1e-14),
+    (0.0, 1e7, 1e-14),
+])
+def test_lift_residue_sum_is_relative_to_lambda(delta, lam, bound):
+    out = mc.middle_convolution(pivot_free(1.0, delta), lam)
+    gamma = out.Gamma_inf
+    total = out.residues.sum(axis=0) + np.diag(gamma)
+    assert np.abs(total).max() < bound * np.abs(gamma).max()
 
 
 def test_resonant_lambda_rejected():
