@@ -6,8 +6,6 @@ h in the last coordinate; the rows of -T are logarithmic vector fields along
 h = 0, the bottom row is the Euler field, and det(-T) = h realizes Saito's
 criterion with constant exactly 1.
 """
-from fractions import Fraction
-
 from flatiso import catalog, exprio, flatcore, logvf
 
 pvf = catalog.catalog_get("LT8").pvf
@@ -21,7 +19,7 @@ print(f"\nh = det(-T) = {exprio.format_elem(m.h)}")
 print(f"h is monic of degree 3 in t3 and homogeneous of weight {m.h.weight()}")
 
 print(f"\nSaito criterion for the rows of -T: c = "
-      f"{logvf.saito_criterion(flatcore.mat_scale(m.T, Fraction(-1)), m.h)}")
+      f"{logvf.saito_criterion(m.minus_T, m.h)}")
 
 failed = logvf.logvf_identities(m)
 print(f"generator identities (Euler row, V_1 h = 3h, ratio rule, "

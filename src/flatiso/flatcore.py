@@ -9,17 +9,18 @@ Given weights w and an n-tuple g with g_j of weight 1+w_j, the matrices
 
 carry the whole flat structure.  A SaitoMatrices holds C, the gradient over
 its minimal denominators with z divided out as far as it goes, and derives
-each other object from it once, on first use: T, the B^(k) and their
-traces, the commutators, h = det(-T) with its t_n-coefficients (split once)
-and partials, the trace defects and the quotients (V_k h)/h they certify,
-T0 = T + t_n I, which shares T's off-diagonal entries, and dT0/dt_k =
--(E + w_k) B^(k) for k < n, so that no partial of T0 is taken.
-check_extended_wdvv checks the extended WDVV system on one structure of g,
-whose T it tests with the predicate build_saito_matrices raises from:
-pairwise commutativity of the B^(k), the unit condition B^(n) = I,
-homogeneity E g_j = (1+w_j) g_j, the structure relations coupling T, B^(k)
-and Binf, and the normalization T_nj = -w_j t_j.  All checks are exact zero
-tests in the ring.
+each other object from it once, on first use: T and the verdict on the
+weights of its entries, the B^(k) and their traces, the commutators,
+h = det(-T) with its t_n-coefficients (split once) and partials, the trace
+defects and the quotients (V_k h)/h they certify, T0 = T + t_n I, which
+shares T's off-diagonal entries, and dT0/dt_k = -(E + w_k) B^(k) for k < n,
+so that no partial of T0 is taken.  check_extended_wdvv checks the extended
+WDVV system on one structure of g, reading the same verdict on T that
+build_saito_matrices raises from: pairwise commutativity of the B^(k), the
+unit condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the structure
+relations coupling T, B^(k) and Binf, and the normalization T_nj = -w_j t_j.
+All checks are exact: zero tests in the ring, and weight tests that compare
+integer monomial weights scaled by Ring._wscale.
 
 With T = -E C, the structure relations come down to two tests: the
 commutators [B^(p), B^(q)] vanish, and every B^(i)_rc is weighted
@@ -69,10 +70,6 @@ def mat_identity(ring, n):
 
 def mat_is_zero(a):
     return all(e.is_zero() for row in a for e in row)
-
-
-def mat_scale(a, c):
-    return [[e * c for e in row] for row in a]
 
 
 def _printed(d, e):
@@ -196,9 +193,17 @@ class SaitoMatrices:
                 for p in range(n) for q in range(p + 1, n)}
 
     @cached_property
+    def inhomogeneous_T_entries(self) -> List[Tuple[int, int]]:
+        """Each (i, j), row by row, with T_ij not homogeneous of weight
+        1 + w_j - w_i; tested in integer weights scaled by Ring._wscale."""
+        s, iw = self.ring._wscale, self.ring._iw[1:]
+        return [(i, j) for i, row in enumerate(self.T) for j, e in enumerate(row)
+                if not e._has_weight(s + iw[j] - iw[i])]
+
+    @cached_property
     def minus_T(self):
         """-T; row i encodes the vector field V_{n+1-i}."""
-        return mat_scale(self.T, Fraction(-1))
+        return [[-e for e in row] for row in self.T]
 
     @cached_property
     def _h_split(self):
@@ -353,18 +358,11 @@ def _structure(pvf: PotentialVF) -> SaitoMatrices:
                                            for row in _gradient_matrix(pvf)])
 
 
-def _inhomogeneous_t_entries(m: SaitoMatrices) -> List[Tuple[int, int]]:
-    """Each (i, j), row by row, with T_ij not homogeneous of weight 1 + w_j - w_i."""
-    w = m.weights
-    return [(i, j) for i, row in enumerate(m.T) for j, e in enumerate(row)
-            if not e.is_homogeneous(1 + w[j] - w[i])]
-
-
 def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
     """The structure of g; SchemaError unless every entry of T = -E C is
     homogeneous."""
     m = _structure(pvf)
-    bad = _inhomogeneous_t_entries(m)
+    bad = m.inhomogeneous_T_entries
     if bad:
         i, j = bad[0]
         raise SchemaError(
@@ -398,11 +396,12 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
     their commutators are read from the one structure of g in either case.
     """
     n = pvf.n
+    s, iw = pvf.ring._wscale, pvf.ring._iw[1:]
     checked = _structure(pvf)
-    m = None if _inhomogeneous_t_entries(checked) else checked
+    m = None if checked.inhomogeneous_T_entries else checked
     return WdvvReport(
         unit_ok=mat_is_zero(mat_sub(checked.Btilde[n - 1], mat_identity(pvf.ring, n))),
-        homogeneity_ok=all(g.is_homogeneous(1 + w) for g, w in zip(pvf.g, pvf.weights)),
+        homogeneity_ok=all(g._has_weight(s + wj) for g, wj in zip(pvf.g, iw)),
         commutators=checked.commutators, matrices=m,
         saito_relations_ok=m is not None and check_saito_relations(m),
         flat_normalization_ok=m is not None and check_flat_normalization(m))
@@ -423,11 +422,12 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
     - every B^(i)_rc is homogeneous of weight 1 + w_c - w_r - w_i.  Since
       [d/dt_i, E] = w_i d/dt_i, dT_rc/dt_i + (1 + w_c - w_r) B^(i)_rc is
       (1 + w_c - w_r - w_i - E) B^(i)_rc, zero exactly for such an entry.
-      This is a test of monomial weights (RingElem.is_homogeneous).
+      This is a test of monomial weights, in integers scaled by
+      Ring._wscale (RingElem.is_homogeneous).
     """
-    w = m.weights
+    s, iw = m.ring._wscale, m.ring._iw[1:]
     return (all(mat_is_zero(c) for c in m.commutators.values())
-            and all(e.is_homogeneous(1 + w[c] - w[r] - w[i])
+            and all(e._has_weight(s + iw[c] - iw[r] - iw[i])
                     for i, B in enumerate(m.Btilde)
                     for r, row in enumerate(B) for c, e in enumerate(row)))
 

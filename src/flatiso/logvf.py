@@ -20,9 +20,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import RowNotLogarithmic
-from .flatcore import (SaitoMatrices, _inhomogeneous_t_entries,
-                       _proportionality_constant, check_flat_normalization,
-                       log_division, mat_det)
+from .flatcore import (SaitoMatrices, _proportionality_constant,
+                       check_flat_normalization, log_division, mat_det)
 from .ring import RingElem
 
 
@@ -97,7 +96,8 @@ def logvf_identities(m: SaitoMatrices) -> List[str]:
             failed.append(f"vi_ratio_{i}")
 
     # (iv) weight duality via entry weights: w((-T)_ij) = 1 - w_i + w_j, the
-    # weights of T that build_saito_matrices checks
-    failed += [f"entry_weight_{i+1}{j+1}" for i, j in _inhomogeneous_t_entries(m)]
+    # structure's one verdict on T's weights, which build_saito_matrices and
+    # check_extended_wdvv read too
+    failed += [f"entry_weight_{i+1}{j+1}" for i, j in m.inhomogeneous_T_entries]
     return failed
 

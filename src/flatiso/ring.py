@@ -399,6 +399,9 @@ class Ring:
         zw = self.ext.z_weight if self.ext is not None else Fraction(0)
         self._wscale = lcm(*(w.denominator for w in self.weights + (zw,)))
         self._iw = tuple(int(w * self._wscale) for w in (zw,) + self.weights)
+        # and those of the denominator's factors z and rel_z
+        self._iw_den = ((self._iw[0], int(self.ext.drel_weight * self._wscale))
+                        if self.ext is not None else (0, 0))
 
     def __eq__(self, other):
         if not isinstance(other, Ring):
@@ -822,15 +825,19 @@ class RingElem:
                         a + ez, b + 1 + eD)
 
     def _key_weights(self):
-        """Integer weight (times ring._wscale) of each monomial, and of the denominator."""
+        """(integer weight of each monomial, integer weight of the
+        denominator), both scaled by Ring._wscale."""
         ring = self.ring
         shifts, iw = ring._pk.shifts, ring._iw
-        wden = 0
-        if ring.ext is not None:
-            wden = (self.zden * ring.ext.z_weight
-                    + self.dden * ring.ext.drel_weight) * ring._wscale
-        return [sum(((k >> sh) & _FMASK) * w for sh, w in zip(shifts, iw))
-                for k in self._t], int(wden)
+        wz, wd = ring._iw_den
+        return ([sum(((k >> sh) & _FMASK) * w for sh, w in zip(shifts, iw))
+                 for k in self._t], self.zden * wz + self.dden * wd)
+
+    def _has_weight(self, target):
+        """True iff every monomial's scaled integer weight, less the
+        denominator's, is the integer target (a weight times Ring._wscale)."""
+        ws, wden = self._key_weights()
+        return ws.count(target + wden) == len(ws)
 
     def euler(self):
         """Euler field sum_i w_i t_i d/dt_i applied to the element.
@@ -847,10 +854,15 @@ class RingElem:
                         self.zden, self.dden, _canon=False)
 
     def is_homogeneous(self, w):
-        """True iff euler() equals w * self exactly."""
-        ws, wden = self._key_weights()
-        target = Fraction(w) * self.ring._wscale + wden
-        return all(x == target for x in ws)
+        """True iff euler() equals w * self exactly: a test of integer
+        weights scaled by Ring._wscale (_has_weight).  The zero element is
+        homogeneous of every weight; no other element is when w * Ring._wscale
+        is not an integer."""
+        w = Fraction(w)
+        target, rest = divmod(w.numerator * self.ring._wscale, w.denominator)
+        if rest:
+            return self.is_zero()
+        return self._has_weight(target)
 
     def weight(self):
         """Weight of a homogeneous element; None if zero or inhomogeneous."""

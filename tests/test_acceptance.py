@@ -73,7 +73,7 @@ def test_a2_saito_logvf_identities(built):
         h = m.h                       # raises unless monic of degree n
         assert h.is_homogeneous(n), f"{eid}: weight of h"
         assert all(v.is_zero() for v in m.trace_defects), f"{eid}: V_k h"
-        c = logvf.saito_criterion(flatcore.mat_scale(m.T, F(-1)), h)
+        c = logvf.saito_criterion(m.minus_T, h)
         assert c == 1, f"{eid}: Saito criterion c = {c}"
         # the logvf verb's block: every identity, the trace identity included
         assert catalog.logvf_block(m)["pass"], f"{eid}: logvf block"

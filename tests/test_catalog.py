@@ -149,16 +149,24 @@ def test_theta_strings_have_no_negative_zero(monkeypatch):
 def test_symbolic_verify_derives_once(eid, monkeypatch):
     # one structure of g (check_extended_wdvv tests T's homogeneity on it
     # and builds no second one), one gradient matrix C (H3 also runs the
-    # prepotential check on it) and one n x n determinant (h = det(-T))
+    # prepotential check on it), one n x n determinant (h = det(-T)) and one
+    # weight test per entry of T, whose verdict the WDVV report and the
+    # logvf identities share
     from flatiso import flatcore
+    from flatiso.ring import RingElem
     n = catalog.catalog_get(eid).pvf.n
-    structures, grads, dets = [], [], []
+    structures, grads, dets, weighed = [], [], [], []
     structure, grad, det = (flatcore._structure, flatcore._gradient_matrix,
                             flatcore.mat_det)
+    has_weight = RingElem._has_weight
 
     def counting_structure(pvf):
-        structures.append(pvf)
-        return structure(pvf)
+        structures.append(structure(pvf))
+        return structures[-1]
+
+    def counting_has_weight(e, target):
+        weighed.append(e)
+        return has_weight(e, target)
 
     def counting_grad(pvf):
         grads.append(pvf)
@@ -172,12 +180,15 @@ def test_symbolic_verify_derives_once(eid, monkeypatch):
     monkeypatch.setattr(flatcore, "_structure", counting_structure)
     monkeypatch.setattr(flatcore, "_gradient_matrix", counting_grad)
     monkeypatch.setattr(flatcore, "mat_det", counting_det)
+    monkeypatch.setattr(RingElem, "_has_weight", counting_has_weight)
     rep = catalog.catalog_verify(eid, "symbolic")
     assert rep["pass"]
     assert rep["symbolic"].get("prepotential_found", eid == "H3") == (eid == "H3")
     assert len(structures) == 1
     assert len(grads) == 1
     assert len(dets) == 1
+    T_ids = {id(e) for row in structures[0].T for e in row}
+    assert sum(id(e) in T_ids for e in weighed) == n * n
 
 
 def test_symbolic_verify_inverts_each_unit_once(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from flatiso import catalog
 from flatiso.errors import NotMonic, RowNotLogarithmic
 from flatiso.flatcore import (SaitoMatrices, build_saito_matrices,
-                              divmod_main_var, log_division, mat_scale)
+                              divmod_main_var, log_division)
 from flatiso.logvf import is_logarithmic, logvf_identities, saito_criterion
 from flatiso.ring import Ring, RingElem
 
@@ -106,7 +106,7 @@ def test_saito_criterion_diagonal():
 def test_saito_criterion_minus_t_catalog():
     for eid in ("LT8", "LT30", "H3p", "LT19"):
         m = build_saito_matrices(catalog.catalog_get(eid).pvf)
-        assert saito_criterion(mat_scale(m.T, F(-1)), m.h) == 1
+        assert saito_criterion(m.minus_T, m.h) == 1
 
 
 def test_saito_criterion_row_not_logarithmic(klein_matrices):
@@ -150,7 +150,7 @@ def test_identities_name_each_failure():
 def test_identity_iii_explicit(klein_matrices):
     # V_2 h / h = - d s_1 / d t_2 where s_1 is minus the t3^2-coefficient of h
     h = klein_matrices.h
-    M = mat_scale(klein_matrices.T, F(-1))
+    M = klein_matrices.minus_T
     v2 = M[1]                       # V_2 = row n+1-2
     s1 = -h.coeffs_in(2)[2]
     assert log_ratio(v2, h) == -s1.partial(1)

@@ -84,6 +84,80 @@ def test_zero_homogeneous_of_every_weight(plain):
     assert z.weight() is None
 
 
+def fraction_weights(e):
+    """The weights of e's monomials less the weight of its denominator, in
+    Fractions: pk.unpack times the weights of (z, t1, ..., tn), and zden and
+    dden times the weights of z and rel_z."""
+    ring = e.ring
+    ext = ring.ext
+    zw = ext.z_weight if ext is not None else F(0)
+    wden = e.zden * zw + e.dden * ext.drel_weight if ext is not None else F(0)
+    weights = (zw,) + ring.weights
+    return {sum(x * w for x, w in zip(ring._pk.unpack(k), weights)) - wden
+            for k in e._t}
+
+
+def weight_grid(ring):
+    """b + w_i - w_j - w_k over b in -1..4 and w_i, w_j, w_k in 0, w_1..w_n
+    (every weight the structure checks test, and many more), each also moved
+    by 1/(2 Ring._wscale), which is no integer when scaled."""
+    ws = (F(0),) + ring.weights
+    grid = {b + wi - wj - wk for b in range(-1, 5)
+            for wi in ws for wj in ws for wk in ws}
+    return sorted(grid | {w + F(1, 2 * ring._wscale) for w in grid})
+
+
+def assert_weight_tests_match_fractions(elems):
+    """is_homogeneous agrees with the Fraction formula on every element and
+    every weight of its ring's grid, given as a Fraction and, where it is
+    an integer, as an int; the tally of (homogeneous, not homogeneous, not
+    homogeneous at a non-integral scaled weight) verdicts."""
+    tally = [0, 0, 0]
+    for e in elems:
+        fw, scale = fraction_weights(e), e.ring._wscale
+        for w in weight_grid(e.ring):
+            expected = fw <= {w}
+            assert e.is_homogeneous(w) is expected, (e, w)
+            if w.denominator == 1:
+                assert e.is_homogeneous(int(w)) is expected, (e, w)
+            integral = (w * scale).denominator == 1
+            tally[0 if expected else 1 if integral else 2] += 1
+    return tally
+
+
+@pytest.mark.parametrize("eid", catalog.IDS)
+def test_is_homogeneous_matches_the_fraction_formula(eid):
+    # every C, B^(k), T, h and dh entry, over the weight grid
+    m = flatcore.build_saito_matrices(catalog.catalog_get(eid).pvf)
+    elems = [e for M in (m.C, m.T, *m.Btilde) for row in M for e in row]
+    yes, no, off_lattice = assert_weight_tests_match_fractions(elems + [m.h, *m.dh])
+    assert yes and no and off_lattice
+    assert m.inhomogeneous_T_entries == []
+
+
+def test_is_homogeneous_with_denominators_matches_the_fraction_formula(plain, ext):
+    # elements over z^a rel_z^b on the lazy rings of LT19 and LT14, where
+    # nothing cancels them, and on ext; the zero element of each ring
+    elems = [plain.zero(), ext.zero(), ext.zgen().partial(1),
+             ext.from_raw({(0, 1, 0, 0): 1}, zden=1),
+             ext.from_raw({(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}, zden=1, dden=1)]
+    for eid in ("LT19", "LT14"):
+        pvf = catalog.catalog_get(eid).pvf
+        ring = pvf.ring
+        elems.append(ring.zero())
+        for a, b in ((1, 0), (0, 1), (2, 1)):
+            quotients = [ring.from_raw(g.num, zden=a, dden=b) for g in pvf.g]
+            elems += quotients + [quotients[0] + quotients[1], quotients[2].partial(0)]
+    assert any(e.zden and e.dden for e in elems)
+    assert any(e.zden and not e.dden for e in elems)
+    assert any(e.dden and not e.zden for e in elems)
+    yes, no, off_lattice = assert_weight_tests_match_fractions(elems)
+    assert yes and no and off_lattice
+    for e in elems:
+        if e.is_zero():
+            assert all(e.is_homogeneous(w) for w in weight_grid(e.ring))
+
+
 def test_equality_and_its_negation(plain):
     # != is derived from __eq__, NotImplemented included
     t1, t2, _ = plain.gens()
