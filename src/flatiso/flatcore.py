@@ -50,10 +50,6 @@ from .ring import Ring, RingElem
 # small exact-matrix helpers
 # ---------------------------------------------------------------------------
 
-def mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_commutator(a, b):
     """ab - ba of square matrices, each entry one Ring.fused_sum."""
     n = len(a)
@@ -61,11 +57,6 @@ def mat_commutator(a, b):
     return [[ring.fused_sum([(1, a[i][k], b[k][j]) for k in range(n)]
                             + [(-1, b[i][k], a[k][j]) for k in range(n)])
              for j in range(n)] for i in range(n)]
-
-
-def mat_identity(ring, n):
-    return [[ring.one() if i == j else ring.zero() for j in range(n)]
-            for i in range(n)]
 
 
 def mat_is_zero(a):
@@ -201,6 +192,14 @@ class SaitoMatrices:
                 if not e._has_weight(s + iw[j] - iw[i])]
 
     @cached_property
+    def flat_normalized(self) -> bool:
+        """T_nj + w_j t_j = 0 exactly for all j: the flat normalization,
+        which is also logvf identity (i), row n of -T being the Euler field."""
+        t, w = self.ring.gens(), self.weights
+        return all((e + tj * wj).is_zero()
+                   for e, tj, wj in zip(self.T[-1], t, w))
+
+    @cached_property
     def minus_T(self):
         """-T; row i encodes the vector field V_{n+1-i}."""
         return [[-e for e in row] for row in self.T]
@@ -279,18 +278,13 @@ class SaitoMatrices:
         return T0
 
     @cached_property
-    def T0_stack(self):
-        """T0 compiled for evaluation, of shape (n, n)."""
+    def T0_h_stack(self):
+        """What the path tracker evaluates, compiled for one evaluation, of
+        shape (n^2 + n + 1,): T0's entries row by row, then h's coefficients
+        in t_n, lowest first.  T0 is free of t_n, so h = det(t_n - T0) and
+        its t_n-roots are the roots of T0."""
         from .numeric import EvalStack
-        return EvalStack(self.T0)
-
-    @cached_property
-    def h_stack(self):
-        """h's coefficients in t_n, lowest first, compiled for evaluation, of
-        shape (n + 1,): T0 is free of t_n, so h = det(t_n - T0) and its
-        t_n-roots are the roots of T0."""
-        from .numeric import EvalStack
-        return EvalStack(self.h_coeffs)
+        return EvalStack([e for row in self.T0 for e in row] + self.h_coeffs)
 
     @cached_property
     def dT0(self):
@@ -395,16 +389,17 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
     not homogeneous (the relations then count as failed).  The B^(k) and
     their commutators are read from the one structure of g in either case.
     """
-    n = pvf.n
     s, iw = pvf.ring._wscale, pvf.ring._iw[1:]
     checked = _structure(pvf)
     m = None if checked.inhomogeneous_T_entries else checked
     return WdvvReport(
-        unit_ok=mat_is_zero(mat_sub(checked.Btilde[n - 1], mat_identity(pvf.ring, n))),
+        unit_ok=all((e - 1 if i == j else e).is_zero()
+                    for i, row in enumerate(checked.Btilde[-1])
+                    for j, e in enumerate(row)),
         homogeneity_ok=all(g._has_weight(s + wj) for g, wj in zip(pvf.g, iw)),
         commutators=checked.commutators, matrices=m,
         saito_relations_ok=m is not None and check_saito_relations(m),
-        flat_normalization_ok=m is not None and check_flat_normalization(m))
+        flat_normalization_ok=m is not None and m.flat_normalized)
 
 
 def check_saito_relations(m: SaitoMatrices) -> bool:
@@ -430,14 +425,6 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
             and all(e._has_weight(s + iw[c] - iw[r] - iw[i])
                     for i, B in enumerate(m.Btilde)
                     for r, row in enumerate(B) for c, e in enumerate(row)))
-
-
-def check_flat_normalization(m: SaitoMatrices) -> bool:
-    """T_nj + w_j t_j = 0 exactly for all j."""
-    n = m.n
-    w = m.weights
-    t = m.ring.gens()
-    return all((m.T[n - 1][j] + t[j] * w[j]).is_zero() for j in range(n))
 
 
 # ---------------------------------------------------------------------------

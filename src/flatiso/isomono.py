@@ -352,9 +352,13 @@ def _check_jm(residues, thetas, kappas, ts):
     ])
 
 
-def _jm_stack(ts, ys, ztildes, ks, thetas, kappas):
-    """The Jimbo-Miwa triples at N points in one pass, as (N, 3, 2, 2) with
-    A_0, A_1, A_t at [k, 0], [k, 1], [k, 2].
+def jm_residues(ts, ys, zs, ks, thetas, kappas):
+    """(poles, residues) of a Jimbo-Miwa trajectory, stacked for
+    stacked_schlesinger_residual: poles (N, 3) are (0, 1, t) and residues
+    (N, 3, 2, 2) are (A_0, A_1, A_t) at every point, at [k, 0], [k, 1],
+    [k, 2], assembled in one pass from the scalar data (t, y, ztilde, k).
+    The one constructor of a Jimbo-Miwa system: a single point is a
+    one-point trajectory.
 
     Requires kappa_1 + kappa_2 + theta_0 + theta_1 + theta_t = 0 and
     theta_inf = kappa_1 - kappa_2 != 0 (DegenerateTheta otherwise).  The
@@ -369,8 +373,7 @@ def _jm_stack(ts, ys, ztildes, ks, thetas, kappas):
     thinf = k1 - k2
     if abs(thinf) < 1e-12:
         raise DegenerateTheta("theta_inf = kappa_1 - kappa_2 must not vanish")
-    t, y, ztilde, k = (np.asarray(a, dtype=complex)
-                       for a in (ts, ys, ztildes, ks))
+    t, y, ztilde, k = (np.asarray(a, dtype=complex) for a in (ts, ys, zs, ks))
     with np.errstate(all="ignore"):
         zz = ztilde - th0 / y - th1 / (y - 1) - tht / (y - t)
         quad = y * (y - 1) * (y - t) * zz * zz
@@ -403,18 +406,6 @@ def _jm_stack(ts, ys, ztildes, ks, thetas, kappas):
             f"{name} vanishes at point {i}; u,v,w are undefined"))
            for name, val in (("z0", z0), ("z1", z1), ("zt", zt))])
     _check_jm(residues, (th0, th1, tht), (k1, k2), t)
-    return residues
-
-
-def jm_residues(ts, ys, zs, ks, thetas, kappas):
-    """(poles, residues) of a Jimbo-Miwa trajectory, stacked for
-    stacked_schlesinger_residual: poles (N, 3) are (0, 1, t) and residues
-    (N, 3, 2, 2) are (A_0, A_1, A_t) at every point, assembled from the
-    scalar data (t, y, ztilde, k) with the guards of _jm_stack.  The one
-    constructor of a Jimbo-Miwa system: a single point is a one-point
-    trajectory."""
-    residues = _jm_stack(ts, ys, zs, ks, thetas, kappas)
-    t = np.asarray(ts, dtype=complex)
     return np.column_stack([np.zeros_like(t), np.ones_like(t), t]), residues
 
 

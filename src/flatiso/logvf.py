@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import RowNotLogarithmic
-from .flatcore import (SaitoMatrices, _proportionality_constant,
-                       check_flat_normalization, log_division, mat_det)
+from .flatcore import (SaitoMatrices, _proportionality_constant, log_division,
+                       mat_det)
 from .ring import RingElem
 
 
@@ -80,8 +80,8 @@ def logvf_identities(m: SaitoMatrices) -> List[str]:
     failed = []
 
     # (i) V_1 = Euler field: row n of -T is (w_1 t_1, ..., w_n t_n), which
-    # is the flat normalization T_nj = -w_j t_j
-    if not check_flat_normalization(m):
+    # is the flat normalization T_nj = -w_j t_j, one verdict per structure
+    if not m.flat_normalized:
         failed.append("euler_row")
 
     # (ii) V_1 h = n h

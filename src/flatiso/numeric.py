@@ -1,16 +1,18 @@
 """Numeric evaluation of ring elements and of the roots of polynomials
 whose coefficients they are.
 
-This is the one place where ring elements become numbers.  EvalStack
-compiles an array of elements once and evaluates it at rows (z, t1..tn);
-rel_coeffs gives the relation's coefficients in z at t-points.  newton_roots
-solves such rows of coefficients, the relation's for z and h's for the
-roots of T0, and certified_separation bounds the distance from each root to
-the others.  The exact layers (ring, exprio, flatcore, logvf) import
+This is the one place where ring elements become numbers, and EvalStack
+its one compiled form: it compiles an array of elements once and evaluates
+it at rows (z, t1..tn).  rel_coeffs gives the relation's coefficients in z
+at t-points, from the relation's z-slices compiled as an EvalStack too.
+newton_roots solves such rows of coefficients, the relation's for z and h's
+for the roots of T0, and certified_separation bounds the distance from each
+root to the others.  The exact layers (ring, exprio, flatcore, logvf) import
 neither this module nor numpy at module level, so a symbolic check never
-loads them: SaitoMatrices compiles its T0 and h stacks on first use, and the
-numeric forms of a ring (its relation's z-slices and rel_z) are compiled on
-first numeric use and kept on its ExtensionRing.
+loads them: SaitoMatrices compiles its stacks (T0 with h's coefficients,
+and dT0) on first use, and the numeric forms of a ring (its relation's
+z-slices and rel_z) are compiled on first numeric use and kept on its
+ExtensionRing.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from itertools import accumulate
 
 import numpy as np
 
+from .ring import RingElem
+
 ROOT_SEPARATION = 1e-9
 
 
@@ -26,47 +30,9 @@ ROOT_SEPARATION = 1e-9
 # compiled evaluation
 # ---------------------------------------------------------------------------
 
-def _compile_stack(pk, polys):
-    """(slots, coefficients, bounds) of polynomials given as (terms, den).
-
-    The terms of all polynomials are concatenated, polynomial i holding rows
-    bounds[i]:bounds[i + 1]; coefficients are complex, and slots lists
-    (slot, exponent column, top exponent) for every slot whose top is above 0.
-    """
-    exps = np.array([pk.unpack(k) for terms, _ in polys for k in terms],
-                    dtype=np.intp).reshape(-1, pk.nvars + 1)
-    coeffs = np.array([c / den for terms, den in polys for c in terms.values()],
-                      dtype=complex)
-    bounds = list(accumulate((len(terms) for terms, _ in polys), initial=0))
-    slots = [(s, col, int(col.max())) for s, col in enumerate(exps.T)
-             if col.max(initial=0)]
-    return slots, coeffs, bounds
-
-
-def _eval_stack(compiled, values):
-    """The compiled polynomials at every row of an (N, nvars + 1) array, as
-    (k, N).
-
-    All terms are multiplied slot by slot in one gather-multiply, from one
-    power table per slot up to the top exponent of the stack.  A term whose
-    own exponent in a slot is 0 is multiplied by exactly 1, so it keeps the
-    value it has on its own; each polynomial's terms are then summed by one
-    sum(axis=0) in the order it holds them.  A polynomial thus takes the
-    same value bit for bit in any stack, a one-element stack included.
-    """
-    slots, coeffs, bounds = compiled
-    acc = np.repeat(coeffs[:, None], len(values), axis=1)
-    for s, col, top in slots:
-        acc *= np.vander(values[:, s], top + 1, increasing=True).T[col]
-    out = np.empty((len(bounds) - 1, len(values)), dtype=complex)
-    for i in range(len(out)):
-        out[i] = acc[bounds[i]:bounds[i + 1]].sum(axis=0)
-    return out
-
-
 def _relation_forms(ring):
-    """(z-slices of the relation, rel_z) of an extension ring, compiled on
-    first numeric use and kept on ring.ext.
+    """(z-slices of the relation, rel_z) of an extension ring, two EvalStacks
+    of t-polynomials compiled on first numeric use and kept on ring.ext.
 
     Slice k holds the t-polynomial coefficient of z^k, so the slices at rows
     (0, t) are the relation's coefficients in z at t.
@@ -78,8 +44,9 @@ def _relation_forms(ring):
         for k, c in ext._rel.items():
             e = pk.exp(k, 0)
             slices[e][k - e * pk.zunit] = c
-        ext._numeric = (_compile_stack(pk, [(s, ext._scale) for s in slices]),
-                        _compile_stack(pk, [(ext._drel, ext._scale)]))
+        ext._numeric = (
+            EvalStack([RingElem(ring, s, ext._scale, _canon=False) for s in slices]),
+            EvalStack(RingElem(ring, ext._drel, ext._scale, _canon=False)))
     return ext._numeric
 
 
@@ -88,18 +55,27 @@ class EvalStack:
 
     elems is a RingElem or a nested rectangular sequence of them, of any
     shape; eval_batch returns an array of shape + (N,).  The numerators are
-    compiled once into one exponent matrix and one coefficient vector, and
-    the denominators z^zden and rel_z^dden are grouped by power.
+    compiled once into one exponent column per slot whose top exponent is
+    above 0 and one coefficient vector, element i holding its terms
+    bounds[i]:bounds[i + 1], and the denominators z^zden and rel_z^dden are
+    grouped by power.
     """
 
-    __slots__ = ("ring", "shape", "_compiled", "_zden", "_dden")
+    __slots__ = ("ring", "shape", "_slots", "_coeffs", "_bounds", "_zden", "_dden")
 
     def __init__(self, elems):
         cells = np.array(elems, dtype=object)
         flat = cells.ravel().tolist()
         self.ring = ring = flat[0].ring
         self.shape = cells.shape
-        self._compiled = _compile_stack(ring._pk, [(e._t, e._d) for e in flat])
+        pk = ring._pk
+        exps = np.array([pk.unpack(k) for e in flat for k in e._t],
+                        dtype=np.intp).reshape(-1, pk.nvars + 1)
+        self._coeffs = np.array([c / e._d for e in flat for c in e._t.values()],
+                                dtype=complex)
+        self._bounds = list(accumulate((len(e._t) for e in flat), initial=0))
+        self._slots = [(s, col, int(col.max())) for s, col in enumerate(exps.T)
+                       if col.max(initial=0)]
 
         def by_power(attr):
             pows = sorted({getattr(e, attr) for e in flat} - {0})
@@ -113,18 +89,31 @@ class EvalStack:
 
         Column 0 carries the generator's value (ignored by plain rings),
         which the caller has solved for: p6.StructureSampler tracks it along
-        a path.  Each power of z and of rel_z divides the elements that
-        carry it once, rel_z being evaluated once per call.
+        a path.  All terms are multiplied slot by slot in one
+        gather-multiply, from one power table per slot up to the top
+        exponent of the stack.  A term whose own exponent in a slot is 0 is
+        multiplied by exactly 1, so it keeps the value it has on its own;
+        each element's terms are then summed by one sum(axis=0) in the order
+        it holds them.  An element thus takes the same value bit for bit in
+        any stack, a one-element stack included.  Each power of z and of
+        rel_z then divides the elements that carry it once, rel_z being
+        evaluated once per call.
         """
         ring = self.ring
         values = np.asarray(values, dtype=complex)
         if values.ndim != 2 or values.shape[1] != ring.nvars + 1:
             raise ValueError(f"expected rows of {ring.nvars + 1} values (z, t1..tn)")
-        out = _eval_stack(self._compiled, values)
+        acc = np.repeat(self._coeffs[:, None], len(values), axis=1)
+        for s, col, top in self._slots:
+            acc *= np.vander(values[:, s], top + 1, increasing=True).T[col]
+        bounds = self._bounds
+        out = np.empty((len(bounds) - 1, len(values)), dtype=complex)
+        for i in range(len(out)):
+            out[i] = acc[bounds[i]:bounds[i + 1]].sum(axis=0)
         for d, rows in self._zden:
             out[rows] /= values[:, 0] ** d
         if self._dden:
-            drel = _eval_stack(_relation_forms(ring)[1], values)[0]
+            drel = _relation_forms(ring)[1].eval_batch(values)
             for d, rows in self._dden:
                 out[rows] /= drel ** d
         return out.reshape(self.shape + (len(values),))
@@ -140,7 +129,7 @@ def rel_coeffs(ring, points):
     pts = np.asarray(points, dtype=complex).reshape(-1, ring.nvars)
     values = np.zeros((len(pts), ring.nvars + 1), dtype=complex)
     values[:, 1:] = pts
-    return np.ascontiguousarray(_eval_stack(_relation_forms(ring)[0], values).T)
+    return np.ascontiguousarray(_relation_forms(ring)[0].eval_batch(values).T)
 
 
 def newton_roots(coeffs, seed):

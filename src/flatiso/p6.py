@@ -18,28 +18,28 @@ generator z and the ordered roots of T0 together, in one loop of lockstep
 passes, and tracks roots only.  Both are zeros of polynomials whose
 coefficients are ring elements: z of the relation, and the roots of T0 of
 h = det(t_n - T0), monic of degree n in t_n, whose coefficients
-SaitoMatrices compiles once (h_stack).  So one Newton continuation,
-_continue, tracks every zero: a pass runs Newton's method on all remaining
-points at once and certifies the distance from each zero to the others of
-its polynomial in one call (numeric.certified_separation).  z comes first
-(z = 0 on a plain ring), each row from the last accepted z (z_seed on a
-fresh sampler).  Then T0 and h's coefficients are evaluated on the rows z
-keeps, one numeric.EvalStack call each, and the roots are continued on
-them, each row from the first-order prediction of its roots by the roots
-and spectral projectors of the last accepted row (np.roots of the first
-row on a fresh sampler), with no eigensolver.  One step
-rule, _steps_ok, decides every tracked zero: a step is accepted when Newton
-converged and each zero moved less than STEP_FRACTION (1/4) of its
-certified separation at both ends.  A pass keeps the rows before its first
-rejected step and the next pass starts there; a pass whose first step is
-rejected bisects that step, the whole state (point, zeros, separations) at
-the midpoint, under the same rule, and raises TrackingLost, a NumericError
-(CLI exit 3), past MAX_BISECTIONS (24) halvings of one step or
-MAX_BISECTION_PASSES (1024) passes in all.  For the earliest point
-where it happens, a z separation below numeric.ROOT_SEPARATION raises
-RootCollision, a root separation below it EigenvalueCollision (a
-RootCollision too), and a T0 or h that is not finite BlowUp.  A path's
-Track holds its rows, roots and T0.
+SaitoMatrices compiles once, after T0's entries in one stack (T0_h_stack).
+So one Newton continuation, _continue, tracks every zero: a pass runs
+Newton's method on all remaining points at once and certifies the distance
+from each zero to the others of its polynomial in one call
+(numeric.certified_separation).  z comes first (z = 0 on a plain ring),
+each row from the last accepted z (z_seed on a fresh sampler).  Then T0
+and h's coefficients are evaluated on the rows z keeps, in one
+numeric.EvalStack call, and the roots are continued on them, each row
+from the first-order prediction of its roots by the roots and spectral
+projectors of the last accepted row (np.roots of the first row on a fresh
+sampler), with no eigensolver.  One step rule, _steps_ok, decides every
+tracked zero: a step is accepted when Newton converged and each zero moved
+less than STEP_FRACTION (1/4) of its certified separation at both ends.  A
+pass keeps the rows before its first rejected step and the next pass
+starts there; a pass whose first step is rejected bisects that step, the
+whole state (point, zeros, separations) at the midpoint, under the same
+rule, and raises TrackingLost, a NumericError (CLI exit 3), past
+MAX_BISECTIONS (24) halvings of one step or MAX_BISECTION_PASSES (1024)
+passes in all.  For the earliest point where it happens, a z separation
+below numeric.ROOT_SEPARATION raises RootCollision, a root separation below
+it EigenvalueCollision (a RootCollision too), and a T0 or h that is not
+finite BlowUp.  A path's Track holds its rows, roots and T0.
 
 No eigenvector is formed: projectors turns the roots and T0 of a Track into
 the spectral projectors E_i, the residues of the resolvent of T0, from
@@ -246,12 +246,6 @@ def projectors(T0, z):
     return np.ascontiguousarray(np.moveaxis(E, -1, 0))
 
 
-def _matrix_rows(stack, values):
-    """A numeric.EvalStack at every row of values, the row axis first: (N, n, n)
-    for a matrix."""
-    return np.moveaxis(stack.eval_batch(values), -1, 0)
-
-
 class Track(NamedTuple):
     """A tracked path: rows values (N, nvars + 1) of (z, t_1, ..., t_n), the
     ordered roots z (N, n) of T0 and T0 (N, n, n), named as on
@@ -280,7 +274,7 @@ class StructureSampler:
         self.ring = m.ring
         self.n = m.n
         self.z_seed = z_seed
-        self._T0, self._h = m.T0_stack, m.h_stack
+        self._stack = m.T0_h_stack
         self._last = None
 
     @np.errstate(all="ignore")      # a non-finite value is BlowUp or a NaN zero
@@ -317,9 +311,9 @@ class StructureSampler:
                         else prev.values[0, 0], dtype=complex),
                 None if prev is None else (prev.values[:, 0], prev_sep[:, 0]))
             values[:len(z), 0], seps[:len(z), 0] = z, zsep
-        rows = values[:good]
-        T0 = _matrix_rows(self._T0, rows)
-        h = self._h.eval_batch(rows).T
+        both = self._stack.eval_batch(values[:good])       # T0's n^2, then h's
+        T0 = np.moveaxis(both[:-self.n - 1].reshape(self.n, self.n, -1), -1, 0)
+        h = both[-self.n - 1:].T
 
         def where(i):
             return f"path point {k + i}" if k is not None else f"{pts[i]}"
@@ -515,7 +509,7 @@ def projector_tangent(m: SaitoMatrices, snap, lam):
     (z_i - z_j).  Along t_n, dz = -1 and dB = 0.
     """
     n, E = m.n, snap.E
-    D = _matrix_rows(m.dT0_stack, snap.values[None])[0]
+    D = m.dT0_stack.eval_batch(snap.values[None])[..., 0]
     EDE = np.einsum("iab,kbc,jcd->kijad", E, D, E)
     gap = snap.z[:, None] - snap.z + np.eye(n)          # [i, j] = z_i - z_j
     dE = np.einsum("ij,kijab->kiab", (1 - np.eye(n)) / gap,

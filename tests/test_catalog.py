@@ -149,16 +149,18 @@ def test_theta_strings_have_no_negative_zero(monkeypatch):
 def test_symbolic_verify_derives_once(eid, monkeypatch):
     # one structure of g (check_extended_wdvv tests T's homogeneity on it
     # and builds no second one), one gradient matrix C (H3 also runs the
-    # prepotential check on it), one n x n determinant (h = det(-T)) and one
-    # weight test per entry of T, whose verdict the WDVV report and the
-    # logvf identities share
+    # prepotential check on it), one n x n determinant (h = det(-T)), one
+    # weight test per entry of T and one flat-normalization test, whose
+    # verdicts the WDVV report and the logvf identities share
+    from functools import cached_property
     from flatiso import flatcore
     from flatiso.ring import RingElem
     n = catalog.catalog_get(eid).pvf.n
-    structures, grads, dets, weighed = [], [], [], []
+    structures, grads, dets, weighed, normalized = [], [], [], [], []
     structure, grad, det = (flatcore._structure, flatcore._gradient_matrix,
                             flatcore.mat_det)
     has_weight = RingElem._has_weight
+    flat_normalized = flatcore.SaitoMatrices.flat_normalized.func
 
     def counting_structure(pvf):
         structures.append(structure(pvf))
@@ -172,6 +174,12 @@ def test_symbolic_verify_derives_once(eid, monkeypatch):
         grads.append(pvf)
         return grad(pvf)
 
+    def counting_normalized(m):
+        normalized.append(m)
+        return flat_normalized(m)
+    counting_normalized = cached_property(counting_normalized)
+    counting_normalized.__set_name__(flatcore.SaitoMatrices, "flat_normalized")
+
     def counting_det(a):
         if len(a) == n:
             dets.append(a)
@@ -181,6 +189,8 @@ def test_symbolic_verify_derives_once(eid, monkeypatch):
     monkeypatch.setattr(flatcore, "_gradient_matrix", counting_grad)
     monkeypatch.setattr(flatcore, "mat_det", counting_det)
     monkeypatch.setattr(RingElem, "_has_weight", counting_has_weight)
+    monkeypatch.setattr(flatcore.SaitoMatrices, "flat_normalized",
+                        counting_normalized)
     rep = catalog.catalog_verify(eid, "symbolic")
     assert rep["pass"]
     assert rep["symbolic"].get("prepotential_found", eid == "H3") == (eid == "H3")
@@ -189,6 +199,7 @@ def test_symbolic_verify_derives_once(eid, monkeypatch):
     assert len(dets) == 1
     T_ids = {id(e) for row in structures[0].T for e in row}
     assert sum(id(e) in T_ids for e in weighed) == n * n
+    assert len(normalized) == 1 and normalized[0] is structures[0]
 
 
 def test_symbolic_verify_inverts_each_unit_once(monkeypatch):
@@ -274,11 +285,14 @@ def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
     assert fused == 408
 
 
-def test_full_verify_compiles_three_stacks(monkeypatch):
-    # a full-depth verify compiles the three stacks of its one structure, T0,
-    # h's t_n-coefficients and dT0, and nothing else: every PVI entry choice
-    # is read off the tracked T0 (p6._samples_on), with no stack of its own
-    from flatiso.numeric import EvalStack
+def test_full_verify_compiles_two_stacks(monkeypatch):
+    # a full-depth verify compiles the two stacks of its one structure, the
+    # tracker's (T0 with h's t_n-coefficients) and dT0, and nothing else:
+    # every PVI entry choice is read off the tracked T0 (p6._samples_on),
+    # with no stack of its own.  The relation's stacks are kept on the ring,
+    # compiled by whichever test first evaluates on it, so only the
+    # structure's are counted
+    from flatiso.numeric import EvalStack, _relation_forms
     stacks = []
     init = EvalStack.__init__
 
@@ -288,7 +302,9 @@ def test_full_verify_compiles_three_stacks(monkeypatch):
 
     monkeypatch.setattr(EvalStack, "__init__", counting)
     assert catalog.catalog_verify("LT19", "full")["pass"]
-    assert len(stacks) == 3
+    ring = catalog.catalog_get("LT19").pvf.ring
+    assert all(s.ring is ring for s in stacks)
+    assert len([s for s in stacks if s not in _relation_forms(ring)]) == 2
 
 
 def test_symbolic_verify_divides_no_row_by_h(monkeypatch, perturbed_lazy):

@@ -7,10 +7,9 @@ import pytest
 from flatiso import catalog, exprio, flatcore
 from flatiso.errors import InputError, NoRescalingFound, NotMonic, SchemaError
 from flatiso.flatcore import (PotentialVF, build_saito_matrices,
-                              check_extended_wdvv, check_flat_normalization,
-                              check_saito_relations, frobenius_check,
-                              mat_commutator, mat_det, mat_identity,
-                              mat_is_zero, mat_sub)
+                              check_extended_wdvv, check_saito_relations,
+                              frobenius_check, mat_commutator, mat_det,
+                              mat_is_zero)
 from flatiso.ring import RingElem
 
 
@@ -22,7 +21,8 @@ def test_klein_matrices(klein, klein_matrices):
     for j in range(3):
         assert m.C[2][j] == t[j]
     # B^(3) = I
-    assert mat_is_zero(mat_sub(m.Btilde[2], mat_identity(ring, 3)))
+    assert all((e - 1 if i == j else e).is_zero()
+               for i, row in enumerate(m.Btilde[2]) for j, e in enumerate(row))
     # T11 = t1^2 t2 / 2 - t3
     assert m.T[0][0] == t[0] ** 2 * t[1] / 2 - t[2]
     # T entry weights 1 + w_j - w_i
@@ -56,7 +56,7 @@ def test_wdvv_trivial_n2(trivial_n2):
     assert rep.is_solution
     m = build_saito_matrices(trivial_n2)
     assert check_saito_relations(m)
-    assert check_flat_normalization(m)
+    assert m.flat_normalized
 
 
 def test_wdvv_perturbed_klein(perturbed_klein):
@@ -99,14 +99,14 @@ def test_wdvv_inhomogeneous_reported_not_raised(klein):
 
 
 def test_flat_normalization_hand_built(klein, klein_matrices):
-    assert check_flat_normalization(klein_matrices)
+    assert klein_matrices.flat_normalized
     # g_1 += 3 t3 t1 keeps g_1 homogeneous of weight 1 + w_1, and adds 3 t1
     # to C_31, so T_31 = -(2/7)(1 + 3) t1 breaks T_31 = -w_1 t1
     t1, t3 = klein.ring.var(0), klein.ring.var(2)
     g = [klein.g[0] + t3 * t1 * 3] + list(klein.g[1:])
     broken = build_saito_matrices(PotentialVF(ring=klein.ring, g=g))
     assert broken.T[2][0] == t1 * F(-8, 7)
-    assert not check_flat_normalization(broken)
+    assert not broken.flat_normalized
 
 
 def _structures(perturbed_klein, perturbed_lazy):

@@ -9,7 +9,9 @@ from flatiso import isomono
 from flatiso.errors import (DegenerateLinearEntry, EntryIdenticallyZero,
                             InputError, InsufficientSamples, PoleOnPath,
                             RootCollision, RootNotConverged, TrackingLost)
-from flatiso.flatcore import PotentialVF, build_saito_matrices, mat_det
+from flatiso.flatcore import (PotentialVF, SaitoMatrices, build_saito_matrices,
+                              mat_det)
+from flatiso.numeric import EvalStack
 from flatiso.ring import Ring
 
 
@@ -21,22 +23,34 @@ def entry_setup(eid):
 
 def structure(ring, T0):
     """What the tracker reads of a SaitoMatrices, for a ring matrix T0 free
-    of t_n: T0 and h = det(t_n - T0), as their compiled stacks."""
+    of t_n: T0, the t_n-coefficients of h = det(t_n - T0) and their one
+    compiled stack, built as SaitoMatrices builds it."""
     from types import SimpleNamespace
-    from flatiso.numeric import EvalStack
     n = len(T0)
     t, zero = ring.var(n - 1), ring.zero()
     h = mat_det([[(t if i == j else zero) - e for j, e in enumerate(row)]
                  for i, row in enumerate(T0)])
-    return SimpleNamespace(ring=ring, n=n, T0_stack=EvalStack(T0),
-                           h_stack=EvalStack(h.coeffs_in(n - 1)))
+    m = SimpleNamespace(ring=ring, n=n, T0=T0, h_coeffs=h.coeffs_in(n - 1))
+    m.T0_h_stack = SaitoMatrices.T0_h_stack.func(m)
+    return m
+
+
+def T0_rows(m, values):
+    """T0 (N, n, n) at rows (z, t1..tn), compiled on its own."""
+    return np.moveaxis(EvalStack(m.T0).eval_batch(values), -1, 0)
+
+
+def h_coeff_rows(m, values):
+    """h's t_n-coefficients (N, n + 1) at rows (z, t1..tn), compiled on their
+    own."""
+    return EvalStack(m.h_coeffs).eval_batch(values).T
 
 
 def h_rows(m, points):
     """h's t_n-coefficients (N, n + 1) at t'-points of a plain ring."""
     values = np.zeros((len(points), m.n + 1), dtype=complex)
     values[:, 1:len(points[0]) + 1] = points
-    return m.h_stack.eval_batch(values).T
+    return h_coeff_rows(m, values)
 
 
 def test_roots_of_h_vieta_klein():
@@ -45,7 +59,6 @@ def test_roots_of_h_vieta_klein():
     hc = h.coeffs_in(2)
     pt = (1.0, 1.0)
     roots = p6.StructureSampler(m).track([pt]).z[0]
-    from flatiso.numeric import EvalStack
     row = [(0j,) + pt + (0.0,)]
     # sum of roots = -coeff of t3^2; product = -constant coefficient (cubic)
     assert abs(sum(roots) + EvalStack(hc[2]).eval_batch(row)[0]) < 1e-12
@@ -453,7 +466,7 @@ def test_first_point_order_survives_rounding():
     sampler = p6.StructureSampler(m, z_seed=e.z_seed)
     sampler.z_at(e.default_path.points[0])
     first = sampler._last[0]
-    coeffs = m.h_stack.eval_batch(first.values).T
+    coeffs = h_coeff_rows(m, first.values)
     base = p6.ordered_eig(coeffs, first.T0)[0]
     rng = np.random.default_rng(0)
     for _ in range(20):
@@ -662,7 +675,7 @@ def test_lockstep_matches_point_by_point_continuation(eid):
         ref[k] = z = newton_roots(row[None], z)[0]
     assert np.all(np.abs(values[:, 0] - ref) <= 1e-13 * np.maximum(1, np.abs(ref)))
     ref_values = np.column_stack([ref, np.array(pts), np.zeros(len(pts))])
-    want = np.linalg.eigvals(p6._matrix_rows(m.T0_stack, ref_values))
+    want = np.linalg.eigvals(T0_rows(m, ref_values))
     nearest = np.take_along_axis(
         want, np.abs(want[:, None, :] - roots[:, :, None]).argmin(axis=2), axis=1)
     assert np.all(np.abs(roots - nearest)
@@ -839,7 +852,7 @@ def test_tracked_poles_are_the_eigenvalues_of_T0(eid):
         pts, z_seed = catalog.path_from_doc(
             dict(e.doc["default_path"], points=points))
         values, roots, T0 = p6.StructureSampler(m, z_seed=z_seed).track(pts)
-        assert np.array_equal(T0, p6._matrix_rows(m.T0_stack, values))
+        assert np.array_equal(T0, T0_rows(m, values))
         want, _ = lapack_in_order(T0, roots)
         assert np.all(np.abs(roots - want) <= 1e-12 * np.maximum(1, np.abs(want)))
 
@@ -854,8 +867,8 @@ def test_closed_form_roots_tracking(monkeypatch):
     values, roots, T0 = p6.StructureSampler(m).track(e.default_path.points)
     assert lapack == []
     monkeypatch.undo()
-    assert np.array_equal(T0, p6._matrix_rows(m.T0_stack, values))
-    terms = m.h_stack.eval_batch(values).T[:, None, :] * (
+    assert np.array_equal(T0, T0_rows(m, values))
+    terms = h_coeff_rows(m, values)[:, None, :] * (
         roots[..., None] ** np.arange(m.n + 1))
     assert np.all(np.abs(terms.sum(-1)) <= 1e-14 * np.abs(terms).sum(-1))
     want, _ = lapack_in_order(T0, roots)
@@ -947,7 +960,7 @@ def test_projector_residues_match_lapack_frames_on_catalog_paths(eid):
     lam = np.array([complex(x) for x in p6.default_lambda(m.weights)])
     snaps = isomono.snapshots_along(m, e.default_path.points, lam,
                                     z_seed=e.z_seed)
-    T0 = p6._matrix_rows(m.T0_stack, snaps.values)
+    T0 = T0_rows(m, snaps.values)
     assert np.array_equal(snaps.residues, -p6.projectors(T0, snaps.z) * lam)
     assert_projectors_match_frames(T0, snaps.z, lam)
     size = np.maximum(1, np.abs(snaps.E).max(axis=(1, 2, 3)))
@@ -1024,10 +1037,10 @@ def eigen_perturbation_tangent(m, snap, lam):
     dB = 0.  The formula that projector_tangent replaced, kept here as the
     reference."""
     n = m.n
-    T0 = p6._matrix_rows(m.T0_stack, snap.values[None])
+    T0 = T0_rows(m, snap.values[None])
     P = lapack_in_order(T0, snap.z[None])[1][0]
     Pinv = np.linalg.inv(P)
-    X = Pinv @ p6._matrix_rows(m.dT0_stack, snap.values[None])[0] @ P
+    X = Pinv @ m.dT0_stack.eval_batch(snap.values[None])[..., 0] @ P
     gap = snap.z - snap.z[:, None]
     np.fill_diagonal(gap, 1)
     Y = X / gap * (1 - np.eye(n))
@@ -1058,10 +1071,12 @@ def test_one_evaluation_per_matrix(eid, monkeypatch):
     # a 401-point track is one lockstep pass and no bisection: Newton runs
     # once for z on an extension ring and once for the poles, all three
     # labels of every row, and T0 and h's coefficients are evaluated in one
-    # call each over all points, not one per entry.  No eigensolver runs,
-    # and np.roots only on the first row.  projector_tangent evaluates both
-    # dT0 matrices in one call
-    from flatiso.numeric import EvalStack
+    # call of their one stack over all points, not one per entry or per
+    # matrix.  No eigensolver runs, and np.roots only on the first row.
+    # projector_tangent evaluates both dT0 matrices in one call.  The only
+    # other evaluations are the relation's: its coefficients in z once per
+    # pass, and rel_z once inside a call whose stack divides by it
+    from flatiso.numeric import _relation_forms
     e, m = entry_setup(eid)
     pts, z_seed = _path_401(e)
     calls, newton, roots = [], [], []
@@ -1088,9 +1103,15 @@ def test_one_evaluation_per_matrix(eid, monkeypatch):
     lam = p6.default_lambda(e.pvf.ring.weights)
     snaps = isomono.snapshots_along(m, pts, lam, z_seed=z_seed)
     assert len(passes) == 1 and bisections == []
-    assert calls == [(m.T0_stack, 401), (m.h_stack, 401)]
+    ext = m.ring.ext is not None
+    slices, drel = _relation_forms(m.ring) if ext else (None, None)
+
+    def then_rel_z(stack, count):
+        return [(drel, count)] if stack._dden else []
+    assert calls == ([(slices, 401)] if ext else []) + [
+        (m.T0_h_stack, 401)] + then_rel_z(m.T0_h_stack, 401)
     assert newton == ([] if m.ring.ext is None else [401]) + [3 * 401]
     assert roots == [3] and lapack == []
     calls.clear()
     p6.projector_tangent(m, snaps[200], lam)
-    assert calls == [(m.dT0_stack, 1)]
+    assert calls == [(m.dT0_stack, 1)] + then_rel_z(m.dT0_stack, 1)

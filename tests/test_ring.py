@@ -917,6 +917,29 @@ def test_batched_eval_matches_scalar(eid):
         assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
 
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_tracker_stack_matches_t0_and_h_compiled_alone(eid):
+    # the tracker's one stack holds T0's entries row by row, then h's
+    # t_n-coefficients, lowest first: along the default path and on single
+    # rows it evaluates each bit for bit as T0 and h_coeffs compiled on
+    # their own, rel_z denominators (LT14, LT19) included
+    from flatiso import p6
+    cat = catalog.catalog_get(eid)
+    m = flatcore.build_saito_matrices(cat.pvf)
+    n = m.n
+    stack = m.T0_h_stack
+    assert stack.shape == (n * n + n + 1,)
+    T0, h = EvalStack(m.T0), EvalStack(m.h_coeffs)
+    assert bool(stack._dden) == bool(T0._dden or h._dden) == (eid in ("LT14", "LT19"))
+    values = p6.StructureSampler(m, z_seed=cat.z_seed).track(
+        cat.default_path.points).values
+    for rows in (values, values[:1], values[len(values) // 2][None], values[-1:]):
+        got = stack.eval_batch(rows)
+        assert got.shape == (n * n + n + 1, len(rows))
+        assert np.array_equal(got[:n * n].reshape(n, n, -1), T0.eval_batch(rows))
+        assert np.array_equal(got[n * n:], h.eval_batch(rows))
+
 def per_element(num, zden, dden, ring, values):
     """An element at every row by the per-element kernel that the stacked one
     replaced: the terms of num in the order it holds them, multiplied slot by
@@ -941,7 +964,7 @@ def per_element(num, zden, dden, ring, values):
 @pytest.mark.parametrize("eid", catalog.catalog_list())
 def test_stacked_eval_is_bit_identical(eid):
     # T0, both dT0 matrices and adj(T) in one stack, and the stacks kept on
-    # SaitoMatrices, along the default path and on one row: bit for bit the
+    # SaitoMatrices (T0's part of the tracker's), along the default path and on one row: bit for bit the
     # per-element values, identically zero entries and the z and rel_z
     # denominators of LT14 and LT19 included
     import numpy as np
@@ -963,8 +986,8 @@ def test_stacked_eval_is_bit_identical(eid):
         got = stack.eval_batch(rows)
         assert got.shape == (n + 1, n, n, len(rows))
         assert np.array_equal(got.reshape(want.shape), want)
-        assert np.array_equal(m.T0_stack.eval_batch(rows),
-                              want[:n * n].reshape(n, n, -1))
+        assert np.array_equal(m.T0_h_stack.eval_batch(rows)[:n * n],
+                              want[:n * n])
         assert np.array_equal(m.dT0_stack.eval_batch(rows),
                               want[n * n:n ** 3].reshape(n - 1, n, n, -1))
         assert np.array_equal(np.array([EvalStack(x).eval_batch(rows) for x in elems]),
