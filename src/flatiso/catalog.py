@@ -173,7 +173,9 @@ def logvf_block(m: SaitoMatrices) -> dict:
         "identities_failed": failed,
         "trace_identity": trace_ok,
         "saito_criterion_c": str(logvf.generator_criterion(m)),
-        "discriminant_weight": str(m.h.weight()),
+        # h is checked homogeneous of weight n (SaitoMatrices.h) before any
+        # identity reads it
+        "discriminant_weight": str(m.n),
         "pass": not failed and trace_ok,
     }
 

@@ -10,11 +10,16 @@ Given weights w and an n-tuple g with g_j of weight 1+w_j, the matrices
 carry the whole flat structure.  A SaitoMatrices holds C, the gradient over
 its minimal denominators with z divided out as far as it goes, and derives
 each other object from it once, on first use: T and the verdict on the
-weights of its entries, the B^(k) and their traces, the commutators,
-h = det(-T) with its t_n-coefficients (split once) and partials, the trace
-defects and the quotients (V_k h)/h they certify, T0 = T + t_n I, which
-shares T's off-diagonal entries, and dT0/dt_k = -(E + w_k) B^(k) for k < n,
-so that no partial of T0 is taken.  check_extended_wdvv checks the extended
+weights of its entries, the B^(k) and their traces, the unit defect
+B^(n) - I and the flat-normalization defect T_nj + w_j t_j, the
+commutators, h = det(-T) with its t_n-coefficients (split once) and
+partials, the trace defects and the quotients (V_k h)/h they certify,
+T0 = T + t_n I, which shares T's off-diagonal entries, and
+dT0/dt_k = -(E + w_k) B^(k) for k < n, so that no partial of T0 is taken.
+The commutators [B^(p), B^(n)] and the Euler row's trace defect are formed
+from the two defects, whose zero tests are the unit condition and the flat
+normalization; they are the same ring elements, and on a flat structure
+their sums form no product.  check_extended_wdvv checks the extended
 WDVV system on one structure of g, reading the same verdict on T that
 build_saito_matrices raises from: pairwise commutativity of the B^(k), the
 unit condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the structure
@@ -177,10 +182,21 @@ class SaitoMatrices:
                 for k in range(self.n)]
 
     @cached_property
+    def unit_defect(self) -> list:
+        """B^(n) - I entry by entry; all zero under the unit condition."""
+        return [[e - 1 if i == j else e for j, e in enumerate(row)]
+                for i, row in enumerate(self.Btilde[-1])]
+
+    @cached_property
     def commutators(self):
-        """[B^(p), B^(q)] keyed by the 1-based pair (p, q), p < q."""
+        """[B^(p), B^(q)] keyed by the 1-based pair (p, q), p < q.
+
+        A pair (p, n) is formed as [B^(p), B^(n) - I] from unit_defect, the
+        same element: under the unit condition every product of its fused
+        sums has a zero factor, so none is formed."""
         B, n = self.Btilde, self.n
-        return {(p + 1, q + 1): mat_commutator(B[p], B[q])
+        right = B[:-1] + [self.unit_defect]
+        return {(p + 1, q + 1): mat_commutator(B[p], right[q])
                 for p in range(n) for q in range(p + 1, n)}
 
     @cached_property
@@ -192,12 +208,17 @@ class SaitoMatrices:
                 if not e._has_weight(s + iw[j] - iw[i])]
 
     @cached_property
-    def flat_normalized(self) -> bool:
-        """T_nj + w_j t_j = 0 exactly for all j: the flat normalization,
-        which is also logvf identity (i), row n of -T being the Euler field."""
+    def flat_defect(self) -> List[RingElem]:
+        """T_nj + w_j t_j for j = 1..n; all zero under the flat normalization."""
         t, w = self.ring.gens(), self.weights
-        return all((e + tj * wj).is_zero()
-                   for e, tj, wj in zip(self.T[-1], t, w))
+        return [e + tj * wj for e, tj, wj in zip(self.T[-1], t, w)]
+
+    @cached_property
+    def flat_normalized(self) -> bool:
+        """Every entry of flat_defect is zero: the flat normalization
+        T_nj = -w_j t_j, which is also logvf identity (i), row n of -T being
+        the Euler field."""
+        return all(e.is_zero() for e in self.flat_defect)
 
     @cached_property
     def minus_T(self):
@@ -244,11 +265,19 @@ class SaitoMatrices:
     @cached_property
     def trace_defects(self) -> List[RingElem]:
         """V_k h - tr(B^(k)) h for k = 1..n, V_k the k-th row of -T, each one
-        Ring.fused_sum; all zero for a flat structure."""
-        fused_sum = self.ring.fused_sum
-        return [fused_sum([(1, v, d) for v, d in zip(row, self.dh)]
-                          + [(-1, tr, self.h)])
-                for row, tr in zip(self.minus_T, self.traces)]
+        Ring.fused_sum; all zero for a flat structure.
+
+        Row n is formed from the defects: (-T)_nj = w_j t_j - flat_defect_j,
+        and E h = n h since h is homogeneous of weight n (checked with h), so
+        V_n h - tr(B^(n)) h = -sum_j flat_defect_j d_j h - (tr(B^(n)) - n) h.
+        On a flat structure every product of that sum has a zero factor, so
+        none is formed."""
+        fused_sum, h, dh = self.ring.fused_sum, self.h, self.dh
+        rows = [fused_sum([(1, v, d) for v, d in zip(row, dh)] + [(-1, tr, h)])
+                for row, tr in zip(self.minus_T[:-1], self.traces)]
+        euler_row = fused_sum([(-1, f, d) for f, d in zip(self.flat_defect, dh)]
+                              + [(-1, self.traces[-1] - self.n, h)])
+        return rows + [euler_row]
 
     @cached_property
     def log_rows(self) -> list:
@@ -393,9 +422,7 @@ def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
     checked = _structure(pvf)
     m = None if checked.inhomogeneous_T_entries else checked
     return WdvvReport(
-        unit_ok=all((e - 1 if i == j else e).is_zero()
-                    for i, row in enumerate(checked.Btilde[-1])
-                    for j, e in enumerate(row)),
+        unit_ok=mat_is_zero(checked.unit_defect),
         homogeneity_ok=all(g._has_weight(s + wj) for g, wj in zip(pvf.g, iw)),
         commutators=checked.commutators, matrices=m,
         saito_relations_ok=m is not None and check_saito_relations(m),

@@ -238,7 +238,10 @@ def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
     # differentiates no entry of T; its fused sums are, per entry, the 9
     # entries of each commutator, the 3 trace defects, the 4 levels of
     # h = det(-T) (the 3x3 row and its three 2x2 minors) and the 3 traces,
-    # and H3's prepotential F (11 * (27 + 3 + 4 + 3) + 1 = 408)
+    # and H3's prepotential F (11 * (27 + 3 + 4 + 3) + 1 = 408).  The 18
+    # entries of the commutators against B^(3) - I and the Euler row's
+    # trace defect are counted though every part of them is skipped
+    # (test_flat_structures_multiply_nothing_against_their_defects)
     from flatiso import flatcore
     from flatiso.ring import Ring, RingElem
     commuted, differentiated, structures = [], [], []
@@ -283,6 +286,49 @@ def test_symbolic_verify_commutes_nothing_with_t(monkeypatch):
     assert len(commuted) == 33 and touches_t(commuted) == 0
     assert t_partials() == 0
     assert fused == 408
+
+
+def test_flat_structures_multiply_nothing_against_their_defects(monkeypatch):
+    # on a flat structure B^(n) - I and T_nj + w_j t_j vanish entry by entry,
+    # so the fused sums that read them, the 9 entries of each commutator
+    # [B^(p), B^(n) - I] (p < n) and the Euler row's trace defect, skip every
+    # part: no monomial product runs inside them.  Forming the two defects
+    # is not counted
+    from flatiso import flatcore
+    from flatiso.ring import Ring, _Packing
+    structures, sums = [], []
+    structure, fused_sum, mul = flatcore._structure, Ring.fused_sum, _Packing.mul
+    products = 0
+
+    def counting_mul(self, a, b):
+        nonlocal products
+        products += 1
+        return mul(self, a, b)
+
+    def recording_sum(self, parts=()):
+        parts = list(parts)
+        before = products
+        out = fused_sum(self, parts)
+        sums.append(({id(f) for _, *fs in parts for f in fs}, products - before))
+        return out
+
+    def keeping_structure(pvf):
+        structures.append(structure(pvf))
+        return structures[-1]
+
+    monkeypatch.setattr(_Packing, "mul", counting_mul)
+    monkeypatch.setattr(Ring, "fused_sum", recording_sum)
+    monkeypatch.setattr(flatcore, "_structure", keeping_structure)
+    monkeypatch.setattr(catalog, "_cache", {})
+    for eid in catalog.catalog_list():
+        assert catalog.catalog_verify(eid, "symbolic")["pass"]
+    assert len(structures) == 11
+    defects = {id(e) for m in structures
+               for e in m.flat_defect + [x for row in m.unit_defect for x in row]}
+    reading = [count for factors, count in sums if factors & defects]
+    assert len(reading) == 11 * (2 * 9 + 1)
+    assert reading == [0] * len(reading)
+    assert products > 0
 
 
 def test_full_verify_compiles_two_stacks(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -5,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 
 from flatiso import catalog, exprio, flatcore
-from flatiso.errors import InputError, NoRescalingFound, NotMonic, SchemaError
+from flatiso.errors import (FlatIsoError, InputError, NoRescalingFound, NotMonic,
+                            SchemaError)
 from flatiso.flatcore import (PotentialVF, build_saito_matrices,
                               check_extended_wdvv, check_saito_relations,
                               frobenius_check, mat_commutator, mat_det,
@@ -262,6 +264,163 @@ def test_perturbed_t_entry_fails_on_both_routes(klein_matrices, trivial_n2):
     assert not _homogeneous_b(inhomogeneous)
     assert _direct_relations(inhomogeneous) == (True, True, False)
     assert not check_saito_relations(inhomogeneous)
+
+
+# ---------------------------------------------------------------------------
+# the commutators against B^(n) and the Euler row's trace defect, formed
+# from the unit and flat-normalization defects
+# ---------------------------------------------------------------------------
+
+class _Direct(flatcore.SaitoMatrices):
+    """A structure whose commutators, trace defects and flat-normalization
+    verdict are formed directly: [B^(p), B^(q)] from the B^(k) themselves,
+    V_k h - tr(B^(k)) h from every row of -T, and T_nj + w_j t_j tested
+    entry by entry."""
+
+    @functools.cached_property
+    def commutators(self):
+        B, n = self.Btilde, self.n
+        return {(p + 1, q + 1): mat_commutator(B[p], B[q])
+                for p in range(n) for q in range(p + 1, n)}
+
+    @functools.cached_property
+    def trace_defects(self):
+        return [_direct_trace_defect(self, k) for k in range(self.n)]
+
+    @functools.cached_property
+    def flat_normalized(self):
+        t, w = self.ring.gens(), self.weights
+        return all((e + tj * wj).is_zero() for e, tj, wj in zip(self.T[-1], t, w))
+
+
+def _direct_trace_defect(m, k):
+    """sum_j (-T)_kj d_j h - tr(B^(k)) h, one fused sum."""
+    return m.ring.fused_sum([(1, v, d) for v, d in zip(m.minus_T[k], m.dh)]
+                            + [(-1, m.traces[k], m.h)])
+
+
+def _unit_breaking(eid):
+    """g_1 += t1 t3 / 5 on entry eid: homogeneous, since t1 t3 has weight
+    1 + w_1, but B^(3)_11 gains 1/5, so B^(3) != I and h is not monic."""
+    pvf = catalog.catalog_get(eid).pvf
+    t1, t3 = pvf.ring.var(0), pvf.ring.var(2)
+    return _with_g(pvf, 0, pvf.g[0] + t1 * t3 / 5)
+
+
+def _defect_controls(perturbed_klein):
+    """(name, pvf): the 11 entries, the perturbed-Klein control and the
+    unit-breaking controls on LT8, H3 and LT19."""
+    cases = [(eid, catalog.catalog_get(eid).pvf) for eid in catalog.IDS]
+    return cases + [("LT8-perturbed", perturbed_klein)] + [
+        (f"{eid}-unit-broken", _unit_breaking(eid)) for eid in ("LT8", "H3", "LT19")]
+
+
+def _off_euler(cls):
+    """(name, structure of class cls) whose row n of -T is not the Euler
+    field while h stays monic of degree n and homogeneous of weight n.
+
+    On n = 2, C = ((t2/2 + t1^2, t1^3), (2 t1, 2 t2)) over the weights
+    (1/2, 1) has flat defect (-t1/2, -t2) and tr(B^(2)) = 5/2, so both
+    terms of the Euler row's defect are nonzero.  On LT8 and LT19, t1 added
+    to C_31 gives flat defect (-w_1 t1, 0, 0) and leaves B^(3) = I."""
+    from flatiso.ring import Ring
+    ring = Ring(["1/2", "1"])
+    t1, t2 = ring.gens()
+    out = [("n2", cls(ring=ring, C=[[t2 / 2 + t1 ** 2, t1 ** 3],
+                                    [t1 * 2, t2 * 2]]))]
+    for eid in ("LT8", "LT19"):
+        m = build_saito_matrices(catalog.catalog_get(eid).pvf)
+        C = [row[:] for row in m.C]
+        C[2][0] = C[2][0] + m.ring.var(0)
+        out.append((f"{eid}-off-euler", cls(ring=m.ring, C=C)))
+    return out
+
+
+def _entries(a):
+    return [e for row in a for e in row]
+
+
+def test_unit_side_commutators_are_the_direct_ones(perturbed_klein):
+    # [B^(p), B^(n) - I] is [B^(p), B^(n)] as a ring element, entry by
+    # entry, on structures that meet the unit condition and on those that
+    # break it: the three controls, where both commutators against B^(3)
+    # are nonzero, and the hand-built n = 2 structure, with B^(2) =
+    # diag(1/2, 2)
+    structures = [(name, flatcore._structure(pvf))
+                  for name, pvf in _defect_controls(perturbed_klein)]
+    structures += _off_euler(flatcore.SaitoMatrices)
+    broken = []
+    for name, m in structures:
+        B, n = m.Btilde, m.n
+        for p in range(n - 1):
+            direct = mat_commutator(B[p], B[n - 1])
+            assert all(x == y for x, y in zip(_entries(m.commutators[(p + 1, n)]),
+                                              _entries(direct))), (name, p)
+            if not mat_is_zero(direct):
+                broken.append((name, p + 1))
+    assert broken == [(f"{eid}-unit-broken", p) for eid in ("LT8", "H3", "LT19")
+                      for p in (1, 2)] + [("n2", 1)]
+
+
+def test_euler_row_defect_is_the_direct_one(perturbed_klein):
+    # -sum_j flat_defect_j d_j h - (tr(B^(n)) - n) h is V_n h - tr(B^(n)) h
+    # wherever h is defined; every homogeneous g that breaks the unit
+    # condition breaks h's monic check, so the hand-built structures are
+    # the ones with a nonzero flat defect
+    for name, pvf in _defect_controls(perturbed_klein):
+        m = flatcore._structure(pvf)
+        if name.endswith("unit-broken"):
+            assert not mat_is_zero(m.unit_defect)
+            with pytest.raises(NotMonic, match="not monic"):
+                m.trace_defects
+            continue
+        assert m.trace_defects[-1] == _direct_trace_defect(m, m.n - 1), name
+    for name, m in _off_euler(flatcore.SaitoMatrices):
+        n = m.n
+        assert not all(e.is_zero() for e in m.flat_defect), name
+        assert (m.traces[-1] == n) is (name != "n2"), name
+        defect = m.trace_defects[-1]
+        assert not defect.is_zero(), name
+        assert defect == _direct_trace_defect(m, n - 1), name
+        assert all(x == _direct_trace_defect(m, k)
+                   for k, x in enumerate(m.trace_defects)), name
+
+
+def _block(m):
+    """catalog.logvf_block on m, or the error it raises."""
+    try:
+        block = catalog.logvf_block(m)
+    except FlatIsoError as exc:
+        return type(exc).__name__, str(exc)
+    assert block["discriminant_weight"] == str(m.h.weight())
+    return block
+
+
+def _verdicts(pvf):
+    rep = check_extended_wdvv(pvf)
+    return (rep.unit_ok, rep.homogeneity_ok, rep.failing_commutators(),
+            rep.saito_relations_ok, rep.flat_normalization_ok,
+            _block(rep.matrices))
+
+
+def test_defect_forms_keep_every_verdict(monkeypatch, perturbed_klein):
+    # check_extended_wdvv and logvf_block read the same verdicts as on
+    # structures that form every commutator and trace defect directly
+    controls = _defect_controls(perturbed_klein)
+    ours = [_verdicts(pvf) for _, pvf in controls]
+    ours += [_block(m) for _, m in _off_euler(flatcore.SaitoMatrices)]
+    monkeypatch.setattr(flatcore, "SaitoMatrices", _Direct)
+    direct = [_verdicts(pvf) for _, pvf in controls]
+    direct += [_block(m) for _, m in _off_euler(_Direct)]
+    assert ours == direct
+    assert [v[0] for v in ours[:15]] == [True] * 12 + [False] * 3
+    assert [v[-1] for v in ours[12:15]] == [
+        ("NotMonic", "det(-T) is not monic in the last variable")] * 3
+    # the Euler row fails: on n = 2 its identities, on LT8 and LT19 its
+    # long division, which only a nonzero trace defect runs
+    assert ours[15]["identities_failed"] == ["euler_row", "v1_h", "vi_ratio_2"]
+    assert ours[16:] == [("RowNotLogarithmic",
+                          "row 2 is not a logarithmic vector field")] * 2
 
 
 def test_t0_must_be_free_of_tn():
