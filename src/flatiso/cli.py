@@ -312,10 +312,7 @@ def _run_jm_roundtrip(args):
              "t": complex(ts[-1]), "y": ys[-1], "ztilde": zs[-1], "k": ks[-1]}
     report = {
         "check": "jm-roundtrip", "seed": args.seed,
-        "tolerances": {**_tolerances("pvi_residual", "schlesinger_residual"),
-                       "a_inf_offdiagonal": isomono.JM_RESIDUE_TOL,
-                       "a_inf_diagonal": isomono.JM_DIAGONAL_TOL,
-                       "residue_traces": isomono.JM_RESIDUE_TOL},
+        "tolerances": _tolerances("pvi_residual", "schlesinger_residual"),
         "thetas": th, "kappas": [k1, k2],
         "pvi_residual": pvi, "schlesinger_residual": schles,
         "trajectory_csv": isomono.trajectory_to_csv(ts, ys, zs, ks),

@@ -379,16 +379,10 @@ class StructureSampler:
         return parts[0] if len(parts) == 1 else Track(
             *map(np.concatenate, zip(*parts)))
 
-    def z_at(self, tprime):
-        """z at one point (None on a plain ring), with z and the roots
-        continued from the last tracked point."""
-        z = self.track([tprime]).values[0, 0]
-        return None if self.ring.ext is None else complex(z)
-
     def t0_matrix(self, tprime):
-        """T0 at one point, continued there by z_at."""
-        self.z_at(tprime)
-        return self._last[0].T0[0]
+        """T0 at one point, with z and the roots continued there from the
+        last tracked point."""
+        return self.track([tprime]).T0[0]
 
 
 # ---------------------------------------------------------------------------

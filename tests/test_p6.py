@@ -464,8 +464,7 @@ def test_first_point_order_survives_rounding():
     # agree to rounding; ulp-level changes of T0 must not swap their labels
     e, m = entry_setup("LT27")
     sampler = p6.StructureSampler(m, z_seed=e.z_seed)
-    sampler.z_at(e.default_path.points[0])
-    first = sampler._last[0]
+    first = sampler.track([e.default_path.points[0]])
     coeffs = h_coeff_rows(m, first.values)
     base = p6.ordered_eig(coeffs, first.T0)[0]
     rng = np.random.default_rng(0)

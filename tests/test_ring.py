@@ -309,7 +309,7 @@ def z_tracker(ring, seed):
 
 def test_eval_root_seeds(ext):
     # at t1 = 1, t2 = 0 the relation is z(1 + z^3) = 0; seed 0 picks z = 0
-    zv = z_tracker(ext, 0.01).z_at((1.0, 0.0, 0.0))
+    zv = z_tracker(ext, 0.01).track([(1.0, 0.0, 0.0)]).values[0, 0]
     assert abs(EvalStack(ext.zgen()).eval_batch([(zv, 1.0, 0.0, 0.0)])[0]) < 1e-12
 
 
@@ -318,13 +318,13 @@ def test_root_collision_raises():
     rel = {(2, 0, 0): F(1), (0, 1, 0): F(-1)}
     ring = Ring(["1/2", "1"], extension=rel, z_weight="1/4")
     with pytest.raises(RootCollision):
-        z_tracker(ring, 1e-11).z_at((1e-22, 0.0))
+        z_tracker(ring, 1e-11).track([(1e-22, 0.0)])
 
 
 def test_z_continuation_satisfies_relation(ext):
     pts = [(1.0, 0.4 + 0.01 * k, 0.0) for k in range(21)]
     tracker = z_tracker(ext, 0.6134 + 0.8853j)
-    zs = [tracker.z_at(pt) for pt in pts]
+    zs = [tracker.track([pt]).values[0, 0] for pt in pts]
     for coeffs, zv in zip(rel_coeffs(ext, pts), zs):
         val = sum(c * zv ** k for k, c in enumerate(coeffs))
         assert abs(val) < 1e-9
@@ -339,13 +339,14 @@ def test_branch_jump_is_bisected(ext):
     z0 = root_near(ext, p0, 0.18797 + 0.25638j)
     fine = z_tracker(ext, z0)
     for s in np.linspace(0.0, 1.0, 201):
-        zf = fine.z_at(tuple(a + s * (b - a) for a, b in zip(p0, p1)))
+        zf = fine.track([tuple(a + s * (b - a)
+                               for a, b in zip(p0, p1))]).values[0, 0]
     assert abs(zf - (0.2986 + 0.0722j)) < 1e-3
     jumped = root_near(ext, p1, z0)
     assert abs(jumped - zf) > 0.3
     coarse = z_tracker(ext, z0)
-    coarse.z_at(p0)
-    assert abs(coarse.z_at(p1) - zf) < 1e-10
+    coarse.track([p0])
+    assert abs(coarse.track([p1]).values[0, 0] - zf) < 1e-10
     values, roots, _ = z_tracker(ext, z0).track([p0, p1])
     assert abs(values[1, 0] - zf) < 1e-10
     assert abs(roots[1, 0] - zf) < 1e-10
@@ -853,8 +854,8 @@ def test_compiled_eval_matches_fraction_reference(eid):
     sampler = p6.StructureSampler(m, z_seed=cat.z_seed)
     rows = []
     for tp in cat.default_path.points:
-        zv = sampler.z_at(tp)
-        rows.append((0j if zv is None else zv,) + tuple(tp) + (0.0,))
+        zv = sampler.track([tp]).values[0, 0]
+        rows.append((zv,) + tuple(tp) + (0.0,))
 
     def reference(num, values):
         terms = []
@@ -893,8 +894,8 @@ def test_batched_eval_matches_scalar(eid):
     ring = m.ring
     sampler = p6.StructureSampler(m, z_seed=cat.z_seed)
     pts = [tuple(tp) + (0.0,) for tp in cat.default_path.points]
-    zs = [sampler.z_at(tp) for tp in cat.default_path.points]
-    values = np.array([(0j if z is None else z,) + pt for z, pt in zip(zs, pts)])
+    zs = [sampler.track([tp]).values[0, 0] for tp in cat.default_path.points]
+    values = np.array([(z,) + pt for z, pt in zip(zs, pts)])
 
     def terms(num):
         # every term c * prod x^e of a {exponent tuple: Fraction} polynomial
