@@ -294,8 +294,8 @@ def schlesinger_defects(zs, Bs, svals):
     interior points, where p6.five_point reaches; [k, i] is the defect of
     residue i.
     """
-    _, z, zdot, _ = five_point(svals, np.asarray(zs, dtype=complex))
-    _, B, dB, _ = five_point(svals, np.asarray(Bs, dtype=complex))
+    _, z, zdot = five_point(svals, np.asarray(zs, dtype=complex))
+    _, B, dB = five_point(svals, np.asarray(Bs, dtype=complex))
     n, m = B.shape[1], B.shape[-1]
     # z_i - z_j, with 1 on the diagonal, where z_i' - z_j' is exactly 0
     dz = z[:, None, :] - z[:, :, None] + np.eye(n)

@@ -140,25 +140,43 @@ def newton_roots(coeffs, seed):
     coeffs is (N, d + 1), lowest degree first.  A row is done once
     |f| < 1e-13 scale, scale = max(1, max |coeffs|), and takes one more
     (polishing) step then.  A row that meets a zero derivative first, or
-    still has |f| > 1e-9 scale after 100 steps, is NaN.
+    still has |f| > 1e-9 scale after 100 steps, is NaN.  A row whose
+    iterate is no longer finite would end NaN after its 100 steps, so it
+    is NaN at once.
+
+    The rows iterate in place under a live mask: every step evaluates all
+    rows of the working arrays and moves only the live ones, and a row
+    leaves the mask as soon as it is done or NaN.  Once fewer than half of
+    the working rows are live, the working arrays shrink to those rows, so
+    a row that never converges costs about what it costs on its own.  Each
+    row takes the same steps as on its own, so its root is the same bit
+    for bit in any batch.
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    tol = 1e-13 * np.maximum(1.0, np.abs(coeffs).max(axis=1, initial=0.0))
-    c = np.ascontiguousarray(coeffs.T)                 # (d + 1, N)
-    z = np.array(np.broadcast_to(np.asarray(seed, dtype=complex), len(coeffs)))
-    live = np.arange(len(coeffs))
+    c = np.ascontiguousarray(np.asarray(coeffs, dtype=complex).T)  # (d + 1, N)
+    tol = 1e-13 * np.maximum(1.0, np.abs(c).max(axis=0, initial=0.0))
+    z = np.array(np.broadcast_to(np.asarray(seed, dtype=complex), c.shape[1]))
+    rows, w, live = np.arange(len(z)), z, np.ones(len(z), dtype=bool)
     with np.errstate(all="ignore"):       # a diverging row only turns NaN
         for _ in range(100):
-            if not len(live):
-                return z
-            f, fp = _poly_values(c[:, live], z[live])
-            done = np.abs(f) < tol[live]
-            stuck = (fp == 0) & ~done
-            z[live] -= np.where(fp == 0, 0, f / fp)
-            z[live[stuck]] = np.nan
-            live = live[~(done | stuck)]
-        f, _ = _poly_values(c[:, live], z[live])
-    z[live[~(np.abs(f) <= 1e4 * tol[live])]] = np.nan
+            n = np.count_nonzero(live)
+            if not n:
+                break
+            if 2 * n < len(live):
+                z[rows] = w
+                rows, c, w, tol = rows[live], c[:, live], w[live], tol[live]
+                live = np.ones(n, dtype=bool)
+            f, fp = _poly_values(c, w)
+            done = np.abs(f) < tol
+            flat = fp == 0
+            np.subtract(w, f / fp, out=w, where=live & ~flat)
+            stay = live & ~done
+            lost = stay & (flat | ~np.isfinite(w))
+            w[lost] = np.nan
+            live = stay ^ lost
+        else:
+            f, _ = _poly_values(c, w)
+            w[live & ~(np.abs(f) <= 1e4 * tol)] = np.nan
+    z[rows] = w
     return z
 
 

@@ -10,8 +10,9 @@ PVI solution y(t).  Everything numeric runs along a sampling path in t' and
 stays stacked: a path of N points is one (N, n) point array in the tracker
 and one P6Samples record of arrays after it, whose points and parameter
 s = t_2 (path_parameter) are read off the tracked rows.  five_point is the
-one finite-difference helper: the five-point central differences on a
-uniform grid, at the interior points.
+one finite-difference helper: the five-point central first difference on a
+uniform grid at the interior points, and the second difference after it
+where its caller reads one.
 
 StructureSampler is the one path tracker: it continues the algebraic
 generator z and the ordered roots of T0 together, in one loop of lockstep
@@ -366,8 +367,9 @@ class StructureSampler:
         Continued from the state, which moves to the last row: passes until
         every point is accepted, and a bisection where a pass accepts none.
         """
+        path = np.asarray(path)
         pts = np.zeros((len(path), self.n), dtype=complex)
-        pts[:, :len(path[0])] = path
+        pts[:, :path.shape[1]] = path
         parts, k = [], 0
         while k < len(pts):
             rows, seps = self._pass(self._last, pts[k:], k)
@@ -389,10 +391,10 @@ class StructureSampler:
 # solution extraction
 # ---------------------------------------------------------------------------
 
-def five_point(s, a):
-    """(s, a, da/ds, d2a/ds2) at the interior points 2 .. N - 3 of the
-    uniform grid s, where the five-point central differences along the
-    first axis of a reach.
+def five_point(s, a, second=False):
+    """(s, a, da/ds) at the interior points 2 .. N - 3 of the uniform grid
+    s, where the five-point central differences along the first axis of a
+    reach, and d2a/ds2 after them where second is true.
 
     Raises InsufficientSamples below five points, and InputError where s
     has a zero step or drifts from a uniform grid.
@@ -406,8 +408,11 @@ def five_point(s, a):
                         > 1e-9 * np.maximum(1.0, abs(h) * k)):
         raise InputError("sample grid must be uniform with a nonzero step")
     v = [a[d:len(a) - 4 + d] for d in range(5)]
-    return (s[2:-2], v[2], (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h),
-            (-v[4] + 16 * v[3] - 30 * v[2] + 16 * v[1] - v[0]) / (12 * h * h))
+    out = (s[2:-2], v[2], (-v[4] + 8 * v[3] - 8 * v[1] + v[0]) / (12 * h))
+    if not second:
+        return out
+    return out + ((-v[4] + 16 * v[3] - 30 * v[2] + 16 * v[1] - v[0])
+                  / (12 * h * h),)
 
 
 def _check_entry(m: SaitoMatrices, entry_choice):
@@ -569,8 +574,8 @@ def pvi_rhs(t, y, dy, params: P6Params):
 def _sample_defects(samples: P6Samples, params: P6Params):
     """(dy/dt, d2y/dt2, |y'' - PVI_rhs(t, y, y')|) at the interior samples:
     the stencils of t and y along s, then the chain rule."""
-    s, y, dy, d2y = five_point(samples.s, samples.y)
-    _, t, dt, d2t = five_point(samples.s, samples.t)
+    s, y, dy, d2y = five_point(samples.s, samples.y, second=True)
+    _, t, dt, d2t = five_point(samples.s, samples.t, second=True)
     _raise_first([(np.abs(dt) < 1e-12, lambda j: DegenerateLinearEntry(
         f"dt/ds vanishes at s = {s[j]}; path is not t-regular"))])
     dy_dt = dy / dt
@@ -589,7 +594,7 @@ def pvi_grid_residual(ts, ys, dys, params: P6Params) -> float:
     ys and dys are y and y' at the grid points ts; y'' is the five-point
     first difference of y', formed for all interior points in one pass.
     """
-    t, dy, d2y, _ = five_point(ts, np.asarray(dys, dtype=complex))
+    t, dy, d2y = five_point(ts, np.asarray(dys, dtype=complex))
     y = np.asarray(ys, dtype=complex)[2:-2]
     return float(_pvi_defects(t, y, dy, d2y, params).max())
 

@@ -10,8 +10,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from flatiso import catalog, flatcore
 from flatiso.errors import (DegreeOverflow, DivisionNotExact, InputError,
                             RootCollision)
-from flatiso.numeric import (ROOT_SEPARATION, EvalStack, certified_separation,
-                             newton_roots, rel_coeffs)
+from flatiso.numeric import (ROOT_SEPARATION, EvalStack, _poly_values,
+                             certified_separation, newton_roots, rel_coeffs)
 from flatiso.ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _normalized,
                           _p_lincomb, _packing, _probe_points)
 
@@ -401,6 +401,62 @@ def test_newton_roots_takes_one_seed_per_row():
     seeds = pick + gap / 20 * np.exp(2j * np.pi * rng.random(count))
     got = newton_roots(coeffs, seeds)
     assert np.all(np.abs(got - pick) <= 1e-12 * np.maximum(1, np.abs(pick)))
+
+
+def _bits(z):
+    return np.asarray(z, dtype=complex).view(np.uint64)
+
+
+def _newton_gathered(coeffs, seed):
+    """The former newton_roots, which regathered the live rows by index at
+    every step: the reference its results must equal bit for bit."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    tol = 1e-13 * np.maximum(1.0, np.abs(coeffs).max(axis=1, initial=0.0))
+    c = np.ascontiguousarray(coeffs.T)
+    z = np.array(np.broadcast_to(np.asarray(seed, dtype=complex), len(coeffs)))
+    live = np.arange(len(coeffs))
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            if not len(live):
+                return z
+            f, fp = _poly_values(c[:, live], z[live])
+            done = np.abs(f) < tol[live]
+            stuck = (fp == 0) & ~done
+            z[live] -= np.where(fp == 0, 0, f / fp)
+            z[live[stuck]] = np.nan
+            live = live[~(done | stuck)]
+        f, _ = _poly_values(c[:, live], z[live])
+    z[live[~(np.abs(f) <= 1e4 * tol[live])]] = np.nan
+    return z
+
+
+def test_newton_roots_rows_leave_as_on_their_own():
+    # cubics seeded from on a root to far off it finish at different steps,
+    # so the live rows fall below half of the batch more than once and the
+    # working arrays shrink; z^2 + 1 from 0 is stuck (f' = 0), z^3 - 1
+    # from 1e300 overflows at its first step, z^3 - 2z + 2 from 0 cycles
+    # 0, 1, 0, ... for all its steps, and a row with an infinite
+    # coefficient has no finite iterate after its first step
+    rng = np.random.default_rng(11)
+    count = 240
+    roots = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+    coeffs = np.array([np.poly(r)[::-1] for r in roots])
+    seeds = roots[:, 0] + np.geomspace(1e-16, 30, count) * np.exp(
+        2j * np.pi * rng.random(count))
+    seeds[0] = roots[0, 0]
+    odd = np.array([[1, 0, 1, 0], [-1, 0, 0, 1], [2, -2, 0, 1],
+                    [np.inf, 1, 0, 1]], dtype=complex)
+    odd_seeds = np.array([0, 1e300, 0, 0.5], dtype=complex)
+    base = newton_roots(coeffs, seeds)
+    both = newton_roots(np.vstack([coeffs, odd]), np.append(seeds, odd_seeds))
+    assert np.array_equal(_bits(both[:count]), _bits(base))
+    alone = [newton_roots(c[None], s)[0] for c, s in
+             zip(np.vstack([coeffs, odd]), np.append(seeds, odd_seeds))]
+    assert np.array_equal(_bits(both), _bits(alone))
+    assert np.array_equal(_bits(both), _bits(_newton_gathered(
+        np.vstack([coeffs, odd]), np.append(seeds, odd_seeds))))
+    assert np.isnan(both[count:]).all()
+    assert not np.isnan(base).any()
 
 
 # ---------------------------------------------------------------------------
