@@ -2,15 +2,20 @@
 
 A plain ring is Q[t1..tn] with a rational weight per variable.  An extension
 ring adjoins one generator z subject to a weighted-homogeneous relation that
-is monic in z up to a rational factor.  Differentiating through the relation
-produces denominators, so elements are stored as
+is monic in z up to a rational factor.  Differentiating along a variable the
+relation contains goes through z' = -(d(relation)/dt_i) / rel_z and produces
+denominators, so elements are stored as
 
-    num / (z^zden * rel_z^dden),        rel_z = d(relation)/dz,
+    num / (z^zden * rel_z^dden),        rel_z = d(relation)/dz.
 
-i.e. the localization of Q[t][z]/(rel) at the multiplicative set generated by
-z and rel_z.  Plain-ring elements never carry denominators.  Equality and
-zero tests cross-multiply and reduce modulo the relation, so they are exact
-whatever the denominator bookkeeping looks like.
+Along a variable the relation does not contain (t_n, in every catalog
+relation), z' = 0 and rel_z is free of it, so the derivative is the
+numerator's termwise one over the same denominator.
+
+The elements form the localization of Q[t][z]/(rel) at the multiplicative
+set generated by z and rel_z.  Plain-ring elements never carry denominators.
+Equality and zero tests cross-multiply and reduce modulo the relation, so
+they are exact whatever the denominator bookkeeping looks like.
 
 Exact division goes through Ring._divide.  For a divisor b, the first column
 A of the adjugate of b's multiplication matrix on 1, z, ..., z^(d-1) gives
@@ -346,6 +351,11 @@ class ExtensionRing:
         self._rel, self._scale = _from_fractions(pk, relation)
         self._drel = pk.partial(self._rel, 0)
         self.drel = _to_fractions(pk, self._drel, self._scale)
+        # RingElem.partial: d(rel)/dt_i and d(rel_z)/dt_i per variable, and
+        # d(rel_z)/dz
+        self._rel_t = tuple(pk.partial(self._rel, s) for s in range(1, nvars + 1))
+        self._drel_t = tuple(pk.partial(self._drel, s) for s in range(1, nvars + 1))
+        self._drel_z = pk.partial(self._drel, 0)
         self._ztop = d << pk.zshift
         top = d * pk.zunit
         lead = self._rel[top]
@@ -791,22 +801,26 @@ class RingElem:
         slot = var + 1
         if not 0 <= var < ring.nvars:
             raise IndexError(var)
-        if ring.ext is None:
-            return RingElem(ring, pk.partial(self._t, slot), self._d, 0, 0)
         ext = ring.ext
         N = self._t
-        D = ext._drel
-        Ri = pk.partial(ext._rel, slot)
-        N_i, N_z = pk.partial(N, slot), pk.partial(N, 0)
         a, b = self.zden, self.dden
-        # With z' = -R_i / D, d/dt [N/(z^a D^b)] = num' / (z^(a+ez) D^(b+1+eD)),
+        # On a plain ring, and along a variable the relation does not contain
+        # (z' = -R_i / D = 0, and D is then free of t_i too), the derivative
+        # is the numerator's termwise one over the same denominator.
+        if ext is None or not ext._rel_t[var]:
+            return RingElem(ring, pk.partial(N, slot), self._d, a, b)
+        D = ext._drel
+        Ri = ext._rel_t[var]
+        N_i, N_z = pk.partial(N, slot), pk.partial(N, 0)
+        # Otherwise, with z' = -R_i / D,
+        # d/dt [N/(z^a D^b)] = num' / (z^(a+ez) D^(b+1+eD)),
         # num' = z^ez D^eD (N_i D - N_z R_i) + a N R_i D^eD
         #        - b z^ez N (D_i D - D_z R_i),
         # where ez = [a > 0] and eD = [b > 0]: the a-term alone needs the
         # extra z and the b-term alone the extra D.  Over rel_z = D / s the
-        # integer scale is s^(1+eD).  Every ring takes this rule; only the
-        # serialized C of a lazy ring is re-expressed over the general
-        # z^(a+1) D^(b+2), where it is printed (flatcore.printed).
+        # integer scale is s^(1+eD).  Only the serialized C of a lazy ring is
+        # re-expressed over the general z^(a+1) D^(b+2), where it is printed
+        # (flatcore.printed).
         ez = 1 if a else 0
         eD = 1 if b else 0
         zkey = ez * pk.zunit
@@ -818,8 +832,8 @@ class RingElem:
             NR = pk.mul(N, Ri)
             num = _p_lincomb(num, 1, pk.mul(NR, D) if eD else NR, a)
         if b:
-            D_i, D_z = pk.partial(D, slot), pk.partial(D, 0)
-            inner = _p_lincomb(pk.mul(D_i, D), 1, pk.mul(D_z, Ri), -1)
+            inner = _p_lincomb(pk.mul(ext._drel_t[var], D), 1,
+                               pk.mul(ext._drel_z, Ri), -1)
             num = _p_lincomb(num, 1, pk.shift(pk.mul(N, inner), zkey), -b)
         return RingElem(ring, num, self._d * ext._scale ** (1 + eD),
                         a + ez, b + 1 + eD)

@@ -659,25 +659,34 @@ def test_z_shift_division_matches_adjugate_route(eid, multiple, data):
         assert q == q_adj and list(q[0]) == list(q_adj[0])
 
 
-def _partial_over_the_general_denominator(e, var):
-    """d/dt_{var+1} of e over z^(a+1) rel_z^(b+2), whatever a and b: with
-    N, D and R_i the integer numerator, rel_z and d(rel)/dt_i,
-    num' = z D (N_i D - N_z R_i) + a N R_i D - b z N (D_i D - D_z R_i)
-    over s^2 times the denominators."""
+def _partial_by_the_quotient_rule(e, var, general=False):
+    """The former RingElem.partial of an extension ring, along every
+    variable: with N, D and R_i the integer numerator, rel_z and
+    d(rel)/dt_i, and z' = -R_i / D,
+    num' = z^ez D^eD (N_i D - N_z R_i) + a N R_i D^eD
+           - b z^ez N (D_i D - D_z R_i)
+    over s^(1+eD) times z^(a+ez) D^(b+1+eD), where ez = [a > 0] and
+    eD = [b > 0]; with general, ez = eD = 1 whatever a and b (the general
+    denominator z^(a+1) rel_z^(b+2))."""
     ring, pk, ext = e.ring, e.ring._pk, e.ring.ext
     slot = var + 1
     N, D, Ri = e._t, ext._drel, pk.partial(ext._rel, slot)
     a, b = e.zden, e.dden
-    core = _p_lincomb(pk.mul(pk.partial(N, slot), D), 1,
-                      pk.mul(pk.partial(N, 0), Ri), -1)
-    num = pk.shift(pk.mul(core, D), pk.zunit)
+    ez, eD = (1, 1) if general else (int(a > 0), int(b > 0))
+    zkey = ez * pk.zunit
+    num = _p_lincomb(pk.mul(pk.partial(N, slot), D), 1,
+                     pk.mul(pk.partial(N, 0), Ri), -1)
+    if eD:
+        num = pk.mul(num, D)
+    num = pk.shift(num, zkey)
     if a:
-        num = _p_lincomb(num, 1, pk.mul(pk.mul(N, Ri), D), a)
+        NR = pk.mul(N, Ri)
+        num = _p_lincomb(num, 1, pk.mul(NR, D) if eD else NR, a)
     if b:
         inner = _p_lincomb(pk.mul(pk.partial(D, slot), D), 1,
                            pk.mul(pk.partial(D, 0), Ri), -1)
-        num = _p_lincomb(num, 1, pk.shift(pk.mul(N, inner), pk.zunit), -b)
-    return RingElem(ring, num, e._d * ext._scale ** 2, a + 1, b + 2)
+        num = _p_lincomb(num, 1, pk.shift(pk.mul(N, inner), zkey), -b)
+    return RingElem(ring, num, e._d * ext._scale ** (1 + eD), a + ez, b + 1 + eD)
 
 
 @lru_cache(maxsize=None)
@@ -701,14 +710,13 @@ PARTIAL_RINGS = (("H3p", 1), ("H3pp", 1), ("LT27", 1), ("LT27", F(5, 6)),
 @given(st.sampled_from(PARTIAL_RINGS), st.integers(0, 2), st.integers(0, 2),
        st.data())
 def test_partial_matches_the_general_formula(spec, zden, dden, data):
-    # the minimal denominator z^(a+[a>0]) rel_z^(b+1+[b>0]) gives the same
-    # element as the general one on every ring; on a lazy ring the lift to
-    # the printed form (flatcore._printed) has the general one's
-    # denominators and terms
+    # the minimal denominators give the same element as the general one on
+    # every ring; on a lazy ring the lift to the printed form
+    # (flatcore._printed) has the general one's denominators and terms
     ring = _scaled_ring(*spec)
     e = ring.from_raw(data.draw(_raw_elems(ring)).num, zden, dden)
     for var in range(ring.nvars):
-        got, want = e.partial(var), _partial_over_the_general_denominator(e, var)
+        got, want = e.partial(var), _partial_by_the_quotient_rule(e, var, general=True)
         assert got == want
         if ring.lazy:
             lifted = flatcore._printed(got, e)
@@ -732,21 +740,28 @@ def test_printed_c_carries_the_general_denominators(eid):
     n = m.n
     for i in range(n):
         for j in range(n):
-            want = _partial_over_the_general_denominator(pvf.g[j], i)
+            want = _partial_by_the_quotient_rule(pvf.g[j], i, general=True)
             assert _denominators(C[i][j]) == _denominators(want)
             assert C[i][j]._t == want._t
             assert m.C[i][j].dden <= 1
 
 
+def _relation_vars(ring):
+    """The 0-based indices of the variables the relation contains."""
+    return [v for v in range(ring.nvars) if any(m[v + 1] for m in ring.ext.relation)]
+
+
 @pytest.mark.parametrize("eid", LAZY_ENTRIES)
 def test_partial_of_a_polynomial_on_a_lazy_ring_has_one_rel_z(eid):
-    # the minimal rule holds on lazy rings too: no z and one rel_z
+    # the minimal rule holds on lazy rings too: along a variable the
+    # relation contains, no z and one rel_z
     ring = catalog.catalog_get(eid).pvf.ring
     assert ring.lazy
+    assert _relation_vars(ring) == [0, 1]
     rng = random.Random(11)
     for e in [random_elem(ring, rng, with_z=True) for _ in range(8)]:
         assert not (e.zden or e.dden)
-        for var in range(ring.nvars):
+        for var in _relation_vars(ring):
             d = e.partial(var)
             if not d.is_zero():
                 assert (d.zden, d.dden) == (0, 1)
@@ -755,7 +770,9 @@ def test_partial_of_a_polynomial_on_a_lazy_ring_has_one_rel_z(eid):
 @pytest.mark.parametrize("eid", QUOTIENT_ENTRIES)
 def test_partial_of_a_polynomial_divides_at_most_once(eid, monkeypatch):
     # with no denominator to differentiate, no z enters the new one and
-    # rel_z enters once, so cancelling it takes at most one division
+    # rel_z enters once along t1 and t2, so cancelling it takes at most one
+    # division; along t3, which the relation does not contain, nothing
+    # enters and nothing is divided
     ring = catalog.catalog_get(eid).pvf.ring
     calls = {"_divide": 0, "_z_divide": 0}
     for name in calls:
@@ -771,7 +788,69 @@ def test_partial_of_a_polynomial_divides_at_most_once(eid, monkeypatch):
             before = dict(calls)
             e.partial(var)
             assert calls["_z_divide"] == before["_z_divide"]
-            assert calls["_divide"] - before["_divide"] <= 1
+            assert calls["_divide"] - before["_divide"] <= (var in _relation_vars(ring))
+
+
+EXTENSION_ENTRIES = QUOTIENT_ENTRIES + LAZY_ENTRIES
+
+
+def _partial_cases(eid):
+    """g, C, every B^(k) and h of a catalog entry, and random elements over
+    z^a rel_z^b for a, b in 0..2; each numerator has a constant term, which
+    no nonconstant homogeneous polynomial divides, so z stays in them."""
+    pvf = catalog.catalog_get(eid).pvf
+    ring = pvf.ring
+    m = flatcore.build_saito_matrices(pvf)
+    elems = list(pvf.g) + [e for M in (m.C, *m.Btilde) for row in M for e in row]
+    elems.append(m.h)
+    rng = random.Random(53)
+    for a in range(3):
+        for b in range(3):
+            raw = random_elem(ring, rng, with_z=True) + 1
+            elems.append(ring.from_raw(raw.num, zden=a, dden=b))
+    return elems
+
+
+@pytest.mark.parametrize("eid", EXTENSION_ENTRIES)
+def test_partial_equals_the_quotient_rule(eid):
+    # along every variable, on every extension entry; the relation is free
+    # of t3, so there no z and no rel_z enters the denominator
+    elems = _partial_cases(eid)
+    ring = elems[0].ring
+    assert _relation_vars(ring) == [0, 1]
+    assert [(e.zden, e.dden) for e in elems[-9:]] == [(a, b) for a in range(3)
+                                                      for b in range(3)]
+    for e in elems:
+        for var in range(ring.nvars):
+            assert e.partial(var) == _partial_by_the_quotient_rule(e, var), (eid, var)
+        d = e.partial(ring.nvars - 1)
+        assert d.zden <= e.zden and d.dden <= e.dden
+
+
+@pytest.mark.parametrize("degree", [5, 10])
+def test_rel_z_enters_along_a_variable_the_relation_contains(degree):
+    # z^d + t1 z^(2d/5) + t3 with weights (3/5, 4/5, 1), z of weight 1/d:
+    # z' = -1/rel_z along t3, so rel_z enters there as along t1, on a
+    # cancelling ring (d = 5) and a lazy one (d = 10)
+    rel = {(degree, 0, 0, 0): F(1), (2 * degree // 5, 1, 0, 0): F(1),
+           (0, 0, 0, 1): F(1)}
+    ring = Ring(["3/5", "4/5", "1"], extension=rel, z_weight=F(1, degree))
+    assert ring.lazy is (degree > 8)
+    assert _relation_vars(ring) == [0, 2]
+    z = ring.zgen()
+    dz = z.partial(2)
+    assert (dz.zden, dz.dden) == (0, 1)
+    assert dz * ring.from_raw(ring.ext.drel) == -1
+    assert z.partial(1).is_zero()
+    rng = random.Random(5)
+    elems = [z * ring.var(0) + ring.var(1) ** 2]
+    elems += [ring.from_raw(random_elem(ring, rng, with_z=True).num, zden=a, dden=b)
+              for a in range(2) for b in range(2)]
+    for e in elems:
+        for var in range(ring.nvars):
+            assert e.partial(var) == _partial_by_the_quotient_rule(e, var), var
+    d = elems[0].partial(2)
+    assert (d.zden, d.dden) == (0, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,12 +29,12 @@ DIGESTS = {
              "a991e40429e34e61feec637f44bd4fb8dcf4319b547d7cfe75e781ad57ff6c4b"),
     "LT13": ("a741fff429cdc662e8b85b3af16c5ecaafa6b5a8e6decae64e2cac03ab0f2f97",
              "35ef04e7fd32c7d7569e92ee87f85ee2b6b04199f68d58742f7d984216d20198"),
-    "LT14": ("4fc4027298ffd5b327b36761ebae7bba46e6331a306b66a604b103bad0d71101",
-             "d1c89b33e91c9a12c856e4d1c475f3b2fba7aaacc350d30ef5ed6fc028f89db2"),
+    "LT14": ("c5bec1598f682b2078827fc319cd7dd89cae02b9a25a7da2cb3ae34499c2f443",
+             "5cdaed9bc3885d054c1f37a04d891149a4758c6636e0291748b4a6d71db5147b"),
     "LT18": ("7adda9c0e1a1ecb0cf36abc81f26dbc8e27ee7f4785e471a6cfc4de6b7f5198b",
              "c1e9faf6e0c5b31a40d409c942eae14fca347398f362c115054f33a5e3292ed1"),
-    "LT19": ("161aa3a9dc3faa0c7cb81849d9f7072576388d127915b79d1364ffb4e7e10b84",
-             "667f2d6155164179ec929be1426c19e1280ce52b05073cfa53a52d216d746642"),
+    "LT19": ("9e8a0f0e95503c68409fd62d85e70f70cf8bd1b9e2a5118b5651430e83425da3",
+             "8009640f533e962175f621eda014f6725ef416d9e7cf604e0664724bb284abaf"),
     "LT30": ("3cc040a0d841a6c9d97f1c7f4ab9cbb4b42cd2dd2ae3b1956051e947582a5530",
              "1420a8aacd243c474bd7eeb625618792b088d4b869734f3ec7d5bb7cef11e41c"),
 }
