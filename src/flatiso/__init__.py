@@ -8,14 +8,14 @@ Schlesinger machinery.
 
 from .ring import Ring, RingElem
 from .exprio import parse_expr, parse_pvf, serialize_pvf
-from .flatcore import (PotentialVF, SaitoMatrices, build_saito_matrices,
-                       check_extended_wdvv, frobenius_check)
+from .flatcore import (PotentialVF, build_saito_matrices, check_extended_wdvv,
+                       frobenius_check)
 from .catalog import catalog_get, catalog_list, catalog_verify
 
 __all__ = [
     "Ring", "RingElem",
     "parse_expr", "parse_pvf", "serialize_pvf",
-    "PotentialVF", "SaitoMatrices", "build_saito_matrices",
+    "PotentialVF", "build_saito_matrices",
     "check_extended_wdvv", "frobenius_check",
     "catalog_get", "catalog_list", "catalog_verify",
 ]

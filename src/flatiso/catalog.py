@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from . import exprio, flatcore, logvf
 from .errors import FlatIsoError, SchemaError, UnknownId
-from .flatcore import PotentialVF, SaitoMatrices
+from .flatcore import PotentialVF
 
 IDS = ["H3", "H3p", "H3pp", "LT8", "LT26", "LT27", "LT13", "LT14",
        "LT18", "LT19", "LT30"]
@@ -155,16 +155,7 @@ def within(key: str, value: float) -> bool:
     return bool(value < TOLERANCES[key])
 
 
-def structure_report(pvf: PotentialVF) -> flatcore.WdvvReport:
-    """check_extended_wdvv with the SaitoMatrices it checked; SchemaError
-    when T is not homogeneous, so that there are none."""
-    report = flatcore.check_extended_wdvv(pvf)
-    if report.matrices is None:
-        raise SchemaError("T is not homogeneous; input g is not weighted homogeneous")
-    return report
-
-
-def logvf_block(m: SaitoMatrices) -> dict:
+def logvf_block(m: PotentialVF) -> dict:
     """The discriminant and logarithmic-field identities, exactly."""
     failed = logvf.logvf_identities(m)
     trace_ok = all(v.is_zero() for v in m.trace_defects)
@@ -173,19 +164,20 @@ def logvf_block(m: SaitoMatrices) -> dict:
         "identities_failed": failed,
         "trace_identity": trace_ok,
         "saito_criterion_c": str(logvf.generator_criterion(m)),
-        # h is checked homogeneous of weight n (SaitoMatrices.h) before any
+        # h is checked homogeneous of weight n (PotentialVF.h) before any
         # identity reads it
         "discriminant_weight": str(m.n),
         "pass": not failed and trace_ok,
     }
 
 
-def symbolic_block(pvf: PotentialVF, flags: Dict[str, bool]):
-    """(exact verdicts, the SaitoMatrices they were read from); flags
-    select the prepotential check."""
-    report = structure_report(pvf)
-    m = report.matrices
-    lv = logvf_block(m)
+def symbolic_block(pvf: PotentialVF, flags: Dict[str, bool]) -> dict:
+    """The exact verdicts on pvf; flags select the prepotential check.
+    SchemaError, naming an entry, when T is not homogeneous
+    (flatcore.build_saito_matrices)."""
+    flatcore.build_saito_matrices(pvf)
+    report = flatcore.check_extended_wdvv(pvf)
+    lv = logvf_block(pvf)
     out = {
         "wdvv_unit": report.unit_ok,
         "wdvv_homogeneity": report.homogeneity_ok,
@@ -200,17 +192,17 @@ def symbolic_block(pvf: PotentialVF, flags: Dict[str, bool]):
         "discriminant_weight": lv["discriminant_weight"],
     }
     if flags.get("has_prepotential"):
-        pre = flatcore.frobenius_check(pvf, m.C)
+        pre = flatcore.frobenius_check(pvf)
         out["prepotential_found"] = pre is not None
         stored = pvf.meta.get("prepotential")
         if pre is not None and stored:
             F_stored = exprio.parse_expr(stored, pvf.ring)
             out["prepotential_matches"] = (pre.F - F_stored).is_zero()
     out["pass"] = all(v is True for v in out.values() if isinstance(v, bool))
-    return out, m
+    return out
 
 
-def pvi_block(m: SaitoMatrices, entry_choice, snaps):
+def pvi_block(m: PotentialVF, entry_choice, snaps):
     """(block, samples, params, defects): the PVI check of one entry on
     snapshots, and what p6.pvi_on_frames returned for it."""
     from . import p6
@@ -228,7 +220,7 @@ def schlesinger_block(snaps) -> dict:
             "pass": within("schlesinger_residual", res)}
 
 
-def midconv_block(m: SaitoMatrices, point, z_seed=None):
+def midconv_block(m: PotentialVF, point, z_seed=None):
     """(block, convolved system): truncate at a path point, convolve back
     with -w_n, and measure the distances of the result's Gamma_inf from the
     weights and of its residue traces from the snapshot's, with the
@@ -254,10 +246,10 @@ def midconv_block(m: SaitoMatrices, point, z_seed=None):
     return block, out
 
 
-def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
+def _verify_numeric(entry: CatalogEntry, snaps) -> dict:
     """Numeric checks on the default path's residue snapshots."""
     import numpy as np
-    pvi, samples, params, _ = pvi_block(m, entry.p6_entry, snaps)
+    pvi, samples, params, _ = pvi_block(entry.pvf, entry.p6_entry, snaps)
     trace_spread = float(np.abs(snaps.traces - snaps.traces[0]).max())
     # + 0.0 turns a -0.0 left by rounding into 0.0, so last-bit noise
     # cannot flip the printed sign of a vanishing part
@@ -272,14 +264,14 @@ def _verify_numeric(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
     }
 
 
-def _verify_full(entry: CatalogEntry, m: SaitoMatrices, snaps) -> dict:
+def _verify_full(entry: CatalogEntry, snaps) -> dict:
     """Full-depth checks; snaps as for _verify_numeric.  The entry survey
     reads every second snapshot."""
     from . import p6
     path = entry.default_path.points
     schles = schlesinger_block(snaps)
-    mc, _ = midconv_block(m, path[len(path) // 2], z_seed=entry.z_seed)
-    survey = p6.survey_on_frames(m, snaps[::2])
+    mc, _ = midconv_block(entry.pvf, path[len(path) // 2], z_seed=entry.z_seed)
+    survey = p6.survey_on_frames(entry.pvf, snaps[::2])
     return {"schlesinger_residual": schles["schlesinger_residual"],
             "entry_survey": survey,
             "midconv_gamma_inf_error": mc["gamma_inf_error"],
@@ -297,15 +289,15 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
     report = {"id": entry_id, "depth": depth,
               "flags": dict(entry.flags),
               "tolerances": dict(TOLERANCES)}
-    report["symbolic"], m = symbolic_block(entry.pvf, entry.flags)
+    report["symbolic"] = symbolic_block(entry.pvf, entry.flags)
     if depth != "symbolic":
         from . import isomono, p6
-        snaps = isomono.snapshots_along(m, entry.default_path.points,
-                                        p6.default_lambda(m.weights),
+        snaps = isomono.snapshots_along(entry.pvf, entry.default_path.points,
+                                        p6.default_lambda(entry.pvf.weights),
                                         z_seed=entry.z_seed)
-        report["numeric"] = _verify_numeric(entry, m, snaps)
+        report["numeric"] = _verify_numeric(entry, snaps)
     if depth == "full":
-        report["full"] = _verify_full(entry, m, snaps)
+        report["full"] = _verify_full(entry, snaps)
     report["pass"] = all(report[k]["pass"] for k in ("symbolic", "numeric", "full")
                          if k in report)
     return report

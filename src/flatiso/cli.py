@@ -190,8 +190,8 @@ def _run_verify_wdvv(args):
 
 def _run_saito(args):
     pvf, *_ = _resolve_input(args)
-    rep = cat.structure_report(pvf)
-    m = flatcore.printed(pvf, rep.matrices)
+    rep = flatcore.check_extended_wdvv(flatcore.build_saito_matrices(pvf))
+    m = flatcore.printed(pvf)
     report = {
         "check": "saito", "name": pvf.name,
         "tolerances": {"symbolic": "exact"},
@@ -211,7 +211,7 @@ def _run_logvf(args):
     report = {
         "check": "logvf", "name": pvf.name,
         "tolerances": {"symbolic": "exact"},
-        "h": exprio.format_elem(flatcore.printed(pvf, m).h),
+        "h": exprio.format_elem(flatcore.printed(m).h),
         "h_weight": lv["discriminant_weight"],
         "identities_failed": lv["identities_failed"],
         "saito_criterion_c": lv["saito_criterion_c"],

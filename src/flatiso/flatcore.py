@@ -7,23 +7,27 @@ Given weights w and an n-tuple g with g_j of weight 1+w_j, the matrices
     T      = -E C             (E the Euler field),
     Binf   = diag(w_1..w_n),
 
-carry the whole flat structure.  A SaitoMatrices holds C, the gradient over
-its minimal denominators with z divided out as far as it goes, and derives
-each other object from it once, on first use: T and the verdict on the
-weights of its entries, the B^(k) and their traces, the unit defect
-B^(n) - I and the flat-normalization defect T_nj + w_j t_j, the
-commutators, h = det(-T) with its t_n-coefficients (split once) and
-partials, the trace defects and the quotients (V_k h)/h they certify,
-T0 = T + t_n I, which shares T's off-diagonal entries, and
+carry the whole flat structure.  A PotentialVF is g and the structure read
+off it: C, the gradient over its minimal denominators with z divided out
+as far as it goes, and each other object derived from C once, on first
+use: T and the verdict on the weights of its entries, the B^(k) and their
+traces, the unit defect B^(n) - I and the flat-normalization defect
+T_nj + w_j t_j, the commutators, h = det(-T) with its t_n-coefficients
+(split once) and partials, the trace defects and the quotients (V_k h)/h
+they certify, T0 = T + t_n I, which shares T's off-diagonal entries, and
 dT0/dt_k = -(E + w_k) B^(k) for k < n, so that no partial of T0 is taken.
-The commutators [B^(p), B^(n)] and the Euler row's trace defect are formed
-from the two defects, whose zero tests are the unit condition and the flat
-normalization; they are the same ring elements, and on a flat structure
-their sums form no product.  check_extended_wdvv checks the extended
-WDVV system on one structure of g, reading the same verdict on T that
-build_saito_matrices raises from: pairwise commutativity of the B^(k), the
-unit condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the structure
-relations coupling T, B^(k) and Binf, and the normalization T_nj = -w_j t_j.
+B^(k)_ij = d^2 g_j / dt_i dt_k is symmetric in i and k, so each pair
+{i, k} is differentiated once, row min(i, k) of C along t_max(i, k): every
+row along t_n, which no catalog relation contains, is a termwise
+derivative.  The commutators [B^(p), B^(n)] and the Euler row's trace
+defect are formed from the two defects, whose zero tests are the unit
+condition and the flat normalization; they are the same ring elements,
+and on a flat structure their sums form no product.  check_extended_wdvv
+checks the extended WDVV system on the structure of g, reading the same
+verdict on T that build_saito_matrices raises from: pairwise
+commutativity of the B^(k), the unit condition B^(n) = I, homogeneity
+E g_j = (1+w_j) g_j, the structure relations coupling T, B^(k) and Binf,
+and the normalization T_nj = -w_j t_j.
 All checks are exact: zero tests in the ring, and weight tests that compare
 integer monomial weights scaled by Ring._wscale.
 
@@ -36,8 +40,8 @@ the sum once: the determinants (each level of the cofactor expansion one
 sum), the traces, the commutators, the trace defects, the sums V h
 that log_division divides, each step of that division, dT0 and the
 prepotential F.  Only the serialized C, T and h take another form: on a
-lazy ring (Ring.lazy) they are lifted to the general derivative
-denominators where they are printed (printed).
+lazy ring (Ring.lazy) C is lifted to the general derivative denominators
+where it is printed, and T and h derived from that C (printed).
 """
 
 from __future__ import annotations
@@ -123,7 +127,12 @@ def log_division(V, h: RingElem, dh) -> tuple:
 
 @dataclass
 class PotentialVF:
-    """Weights plus the vector g; the central object the checks run on."""
+    """Weights plus the vector g, and the flat structure read off g.
+
+    C, the gradient of g, is formed on first use, and every object derived
+    from it (T = -E C and the B^(k) among them) too, once, and kept; Binf
+    is diag(weights).
+    """
 
     ring: Ring
     g: List[RingElem]
@@ -150,25 +159,14 @@ class PotentialVF:
     def n(self):
         return self.ring.nvars
 
-
-@dataclass
-class SaitoMatrices:
-    """The gradient matrix C of a flat structure, over the ring.
-
-    Every object derived from it (T = -E C and the B^(k) among them) is
-    computed on first use and kept; Binf is diag(weights).
-    """
-
-    ring: Ring
-    C: list
-
-    @property
-    def n(self):
-        return self.ring.nvars
-
-    @property
-    def weights(self):
-        return self.ring.weights
+    @cached_property
+    def C(self) -> list:
+        """C_ij = dg_j/dt_i, with z divided out of every entry as far as it
+        goes (RingElem._z_cancelled).  A C set by hand must be a gradient,
+        as Btilde pairs its rows; otherwise set Btilde with it."""
+        n = self.n
+        return [[self.g[j].partial(i)._z_cancelled() for j in range(n)]
+                for i in range(n)]
 
     @cached_property
     def T(self) -> list:
@@ -177,9 +175,16 @@ class SaitoMatrices:
 
     @cached_property
     def Btilde(self) -> list:
-        """The n matrices B^(k) = dC/dt_k, z-cancelled."""
-        return [[[e.partial(k)._z_cancelled() for e in row] for row in self.C]
-                for k in range(self.n)]
+        """The n matrices B^(k) = dC/dt_k, z-cancelled.
+
+        B^(k)_ij = d^2 g_j / dt_i dt_k is symmetric in i and k, so each
+        unordered pair {i, k} is formed once, as row min(i, k) of C along
+        t_max(i, k), and row i of B^(k) is row k of B^(i), the same list.
+        That holds only for a C that is a gradient of g."""
+        n, C = self.n, self.C
+        rows = {(i, k): [e.partial(k)._z_cancelled() for e in C[i]]
+                for k in range(n) for i in range(k + 1)}
+        return [[rows[min(i, k), max(i, k)] for i in range(n)] for k in range(n)]
 
     @cached_property
     def unit_defect(self) -> list:
@@ -338,7 +343,6 @@ class WdvvReport:
     commutators: Dict[Tuple[int, int], list]
     saito_relations_ok: bool
     flat_normalization_ok: bool
-    matrices: Optional[SaitoMatrices] = None      # None when T is inhomogeneous
 
     @property
     def commutators_ok(self):
@@ -368,42 +372,29 @@ class Prepotential:
 # construction
 # ---------------------------------------------------------------------------
 
-def _gradient_matrix(pvf: PotentialVF):
-    """C_ij = dg_j/dt_i, each over its minimal denominator."""
-    n = pvf.n
-    return [[pvf.g[j].partial(i) for j in range(n)] for i in range(n)]
-
-
-def _structure(pvf: PotentialVF) -> SaitoMatrices:
-    """The SaitoMatrices of g unchecked: its gradient with z divided out of
-    every entry as far as it goes (RingElem._z_cancelled)."""
-    return SaitoMatrices(ring=pvf.ring, C=[[e._z_cancelled() for e in row]
-                                           for row in _gradient_matrix(pvf)])
-
-
-def build_saito_matrices(pvf: PotentialVF) -> SaitoMatrices:
-    """The structure of g; SchemaError unless every entry of T = -E C is
-    homogeneous."""
-    m = _structure(pvf)
-    bad = m.inhomogeneous_T_entries
+def build_saito_matrices(pvf: PotentialVF) -> PotentialVF:
+    """pvf, whose structure the checks and numerics read; SchemaError unless
+    every entry of T = -E C is homogeneous."""
+    bad = pvf.inhomogeneous_T_entries
     if bad:
         i, j = bad[0]
         raise SchemaError(
             f"T[{i+1}][{j+1}] is not homogeneous of weight 1+w{j+1}-w{i+1}; "
             "input g is not weighted homogeneous")
-    return m
+    return pvf
 
 
-def printed(pvf: PotentialVF, m: SaitoMatrices) -> SaitoMatrices:
-    """The forms of C, T and h that are serialized, for the structure m of
-    pvf.  On a lazy ring (Ring.lazy) each C_ij is lifted to the general
-    derivative denominator of g_j (_printed); T = -E C and h = det(-T) are
-    derived from that C on first use, h only when asked for.  m itself on
-    other rings.  Nothing but a printer reads these forms."""
-    if not m.ring.lazy:
-        return m
-    return SaitoMatrices(ring=m.ring, C=[[_printed(d, g) for d, g in zip(row, pvf.g)]
-                                         for row in m.C])
+def printed(pvf: PotentialVF) -> PotentialVF:
+    """The forms of C, T and h that are serialized: pvf itself off a lazy
+    ring (Ring.lazy).  On one, a copy of pvf whose C is pvf's with each C_ij
+    lifted to the general derivative denominator of g_j (_printed), and
+    T = -E C and h = det(-T) derived from that C on first use, h only when
+    asked for.  Nothing but a printer reads the copy."""
+    if not pvf.ring.lazy:
+        return pvf
+    out = PotentialVF(ring=pvf.ring, g=pvf.g, name=pvf.name, meta=pvf.meta)
+    out.C = [[_printed(d, g) for d, g in zip(row, pvf.g)] for row in pvf.C]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,31 +403,26 @@ def printed(pvf: PotentialVF, m: SaitoMatrices) -> SaitoMatrices:
 
 def check_extended_wdvv(pvf: PotentialVF) -> WdvvReport:
     """Unit, homogeneity, all commutator defects and the Saito relations;
-    defects are reported, not thrown.
-
-    The report also carries the SaitoMatrices it checked, or None when T is
-    not homogeneous (the relations then count as failed).  The B^(k) and
-    their commutators are read from the one structure of g in either case.
-    """
+    defects are reported, not thrown.  When T is not homogeneous the
+    relations and the flat normalization count as failed."""
     s, iw = pvf.ring._wscale, pvf.ring._iw[1:]
-    checked = _structure(pvf)
-    m = None if checked.inhomogeneous_T_entries else checked
+    homogeneous_T = not pvf.inhomogeneous_T_entries
     return WdvvReport(
-        unit_ok=mat_is_zero(checked.unit_defect),
+        unit_ok=mat_is_zero(pvf.unit_defect),
         homogeneity_ok=all(g._has_weight(s + wj) for g, wj in zip(pvf.g, iw)),
-        commutators=checked.commutators, matrices=m,
-        saito_relations_ok=m is not None and check_saito_relations(m),
-        flat_normalization_ok=m is not None and m.flat_normalized)
+        commutators=pvf.commutators,
+        saito_relations_ok=homogeneous_T and check_saito_relations(pvf),
+        flat_normalization_ok=homogeneous_T and pvf.flat_normalized)
 
 
-def check_saito_relations(m: SaitoMatrices) -> bool:
+def check_saito_relations(m: PotentialVF) -> bool:
     """The structure relations coupling T, the B^(k) and Binf, exactly.
 
     They are closedness dB^(i)/dt_j = dB^(j)/dt_i, pairwise commutativity
     of the B^(k), [T, B^(k)] = 0 and dT/dt_k + B^(k) + [B^(k), Binf] = 0:
     the integrability of the Okubo system.  A scalar shift of Binf changes
-    none of them.  With B^(k) = dC/dt_k and T = -E C, which a SaitoMatrices
-    holds by construction, two tests decide them:
+    none of them.  With B^(k) = dC/dt_k and T = -E C, which a PotentialVF
+    derives from its C, two tests decide them:
 
     - the commutators [B^(p), B^(q)] vanish.  Closedness holds because mixed
       partials commute, and [T, B^(i)] = -sum_k w_k t_k [B^(k), B^(i)]
@@ -445,13 +431,16 @@ def check_saito_relations(m: SaitoMatrices) -> bool:
       [d/dt_i, E] = w_i d/dt_i, dT_rc/dt_i + (1 + w_c - w_r) B^(i)_rc is
       (1 + w_c - w_r - w_i - E) B^(i)_rc, zero exactly for such an entry.
       This is a test of monomial weights, in integers scaled by
-      Ring._wscale (RingElem.is_homogeneous).
+      Ring._wscale (RingElem.is_homogeneous).  The target is symmetric in r
+      and i, so each row that B^(r) and B^(i) share, one list, is tested
+      once.
     """
     s, iw = m.ring._wscale, m.ring._iw[1:]
+    rows = {id(row): (i, r, row) for i, B in enumerate(m.Btilde)
+            for r, row in enumerate(B)}
     return (all(mat_is_zero(c) for c in m.commutators.values())
             and all(e._has_weight(s + iw[c] - iw[r] - iw[i])
-                    for i, B in enumerate(m.Btilde)
-                    for r, row in enumerate(B) for c, e in enumerate(row)))
+                    for i, r, row in rows.values() for c, e in enumerate(row)))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +460,7 @@ def _proportionality_constant(a: RingElem, b: RingElem):
     return c if (a - b * c).is_zero() else None
 
 
-def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
+def frobenius_check(pvf: PotentialVF) -> Optional[Prepotential]:
     """Prepotential reconstruction when the structure is Frobenius.
 
     Returns None if the weight pairing w_i + w_{n+1-i} is not constant.
@@ -486,8 +475,7 @@ def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
     is not constant, if u is not symmetric, or if dF differs from the form,
     which happens exactly when the form is not closed.  F is built from the
     products u alone, so no split of them into rescalings c_i is formed.
-    C is the gradient matrix when the caller already holds it
-    (SaitoMatrices.C); it is derived from g otherwise.
+    C is the structure's own (PotentialVF.C).
     """
     ring = pvf.ring
     n = pvf.n
@@ -498,8 +486,7 @@ def frobenius_check(pvf: PotentialVF, C=None) -> Optional[Prepotential]:
     minus_2r = pair.pop()
     r = -minus_2r / 2
 
-    if C is None:
-        C = _gradient_matrix(pvf)
+    C = pvf.C
     u = []
     for i in range(n):
         a, b = C[i][0], C[n - 1][n - 1 - i]

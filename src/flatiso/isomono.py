@@ -24,7 +24,7 @@ import numpy as np
 from .catalog import TOLERANCES
 from .errors import (BlowUp, DegenerateTheta, InputError, PoleAtY,
                      PoleOnPath, RankViolation, ResonantLambda, StepUnderflow)
-from .flatcore import SaitoMatrices
+from .flatcore import PotentialVF
 from .p6 import (StructureSampler, _raise_first, five_point, path_parameter,
                  projectors)
 
@@ -114,7 +114,7 @@ def _integer_gap(lam):
 # residue decomposition
 # ---------------------------------------------------------------------------
 
-def snapshots_along(m: SaitoMatrices, path, lam, z_seed=None) -> OkuboNumeric:
+def snapshots_along(m: PotentialVF, path, lam, z_seed=None) -> OkuboNumeric:
     """Residue snapshots along a path from one batched, continuation-ordered
     pass (StructureSampler.track on a fresh sampler), checked as one stack.
 

@@ -1,6 +1,6 @@
 """Logarithmic vector fields and the Saito-matrix identities.
 
-The divisor is cut out by h = det(-T) (SaitoMatrices.h), a monic degree-n
+The divisor is cut out by h = det(-T) (PotentialVF.h), a monic degree-n
 polynomial in the last variable.  A vector field V = sum v_k d/dt_k is
 logarithmic when h divides Vh exactly; the rows of -T (in reversed order,
 V_{n+1-i} = row i) give the standard generator system, with V_1 the Euler
@@ -8,7 +8,7 @@ field.
 
 The trace identity V_k h = tr(B^(k)) h, V_k the k-th row of -T (no sign
 factor: it holds for every n), certifies each row of the generator system
-and names its quotient: where its defect (SaitoMatrices.trace_defects, one
+and names its quotient: where its defect (PotentialVF.trace_defects, one
 exact zero test) vanishes, (V_k h)/h is tr(B^(k)) with no division.  Only a
 row that fails it is long-divided by h, as is every field given from
 outside the structure.
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import RowNotLogarithmic
-from .flatcore import (SaitoMatrices, _proportionality_constant, log_division,
+from .flatcore import (PotentialVF, _proportionality_constant, log_division,
                        mat_det)
 from .ring import RingElem
 
@@ -58,7 +58,7 @@ def saito_criterion(M, h: RingElem) -> Optional[Fraction]:
     return c if c else None
 
 
-def generator_criterion(m: SaitoMatrices) -> Fraction:
+def generator_criterion(m: PotentialVF) -> Fraction:
     """saito_criterion for the rows of -T, read from the structure's log rows.
 
     det(-T) is h itself, so c = 1 once every row is logarithmic; a row that
@@ -73,7 +73,7 @@ def generator_criterion(m: SaitoMatrices) -> Fraction:
 # the generator-system identities
 # ---------------------------------------------------------------------------
 
-def logvf_identities(m: SaitoMatrices) -> List[str]:
+def logvf_identities(m: PotentialVF) -> List[str]:
     """The names of the failed identities among the Euler row, V_1 h = n h,
     the s_1-derivative ratios and weight duality; empty when all hold."""
     n = m.n

@@ -9,7 +9,7 @@ newton_roots solves such rows of coefficients, the relation's for z and h's
 for the roots of T0, and certified_separation bounds the distance from each
 root to the others.  The exact layers (ring, exprio, flatcore, logvf) import
 neither this module nor numpy at module level, so a symbolic check never
-loads them: SaitoMatrices compiles its stacks (T0 with h's coefficients,
+loads them: a PotentialVF compiles its stacks (T0 with h's coefficients,
 and dT0) on first use, and the numeric forms of a ring (its relation's
 z-slices and rel_z) are compiled on first numeric use and kept on its
 ExtensionRing.

@@ -18,23 +18,23 @@ StructureSampler is the one path tracker: it continues the algebraic
 generator z and the ordered roots of T0 together, in one loop of lockstep
 passes, and tracks roots only.  Both are zeros of polynomials whose
 coefficients are ring elements: z of the relation, and the roots of T0 of
-h = det(t_n - T0), monic of degree n in t_n, whose coefficients
-SaitoMatrices compiles once, after T0's entries in one stack (T0_h_stack).
-So one Newton continuation, _continue, tracks every zero: a pass runs
-Newton's method on all remaining points at once and certifies the distance
-from each zero to the others of its polynomial in one call
-(numeric.certified_separation).  z comes first (z = 0 on a plain ring),
-each row from the last accepted z (z_seed on a fresh sampler).  Then T0
-and h's coefficients are evaluated on the rows z keeps, in one
-numeric.EvalStack call, and the roots are continued on them, each row
-from the first-order prediction of its roots by the roots and spectral
-projectors of the last accepted row (np.roots of the first row on a fresh
-sampler), with no eigensolver.  One step rule, _steps_ok, decides every
-tracked zero: a step is accepted when Newton converged and each zero moved
-less than STEP_FRACTION (1/4) of its certified separation at both ends.  A
-pass keeps the rows before its first rejected step and the next pass
-starts there; a pass whose first step is rejected bisects that step, the
-whole state (point, zeros, separations) at the midpoint, under the same
+h = det(t_n - T0), monic of degree n in t_n, whose coefficients the
+structure compiles once, after T0's entries in one stack
+(PotentialVF.T0_h_stack).  So one Newton continuation, _continue, tracks
+every zero: a pass runs Newton's method on all remaining points at once
+and certifies the distance from each zero to the others of its
+polynomial in one call (numeric.certified_separation).  z comes first
+(z = 0 on a plain ring), each row from the last accepted z (z_seed on a
+fresh sampler).  Then T0 and h's coefficients are evaluated on the rows z
+keeps, in one numeric.EvalStack call, and the roots are continued on them,
+each row from the first-order prediction of its roots by the roots and
+spectral projectors of the last accepted row (np.roots of the first row on
+a fresh sampler), with no eigensolver.  One step rule, _steps_ok, decides
+every tracked zero: a step is accepted when Newton converged and each zero
+moved less than STEP_FRACTION (1/4) of its certified separation at both
+ends.  A pass keeps the rows before its first rejected step and the next
+pass starts there; a pass whose first step is rejected bisects that step,
+the whole state (point, zeros, separations) at the midpoint, under the same
 rule, and raises TrackingLost, a NumericError (CLI exit 3), past
 MAX_BISECTIONS (24) halvings of one step or MAX_BISECTION_PASSES (1024)
 passes in all.  For the earliest point where it happens, a z separation
@@ -66,7 +66,7 @@ from .errors import (BlowUp, DegenerateLinearEntry, EigenvalueCollision,
                      EntryIdenticallyZero, FlatIsoError, InputError,
                      InsufficientSamples, PoleOnPath, RootCollision,
                      RootNotConverged, TrackingLost)
-from .flatcore import SaitoMatrices
+from .flatcore import PotentialVF
 from .numeric import (ROOT_SEPARATION, certified_separation, newton_roots,
                       rel_coeffs)
 
@@ -271,7 +271,7 @@ class StructureSampler:
     successive calls continue from it.
     """
 
-    def __init__(self, m: SaitoMatrices, z_seed=None):
+    def __init__(self, m: PotentialVF, z_seed=None):
         self.ring = m.ring
         self.n = m.n
         self.z_seed = z_seed
@@ -415,7 +415,7 @@ def five_point(s, a, second=False):
                   / (12 * h * h),)
 
 
-def _check_entry(m: SaitoMatrices, entry_choice):
+def _check_entry(m: PotentialVF, entry_choice):
     """entry_choice as (i, j), checked to be off-diagonal with n = 3."""
     if m.n != 3:
         raise InputError("PVI extraction needs n = 3")
@@ -425,7 +425,7 @@ def _check_entry(m: SaitoMatrices, entry_choice):
     return i, j
 
 
-def _linear_entry(m: SaitoMatrices, binf_eigs, entry_choice):
+def _linear_entry(m: PotentialVF, binf_eigs, entry_choice):
     """(i, j, k), 0-based, of the chosen entry (i, j) of h B^(3) = -adj(T) Binf
     and the third index k, checked on T0.
 
@@ -475,7 +475,7 @@ def _samples_on(entry, rows):
                      t=t, y=y)
 
 
-def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
+def extract_p6_solution(m: PotentialVF, binf_eigs, entry_choice, path,
                         z_seed=None, svals=None) -> P6Samples:
     """PVI samples along a t'-path from the chosen off-diagonal entry.
 
@@ -496,7 +496,7 @@ def extract_p6_solution(m: SaitoMatrices, binf_eigs, entry_choice, path,
 # parameters
 # ---------------------------------------------------------------------------
 
-def projector_tangent(m: SaitoMatrices, snap, lam):
+def projector_tangent(m: PotentialVF, snap, lam):
     """(dz, dB): exact first derivatives of the roots and of the residues
     -E_i diag(lam) at snap, one point of residue snapshots
     (isomono.OkuboNumeric), whose row values, roots z and projectors E it
@@ -526,7 +526,7 @@ def default_lambda(weights):
     return [w[0] - w[2], w[1] - w[2], Fraction(0)]
 
 
-def p6_parameters(m: SaitoMatrices, point, sampler: StructureSampler,
+def p6_parameters(m: PotentialVF, point, sampler: StructureSampler,
                   lam=None, entry_choice=(1, 2)) -> P6Params:
     """theta and (alpha, beta, gamma, delta) from the residue traces
     -sum_a (E_i)_aa lam_a at a point, on the projectors of the roots and T0
@@ -614,7 +614,7 @@ def _pvi_defects(t, y, dy, d2y, params):
     return val
 
 
-def pvi_on_frames(m: SaitoMatrices, entry_choice, snaps):
+def pvi_on_frames(m: PotentialVF, entry_choice, snaps):
     """(samples, params, defects) of one PVI extraction on residue
     snapshots (isomono.OkuboNumeric): lam is their Binf, and the parameters
     are read off their traces at the first point; defects, formed once for
@@ -624,7 +624,7 @@ def pvi_on_frames(m: SaitoMatrices, entry_choice, snaps):
     return samples, params, _sample_defects(samples, params)
 
 
-def survey_on_frames(m: SaitoMatrices, snaps) -> dict:
+def survey_on_frames(m: PotentialVF, snaps) -> dict:
     """PVI residuals for every off-diagonal entry choice, reported not gated.
 
     Different entries give different solution branches; each is checked

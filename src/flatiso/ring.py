@@ -819,8 +819,8 @@ class RingElem:
         # where ez = [a > 0] and eD = [b > 0]: the a-term alone needs the
         # extra z and the b-term alone the extra D.  Over rel_z = D / s the
         # integer scale is s^(1+eD).  Only the serialized C of a lazy ring is
-        # re-expressed over the general z^(a+1) D^(b+2), where it is printed
-        # (flatcore.printed).
+        # re-expressed over the general z^(a+1) D^(b+2), where it is printed:
+        # flatcore.printed lifts the structure's C (flatcore._printed).
         ez = 1 if a else 0
         eD = 1 if b else 0
         zkey = ez * pk.zunit

@@ -145,61 +145,89 @@ def test_theta_strings_have_no_negative_zero(monkeypatch):
     assert all(math.copysign(1.0, im) == 1.0 for _, im in theta)
 
 
+def _count_cached(monkeypatch, name, log):
+    """Replace the cached property PotentialVF.<name> by one that appends
+    each structure it is formed on to log."""
+    from functools import cached_property
+    from flatiso.flatcore import PotentialVF
+    func = getattr(PotentialVF, name).func
+
+    def counting(m):
+        log.append(m)
+        return func(m)
+    prop = cached_property(counting)
+    prop.__set_name__(PotentialVF, name)
+    monkeypatch.setattr(PotentialVF, name, prop)
+
+
 @pytest.mark.parametrize("eid", ["H3", "H3p", "LT8"])
 def test_symbolic_verify_derives_once(eid, monkeypatch):
-    # one structure of g (check_extended_wdvv tests T's homogeneity on it
-    # and builds no second one), one gradient matrix C (H3 also runs the
-    # prepotential check on it), one n x n determinant (h = det(-T)), one
-    # weight test per entry of T and one flat-normalization test, whose
-    # verdicts the WDVV report and the logvf identities share
-    from functools import cached_property
+    # one gradient matrix C, of the entry's own pvf (check_extended_wdvv
+    # tests T's homogeneity on it and H3 also runs the prepotential check
+    # on it), one n x n determinant (h = det(-T)), one weight test per
+    # entry of T and one flat-normalization test, whose verdicts the WDVV
+    # report and the logvf identities share
     from flatiso import flatcore
     from flatiso.ring import RingElem
-    n = catalog.catalog_get(eid).pvf.n
-    structures, grads, dets, weighed, normalized = [], [], [], [], []
-    structure, grad, det = (flatcore._structure, flatcore._gradient_matrix,
-                            flatcore.mat_det)
-    has_weight = RingElem._has_weight
-    flat_normalized = flatcore.SaitoMatrices.flat_normalized.func
-
-    def counting_structure(pvf):
-        structures.append(structure(pvf))
-        return structures[-1]
+    monkeypatch.setattr(catalog, "_cache", {})
+    pvf = catalog.catalog_get(eid).pvf
+    n = pvf.n
+    grads, dets, weighed, normalized = [], [], [], []
+    det, has_weight = flatcore.mat_det, RingElem._has_weight
 
     def counting_has_weight(e, target):
         weighed.append(e)
         return has_weight(e, target)
-
-    def counting_grad(pvf):
-        grads.append(pvf)
-        return grad(pvf)
-
-    def counting_normalized(m):
-        normalized.append(m)
-        return flat_normalized(m)
-    counting_normalized = cached_property(counting_normalized)
-    counting_normalized.__set_name__(flatcore.SaitoMatrices, "flat_normalized")
 
     def counting_det(a):
         if len(a) == n:
             dets.append(a)
         return det(a)
 
-    monkeypatch.setattr(flatcore, "_structure", counting_structure)
-    monkeypatch.setattr(flatcore, "_gradient_matrix", counting_grad)
+    _count_cached(monkeypatch, "C", grads)
+    _count_cached(monkeypatch, "flat_normalized", normalized)
     monkeypatch.setattr(flatcore, "mat_det", counting_det)
     monkeypatch.setattr(RingElem, "_has_weight", counting_has_weight)
-    monkeypatch.setattr(flatcore.SaitoMatrices, "flat_normalized",
-                        counting_normalized)
     rep = catalog.catalog_verify(eid, "symbolic")
     assert rep["pass"]
     assert rep["symbolic"].get("prepotential_found", eid == "H3") == (eid == "H3")
-    assert len(structures) == 1
-    assert len(grads) == 1
+    assert len(grads) == 1 and grads[0] is pvf
     assert len(dets) == 1
-    T_ids = {id(e) for row in structures[0].T for e in row}
+    T_ids = {id(e) for row in pvf.T for e in row}
     assert sum(id(e) in T_ids for e in weighed) == n * n
-    assert len(normalized) == 1 and normalized[0] is structures[0]
+    assert len(normalized) == 1 and normalized[0] is pvf
+
+
+def test_symbolic_then_full_verify_derive_once(monkeypatch):
+    # a cached catalog entry holds its structure, so a full verify after a
+    # symbolic one forms C, the B^(k) and h no second time: one 3x3
+    # determinant and 34 partials, the 32 of one full verify (see
+    # test_full_verify_derives_each_object_once) and again the 2 of the
+    # logvf identities, which the full verify's symbolic block takes anew
+    from flatiso import flatcore
+    from flatiso.ring import RingElem
+    monkeypatch.setattr(catalog, "_cache", {})
+    pvf = catalog.catalog_get("LT19").pvf
+    formed = {"C": [], "Btilde": [], "_h_split": []}
+    for name, log in formed.items():
+        _count_cached(monkeypatch, name, log)
+    partial, mat_det = RingElem.partial, flatcore.mat_det
+    calls = {"partial": 0, "det3": 0}
+
+    def counting_partial(self, var):
+        calls["partial"] += 1
+        return partial(self, var)
+
+    def counting_det(a):
+        calls["det3"] += len(a) == 3
+        return mat_det(a)
+
+    monkeypatch.setattr(RingElem, "partial", counting_partial)
+    monkeypatch.setattr(flatcore, "mat_det", counting_det)
+    assert catalog.catalog_verify("LT19", "symbolic")["pass"]
+    assert catalog.catalog_verify("LT19", "full")["pass"]
+    assert all(len(log) == 1 and log[0] is pvf for log in formed.values())
+    assert calls == {"partial": 32 + 2, "det3": 1}
 
 
 def test_symbolic_verify_inverts_each_unit_once(monkeypatch):
@@ -293,11 +321,13 @@ def test_flat_structures_multiply_nothing_against_their_defects(monkeypatch):
     # so the fused sums that read them, the 9 entries of each commutator
     # [B^(p), B^(n) - I] (p < n) and the Euler row's trace defect, skip every
     # part: no monomial product runs inside them.  Forming the two defects
-    # is not counted
-    from flatiso import flatcore
+    # is not counted.  The sums are told by the elements only the defects
+    # hold: T_nj + w_j t_j and the diagonal B^(n)_ii - 1, which every entry
+    # of [B^(p), B^(n) - I] reads; the off-diagonal entries are B^(n)'s
+    # own, whose rows Btilde shares with the other B^(k)
     from flatiso.ring import Ring, _Packing
-    structures, sums = [], []
-    structure, fused_sum, mul = flatcore._structure, Ring.fused_sum, _Packing.mul
+    sums = []
+    fused_sum, mul = Ring.fused_sum, _Packing.mul
     products = 0
 
     def counting_mul(self, a, b):
@@ -312,19 +342,14 @@ def test_flat_structures_multiply_nothing_against_their_defects(monkeypatch):
         sums.append(({id(f) for _, *fs in parts for f in fs}, products - before))
         return out
 
-    def keeping_structure(pvf):
-        structures.append(structure(pvf))
-        return structures[-1]
-
     monkeypatch.setattr(_Packing, "mul", counting_mul)
     monkeypatch.setattr(Ring, "fused_sum", recording_sum)
-    monkeypatch.setattr(flatcore, "_structure", keeping_structure)
     monkeypatch.setattr(catalog, "_cache", {})
     for eid in catalog.catalog_list():
         assert catalog.catalog_verify(eid, "symbolic")["pass"]
-    assert len(structures) == 11
+    structures = [catalog.catalog_get(eid).pvf for eid in catalog.catalog_list()]
     defects = {id(e) for m in structures
-               for e in m.flat_defect + [x for row in m.unit_defect for x in row]}
+               for e in m.flat_defect + [row[i] for i, row in enumerate(m.unit_defect)]}
     reading = [count for factors, count in sums if factors & defects]
     assert len(reading) == 11 * (2 * 9 + 1)
     assert reading == [0] * len(reading)
@@ -335,9 +360,9 @@ def test_full_verify_compiles_two_stacks(monkeypatch):
     # a full-depth verify compiles the two stacks of its one structure, the
     # tracker's (T0 with h's t_n-coefficients) and dT0, and nothing else:
     # every PVI entry choice is read off the tracked T0 (p6._samples_on),
-    # with no stack of its own.  The relation's stacks are kept on the ring,
-    # compiled by whichever test first evaluates on it, so only the
-    # structure's are counted
+    # with no stack of its own.  A fresh entry is loaded, since a cached one
+    # keeps the stacks of its structure; the relation's stacks, kept on its
+    # ring, are not counted
     from flatiso.numeric import EvalStack, _relation_forms
     stacks = []
     init = EvalStack.__init__
@@ -347,6 +372,7 @@ def test_full_verify_compiles_two_stacks(monkeypatch):
         init(self, elems)
 
     monkeypatch.setattr(EvalStack, "__init__", counting)
+    monkeypatch.setattr(catalog, "_cache", {})
     assert catalog.catalog_verify("LT19", "full")["pass"]
     ring = catalog.catalog_get("LT19").pvf.ring
     assert all(s.ring is ring for s in stacks)
@@ -394,29 +420,32 @@ def test_full_verify_tracks_snapshots_once(monkeypatch):
     assert lengths.count(41) == 1
 
 
-@pytest.mark.parametrize("eid", ["LT19", "LT14"])
+@pytest.mark.parametrize("eid", ["H3p", "H3pp", "LT27", "LT14", "LT19"])
 def test_full_verify_derives_each_object_once(monkeypatch, eid):
-    # one structure per entry on the lazy rings too: the 9 entries of
-    # T = -E C are each differentiated along the Euler field once, as are
-    # the 18 entries of B^(1) and B^(2) that dT0 = -(E + w_k) B^(k) reads,
-    # and h = det(-T) is the one 3x3 determinant.  The 41 partials are C's
-    # 9, the 27 of the B^(k), dh's 3 and the 2 of the logvf identities; no
-    # entry of T0 is differentiated, and h is split into its t_n-coefficients
-    # once, for its monic check, h_stack and the logvf identities
+    # one structure per entry on the extension rings, lazy ones included:
+    # the 9 entries of T = -E C are each differentiated along the Euler
+    # field once, as are the 18 entries of B^(1) and B^(2) that
+    # dT0 = -(E + w_k) B^(k) reads, and h = det(-T) is the one 3x3
+    # determinant.  The 32 partials are C's 9, the 18 of the 6 row pairs
+    # Btilde shares, dh's 3 and the 2 of the logvf identities.  19 of them
+    # run the quotient rule, along t1 or t2, which the relation contains:
+    # C's 6, the 9 of the pairs {1, 1}, {1, 2} and {2, 2}, 2 of dh and the
+    # logvf identities' 2.  No entry of T0 is differentiated, and h is
+    # split into its t_n-coefficients once, for its monic check, h_stack
+    # and the logvf identities
     from flatiso import flatcore
     from flatiso.ring import RingElem
     calls = {"euler": 0, "det3": 0}
-    structures, differentiated, split = [], [], []
+    differentiated, split = [], []
     euler, partial, mat_det = RingElem.euler, RingElem.partial, flatcore.mat_det
     coeffs_in = RingElem.coeffs_in
-    structure = flatcore._structure
 
     def counting_euler(self):
         calls["euler"] += 1
         return euler(self)
 
     def counting_partial(self, var):
-        differentiated.append(self)
+        differentiated.append((self, var))
         return partial(self, var)
 
     def counting_split(self, var):
@@ -427,22 +456,20 @@ def test_full_verify_derives_each_object_once(monkeypatch, eid):
         calls["det3"] += len(a) == 3
         return mat_det(a)
 
-    def keeping_structure(pvf):
-        structures.append(structure(pvf))
-        return structures[-1]
-
     monkeypatch.setattr(RingElem, "euler", counting_euler)
     monkeypatch.setattr(RingElem, "partial", counting_partial)
     monkeypatch.setattr(RingElem, "coeffs_in", counting_split)
     monkeypatch.setattr(flatcore, "mat_det", counting_det)
-    monkeypatch.setattr(flatcore, "_structure", keeping_structure)
     monkeypatch.setattr(catalog, "_cache", {})
     assert catalog.catalog_verify(eid, "full")["pass"]
     assert calls == {"euler": 27, "det3": 1}
-    assert len(differentiated) == 41
-    [m] = structures
+    m = catalog.catalog_get(eid).pvf
+    relation_vars = [v for v in range(m.n) if m.ring.ext._rel_t[v]]
+    assert relation_vars == [0, 1]
+    assert len(differentiated) == 32
+    assert sum(var in relation_vars for _, var in differentiated) == 19
     T0 = [e for row in m.T0 for e in row]
-    assert not any(x is e for x in differentiated for e in T0)
+    assert not any(x is e for x, _ in differentiated for e in T0)
     assert sum(x is m.h for x in split) == 1
 
 

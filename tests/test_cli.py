@@ -624,7 +624,8 @@ TOY_RELATION = {"gen": "z", "relation": "z^2 - t1", "weight": "1/10"}
 
 @pytest.mark.parametrize("verb, doc, message", [
     ("saito", dict(TOY, g=["t1*t3", "t2*t3", "1/2*t3^2 + t1^2"]),
-     "T is not homogeneous; input g is not weighted homogeneous"),
+     "T[1][3] is not homogeneous of weight 1+w3-w1; "
+     "input g is not weighted homogeneous"),
     ("params", TOY, "--path is required with --input for this verb"),
     ("verify-wdvv", [TOY], "document must be a JSON object"),
     ("verify-wdvv", {"g": TOY["g"]}, "missing weights"),
@@ -653,6 +654,27 @@ def test_document_errors_exit_2_with_their_message(verb, doc, message, capsys,
     code, out, err = run(capsys, verb, "--input", str(p))
     assert code == 2 and out == ""
     assert err == f"input error: {message}\n"
+
+
+def test_saito_then_logvf_differentiate_g_for_c_alone(capsys, monkeypatch):
+    # the printed forms lift the structure's own C (flatcore.printed), so
+    # saito and then logvf on a lazy entry take no partial of g beyond the
+    # nine of C, which the cached entry's structure forms once
+    from flatiso.ring import RingElem
+    monkeypatch.setattr(catalog, "_cache", {})
+    g = catalog.catalog_get("LT19").pvf.g
+    of_g, partial = [], RingElem.partial
+
+    def counting(self, var):
+        if any(self is gj for gj in g):
+            of_g.append(var)
+        return partial(self, var)
+
+    monkeypatch.setattr(RingElem, "partial", counting)
+    for verb in ("saito", "logvf"):
+        code, _, _ = run(capsys, verb, "--catalog", "LT19")
+        assert code == 0, verb
+    assert sorted(of_g) == [0, 0, 0, 1, 1, 1, 2, 2, 2]
 
 
 def test_negative_seed_is_an_input_error(capsys):

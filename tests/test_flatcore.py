@@ -86,18 +86,20 @@ def test_wdvv_perturbed_lazy_ring(perturbed_lazy, eid):
 
 
 def test_wdvv_inhomogeneous_reported_not_raised(klein):
-    # t1^2 has weight 4/7 != 2 = 1 + w3, so T is inhomogeneous and no
-    # SaitoMatrices can be built; the check reports instead of raising
+    # t1^2 has weight 4/7 != 2 = 1 + w3, so T is inhomogeneous and
+    # build_saito_matrices refuses g; the check reports instead of raising
     g = list(klein.g)
     g[2] = g[2] + klein.ring.var(0) ** 2
-    rep = check_extended_wdvv(PotentialVF(ring=klein.ring, g=g))
+    pvf = PotentialVF(ring=klein.ring, g=g)
+    rep = check_extended_wdvv(pvf)
     assert rep.unit_ok
     assert not rep.homogeneity_ok
     assert rep.failing_commutators() == [(1, 2)]
     assert rep.saito_relations_ok is False
     assert rep.flat_normalization_ok is False
-    assert rep.matrices is None
     assert not rep.is_solution
+    with pytest.raises(SchemaError, match="T\\[1\\]\\[3\\] is not homogeneous"):
+        build_saito_matrices(pvf)
 
 
 def test_flat_normalization_hand_built(klein, klein_matrices):
@@ -120,14 +122,21 @@ def _structures(perturbed_klein, perturbed_lazy):
 
 
 def test_multiplication_matrix_symmetry(perturbed_klein, perturbed_lazy):
-    # B^(k)_ij = B^(i)_kj: both are the mixed second partial of g_j; and
-    # closedness dB^(i)/dt_j = dB^(j)/dt_i, since mixed partials commute,
-    # which check_saito_relations takes from how B is derived
-    for pvf, _ in _structures(perturbed_klein, perturbed_lazy):
-        m = build_saito_matrices(pvf)
-        B, n = m.Btilde, m.n
+    # B^(k)_ij = B^(i)_kj, both the mixed second partial of g_j, so Btilde
+    # forms each pair {i, k} once and rows i of B^(k) and k of B^(i) are one
+    # list; every entry equals dC_ij/dt_k, taken here for every (k, i, j).
+    # Closedness dB^(i)/dt_j = dB^(j)/dt_i holds since mixed partials
+    # commute, which check_saito_relations takes from how B is derived
+    cases = [pvf for pvf, _ in _structures(perturbed_klein, perturbed_lazy)]
+    cases += [pvf for name, pvf in _defect_controls(perturbed_klein)
+              if name.endswith("unit-broken")]
+    assert len(cases) == 17
+    for pvf in cases:
+        B, C, n = pvf.Btilde, pvf.C, pvf.n
         idx = list(itertools.product(range(n), repeat=3))
-        assert all((B[k][i][j] - B[i][k][j]).is_zero() for k, i, j in idx), pvf.name
+        direct = {(k, i, j): C[i][j].partial(k) for k, i, j in idx}
+        assert all(B[k][i][j] == direct[k, i, j] for k, i, j in idx), pvf.name
+        assert all(B[k][i] is B[i][k] for k, i, _ in idx), pvf.name
         assert all((B[i][r][c].partial(j) - B[j][r][c].partial(i)).is_zero()
                    for i, r, c in idx for j in range(i + 1, n)), pvf.name
 
@@ -145,9 +154,8 @@ def test_printed_and_cancelled_structures_agree(eid):
     # denominators, T and h derived from it) equal the z-cancelled
     # structure the checks read, entry by entry as ring elements; off lazy
     # rings they are its own objects
-    pvf = catalog.catalog_get(eid).pvf
-    m = build_saito_matrices(pvf)
-    p = flatcore.printed(pvf, m)
+    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
+    p = flatcore.printed(m)
     assert (p is m) is not m.ring.lazy
     pairs = [(x, y) for a, b in ((p.C, m.C), (p.T, m.T))
              for ra, rb in zip(a, b) for x, y in zip(ra, rb)]
@@ -210,11 +218,15 @@ def _euler_defects_vanish(m):
                for r, row in enumerate(m.T) for c, e in enumerate(row))
 
 
-def _forms(mats):
+def _forms(mats, unordered=()):
     """Each entry of stacked matrices as stored: its terms in order, the
-    integer denominator and the z and rel_z powers."""
-    return [(list(e._t.items()), e._d, e.zden, e.dden)
-            for M in mats for row in M for e in row]
+    integer denominator and the z and rel_z powers.  The terms of the
+    entries at the (k, i, j) in unordered are kept as a dict, so their
+    order is not compared."""
+    return [(dict(e._t) if (k, i, j) in unordered else list(e._t.items()),
+             e._d, e.zden, e.dden)
+            for k, M in enumerate(mats) for i, row in enumerate(M)
+            for j, e in enumerate(row)]
 
 
 def test_euler_identity_certifies_the_direct_families(perturbed_klein,
@@ -223,10 +235,15 @@ def test_euler_identity_certifies_the_direct_families(perturbed_klein,
         m = build_saito_matrices(pvf)
         assert _euler_defects_vanish(m), pvf.name
         # the same identity differentiated: dT0/dt_k = -(E + w_k) B^(k) is
-        # stored as the partials of T0 are, term order and denominators too
+        # stored as the partials of T0 are, term order and denominators
+        # too.  One entry keeps its terms in another order: B^(1)_21 of
+        # LT14 and of its perturbed control, row 1 of C along t2 since
+        # Btilde shares it with B^(2), so their dT0 entry (1, 2, 1) is
+        # compared without term order
         oracle = [[[e.partial(k) for e in row] for row in m.T0]
                   for k in range(m.n - 1)]
-        assert _forms(m.dT0) == _forms(oracle), pvf.name
+        unordered = {(0, 1, 0)} if pvf.name in ("LT14", "LT14-perturbed") else ()
+        assert _forms(m.dT0, unordered) == _forms(oracle, unordered), pvf.name
         assert _homogeneous_b(m), pvf.name
         first, t_family, dt_family = _direct_relations(m)
         # homogeneous B^(i) and closedness give the dT family on every
@@ -237,14 +254,13 @@ def test_euler_identity_certifies_the_direct_families(perturbed_klein,
 
 
 def test_perturbed_t_entry_fails_on_both_routes(klein_matrices, trivial_n2):
-    # C_11 - (7/2) t1, the gradient of g_1 - (7/4) t1^2, adds t1 = -E(-(7/2) t1)
+    # g_1 - (7/4) t1^2 has C_11 - (7/2) t1, which adds t1 = -E(-(7/2) t1)
     # to T_11; B^(1)_11 gains the constant -7/2, which has weight 0, not
     # 1 + w_1 - w_1 - w_1 = 5/7, and [B^(1), B^(2)] no longer vanishes
     m = klein_matrices
     t1 = m.ring.var(0)
-    C = [row[:] for row in m.C]
-    C[0][0] = C[0][0] - t1 * F(7, 2)
-    bad = flatcore.SaitoMatrices(ring=m.ring, C=C)
+    bad = PotentialVF(ring=m.ring, g=[m.g[0] - t1 ** 2 * F(7, 4)] + m.g[1:])
+    assert bad.C[0][0] == m.C[0][0] - t1 * F(7, 2)
     assert bad.T[0][0] == m.T[0][0] + t1
     assert not _homogeneous_b(bad)
     assert _direct_relations(bad) == (False, False, False)
@@ -258,12 +274,29 @@ def test_perturbed_t_entry_fails_on_both_routes(klein_matrices, trivial_n2):
     g = [trivial_n2.g[0] + s1 ** 2, trivial_n2.g[1]]
     with pytest.raises(SchemaError):
         build_saito_matrices(PotentialVF(ring=ring, g=g))
-    inhomogeneous = flatcore.SaitoMatrices(
-        ring=ring, C=[[g[j].partial(i) for j in range(2)] for i in range(2)])
+    inhomogeneous = PotentialVF(ring=ring, g=g)
     assert _euler_defects_vanish(inhomogeneous)
     assert not _homogeneous_b(inhomogeneous)
     assert _direct_relations(inhomogeneous) == (True, True, False)
     assert not check_saito_relations(inhomogeneous)
+
+
+def test_saito_relations_read_every_row_of_a_hand_set_btilde(trivial_n2):
+    # t1^2 added to C_21 of the n = 2 solution is no gradient: given_c
+    # keeps row 2 of B^(1) apart from row 1 of B^(2), and B^(1)_21 = 1 + 2 t1
+    # is not homogeneous of weight 1 + w_1 - w_2 - w_1 = 0, while B^(2) = I
+    # still commutes with B^(1); that row alone fails the relations
+    ring = trivial_n2.ring
+    assert check_saito_relations(given_c(PotentialVF, ring, trivial_n2.C))
+    C = [row[:] for row in trivial_n2.C]
+    C[1][0] = C[1][0] + ring.var(0) ** 2
+    m = given_c(PotentialVF, ring, C)
+    assert m.Btilde[0][1] is not m.Btilde[1][0]
+    assert mat_is_zero(m.commutators[(1, 2)])
+    assert [r for r in range(2) for c in range(2)
+            if not m.Btilde[0][r][c].is_homogeneous(
+                1 + m.weights[c] - m.weights[r] - m.weights[0])] == [1]
+    assert not check_saito_relations(m)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +304,7 @@ def test_perturbed_t_entry_fails_on_both_routes(klein_matrices, trivial_n2):
 # from the unit and flat-normalization defects
 # ---------------------------------------------------------------------------
 
-class _Direct(flatcore.SaitoMatrices):
+class _Direct(PotentialVF):
     """A structure whose commutators, trace defects and flat-normalization
     verdict are formed directly: [B^(p), B^(q)] from the B^(k) themselves,
     V_k h - tr(B^(k)) h from every row of -T, and T_nj + w_j t_j tested
@@ -315,6 +348,18 @@ def _defect_controls(perturbed_klein):
         (f"{eid}-unit-broken", _unit_breaking(eid)) for eid in ("LT8", "H3", "LT19")]
 
 
+def given_c(cls, ring, C):
+    """A structure of class cls over a hand-made C, which need not be a
+    gradient: a fake, whose g is zero and read by nothing.  Btilde pairs
+    rows only for a gradient, so it is set too, by the direct rule
+    B^(k)_ij = dC_ij/dt_k, each row its own list."""
+    m = cls(ring=ring, g=[ring.zero()] * ring.nvars)
+    m.C = C
+    m.Btilde = [[[e.partial(k)._z_cancelled() for e in row] for row in C]
+                for k in range(ring.nvars)]
+    return m
+
+
 def _off_euler(cls):
     """(name, structure of class cls) whose row n of -T is not the Euler
     field while h stays monic of degree n and homogeneous of weight n.
@@ -326,13 +371,13 @@ def _off_euler(cls):
     from flatiso.ring import Ring
     ring = Ring(["1/2", "1"])
     t1, t2 = ring.gens()
-    out = [("n2", cls(ring=ring, C=[[t2 / 2 + t1 ** 2, t1 ** 3],
-                                    [t1 * 2, t2 * 2]]))]
+    out = [("n2", given_c(cls, ring, [[t2 / 2 + t1 ** 2, t1 ** 3],
+                                       [t1 * 2, t2 * 2]]))]
     for eid in ("LT8", "LT19"):
         m = build_saito_matrices(catalog.catalog_get(eid).pvf)
         C = [row[:] for row in m.C]
         C[2][0] = C[2][0] + m.ring.var(0)
-        out.append((f"{eid}-off-euler", cls(ring=m.ring, C=C)))
+        out.append((f"{eid}-off-euler", given_c(cls, m.ring, C)))
     return out
 
 
@@ -346,9 +391,7 @@ def test_unit_side_commutators_are_the_direct_ones(perturbed_klein):
     # break it: the three controls, where both commutators against B^(3)
     # are nonzero, and the hand-built n = 2 structure, with B^(2) =
     # diag(1/2, 2)
-    structures = [(name, flatcore._structure(pvf))
-                  for name, pvf in _defect_controls(perturbed_klein)]
-    structures += _off_euler(flatcore.SaitoMatrices)
+    structures = _defect_controls(perturbed_klein) + _off_euler(PotentialVF)
     broken = []
     for name, m in structures:
         B, n = m.Btilde, m.n
@@ -367,15 +410,14 @@ def test_euler_row_defect_is_the_direct_one(perturbed_klein):
     # wherever h is defined; every homogeneous g that breaks the unit
     # condition breaks h's monic check, so the hand-built structures are
     # the ones with a nonzero flat defect
-    for name, pvf in _defect_controls(perturbed_klein):
-        m = flatcore._structure(pvf)
+    for name, m in _defect_controls(perturbed_klein):
         if name.endswith("unit-broken"):
             assert not mat_is_zero(m.unit_defect)
             with pytest.raises(NotMonic, match="not monic"):
                 m.trace_defects
             continue
         assert m.trace_defects[-1] == _direct_trace_defect(m, m.n - 1), name
-    for name, m in _off_euler(flatcore.SaitoMatrices):
+    for name, m in _off_euler(PotentialVF):
         n = m.n
         assert not all(e.is_zero() for e in m.flat_defect), name
         assert (m.traces[-1] == n) is (name != "n2"), name
@@ -400,17 +442,16 @@ def _verdicts(pvf):
     rep = check_extended_wdvv(pvf)
     return (rep.unit_ok, rep.homogeneity_ok, rep.failing_commutators(),
             rep.saito_relations_ok, rep.flat_normalization_ok,
-            _block(rep.matrices))
+            _block(pvf))
 
 
-def test_defect_forms_keep_every_verdict(monkeypatch, perturbed_klein):
+def test_defect_forms_keep_every_verdict(perturbed_klein):
     # check_extended_wdvv and logvf_block read the same verdicts as on
     # structures that form every commutator and trace defect directly
     controls = _defect_controls(perturbed_klein)
     ours = [_verdicts(pvf) for _, pvf in controls]
-    ours += [_block(m) for _, m in _off_euler(flatcore.SaitoMatrices)]
-    monkeypatch.setattr(flatcore, "SaitoMatrices", _Direct)
-    direct = [_verdicts(pvf) for _, pvf in controls]
+    ours += [_block(m) for _, m in _off_euler(PotentialVF)]
+    direct = [_verdicts(_Direct(ring=pvf.ring, g=pvf.g)) for _, pvf in controls]
     direct += [_block(m) for _, m in _off_euler(_Direct)]
     assert ours == direct
     assert [v[0] for v in ours[:15]] == [True] * 12 + [False] * 3
@@ -424,14 +465,14 @@ def test_defect_forms_keep_every_verdict(monkeypatch, perturbed_klein):
 
 
 def test_t0_must_be_free_of_tn():
-    # C = (2 t1) over the weight (1): T = -E C = -2 t1 and T + t1 I = -t1
-    # keeps t_n, where C = (t1) gives T0 = 0
+    # g = t1^2 over the weight (1): C = (2 t1), T = -E C = -2 t1 and
+    # T + t1 I = -t1 keeps t_n, where g = t1^2 / 2 gives T0 = 0
     from flatiso.ring import Ring
     ring = Ring(["1"])
     t1 = ring.var(0)
-    assert flatcore.SaitoMatrices(ring=ring, C=[[t1]]).T0 == [[ring.zero()]]
+    assert PotentialVF(ring=ring, g=[t1 ** 2 / 2]).T0 == [[ring.zero()]]
     with pytest.raises(InputError, match="T \\+ t_n I is not free of t_n"):
-        flatcore.SaitoMatrices(ring=ring, C=[[t1 * 2]]).T0
+        PotentialVF(ring=ring, g=[t1 ** 2]).T0
 
 
 def test_component_count_must_match_the_variables(klein):
@@ -440,13 +481,13 @@ def test_component_count_must_match_the_variables(klein):
 
 
 def test_h_must_be_homogeneous():
-    # C = diag(t2, t2 + t1) over the weights (1/2, 1): h = t2^2 + t1 t2 / 2
-    # is monic of degree 2 in t2, and t1 t2 has weight 3/2, not 2
+    # C = diag(t2, t2 + t1) over the weights (1/2, 1), not a gradient:
+    # h = t2^2 + t1 t2 / 2 is monic of degree 2 in t2, and t1 t2 has weight
+    # 3/2, not 2
     from flatiso.ring import Ring
     ring = Ring(["1/2", "1"])
     t1, t2 = ring.gens()
-    m = flatcore.SaitoMatrices(ring=ring, C=[[t2, ring.zero()],
-                                             [ring.zero(), t2 + t1]])
+    m = given_c(PotentialVF, ring, [[t2, ring.zero()], [ring.zero(), t2 + t1]])
     with pytest.raises(NotMonic, match="not weighted homogeneous of weight 2"):
         m.h
 
@@ -617,9 +658,11 @@ def test_mat_det_oracle(klein, size):
 def test_h_adjugate_and_traces_are_fused_sums(monkeypatch, eid):
     # Ring.fused_sum is the one route for a sum of products: forming h and
     # the traces, and testing the adj(T) entries of every PVI entry choice on
-    # T0 (p6._linear_entry), multiplies no two elements by RingElem.__mul__
+    # T0 (p6._linear_entry), multiplies no two elements by RingElem.__mul__.
+    # A fresh structure of the entry's g, since the entry's own keeps h
     from flatiso import p6
-    m = build_saito_matrices(catalog.catalog_get(eid).pvf)
+    pvf = catalog.catalog_get(eid).pvf
+    m = PotentialVF(ring=pvf.ring, g=pvf.g)
     mul, products = RingElem.__mul__, []
 
     def counting_mul(self, other):

@@ -61,7 +61,7 @@ def test_digests_cover_the_catalog():
 @pytest.mark.parametrize("eid", list(DIGESTS))
 def test_c_t_h_bit_identical(eid):
     pvf = catalog.catalog_get(eid).pvf
-    m = flatcore.printed(pvf, flatcore.build_saito_matrices(pvf))
+    m = flatcore.printed(flatcore.build_saito_matrices(pvf))
     got = (_digest(e for row in m.C for e in row),
            _digest(e for row in m.T for e in row),
            _digest([m.h]))

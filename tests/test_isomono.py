@@ -31,9 +31,9 @@ def snapshot_at(m, point, lam, **kwargs):
 
 def test_residue_rank_one_n1():
     from flatiso.ring import Ring
-    from flatiso.flatcore import SaitoMatrices
+    from flatiso.flatcore import PotentialVF
     ring = Ring(["1"])
-    m = SaitoMatrices(ring=ring, C=[[ring.var(0)]])
+    m = PotentialVF(ring=ring, g=[ring.var(0) ** 2 / 2])    # C = (t1)
     snap = snapshot_at(m, (0.3,), [0.4])
     assert abs(snap.residues[0][0, 0] + 0.4) < 1e-14
     assert abs(snap.traces[0] + 0.4) < 1e-14

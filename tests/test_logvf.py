@@ -5,10 +5,11 @@ import pytest
 
 from flatiso import catalog
 from flatiso.errors import NotMonic, RowNotLogarithmic
-from flatiso.flatcore import (SaitoMatrices, build_saito_matrices,
+from flatiso.flatcore import (PotentialVF, build_saito_matrices,
                               divmod_main_var, log_division)
 from flatiso.logvf import is_logarithmic, logvf_identities, saito_criterion
 from flatiso.ring import Ring, RingElem
+from test_flatcore import given_c
 
 
 def log_ratio(V, h):
@@ -27,16 +28,18 @@ def test_discriminant_klein(klein_matrices):
 
 
 def test_discriminant_n1():
+    # g = t1^2 / 2: C = (t1), h = det(-T) = t1
     ring = Ring(["1"])
     t1 = ring.var(0)
-    m = SaitoMatrices(ring=ring, C=[[t1]])
+    m = PotentialVF(ring=ring, g=[t1 ** 2 / 2])
     assert m.h == t1
 
 
 def test_not_monic_raises():
+    # g = t1^2: C = (2 t1), h = 2 t1
     ring = Ring(["1"])
     t1 = ring.var(0)
-    m = SaitoMatrices(ring=ring, C=[[t1 * 2]])
+    m = PotentialVF(ring=ring, g=[t1 ** 2])
     with pytest.raises(NotMonic):
         m.h
 
@@ -135,14 +138,14 @@ def test_identities_klein(klein_matrices):
 
 
 def test_identities_name_each_failure():
-    # C = ((t2/2 + t1^2, t1^3), (2 t1, 2 t2)) over the weights (1/2, 1):
+    # C = ((t2/2 + t1^2, t1^3), (2 t1, 2 t2)) over the weights (1/2, 1),
+    # which is no gradient, so given_c sets it, with its B^(k), by hand:
     # h = t2^2 + 2 t1^2 t2 - 3/2 t1^4, and both rows of -T are logarithmic,
     # but the last row (t1, 2 t2) is not the Euler field, V_1 h = 4 h, and
     # V_2 h / h = 2 t1 while -d s_1/dt_1 = 4 t1
     ring = Ring(["1/2", "1"])
     t1, t2 = ring.gens()
-    m = SaitoMatrices(ring=ring, C=[[t2 / 2 + t1 ** 2, t1 ** 3],
-                                    [t1 * 2, t2 * 2]])
+    m = given_c(PotentialVF, ring, [[t2 / 2 + t1 ** 2, t1 ** 3], [t1 * 2, t2 * 2]])
     assert m.h == t2 ** 2 + t1 ** 2 * t2 * 2 - t1 ** 4 * F(3, 2)
     assert logvf_identities(m) == ["euler_row", "v1_h", "vi_ratio_2"]
 

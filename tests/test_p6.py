@@ -9,8 +9,7 @@ from flatiso import isomono
 from flatiso.errors import (DegenerateLinearEntry, EntryIdenticallyZero,
                             InputError, InsufficientSamples, PoleOnPath,
                             RootCollision, RootNotConverged, TrackingLost)
-from flatiso.flatcore import (PotentialVF, SaitoMatrices, build_saito_matrices,
-                              mat_det)
+from flatiso.flatcore import PotentialVF, build_saito_matrices, mat_det
 from flatiso.numeric import EvalStack
 from flatiso.ring import Ring
 
@@ -22,16 +21,16 @@ def entry_setup(eid):
 
 
 def structure(ring, T0):
-    """What the tracker reads of a SaitoMatrices, for a ring matrix T0 free
+    """What the tracker reads of a PotentialVF, for a ring matrix T0 free
     of t_n: T0, the t_n-coefficients of h = det(t_n - T0) and their one
-    compiled stack, built as SaitoMatrices builds it."""
+    compiled stack, built as PotentialVF builds it."""
     from types import SimpleNamespace
     n = len(T0)
     t, zero = ring.var(n - 1), ring.zero()
     h = mat_det([[(t if i == j else zero) - e for j, e in enumerate(row)]
                  for i, row in enumerate(T0)])
     m = SimpleNamespace(ring=ring, n=n, T0=T0, h_coeffs=h.coeffs_in(n - 1))
-    m.T0_h_stack = SaitoMatrices.T0_h_stack.func(m)
+    m.T0_h_stack = PotentialVF.T0_h_stack.func(m)
     return m
 
 

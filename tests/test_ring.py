@@ -736,7 +736,7 @@ def test_printed_c_carries_the_general_denominators(eid):
     # minimal gradient
     pvf = catalog.catalog_get(eid).pvf
     m = flatcore.build_saito_matrices(pvf)
-    C = flatcore.printed(pvf, m).C
+    C = flatcore.printed(m).C
     n = m.n
     for i in range(n):
         for j in range(n):
@@ -1100,7 +1100,7 @@ def per_element(num, zden, dden, ring, values):
 @pytest.mark.parametrize("eid", catalog.catalog_list())
 def test_stacked_eval_is_bit_identical(eid):
     # T0, both dT0 matrices and adj(T) in one stack, and the stacks kept on
-    # SaitoMatrices (T0's part of the tracker's), along the default path and on one row: bit for bit the
+    # the structure (T0's part of the tracker's), along the default path and on one row: bit for bit the
     # per-element values, identically zero entries and the z and rel_z
     # denominators of LT14 and LT19 included
     import numpy as np

@@ -30,7 +30,7 @@ DIGESTS = {
     "LT13": ("a741fff429cdc662e8b85b3af16c5ecaafa6b5a8e6decae64e2cac03ab0f2f97",
              "35ef04e7fd32c7d7569e92ee87f85ee2b6b04199f68d58742f7d984216d20198"),
     "LT14": ("c5bec1598f682b2078827fc319cd7dd89cae02b9a25a7da2cb3ae34499c2f443",
-             "5cdaed9bc3885d054c1f37a04d891149a4758c6636e0291748b4a6d71db5147b"),
+             "4032b1a7a751599bf945274a740c0d5fc89f522c68a49f51005182c0437528f4"),
     "LT18": ("7adda9c0e1a1ecb0cf36abc81f26dbc8e27ee7f4785e471a6cfc4de6b7f5198b",
              "c1e9faf6e0c5b31a40d409c942eae14fca347398f362c115054f33a5e3292ed1"),
     "LT19": ("9e8a0f0e95503c68409fd62d85e70f70cf8bd1b9e2a5118b5651430e83425da3",
