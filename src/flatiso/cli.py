@@ -240,16 +240,16 @@ def _run_extract_p6(args):
 
 
 def _run_params(args):
-    from . import p6
+    from . import isomono, p6
     pvf, points, seed, choice = _resolve_input(args)
     m = flatcore.build_saito_matrices(pvf)
-    params = p6.p6_parameters(m, points[0],
-                              sampler=p6.StructureSampler(m, z_seed=seed),
-                              entry_choice=choice)
+    snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
+                                    z_seed=seed)
+    params = p6.params_from_traces(snaps.traces[0], snaps.Binf, choice)
     report = {
         "check": "params", "name": pvf.name,
-        # the one bound p6_parameters enforces: roots closer than this
-        # raise EigenvalueCollision (exit 3)
+        # the tracker's bound, as for extract-p6: roots closer than this
+        # along the path raise EigenvalueCollision (exit 3)
         "tolerances": {"root_separation": p6.ROOT_SEPARATION},
         "params": p6.params_to_json(params),
         "pass": True,

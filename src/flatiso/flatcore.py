@@ -8,26 +8,26 @@ Given weights w and an n-tuple g with g_j of weight 1+w_j, the matrices
     Binf   = diag(w_1..w_n),
 
 carry the whole flat structure.  A PotentialVF is g and the structure read
-off it: C, the gradient over its minimal denominators with z divided out
-as far as it goes, and each other object derived from C once, on first
-use: T and the verdict on the weights of its entries, the B^(k) and their
-traces, the unit defect B^(n) - I and the flat-normalization defect
-T_nj + w_j t_j, the commutators, h = det(-T) with its t_n-coefficients
-(split once) and partials, the trace defects and the quotients (V_k h)/h
-they certify, T0 = T + t_n I, which shares T's off-diagonal entries, and
-dT0/dt_k = -(E + w_k) B^(k) for k < n, so that no partial of T0 is taken.
-B^(k)_ij = d^2 g_j / dt_i dt_k is symmetric in i and k, so each pair
-{i, k} is differentiated once, row min(i, k) of C along t_max(i, k): every
-row along t_n, which no catalog relation contains, is a termwise
-derivative.  The commutators [B^(p), B^(n)] and the Euler row's trace
-defect are formed from the two defects, whose zero tests are the unit
-condition and the flat normalization; they are the same ring elements,
-and on a flat structure their sums form no product.  check_extended_wdvv
-checks the extended WDVV system on the structure of g, reading the same
-verdict on T that build_saito_matrices raises from: pairwise
-commutativity of the B^(k), the unit condition B^(n) = I, homogeneity
-E g_j = (1+w_j) g_j, the structure relations coupling T, B^(k) and Binf,
-and the normalization T_nj = -w_j t_j.
+off it: C, the gradient over its minimal denominators with z divided out as
+far as it goes, and each other object derived from C once, on first use: T
+and the verdict on the weights of its entries, the B^(k) and their traces,
+the unit defect B^(n) - I and the flat-normalization defect T_nj + w_j t_j,
+the commutators, h = det(-T) with its t_n-coefficients (split once, the
+leading one exactly 1) and partials, s_1's partials, the trace defects and
+the quotients (V_k h)/h they certify, T0 = T + t_n I, which shares T's
+off-diagonal entries, and dT0/dt_k = -(E + w_k) B^(k) for k < n, so that no
+partial of T0 is taken.  B^(k)_ij = d^2 g_j / dt_i dt_k is symmetric in i
+and k, so each pair {i, k} is differentiated once, row min(i, k) of C along
+t_max(i, k) (a termwise derivative along t_n, which no catalog relation
+contains), and Euler-differentiated for dT0 once.  The commutators
+[B^(p), B^(n)] and the Euler row's trace defect are formed from the two
+defects, whose zero tests are the unit condition and the flat
+normalization; they are the same ring elements, and on a flat structure
+their sums form no product.  check_extended_wdvv checks the extended WDVV
+system on the structure of g, reading the same verdict on T that
+build_saito_matrices raises from: pairwise commutativity of the B^(k), the
+unit condition B^(n) = I, homogeneity E g_j = (1+w_j) g_j, the structure
+relations coupling T, B^(k) and Binf, and the normalization T_nj = -w_j t_j.
 All checks are exact: zero tests in the ring, and weight tests that compare
 integer monomial weights scaled by Ring._wscale.
 
@@ -244,6 +244,7 @@ class PotentialVF:
             raise NotMonic("det(-T) is not monic in the last variable")
         if not h.is_homogeneous(n):
             raise NotMonic(f"det(-T) is not weighted homogeneous of weight {n}")
+        coeffs[n] = self.ring.one()     # not over h's denominator
         return h, coeffs
 
     @property
@@ -255,6 +256,11 @@ class PotentialVF:
     def h_coeffs(self) -> List[RingElem]:
         """h's coefficients in t_n, lowest first, split once with h's checks."""
         return self._h_split[1]
+
+    @cached_property
+    def ds1(self) -> List[RingElem]:
+        """ds_1/dt_k for k < n, s_1 = -h_coeffs[n-1] (logvf identity iii)."""
+        return [-self.h_coeffs[-2].partial(k) for k in range(self.n - 1)]
 
     @cached_property
     def dh(self) -> List[RingElem]:
@@ -324,9 +330,11 @@ class PotentialVF:
     def dT0(self):
         """dT0/dt_k = -(E + w_k) B^(k) for k = 1..n-1 (T0 is free of t_n), each
         entry one Ring.fused_sum: T = -E C and [d/dt_k, E] = w_k d/dt_k."""
-        fused_sum, w = self.ring.fused_sum, self.weights
-        return [[[fused_sum([(-1, e.euler()), (-w[k], e)]) for e in row] for row in B]
-                for k, B in enumerate(self.Btilde[:-1])]
+        fused_sum, w, B = self.ring.fused_sum, self.weights, self.Btilde[:-1]
+        rows = {id(row): row for Bk in B for row in Bk}
+        E = {key: [e.euler() for e in row] for key, row in rows.items()}
+        return [[[fused_sum([(-1, d), (-w[k], e)]) for e, d in zip(row, E[id(row)])]
+                 for row in Bk] for k, Bk in enumerate(B)]
 
     @cached_property
     def dT0_stack(self):

@@ -58,24 +58,15 @@ def saito_criterion(M, h: RingElem) -> Optional[Fraction]:
     return c if c else None
 
 
-def generator_criterion(m: PotentialVF) -> Fraction:
-    """saito_criterion for the rows of -T, read from the structure's log rows.
-
-    det(-T) is h itself, so c = 1 once every row is logarithmic; a row that
-    is not raises RowNotLogarithmic.
-    """
-    for i, division in enumerate(m.log_rows):
-        _quotient(division, i)
-    return Fraction(1)
-
-
 # ---------------------------------------------------------------------------
 # the generator-system identities
 # ---------------------------------------------------------------------------
 
 def logvf_identities(m: PotentialVF) -> List[str]:
     """The names of the failed identities among the Euler row, V_1 h = n h,
-    the s_1-derivative ratios and weight duality; empty when all hold."""
+    the s_1-derivative ratios and weight duality; empty when all hold.  A row
+    of -T that is not logarithmic raises RowNotLogarithmic, so on return
+    Saito's criterion holds for -T with c = 1: det(-T) is h itself."""
     n = m.n
     failed = []
 
@@ -88,11 +79,11 @@ def logvf_identities(m: PotentialVF) -> List[str]:
     if not (_quotient(m.log_rows[n - 1], n - 1) - n).is_zero():
         failed.append("v1_h")
 
-    # (iii) for i > 1: (V_i h)/h = -d s_1/d t_{n-i+1}, s_1 the t_n^{n-1} coeff of -h
-    s1 = -m.h_coeffs[n - 1]
+    # (iii) for i > 1: (V_i h)/h = -d s_1/d t_{n-i+1}, s_1 the t_n^{n-1} coeff
+    # of -h, its partials formed once per structure
     for i in range(2, n + 1):
         ratio = _quotient(m.log_rows[n - i], n - i)
-        if not (ratio + s1.partial(n - i)).is_zero():
+        if not (ratio + m.ds1[n - i]).is_zero():
             failed.append(f"vi_ratio_{i}")
 
     # (iv) weight duality via entry weights: w((-T)_ij) = 1 - w_i + w_j, the

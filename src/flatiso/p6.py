@@ -45,12 +45,12 @@ finite BlowUp.  A path's Track holds its rows, roots and T0.
 No eigenvector is formed: projectors turns the roots and T0 of a Track into
 the spectral projectors E_i, the residues of the resolvent of T0, from
 which isomono.snapshots_along reads the Okubo residues -E_i Binf.  After
-the tracker every check reads those residue snapshots: lam is their Binf,
-theta their traces at the first point.  projector_tangent differentiates
-one snapshot exactly: the roots and the Okubo residues along each t_k,
-from the exact dT0/dt_k of the structure, by first-order perturbation of
-the resolvent, dz_i = tr(E_i D) and dE_i = sum_{j != i} (E_i D E_j +
-E_j D E_i) / (z_i - z_j).
+the tracker every check and verb reads those residue snapshots: lam is
+their Binf, theta their traces at the first point (params_from_traces).
+projector_tangent differentiates one snapshot exactly: the roots and the
+Okubo residues along each t_k, from the exact dT0/dt_k of the structure,
+by first-order perturbation of the resolvent, dz_i = tr(E_i D) and
+dE_i = sum_{j != i} (E_i D E_j + E_j D E_i) / (z_i - z_j).
 """
 
 from __future__ import annotations
@@ -544,10 +544,10 @@ def p6_parameters(m: PotentialVF, point, sampler: StructureSampler,
     E = projectors(T0, z)[0]
     traces = -np.diagonal(E, axis1=1, axis2=2) @ np.array(
         [complex(x) for x in lam])
-    return _params_from_traces(traces, lam, entry_choice)
+    return params_from_traces(traces, lam, entry_choice)
 
 
-def _params_from_traces(r, lam, entry_choice):
+def params_from_traces(r, lam, entry_choice):
     """P6Params of entry_choice from residue traces r (see p6_parameters)."""
     lamc = [complex(x) for x in lam]
     i, j = entry_choice
@@ -620,7 +620,7 @@ def pvi_on_frames(m: PotentialVF, entry_choice, snaps):
     are read off their traces at the first point; defects, formed once for
     the residual and the CSV, are _sample_defects(samples, params)."""
     samples = _samples_on(_linear_entry(m, snaps.Binf, entry_choice), snaps)
-    params = _params_from_traces(snaps.traces[0], snaps.Binf, entry_choice)
+    params = params_from_traces(snaps.traces[0], snaps.Binf, entry_choice)
     return samples, params, _sample_defects(samples, params)
 
 

@@ -35,7 +35,8 @@ ALLOWED = {
     "serialize_pvf": "tools/build_catalog_data.py writes the catalog "
                      "documents with it; flatiso exports it",
     "saito_criterion": "Saito's criterion for any matrix of vector fields; "
-                       "the pipelines use its -T case, generator_criterion",
+                       "the pipelines read its -T case, c = 1, off the "
+                       "log rows the logvf identities walk",
     "Prepotential.u": "F is built from the pair products u; demo 03 "
                       "prints them",
 }

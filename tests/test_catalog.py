@@ -200,10 +200,9 @@ def test_symbolic_verify_derives_once(eid, monkeypatch):
 
 def test_symbolic_then_full_verify_derive_once(monkeypatch):
     # a cached catalog entry holds its structure, so a full verify after a
-    # symbolic one forms C, the B^(k) and h no second time: one 3x3
-    # determinant and 34 partials, the 32 of one full verify (see
-    # test_full_verify_derives_each_object_once) and again the 2 of the
-    # logvf identities, which the full verify's symbolic block takes anew
+    # symbolic one forms C, the B^(k), h and the partials of s_1 no second
+    # time: one 3x3 determinant and the 32 partials of one full verify (see
+    # test_full_verify_derives_each_object_once)
     from flatiso import flatcore
     from flatiso.ring import RingElem
     monkeypatch.setattr(catalog, "_cache", {})
@@ -227,7 +226,7 @@ def test_symbolic_then_full_verify_derive_once(monkeypatch):
     assert catalog.catalog_verify("LT19", "symbolic")["pass"]
     assert catalog.catalog_verify("LT19", "full")["pass"]
     assert all(len(log) == 1 and log[0] is pvf for log in formed.values())
-    assert calls == {"partial": 32 + 2, "det3": 1}
+    assert calls == {"partial": 32, "det3": 1}
 
 
 def test_symbolic_verify_inverts_each_unit_once(monkeypatch):
@@ -424,13 +423,14 @@ def test_full_verify_tracks_snapshots_once(monkeypatch):
 def test_full_verify_derives_each_object_once(monkeypatch, eid):
     # one structure per entry on the extension rings, lazy ones included:
     # the 9 entries of T = -E C are each differentiated along the Euler
-    # field once, as are the 18 entries of B^(1) and B^(2) that
-    # dT0 = -(E + w_k) B^(k) reads, and h = det(-T) is the one 3x3
-    # determinant.  The 32 partials are C's 9, the 18 of the 6 row pairs
-    # Btilde shares, dh's 3 and the 2 of the logvf identities.  19 of them
-    # run the quotient rule, along t1 or t2, which the relation contains:
-    # C's 6, the 9 of the pairs {1, 1}, {1, 2} and {2, 2}, 2 of dh and the
-    # logvf identities' 2.  No entry of T0 is differentiated, and h is
+    # field once, as are the 15 distinct entries of B^(1) and B^(2) that
+    # dT0 = -(E + w_k) B^(k) reads (the row pair {1, 2} the two share is
+    # differentiated once), and h = det(-T) is the one 3x3 determinant.
+    # The 32 partials are C's 9, the 18 of the 6 row pairs Btilde shares,
+    # dh's 3 and the 2 of s_1 that the logvf identities read (ds1).  19 of
+    # them run the quotient rule, along t1 or t2, which the relation
+    # contains: C's 6, the 9 of the pairs {1, 1}, {1, 2} and {2, 2}, 2 of
+    # dh and the 2 of s_1.  No entry of T0 is differentiated, and h is
     # split into its t_n-coefficients once, for its monic check, h_stack
     # and the logvf identities
     from flatiso import flatcore
@@ -462,7 +462,7 @@ def test_full_verify_derives_each_object_once(monkeypatch, eid):
     monkeypatch.setattr(flatcore, "mat_det", counting_det)
     monkeypatch.setattr(catalog, "_cache", {})
     assert catalog.catalog_verify(eid, "full")["pass"]
-    assert calls == {"euler": 27, "det3": 1}
+    assert calls == {"euler": 24, "det3": 1}
     m = catalog.catalog_get(eid).pvf
     relation_vars = [v for v in range(m.n) if m.ring.ext._rel_t[v]]
     assert relation_vars == [0, 1]

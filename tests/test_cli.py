@@ -371,7 +371,9 @@ def test_verbs_report_the_catalog_numbers_and_gates(eid, capsys, monkeypatch):
 
 def test_extract_p6_reports_the_catalog_pvi_numbers(capsys):
     # both read the residue snapshots of isomono.snapshots_along: the same
-    # PVI residual, and the same theta as catalog verify rounds them
+    # PVI residual, and the same theta as catalog verify rounds them; params
+    # reads them too, through the same p6.params_from_traces, so its
+    # parameter block is extract-p6's bit for bit
     import numpy as np
     code, out, _ = run(capsys, "catalog", "verify", "--all", "--depth",
                        "numeric")
@@ -386,6 +388,9 @@ def test_extract_p6_reports_the_catalog_pvi_numbers(capsys):
         theta = np.array([p6_rep["params"]["theta"][k]
                           for k in ("0", "1", "t", "inf")])
         assert (np.round(theta, 12) + 0.0).tolist() == rep["numeric"]["theta"], eid
+        code, out, _ = run(capsys, "params", "--catalog", eid)
+        assert code == 0, eid
+        assert json.loads(out)["params"] == p6_rep["params"], eid
 
 
 def test_extract_p6_forms_its_defects_once(capsys, monkeypatch):
@@ -412,6 +417,29 @@ def test_params_echoes_the_bound_it_enforces(capsys):
     assert code == 0
     assert json.loads(out)["tolerances"] == {"root_separation": p6.ROOT_SEPARATION}
     assert p6.ROOT_SEPARATION is numeric.ROOT_SEPARATION
+
+
+def test_params_refuses_a_path_whose_later_point_fails(capsys, tmp_path):
+    # params reads the snapshots of its whole path, so a later point that
+    # the tracker refuses stops it (exit 3) with the error snapshots_along
+    # raises; a one-point path still gives the parameters
+    from flatiso import isomono, p6
+    from flatiso.errors import BlowUp
+    doc = {"t1": 1.0, "t2_start": 0.1, "t2_end": 1e200, "points": 3}
+    m = catalog.catalog_get("LT8").pvf
+    points, seed = catalog.path_from_doc(doc)
+    with pytest.raises(BlowUp) as exc:
+        isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
+                                z_seed=seed)
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "params", "--catalog", "LT8", "--path", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"numeric failure: {exc.value}\n"
+    assert "path point 1" in err
+    path.write_text(json.dumps({**doc, "points": 1}))
+    code, out, _ = run(capsys, "params", "--catalog", "LT8", "--path", str(path))
+    assert code == 0 and json.loads(out)["pass"]
 
 
 def test_tol_residual_option_is_gone(capsys):

@@ -29,11 +29,11 @@ DIGESTS = {
              "a991e40429e34e61feec637f44bd4fb8dcf4319b547d7cfe75e781ad57ff6c4b"),
     "LT13": ("a741fff429cdc662e8b85b3af16c5ecaafa6b5a8e6decae64e2cac03ab0f2f97",
              "35ef04e7fd32c7d7569e92ee87f85ee2b6b04199f68d58742f7d984216d20198"),
-    "LT14": ("c5bec1598f682b2078827fc319cd7dd89cae02b9a25a7da2cb3ae34499c2f443",
+    "LT14": ("29d9c51501b82916fd0fc437d81a09648d4e747bb1fff45298e1dc84c0751408",
              "4032b1a7a751599bf945274a740c0d5fc89f522c68a49f51005182c0437528f4"),
     "LT18": ("7adda9c0e1a1ecb0cf36abc81f26dbc8e27ee7f4785e471a6cfc4de6b7f5198b",
              "c1e9faf6e0c5b31a40d409c942eae14fca347398f362c115054f33a5e3292ed1"),
-    "LT19": ("9e8a0f0e95503c68409fd62d85e70f70cf8bd1b9e2a5118b5651430e83425da3",
+    "LT19": ("ef35afbf120e311d2e67f57be6b4cb356b32f3e424058235d775f8f711828c33",
              "8009640f533e962175f621eda014f6725ef416d9e7cf604e0664724bb284abaf"),
     "LT30": ("3cc040a0d841a6c9d97f1c7f4ab9cbb4b42cd2dd2ae3b1956051e947582a5530",
              "1420a8aacd243c474bd7eeb625618792b088d4b869734f3ec7d5bb7cef11e41c"),
