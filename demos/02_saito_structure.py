@@ -16,7 +16,8 @@ for row in exprio.serialize_matrix(m.T):
     print("  [" + ", ".join(row) + "]")
 
 print(f"\nh = det(-T) = {exprio.format_elem(m.h)}")
-print(f"h is monic of degree 3 in t3 and homogeneous of weight {m.h.weight()}")
+print(f"h is monic of degree 3 in t3; homogeneous of weight {m.n}: "
+      f"{m.h.is_homogeneous(m.n)}")
 
 print(f"\nSaito criterion for the rows of -T: c = "
       f"{logvf.saito_criterion(m.minus_T, m.h)}")

@@ -220,23 +220,34 @@ def schlesinger_block(snaps) -> dict:
             "pass": within("schlesinger_residual", res)}
 
 
-def midconv_block(m: PotentialVF, point, z_seed=None):
-    """(block, convolved system): truncate at a path point, convolve back
-    with -w_n, and measure the distances of the result's Gamma_inf from the
-    weights and of its residue traces from the snapshot's, with the
-    invariance defect of the big convolution system.  The Gamma_inf
-    distance gates nothing: the lift's Gamma_inf is (Gamma_inf - lam, -lam)
-    by construction, so it reads the rounding of (w_i - w_n) + w_n alone."""
+def path_snapshots(m: PotentialVF, points, z_seed=None):
+    """Residue snapshots of m along a path at lambda = p6.default_lambda:
+    the one tracked path, and the one lambda, that a numeric report reads."""
+    from . import isomono, p6
+    return isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
+                                   z_seed=z_seed)
+
+
+def midconv_block(m: PotentialVF, snap):
+    """(block, convolved system): truncate snap, one point of a tracked
+    path, convolve back with -w_n, and measure the distances of the
+    result's Gamma_inf from the weights and of its residue traces from
+    those of -E_i diag(w) on snap's projectors (checked as a snapshot's),
+    with the invariance defect of the big convolution system.  The
+    Gamma_inf distance gates nothing: the lift's Gamma_inf is (Gamma_inf -
+    lam, -lam) by construction, so it reads the rounding of (w_i - w_n) +
+    w_n alone."""
     import numpy as np
-    from . import midconv
+    from . import isomono, midconv
     lam_w = list(m.weights)
-    snap, sys1, family = midconv.rank_one_from_structure(m, point, lam_w,
-                                                         z_seed=z_seed)
+    _, _, traces = isomono.okubo_residues(snap.E[None], lam_w,
+                                          [tuple(snap.values[1:-1].tolist())])
+    sys1, family = midconv.rank_one_from_snapshot(m, snap)
     out = midconv.middle_convolution(sys1, -lam_w[-1])
     ginf_err = float(np.abs(np.sort_complex(out.Gamma_inf)
                             - np.sort_complex(np.array(lam_w, dtype=complex))).max())
     tr_err = float(np.abs(np.sort_complex(out.traces())
-                          - np.sort_complex(snap.traces)).max())
+                          - np.sort_complex(traces[0])).max())
     inv = midconv.invariant_subspace_check(sys1, -lam_w[-1], family=family)
     block = {"gamma_inf_error": ginf_err, "trace_error": tr_err,
              "invariance_defect": inv.max_defect,
@@ -266,11 +277,10 @@ def _verify_numeric(entry: CatalogEntry, snaps) -> dict:
 
 def _verify_full(entry: CatalogEntry, snaps) -> dict:
     """Full-depth checks; snaps as for _verify_numeric.  The entry survey
-    reads every second snapshot."""
+    reads every second snapshot, midconv the middle one."""
     from . import p6
-    path = entry.default_path.points
     schles = schlesinger_block(snaps)
-    mc, _ = midconv_block(entry.pvf, path[len(path) // 2], z_seed=entry.z_seed)
+    mc, _ = midconv_block(entry.pvf, snaps[len(snaps) // 2])
     survey = p6.survey_on_frames(entry.pvf, snaps[::2])
     return {"schlesinger_residual": schles["schlesinger_residual"],
             "entry_survey": survey,
@@ -291,10 +301,7 @@ def catalog_verify(entry_id: str, depth: str = "symbolic") -> dict:
               "tolerances": dict(TOLERANCES)}
     report["symbolic"] = symbolic_block(entry.pvf, entry.flags)
     if depth != "symbolic":
-        from . import isomono, p6
-        snaps = isomono.snapshots_along(entry.pvf, entry.default_path.points,
-                                        p6.default_lambda(entry.pvf.weights),
-                                        z_seed=entry.z_seed)
+        snaps = path_snapshots(entry.pvf, entry.default_path.points, entry.z_seed)
         report["numeric"] = _verify_numeric(entry, snaps)
     if depth == "full":
         report["full"] = _verify_full(entry, snaps)

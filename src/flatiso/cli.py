@@ -115,6 +115,14 @@ def _resolve_input(args):
     return pvf, points, seed, choice
 
 
+def _path_input(args):
+    """(structure, entry choice, residue snapshots) of a path verb: the one
+    tracked path (catalog.path_snapshots) that its report reads."""
+    pvf, points, seed, choice = _resolve_input(args)
+    m = flatcore.build_saito_matrices(pvf)
+    return m, choice, cat.path_snapshots(m, points, seed)
+
+
 def _tolerances(*keys):
     """The entries of catalog.TOLERANCES a verb gates on, for its report."""
     return {k: cat.TOLERANCES[k] for k in keys}
@@ -222,15 +230,12 @@ def _run_logvf(args):
 
 
 def _run_extract_p6(args):
-    from . import isomono, p6
-    pvf, points, seed, choice = _resolve_input(args)
-    m = flatcore.build_saito_matrices(pvf)
-    snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
-                                    z_seed=seed)
+    from . import p6
+    m, choice, snaps = _path_input(args)
     block, samples, params, defects = cat.pvi_block(m, choice, snaps)
     report = {
-        "check": "extract-p6", "name": pvf.name, "entry": list(choice),
-        "tolerances": _tolerances("pvi_residual"),
+        "check": "extract-p6", "name": m.name, "entry": list(choice),
+        "tolerances": _tolerances("pvi_residual", "residue_identities"),
         "params": p6.params_to_json(params),
         "samples_csv": p6.samples_to_csv(samples, defects),
         **block,
@@ -240,17 +245,15 @@ def _run_extract_p6(args):
 
 
 def _run_params(args):
-    from . import isomono, p6
-    pvf, points, seed, choice = _resolve_input(args)
-    m = flatcore.build_saito_matrices(pvf)
-    snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
-                                    z_seed=seed)
+    from . import p6
+    m, choice, snaps = _path_input(args)
     params = p6.params_from_traces(snaps.traces[0], snaps.Binf, choice)
     report = {
-        "check": "params", "name": pvf.name,
-        # the tracker's bound, as for extract-p6: roots closer than this
-        # along the path raise EigenvalueCollision (exit 3)
-        "tolerances": {"root_separation": p6.ROOT_SEPARATION},
+        "check": "params", "name": m.name,
+        # the tracker's bound and the snapshots' stop params (exit 3);
+        # it gates nothing else
+        "tolerances": {"root_separation": p6.ROOT_SEPARATION,
+                       **_tolerances("residue_identities")},
         "params": p6.params_to_json(params),
         "pass": True,
     }
@@ -258,26 +261,22 @@ def _run_params(args):
 
 
 def _run_schlesinger(args):
-    from . import isomono, p6
-    pvf, points, seed, choice = _resolve_input(args)
-    m = flatcore.build_saito_matrices(pvf)
-    snaps = isomono.snapshots_along(m, points, p6.default_lambda(m.weights),
-                                    z_seed=seed)
+    m, _, snaps = _path_input(args)
     block = cat.schlesinger_block(snaps)
-    report = {"check": "schlesinger", "name": pvf.name,
-              "tolerances": _tolerances("schlesinger_residual"), **block}
+    report = {"check": "schlesinger", "name": m.name, **block, "tolerances":
+              _tolerances("schlesinger_residual", "residue_identities")}
     return report, (f"Schlesinger residual {block['schlesinger_residual']:.3e} "
                     f"({_verdict(report)})")
 
 
 def _run_midconv(args):
     from . import midconv
-    pvf, points, seed, choice = _resolve_input(args)
-    m = flatcore.build_saito_matrices(pvf)
-    block, out = cat.midconv_block(m, points[len(points) // 2], z_seed=seed)
+    m, _, snaps = _path_input(args)
+    block, out = cat.midconv_block(m, snaps[len(snaps) // 2])
     report = {
-        "check": "midconv", "name": pvf.name,
-        "tolerances": _tolerances("midconv_recovery", "invariance_defect"),
+        "check": "midconv", "name": m.name,
+        "tolerances": _tolerances("midconv_recovery", "invariance_defect",
+                                  "residue_identities"),
         "result": midconv.convolution_to_json(out),
         **block,
     }

@@ -124,12 +124,21 @@ def snapshots_along(m: PotentialVF, path, lam, z_seed=None) -> OkuboNumeric:
     projectors they were read from.
     """
     values, roots, T0 = StructureSampler(m, z_seed=z_seed).track(path)
-    lamv = np.array([complex(x) for x in lam])
     E = projectors(T0, roots)
+    lamv, res, traces = okubo_residues(E, lam, path)
+    return OkuboNumeric(lamv, values, roots, T0, E, res, traces)
+
+
+def okubo_residues(E, lam, points):
+    """(lam, residues, traces): lam as complex, the residues -E_i diag(lam)
+    of stacked projectors E (N, n, n, n) and their traces (N, n), checked
+    by _check_residues, which names a failing point from points.  E does
+    not depend on lam, so one tracked path serves every lam."""
+    lamv = np.array([complex(x) for x in lam])
     res = -E * lamv
     traces = np.trace(res, axis1=2, axis2=3)
-    _check_residues(lamv, res, traces, path)
-    return OkuboNumeric(lamv, values, roots, T0, E, res, traces)
+    _check_residues(lamv, res, traces, points)
+    return lamv, res, traces
 
 
 # ---------------------------------------------------------------------------

@@ -213,8 +213,8 @@ def invariant_subspace_check(sys: RankOneSystem, lam, family
     (z_i - z_j), G^(k) has blocks -dz_i G^(z)_ij - w_ij residue_j off the
     diagonal and -dz_i G^(z)_ii + sum_l w_il residue_l on it.  family =
     (z_grad, dres) is the tangent of the poles and residues, z_grad[i, k] =
-    dz_i / dx_k and dres[k][i] = d residue_i / dx_k (rank_one_from_structure's
-    third value); along x_k a vector v of K moves with the kernels as
+    dz_i / dx_k and dres[k][i] = d residue_i / dx_k (rank_one_from_snapshot's
+    second value); along x_k a vector v of K moves with the kernels as
     dv_i = -residue_i^+ (d residue_i / dx_k) v_i, the exact derivative of
     its projection onto ker residue_i.  Defects are
     distances of the mapped basis vectors to K, normalized per vector.
@@ -258,21 +258,24 @@ def invariant_subspace_check(sys: RankOneSystem, lam, family
 # glue: rank-one system straight from a flat structure
 # ---------------------------------------------------------------------------
 
-def rank_one_from_structure(m, tprime, lam, z_seed=None):
-    """Truncated rank-one system of a flat structure plus its residue tangent.
-
-    Tracks the Okubo system at (t', t_n = 0) with diagonal lam (whose last
-    entry must be nonzero so the truncation shift is meaningful) and returns
-    (snapshot, system, family).  family = (z_grad, dres), the root
-    gradients (n, n) and the truncated residue tangent (n, n, n-1, n-1) with
-    z_grad[i, k] = dz_i / dt_{k+1} and dres[k][i] = d residue_i / dt_{k+1},
-    is p6.projector_tangent at the tracked point, for
-    invariant_subspace_check.
-    """
-    snap = snapshots_along(m, [tprime], lam, z_seed=z_seed)[0]
+def rank_one_from_snapshot(m, snap):
+    """(system, family) of snap, one point of residue snapshots of m: the
+    truncated rank-one system (truncate_okubo) and family = (z_grad, dres),
+    the root gradients (n, n) and the truncated residue tangent
+    (n, n, n-1, n-1), z_grad[i, k] = dz_i / dt_{k+1} and dres[k][i] =
+    d residue_i / dt_{k+1}: p6.projector_tangent at snap, for
+    invariant_subspace_check.  Both read snap's lambda only as lambda -
+    lambda_n."""
     n = m.n
     dz, dB = projector_tangent(m, snap, snap.Binf - snap.Binf[n - 1])
-    return snap, truncate_okubo(snap), (dz, dB[:, :, :n - 1, :n - 1])
+    return truncate_okubo(snap), (dz, dB[:, :, :n - 1, :n - 1])
+
+
+def rank_one_from_structure(m, tprime, lam, z_seed=None):
+    """(snapshot, system, family): the Okubo system with diagonal lam
+    tracked at the one point (t', t_n = 0), then rank_one_from_snapshot."""
+    snap = snapshots_along(m, [tprime], lam, z_seed=z_seed)[0]
+    return (snap, *rank_one_from_snapshot(m, snap))
 
 
 # ---------------------------------------------------------------------------

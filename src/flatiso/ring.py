@@ -343,8 +343,8 @@ class ExtensionRing:
               for m in relation}
         if len(ws) != 1:
             raise InputError("relation is not weighted homogeneous")
-        (self.weight,) = ws
-        self.drel_weight = self.weight - self.z_weight
+        (weight,) = ws
+        self.drel_weight = weight - self.z_weight
         self._probe_squarefree(nvars)
         pk = _packing(nvars)
         # relation = _rel / _scale with integer coefficients
@@ -412,20 +412,6 @@ class Ring:
         # and those of the denominator's factors z and rel_z
         self._iw_den = ((self._iw[0], int(self.ext.drel_weight * self._wscale))
                         if self.ext is not None else (0, 0))
-
-    def __eq__(self, other):
-        if not isinstance(other, Ring):
-            return NotImplemented
-        if self.weights != other.weights:
-            return False
-        if (self.ext is None) != (other.ext is None):
-            return False
-        if self.ext is not None:
-            return (self.ext.relation == other.ext.relation
-                    and self.ext.z_weight == other.ext.z_weight)
-        return True
-
-    __hash__ = None
 
     # -- constructors --------------------------------------------------------
 
@@ -877,15 +863,6 @@ class RingElem:
         if rest:
             return self.is_zero()
         return self._has_weight(target)
-
-    def weight(self):
-        """Weight of a homogeneous element; None if zero or inhomogeneous."""
-        if self.is_zero():
-            return None
-        ws, wden = self._key_weights()
-        if len(set(ws)) != 1:
-            return None
-        return Fraction(ws[0] - wden, self.ring._wscale)
 
     # -- structure helpers --------------------------------------------------------------
 

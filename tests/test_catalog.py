@@ -111,9 +111,9 @@ def test_midconv_gamma_inf_error_gates_nothing(monkeypatch):
 
     monkeypatch.setattr(midconv, "middle_convolution", shifted)
     e = catalog.catalog_get("LT8")
-    pts = e.default_path.points
-    block, _ = catalog.midconv_block(build_saito_matrices(e.pvf),
-                                     pts[len(pts) // 2], z_seed=e.z_seed)
+    m = build_saito_matrices(e.pvf)
+    snaps = catalog.path_snapshots(m, e.default_path.points, e.z_seed)
+    block, _ = catalog.midconv_block(m, snaps[len(snaps) // 2])
     assert abs(block["gamma_inf_error"] - 1e-3) < 1e-12
     assert block["pass"]
 
@@ -404,8 +404,9 @@ def test_symbolic_verify_divides_no_row_by_h(monkeypatch, perturbed_lazy):
 
 
 def test_full_verify_tracks_snapshots_once(monkeypatch):
-    # the snapshots, the PVI check and the entry survey (every second frame)
-    # all read the one track of the 41-point default path
+    # the snapshots, the PVI check, the entry survey (every second frame)
+    # and midconv (the middle frame) all read the one track of the 41-point
+    # default path, and nothing else is tracked
     from flatiso import p6
     lengths = []
     real = p6.StructureSampler.track
@@ -416,7 +417,7 @@ def test_full_verify_tracks_snapshots_once(monkeypatch):
 
     monkeypatch.setattr(p6.StructureSampler, "track", counting)
     assert catalog.catalog_verify("LT8", "full")["pass"]
-    assert lengths.count(41) == 1
+    assert lengths == [41]
 
 
 @pytest.mark.parametrize("eid", ["H3p", "H3pp", "LT27", "LT14", "LT19"])

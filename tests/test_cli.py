@@ -355,8 +355,10 @@ def test_verbs_report_the_catalog_numbers_and_gates(eid, capsys, monkeypatch):
         code, out, _ = run(capsys, verb, "--catalog", eid)
         assert code == 0, verb
         rep = json.loads(out)
-        assert rep["tolerances"] == {GATES[k]: catalog.TOLERANCES[GATES[k]]
-                                     for k in keys if GATES[k]}
+        # and the bound under which the path's residue checks stop it
+        assert rep["tolerances"] == {
+            **{GATES[k]: catalog.TOLERANCES[GATES[k]] for k in keys if GATES[k]},
+            "residue_identities": catalog.TOLERANCES["residue_identities"]}
         for key, (block, ckey) in keys.items():
             assert rep[key] == full[block][ckey], (verb, key)
             if GATES[key] is None:
@@ -415,8 +417,53 @@ def test_params_echoes_the_bound_it_enforces(capsys):
     from flatiso import numeric, p6
     code, out, _ = run(capsys, "params", "--catalog", "LT26")
     assert code == 0
-    assert json.loads(out)["tolerances"] == {"root_separation": p6.ROOT_SEPARATION}
+    assert json.loads(out)["tolerances"] == {
+        "root_separation": p6.ROOT_SEPARATION,
+        "residue_identities": catalog.TOLERANCES["residue_identities"]}
     assert p6.ROOT_SEPARATION is numeric.ROOT_SEPARATION
+
+
+def test_midconv_reports_its_paths_middle_poles(capsys, tmp_path):
+    # z and the poles are multivalued in t', so the path's start and its
+    # continuation fix the middle point's branch: on this LT14 path the
+    # middle snapshot, which schlesinger reads, lies on another sheet than
+    # a fresh track of the middle point from the path's z_seed
+    import numpy as np
+    from flatiso import isomono, p6
+    doc = {"t1": 1.0, "t2_start": 0.4, "t2_end": 6.4, "points": 81,
+           "z_seed": [0.5754, -0.8452]}
+    m = catalog.catalog_get("LT14").pvf
+    points, seed = catalog.path_from_doc(doc)
+    snap = catalog.path_snapshots(m, points, seed)[len(points) // 2]
+    fresh = isomono.snapshots_along(m, [points[len(points) // 2]],
+                                    p6.default_lambda(m.weights), z_seed=seed)
+    assert abs(snap.values[0] - fresh.values[0, 0]) > 0.1
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "midconv", "--catalog", "LT14", "--path",
+                       str(path))
+    assert code == 0
+    z = np.array(json.loads(out)["result"]["z"]) @ [1, 1j]
+    assert z.tolist() == snap.z.tolist()
+
+
+def test_midconv_stops_where_schlesinger_does(capsys, tmp_path):
+    # the H3pp path's roots collide at its last point: midconv tracks the
+    # whole path, as schlesinger does, and stops with the same error
+    from flatiso.errors import RootCollision
+    doc = {"t1": 1.0, "t2_start": 0.4, "t2_end": 1.0, "points": 81,
+           "z_seed": [-0.7746, 0.0]}
+    m = catalog.catalog_get("H3pp").pvf
+    with pytest.raises(RootCollision) as exc:
+        catalog.path_snapshots(m, *catalog.path_from_doc(doc))
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps(doc))
+    for verb in ("schlesinger", "midconv"):
+        code, out, err = run(capsys, verb, "--catalog", "H3pp", "--path",
+                             str(path))
+        assert (code, out) == (3, ""), verb
+        assert err == f"numeric failure: {exc.value}\n", verb
+    assert "path point 80" in str(exc.value)
 
 
 def test_params_refuses_a_path_whose_later_point_fails(capsys, tmp_path):

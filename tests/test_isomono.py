@@ -386,6 +386,38 @@ def test_trace_near_one_is_named_at_its_point():
     iso._check_residues(lam, residues[::2], traces[::2], points[::2])
 
 
+def test_residues_at_another_lambda_are_checked():
+    # okubo_residues forms -E_i diag(lam) of projectors summing to I and
+    # checks them as a snapshot's: at lam = (0.5, 0.25) the trace of the
+    # first residue is 1 + 5e-7, within TRACE_GUARD of 1, at the second
+    # point only; at lam = (0.5, 0.75) no trace is near +-1
+    x = np.array([-0.6, -2 * (1.1 + 5e-7), -0.6])
+    E = np.zeros((3, 2, 2, 2))
+    E[:, 0, 0, 0], E[:, 0, 0, 1], E[:, 0, 1, 1] = x, 0.2, 0.4
+    E[:, 1] = np.eye(2) - E[:, 0]
+    points = [(1.0, 0.4), (1.0, 0.5), (1.0, 0.6)]
+    with pytest.raises(RankViolation, match=re.escape(
+            f"trace r_1 within {iso.TRACE_GUARD} of +-1 at {points[1]}")):
+        iso.okubo_residues(E, (0.5, 0.25), points)
+    lam, residues, traces = iso.okubo_residues(E, (0.5, 0.75), points)
+    assert lam.tolist() == [0.5, 0.75]
+    assert residues.tolist() == (-E * lam).tolist()
+    assert np.allclose(traces, [[0, -1.25], [0.8, -2.05], [0, -1.25]])
+
+
+def test_midconv_block_checks_the_residues_at_the_weights(monkeypatch):
+    # midconv_block runs the snapshot checks at the lift's target lam = w
+    # on the snapshot's own projectors, naming the middle point: a guard
+    # wide enough to catch every trace stops it there
+    e, m = entry_setup("LT8")
+    snaps = catalog.path_snapshots(m, e.default_path.points, e.z_seed)
+    mid = len(snaps) // 2
+    monkeypatch.setattr(iso, "TRACE_GUARD", 10.0)
+    with pytest.raises(RankViolation, match=re.escape(
+            f"of +-1 at {e.default_path.points[mid]}")):
+        catalog.midconv_block(m, snaps[mid])
+
+
 def test_corrupted_residue_sum_raises(monkeypatch):
     e, m = entry_setup("LT8")
     path = e.default_path.points[:10]

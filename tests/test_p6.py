@@ -617,13 +617,26 @@ def test_pvi_grid_residual_guards():
 
 
 def test_midconv_block_tracks_once(monkeypatch):
-    # the residue tangent comes from the one tracked point, not from
-    # re-tracking displaced points
+    # the path is tracked once; midconv_block reads its middle snapshot,
+    # and the residue tangent comes from that point, so the block itself
+    # tracks nothing
     e, m = entry_setup("LT8")
     calls = count_tracks(monkeypatch)
     pts = e.default_path.points
-    catalog.midconv_block(m, pts[len(pts) // 2], z_seed=e.z_seed)
-    assert calls == [1]
+    snaps = catalog.path_snapshots(m, pts, e.z_seed)
+    assert calls == [len(pts)]
+    catalog.midconv_block(m, snaps[len(snaps) // 2])
+    assert calls == [len(pts)]
+
+
+@pytest.mark.parametrize("verb", ["extract-p6", "params", "schlesinger",
+                                  "midconv"])
+def test_path_verbs_track_once(verb, monkeypatch, capsys):
+    from flatiso import cli
+    calls = count_tracks(monkeypatch)
+    assert cli.main([verb, "--catalog", "LT8"]) == 0
+    capsys.readouterr()
+    assert calls == [len(catalog.catalog_get("LT8").default_path.points)]
 
 
 def _path_401(e):

@@ -65,8 +65,7 @@ def test_partial_klein_g1(klein):
 def test_euler_weights(plain):
     t1, t2, t3 = plain.gens()
     assert (t1 * t3).euler() == (t1 * t3) * F(9, 7)
-    assert (t1 + t3).weight() is None
-    assert not (t1 + t3).is_homogeneous(1)
+    assert not any((t1 + t3).is_homogeneous(w) for w in (F(2, 7), 1))
 
 
 def test_euler_klein(klein):
@@ -81,7 +80,6 @@ def test_zero_homogeneous_of_every_weight(plain):
     z = plain.zero()
     for w in (0, 1, F(5, 7)):
         assert z.is_homogeneous(w)
-    assert z.weight() is None
 
 
 def fraction_weights(e):
@@ -167,14 +165,6 @@ def test_equality_and_its_negation(plain):
     assert not plain.const(F(1, 2)) != F(1, 2)
     assert t1.__eq__("t1") is NotImplemented
     assert t1 != "t1" and not t1 == "t1"
-
-
-def test_rings_compare_by_weights_and_relation(plain, ext):
-    assert plain == Ring(["2/7", "3/7", "1"])
-    assert plain != Ring(["2/7", "3/7", "1", "1"])
-    assert ext != Ring(ext.weights)
-    assert ext == Ring(ext.weights, extension=ext.ext.relation, z_weight="1/5")
-    assert plain.__eq__(plain.weights) is NotImplemented
 
 
 def test_elementary_operations(plain):
@@ -290,9 +280,10 @@ def test_catalog_relations_pass_squarefree_guard():
     for eid in catalog.catalog_list():
         ring = catalog.catalog_get(eid).pvf.ring
         if ring.ext is not None:
+            # building the ring again runs the guard on the relation
             again = Ring(ring.weights, extension=ring.ext.relation,
                          z_weight=ring.ext.z_weight)
-            assert again == ring
+            assert again.ext.relation == ring.ext.relation
 
 
 def z_tracker(ring, seed):
