@@ -26,14 +26,12 @@ from .ring import (MAX_DEGREE, Ring, RingElem, _grlex_key, _p_lincomb, _p_scale,
 # The bit length a power may give a coefficient: that of the largest literal
 # int() converts (4300 digits), the bound literals already obey.
 MAX_COEFF_BITS = 14_284
-# The terms a power may give its numerator or denominator: a power of an
-# m-term polynomial has at most C(m + k - 1, k) terms, and one of about this
-# many, such as (t1 + t2 + t3 + 1)^37 with 9,880, parses in about 0.3 s.
-MAX_POWER_TERMS = 10_000
-# A power's size, its term bound times its coefficient-bit bound: within the
-# two bounds above, (t1 + 1)^4000 (size 1.6e7) took 15 s.  The slowest power
-# all three admit, (t1 + t2 + 1)^137 (size 2.08e6), parses in about 1.1 s.
-MAX_POWER_SIZE = 2 ** 21
+# A product's term pairs times the coefficient bits of a pair, at least 256
+# (a pair costs about 250 ns of dict work, then about 1 ns per bit).  At 0.8
+# to 1 times this bound, products of 1- to 14,000-bit coefficients took 4 to
+# 7 ms on a 2-CPU host (CPython 3.11.7).  The last squaring of
+# (t1 + t2 + t3 + 1)^16 is past it; the catalog's largest product is 1/1365.
+MAX_PRODUCT_SIZE = 2 ** 22
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -123,27 +121,38 @@ class _Parser:
             raise ParseError(t[2], "end of input", t[1])
         return v
 
+    def mul(self, a, b, op):
+        """a b, every product the parser forms, refused at its operator
+        token op before it is formed where it passes MAX_PRODUCT_SIZE."""
+        bits = sum(max(map(int.bit_length, map(abs, p.values())), default=0)
+                   for p in (a, b))
+        if len(a) * len(b) * max(bits, 256) > MAX_PRODUCT_SIZE:
+            raise ParseError(op[2], f"a product of at most {MAX_PRODUCT_SIZE}"
+                             " term pairs times coefficient bits", op[1])
+        return self.pk.mul(a, b)
+
     def expr(self):
         v = self.term()
-        mul = self.pk.mul
+        mul = self.mul
         while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.take()[0] == "+" else -1
+            op = self.take()
             w = self.term()
-            v = (_p_lincomb(mul(v[0], w[1]), 1, mul(w[0], v[1]), sign), mul(v[1], w[1]))
+            v = (_p_lincomb(mul(v[0], w[1], op), 1, mul(w[0], v[1], op),
+                            1 if op[0] == "+" else -1), mul(v[1], w[1], op))
         return v
 
     def term(self):
         v = self.unary()
-        mul = self.pk.mul
+        mul = self.mul
         while self.peek()[0] in ("*", "/"):
-            op = self.take()[0]
+            op = self.take()
             w = self.unary()
-            if op == "*":
-                v = (mul(v[0], w[0]), mul(v[1], w[1]))
+            if op[0] == "*":
+                v = (mul(v[0], w[0], op), mul(v[1], w[1], op))
             else:
                 if not w[0]:
                     raise ParseError(self.peek()[2], "nonzero denominator", "0")
-                v = (mul(v[0], w[1]), mul(v[1], w[0]))
+                v = (mul(v[0], w[1], op), mul(v[1], w[0], op))
         return v
 
     def unary(self):
@@ -158,39 +167,29 @@ class _Parser:
         if self.peek()[0] == "^":
             at = self.take()[2]
             k = self.exponent()
-            # the coefficients of p^k are at most (sum |c|)^k in size and its
-            # terms at most C(m + k - 1, k) in number: a power that could
-            # pass MAX_COEFF_BITS, MAX_POWER_TERMS or MAX_POWER_SIZE, in its
-            # numerator or its denominator, is refused before it is computed
+            # the coefficients of p^k are at most (sum |c|)^k in size: a
+            # power whose numerator or denominator could pass
+            # MAX_COEFF_BITS is refused before it is computed
             for part in v:
                 total = sum(map(abs, part.values()))
-                bits = k * math.log2(total) if total > 1 else 0
-                if bits > MAX_COEFF_BITS:
+                if total > 1 and k * math.log2(total) > MAX_COEFF_BITS:
                     raise ParseError(at, f"a power with coefficients of at "
                                      f"most {MAX_COEFF_BITS} bits", f"^{k}")
-                m = len(part)
-                terms = math.comb(m + k - 1, min(k, m - 1)) if m > 1 else 1
-                if terms > MAX_POWER_TERMS:
-                    raise ParseError(at, f"a power of at most "
-                                     f"{MAX_POWER_TERMS} terms", f"^{k}")
-                if terms * bits > MAX_POWER_SIZE:
-                    raise ParseError(at, f"a power of at most {MAX_POWER_SIZE} "
-                                     f"terms times coefficient bits", f"^{k}")
-            return self.pow(v, k)
+            return self.pow(v, k, ("^", f"^{k}", at))
         return v
 
-    def pow(self, v, k):
-        mul = self.pk.mul
+    def pow(self, v, k, op):
+        mul = self.mul
         out_n, out_d = {0: 1}, {0: 1}
         base_n, base_d = v
         while k:
             if k & 1:
-                out_n = mul(out_n, base_n)
-                out_d = mul(out_d, base_d)
+                out_n = mul(out_n, base_n, op)
+                out_d = mul(out_d, base_d, op)
             k >>= 1
             if k:
-                base_n = mul(base_n, base_n)
-                base_d = mul(base_d, base_d)
+                base_n = mul(base_n, base_n, op)
+                base_d = mul(base_d, base_d, op)
         return out_n, out_d
 
     def exponent(self):

@@ -66,34 +66,38 @@ class OkuboNumeric:
                             self.E[k], self.residues[k], self.traces[k])
 
 
-def _check_residues(lam, residues, traces, points):
-    """The snapshot checks on stacked residues (N, n, n, n) and traces (N, n).
-
-    Residues sum to -Binf within catalog.TOLERANCES["residue_identities"],
-    no trace lies within TRACE_GUARD of +-1 and no lambda_i - lambda_j is
-    near an integer.  Raises for the first failing point, named from points.
-    The rank is not checked: a residue -E_i Binf is rank one up to rounding
-    (its second singular value is at most 3.3e-16 of the first on the
-    default paths, pinned in tests/test_midconv.py, and grows with the
-    condition of the eigenvectors of T0), and neither the Schlesinger check
-    nor the loops assume rank one.  midconv, which does, tests the rank
-    first (condition D3 of RankOneSystem, by its SVD).
-    """
-    lam = np.asarray(lam)
-    n = residues.shape[1]
-    total = residues.sum(axis=1) + np.diag(lam)
+def residue_conditions(residues, lam):
+    """The residue conditions over any leading axes, for _check_residues and
+    midconv.RankOneSystem: the traces (..., n) of residues (..., n, m, m),
+    where they miss -diag(lam) in sum by TOLERANCES["residue_identities"]
+    (...) and where a trace lies within TRACE_GUARD of +-1 (..., n)."""
+    traces = np.trace(residues, axis1=-2, axis2=-1)
+    total = residues.sum(axis=-3) + np.diag(lam)
+    unsummed = (np.abs(total).max(axis=(-2, -1))
+                > TOLERANCES["residue_identities"])
     near = np.minimum(np.abs(traces - 1), np.abs(traces + 1)) < TRACE_GUARD
-    tol = TOLERANCES["residue_identities"]
-    checks = [(np.abs(total).max(axis=(1, 2)) > tol, lambda k:
+    return traces, unsummed, near
+
+
+def _check_residues(lam, residues, points):
+    """The snapshot checks on stacked residues (N, n, n, n), returning
+    their traces (N, n): residue_conditions, then no lambda_i - lambda_j
+    near an integer, raised for the first failing point, named from points.
+    The rank is not checked: -E_i Binf is rank one up to rounding (pinned
+    in tests/test_midconv.py), and midconv, the one part that assumes it,
+    tests it first (condition D3 of RankOneSystem, by its SVD)."""
+    traces, unsummed, near = residue_conditions(residues, lam)
+    checks = [(unsummed, lambda k:
                RankViolation(f"residues do not sum to -Binf at {points[k]}"))]
     checks += [(near[:, i], lambda k, i=i: RankViolation(
         f"trace r_{i+1} within {TRACE_GUARD} of +-1 at {points[k]}"))
-               for i in range(n)]
+               for i in range(residues.shape[1])]
     resonant = _integer_gap(lam)
     if resonant is not None:
         checks.append((np.ones(len(residues), dtype=bool),
                        lambda k: ResonantLambda(resonant)))
     _raise_first(checks)
+    return traces
 
 
 def _integer_gap(lam):
@@ -136,9 +140,7 @@ def okubo_residues(E, lam, points):
     not depend on lam, so one tracked path serves every lam."""
     lamv = np.array([complex(x) for x in lam])
     res = -E * lamv
-    traces = np.trace(res, axis1=2, axis2=3)
-    _check_residues(lamv, res, traces, points)
-    return lamv, res, traces
+    return lamv, res, _check_residues(lamv, res, points)
 
 
 # ---------------------------------------------------------------------------
@@ -332,6 +334,10 @@ def jm_residues(ts, ys, zs, ks, thetas, kappas):
     The one constructor of a Jimbo-Miwa system: a single point is a
     one-point trajectory.
 
+    A_i = [[z_i + theta_i, -u_i z_i], [(z_i + theta_i) / u_i, -z_i]] with
+    z_i and u_i = k (y - a_i) / (s_i z_i) one pencil over the poles a_i,
+    s_i = prod_{j != i} (a_i - a_j) (the loop below spells z_i out).
+
     Requires kappa_1 + kappa_2 + theta_0 + theta_1 + theta_t = 0 and
     theta_inf = kappa_1 - kappa_2 != 0 (DegenerateTheta otherwise).  The
     guards on the points are array checks that name the first failing
@@ -352,34 +358,25 @@ def jm_residues(ts, ys, zs, ks, thetas, kappas):
     with np.errstate(all="ignore"):
         zz = ztilde - th0 / y - th1 / (y - 1) - tht / (y - t)
         quad = y * (y - 1) * (y - t) * zz * zz
-        z0 = (y / (t * thinf)) * (
-            quad + (th1 * (y - t) + t * tht * (y - 1)
-                    - 2 * k2 * (y - 1) * (y - t)) * zz
-            + k2 * k2 * (y - t - 1) - k2 * (th1 + t * tht))
-        z1 = (-(y - 1) / ((t - 1) * thinf)) * (
-            quad + ((th1 + thinf) * (y - t) + t * tht * (y - 1)
-                    - 2 * k2 * (y - 1) * (y - t)) * zz
-            + k2 * k2 * (y - t) - k2 * (th1 + t * tht) - k1 * k2)
-        zt = ((y - t) / (t * (t - 1) * thinf)) * (
-            quad + (th1 * (y - t) + t * (tht + thinf) * (y - 1)
-                    - 2 * k2 * (y - 1) * (y - t)) * zz
-            + k2 * k2 * (y - 1) - k2 * (th1 + t * tht) - t * k1 * k2)
-        u = k * y / (t * z0)
-        v = -k * (y - 1) / ((t - 1) * z1)
-        w = k * (y - t) / (t * (t - 1) * zt)
         residues = np.empty((len(t), 3, 2, 2), dtype=complex)
-        for i, (zi, thi, ui) in enumerate(((z0, th0, u), (z1, th1, v),
-                                           (zt, tht, w))):
-            residues[:, i, 0, 0] = zi + thi
-            residues[:, i, 0, 1] = -ui * zi
-            residues[:, i, 1, 0] = (zi + thi) / ui
-            residues[:, i, 1, 1] = -zi
+        # a_i, s_i, then theta_inf added to theta_1 at a = 1, to theta_t at t
+        for i, (a, s, e, f, thi) in enumerate((
+                (0, t, 0, 0, th0), (1, 1 - t, thinf, 0, th1),
+                (t, t * (t - 1), 0, thinf, tht))):
+            lin = ((th1 + e) * (y - t) + t * (tht + f) * (y - 1)
+                   - 2 * k2 * (y - 1) * (y - t))
+            zi = (y - a) / (s * thinf) * (
+                quad + lin * zz + k2 * k2 * (y - t - 1 + a)
+                - k2 * (th1 + t * tht) - a * k1 * k2)
+            ui = k * (y - a) / (s * zi)
+            residues[:, i] = np.moveaxis(np.array(
+                [[zi + thi, -ui * zi], [(zi + thi) / ui, -zi]]), -1, 0)
     pole = np.minimum(np.minimum(np.abs(y), np.abs(y - 1)), np.abs(y - t))
     _raise_first([(pole < 1e-12, lambda i: PoleAtY(
         f"y = {y[i]} hits a pole for t = {t[i]} (point {i})"))]
         + [(np.abs(val) < 1e-300, lambda i, name=name: DegenerateTheta(
             f"{name} vanishes at point {i}; u,v,w are undefined"))
-           for name, val in (("z0", z0), ("z1", z1), ("zt", zt))]
+           for name, val in zip(("z0", "z1", "zt"), residues[:, :, 1, 1].T)]
         + [(~np.isfinite(residues).all(axis=(1, 2, 3)), lambda i: BlowUp(
             f"a residue is not finite at t = {t[i]} (point {i})"))])
     return np.column_stack([np.zeros_like(t), np.ones_like(t), t]), residues

@@ -34,9 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import TOLERANCES
 from .errors import ConditionDViolation, InverseMismatch, ResonantLambda
-from .isomono import TRACE_GUARD, OkuboNumeric, snapshots_along
+from .isomono import OkuboNumeric, residue_conditions, snapshots_along
 from .p6 import projector_tangent
 
 RANK_TOL = 1e-8
@@ -59,16 +58,15 @@ class RankOneSystem:
         lam = self.Gamma_inf
         if np.any(np.abs(lam) < 1e-10):
             raise ConditionDViolation("D4", "Gamma_inf has a zero eigenvalue")
-        total = self.residues.sum(axis=0) + np.diag(lam)
-        if np.abs(total).max() > TOLERANCES["residue_identities"]:
+        _, unsummed, near = residue_conditions(self.residues, lam)
+        if unsummed:
             raise ConditionDViolation("D4", "residues do not sum to -Gamma_inf")
         _, s, _ = self.svd = np.linalg.svd(self.residues)
-        tr = np.trace(self.residues, axis1=1, axis2=2)
         # per residue, in order: vanishing, rank >= 2, trace near +-1
         bad = np.column_stack([
             s[:, 0] < 1e-12,
             (s[:, 1:] > RANK_TOL * np.maximum(1.0, s[:, :1])).any(axis=1),
-            np.minimum(abs(tr - 1), abs(tr + 1)) < TRACE_GUARD])
+            near])
         if bad.any():
             j, c = np.argwhere(bad)[0]
             raise ConditionDViolation("D3", (

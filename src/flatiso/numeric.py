@@ -94,29 +94,31 @@ class EvalStack:
         exponent of the stack.  A term whose own exponent in a slot is 0 is
         multiplied by exactly 1, so it keeps the value it has on its own;
         each element's terms are then summed by one sum(axis=0) in the order
-        it holds them.  An element thus takes the same value bit for bit in
-        any stack, a one-element stack included.  Each power of z and of
-        rel_z then divides the elements that carry it once, rel_z being
-        evaluated once per call.
+        it holds them, row by row (a lone row, which numpy would sum
+        pairwise, is evaluated as two).  An element thus takes the same
+        value bit for bit in any stack and at a row alone as among many.
+        Each power of z and of rel_z then divides the elements that carry
+        it once, rel_z being evaluated once per call.
         """
         ring = self.ring
         values = np.asarray(values, dtype=complex)
         if values.ndim != 2 or values.shape[1] != ring.nvars + 1:
             raise ValueError(f"expected rows of {ring.nvars + 1} values (z, t1..tn)")
-        acc = np.repeat(self._coeffs[:, None], len(values), axis=1)
+        x = np.repeat(values, 2, axis=0) if len(values) == 1 else values
+        acc = np.repeat(self._coeffs[:, None], len(x), axis=1)
         for s, col, top in self._slots:
-            acc *= np.vander(values[:, s], top + 1, increasing=True).T[col]
+            acc *= np.vander(x[:, s], top + 1, increasing=True).T[col]
         bounds = self._bounds
-        out = np.empty((len(bounds) - 1, len(values)), dtype=complex)
+        out = np.empty((len(bounds) - 1, len(x)), dtype=complex)
         for i in range(len(out)):
             out[i] = acc[bounds[i]:bounds[i + 1]].sum(axis=0)
         for d, rows in self._zden:
-            out[rows] /= values[:, 0] ** d
+            out[rows] /= x[:, 0] ** d
         if self._dden:
             drel = _relation_forms(ring)[1].eval_batch(values)
             for d, rows in self._dden:
                 out[rows] /= drel ** d
-        return out.reshape(self.shape + (len(values),))
+        return out[:, :len(values)].reshape(self.shape + (len(values),))
 
 
 # ---------------------------------------------------------------------------

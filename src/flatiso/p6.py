@@ -58,6 +58,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+import math
 from typing import List, NamedTuple
 
 import numpy as np
@@ -243,7 +244,8 @@ def projectors(T0, z):
         B = TB + c[k] * eye
         adj = adj * w[:, None, None] + B                # (root, n, n, N)
     gap = w[:, None] - w + eye                          # [i, j] = z_i - z_j
-    E = adj / gap.prod(axis=1)[:, None, None]
+    # gaps multiplied left to right for any N (prod(axis=1) is not, on one row)
+    E = adj / math.prod(gap.swapaxes(0, 1))[:, None, None]
     return np.ascontiguousarray(np.moveaxis(E, -1, 0))
 
 
@@ -528,27 +530,28 @@ def default_lambda(weights):
 
 def p6_parameters(m: PotentialVF, point, sampler: StructureSampler,
                   lam=None, entry_choice=(1, 2)) -> P6Params:
-    """theta and (alpha, beta, gamma, delta) from the residue traces
-    -sum_a (E_i)_aa lam_a at a point, on the projectors of the roots and T0
-    that sampler, a StructureSampler of m, tracks there.
+    """params_from_traces at a point, of the traces of the residues
+    -E_i diag(lam) that isomono.okubo_residues forms and checks on the
+    projectors of the roots and T0 that sampler, a StructureSampler of m,
+    tracks there."""
+    from .isomono import okubo_residues
+    _check_entry(m, entry_choice)
+    if lam is None:
+        lam = default_lambda(m.weights)
+    _, z, T0 = sampler.track([point])
+    _, _, traces = okubo_residues(projectors(T0, z), lam, [point])
+    return params_from_traces(traces[0], lam, entry_choice)
+
+
+def params_from_traces(r, lam, entry_choice):
+    """theta and (alpha, beta, gamma, delta) of entry_choice from residue
+    traces r.
 
     For entry (i, j) the two-dimensional reduction keeps the unknowns i, j
     and drops the remaining index k, which requires shifting the Okubo
     diagonal by -lam_k; hence theta_m = r_m + lam_k (= r_m - lam_3 in the
     default normalization where lam_3 = 0) and theta_inf = lam_i - lam_j.
     """
-    _check_entry(m, entry_choice)
-    if lam is None:
-        lam = default_lambda(m.weights)
-    _, z, T0 = sampler.track([point])
-    E = projectors(T0, z)[0]
-    traces = -np.diagonal(E, axis1=1, axis2=2) @ np.array(
-        [complex(x) for x in lam])
-    return params_from_traces(traces, lam, entry_choice)
-
-
-def params_from_traces(r, lam, entry_choice):
-    """P6Params of entry_choice from residue traces r (see p6_parameters)."""
     lamc = [complex(x) for x in lam]
     i, j = entry_choice
     k = ({1, 2, 3} - {i, j}).pop()

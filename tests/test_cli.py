@@ -617,7 +617,8 @@ def test_nested_constant_powers_exit_2_at_once(doc, capsys, tmp_path):
 @pytest.mark.parametrize("verb", ["verify-wdvv", "saito", "logvf"])
 def test_power_past_the_term_bound_exits_2_at_once(verb, capsys, tmp_path):
     # (t1 + t2 + t3 + 1)^200 would have C(203, 3) = 1,373,701 terms; the
-    # parser refuses it at the ^ before pow runs
+    # parser refuses the first of its products whose term pairs times
+    # coefficient bits pass MAX_PRODUCT_SIZE, at the ^, before forming it
     import time
     p = tmp_path / "doc.json"
     p.write_text(json.dumps({"weights": ["1/4", "1/2", "1"],
@@ -626,26 +627,25 @@ def test_power_past_the_term_bound_exits_2_at_once(verb, capsys, tmp_path):
     code, out, err = run(capsys, verb, "--input", str(p))
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
-    assert f"a power of at most {exprio.MAX_POWER_TERMS} terms" in err
+    assert f"a product of at most {exprio.MAX_PRODUCT_SIZE} term pairs" in err
 
 
 def test_power_past_the_size_bound_exits_2_at_once(capsys, tmp_path):
-    # (t1 + 1)^4000 is within the coefficient-bit and the term bounds, but
-    # its size, 4001 terms times 4000 bits, passes MAX_POWER_SIZE: the parser
-    # refuses it at the ^, where it would take seconds to build
+    # (t1 + 1)^4000 is within the coefficient-bit bound, and the product
+    # of two 28th powers multiplies two polynomials of 4,495 terms, which
+    # took 5.9 s: the parser refuses the first product past
+    # MAX_PRODUCT_SIZE (for both, the last product of a power) before it is
+    # formed
     import time
-    p = tmp_path / "doc.json"
-    p.write_text(json.dumps({"weights": ["1/4", "1/2", "1"],
-                             "g": ["(t1 + 1)^4000", "t1*t2", "t1^2"]}))
-    start = time.perf_counter()
-    code, out, err = run(capsys, "verify-wdvv", "--input", str(p))
-    assert time.perf_counter() - start < 0.1
-    assert code == 2 and out == ""
-    assert f"a power of at most {exprio.MAX_POWER_SIZE} terms times" in err
-    # the densest power the term bound admits is within the size bound
-    from flatiso.ring import Ring
-    dense = exprio.parse_expr("(t1 + t2 + t3 + 1)^37", Ring(["1/4", "1/2", "1"]))
-    assert len(dense.num) == 9880
+    for g1 in ("(t1 + 1)^4000", "(t1+t2+t3+1)^28*(t1+t2+t3+1)^28"):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps({"weights": ["1/4", "1/2", "1"],
+                                 "g": [g1, "t1*t2", "t1^2"]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify-wdvv", "--input", str(p))
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == ""
+        assert f"a product of at most {exprio.MAX_PRODUCT_SIZE} term pairs" in err
 
 
 def test_exponent_tower_returns_at_once(tmp_path, src_env):

@@ -62,14 +62,21 @@ def test_powers_past_the_coefficient_bound_are_refused(plain):
 
 
 def test_powers_past_the_term_bound_are_refused(plain):
-    # an m-term polynomial to the k has at most C(m + k - 1, k) terms; past
-    # MAX_POWER_TERMS it is refused at the ^, numerator and denominator alike
-    # (the bound for ^37 is 9,880 terms, which it reaches, for ^38 10,660)
-    assert comb(40, 37) <= exprio.MAX_POWER_TERMS < comb(41, 38)
+    # every product the parser forms is refused at its operator, before it
+    # is formed, once its term pairs times the coefficient bits of a pair
+    # (at least 256) pass MAX_PRODUCT_SIZE: the squarings and
+    # multiplications of a power at the ^, numerator and denominator
+    # alike, and products, quotients and sums at their * / + -
     base = "(t1 + t2 + t3 + 1)"
-    assert len(exprio.parse_raw(base + "^37", 3, False)[0]) == comb(40, 37)
-    for text, at in ((base + "^38", 18), ("t1 + (t2/" + base + ")^38", 28)):
-        with pytest.raises(ParseError, match="terms") as e:
+    assert len(exprio.parse_raw(base + "^14", 3, False)[0]) == comb(17, 14)
+    # the last product of ^14 is b^6 b^8, C(9, 6) * C(11, 8) pairs of small
+    # coefficients; that of ^16 is b^8 b^8
+    assert 84 * 165 * 256 <= exprio.MAX_PRODUCT_SIZE < 165 * 165 * 256
+    half = base + "^8"
+    for text, at in ((base + "^16", 18), ("t1 + (t2/" + base + ")^16", 28),
+                     (half + "*" + half, 20), (half + "/(1/" + half + ")", 20),
+                     ("1/" + half + " + 1/" + half, 23)):
+        with pytest.raises(ParseError, match="term pairs") as e:
             exprio.parse_expr(text, plain)
         assert e.value.position == at, text
 

@@ -1126,3 +1126,61 @@ def test_one_evaluation_per_matrix(eid, monkeypatch):
     calls.clear()
     p6.projector_tangent(m, snaps[200], lam)
     assert calls == [(m.dT0_stack, 1)] + then_rel_z(m.dT0_stack, 1)
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_a_row_alone_takes_its_values_among_many(eid):
+    # one value per point: T0 with h's coefficients, dT0 and the spectral
+    # projectors at each row of the default path at 401 points, formed on
+    # that row alone, equal the same row's among all 401, bit for bit
+    e, m = entry_setup(eid)
+    pts, z_seed = _path_401(e)
+    track = p6.StructureSampler(m, z_seed=z_seed).track(pts)
+    E = p6.projectors(track.T0, track.z)
+    for stack in (m.T0_h_stack, m.dT0_stack):
+        many = stack.eval_batch(track.values)
+        for k, row in enumerate(track.values):
+            assert np.array_equal(stack.eval_batch(row[None])[..., 0],
+                                  many[..., k])
+    for k in range(len(pts)):
+        assert np.array_equal(
+            p6.projectors(track.T0[k:k + 1], track.z[k:k + 1])[0], E[k])
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_p6_parameters_reads_the_okubo_traces(eid, monkeypatch):
+    # p6_parameters forms no trace of its own: its r are the traces that
+    # isomono.okubo_residues forms and checks on the projectors of the
+    # tracked point, bit for bit, and the only ones it reads
+    e, m = entry_setup(eid)
+    point, lam = e.default_path.points[0], p6.default_lambda(m.weights)
+    formed, okubo_residues = [], isomono.okubo_residues
+
+    def counting(E, lam, points):
+        formed.append(okubo_residues(E, lam, points))
+        return formed[-1]
+    monkeypatch.setattr(isomono, "okubo_residues", counting)
+    params = p6.p6_parameters(m, point, p6.StructureSampler(m, z_seed=e.z_seed),
+                              lam=lam, entry_choice=e.p6_entry)
+    _, z, T0 = p6.StructureSampler(m, z_seed=e.z_seed).track([point])
+    traces = okubo_residues(p6.projectors(T0, z), lam, [point])[2][0]
+    assert len(formed) == 1
+    assert np.array_equal(params.r, traces)
+    assert np.array_equal(formed[0][2][0], traces)
+
+
+@pytest.mark.parametrize("eid", catalog.catalog_list())
+def test_one_point_params_match_the_first_point_of_extract_p6(eid):
+    # a one-point p6_parameters and the first point of the extract-p6 path
+    # report the same theta, bit for bit: the route is the same (the
+    # okubo_residues traces) and a row takes the same values alone as
+    # among the path's
+    e, m = entry_setup(eid)
+    snaps = catalog.path_snapshots(m, e.default_path.points, e.z_seed)
+    _, path_params, _ = p6.pvi_on_frames(m, e.p6_entry, snaps)
+    params = p6.p6_parameters(m, e.default_path.points[0],
+                              p6.StructureSampler(m, z_seed=e.z_seed),
+                              entry_choice=e.p6_entry)
+    assert [params.theta0, params.theta1, params.thetat, params.thetainf] == [
+        path_params.theta0, path_params.theta1, path_params.thetat,
+        path_params.thetainf]

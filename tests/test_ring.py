@@ -1070,8 +1070,9 @@ def test_tracker_stack_matches_t0_and_h_compiled_alone(eid):
 def per_element(num, zden, dden, ring, values):
     """An element at every row by the per-element kernel that the stacked one
     replaced: the terms of num in the order it holds them, multiplied slot by
-    slot up to the element's own top exponent, one sum(axis=0), then
-    z^zden and rel_z^dden."""
+    slot up to the element's own top exponent, summed left to right (the
+    order eval_batch sums in for any number of rows), then z^zden and
+    rel_z^dden."""
     import numpy as np
     exps = np.array(list(num), dtype=np.intp).reshape(len(num), ring.nvars + 1)
     acc = np.repeat(np.array([float(c) for c in num.values()],
@@ -1080,7 +1081,7 @@ def per_element(num, zden, dden, ring, values):
         top = int(exps[:, s].max(initial=0))
         if top:
             acc *= np.vander(values[:, s], top + 1, increasing=True).T[exps[:, s]]
-    val = acc.sum(axis=0)
+    val = sum(acc, np.zeros(len(values), dtype=complex))
     if zden:
         val /= values[:, 0] ** zden
     if dden:
